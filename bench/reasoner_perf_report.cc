@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -19,9 +18,7 @@
 #include "finkg/company_kg.h"
 #include "finkg/generator.h"
 #include "instance/pipeline.h"
-#include "metalog/catalog.h"
 #include "vadalog/engine.h"
-#include "vadalog/magic/point_query.h"
 #include "vadalog/parser.h"
 
 namespace {
@@ -323,119 +320,6 @@ int main(int argc, char** argv) {
     }
   }
   w.Close(']');
-
-  // Binding-cone hints through the magic point-query route: the same
-  // bound closure query runs plan_mode greedy and greedy_typed over a
-  // shared ownership encoding.  Plain greedy costs every magic-guarded
-  // relation at the zero rows it holds at first-plan time, so its plans
-  // claim ~free probes and pick scans; greedy_typed costs them with
-  // EstimateBindingCones priors instead.  Answers are identical by the
-  // determinism contract (vadalog_typeflow_test enforces it); the rows
-  // record, per mode, the actual probes and the planner's own estimated
-  // cost of the magic-guarded rules against their written order.
-  {
-    metalog::GraphCatalog pq_catalog = instance::SchemaCatalog(schema);
-    vadalog::FactDb pq_base = metalog::EncodeGraph(
-        planner_net.ToOwnershipGraph(/*include_persons=*/true), pq_catalog);
-    // The recursive body deliberately leads with the wide EDB literal:
-    // the written order is a full OWNS scan per magic tuple, so a planner
-    // that costs the magic-guarded rule correctly must reorder it.
-    const char* reach_src =
-        "@input(\"OWNS\").\n"
-        "OWNS(_e, x, y, _w) -> reach(x, y).\n"
-        "OWNS(_e, y, z, _w), reach(x, y) -> reach(x, z).\n"
-        "@output(\"reach\").\n";
-    auto reach = vadalog::ParseProgram(reach_src);
-    const vadalog::Relation* owns_rel = pq_base.Get("OWNS");
-    if (reach.ok() && owns_rel != nullptr && owns_rel->size() > 0) {
-      // Seed the query from the highest-out-degree owner so the bound
-      // cone is deep enough to exercise the recursive rule.
-      std::map<Value, size_t> out_degree;
-      for (size_t i = 0; i < owns_rel->size(); ++i) {
-        ++out_degree[owns_rel->tuple(i)[1]];
-      }
-      Value seed = owns_rel->tuple(0)[1];
-      size_t best_degree = 0;
-      for (const auto& [v, n] : out_degree) {
-        if (n > best_degree) {
-          best_degree = n;
-          seed = v;
-        }
-      }
-      vadalog::magic::QueryBinding query;
-      query.predicate = "reach";
-      query.args = {seed, std::nullopt};
-      w.Open("typed_point_query", '{');
-      w.Field("component", "reach_closure");
-      w.Field("query", query.Render().c_str());
-      w.Open("runs", '[');
-      size_t probes[2] = {0, 0};
-      size_t answers[2] = {0, 0};
-      for (int typed = 0; typed < 2; ++typed) {
-        vadalog::FactDb db = pq_base.Clone();
-        vadalog::magic::PointQueryOptions pq;
-        pq.engine.num_threads = 1;
-        pq.engine.plan_mode = typed != 0 ? vadalog::PlanMode::kGreedyTyped
-                                         : vadalog::PlanMode::kGreedy;
-        vadalog::magic::PointQueryStats stats;
-        auto rows =
-            vadalog::magic::EvalPointQuery(*reach, query, &db, pq, &stats);
-        if (!rows.ok()) {
-          std::fprintf(stderr, "typed point query failed: %s\n",
-                       rows.status().ToString().c_str());
-          std::fclose(f);
-          return 1;
-        }
-        probes[typed] = stats.engine.join_probes;
-        answers[typed] = rows->size();
-        // The magic-guarded rules are the ones probing a magic relation
-        // (their planned literals include an m@... predicate).
-        size_t guarded_planned = 0;
-        size_t guarded_cheaper_than_written = 0;
-        double guarded_est = 0;
-        double guarded_est_written = 0;
-        for (const auto& p : stats.engine.rule_plans) {
-          bool guarded = false;
-          for (const std::string& pred : p.preds) {
-            guarded |= pred.rfind("m@", 0) == 0;
-          }
-          if (!guarded) continue;
-          ++guarded_planned;
-          guarded_est += p.plan.est_probes * static_cast<double>(p.uses);
-          guarded_est_written +=
-              p.plan.est_probes_written * static_cast<double>(p.uses);
-          if (p.plan.est_probes < p.plan.est_probes_written) {
-            ++guarded_cheaper_than_written;
-          }
-        }
-        w.Open(nullptr, '{');
-        w.Field("plan_mode", typed != 0 ? "greedy_typed" : "greedy");
-        w.Field("mode", vadalog::magic::PointQueryModeName(stats.mode));
-        w.Field("answers", answers[typed]);
-        w.Field("join_probes", stats.engine.join_probes);
-        w.Field("plans_built", stats.engine.plans_built);
-        w.Field("plans_reordered", stats.engine.plans_reordered);
-        w.Field("guarded_rules_planned", guarded_planned);
-        w.Field("guarded_rules_cheaper_than_written",
-                guarded_cheaper_than_written);
-        w.Field("guarded_est_probes", guarded_est);
-        w.Field("guarded_est_probes_written", guarded_est_written);
-        if (guarded_est_written > 0) {
-          w.Field("guarded_planned_cost_reduction_pct",
-                  100.0 * (1.0 - guarded_est / guarded_est_written));
-        }
-        w.Close('}');
-      }
-      w.Close(']');
-      w.Field("answers_identical", answers[0] == answers[1] ? 1.0 : 0.0);
-      if (probes[0] > 0) {
-        w.Field("probe_reduction_pct",
-                100.0 * (1.0 - static_cast<double>(probes[1]) /
-                                   static_cast<double>(probes[0])));
-      }
-      w.Close('}');
-    }
-  }
 
   // Acceptance headline: the best probe reduction per component across the
   // thread sweep (the PR 7 bar is >= 30% on close_links).

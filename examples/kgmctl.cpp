@@ -46,7 +46,7 @@
 //   kgmctl query [--json] [--threads N] [--output PRED] --bound a1,a2,... <program>
 //       Answer a point query against the same demo instance `explain`
 //       uses: the binding (CSV of constants, `_` = free position) routes
-//       the evaluation through the magic-sets rewrite / QSQR dispatcher.
+//       the evaluation through the magic-sets point-query dispatcher.
 //       Prints the chosen route, the rewrite summary (adorned and magic
 //       predicates, full-evaluation predicates) and the probe cost next
 //       to the materialize-then-filter baseline.
@@ -388,7 +388,7 @@ bool HandleServeLine(service::KgService& svc, const std::string& line,
     *out = reply.str();
   } else if (cmd == "pquery") {
     // Point query: like `query`, but with an argument binding routed
-    // through the magic-sets / QSQR dispatcher.  The binding is a CSV of
+    // through the magic-sets dispatcher.  The binding is a CSV of
     // constants with `_` for free positions (no spaces inside values over
     // this whitespace-split protocol; use `kgmctl query` for those).
     std::string output, lang, bound;

@@ -84,29 +84,13 @@ Result<MaterializeStats> Materialize(const core::SuperSchema& schema,
   run_options.engine = options.engine;
   run_options.extra_catalog = SchemaCatalog(schema);
   run_options.prepared = options.prepared;
-  metalog::MetaRunResult reason;
-  if (options.prepared != nullptr) {
-    // Combined source in the same rule order as the parsed path below, so
-    // the prepared cache sees one stable program text per component.
-    std::string combined_source =
-        stats.input_views + "\n" + sigma_source + "\n" + stats.output_views;
-    KGM_ASSIGN_OR_RETURN(
-        reason,
-        metalog::RunMetaLogSource(combined_source, &loaded.dict, run_options));
-  } else {
-    KGM_ASSIGN_OR_RETURN(
-        metalog::MetaProgram input_views,
-        metalog::ParseMetaProgram(stats.input_views));
-    KGM_ASSIGN_OR_RETURN(
-        metalog::MetaProgram output_views,
-        metalog::ParseMetaProgram(stats.output_views));
-    metalog::MetaProgram combined;
-    for (auto& r : input_views.rules) combined.rules.push_back(std::move(r));
-    for (auto& r : sigma.rules) combined.rules.push_back(std::move(r));
-    for (auto& r : output_views.rules) combined.rules.push_back(std::move(r));
-    KGM_ASSIGN_OR_RETURN(
-        reason, metalog::RunMetaLog(combined, &loaded.dict, run_options));
-  }
+  // One program text per component (V_I, Sigma, V_O in rule order), so a
+  // prepared cache sees a stable key.
+  KGM_ASSIGN_OR_RETURN(
+      metalog::MetaRunResult reason,
+      metalog::RunMetaLogSource(
+          stats.input_views + "\n" + sigma_source + "\n" + stats.output_views,
+          &loaded.dict, run_options));
   auto t2 = Clock::now();
   stats.reason_seconds = Seconds(t1, t2);
   stats.vadalog_rules = reason.vadalog_rule_count;

@@ -10,6 +10,7 @@
 
 #include "metalog/parser.h"
 #include "vadalog/analysis.h"
+#include "vadalog/engine.h"
 #include "vadalog/magic/magic.h"
 #include "vadalog/parser.h"
 #include "vadalog/typeflow.h"
@@ -97,6 +98,43 @@ void WardednessPass(const Program& program, LintResult* out) {
   }
 }
 
+// The engine refuses to compile a rule wider than its limits
+// (vadalog/engine.h); report those rules so lint-clean means compilable.
+// The variable count mirrors the engine's slot assignment: every named
+// variable of an atom, assignment, aggregate or existential.
+void RuleWidthCheck(const Rule& r, int ri, LintResult* out) {
+  std::set<std::string> vars;
+  auto check_atom = [&](const Atom& a) {
+    for (const Term& t : a.args) {
+      if (t.is_var() && !t.is_anonymous()) vars.insert(t.var);
+    }
+    if (a.args.size() > vadalog::kMaxAtomArity) {
+      out->Add(Severity::kError, "arity", AtomAnchor(a, r), ri,
+               "atom " + a.predicate + " has " +
+                   std::to_string(a.args.size()) +
+                   " arguments; the engine accepts at most " +
+                   std::to_string(vadalog::kMaxAtomArity));
+    }
+  };
+  for (const Literal& l : r.body) check_atom(l.atom);
+  for (const Atom& h : r.head) check_atom(h);
+  for (const vadalog::Assignment& a : r.assignments) vars.insert(a.var);
+  for (const vadalog::Aggregate& a : r.aggregates) {
+    vars.insert(a.contributors.begin(), a.contributors.end());
+    vars.insert(a.result_var);
+  }
+  for (const vadalog::ExistentialSpec& e : r.existentials) {
+    vars.insert(e.var);
+    vars.insert(e.skolem_args.begin(), e.skolem_args.end());
+  }
+  if (vars.size() > vadalog::kMaxRuleVariables) {
+    out->Add(Severity::kError, "arity", RuleAnchor(r), ri,
+             "rule uses " + std::to_string(vars.size()) +
+                 " variables; the engine accepts at most " +
+                 std::to_string(vadalog::kMaxRuleVariables));
+  }
+}
+
 void ArityPass(const Program& program, LintResult* out) {
   struct Seen {
     size_t arity;
@@ -122,6 +160,7 @@ void ArityPass(const Program& program, LintResult* out) {
       check(h.predicate, h.args.size(), AtomAnchor(h, r),
             static_cast<int>(ri));
     }
+    RuleWidthCheck(r, static_cast<int>(ri), out);
   }
   for (const vadalog::FactDecl& f : program.facts) {
     check(f.predicate, f.values.size(), f.loc, -1);

@@ -5,7 +5,10 @@
 //   * safety           — range restriction per rule (error)
 //   * stratification   — negation inside a recursive SCC (error)
 //   * wardedness       — dangerous variables without a ward (error)
-//   * arity            — one predicate used with different arities (error)
+//   * arity            — one predicate used with different arities, or a
+//                        rule wider than the engine compiles: more than
+//                        kMaxRuleVariables variables or an atom with more
+//                        than kMaxAtomArity arguments (error)
 //   * undefined-predicate — body predicate with no rule, @fact, @input or
 //                        external definition (warning)
 //   * unused-predicate — derived predicate never read and not an @output;

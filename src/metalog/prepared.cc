@@ -7,6 +7,21 @@
 
 namespace kgm::metalog {
 
+Result<CompiledMeta> CompileMeta(MetaProgram meta, const GraphCatalog& catalog,
+                                 const MtvOptions& options) {
+  CompiledMeta compiled;
+  compiled.meta = std::move(meta);
+  compiled.catalog = catalog;
+  KGM_RETURN_IF_ERROR(compiled.catalog.AbsorbProgram(compiled.meta));
+  KGM_ASSIGN_OR_RETURN(
+      MtvResult mtv,
+      TranslateMetaProgram(compiled.meta, compiled.catalog, options));
+  compiled.program = std::move(mtv.program);
+  compiled.helper_predicates = std::move(mtv.helper_predicates);
+  compiled.rule_origin = std::move(mtv.rule_origin);
+  return compiled;
+}
+
 PreparedCache::PreparedCache(size_t capacity) : capacity_(capacity) {}
 
 uint64_t PreparedCache::KeyOf(std::string_view source,
@@ -74,19 +89,12 @@ Result<std::shared_ptr<const CompiledMeta>> PreparedCache::Compile(
 
   // Compile outside the lock: concurrent misses may duplicate work but
   // never serialize all callers behind one compilation.
-  auto compiled = std::make_shared<CompiledMeta>();
-  KGM_ASSIGN_OR_RETURN(compiled->meta, ParseMetaProgram(source));
-  compiled->catalog = catalog;
-  KGM_RETURN_IF_ERROR(compiled->catalog.AbsorbProgram(compiled->meta));
-  KGM_ASSIGN_OR_RETURN(
-      MtvResult mtv,
-      TranslateMetaProgram(compiled->meta, compiled->catalog, options));
-  compiled->program = std::move(mtv.program);
-  compiled->helper_predicates = std::move(mtv.helper_predicates);
-  compiled->rule_origin = std::move(mtv.rule_origin);
-  if (lint_hook_) compiled->lint = lint_hook_(*compiled, catalog);
+  KGM_ASSIGN_OR_RETURN(MetaProgram meta, ParseMetaProgram(source));
+  KGM_ASSIGN_OR_RETURN(CompiledMeta compiled,
+                       CompileMeta(std::move(meta), catalog, options));
+  if (lint_hook_) compiled.lint = lint_hook_(compiled, catalog);
 
-  std::shared_ptr<const CompiledMeta> result = std::move(compiled);
+  auto result = std::make_shared<const CompiledMeta>(std::move(compiled));
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_key_.find(key);
   if (it != by_key_.end()) {

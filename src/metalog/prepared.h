@@ -45,6 +45,13 @@ struct CompiledMeta {
   lint::LintResult lint;
 };
 
+// The compile step every MetaLog run goes through (RunMetaLog and
+// PreparedCache::Compile): copies `catalog` — which must NOT yet have the
+// program absorbed — absorbs `meta`'s labels into the copy, and
+// translates through MTV.  Leaves CompiledMeta::lint empty.
+Result<CompiledMeta> CompileMeta(MetaProgram meta, const GraphCatalog& catalog,
+                                 const MtvOptions& options = {});
+
 class PreparedCache {
  public:
   explicit PreparedCache(size_t capacity = 128);

@@ -4,26 +4,26 @@
 
 namespace kgm::metalog {
 
+namespace {
+
+// The graph's own labels plus the caller's extra ones, before the
+// program's labels are absorbed.
+GraphCatalog BaseCatalog(const pg::PropertyGraph& graph,
+                         const MetaRunOptions& options) {
+  GraphCatalog catalog = GraphCatalog::FromGraph(graph);
+  catalog.Merge(options.extra_catalog);
+  return catalog;
+}
+
+}  // namespace
+
 Result<MetaRunResult> RunMetaLog(const MetaProgram& program,
                                  pg::PropertyGraph* graph,
                                  const MetaRunOptions& options) {
-  GraphCatalog catalog = GraphCatalog::FromGraph(*graph);
-  catalog.Merge(options.extra_catalog);
-  KGM_RETURN_IF_ERROR(catalog.AbsorbProgram(program));
-
-  vadalog::FactDb db = EncodeGraph(*graph, catalog);
-  KGM_ASSIGN_OR_RETURN(MtvResult mtv,
-                       TranslateMetaProgram(program, catalog, options.mtv));
-
-  vadalog::Engine engine(std::move(mtv.program), options.engine);
-  KGM_RETURN_IF_ERROR(engine.status());
-  KGM_RETURN_IF_ERROR(engine.Run(&db));
-
-  MetaRunResult result;
-  result.engine_stats = engine.stats();
-  result.vadalog_rule_count = engine.program().rules.size();
-  KGM_ASSIGN_OR_RETURN(result.decode, DecodeGraph(db, catalog, graph));
-  return result;
+  KGM_ASSIGN_OR_RETURN(
+      CompiledMeta compiled,
+      CompileMeta(program, BaseCatalog(*graph, options), options.mtv));
+  return RunCompiledMeta(compiled, graph, options);
 }
 
 Result<MetaRunResult> RunMetaLogSource(std::string_view source,
@@ -33,11 +33,9 @@ Result<MetaRunResult> RunMetaLogSource(std::string_view source,
     KGM_ASSIGN_OR_RETURN(MetaProgram program, ParseMetaProgram(source));
     return RunMetaLog(program, graph, options);
   }
-  GraphCatalog catalog = GraphCatalog::FromGraph(*graph);
-  catalog.Merge(options.extra_catalog);
-  KGM_ASSIGN_OR_RETURN(
-      std::shared_ptr<const CompiledMeta> compiled,
-      options.prepared->Compile(source, catalog, options.mtv));
+  KGM_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledMeta> compiled,
+                       options.prepared->Compile(
+                           source, BaseCatalog(*graph, options), options.mtv));
   return RunCompiledMeta(*compiled, graph, options);
 }
 

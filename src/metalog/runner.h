@@ -1,10 +1,13 @@
 // End-to-end MetaLog execution against a property graph:
 //
-//   1. build a catalog from the graph, absorb the program's labels,
+//   1. build a catalog from the graph, absorb the program's labels, and
+//      compile the MetaLog program to Vadalog (CompileMeta, MTV steps
+//      (2)-(3)) — or take that compilation from a PreparedCache,
 //   2. encode the graph relationally (MTV step (1)),
-//   3. compile the MetaLog program to Vadalog (MTV steps (2)-(3)),
-//   4. run the Vadalog engine to fixpoint,
-//   5. decode derived node/edge facts back into the graph.
+//   3. run the Vadalog engine to fixpoint,
+//   4. decode derived node/edge facts back into the graph.
+//
+// Steps 2-4 live in RunCompiledMeta alone; every entry point ends there.
 //
 // This mirrors how KGModel executes intensional components and schema
 // mappings via the Vadalog System (Sections 4-6 of the paper).
@@ -44,7 +47,8 @@ struct MetaRunResult {
 };
 
 // Runs a parsed MetaLog program against `graph`, materializing derived
-// nodes, edges and properties in place.
+// nodes, edges and properties in place: CompileMeta, then
+// RunCompiledMeta.  Never consults options.prepared.
 Result<MetaRunResult> RunMetaLog(const MetaProgram& program,
                                  pg::PropertyGraph* graph,
                                  const MetaRunOptions& options = {});

@@ -420,7 +420,7 @@ Result<QueryResult> KgService::EvaluateOnSnapshot(
 
   auto rows = std::make_shared<std::vector<vadalog::Tuple>>();
   if (!request.bound_args.empty()) {
-    // Point query: route through the magic-sets / QSQR dispatcher against
+    // Point query: route through the magic-sets dispatcher against
     // this request's private clone of the pinned snapshot.  With
     // use_point_query=false the dispatcher is forced onto the materialize
     // route, giving benchmarks an apples-to-apples baseline (same entry

@@ -64,7 +64,7 @@ struct QueryRequest {
   bool use_result_cache = true;
   // Point query: when non-empty, `bound_args` is an argument binding for
   // `output` (one entry per position, nullopt = free) and the evaluation
-  // routes through the magic-sets / QSQR point-query dispatcher instead
+  // routes through the magic-sets point-query dispatcher instead
   // of full materialization; the rows returned are exactly the tuples
   // matching the binding.  Aggregates, restricted-chase existentials and
   // all-free bindings fall back to materialize-then-filter with the

@@ -56,7 +56,6 @@ std::string StatsSnapshot::ToJson() const {
   out << ",\"magic\":{";
   out << "\"point_queries\":" << point_queries;
   out << ",\"magic\":" << point_magic;
-  out << ",\"qsqr\":" << point_qsqr;
   out << ",\"edb_lookup\":" << point_edb_lookup;
   out << ",\"materialize\":" << point_materialize;
   out << ",\"rewrites\":" << magic_rewrites;
@@ -130,9 +129,6 @@ void ServiceStats::RecordPointQuery(
     case PointQueryMode::kMagic:
       ++point_magic_;
       break;
-    case PointQueryMode::kQsqr:
-      ++point_qsqr_;
-      break;
     case PointQueryMode::kEdbLookup:
       ++point_edb_lookup_;
       break;
@@ -185,11 +181,10 @@ StatsSnapshot ServiceStats::Snapshot(size_t queue_depth,
   s.plan_replans = plan_replans_;
   s.est_probes_saved = est_probes_saved_;
   s.point_magic = point_magic_;
-  s.point_qsqr = point_qsqr_;
   s.point_edb_lookup = point_edb_lookup_;
   s.point_materialize = point_materialize_;
   s.point_queries =
-      point_magic_ + point_qsqr_ + point_edb_lookup_ + point_materialize_;
+      point_magic_ + point_edb_lookup_ + point_materialize_;
   s.magic_rewrites = magic_rewrites_;
   s.magic_fallbacks = magic_fallbacks_;
   s.magic_subqueries = magic_subqueries_;

@@ -72,12 +72,11 @@ struct StatsSnapshot {
   // counts only queries that wanted magic but landed on materialize.
   uint64_t point_queries = 0;
   uint64_t point_magic = 0;         // answered by the magic-sets rewrite
-  uint64_t point_qsqr = 0;          // answered by the top-down evaluator
   uint64_t point_edb_lookup = 0;    // answered by a direct relation probe
   uint64_t point_materialize = 0;   // fell back to full materialization
   uint64_t magic_rewrites = 0;      // successful magic-sets rewrites
   uint64_t magic_fallbacks = 0;     // wanted magic, got materialize
-  uint64_t magic_subqueries = 0;    // adorned predicates / QSQR subqueries
+  uint64_t magic_subqueries = 0;    // adorned predicates of magic rewrites
   uint64_t magic_probes = 0;        // join probes spent answering
 
   std::string ToJson() const;
@@ -137,7 +136,6 @@ class ServiceStats {
   uint64_t plan_replans_ = 0;
   double est_probes_saved_ = 0;
   uint64_t point_magic_ = 0;
-  uint64_t point_qsqr_ = 0;
   uint64_t point_edb_lookup_ = 0;
   uint64_t point_materialize_ = 0;
   uint64_t magic_rewrites_ = 0;

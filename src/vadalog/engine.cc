@@ -743,18 +743,21 @@ Status Engine::Impl::CompileRule(const Rule& rule, int index) {
     cr.group_slots.assign(group.begin(), group.end());
   }
 
-  if (cr.slot_names.size() > 64) {
-    return FailedPrecondition("rule uses more than 64 variables" + where);
+  if (cr.slot_names.size() > kMaxRuleVariables) {
+    return FailedPrecondition("rule uses more than " +
+                              std::to_string(kMaxRuleVariables) +
+                              " variables" + where);
   }
+  auto too_wide = [&where] {
+    return FailedPrecondition("atom with more than " +
+                              std::to_string(kMaxAtomArity) + " arguments" +
+                              where);
+  };
   for (const Literal& l : rule.body) {
-    if (l.atom.args.size() > 60) {
-      return FailedPrecondition("atom with more than 60 arguments" + where);
-    }
+    if (l.atom.args.size() > kMaxAtomArity) return too_wide();
   }
   for (const Atom& h : rule.head) {
-    if (h.args.size() > 60) {
-      return FailedPrecondition("atom with more than 60 arguments" + where);
-    }
+    if (h.args.size() > kMaxAtomArity) return too_wide();
   }
 
   compiled.push_back(std::move(cr));
@@ -974,10 +977,6 @@ void Engine::Impl::BuildPlanner() {
   }
   planner =
       std::make_unique<JoinPlanner>(options.plan_mode, std::move(descs));
-  if (options.plan_mode == PlanMode::kGreedyTyped &&
-      options.cardinality_hints != nullptr) {
-    planner->SetCardinalityHints(*options.cardinality_hints);
-  }
 }
 
 Status Engine::Impl::EvalStratum(int stratum,

@@ -40,6 +40,13 @@
 
 namespace kgm::vadalog {
 
+// The widest rules the engine compiles: variable slots and atom positions
+// are tracked in 64-bit masks.  Run returns FailedPrecondition for a rule
+// over either limit; lint reports the same rules as errors, so a
+// lint-clean program compiles.
+inline constexpr size_t kMaxRuleVariables = 64;
+inline constexpr size_t kMaxAtomArity = 60;
+
 enum class ChaseMode {
   // Existentials become deterministic Skolem terms over the rule frontier.
   kSkolem,
@@ -103,14 +110,8 @@ struct EngineOptions {
   // materialized output stays bit-identical to kOff at every thread count
   // (reordered rules collect firings and flush them in written-literal row
   // order, restoring the exact off-mode emission sequence).  Ignored for
-  // legacy_sequential_chase runs.  kGreedyTyped additionally feeds the
-  // planner `cardinality_hints` (binding-cone priors); output stays
-  // bit-identical to kGreedy at every thread count.
+  // legacy_sequential_chase runs.
   PlanMode plan_mode = PlanMode::kOff;
-  // Predicate-cardinality priors for PlanMode::kGreedyTyped, typically
-  // EstimateBindingCones (vadalog/typeflow.h) over a magic rewrite.
-  // Ignored under other plan modes; null means no priors.
-  std::shared_ptr<const std::map<std::string, double>> cardinality_hints;
 };
 
 struct EngineStats {
@@ -172,7 +173,7 @@ struct EngineStats {
   bool point_query = false;    // stats describe a point-query evaluation
   size_t magic_rewrites = 0;   // magic-sets rewrites applied (0 or 1)
   size_t magic_fallbacks = 0;  // fell back to full materialization (0 or 1)
-  size_t magic_subqueries = 0; // adorned predicates / QSQR subqueries
+  size_t magic_subqueries = 0; // adorned predicates of the magic rewrite
   size_t magic_rules = 0;      // magic + guarded + copy rules emitted
 };
 

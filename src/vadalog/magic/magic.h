@@ -25,11 +25,13 @@
 // Supported fragment and fallbacks.  Rules reachable from the query
 // predicate may use positive/negated literals, conditions, assignments
 // and Skolem-mode existentials.  The rewrite *falls back* — reporting a
-// FallbackReason instead of a program — for aggregates (monotonic
-// aggregation is not magic-preserving), for existentials under the
-// restricted chase (fresh nulls are not comparable across runs), when
-// the query has no bound argument, or when the adornment worklist
-// explodes past RewriteOptions::max_adorned_predicates.  Negated or
+// FallbackReason instead of a program, after which the point-query
+// dispatcher (point_query.h) answers by full materialization — for
+// aggregates (monotonic aggregation is not magic-preserving), for
+// existentials under the restricted chase (fresh nulls are not
+// comparable across runs), when the query has no bound argument, or when
+// the adornment worklist explodes past
+// RewriteOptions::max_adorned_predicates.  Negated or
 // all-free intensional subgoals are handled by marking their cones
 // "full-required": those predicates keep their original rules unguarded
 // (complete evaluation), which preserves stratification because magic

@@ -1,12 +1,7 @@
 #include "vadalog/magic/point_query.h"
 
-#include <map>
-#include <memory>
 #include <optional>
 #include <utility>
-
-#include "vadalog/magic/qsqr.h"
-#include "vadalog/typeflow.h"
 
 namespace kgm::vadalog::magic {
 
@@ -57,24 +52,6 @@ Result<std::vector<Tuple>> RunMaterialize(const Program& program,
                         &stats->engine.join_probes);
 }
 
-Result<std::vector<Tuple>> RunQsqr(const Program& program,
-                                   const QueryBinding& query, FactDb* db,
-                                   const PointQueryOptions& options,
-                                   PointQueryStats* stats) {
-  stats->mode = PointQueryMode::kQsqr;
-  QsqrEvaluator eval(program, db, options.engine);
-  KGM_RETURN_IF_ERROR(eval.status());
-  Result<std::vector<Tuple>> answers = eval.Query(query);
-  const QsqrEvaluator::Stats& qs = eval.stats();
-  stats->engine.join_probes = qs.probes;
-  stats->engine.iterations = qs.passes;
-  stats->engine.facts_derived = qs.answers;
-  stats->engine.plans_reordered = qs.plans_reordered;
-  stats->engine.planner_enabled = options.engine.plan_mode != PlanMode::kOff;
-  stats->engine.magic_subqueries = qs.subqueries;
-  return answers;
-}
-
 Result<std::vector<Tuple>> RunEdbLookup(const Program& program,
                                         const QueryBinding& query, FactDb* db,
                                         PointQueryStats* stats) {
@@ -121,8 +98,6 @@ const char* PointQueryModeName(PointQueryMode m) {
       return "edb_lookup";
     case PointQueryMode::kMagic:
       return "magic";
-    case PointQueryMode::kQsqr:
-      return "qsqr";
     case PointQueryMode::kMaterialize:
       return "materialize";
   }
@@ -191,60 +166,35 @@ Result<std::vector<Tuple>> EvalPointQuery(const Program& program,
   if (!IsIntensional(program, query.predicate)) {
     return finish(RunEdbLookup(program, query, db, stats));
   }
-  const bool qsqr_ok =
-      options.allow_qsqr && QsqrEvaluator::Supports(program, query.predicate);
-  if (options.force_qsqr && qsqr_ok) {
-    return finish(RunQsqr(program, query, db, options, stats));
-  }
-
-  if (options.allow_magic) {
-    RewriteOptions rw_options = options.rewrite;
-    rw_options.restricted_chase =
-        options.engine.chase_mode == ChaseMode::kRestricted;
-    std::set<std::string> edb;
-    for (const std::string& p : db->Predicates()) edb.insert(p);
-    MagicRewrite rw = RewriteForQuery(program, query, edb, rw_options);
-    stats->fallback = rw.fallback;
-    stats->fallback_detail = rw.detail;
-    if (rw.ok()) {
-      stats->adorned = rw.adorned;
-      stats->full_required = rw.full_required;
-      EngineOptions engine_options = options.engine;
-      if (engine_options.plan_mode == PlanMode::kGreedyTyped) {
-        // Binding-cone priors: cost the rewrite's magic/adorned relations
-        // at their predicted steady state instead of the near-zero rows
-        // they hold when the first plans are built.
-        engine_options.cardinality_hints =
-            std::make_shared<const std::map<std::string, double>>(
-                EstimateBindingCones(rw, *db));
-      }
-      Engine engine(std::move(rw.program), engine_options);
-      if (engine.status().ok()) {
-        stats->mode = PointQueryMode::kMagic;
-        Status run = engine.Run(db);
-        stats->engine = engine.stats();
-        stats->engine.point_query = true;
-        stats->engine.magic_rewrites = 1;
-        stats->engine.magic_subqueries = rw.adorned.size();
-        stats->engine.magic_rules =
-            rw.magic_rules + rw.guarded_rules + rw.copy_rules;
-        KGM_RETURN_IF_ERROR(run);
-        // Belt and braces: the adorned output already respects the
-        // binding, but filtering is one cheap pass over a small relation.
-        return finish(FilterRelation(db->Get(rw.query_pred), query,
-                                     &stats->engine.join_probes));
-      }
-      stats->fallback = FallbackReason::kRewriteRejected;
-      stats->fallback_detail = engine.status().message();
+  RewriteOptions rw_options = options.rewrite;
+  rw_options.restricted_chase =
+      options.engine.chase_mode == ChaseMode::kRestricted;
+  std::set<std::string> edb;
+  for (const std::string& p : db->Predicates()) edb.insert(p);
+  MagicRewrite rw = RewriteForQuery(program, query, edb, rw_options);
+  stats->fallback = rw.fallback;
+  stats->fallback_detail = rw.detail;
+  if (rw.ok()) {
+    stats->adorned = rw.adorned;
+    stats->full_required = rw.full_required;
+    Engine engine(std::move(rw.program), options.engine);
+    if (engine.status().ok()) {
+      stats->mode = PointQueryMode::kMagic;
+      Status run = engine.Run(db);
+      stats->engine = engine.stats();
+      stats->engine.point_query = true;
+      stats->engine.magic_rewrites = 1;
+      stats->engine.magic_subqueries = rw.adorned.size();
+      stats->engine.magic_rules =
+          rw.magic_rules + rw.guarded_rules + rw.copy_rules;
+      KGM_RETURN_IF_ERROR(run);
+      // Belt and braces: the adorned output already respects the
+      // binding, but filtering is one cheap pass over a small relation.
+      return finish(FilterRelation(db->Get(rw.query_pred), query,
+                                   &stats->engine.join_probes));
     }
-    // The structural fallbacks (aggregates, restricted existentials, no
-    // bound argument) are out of QSQR's fragment too; only the rewrite-
-    // specific failures are worth a top-down retry.
-    if ((stats->fallback == FallbackReason::kAdornmentExplosion ||
-         stats->fallback == FallbackReason::kRewriteRejected) &&
-        qsqr_ok) {
-      return finish(RunQsqr(program, query, db, options, stats));
-    }
+    stats->fallback = FallbackReason::kRewriteRejected;
+    stats->fallback_detail = engine.status().message();
   }
   return finish(RunMaterialize(program, query, db, options, stats));
 }

@@ -5,13 +5,13 @@
 //                 one (indexed) relation probe, no reasoning at all;
 //   kMagic        magic-sets rewrite (magic.h) + the ordinary bottom-up
 //                 engine over the rewritten program;
-//   kQsqr         on-demand top-down evaluation (qsqr.h), tried when the
-//                 rewrite gave up (adornment explosion / rejected program)
-//                 and the cone fits QSQR's fragment;
 //   kMaterialize  full bottom-up evaluation, then filter the output
-//                 relation by the binding — the always-correct fallback,
-//                 and the differential baseline the harness compares
-//                 every other mode against.
+//                 relation by the binding — the always-correct fallback
+//                 whenever the rewrite gives up (see FallbackReason), and
+//                 the differential baseline the harness compares every
+//                 other mode against.
+//
+// Routing order: EDB lookup, then magic, then materialize.
 //
 // All modes answer against the caller's FactDb (the serving layer passes
 // a throwaway clone of the pinned epoch snapshot) and produce answer sets
@@ -36,7 +36,6 @@ enum class PointQueryMode {
   kOff = 0,      // not a point query (no binding given)
   kEdbLookup,    // direct indexed lookup on an extensional predicate
   kMagic,        // magic-sets rewrite + bottom-up engine
-  kQsqr,         // on-demand top-down evaluation
   kMaterialize,  // full evaluation + scan filter (fallback / baseline)
 };
 
@@ -47,10 +46,7 @@ struct PointQueryOptions {
   // threads, chase mode, planner all honored).
   EngineOptions engine;
   RewriteOptions rewrite;
-  bool allow_magic = true;
-  bool allow_qsqr = true;
-  // Diagnostics/benchmarks: skip straight to a specific route.
-  bool force_qsqr = false;
+  // Diagnostics/benchmarks: skip straight to the materialize baseline.
   bool force_materialize = false;
 };
 
@@ -62,7 +58,7 @@ struct PointQueryStats {
   // was attempted).
   std::vector<AdornedPredicate> adorned;
   std::vector<std::string> full_required;
-  // Engine/evaluator counters with the magic_* fields filled in; for
+  // Engine counters with the magic_* fields filled in; for
   // kMaterialize, join_probes additionally counts the final filter scan
   // (that's the honest materialize-then-scan cost).
   EngineStats engine;

@@ -1,7 +1,6 @@
 #include "vadalog/planner.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "base/status.h"
 
@@ -132,13 +131,6 @@ double CostOrder(const RuleDesc& rule, const std::vector<LitInfo>& infos,
 JoinPlanner::JoinPlanner(PlanMode mode, std::vector<RuleDesc> rules)
     : mode_(mode), rules_(std::move(rules)) {}
 
-void JoinPlanner::SetCardinalityHints(std::map<std::string, double> hints) {
-  cardinality_hints_ = std::move(hints);
-  // Plans built before the hints landed were costed blind; drop them so
-  // the next PlanFor re-plans with the priors in place.
-  cache_.clear();
-}
-
 std::vector<size_t> JoinPlanner::SizeSnapshot(
     const RuleDesc& rule, FactDb& db, const Relation* delta_rel) const {
   std::vector<size_t> sizes;
@@ -220,20 +212,6 @@ JoinPlan JoinPlanner::BuildPlan(const RuleDesc& rule, PlanRegime regime,
       infos[i].rel = delta_rel;
     } else {
       infos[i].rel = db.Get(rule.positives[i].pred);
-      // Typed mode: a binding-cone prior lifts the costing size of a
-      // hinted relation to its predicted steady state, so magic-guarded
-      // literals are planned (and deemed index-worthy) for the cone they
-      // will hold, not the near-empty seed they hold at first-plan time.
-      if (mode_ == PlanMode::kGreedyTyped) {
-        auto hint = cardinality_hints_.find(rule.positives[i].pred);
-        if (hint != cardinality_hints_.end() && hint->second > 0) {
-          size_t hinted = static_cast<size_t>(std::llround(hint->second));
-          size_t actual =
-              infos[i].rel == nullptr ? 0 : infos[i].rel->size();
-          infos[i].rows = std::max(actual, hinted);
-          continue;
-        }
-      }
     }
     infos[i].rows = infos[i].rel == nullptr ? 0 : infos[i].rel->size();
   }

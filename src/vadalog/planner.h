@@ -41,13 +41,6 @@ namespace kgm::vadalog {
 enum class PlanMode {
   kOff,     // written-order evaluation (today's behavior, the default)
   kGreedy,  // greedy cost-based reordering + index-vs-scan selection
-  // kGreedy plus typeflow cardinality hints (SetCardinalityHints): rules
-  // touching a hinted predicate are costed with max(actual rows, hint), so
-  // magic-guarded bodies are planned for their predicted steady-state
-  // binding cone instead of the near-zero rows the magic relations hold at
-  // first-plan time.  Same determinism contract as kGreedy — plans change
-  // probe order only, never output.
-  kGreedyTyped,
 };
 
 // Iteration regime a plan is built for.  The bound-variable set at each
@@ -146,14 +139,6 @@ class JoinPlanner {
  public:
   JoinPlanner(PlanMode mode, std::vector<RuleDesc> rules);
 
-  // Installs predicate-cardinality priors (typically
-  // EstimateBindingCones over a magic rewrite).  Only consulted under
-  // PlanMode::kGreedyTyped: a hinted literal is costed with
-  // max(actual rows, hint), and hinted relations count as index-worthy
-  // even while still empty.  Hints never enter the drift snapshot, so
-  // re-plan behavior is unchanged.
-  void SetCardinalityHints(std::map<std::string, double> hints);
-
   // The plan for evaluating `rule_index` under `regime`.  `delta_literal`
   // is the semi-naive delta literal (-1 for kFull); `delta_rel` is the
   // delta relation it enumerates (kDeltaScan/kDeltaPrebound; its size
@@ -202,7 +187,6 @@ class JoinPlanner {
 
   PlanMode mode_;
   std::vector<RuleDesc> rules_;
-  std::map<std::string, double> cardinality_hints_;
   std::map<CacheKey, CacheEntry> cache_;
   size_t plans_built_ = 0;
   size_t plans_reordered_ = 0;

@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "vadalog/analysis.h"
-#include "vadalog/magic/magic.h"
 
 namespace kgm::vadalog {
 
@@ -877,105 +876,6 @@ TypeflowResult AnalyzeTypeflow(
                      return a.message < b.message;
                    });
   return result;
-}
-
-std::map<std::string, double> EstimateBindingCones(
-    const magic::MagicRewrite& rewrite, const FactDb& db) {
-  std::map<std::string, double> sizes;
-  if (!rewrite.ok()) return sizes;
-
-  // Base predicate behind each rewrite-introduced name, for relation
-  // sizes and distinct sketches (the adorned relations don't exist yet).
-  std::map<std::string, std::string> base_of;
-  for (const magic::AdornedPredicate& a : rewrite.adorned) {
-    base_of[a.magic_pred] = a.pred;
-    base_of[a.pred + "@" + a.adornment] = a.pred;
-  }
-  if (base_of.empty()) return sizes;
-
-  double total_rows = 0;
-  for (const std::string& pred : db.Predicates()) {
-    const Relation* rel = db.Get(pred);
-    if (rel != nullptr) total_rows += static_cast<double>(rel->size());
-  }
-
-  auto cap_for = [&](const std::string& name) -> double {
-    auto it = base_of.find(name);
-    if (it == base_of.end()) return total_rows;
-    const Relation* rel = db.Get(it->second);
-    double base = rel == nullptr ? 0 : static_cast<double>(rel->size());
-    // Derived cones can exceed the base extension (e.g. transitive
-    // closures); bound by the whole database instead of the base alone.
-    return std::max(base, std::max(total_rows, 1.0));
-  };
-
-  // Magic seeds land in the rewritten program as facts.
-  const Program& p = rewrite.program;
-  for (const FactDecl& f : p.facts) {
-    if (base_of.count(f.predicate) > 0) sizes[f.predicate] += 1.0;
-  }
-
-  auto rows_of = [&](const std::string& pred) -> double {
-    auto hint = sizes.find(pred);
-    if (hint != sizes.end()) return hint->second;
-    if (base_of.count(pred) > 0) return 0;  // rewrite predicate, still empty
-    const Relation* rel = db.Get(pred);
-    return rel == nullptr ? 0 : static_cast<double>(rel->size());
-  };
-  auto distinct_of = [&](const std::string& pred, size_t pos) -> double {
-    auto it = base_of.find(pred);
-    const Relation* rel = db.Get(it == base_of.end() ? pred : it->second);
-    if (rel == nullptr) return 1.0;
-    // Magic predicates project the bound prefix of their base; sketch
-    // positions past the base arity degrade to 1 (no selectivity claim).
-    if (pos >= rel->arity()) return 1.0;
-    return std::max(1.0, rel->DistinctEstimate(pos));
-  };
-
-  // Monotone fanout propagation: each pass re-estimates every head from
-  // the current sizes, keeping the max.  Sizes are clamped, so the loop
-  // stabilizes; a fixed pass bound keeps the worst case cheap.
-  const int kPasses = std::min<int>(16, static_cast<int>(p.rules.size()) + 2);
-  for (int pass = 0; pass < kPasses; ++pass) {
-    std::map<std::string, double> next = sizes;
-    std::map<std::string, double> derived_this_pass;
-    for (const Rule& r : p.rules) {
-      std::set<std::string> bound;
-      double est = 1.0;
-      for (const Literal& l : r.body) {
-        if (l.negated) continue;
-        double rows = rows_of(l.atom.predicate);
-        double lit_est = rows;
-        for (size_t i = 0; i < l.atom.args.size(); ++i) {
-          const Term& t = l.atom.args[i];
-          bool is_bound =
-              !t.is_var() || (!t.is_anonymous() && bound.count(t.var) > 0);
-          if (is_bound) lit_est /= distinct_of(l.atom.predicate, i);
-        }
-        lit_est = std::min(std::max(lit_est, 0.0), rows);
-        est *= lit_est;
-        for (const Term& t : l.atom.args) {
-          if (t.is_var() && !t.is_anonymous()) bound.insert(t.var);
-        }
-      }
-      for (const Atom& h : r.head) {
-        if (base_of.count(h.predicate) == 0) continue;
-        derived_this_pass[h.predicate] += est;
-      }
-    }
-    bool changed = false;
-    for (auto& [pred, est] : derived_this_pass) {
-      double clamped = std::min(est, cap_for(pred));
-      double& slot = next[pred];
-      if (clamped > slot) {
-        slot = clamped;
-        changed = true;
-      }
-    }
-    sizes = std::move(next);
-    if (!changed) break;
-  }
-  return sizes;
 }
 
 }  // namespace kgm::vadalog

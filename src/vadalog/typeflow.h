@@ -25,14 +25,6 @@
 //   * kNullFlow (warning)    — labeled nulls / Skolems reach an @output
 //     position that otherwise carries numeric or boolean scalars, which
 //     scalar consumers (thresholds, aggregates) will choke on.
-//
-// On top of the same machinery sits the binding-cone analyzer for the
-// planner: given a magic-sets rewrite (vadalog/magic), it estimates the
-// steady-state cardinality of every magic and adorned predicate —
-// starting from the single query seed and propagating fanout estimates
-// over the rewritten rules — so PlanMode::kGreedyTyped can cost
-// magic-guarded rules with the reachable-seed cardinality instead of the
-// zero rows those relations hold at first-plan time.
 
 #ifndef KGM_VADALOG_TYPEFLOW_H_
 #define KGM_VADALOG_TYPEFLOW_H_
@@ -43,13 +35,8 @@
 
 #include "base/value.h"
 #include "vadalog/ast.h"
-#include "vadalog/database.h"
 
 namespace kgm::vadalog {
-
-namespace magic {
-struct MagicRewrite;
-}  // namespace magic
 
 // --- the value-kind lattice --------------------------------------------------
 
@@ -144,22 +131,6 @@ struct TypeflowResult {
 TypeflowResult AnalyzeTypeflow(
     const Program& program,
     const std::vector<std::string>& external_predicates = {});
-
-// --- binding-cone cardinality estimation (planner hints) ---------------------
-
-// Estimates the steady-state cardinality of every predicate the magic
-// rewrite introduced (magic predicates `m@p@a` and adorned predicates
-// `p@a`), starting from the query's single seed and propagating fanout
-// over the rewritten rules: an adorned predicate grows to
-// seeds * (rows / distinct(bound positions)) of its base relation,
-// clamped to the base relation's full size; magic predicates accumulate
-// the bindings the guarded rules would ask for.  `db` supplies base
-// relation sizes and per-position distinct sketches.  The result feeds
-// JoinPlanner::SetCardinalityHints under PlanMode::kGreedyTyped; plans
-// change probe order only, never output, so a bad estimate costs probes,
-// not correctness.
-std::map<std::string, double> EstimateBindingCones(
-    const magic::MagicRewrite& rewrite, const FactDb& db);
 
 }  // namespace kgm::vadalog
 

@@ -1,7 +1,7 @@
 // Differential correctness of point queries over the Company KG and every
 // shipped example program: for each program, a full materialization is the
 // oracle, and EvalPointQuery — whatever route it picks (EDB lookup, magic
-// rewrite, QSQR, or the materialize fallback) — must return exactly the
+// rewrite, or the materialize fallback) — must return exactly the
 // oracle's output filtered by the binding.  Bindings cover bound-first,
 // all-bound boolean (both a hit and a miss), and a constant absent from
 // the data (empty answer), at 1 and 4 engine threads.  Deadline expiry
@@ -149,7 +149,6 @@ std::vector<std::string> QueryPredicates(const vadalog::Program& program) {
 struct SuiteCounters {
   size_t queries = 0;
   size_t magic_mode = 0;
-  size_t qsqr_mode = 0;
   size_t edb_mode = 0;
   size_t fallbacks = 0;
 };
@@ -214,9 +213,6 @@ void RunDifferential(const ProgramUnderTest& put, size_t threads,
       switch (stats.mode) {
         case magic::PointQueryMode::kMagic:
           ++counters->magic_mode;
-          break;
-        case magic::PointQueryMode::kQsqr:
-          ++counters->qsqr_mode;
           break;
         case magic::PointQueryMode::kEdbLookup:
           ++counters->edb_mode;

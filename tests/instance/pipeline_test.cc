@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "finkg/company_kg.h"
 #include "finkg/generator.h"
 #include "instance/pipeline.h"
 #include "metalog/parser.h"
+#include "metalog/prepared.h"
 
 namespace kgm::instance {
 namespace {
@@ -212,6 +216,72 @@ TEST(PipelineTest, GeneratedNetworkRoundTrip) {
   // At least the self-control edges.
   EXPECT_GE(data.EdgesWithLabel("CONTROLS").size(), 60u);
   EXPECT_GE(stats->new_edges, 60u);
+}
+
+// Label counts of a graph plus the count fields of every component's
+// MaterializeStats, keyed by name so a mismatch names its source.
+std::map<std::string, size_t> RunSignature(
+    const pg::PropertyGraph& data, const std::vector<MaterializeStats>& runs) {
+  std::map<std::string, size_t> sig;
+  for (const std::string& l : data.NodeLabels()) {
+    sig["node:" + l] = data.NodesWithLabel(l).size();
+  }
+  for (const std::string& l : data.EdgeLabels()) {
+    sig["edge:" + l] = data.EdgesWithLabel(l).size();
+  }
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const MaterializeStats& s = runs[i];
+    const std::string c = std::to_string(i) + ":";
+    sig[c + "loaded_nodes"] = s.loaded_nodes;
+    sig[c + "loaded_edges"] = s.loaded_edges;
+    sig[c + "loaded_attributes"] = s.loaded_attributes;
+    sig[c + "new_nodes"] = s.new_nodes;
+    sig[c + "new_edges"] = s.new_edges;
+    sig[c + "updated_properties"] = s.updated_properties;
+    sig[c + "vadalog_rules"] = s.vadalog_rules;
+    sig[c + "facts_derived"] = s.facts_derived;
+    sig[c + "rule_firings"] = s.engine_stats.rule_firings;
+    sig[c + "join_probes"] = s.engine_stats.join_probes;
+    sig[c + "changed_labels"] = s.changed_labels.size();
+  }
+  return sig;
+}
+
+TEST(PipelineTest, PreparedAndUnpreparedRunsAgree) {
+  // The five Company-KG components in `kgmctl materialize all` order, run
+  // once through a PreparedCache and once without one: both must leave
+  // the same graph and report the same counts.
+  core::SuperSchema schema = finkg::CompanyKgSchema();
+  finkg::GeneratorConfig config;
+  config.num_companies = 60;
+  config.num_persons = 90;
+  config.seed = 2022;
+  finkg::ShareholdingNetwork net =
+      finkg::ShareholdingNetwork::Generate(config);
+  const char* components[] = {
+      finkg::kOwnsProgram, finkg::kControlProgram,
+      finkg::kStakeholdersProgram, finkg::kFamilyProgram,
+      finkg::kCloseLinksProgram};
+  auto run = [&](metalog::PreparedCache* prepared) {
+    pg::PropertyGraph data = net.ToInstanceGraph();
+    MaterializeOptions options;
+    options.prepared = prepared;
+    std::vector<MaterializeStats> runs;
+    for (const char* program : components) {
+      auto stats = Materialize(schema, program, &data, options);
+      EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+      if (!stats.ok()) break;
+      runs.push_back(*std::move(stats));
+    }
+    EXPECT_EQ(runs.size(), std::size(components));
+    return RunSignature(data, runs);
+  };
+  metalog::PreparedCache cache;
+  std::map<std::string, size_t> prepared = run(&cache);
+  std::map<std::string, size_t> unprepared = run(nullptr);
+  EXPECT_EQ(cache.counters().misses, std::size(components));
+  EXPECT_GT(prepared.at("edge:CONTROLS"), 0u);
+  EXPECT_EQ(prepared, unprepared);
 }
 
 }  // namespace

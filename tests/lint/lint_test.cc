@@ -12,6 +12,7 @@
 #include "finkg/company_kg.h"
 #include "instance/pipeline.h"
 #include "service/service.h"
+#include "vadalog/engine.h"
 #include "vadalog/parser.h"
 
 namespace kgm::lint {
@@ -39,6 +40,18 @@ const char kBrokenWarded[] =
     "(p: PhysicalPerson)[: BELONGS_TO_FAMILY](f: Family),\n"
     "(p)[: OWNS](b: Business)\n"
     "  -> exists e = skFamOwns(f, b) (f)[e: FAMILY_OWNS](b).\n";
+
+// A 65-atom chain rule over 66 distinct variables: two past the engine's
+// kMaxRuleVariables.
+std::string WideChainRule(const std::string& edge) {
+  std::string body;
+  for (int i = 0; i < 65; ++i) {
+    if (i) body += ", ";
+    body += edge + "(v" + std::to_string(i) + ", v" + std::to_string(i + 1) +
+            ")";
+  }
+  return body + " -> wide(v65, v0).\n";
+}
 
 // ---------------------------------------------------------------- Vadalog
 
@@ -89,6 +102,37 @@ TEST(LintVadalogTest, ArityClashIsError) {
   EXPECT_EQ(d->severity, Severity::kError);
   EXPECT_EQ(d->loc.line, 3);
   EXPECT_NE(d->message.find("predicate p"), std::string::npos);
+}
+
+TEST(LintVadalogTest, RuleWiderThanEngineLimitsIsError) {
+  // Lint and the engine must agree: each program is refused by both.
+  std::string atom61 = "p(x0";
+  for (int i = 1; i < 61; ++i) atom61 += ", x" + std::to_string(i);
+  atom61 += ") -> q(x0).\n";
+  const struct {
+    std::string source;
+    std::string message;
+  } cases[] = {
+      {"@input(\"edge\").\n" + WideChainRule("edge") + "@output(\"wide\").\n",
+       "rule uses 66 variables"},
+      {"@input(\"p\").\n" + atom61 + "@output(\"q\").\n",
+       "atom p has 61 arguments"},
+  };
+  for (const auto& c : cases) {
+    LintResult result = LintVadalogSource(c.source);
+    const Diagnostic* d = FindPass(result, "arity");
+    ASSERT_NE(d, nullptr) << RenderText(result);
+    EXPECT_EQ(d->severity, Severity::kError);
+    EXPECT_EQ(d->rule_index, 0);
+    EXPECT_NE(d->message.find(c.message), std::string::npos) << d->message;
+
+    Result<vadalog::Program> program = vadalog::ParseProgram(c.source);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    vadalog::Engine engine(*std::move(program));
+    vadalog::FactDb db;
+    Status run = engine.status().ok() ? engine.Run(&db) : engine.status();
+    EXPECT_EQ(run.code(), StatusCode::kFailedPrecondition) << run.ToString();
+  }
 }
 
 TEST(LintVadalogTest, DeadRuleIsWarnedWhenOutputsDeclared) {
@@ -300,17 +344,30 @@ TEST(LintServiceTest, QueryRejectsWardednessViolationBeforeQueueing) {
   EXPECT_EQ(direct.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(LintServiceTest, VadalogQueryRejectsUnsafeRule) {
+TEST(LintServiceTest, VadalogQueryRejectsLintErrors) {
   service::KgService svc;
   svc.Publish(TinyGraph());
-  service::QueryRequest request;
-  request.program = "OWNS(e, x, y, w) -> q(x, ghost).";
-  request.language = service::QueryLanguage::kVadalog;
-  request.output = "q";
-  auto result = svc.Query(request);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
-      << result.status().ToString();
+  const struct {
+    std::string program;
+    std::string output;
+  } cases[] = {
+      {"OWNS(e, x, y, w) -> q(x, ghost).", "q"},  // unsafe head variable
+      // Wider than the engine compiles.
+      {WideChainRule("PAIR") + "OWNS(e, x, y, w) -> PAIR(x, y).\n", "wide"},
+  };
+  for (const auto& c : cases) {
+    service::QueryRequest request;
+    request.program = c.program;
+    request.language = service::QueryLanguage::kVadalog;
+    request.output = c.output;
+    auto result = svc.Query(request);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << result.status().ToString();
+    EXPECT_NE(result.status().message().find("rejected by lint"),
+              std::string::npos)
+        << result.status().ToString();
+  }
 }
 
 TEST(LintServiceTest, AdmissionCanBeDisabled) {

@@ -1,24 +1,14 @@
 // Typeflow abstract interpretation: the value-kind lattice, fixpoint
-// signatures over recursive programs, the three finding classes, the
-// binding-cone estimator, and the kGreedyTyped determinism contract
-// (bit-identical output to kGreedy at every thread count — hints move
-// probe cost only, never rows).
+// signatures over recursive programs, and the three finding classes.
 
 #include "vadalog/typeflow.h"
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "vadalog/engine.h"
-#include "vadalog/magic/magic.h"
-#include "vadalog/magic/point_query.h"
 #include "vadalog/parser.h"
-#include "vadalog/planner.h"
 
 namespace kgm::vadalog {
 namespace {
@@ -268,194 +258,6 @@ TEST(TypeflowFindingTest, FindingOrderIsDeterministic) {
     EXPECT_EQ(a.findings[i].message, b.findings[i].message);
   }
   EXPECT_LE(a.findings[0].rule_index, a.findings[1].rule_index);
-}
-
-// ----------------------------------------------- binding-cone estimation
-
-constexpr const char* kReach =
-    "edge(x, y) -> reach(x, y).\n"
-    "reach(x, y), edge(y, z) -> reach(x, z).\n"
-    "@output(\"reach\").\n";
-
-FactDb ChainDb(int64_t n) {
-  FactDb db;
-  for (int64_t i = 0; i + 1 < n; ++i) {
-    db.Add("edge", {Value(i), Value(i + 1)});
-  }
-  return db;
-}
-
-TEST(BindingConeTest, SeedsMagicAndBoundsEstimatesByDatabase) {
-  FactDb db = ChainDb(50);
-  auto program = ParseProgram(kReach);
-  ASSERT_TRUE(program.ok());
-  magic::QueryBinding query;
-  query.predicate = "reach";
-  query.args = {Value(int64_t{0}), std::nullopt};
-  magic::MagicRewrite rw =
-      magic::RewriteForQuery(*program, query, {"edge"});
-  ASSERT_TRUE(rw.ok()) << rw.detail;
-
-  std::map<std::string, double> hints = EstimateBindingCones(rw, db);
-  ASSERT_FALSE(hints.empty());
-  // The query seed fact counts, and propagation reaches the adorned query
-  // predicate itself.
-  ASSERT_TRUE(hints.count(rw.query_pred) > 0);
-  EXPECT_GT(hints.at(rw.query_pred), 0.0);
-  double total = 0;
-  for (const std::string& pred : db.Predicates()) {
-    total += static_cast<double>(db.Get(pred)->size());
-  }
-  for (const auto& [pred, est] : hints) {
-    EXPECT_GE(est, 0.0) << pred;
-    EXPECT_LE(est, std::max(total, 1.0)) << pred;  // clamped to the db
-  }
-}
-
-TEST(BindingConeTest, FallbackRewriteYieldsNoHints) {
-  auto program = ParseProgram(kReach);
-  ASSERT_TRUE(program.ok());
-  magic::QueryBinding query;
-  query.predicate = "reach";
-  query.args = {std::nullopt, std::nullopt};  // all free: rewrite declines
-  magic::MagicRewrite rw =
-      magic::RewriteForQuery(*program, query, {"edge"});
-  ASSERT_FALSE(rw.ok());
-  FactDb db = ChainDb(10);
-  EXPECT_TRUE(EstimateBindingCones(rw, db).empty());
-}
-
-// ------------------------------------------ kGreedyTyped determinism
-
-// Hints may change which index the planner picks and in what order the
-// body probes run — never the rows produced.
-TEST(GreedyTypedTest, HintsChangeIndexChoiceNotOutput) {
-  // `rel` is tiny (below kIndexMinRows): plain greedy scans it.  A hint
-  // claiming it is large must flip the choice to the index.
-  std::vector<RuleDesc> rules;
-  RuleDesc d;
-  d.rule_index = 0;
-  d.positives.push_back(PlanLiteral{"label_a", {PlanArg{false, 0}}});
-  d.positives.push_back(
-      PlanLiteral{"rel", {PlanArg{false, 0}, PlanArg{false, 1}}});
-  d.reorderable = true;
-  rules.push_back(d);
-
-  FactDb db;
-  for (int64_t i = 0; i < 40; ++i) db.Add("label_a", {Value(i)});
-  for (int64_t i = 0; i < 4; ++i) db.Add("rel", {Value(i), Value(i + 1)});
-
-  JoinPlanner greedy(PlanMode::kGreedy, rules);
-  const JoinPlan* plain =
-      greedy.PlanFor(0, PlanRegime::kFull, -1, db, nullptr);
-  ASSERT_NE(plain, nullptr);
-  EXPECT_FALSE(plain->order[1].use_index);
-
-  JoinPlanner typed(PlanMode::kGreedyTyped, rules);
-  typed.SetCardinalityHints({{"rel", 500.0}});
-  const JoinPlan* hinted =
-      typed.PlanFor(0, PlanRegime::kFull, -1, db, nullptr);
-  ASSERT_NE(hinted, nullptr);
-  EXPECT_TRUE(hinted->order[1].use_index);
-}
-
-TEST(GreedyTypedTest, WithoutHintsTypedPlansMatchGreedy) {
-  std::vector<RuleDesc> rules;
-  RuleDesc d;
-  d.rule_index = 0;
-  d.positives.push_back(PlanLiteral{"label_a", {PlanArg{false, 0}}});
-  d.positives.push_back(PlanLiteral{"label_b", {PlanArg{false, 1}}});
-  d.positives.push_back(
-      PlanLiteral{"rel", {PlanArg{false, 0}, PlanArg{false, 1}}});
-  d.reorderable = true;
-  rules.push_back(d);
-  FactDb db;
-  for (int64_t i = 0; i < 300; ++i) {
-    db.Add("label_a", {Value(i)});
-    db.Add("label_b", {Value(i)});
-  }
-  for (int64_t i = 0; i < 500; ++i) {
-    db.Add("rel", {Value(i % 300), Value((i * 7) % 300)});
-  }
-  JoinPlanner greedy(PlanMode::kGreedy, rules);
-  JoinPlanner typed(PlanMode::kGreedyTyped, rules);
-  const JoinPlan* g = greedy.PlanFor(0, PlanRegime::kFull, -1, db, nullptr);
-  const JoinPlan* t = typed.PlanFor(0, PlanRegime::kFull, -1, db, nullptr);
-  ASSERT_NE(g, nullptr);
-  ASSERT_NE(t, nullptr);
-  ASSERT_EQ(g->order.size(), t->order.size());
-  for (size_t i = 0; i < g->order.size(); ++i) {
-    EXPECT_EQ(g->order[i].literal, t->order[i].literal);
-    EXPECT_EQ(g->order[i].use_index, t->order[i].use_index);
-  }
-}
-
-constexpr const char* kLabeledClosure = R"(
-  node(x), node(y), edge(x, y) -> reach(x, y).
-  node(x), node(z), reach(x, y), edge(y, z) -> reach(x, z).
-)";
-
-FactDb LabeledGraph(int64_t nodes) {
-  FactDb db;
-  for (int64_t i = 0; i < nodes; ++i) db.Add("node", {Value(i)});
-  for (int64_t i = 0; i < nodes * 2; ++i) {
-    db.Add("edge", {Value((i * 13) % nodes), Value((i * 29 + 7) % nodes)});
-  }
-  return db;
-}
-
-TEST(GreedyTypedTest, MaterializationBitIdenticalToGreedyAtEveryThreadCount) {
-  // Plans change probe order only, never output — even under hints that
-  // deliberately misstate every cardinality.
-  auto hints = std::make_shared<const std::map<std::string, double>>(
-      std::map<std::string, double>{
-          {"node", 1e6}, {"edge", 1.0}, {"reach", 3e5}});
-  for (size_t threads : {1u, 4u, 16u}) {
-    FactDb reference = LabeledGraph(60);
-    EngineOptions greedy;
-    greedy.num_threads = threads;
-    greedy.plan_mode = PlanMode::kGreedy;
-    {
-      Engine engine(ParseProgram(kLabeledClosure).value(), greedy);
-      ASSERT_TRUE(engine.Run(&reference).ok());
-    }
-    FactDb db = LabeledGraph(60);
-    EngineOptions typed = greedy;
-    typed.plan_mode = PlanMode::kGreedyTyped;
-    typed.cardinality_hints = hints;
-    Engine engine(ParseProgram(kLabeledClosure).value(), typed);
-    ASSERT_TRUE(engine.Run(&db).ok());
-    EXPECT_TRUE(engine.stats().planner_enabled);
-    EXPECT_EQ(db.DebugString(), reference.DebugString())
-        << "threads " << threads;
-  }
-}
-
-TEST(GreedyTypedTest, PointQueryAnswersMatchGreedyThroughMagicRoute) {
-  auto program = ParseProgram(kReach);
-  ASSERT_TRUE(program.ok());
-  magic::QueryBinding query;
-  query.predicate = "reach";
-  query.args = {Value(int64_t{0}), std::nullopt};
-
-  auto answers = [&](PlanMode mode, magic::PointQueryStats* stats) {
-    FactDb db = ChainDb(40);
-    magic::PointQueryOptions options;
-    options.engine.plan_mode = mode;
-    auto rows = magic::EvalPointQuery(*program, query, &db, options, stats);
-    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
-    return *rows;
-  };
-  magic::PointQueryStats greedy_stats, typed_stats;
-  std::vector<Tuple> greedy = answers(PlanMode::kGreedy, &greedy_stats);
-  std::vector<Tuple> typed = answers(PlanMode::kGreedyTyped, &typed_stats);
-  EXPECT_EQ(greedy_stats.mode, magic::PointQueryMode::kMagic);
-  EXPECT_EQ(typed_stats.mode, magic::PointQueryMode::kMagic);
-  ASSERT_EQ(greedy.size(), typed.size());
-  EXPECT_EQ(greedy.size(), 39u);  // the whole chain from node 0
-  for (size_t i = 0; i < greedy.size(); ++i) {
-    EXPECT_EQ(greedy[i], typed[i]) << "row " << i;
-  }
 }
 
 }  // namespace

@@ -111,7 +111,7 @@ fi
 # bit-identity at 1/4/16 threads) and vadalog_database_test (the
 # cardinality-statistics registers the planner reads).  vadalog_ also
 # matches vadalog_magic_test; finkg_pointquery runs the point-query
-# differential (magic/QSQR vs full materialization) at 1 and 4 threads.
+# differential (magic vs full materialization) at 1 and 4 threads.
 SANITIZER_TESTS='vadalog_|base_thread_pool|service_|finkg_incremental|finkg_pointquery'
 
 run cmake -B build-asan -S . \
