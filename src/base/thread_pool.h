@@ -1,18 +1,28 @@
 // A small reusable worker pool.
 //
-// Tasks are plain std::function<void()> closures pushed with Submit();
-// WaitIdle() blocks the caller until every submitted task has finished,
-// making the pool usable as a fork/join barrier:
+// Two ways to hand it work:
 //
-//   ThreadPool pool(4);
-//   for (WorkItem& w : items) pool.Submit([&w] { w.Run(); });
-//   pool.WaitIdle();   // all items done, results visible to this thread
+// - Submit() pushes a std::function<void()> closure; WaitIdle() blocks
+//   the caller until every submitted task has finished.  A service that
+//   answers requests on the pool uses this pair.
+// - ParallelFor(n, fn) is a fork/join barrier in which the calling thread
+//   takes part:
 //
-// WaitIdle() establishes a happens-before edge between every completed
-// task and the waiting thread, so task outputs can be read without
-// further synchronization.  The pool is intentionally minimal: no
-// futures, no task priorities, no work stealing.  Destruction drains the
-// queue and joins the workers.
+//     ThreadPool pool(3);   // three helpers; the caller is a fourth thread
+//     pool.ParallelFor(items.size(), [&](size_t i) { items[i].Run(); });
+//     // every items[i].Run() has returned; results visible to this thread
+//
+//   An atomic claim index hands out 0 .. n-1 to the caller and to at most
+//   min(n - 1, size()) helper tasks.  Once every index is claimed the
+//   caller waits only for the helpers that had already started; a helper
+//   dequeued after that returns at once.  It never waits for unrelated
+//   Submit() tasks, and n <= 1 runs inline without touching the pool.
+//
+// Both barriers establish a happens-before edge between the completed work
+// and the waiting thread, so its outputs can be read without further
+// synchronization.  The pool is intentionally minimal: no futures, no task
+// priorities, no work stealing.  Destruction drains the queue and joins
+// the workers.
 
 #ifndef KGM_BASE_THREAD_POOL_H_
 #define KGM_BASE_THREAD_POOL_H_
@@ -45,9 +55,9 @@ class ThreadPool {
   // Blocks until the queue is empty and no task is running.
   void WaitIdle();
 
-  // Fork/join convenience: runs fn(0) .. fn(n - 1) on the pool and blocks
-  // until all calls return.  The caller must not hold tasks of its own in
-  // flight (ParallelFor waits for the whole pool to go idle).
+  // Fork/join: runs fn(0) .. fn(n - 1), some on the calling thread and the
+  // rest on up to min(n - 1, size()) helpers, and returns once every call
+  // has returned.  Waits for nothing else on the pool.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   // The default parallelism: hardware_concurrency, or 1 when unknown.

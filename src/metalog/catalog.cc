@@ -199,6 +199,24 @@ Value EdgeOid(const pg::Edge& e) {
   return Value(static_cast<int64_t>(e.id));
 }
 
+// Edge identity in DecodeGraph is the full (oid, from, to) triple: under
+// frontier Skolemization two derived edges may share an OID while
+// differing in their endpoints.  The endpoints are the resolved node ids.
+struct EdgeKey {
+  Value oid;
+  pg::NodeId from;
+  pg::NodeId to;
+  bool operator==(const EdgeKey&) const = default;
+};
+
+struct EdgeKeyHash {
+  size_t operator()(const EdgeKey& k) const {
+    std::hash<pg::NodeId> id_hash;
+    return HashCombine(HashCombine(k.oid.Hash(), id_hash(k.from)),
+                       id_hash(k.to));
+  }
+};
+
 }  // namespace
 
 vadalog::FactDb EncodeGraph(const pg::PropertyGraph& graph,
@@ -245,22 +263,14 @@ Result<DecodeStats> DecodeGraph(const vadalog::FactDb& db,
                                 pg::PropertyGraph* graph) {
   DecodeStats stats;
   std::unordered_map<Value, pg::NodeId, ValueHash> node_of;
-  // Edge identity is the full (oid, from, to) triple: under frontier
-  // Skolemization two derived edges may share an OID while differing in
-  // their endpoints.
-  auto edge_key = [](const Value& oid, const Value& from, const Value& to) {
-    return MakeRecord({{"o", oid}, {"f", from}, {"t", to}});
-  };
-  std::unordered_map<Value, pg::EdgeId, ValueHash> edge_of;
+  std::unordered_map<EdgeKey, pg::EdgeId, EdgeKeyHash> edge_of;
   for (pg::NodeId id = 0; id < graph->node_capacity(); ++id) {
     if (graph->HasNode(id)) node_of.emplace(NodeOid(graph->node(id)), id);
   }
   for (pg::EdgeId id = 0; id < graph->edge_capacity(); ++id) {
     if (!graph->HasEdge(id)) continue;
     const pg::Edge& e = graph->edge(id);
-    edge_of.emplace(edge_key(EdgeOid(e), NodeOid(graph->node(e.from)),
-                             NodeOid(graph->node(e.to))),
-                    id);
+    edge_of.emplace(EdgeKey{EdgeOid(e), e.from, e.to}, id);
   }
   // Pass 1: nodes.  Later facts win property conflicts: monotonic
   // aggregates emit improving values over time, and relation order is
@@ -307,7 +317,17 @@ Result<DecodeStats> DecodeGraph(const vadalog::FactDb& db,
     for (const vadalog::Tuple& t : rel->tuples()) {
       KGM_CHECK(t.size() == 3 + props.size());
       const Value& oid = t[0];
-      Value key = edge_key(oid, t[1], t[2]);
+      // Resolve the endpoints before the existing-edge lookup: an existing
+      // edge's endpoints always resolve, so failing here changes no result.
+      auto from_it = node_of.find(t[1]);
+      auto to_it = node_of.find(t[2]);
+      if (from_it == node_of.end() || to_it == node_of.end()) {
+        return FailedPrecondition("derived edge " + label +
+                                  " references unresolved node OID " +
+                                  (from_it == node_of.end() ? t[1] : t[2])
+                                      .ToString());
+      }
+      EdgeKey key{oid, from_it->second, to_it->second};
       auto existing = edge_of.find(key);
       if (existing != edge_of.end() &&
           graph->edge(existing->second).label == label) {
@@ -320,14 +340,6 @@ Result<DecodeStats> DecodeGraph(const vadalog::FactDb& db,
           }
         }
         continue;
-      }
-      auto from_it = node_of.find(t[1]);
-      auto to_it = node_of.find(t[2]);
-      if (from_it == node_of.end() || to_it == node_of.end()) {
-        return FailedPrecondition("derived edge " + label +
-                                  " references unresolved node OID " +
-                                  (from_it == node_of.end() ? t[1] : t[2])
-                                      .ToString());
       }
       pg::PropertyMap prop_map;
       for (size_t i = 0; i < props.size(); ++i) {

@@ -319,9 +319,9 @@ bool Relation::StageInsert(StageTag tag, Tuple t) {
   for (size_t i = 0; i < arity_; ++i) {
     shard.staged_sketches[i].Add(t[i].StableHash());
   }
-  // Duplicates *within* the barrier are not chased here: DrainStaged
-  // appends in ascending tag order and drops any tuple already appended,
-  // so the minimum-tag occurrence survives without a staging-side index.
+  // Duplicates *within* the barrier are not chased here: the drain sorts
+  // each shard by tag and drops every copy after the first, so the
+  // minimum-tag occurrence survives without a staging-side index.
   // That keeps this hot path to one hash, one lock, and one push.
   shard.staged.push_back(Staged{tag, h, std::move(t), {}, false});
   ++shard.counters.accepted;
@@ -424,11 +424,6 @@ size_t Relation::DrainPrepared() {
   }
   if (appended > 0) ++version_;
   return appended;
-}
-
-size_t Relation::DrainStaged() {
-  for (size_t i = 0; i < shards_.size(); ++i) PrepareStagedShard(i);
-  return DrainPrepared();
 }
 
 void Relation::DiscardStaged() {

@@ -12,12 +12,13 @@
 // unsharded and is only written single-threaded.  During a parallel engine
 // phase the canonical store is frozen; work items call StageInsert, which
 // dedups against the canonical store under only that shard's lock.  Every
-// staged tuple carries a (work-item, sequence) tag.  At the barrier
-// DrainStaged appends the staged tuples to the canonical store in ascending
-// tag order, dropping same-barrier duplicates as they surface — so the
-// minimum-tag copy of every tuple survives regardless of thread scheduling,
-// which makes canonical row order — and therefore everything downstream of
-// it — deterministic for any worker count.
+// staged tuple carries a (work-item, sequence) tag.  At the barrier a
+// two-phase drain (PrepareStagedShard per shard, then DrainPrepared)
+// appends the staged tuples to the canonical store in ascending tag order,
+// dropping same-barrier duplicates — so the minimum-tag copy of every
+// tuple survives regardless of thread scheduling, which makes canonical
+// row order — and therefore everything downstream of it — deterministic
+// for any worker count.
 
 #ifndef KGM_VADALOG_DATABASE_H_
 #define KGM_VADALOG_DATABASE_H_
@@ -163,7 +164,7 @@ class Relation {
   const std::vector<uint32_t>& Lookup(uint64_t mask, const Tuple& probe);
 
   // Pre-builds the hash index for `mask` (no-op if already built).  Once
-  // built, indexes are maintained incrementally by Insert and DrainStaged,
+  // built, indexes are maintained incrementally by Insert and DrainPrepared,
   // so the engine calls this before a parallel phase and probes with
   // LookupBuilt.
   void EnsureIndex(uint64_t mask);
@@ -197,7 +198,7 @@ class Relation {
   // count (size()) plus a per-position approximate distinct count.  The
   // distinct-count registers are maintained incrementally — Insert folds the
   // per-position hashes it already computes, StageInsert updates a per-shard
-  // register file under the shard lock, and DrainStaged / DrainPrepared merge
+  // register file under the shard lock, and DrainPrepared merges
   // the shard files into the canonical one — so keeping them costs a few
   // table lookups per new tuple.  EraseTuples only marks them stale (HLL
   // registers cannot subtract); RefreshStats rebuilds from the surviving
@@ -227,10 +228,11 @@ class Relation {
 
   // Thread-safe dedup-on-insert into the staging area.  Returns true if
   // the tuple was staged (i.e. absent from the canonical store); tuples
-  // staged more than once within a barrier are resolved at DrainStaged,
-  // where the minimum-tag copy wins, so canonical order stays
-  // schedule-independent.  The caller must keep the canonical store frozen
-  // (no Insert / EnsureIndex / DrainStaged) while stagings are in flight.
+  // staged more than once within a barrier are resolved at the drain
+  // (PrepareStagedShard), where the minimum-tag copy wins, so canonical
+  // order stays schedule-independent.  The caller must keep the canonical
+  // store frozen (no Insert / EnsureIndex / drain) while stagings are in
+  // flight.
   bool StageInsert(StageTag tag, Tuple t);
 
   // Number of staged tuples.  Driver-only: not safe while StageInsert
@@ -242,28 +244,23 @@ class Relation {
     return shards_[shard_index]->staged.size();
   }
 
-  // Appends the staged tuples to the canonical store in ascending tag
-  // order, dropping same-barrier duplicates and maintaining the dedup
-  // table and every built index; returns the number of rows appended
-  // (their row ids are [old size, new size)).  Reclassifies dropped
-  // duplicates in the shard counters.  Driver-only.  Equivalent to
-  // PrepareStagedShard on every shard followed by DrainPrepared.
-  size_t DrainStaged();
-
   // Phase 1 of a two-phase drain, parallelizable per shard: sorts shard
   // `shard_index`'s staged tuples by tag, drops same-barrier duplicates
   // (equal tuples share a full hash, so every copy routes to the same
   // shard — dedup is shard-local and the minimum-tag copy survives), and
-  // precomputes the hash every built index will need.  Tasks for distinct
-  // shards of one relation may run concurrently; the canonical store must
-  // stay frozen until DrainPrepared.
+  // precomputes the hash every built index will need.  Reclassifies the
+  // dropped duplicates in the shard counters.  Tasks for distinct shards
+  // of one relation may run concurrently; the canonical store must stay
+  // frozen until DrainPrepared.
   void PrepareStagedShard(size_t shard_index);
 
   // Phase 2: merges the prepared shards into the canonical store in
-  // ascending tag order.  After PrepareStagedShard every surviving tuple
-  // is globally unique and absent from the canonical store, so this is a
-  // pure merge-append — no hashing, no tuple comparisons.  Driver-only
-  // (one caller per relation); returns the number of rows appended.
+  // ascending tag order, maintaining the dedup table and every built
+  // index.  After PrepareStagedShard every surviving tuple is globally
+  // unique and absent from the canonical store, so this is a pure
+  // merge-append — no hashing, no tuple comparisons.  Driver-only (one
+  // caller per relation); returns the number of rows appended (their row
+  // ids are [old size, new size)).
   size_t DrainPrepared();
 
   // Drops all staged tuples (used on error paths).  Driver-only.

@@ -314,8 +314,9 @@ struct Engine::Impl {
   std::map<std::string, size_t> arity;
   NullFactory nulls;
 
-  // Worker pool; null = sequential legacy evaluation (or a single-threaded
-  // barrier chase, which runs its work items inline).
+  // Helper pool (num_workers - 1 threads; the driver is the last worker);
+  // null = sequential legacy evaluation (or a single-threaded barrier
+  // chase, which runs its work items inline).
   std::unique_ptr<ThreadPool> pool;
   size_t num_workers = 1;
 
@@ -431,9 +432,18 @@ struct Engine::Impl {
   // Barrier-chase dedup policy carried across barriers: stays true while
   // worker-side signature dedup pays for itself (see RunItems).
   bool chase_dedup_hint = true;
-  // Runs the items on the pool and drains the staged inserts at the
-  // barrier.  Newly appended canonical rows are mirrored into next_delta
-  // for recursive predicates.
+  // Runs fn(0) .. fn(n - 1): on the driver and the pool's helpers when
+  // there is a pool, inline in index order otherwise.
+  void ForEachIndex(size_t n, const std::function<void(size_t)>& fn) {
+    if (pool != nullptr) {
+      pool->ParallelFor(n, fn);
+      return;
+    }
+    for (size_t i = 0; i < n; ++i) fn(i);
+  }
+  // Runs the items on the driver and the pool's helpers and drains the
+  // staged inserts at the barrier.  Newly appended canonical rows are
+  // mirrored into next_delta for recursive predicates.
   Status RunItems(std::deque<WorkItem>& items);
   Status DrainStagedInserts();
   // Barrier-chase drain: replays the recorded emissions of `items` on the
@@ -875,7 +885,9 @@ Status Engine::Impl::Run(FactDb* target) {
     num_workers = 1;
     stats->sequential_fallback = requested > 1;
   }
-  if (num_workers > 1) pool = std::make_unique<ThreadPool>(num_workers);
+  // The driver runs work items too (ParallelFor), so the pool holds one
+  // helper fewer than the threads that run.
+  if (num_workers > 1) pool = std::make_unique<ThreadPool>(num_workers - 1);
   stats->threads_used = num_workers;
   // Cost-based join planning; the legacy eager chase keeps its historical
   // written-order evaluation (it exists as an exact in-binary baseline).
@@ -1202,11 +1214,6 @@ Status Engine::Impl::RunItems(std::deque<WorkItem>& items) {
   }
   size_t budget_base = db->TotalFacts();
   uint32_t index = 0;
-  auto run_item = [this](WorkItem& item) {
-    item.status = item.body != nullptr
-                      ? item.body(item.ctx)
-                      : EvalRule(item.ctx, *item.rule, item.delta_literal);
-  };
   for (WorkItem& item : items) {
     item.ctx.staged = !barrier_chase;
     item.ctx.replay = barrier_chase;
@@ -1220,16 +1227,14 @@ Status Engine::Impl::RunItems(std::deque<WorkItem>& items) {
   size_t candidates0 = stats->chase_candidates;
   size_t recheck_drops0 = stats->chase_recheck_drops;
   auto eval_start = std::chrono::steady_clock::now();
-  if (pool != nullptr) {
-    for (WorkItem& item : items) {
-      pool->Submit([&run_item, &item] { run_item(item); });
-    }
-    pool->WaitIdle();
-  } else {
-    // Single-threaded barrier chase: same frozen-iteration semantics,
-    // items run inline in submission order.
-    for (WorkItem& item : items) run_item(item);
-  }
+  // Without a pool (a single-threaded barrier chase) the items run inline
+  // in submission order, with the same frozen-iteration semantics.
+  ForEachIndex(items.size(), [this, &items](size_t i) {
+    WorkItem& item = items[i];
+    item.status = item.body != nullptr
+                      ? item.body(item.ctx)
+                      : EvalRule(item.ctx, *item.rule, item.delta_literal);
+  });
   stats->eval_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     eval_start)
@@ -1387,22 +1392,14 @@ Status Engine::Impl::DrainStagedInserts() {
       if (d.rel->StagedCountShard(s) > 0) prep.emplace_back(d.rel, s);
     }
   }
-  if (pool != nullptr && prep.size() > 1) {
-    pool->ParallelFor(prep.size(), [&prep](size_t i) {
-      prep[i].first->PrepareStagedShard(prep[i].second);
-    });
-  } else {
-    for (auto& [rel, s] : prep) rel->PrepareStagedShard(s);
-  }
+  ForEachIndex(prep.size(), [&prep](size_t i) {
+    prep[i].first->PrepareStagedShard(prep[i].second);
+  });
   // Phase 2 — tag-ordered merge-append, parallel across relations (the
   // append order within a relation is inherently sequential).
-  if (pool != nullptr && dirty.size() > 1) {
-    pool->ParallelFor(dirty.size(), [&dirty](size_t i) {
-      dirty[i].added = dirty[i].rel->DrainPrepared();
-    });
-  } else {
-    for (Dirty& d : dirty) d.added = d.rel->DrainPrepared();
-  }
+  ForEachIndex(dirty.size(), [&dirty](size_t i) {
+    dirty[i].added = dirty[i].rel->DrainPrepared();
+  });
   for (Dirty& d : dirty) {
     stats->facts_derived += d.added;
     if (recursive_preds == nullptr || next_delta == nullptr ||

@@ -61,7 +61,9 @@ struct EngineOptions {
   size_t max_facts = 50'000'000;
   // Hard ceiling on fixpoint iterations per stratum.
   size_t max_iterations = 10'000'000;
-  // Worker threads for rule evaluation.  0 = hardware_concurrency.
+  // Threads that evaluate rules, the calling (driver) thread included:
+  // the engine's pool holds num_threads - 1 helpers, and the driver runs
+  // work items beside them at every barrier.  0 = hardware_concurrency.
   // 1 = single-threaded evaluation.  With more than one thread the engine
   // evaluates Phase-A (rule x scan-partition) and Phase-B (rule x
   // delta-literal x delta-partition) work items concurrently.  Work items
@@ -124,7 +126,7 @@ struct EngineStats {
   // engine had to force a smaller count.  A user-requested num_threads=1 is
   // NOT a fallback — see sequential_fallback.
   size_t threads_used = 1;
-  size_t requested_threads = 1;  // pool size the options asked for
+  size_t requested_threads = 1;  // thread count the options asked for
   // True only when the engine forced fewer threads than requested.  Since
   // the deterministic barrier chase landed this happens only when the
   // caller opts into EngineOptions::legacy_sequential_chase; restricted-

@@ -11,6 +11,12 @@ Tuple T(std::initializer_list<int64_t> values) {
   return t;
 }
 
+// The engine's barrier drain: prepare every shard, then merge-append.
+size_t Drain(Relation& rel) {
+  for (size_t s = 0; s < rel.shard_count(); ++s) rel.PrepareStagedShard(s);
+  return rel.DrainPrepared();
+}
+
 TEST(RelationTest, InsertDeduplicates) {
   Relation rel(2);
   EXPECT_TRUE(rel.Insert(T({1, 2})));
@@ -138,7 +144,7 @@ TEST(RelationShardTest, StageInsertDedupsAgainstCanonicalAndStaged) {
   EXPECT_TRUE(rel.StageInsert({1, 0}, T({3, 4})));
   EXPECT_EQ(rel.StagedCount(), 2u);
   EXPECT_EQ(rel.size(), 1u);  // canonical store untouched until the drain
-  EXPECT_EQ(rel.DrainStaged(), 1u);
+  EXPECT_EQ(Drain(rel), 1u);
   EXPECT_EQ(rel.size(), 2u);
   EXPECT_EQ(rel.StagedCount(), 0u);
   EXPECT_TRUE(rel.Contains(T({3, 4})));
@@ -155,22 +161,12 @@ TEST(RelationShardTest, DrainOrdersByTagWithMinTagMerge) {
   EXPECT_TRUE(rel.StageInsert({1, 0}, T({30})));
   EXPECT_TRUE(rel.StageInsert({0, 1}, T({10})));
   EXPECT_TRUE(rel.StageInsert({0, 0}, T({5})));
-  EXPECT_EQ(rel.DrainStaged(), 4u);
+  EXPECT_EQ(Drain(rel), 4u);
   ASSERT_EQ(rel.size(), 4u);
   EXPECT_EQ(rel.tuple(0), T({5}));   // (0, 0)
   EXPECT_EQ(rel.tuple(1), T({10}));  // (0, 1)
   EXPECT_EQ(rel.tuple(2), T({30}));  // (1, 0) beats (5, 0)
   EXPECT_EQ(rel.tuple(3), T({20}));  // (2, 0)
-}
-
-TEST(RelationShardTest, DrainMaintainsBuiltIndexes) {
-  Relation rel(2, 4);
-  rel.Insert(T({1, 10}));
-  Tuple probe = T({1, 0});
-  EXPECT_EQ(rel.Lookup(0b01, probe).size(), 1u);
-  EXPECT_TRUE(rel.StageInsert({0, 0}, T({1, 20})));
-  rel.DrainStaged();
-  EXPECT_EQ(rel.Lookup(0b01, probe).size(), 2u);
 }
 
 TEST(RelationShardTest, DiscardStagedDropsEverything) {
@@ -179,7 +175,7 @@ TEST(RelationShardTest, DiscardStagedDropsEverything) {
   EXPECT_TRUE(rel.StageInsert({0, 1}, T({2})));
   rel.DiscardStaged();
   EXPECT_EQ(rel.StagedCount(), 0u);
-  EXPECT_EQ(rel.DrainStaged(), 0u);
+  EXPECT_EQ(Drain(rel), 0u);
   EXPECT_EQ(rel.size(), 0u);
 }
 
@@ -190,7 +186,7 @@ TEST(RelationShardTest, CountersTrackAcceptedAndDuplicates) {
   EXPECT_TRUE(rel.StageInsert({0, 1}, T({2})));
   EXPECT_TRUE(rel.StageInsert({0, 2}, T({2})));  // same-barrier duplicate
   // The same-barrier duplicate is reclassified when the drain drops it.
-  EXPECT_EQ(rel.DrainStaged(), 1u);
+  EXPECT_EQ(Drain(rel), 1u);
   std::vector<ShardCounters> by_shard;
   ShardCounters total;
   rel.AccumulateShardCounters(&by_shard, &total);
@@ -199,47 +195,42 @@ TEST(RelationShardTest, CountersTrackAcceptedAndDuplicates) {
   EXPECT_EQ(by_shard.size(), 2u);
 }
 
-TEST(RelationShardTest, TwoPhaseDrainMatchesDrainStaged) {
-  // The same staged inserts, drained via the one-shot DrainStaged and via
-  // the per-shard PrepareStagedShard + DrainPrepared phases, must produce
-  // identical canonical orders.
-  auto stage = [](Relation& rel) {
-    EXPECT_TRUE(rel.StageInsert({5, 0}, T({30, 1})));
-    EXPECT_TRUE(rel.StageInsert({2, 0}, T({20, 2})));
-    EXPECT_TRUE(rel.StageInsert({1, 0}, T({30, 1})));  // same-barrier dup
-    EXPECT_TRUE(rel.StageInsert({0, 1}, T({10, 3})));
-    EXPECT_TRUE(rel.StageInsert({0, 0}, T({5, 4})));
-    EXPECT_TRUE(rel.StageInsert({3, 2}, T({40, 5})));
-  };
-  Relation one_shot(2, 4);
-  stage(one_shot);
-  EXPECT_EQ(one_shot.DrainStaged(), 5u);
+TEST(RelationShardTest, DrainMatchesSequentialInsertOrder) {
+  // Staged out of order, with a same-barrier duplicate: the drain must
+  // leave the canonical order a sequential evaluation would have built by
+  // inserting the tuples in ascending tag order.
+  Relation staged(2, 4);
+  EXPECT_TRUE(staged.StageInsert({5, 0}, T({30, 1})));
+  EXPECT_TRUE(staged.StageInsert({2, 0}, T({20, 2})));
+  EXPECT_TRUE(staged.StageInsert({1, 0}, T({30, 1})));  // same-barrier dup
+  EXPECT_TRUE(staged.StageInsert({0, 1}, T({10, 3})));
+  EXPECT_TRUE(staged.StageInsert({0, 0}, T({5, 4})));
+  EXPECT_TRUE(staged.StageInsert({3, 2}, T({40, 5})));
+  EXPECT_EQ(Drain(staged), 5u);
 
-  Relation two_phase(2, 4);
-  stage(two_phase);
-  for (size_t s = 0; s < two_phase.shard_count(); ++s) {
-    two_phase.PrepareStagedShard(s);
+  Relation sequential(2);
+  // Tag order: (0,0) (0,1) (1,0) (2,0) (3,2) (5,0).
+  for (const Tuple& t : {T({5, 4}), T({10, 3}), T({30, 1}), T({20, 2}),
+                         T({40, 5}), T({30, 1})}) {
+    sequential.Insert(t);
   }
-  EXPECT_EQ(two_phase.DrainPrepared(), 5u);
-
-  ASSERT_EQ(two_phase.size(), one_shot.size());
-  for (size_t i = 0; i < one_shot.size(); ++i) {
-    EXPECT_EQ(two_phase.tuple(i), one_shot.tuple(i)) << i;
+  ASSERT_EQ(staged.size(), sequential.size());
+  for (size_t i = 0; i < sequential.size(); ++i) {
+    EXPECT_EQ(staged.tuple(i), sequential.tuple(i)) << i;
   }
-  // Both drains leave equivalent dedup state.
-  EXPECT_FALSE(two_phase.Insert(T({30, 1})));
-  EXPECT_TRUE(two_phase.Contains(T({40, 5})));
+  // The drain leaves the dedup state a sequential insert would.
+  EXPECT_FALSE(staged.Insert(T({30, 1})));
+  EXPECT_TRUE(staged.Contains(T({40, 5})));
 }
 
-TEST(RelationShardTest, TwoPhaseDrainMaintainsBuiltIndexes) {
+TEST(RelationShardTest, DrainMaintainsBuiltIndexes) {
   Relation rel(2, 4);
   rel.Insert(T({1, 10}));
   Tuple probe = T({1, 0});
   EXPECT_EQ(rel.Lookup(0b01, probe).size(), 1u);
   EXPECT_TRUE(rel.StageInsert({0, 0}, T({1, 20})));
   EXPECT_TRUE(rel.StageInsert({1, 0}, T({1, 30})));
-  for (size_t s = 0; s < rel.shard_count(); ++s) rel.PrepareStagedShard(s);
-  EXPECT_EQ(rel.DrainPrepared(), 2u);
+  EXPECT_EQ(Drain(rel), 2u);
   EXPECT_EQ(rel.Lookup(0b01, probe).size(), 3u);
 }
 
@@ -297,7 +288,7 @@ TEST(RelationStatsTest, StagedDrainMergesShardSketchesLikeDirectInsert) {
     direct.Insert(T({i % 7, i}));
     ASSERT_TRUE(staged.StageInsert({0, seq++}, T({i % 7, i})));
   }
-  EXPECT_EQ(staged.DrainStaged(), 500u);
+  EXPECT_EQ(Drain(staged), 500u);
   // Sketch merge is register-wise max over the same hash stream, so the
   // drained relation's estimates equal the directly inserted one's.
   EXPECT_EQ(staged.DistinctEstimate(0), direct.DistinctEstimate(0));

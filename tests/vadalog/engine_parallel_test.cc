@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <map>
 #include <set>
 #include <string>
 
@@ -389,6 +391,57 @@ class IntensionalParallelTest : public ::testing::Test {
     }
   }
 };
+
+TEST_F(IntensionalParallelTest, AllComponentsMatchAtSmallThreadCounts) {
+  // The five Company-KG components in `kgmctl materialize all` order, at
+  // 2 and 3 threads (the driver plus 1 or 2 pool helpers): every label's
+  // node and edge counts, every derived edge set and every component's
+  // flush counts must equal the 1-thread run's.
+  core::SuperSchema schema = finkg::CompanyKgSchema();
+  const char* components[] = {
+      finkg::kOwnsProgram, finkg::kControlProgram,
+      finkg::kStakeholdersProgram, finkg::kFamilyProgram,
+      finkg::kCloseLinksProgram};
+  struct Run {
+    std::map<std::string, size_t> counts;
+    std::map<std::string, std::multiset<std::pair<pg::NodeId, pg::NodeId>>>
+        edges;
+  };
+  auto run = [&](size_t threads) {
+    Run out;
+    pg::PropertyGraph data = MakeData();
+    instance::MaterializeOptions options;
+    options.engine.num_threads = threads;
+    for (size_t c = 0; c < std::size(components); ++c) {
+      auto stats = instance::Materialize(schema, components[c], &data,
+                                         options);
+      EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+      if (!stats.ok()) return out;
+      EXPECT_EQ(stats->engine_stats.threads_used, threads);
+      const std::string k = std::to_string(c) + ":";
+      out.counts[k + "new_nodes"] = stats->new_nodes;
+      out.counts[k + "new_edges"] = stats->new_edges;
+      out.counts[k + "updated_properties"] = stats->updated_properties;
+      out.counts[k + "facts_derived"] = stats->facts_derived;
+      out.counts[k + "changed_labels"] = stats->changed_labels.size();
+    }
+    for (const std::string& l : data.NodeLabels()) {
+      out.counts["node:" + l] = data.NodesWithLabel(l).size();
+    }
+    for (const std::string& l : data.EdgeLabels()) {
+      out.counts["edge:" + l] = data.EdgesWithLabel(l).size();
+      out.edges[l] = EdgeSet(data, l);
+    }
+    return out;
+  };
+  Run seq = run(1);
+  EXPECT_GT(seq.counts["edge:CLOSE_LINK"], 0u);
+  for (size_t threads : {2, 3}) {
+    Run par = run(threads);
+    EXPECT_EQ(par.counts, seq.counts) << threads << " threads";
+    EXPECT_TRUE(par.edges == seq.edges) << threads << " threads";
+  }
+}
 
 TEST_F(IntensionalParallelTest, ControlProgramIsDeterministic) {
   CheckProgram(finkg::kControlProgram, {"CONTROLS"}, {}, {1, 4, 16});
