@@ -42,7 +42,7 @@ BENCHMARK(BM_TransitiveClosureChain)->Arg(64)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
 // Parallel fixpoint scaling: same non-linear closure, second argument is
-// the worker count (1 = sequential legacy path).
+// the worker count (1 = the barrier driver with every item run inline).
 void BM_TransitiveClosureParallel(benchmark::State& state) {
   const int64_t n = state.range(0);
   vadalog::EngineOptions options;

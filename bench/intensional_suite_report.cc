@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   core::SuperSchema schema = finkg::CompanyKgSchema();
 
   // Optional worker count: `intensional_suite_report [num_threads]`
-  // (0 = hardware concurrency, 1 = sequential legacy evaluation).
+  // (0 = hardware concurrency, 1 = every work item runs on the driver).
   instance::MaterializeOptions options;
   options.engine.num_threads = 1;
   if (argc > 1) {

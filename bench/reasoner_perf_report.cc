@@ -68,21 +68,14 @@ struct JsonWriter {
 
 // Restricted-chase existential benchmark: a dense recursive closure whose
 // head mints one automatic null per reachable pair, so every iteration
-// both screens against earlier nulls and mints new ones.  The baseline is
-// the pre-barrier implementation itself, re-enabled in-binary via
-// EngineOptions::legacy_sequential_chase (the eager chase with live head
-// checks, which is also what a multi-threaded request used to silently
-// fall back to) — so speedup_vs_legacy measures exactly what this change
-// replaced, on the same build, and the differential test guarantees both
-// paths produce bit-identical output.
+// both screens against earlier nulls and mints new ones.
 struct ChaseBenchResult {
   double reason_seconds = 0;
   kgm::vadalog::EngineStats stats;
   bool ok = false;
 };
 
-ChaseBenchResult RunChaseBench(size_t nodes, size_t edges, size_t threads,
-                               bool legacy) {
+ChaseBenchResult RunChaseBench(size_t nodes, size_t edges, size_t threads) {
   using namespace kgm;
   using namespace kgm::vadalog;
   ChaseBenchResult out;
@@ -95,9 +88,9 @@ ChaseBenchResult RunChaseBench(size_t nodes, size_t edges, size_t threads,
   }
   // Conjunctive existential heads: satisfaction needs a witness w with
   // rel(x, y, w) AND mark(w), so every head check is a two-atom
-  // backtracking search.  The eager chase pays it live on each of the
-  // ~600k firings; the barrier chase pays a hash probe per duplicate and
-  // the expensive screen only per distinct head.
+  // backtracking search.  The barrier chase pays a hash probe per
+  // duplicate of the ~600k firings and the expensive screen only per
+  // distinct head.
   auto parsed = ParseProgram(
       "edge(x, y) -> exists w rel(x, y, w), mark(w).\n"
       "rel(x, y, w), edge(y, z) -> exists v rel(x, z, v), mark(v).\n");
@@ -109,7 +102,6 @@ ChaseBenchResult RunChaseBench(size_t nodes, size_t edges, size_t threads,
   EngineOptions options;
   options.chase_mode = ChaseMode::kRestricted;
   options.num_threads = threads;
-  options.legacy_sequential_chase = legacy;
   Engine engine(std::move(*parsed), options);
   if (!engine.status().ok()) return out;
   auto start = std::chrono::steady_clock::now();
@@ -329,32 +321,20 @@ int main(int argc, char** argv) {
   w.Close('}');
   w.Close('}');
 
-  // Restricted chase with existentials: the pre-barrier eager sequential
-  // chase (in-binary via legacy_sequential_chase; also what an 8-thread
-  // request used to fall back to) vs the deterministic barrier chase at 1
-  // and 8 threads.  Each configuration runs kChaseReps times interleaved
+  // Restricted chase with existentials: the deterministic barrier chase at
+  // 1 and 8 threads.  Each configuration runs kChaseReps times interleaved
   // and reports the minimum, since shared hosts are noisy.
   const size_t chase_nodes = 120;
   const size_t chase_edges = 4800;
   constexpr int kChaseReps = 3;
-  struct ChaseConfig {
-    const char* mode;
-    size_t threads;
-    bool legacy;
-  };
-  const ChaseConfig chase_configs[] = {
-      {"legacy_sequential", 8, true},
-      {"barrier", 1, false},
-      {"barrier", 8, false},
-  };
+  const size_t chase_threads[] = {1, 8};
   constexpr int kChaseConfigs =
-      static_cast<int>(sizeof(chase_configs) / sizeof(chase_configs[0]));
+      static_cast<int>(sizeof(chase_threads) / sizeof(chase_threads[0]));
   ChaseBenchResult best[kChaseConfigs];
   for (int rep = 0; rep < kChaseReps; ++rep) {
     for (int i = 0; i < kChaseConfigs; ++i) {
       ChaseBenchResult r =
-          RunChaseBench(chase_nodes, chase_edges, chase_configs[i].threads,
-                        chase_configs[i].legacy);
+          RunChaseBench(chase_nodes, chase_edges, chase_threads[i]);
       if (!r.ok) {
         std::fclose(f);
         return 1;
@@ -372,17 +352,14 @@ int main(int argc, char** argv) {
   w.Field("host_cpus",
           static_cast<size_t>(std::thread::hardware_concurrency()));
   w.Field("note",
-          "baseline is the pre-barrier eager sequential chase "
-          "(legacy_sequential_chase), which is also what a multi-thread "
-          "request used to fall back to; on a single-core host the "
-          "multi-thread rows measure oversubscription, not scaling");
+          "on a single-core host the multi-thread row measures "
+          "oversubscription, not scaling");
   w.Open("runs", '[');
-  const double legacy_seconds = best[0].reason_seconds;
   for (int i = 0; i < kChaseConfigs; ++i) {
     const ChaseBenchResult& r = best[i];
     w.Open(nullptr, '{');
-    w.Field("mode", chase_configs[i].mode);
-    w.Field("threads_requested", chase_configs[i].threads);
+    w.Field("mode", "barrier");
+    w.Field("threads_requested", chase_threads[i]);
     w.Field("threads_used", r.stats.threads_used);
     w.Field("reason_seconds", r.reason_seconds);
     w.Field("chase_replay_seconds", r.stats.chase_replay_seconds);
@@ -393,9 +370,6 @@ int main(int argc, char** argv) {
     w.Field("chase_deduped", r.stats.chase_deduped);
     w.Field("chase_rechecks", r.stats.chase_rechecks);
     w.Field("chase_recheck_drops", r.stats.chase_recheck_drops);
-    if (!chase_configs[i].legacy && r.reason_seconds > 0) {
-      w.Field("speedup_vs_legacy", legacy_seconds / r.reason_seconds);
-    }
     w.Close('}');
   }
   w.Close(']');

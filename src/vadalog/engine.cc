@@ -42,9 +42,9 @@ struct CompiledLiteral {
   // Relation resolved by the last PrepareJoinIndexes call (nullptr when the
   // predicate does not exist yet).  Only trusted under a frozen context —
   // the canonical store cannot gain relations mid-phase there, and the
-  // driver refreshes the cache at every barrier; the mutating sequential
-  // path re-resolves per probe because head emission can create the
-  // relation mid-join.  Relation addresses are stable (node-based map).
+  // driver refreshes the cache at every barrier; DeltaEvaluator calls,
+  // which never run PrepareJoinIndexes, re-resolve per probe.  Relation
+  // addresses are stable (node-based map).
   Relation* rel = nullptr;
 };
 
@@ -63,7 +63,7 @@ struct ExistSlot {
 };
 
 // Per-group aggregation state.  Persistent across fixpoint iterations for
-// monotonic aggregates, per-evaluation for stratified ones.
+// monotonic aggregates, per barrier for stratified ones.
 struct GroupState {
   std::vector<Value> acc;                  // one accumulator per aggregate
   std::vector<bool> has_value;             // accumulator initialized?
@@ -203,11 +203,11 @@ struct CollectedFiring {
   std::vector<char> bound;
 };
 
-// Per-evaluation binding and output state.  Sequential evaluation uses a
-// single driver context writing straight into the FactDb; parallel work
-// items each own a context that stages derived facts into the sharded
-// relations (and records aggregate contributions) for the drain at the
-// iteration barrier.
+// Per-evaluation binding and output state.  Every work item owns a context
+// that stages derived facts into the sharded relations (or records them
+// for the barrier-chase replay) and records aggregate contributions, for
+// the drain at the iteration barrier.  DeltaEvaluator calls use an
+// unfrozen, unstaged context whose emissions go to a callback.
 struct EvalContext {
   CompiledRule* rule = nullptr;
   std::vector<Value> slots;
@@ -245,21 +245,19 @@ struct EvalContext {
   // barrier re-check instead.
   bool chase_dedup_enabled = true;
 
-  // Deferred aggregation (parallel work items of rules with aggregates):
-  // the join records contributions instead of folding them into shared
-  // group state.
-  bool defer_aggregates = false;
+  // Aggregate contributions recorded by the join; the driver folds them
+  // into the rule's group state at the barrier.
   std::vector<PendingContribution> contributions;
 
-  // Joins must not mutate relations: probe pre-built indexes only.
+  // Work item under a barrier: joins probe only pre-built indexes and the
+  // relations PrepareJoinIndexes cached.
   bool frozen_db = false;
 
-  // Restricts enumeration of the delta literal to [delta_begin, delta_end).
-  size_t delta_begin = 0;
-  size_t delta_end = static_cast<size_t>(-1);
-  // Phase-A scan partitioning: positive literal whose enumeration is
-  // restricted to [delta_begin, delta_end); -1 = none.
+  // Partitioning: positive literal (written index) whose enumeration is
+  // restricted to rows [row_begin, row_end); -1 = none.
   int range_literal = -1;
+  size_t row_begin = 0;
+  size_t row_end = static_cast<size_t>(-1);
 
   // Fact-budget baseline for staged inserts (db size at freeze time).
   size_t budget_base = 0;
@@ -291,10 +289,6 @@ struct EvalContext {
   std::vector<uint32_t> match_rows;  // scratch: row id per written literal
   std::vector<CollectedFiring> collected;
 
-  // Stratified (non-monotonic) aggregation state of this evaluation.
-  std::unordered_map<Tuple, GroupState, TupleHashFn> eval_groups;
-  std::vector<Tuple> eval_group_order;
-
   // Counters, flushed into EngineStats by the driver.
   size_t firings = 0;
   size_t probes = 0;
@@ -315,8 +309,7 @@ struct Engine::Impl {
   NullFactory nulls;
 
   // Helper pool (num_workers - 1 threads; the driver is the last worker);
-  // null = sequential legacy evaluation (or a single-threaded barrier
-  // chase, which runs its work items inline).
+  // null at one thread, where the driver runs every work item inline.
   std::unique_ptr<ThreadPool> pool;
   size_t num_workers = 1;
 
@@ -346,10 +339,7 @@ struct Engine::Impl {
   bool checkpoints_armed = false;
 
   // Cost-based join planner (EngineOptions::plan_mode == kGreedy); null =
-  // written-order evaluation.  Greedy runs always use the frozen parallel
-  // driver — even at one worker, where items run inline — because the
-  // mutating sequential path sees mid-join insertions and would enumerate
-  // a different firing set than the plan-order restoration assumes.
+  // written-order evaluation.
   std::unique_ptr<JoinPlanner> planner;
   void BuildPlanner();
 
@@ -379,7 +369,7 @@ struct Engine::Impl {
   const std::set<int>* stratum_filter = nullptr;
 
   // When set, derived facts are handed to the callback instead of being
-  // inserted (DeltaEvaluator).  Only meaningful on the sequential
+  // inserted (DeltaEvaluator).  Only meaningful on the unstaged
   // InsertShared path — staged/replay contexts never coexist with it.
   std::function<void(const std::string&, Tuple)> emit_override;
 
@@ -390,10 +380,6 @@ struct Engine::Impl {
   Status CompileRule(const Rule& rule, int index);
   Status Run(FactDb* target);
   Status EvalStratum(int stratum, const std::vector<CompiledRule*>& rules);
-  Status EvalStratumSequential(int stratum,
-                               const std::vector<CompiledRule*>& rules);
-  Status EvalStratumParallel(int stratum,
-                             const std::vector<CompiledRule*>& rules);
   Status EvalRule(EvalContext& ctx, CompiledRule& cr, int delta_literal);
   Status Join(EvalContext& ctx, CompiledRule& cr, size_t literal_index,
               int delta_literal);
@@ -407,7 +393,6 @@ struct Engine::Impl {
                            const Tuple& contribution, bool* any_update);
   Status EmitWithAggregates(EvalContext& ctx, CompiledRule& cr,
                             const Tuple& group_key, const GroupState& state);
-  Status FinalizeStratifiedAggregates(EvalContext& ctx, CompiledRule& cr);
   Status EmitHeadWithPostConditions(EvalContext& ctx, CompiledRule& cr);
   Status EmitHead(EvalContext& ctx, CompiledRule& cr);
   Status MintAndEmitHead(EvalContext& ctx, CompiledRule& cr);
@@ -415,7 +400,7 @@ struct Engine::Impl {
   Status InsertFact(EvalContext& ctx, const std::string& pred, Tuple t);
   Status InsertShared(const std::string& pred, Tuple t);
 
-  // --- parallel driver ---
+  // --- stratum driver ---
   struct WorkItem {
     CompiledRule* rule = nullptr;
     int delta_literal = -1;
@@ -820,7 +805,7 @@ Status Engine::Impl::InsertFact(EvalContext& ctx, const std::string& pred,
     return OkStatus();
   }
   if (!ctx.staged) return InsertShared(pred, std::move(t));
-  // Parallel work item: dedup-on-insert into the relation's shards.  Every
+  // Staged work item: dedup-on-insert into the relation's shards.  Every
   // head predicate is pre-created in Run, so the map lookup is read-only
   // and safe under concurrency.
   Relation* rel = db->GetMutable(pred);
@@ -858,42 +843,27 @@ Status Engine::Impl::Run(FactDb* target) {
     db->GetOrCreate(pred, n);
   }
 
-  // Decide the evaluation mode.  Skolem-mode programs (and restricted ones
-  // without existentials) use the staged-insert parallel path when more
-  // than one thread is requested.  Restricted-chase programs with
-  // existentials run the deterministic barrier chase at every thread count
-  // (including one): head-satisfaction screens evaluate against the frozen
-  // pre-barrier database and the driver re-checks candidates and mints
-  // nulls in ascending (item, seq) order, so null ids are a pure function
-  // of the program and input, independent of the worker count.
+  // Every stratum runs the frozen barrier driver at every thread count
+  // (at one thread the driver runs the work items inline).  Skolem-mode
+  // programs (and restricted ones without existentials) stage inserts into
+  // the sharded relations.  Restricted-chase programs with existentials
+  // run the deterministic barrier chase: head-satisfaction screens
+  // evaluate against the frozen pre-barrier database and the driver
+  // re-checks candidates and mints nulls in ascending (item, seq) order,
+  // so null ids are a pure function of the program and input.
   bool has_existentials = false;
   for (const CompiledRule& cr : compiled) {
     if (!cr.existentials.empty()) has_existentials = true;
   }
   barrier_chase =
       options.chase_mode == ChaseMode::kRestricted && has_existentials;
-  bool legacy_active = barrier_chase && options.legacy_sequential_chase;
-  size_t requested = options.num_threads == 0 ? ThreadPool::DefaultThreads()
-                                              : options.num_threads;
-  stats->requested_threads = requested;
-  num_workers = requested;
-  if (legacy_active) {
-    // Opt-in baseline: the pre-barrier eager chase — live head checks and
-    // inline minting on a single thread.  Same output as the barrier
-    // protocol; kept for benchmarking and differential tests.
-    barrier_chase = false;
-    num_workers = 1;
-    stats->sequential_fallback = requested > 1;
-  }
+  num_workers = options.num_threads == 0 ? ThreadPool::DefaultThreads()
+                                         : options.num_threads;
   // The driver runs work items too (ParallelFor), so the pool holds one
   // helper fewer than the threads that run.
   if (num_workers > 1) pool = std::make_unique<ThreadPool>(num_workers - 1);
   stats->threads_used = num_workers;
-  // Cost-based join planning; the legacy eager chase keeps its historical
-  // written-order evaluation (it exists as an exact in-binary baseline).
-  if (options.plan_mode != PlanMode::kOff && !legacy_active) {
-    BuildPlanner();
-  }
+  if (options.plan_mode != PlanMode::kOff) BuildPlanner();
   if (pool != nullptr && !barrier_chase) {
     // Spread the dedup tables over enough shards that concurrent StageInsert
     // calls rarely collide on a lock.  Barrier-chase runs skip resharding:
@@ -925,19 +895,17 @@ Status Engine::Impl::Run(FactDb* target) {
     stats->nulls_minted = nulls.count();
     KGM_RETURN_IF_ERROR(status);
   }
-  if (pool != nullptr) {
-    std::vector<ShardCounters> by_shard;
-    ShardCounters total;
-    db->ForEachRelation([&](const std::string&, Relation& rel) {
-      rel.AccumulateShardCounters(&by_shard, &total);
-    });
-    stats->staged_inserts = total.accepted;
-    stats->staged_duplicates = total.duplicates;
-    stats->shard_contentions = total.contentions;
-    stats->inserts_by_shard.resize(by_shard.size());
-    for (size_t i = 0; i < by_shard.size(); ++i) {
-      stats->inserts_by_shard[i] = by_shard[i].accepted;
-    }
+  std::vector<ShardCounters> by_shard;
+  ShardCounters total;
+  db->ForEachRelation([&](const std::string&, Relation& rel) {
+    rel.AccumulateShardCounters(&by_shard, &total);
+  });
+  stats->staged_inserts = total.accepted;
+  stats->staged_duplicates = total.duplicates;
+  stats->shard_contentions = total.contentions;
+  stats->inserts_by_shard.resize(by_shard.size());
+  for (size_t i = 0; i < by_shard.size(); ++i) {
+    stats->inserts_by_shard[i] = by_shard[i].accepted;
   }
   if (planner != nullptr) {
     stats->planner_enabled = true;
@@ -970,7 +938,6 @@ void Engine::Impl::BuildPlanner() {
       }
       d.positives.push_back(std::move(pl));
     }
-    for (const CompiledLiteral& h : cr.head) d.head_preds.push_back(h.pred);
     // Reordering is admissible when the collect-and-flush restoration
     // applies cleanly: at least two positive literals (else there is
     // nothing to reorder), no aggregates (their fold order is the firing
@@ -991,102 +958,7 @@ void Engine::Impl::BuildPlanner() {
       std::make_unique<JoinPlanner>(options.plan_mode, std::move(descs));
 }
 
-Status Engine::Impl::EvalStratum(int stratum,
-                                 const std::vector<CompiledRule*>& rules) {
-  // The barrier chase always uses the parallel driver — with pool == null
-  // its work items run inline, keeping the frozen-iteration semantics (and
-  // hence minted null ids) identical at every thread count.  Plan mode does
-  // NOT change the driver: bit-identity to plan-off is a per-thread-count
-  // contract, so greedy single-threaded runs use the same live sequential
-  // driver plan-off uses (with the live plan regimes, which never reorder
-  // self-feeding calls), and pooled runs plan the frozen regimes.
-  return (pool != nullptr || barrier_chase)
-             ? EvalStratumParallel(stratum, rules)
-             : EvalStratumSequential(stratum, rules);
-}
-
-Status Engine::Impl::EvalStratumSequential(
-    int stratum, const std::vector<CompiledRule*>& rules) {
-  // Predicates recursive in this stratum.
-  std::set<std::string> rec_preds;
-  for (CompiledRule* cr : rules) {
-    for (const CompiledLiteral& l : cr->positives) {
-      if (l.recursive) rec_preds.insert(l.pred);
-    }
-  }
-  std::map<std::string, Relation> delta_a, delta_b;
-  recursive_preds = &rec_preds;
-  next_delta = &delta_a;
-  cur_delta = nullptr;
-
-  EvalContext ctx;
-
-  // Phase A: every rule once, full mode.  Live plan regimes: head facts are
-  // inserted mid-call, so kFullLive never reorders a rule that reads its
-  // own head predicate (the planner keeps such calls in written order —
-  // cascaded firings discovered through live index growth stay identical
-  // to plan-off), and reordered rules restore written-order emission via
-  // collect-and-flush in EvalRule.
-  for (CompiledRule* cr : rules) {
-    KGM_RETURN_IF_ERROR(Checkpoint());
-    ctx.plan = planner != nullptr
-                   ? planner->PlanFor(cr->index, PlanRegime::kFullLive,
-                                      /*delta_literal=*/-1, *db, nullptr)
-                   : nullptr;
-    Status status = EvalRule(ctx, *cr, /*delta_literal=*/-1);
-    FlushCtxStats(ctx, *cr);
-    KGM_RETURN_IF_ERROR(status);
-  }
-
-  // Phase B: semi-naive fixpoint over recursive rules.
-  std::vector<CompiledRule*> rec_rules;
-  for (CompiledRule* cr : rules) {
-    bool has_rec_literal = false;
-    for (const CompiledLiteral& l : cr->positives) {
-      if (l.recursive) has_rec_literal = true;
-    }
-    if (has_rec_literal) rec_rules.push_back(cr);
-  }
-  size_t iterations = 0;
-  while (!next_delta->empty()) {
-    if (++iterations > options.max_iterations) {
-      return ResourceExhausted("iteration budget exceeded in stratum " +
-                               std::to_string(stratum));
-    }
-    KGM_RETURN_IF_ERROR(Checkpoint());
-    ++stats->iterations;
-    // Swap deltas.
-    cur_delta = next_delta;
-    next_delta = (cur_delta == &delta_a) ? &delta_b : &delta_a;
-    next_delta->clear();
-    for (CompiledRule* cr : rec_rules) {
-      for (size_t li = 0; li < cr->positives.size(); ++li) {
-        if (!cr->positives[li].recursive) continue;
-        // kDeltaScanLive: the delta literal enumerates an immutable
-        // snapshot, so it carries no pin and may move; only live-read
-        // head-predicate literals force written order.
-        ctx.plan = nullptr;
-        if (planner != nullptr) {
-          auto dit = cur_delta->find(cr->positives[li].pred);
-          if (dit != cur_delta->end()) {
-            ctx.plan =
-                planner->PlanFor(cr->index, PlanRegime::kDeltaScanLive,
-                                 static_cast<int>(li), *db, &dit->second);
-          }
-        }
-        Status status = EvalRule(ctx, *cr, static_cast<int>(li));
-        FlushCtxStats(ctx, *cr);
-        KGM_RETURN_IF_ERROR(status);
-      }
-    }
-    cur_delta = nullptr;
-  }
-  recursive_preds = nullptr;
-  next_delta = nullptr;
-  return OkStatus();
-}
-
-// --- parallel driver ---------------------------------------------------------
+// --- stratum driver ----------------------------------------------------------
 
 void Engine::Impl::FlushCtxStats(EvalContext& ctx, const CompiledRule& cr) {
   stats->rule_firings += ctx.firings;
@@ -1227,8 +1099,8 @@ Status Engine::Impl::RunItems(std::deque<WorkItem>& items) {
   size_t candidates0 = stats->chase_candidates;
   size_t recheck_drops0 = stats->chase_recheck_drops;
   auto eval_start = std::chrono::steady_clock::now();
-  // Without a pool (a single-threaded barrier chase) the items run inline
-  // in submission order, with the same frozen-iteration semantics.
+  // Without a pool (one thread) the items run inline in submission order,
+  // with the same frozen-iteration semantics.
   ForEachIndex(items.size(), [this, &items](size_t i) {
     WorkItem& item = items[i];
     item.status = item.body != nullptr
@@ -1247,8 +1119,8 @@ Status Engine::Impl::RunItems(std::deque<WorkItem>& items) {
   if (first_error.ok()) {
     // Monotonic-aggregate contributions fold at the barrier in work-item
     // order; the emissions are staged (or recorded) under the folding
-    // item's tag, so the drain interleaves them exactly where the
-    // sequential evaluation would have inserted them.
+    // item's tag, so the drain places them right after that item's own
+    // inserts whatever the partitioning.
     first_error = FoldItemContributions(items);
   }
   if (!first_error.ok()) {
@@ -1430,7 +1302,7 @@ Status Engine::Impl::FoldAndEmitStratified(CompiledRule& cr,
                                            std::deque<WorkItem>& items) {
   auto t0 = std::chrono::steady_clock::now();
   // Fold in work-item order: the rule's items cover ascending scan ranges
-  // of its first body literal, so this replays exactly the sequential
+  // of its first body literal, so this replays exactly the unpartitioned
   // contribution order (float sums are bit-identical).
   std::unordered_map<Tuple, GroupState, TupleHashFn> groups;
   std::vector<Tuple> order;
@@ -1466,8 +1338,8 @@ Status Engine::Impl::FoldAndEmitStratified(CompiledRule& cr,
           .count();
   if (order.empty()) return OkStatus();
   // Emit the groups in first-seen order, partitioned across the pool.
-  // Staged inserts keep each head relation's row order identical to the
-  // sequential finalize loop.
+  // Staged inserts drain in tag order, so each head relation receives the
+  // groups in first-seen order whatever the partitioning.
   size_t parts = PartitionCount(order.size());
   size_t chunk = (order.size() + parts - 1) / parts;
   std::deque<WorkItem> emit;
@@ -1498,8 +1370,7 @@ Status Engine::Impl::FoldAndEmitStratified(CompiledRule& cr,
 }
 
 // Folds one recorded firing into the rule's monotonic group state and
-// re-emits the head when an accumulator improves — the deferred twin of
-// ProcessAggregates' monotonic path.
+// re-emits the head when an accumulator improves.
 Status Engine::Impl::FoldPending(CompiledRule& cr, EvalContext& scratch,
                                  const PendingContribution& pc) {
   auto [it, inserted] = cr.mono_groups.try_emplace(pc.group_key);
@@ -1520,8 +1391,8 @@ Status Engine::Impl::FoldPending(CompiledRule& cr, EvalContext& scratch,
   return EmitWithAggregates(scratch, cr, pc.group_key, state);
 }
 
-Status Engine::Impl::EvalStratumParallel(
-    int stratum, const std::vector<CompiledRule*>& rules) {
+Status Engine::Impl::EvalStratum(int stratum,
+                                 const std::vector<CompiledRule*>& rules) {
   std::set<std::string> rec_preds;
   for (CompiledRule* cr : rules) {
     for (const CompiledLiteral& l : cr->positives) {
@@ -1535,9 +1406,9 @@ Status Engine::Impl::EvalStratumParallel(
 
   // Phase A: independent-rule batches.  Each rule fans out into
   // (rule x scan partition) items: the first body literal is
-  // range-restricted like a delta literal, so large scans split across the
-  // pool while the concatenation of the partitions preserves the
-  // sequential enumeration order.
+  // range-restricted, so large scans split across the pool while the
+  // concatenation of the partitions preserves the unpartitioned
+  // enumeration order.
   for (std::vector<CompiledRule*>& batch : IndependentBatches(rules)) {
     KGM_RETURN_IF_ERROR(Checkpoint());
     // Plans are fetched at the barrier (PlanFor is driver-only; it may
@@ -1556,13 +1427,13 @@ Status Engine::Impl::EvalStratumParallel(
     std::vector<CompiledRule*> stratified;
     for (size_t b = 0; b < batch.size(); ++b) {
       CompiledRule* cr = batch[b];
-      bool defer = !cr->aggregates.empty();
-      if (defer && !AllMonotonic(*cr)) stratified.push_back(cr);
+      if (!cr->aggregates.empty() && !AllMonotonic(*cr)) {
+        stratified.push_back(cr);
+      }
       if (cr->positives.empty()) {
         WorkItem& item = items.emplace_back();
         item.rule = cr;
         item.delta_literal = -1;
-        item.ctx.defer_aggregates = defer;
         continue;
       }
       const Relation* scan = db->Get(cr->positives[0].pred);
@@ -1577,9 +1448,8 @@ Status Engine::Impl::EvalStratumParallel(
         item.rule = cr;
         item.delta_literal = -1;
         item.ctx.range_literal = 0;
-        item.ctx.delta_begin = begin;
-        item.ctx.delta_end = std::min(rows, begin + chunk);
-        item.ctx.defer_aggregates = defer;
+        item.ctx.row_begin = begin;
+        item.ctx.row_end = std::min(rows, begin + chunk);
         item.ctx.plan = plans[b];
       }
     }
@@ -1590,8 +1460,9 @@ Status Engine::Impl::EvalStratumParallel(
   }
 
   // Phase B: semi-naive fixpoint; work items are (rule x recursive
-  // literal x delta partition), all joining against the frozen database
-  // and the current delta, merged at the iteration barrier.
+  // literal x partition of the outermost literal), all joining against the
+  // frozen database and the current delta, merged at the iteration
+  // barrier.
   std::vector<std::pair<CompiledRule*, int>> rec_slots;
   for (CompiledRule* cr : rules) {
     for (size_t li = 0; li < cr->positives.size(); ++li) {
@@ -1624,9 +1495,7 @@ Status Engine::Impl::EvalStratumParallel(
       auto dit = cur_delta->find(lit.pred);
       if (dit == cur_delta->end()) continue;
       // Plan the iteration: kDeltaScan pins the delta literal outermost
-      // (its size anchors the estimate) and the delta-row partitioning
-      // below stays identical to plan-off, so item boundaries — and hence
-      // (item, seq) staging tags — do not depend on the plan.
+      // (its size anchors the estimate).
       const JoinPlan* plan =
           planner != nullptr
               ? planner->PlanFor(cr->index, PlanRegime::kDeltaScan, li, *db,
@@ -1649,7 +1518,22 @@ Status Engine::Impl::EvalStratumParallel(
       } else if (lit.static_mask != 0 && !FullyBoundMask(lit.static_mask, n)) {
         dit->second.EnsureIndex(lit.static_mask);
       }
-      size_t rows = dit->second.size();
+      // Partition only over written literal 0, and only when it is also
+      // evaluated outermost: the partitions then enumerate consecutive
+      // slices of the one-item firing order, so the output does not depend
+      // on how many partitions the worker count allows.  Plan-off always
+      // qualifies (the delta itself when li == 0, else literal 0's
+      // relation); a greedy plan that pins a later delta literal outermost
+      // runs the slot as one item.
+      if (plan != nullptr && plan->order[0].literal != 0) {
+        WorkItem& item = items.emplace_back();
+        item.rule = cr;
+        item.delta_literal = li;
+        item.ctx.plan = plan;
+        continue;
+      }
+      const Relation* scan = li == 0 ? &dit->second : cr->positives[0].rel;
+      size_t rows = scan == nullptr ? 0 : scan->size();
       size_t parts = PartitionCount(rows);
       size_t chunk = (rows + parts - 1) / parts;
       for (size_t p = 0; p < parts; ++p) {
@@ -1658,9 +1542,9 @@ Status Engine::Impl::EvalStratumParallel(
         WorkItem& item = items.emplace_back();
         item.rule = cr;
         item.delta_literal = li;
-        item.ctx.delta_begin = begin;
-        item.ctx.delta_end = std::min(rows, begin + chunk);
-        item.ctx.defer_aggregates = !cr->aggregates.empty();
+        item.ctx.range_literal = 0;
+        item.ctx.row_begin = begin;
+        item.ctx.row_end = std::min(rows, begin + chunk);
         item.ctx.plan = plan;
       }
     }
@@ -1684,14 +1568,6 @@ Status Engine::Impl::EvalRule(EvalContext& ctx, CompiledRule& cr,
   ctx.rule = &cr;
   ctx.slots.assign(cr.slot_names.size(), Value());
   ctx.bound.assign(cr.slot_names.size(), 0);
-  // Deferred evaluation records contributions instead of grouping inline;
-  // the driver folds and finalizes them at the barrier.
-  bool stratified_inline =
-      !cr.aggregates.empty() && !AllMonotonic(cr) && !ctx.defer_aggregates;
-  if (stratified_inline) {
-    ctx.eval_groups.clear();
-    ctx.eval_group_order.clear();
-  }
   // A reordered plan enumerates the same firing set in a different order;
   // collect the matches and flush them in written-order key order so every
   // emission happens in exactly the off-mode sequence.  Identity-order
@@ -1706,9 +1582,6 @@ Status Engine::Impl::EvalRule(EvalContext& ctx, CompiledRule& cr,
   KGM_RETURN_IF_ERROR(Join(ctx, cr, 0, delta_literal));
   if (collect) {
     KGM_RETURN_IF_ERROR(FlushCollected(ctx, cr));
-  }
-  if (stratified_inline) {
-    KGM_RETURN_IF_ERROR(FinalizeStratifiedAggregates(ctx, cr));
   }
   return OkStatus();
 }
@@ -1738,10 +1611,7 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
   const size_t actual = planned != nullptr ? planned->literal : literal_index;
   const CompiledLiteral& lit = cr.positives[actual];
   bool is_delta = static_cast<int>(actual) == delta_literal;
-  // Scan-partitioned literals (Phase A) are range-restricted exactly like
-  // the delta literal of a semi-naive item.
-  bool is_ranged =
-      is_delta || static_cast<int>(actual) == ctx.range_literal;
+  bool is_ranged = static_cast<int>(actual) == ctx.range_literal;
   Relation* source = nullptr;
   if (is_delta) {
     KGM_CHECK(cur_delta != nullptr);
@@ -1783,15 +1653,14 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
     }
   }
 
-  // Partition filter: only the delta / scan-partitioned literal is
-  // range-restricted.
-  size_t range_begin = is_ranged ? ctx.delta_begin : 0;
-  size_t range_end = is_ranged ? ctx.delta_end : static_cast<size_t>(-1);
+  // Partition filter: only the partitioned literal is range-restricted.
+  size_t range_begin = is_ranged ? ctx.row_begin : 0;
+  size_t range_end = is_ranged ? ctx.row_end : static_cast<size_t>(-1);
 
-  // Frozen contexts (parallel / barrier-chase work items) never mutate
-  // relations mid-join, so rows bind by reference; the mutating sequential
-  // path copies each row first because head emission may insert into
-  // `source` itself, reallocating its tuple storage under us.
+  // Rows bind by reference: try_row reads `row` only before it recurses.
+  // Work items never insert mid-join (they stage or record emissions), but
+  // a DeltaEvaluator emit callback may insert into `source` and reallocate
+  // its tuple storage, so `row` must not be read after the recursion.
   auto try_row = [&](const Tuple& row) -> Status {
     // A single fixpoint iteration can run for minutes on a bad join order;
     // poll the deadline/cancel flag every ~16k candidate rows so such
@@ -1828,8 +1697,8 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
 
   if (FullyBoundMask(mask, n)) {
     // Fully bound: containment test (by row so the partition filter
-    // applies — a fully bound delta literal must match in exactly one
-    // partition, not every one).
+    // applies — a fully bound partitioned literal must match in exactly
+    // one partition, not every one).
     ++ctx.probes;
     size_t row = source->RowOf(probe);
     if (row != Relation::kNoRow && row >= range_begin && row < range_end) {
@@ -1859,21 +1728,15 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
     }
     if (rows_ptr != nullptr) {
       const std::vector<uint32_t>& rows = *rows_ptr;
-      // Lookup results can grow while we iterate if the same relation
-      // receives inserts from head emission; index by position
-      // defensively.
+      // A DeltaEvaluator emit callback may insert into `source`, growing
+      // this bucket while we iterate; index by position.
       for (size_t k = 0; k < rows.size(); ++k) {
         uint32_t rowi = rows[k];
         if (rowi < range_begin || rowi >= range_end) continue;
         ++ctx.probes;
         if (!source->MatchesMasked(rowi, mask, probe)) continue;
         if (ctx.collect) ctx.match_rows[actual] = rowi;
-        if (ctx.frozen_db) {
-          KGM_RETURN_IF_ERROR(try_row(source->tuple(rowi)));
-        } else {
-          Tuple row = source->tuple(rowi);
-          KGM_RETURN_IF_ERROR(try_row(row));
-        }
+        KGM_RETURN_IF_ERROR(try_row(source->tuple(rowi)));
       }
       return OkStatus();
     }
@@ -1885,12 +1748,7 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
   for (size_t k = range_begin; k < scan_end; ++k) {
     ++ctx.probes;
     if (ctx.collect) ctx.match_rows[actual] = static_cast<uint32_t>(k);
-    if (ctx.frozen_db) {
-      KGM_RETURN_IF_ERROR(try_row(source->tuple(k)));
-    } else {
-      Tuple row = source->tuple(k);
-      KGM_RETURN_IF_ERROR(try_row(row));
-    }
+    KGM_RETURN_IF_ERROR(try_row(source->tuple(k)));
   }
   return OkStatus();
 }
@@ -2003,8 +1861,8 @@ Status Engine::Impl::FinishBinding(EvalContext& ctx, CompiledRule& cr) {
 }
 
 // Dedups `contribution` against the group's seen-set and folds it into
-// accumulator `ai`.  Shared by the inline (sequential / Phase A) and
-// deferred (parallel Phase B) aggregation paths.
+// accumulator `ai`.  Shared by the monotonic (FoldPending) and stratified
+// (FoldAndEmitStratified) barrier folds.
 Status Engine::Impl::ApplyContribution(CompiledRule& cr,
                                        const CompiledAgg& agg,
                                        GroupState& state, size_t ai,
@@ -2044,67 +1902,17 @@ Status Engine::Impl::ApplyContribution(CompiledRule& cr,
 }
 
 Status Engine::Impl::ProcessAggregates(EvalContext& ctx, CompiledRule& cr) {
-  // Group key.
-  Tuple group_key;
-  group_key.reserve(cr.group_slots.size());
+  // Record the contribution; the driver folds it into the group state at
+  // the barrier (FoldItemContributions for monotonic rules,
+  // FoldAndEmitStratified for stratified ones).
+  PendingContribution pc;
+  pc.group_key.reserve(cr.group_slots.size());
   for (int s : cr.group_slots) {
     KGM_CHECK(ctx.bound[s]);
-    group_key.push_back(ctx.slots[s]);
+    pc.group_key.push_back(ctx.slots[s]);
   }
-  bool monotonic = AllMonotonic(cr);
-
-  if (ctx.defer_aggregates) {
-    // Parallel work item: record the contribution; the driver folds it
-    // into the group state at the barrier (FoldItemContributions for
-    // monotonic rules, FoldAndEmitStratified for stratified ones).
-    PendingContribution pc;
-    pc.per_agg.reserve(cr.aggregates.size());
-    for (size_t ai = 0; ai < cr.aggregates.size(); ++ai) {
-      CompiledAgg& agg = cr.aggregates[ai];
-      Tuple contribution;
-      for (int s : agg.contributor_slots) {
-        KGM_CHECK(ctx.bound[s]);
-        contribution.push_back(ctx.slots[s]);
-      }
-      for (const ExprPtr& a : agg.args) {
-        KGM_ASSIGN_OR_RETURN(Value v, Eval(ctx, a));
-        contribution.push_back(std::move(v));
-      }
-      pc.per_agg.push_back(std::move(contribution));
-    }
-    if (monotonic) {
-      // Skip contributions the (frozen) group state has already folded in
-      // a previous iteration; the fold dedups same-barrier duplicates.
-      auto git = cr.mono_groups.find(group_key);
-      if (git != cr.mono_groups.end()) {
-        bool all_seen = true;
-        for (size_t ai = 0; ai < cr.aggregates.size(); ++ai) {
-          if (git->second.seen[ai].count(pc.per_agg[ai]) == 0) {
-            all_seen = false;
-          }
-        }
-        if (all_seen) return OkStatus();
-      }
-    }
-    pc.group_key = std::move(group_key);
-    ctx.contributions.push_back(std::move(pc));
-    return OkStatus();
-  }
-
-  auto& groups = monotonic ? cr.mono_groups : ctx.eval_groups;
-  auto [it, inserted] = groups.try_emplace(group_key);
-  GroupState& state = it->second;
-  if (inserted) {
-    state.acc.resize(cr.aggregates.size());
-    state.has_value.resize(cr.aggregates.size(), false);
-    state.packed.resize(cr.aggregates.size());
-    state.seen.resize(cr.aggregates.size());
-    if (!monotonic) ctx.eval_group_order.push_back(group_key);
-  }
-
-  bool any_update = false;
-  for (size_t ai = 0; ai < cr.aggregates.size(); ++ai) {
-    CompiledAgg& agg = cr.aggregates[ai];
+  pc.per_agg.reserve(cr.aggregates.size());
+  for (const CompiledAgg& agg : cr.aggregates) {
     // Contribution identity: contributor values plus argument values.
     Tuple contribution;
     for (int s : agg.contributor_slots) {
@@ -2115,13 +1923,24 @@ Status Engine::Impl::ProcessAggregates(EvalContext& ctx, CompiledRule& cr) {
       KGM_ASSIGN_OR_RETURN(Value v, Eval(ctx, a));
       contribution.push_back(std::move(v));
     }
-    KGM_RETURN_IF_ERROR(
-        ApplyContribution(cr, agg, state, ai, contribution, &any_update));
+    pc.per_agg.push_back(std::move(contribution));
   }
-
-  if (!monotonic) return OkStatus();  // finalized later
-  if (!any_update && !inserted) return OkStatus();
-  return EmitWithAggregates(ctx, cr, group_key, state);
+  if (AllMonotonic(cr)) {
+    // Skip contributions the (frozen) group state has already folded in
+    // a previous iteration; the fold dedups same-barrier duplicates.
+    auto git = cr.mono_groups.find(pc.group_key);
+    if (git != cr.mono_groups.end()) {
+      bool all_seen = true;
+      for (size_t ai = 0; ai < cr.aggregates.size(); ++ai) {
+        if (git->second.seen[ai].count(pc.per_agg[ai]) == 0) {
+          all_seen = false;
+        }
+      }
+      if (all_seen) return OkStatus();
+    }
+  }
+  ctx.contributions.push_back(std::move(pc));
+  return OkStatus();
 }
 
 Status Engine::Impl::EmitWithAggregates(EvalContext& ctx, CompiledRule& cr,
@@ -2172,25 +1991,6 @@ Status Engine::Impl::EmitWithAggregates(EvalContext& ctx, CompiledRule& cr,
   Status status = EmitHeadWithPostConditions(ctx, cr);
   cleanup();
   return status;
-}
-
-Status Engine::Impl::FinalizeStratifiedAggregates(EvalContext& ctx,
-                                                  CompiledRule& cr) {
-  for (const Tuple& key : ctx.eval_group_order) {
-    // Finalize loops emit one head per group and can run long between
-    // barriers; poll the deadline/cancel flag like the join loops do.
-    if (checkpoints_armed && (++ctx.checkpoint_tick & 0x3FFF) == 0) {
-      KGM_RETURN_IF_ERROR(Checkpoint());
-    }
-    auto it = ctx.eval_groups.find(key);
-    KGM_CHECK(it != ctx.eval_groups.end());
-    // Clear all slots: only group + results are meaningful now.
-    ctx.bound.assign(cr.slot_names.size(), 0);
-    KGM_RETURN_IF_ERROR(EmitWithAggregates(ctx, cr, key, it->second));
-  }
-  ctx.eval_groups.clear();
-  ctx.eval_group_order.clear();
-  return OkStatus();
 }
 
 Status Engine::Impl::EmitHeadWithPostConditions(EvalContext& ctx,
@@ -2346,106 +2146,106 @@ bool Engine::Impl::HeadSatisfied(EvalContext& ctx, CompiledRule& cr) {
 }
 
 Status Engine::Impl::EmitHead(EvalContext& ctx, CompiledRule& cr) {
-  if (!cr.existentials.empty() &&
-      options.chase_mode == ChaseMode::kRestricted) {
-    if (ctx.replay) {
-      // Dedup before anything else: both the frozen screen's verdict and
-      // the barrier re-check's fate are functions of the bound-head-
-      // argument signature alone (the screen reads only the frozen
-      // database; a duplicate of a recorded candidate re-checks after the
-      // earlier copy either minted a witness for exactly this head or was
-      // itself found satisfied), so a repeated signature within this work
-      // item can only ever drop.  Dense chases fire the same head many
-      // times per barrier — one hash probe here replaces a screen (and
-      // possibly a recorded op plus a replay re-check) per repeat, without
-      // changing the surviving-candidate order or the minted null ids.
-      // Dropping a duplicate is output-neutral either way, so whether to
-      // pay for the dedup set is purely a cost heuristic: RunItems turns
-      // it off for later barriers when the observed duplicate rate is low,
-      // and the screen / re-check absorb the (rare) repeats instead.
-      if (ctx.chase_dedup_enabled) {
-        // The signature carries the rule index so two rules whose heads
-        // happen to bind equal values never collide in the shared map.
-        Tuple& signature = ctx.sig_scratch;
-        signature.clear();
-        signature.push_back(Value(static_cast<int64_t>(cr.index)));
-        for (const CompiledLiteral& h : cr.head) {
-          for (const ArgSlot& a : h.args) {
-            if (!a.is_const && a.slot >= 0 && ctx.bound[a.slot]) {
-              signature.push_back(ctx.slots[a.slot]);
-            }
-          }
-        }
-        if (ctx.chase_seen.find(signature) != ctx.chase_seen.end()) {
-          ++ctx.chase_deduped;
-          return OkStatus();
-        }
-        ctx.chase_seen.insert(signature);
-        // Cross-item level (multi-threaded runs only — a single worker's
-        // local sets already see every firing): drop only against a
-        // strictly smaller (item, seq) tag.  The minimum-tag copy of a
-        // signature can never observe a smaller tag, so it is always
-        // recorded no matter how the pool schedules items; any larger-tag
-        // copy that records before the minimum arrives is dropped by the
-        // barrier re-check.  Future copies within this item drop on the
-        // local set above.
-        if (pool != nullptr) {
-          uint64_t tag = (static_cast<uint64_t>(ctx.item_index) << 32) |
-                         (ctx.replay_ops.size() & 0xFFFFFFFFull);
-          ChaseSeenShard& shard =
-              chase_seen_shared[TupleHashFn{}(signature) % kChaseSeenShards];
-          bool drop = false;
-          {
-            // try_lock: a contended shard is skipped rather than waited
-            // on — the copy is recorded and the barrier re-check drops
-            // it, so blocking (and on an oversubscribed host, a futex
-            // sleep) would buy nothing correctness needs.
-            std::unique_lock<std::mutex> lock(shard.mu, std::try_to_lock);
-            if (lock.owns_lock()) {
-              auto [it, inserted] = shard.map.try_emplace(signature, tag);
-              if (!inserted) {
-                if (it->second < tag) {
-                  drop = true;
-                } else {
-                  it->second = tag;
-                }
-              }
-            }
-          }
-          if (drop) {
-            ++ctx.chase_deduped;
-            return OkStatus();
-          }
+  if (cr.existentials.empty() ||
+      options.chase_mode != ChaseMode::kRestricted) {
+    return MintAndEmitHead(ctx, cr);
+  }
+  // A restricted-chase existential rule only fires inside a barrier-chase
+  // work item (DeltaEvaluator refuses such rules): screen the firing and
+  // record it as a candidate; the driver mints at the replay.
+  KGM_CHECK(ctx.replay);
+  // Dedup before anything else: both the frozen screen's verdict and
+  // the barrier re-check's fate are functions of the bound-head-
+  // argument signature alone (the screen reads only the frozen
+  // database; a duplicate of a recorded candidate re-checks after the
+  // earlier copy either minted a witness for exactly this head or was
+  // itself found satisfied), so a repeated signature within this work
+  // item can only ever drop.  Dense chases fire the same head many
+  // times per barrier — one hash probe here replaces a screen (and
+  // possibly a recorded op plus a replay re-check) per repeat, without
+  // changing the surviving-candidate order or the minted null ids.
+  // Dropping a duplicate is output-neutral either way, so whether to
+  // pay for the dedup set is purely a cost heuristic: RunItems turns
+  // it off for later barriers when the observed duplicate rate is low,
+  // and the screen / re-check absorb the (rare) repeats instead.
+  if (ctx.chase_dedup_enabled) {
+    // The signature carries the rule index so two rules whose heads
+    // happen to bind equal values never collide in the shared map.
+    Tuple& signature = ctx.sig_scratch;
+    signature.clear();
+    signature.push_back(Value(static_cast<int64_t>(cr.index)));
+    for (const CompiledLiteral& h : cr.head) {
+      for (const ArgSlot& a : h.args) {
+        if (!a.is_const && a.slot >= 0 && ctx.bound[a.slot]) {
+          signature.push_back(ctx.slots[a.slot]);
         }
       }
-      // Screen against the frozen pre-barrier database.  Satisfaction is
-      // monotone (facts are never retracted), so a head satisfied here
-      // stays satisfied at the barrier and the firing drops immediately;
-      // unsatisfied heads become candidates the driver re-checks against
-      // the live database in replay order.
-      if (HeadSatisfied(ctx, cr)) {
-        ++ctx.chase_screened;
-        return OkStatus();
-      }
-      ++ctx.chase_candidates;
-      ReplayOp op;
-      op.kind = ReplayOp::Kind::kCandidate;
-      op.slots = ctx.slots;
-      op.bound = ctx.bound;
-      ctx.replay_ops.push_back(std::move(op));
-      size_t staged =
-          staged_total_.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (ctx.budget_base + staged > options.max_facts) {
-        return ResourceExhausted(
-            "fact budget exceeded (" + std::to_string(options.max_facts) +
-            "); the chase may not terminate on this program");
-      }
+    }
+    if (ctx.chase_seen.find(signature) != ctx.chase_seen.end()) {
+      ++ctx.chase_deduped;
       return OkStatus();
     }
-    // Driver-side (candidate replay): live head-satisfaction check.
-    if (HeadSatisfied(ctx, cr)) return OkStatus();
+    ctx.chase_seen.insert(signature);
+    // Cross-item level (multi-threaded runs only — a single worker's
+    // local sets already see every firing): drop only against a
+    // strictly smaller (item, seq) tag.  The minimum-tag copy of a
+    // signature can never observe a smaller tag, so it is always
+    // recorded no matter how the pool schedules items; any larger-tag
+    // copy that records before the minimum arrives is dropped by the
+    // barrier re-check.  Future copies within this item drop on the
+    // local set above.
+    if (pool != nullptr) {
+      uint64_t tag = (static_cast<uint64_t>(ctx.item_index) << 32) |
+                     (ctx.replay_ops.size() & 0xFFFFFFFFull);
+      ChaseSeenShard& shard =
+          chase_seen_shared[TupleHashFn{}(signature) % kChaseSeenShards];
+      bool drop = false;
+      {
+        // try_lock: a contended shard is skipped rather than waited
+        // on — the copy is recorded and the barrier re-check drops
+        // it, so blocking (and on an oversubscribed host, a futex
+        // sleep) would buy nothing correctness needs.
+        std::unique_lock<std::mutex> lock(shard.mu, std::try_to_lock);
+        if (lock.owns_lock()) {
+          auto [it, inserted] = shard.map.try_emplace(signature, tag);
+          if (!inserted) {
+            if (it->second < tag) {
+              drop = true;
+            } else {
+              it->second = tag;
+            }
+          }
+        }
+      }
+      if (drop) {
+        ++ctx.chase_deduped;
+        return OkStatus();
+      }
+    }
   }
-  return MintAndEmitHead(ctx, cr);
+  // Screen against the frozen pre-barrier database.  Satisfaction is
+  // monotone (facts are never retracted), so a head satisfied here
+  // stays satisfied at the barrier and the firing drops immediately;
+  // unsatisfied heads become candidates the driver re-checks against
+  // the live database in replay order.
+  if (HeadSatisfied(ctx, cr)) {
+    ++ctx.chase_screened;
+    return OkStatus();
+  }
+  ++ctx.chase_candidates;
+  ReplayOp op;
+  op.kind = ReplayOp::Kind::kCandidate;
+  op.slots = ctx.slots;
+  op.bound = ctx.bound;
+  ctx.replay_ops.push_back(std::move(op));
+  size_t staged =
+      staged_total_.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (ctx.budget_base + staged > options.max_facts) {
+    return ResourceExhausted(
+        "fact budget exceeded (" + std::to_string(options.max_facts) +
+        "); the chase may not terminate on this program");
+  }
+  return OkStatus();
 }
 
 // Binds the existential slots — fresh labeled nulls for restricted-chase
@@ -2577,13 +2377,32 @@ struct DeltaEvaluator::State {
   Status init;
 
   explicit State(Engine* engine) : impl(engine) {}
+
+  // Aggregates fold, and restricted-chase existentials mint, only at the
+  // engine's barriers, which rule-at-a-time calls never reach.  Incremental
+  // maintenance recomputes or reruns such programs instead.
+  Status CheckSupported(const CompiledRule& cr) const {
+    if (!cr.aggregates.empty()) {
+      return FailedPrecondition(
+          "rule-at-a-time evaluation does not support aggregates: " +
+          cr.rule->ToString());
+    }
+    if (!cr.existentials.empty() &&
+        impl.options.chase_mode == ChaseMode::kRestricted) {
+      return FailedPrecondition(
+          "rule-at-a-time evaluation does not support restricted-chase "
+          "existentials: " +
+          cr.rule->ToString());
+    }
+    return OkStatus();
+  }
 };
 
 DeltaEvaluator::DeltaEvaluator(Engine* engine, FactDb* db)
     : state_(std::make_unique<State>(engine)) {
   state_->init = engine->status();
   if (state_->init.ok()) state_->init = state_->impl.CompileAll();
-  // Sequential, mutating evaluation: no pool, no staging, no barrier chase.
+  // One thread, unfrozen: no pool, no staging, no barrier chase.
   state_->impl.db = db;
   state_->impl.num_workers = 1;
   // Rule-at-a-time calls still benefit from planning: EvalRuleDelta joins
@@ -2607,6 +2426,7 @@ Status DeltaEvaluator::EvalRuleDelta(size_t rule_index, size_t literal_index,
   Engine::Impl& impl = state_->impl;
   KGM_CHECK(rule_index < impl.compiled.size());
   CompiledRule& cr = impl.compiled[rule_index];
+  KGM_RETURN_IF_ERROR(state_->CheckSupported(cr));
   KGM_CHECK(literal_index < cr.positives.size());
   const CompiledLiteral& lit = cr.positives[literal_index];
   auto it = delta_rels.find(lit.pred);
@@ -2633,7 +2453,7 @@ Status DeltaEvaluator::EvalRuleDelta(size_t rule_index, size_t literal_index,
   // the shared variables instead of scanning an unrestricted first literal.
   // With a small delta this makes the evaluation cost proportional to the
   // delta's join partners, not to the database.  The delta literal itself
-  // stays range-restricted inside Join (a fully bound containment probe);
+  // is still probed inside Join (a fully bound containment probe);
   // anonymous positions in it are left free, which can revisit a sibling
   // delta row — emissions are idempotent for every caller, so that costs
   // duplicate work, never duplicate facts.
@@ -2675,6 +2495,7 @@ Status DeltaEvaluator::EvalRuleSeeded(size_t rule_index, size_t head_index,
   Engine::Impl& impl = state_->impl;
   KGM_CHECK(rule_index < impl.compiled.size());
   CompiledRule& cr = impl.compiled[rule_index];
+  KGM_RETURN_IF_ERROR(state_->CheckSupported(cr));
   KGM_CHECK(head_index < cr.head.size());
   const CompiledLiteral& head = cr.head[head_index];
   KGM_CHECK(target.size() == head.args.size());

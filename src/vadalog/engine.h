@@ -63,36 +63,24 @@ struct EngineOptions {
   size_t max_iterations = 10'000'000;
   // Threads that evaluate rules, the calling (driver) thread included:
   // the engine's pool holds num_threads - 1 helpers, and the driver runs
-  // work items beside them at every barrier.  0 = hardware_concurrency.
-  // 1 = single-threaded evaluation.  With more than one thread the engine
-  // evaluates Phase-A (rule x scan-partition) and Phase-B (rule x
-  // delta-literal x delta-partition) work items concurrently.  Work items
-  // insert derived facts directly into the sharded FactDb (dedup-on-insert
-  // under per-shard locks, tagged with the work-item submission order); at
-  // the iteration barrier the shards are drained into the canonical store
-  // in tag order, so results are deterministic for any worker count (see
-  // DESIGN.md, "Sharded FactDb & deterministic merge").  Restricted-chase
-  // programs with existentials instead run the deterministic barrier
-  // chase at every thread count, including 1: workers record candidate
-  // firings against the frozen pre-barrier database and the driver
-  // re-checks head satisfaction and mints nulls in ascending (item, seq)
-  // order, so minted null ids — and all downstream tuples — are
-  // bit-identical for any worker count (see DESIGN.md, "Deterministic
-  // parallel restricted chase").
+  // work items beside them at every barrier.  0 = hardware_concurrency;
+  // at 1 the driver runs every work item itself.  Every stratum runs one
+  // barrier driver: Phase-A (rule x scan-partition) and Phase-B (rule x
+  // delta-literal x partition) work items join against the frozen
+  // pre-barrier database and stage derived facts into the sharded FactDb
+  // (dedup-on-insert under per-shard locks, tagged with the work-item
+  // submission order); at the iteration barrier the shards are drained
+  // into the canonical store in tag order (see DESIGN.md, "Sharded FactDb
+  // & deterministic merge").  Restricted-chase programs with existentials
+  // record candidate firings instead, and the driver re-checks head
+  // satisfaction and mints nulls in ascending (item, seq) order (see
+  // DESIGN.md, "Deterministic parallel restricted chase").  Either way
+  // the output — row order and minted null ids included — is the same at
+  // every thread and shard count.
   size_t num_threads = 0;
-  // Opt back into the pre-barrier eager restricted chase: single-threaded,
-  // with a live head-satisfaction check and null minting inline at each
-  // firing.  Output is identical to the barrier chase (the differential
-  // test asserts it); the engine forces one worker and reports
-  // sequential_fallback = true.  Exists as an in-binary baseline for
-  // benchmarking and differential testing — not recommended otherwise:
-  // the barrier chase screens and dedups firings in bulk and is faster
-  // even single-threaded.  Ignored unless the program has existentials
-  // under ChaseMode::kRestricted.
-  bool legacy_sequential_chase = false;
-  // Shards per relation for the parallel path (rounded up to a power of
-  // two).  0 = auto: scales with the worker count.  Ignored by sequential
-  // runs, which keep single-shard relations.
+  // Shards per relation for staged inserts (rounded up to a power of two).
+  // 0 = auto: scales with the worker count.  Ignored at one thread and by
+  // the barrier chase, which keep single-shard relations.
   size_t num_shards = 0;
   // Cooperative deadline: when set (non-default time_point), the engine
   // polls the clock at evaluation checkpoints — stratum/batch boundaries,
@@ -111,8 +99,7 @@ struct EngineOptions {
   // bodies by estimated selectivity and picks index-vs-scan per literal;
   // materialized output stays bit-identical to kOff at every thread count
   // (reordered rules collect firings and flush them in written-literal row
-  // order, restoring the exact off-mode emission sequence).  Ignored for
-  // legacy_sequential_chase runs.
+  // order, restoring the exact off-mode emission sequence).
   PlanMode plan_mode = PlanMode::kOff;
 };
 
@@ -122,16 +109,9 @@ struct EngineStats {
   size_t iterations = 0;       // fixpoint rounds across all strata
   int strata = 0;
   size_t join_probes = 0;      // candidate rows examined by joins
-  // Effective worker count of the run: equals requested_threads unless the
-  // engine had to force a smaller count.  A user-requested num_threads=1 is
-  // NOT a fallback — see sequential_fallback.
+  // Threads that ran the evaluation, the driver included:
+  // EngineOptions::num_threads, with 0 resolved to hardware_concurrency.
   size_t threads_used = 1;
-  size_t requested_threads = 1;  // thread count the options asked for
-  // True only when the engine forced fewer threads than requested.  Since
-  // the deterministic barrier chase landed this happens only when the
-  // caller opts into EngineOptions::legacy_sequential_chase; restricted-
-  // chase programs with existentials otherwise run multi-threaded.
-  bool sequential_fallback = false;
   // Deterministic restricted chase (barrier protocol) observability.
   size_t chase_candidates = 0;     // firings recorded for barrier re-check
   size_t chase_screened = 0;       // firings dropped by the frozen pre-check
@@ -143,7 +123,7 @@ struct EngineStats {
   // Wall-clock seconds spent in the (possibly pooled) join phase between
   // barriers — the part of an iteration that scales with worker count.
   double eval_seconds = 0;
-  // Sharded-insert observability (parallel runs only).
+  // Sharded-insert observability.
   size_t shard_count = 1;         // shards per relation
   size_t staged_inserts = 0;      // concurrent inserts accepted by shards
   size_t staged_duplicates = 0;   // concurrent inserts dropped as duplicates
@@ -232,12 +212,16 @@ Status RunProgram(std::string_view source, FactDb* db,
 // (probe whether a specific tuple is still derivable) and semi-naive insert
 // rounds without the engine's fixpoint driver.
 //
-// Evaluation is sequential and reuses the engine's own join/binding/emit
-// machinery — assignments-as-equality-constraints, condition splits and
-// Skolem interning behave exactly as in Engine::Run, which is what makes
-// the maintained database converge to the from-scratch result.  The
-// database may be mutated between calls (the maintainer erases and inserts
-// tuples as phases complete); it must not be mutated during a call.
+// Evaluation runs on the calling thread and reuses the engine's own
+// join/binding/emit machinery — assignments-as-equality-constraints,
+// condition splits and Skolem interning behave exactly as in Engine::Run,
+// which is what makes the maintained database converge to the from-scratch
+// result.  The database may be mutated between calls (the maintainer
+// erases and inserts tuples as phases complete); during a call only the
+// emit callback may change it, and only by inserting (the DRed insert
+// phase does).  Rules with aggregates, and restricted-chase rules with
+// existentials, fold or mint only at the engine's barriers: both calls
+// return FailedPrecondition for them (IncrementalView never sends them).
 class DeltaEvaluator {
  public:
   // `engine` must have ok status and outlive the evaluator; `db` is the

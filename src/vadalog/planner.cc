@@ -12,10 +12,6 @@ const char* PlanRegimeName(PlanRegime regime) {
       return "full";
     case PlanRegime::kDeltaScan:
       return "delta_scan";
-    case PlanRegime::kFullLive:
-      return "full_live";
-    case PlanRegime::kDeltaScanLive:
-      return "delta_scan_live";
     case PlanRegime::kDeltaPrebound:
       return "delta_prebound";
   }
@@ -97,13 +93,9 @@ int MaxSlot(const RuleDesc& rule) {
 
 // Costs a fixed evaluation order with the estimator, filling mask /
 // use_index / est_rows per literal.  `bound` carries pre-bound slots in
-// and ends with every body slot bound.  Literals flagged in `force_index`
-// (may be null) must keep the engine's plan-off access path — index
-// whenever any position is bound — because their relation grows during a
-// live call and scan/index enumeration diverge on live growth.
+// and ends with every body slot bound.
 double CostOrder(const RuleDesc& rule, const std::vector<LitInfo>& infos,
                  const std::vector<size_t>& order, std::vector<char>& bound,
-                 const std::vector<char>* force_index,
                  std::vector<PlannedLiteral>* out, double* est_firings) {
   double probes = 0;
   double prefix = 1;
@@ -112,9 +104,7 @@ double CostOrder(const RuleDesc& rule, const std::vector<LitInfo>& infos,
     uint64_t mask = MaskFor(lit, bound);
     bool fb = FullyBound(lit, mask);
     double est = EstRows(lit, infos[li], mask);
-    bool use_index = force_index != nullptr && (*force_index)[li]
-                         ? mask != 0
-                         : ChooseIndex(infos[li], mask, fb);
+    bool use_index = ChooseIndex(infos[li], mask, fb);
     probes += prefix * ProbeCost(infos[li], mask, fb, use_index, est);
     prefix *= est;
     if (out != nullptr) {
@@ -226,30 +216,6 @@ JoinPlan JoinPlanner::BuildPlan(const RuleDesc& rule, PlanRegime regime,
     }
   }
 
-  // Live regimes: the sequential driver inserts head facts mid-call, so a
-  // body literal whose predicate the rule writes (other than the delta
-  // literal, which reads an immutable snapshot) observes its own rule's
-  // emissions.  Such calls keep written order AND the plan-off access path
-  // on the live-fed literals — off-mode discovers cascaded firings through
-  // live index-bucket growth, which any other enumeration would miss.
-  const bool live = regime == PlanRegime::kFullLive ||
-                    regime == PlanRegime::kDeltaScanLive;
-  std::vector<char> live_fed(n, 0);
-  bool self_feeding = false;
-  if (live) {
-    for (size_t i = 0; i < n; ++i) {
-      if ((int)i == delta_literal) continue;
-      for (const std::string& head : rule.head_preds) {
-        if (rule.positives[i].pred == head) {
-          live_fed[i] = 1;
-          self_feeding = true;
-          break;
-        }
-      }
-    }
-  }
-  const std::vector<char>* force_index = live ? &live_fed : nullptr;
-
   // Written-order baseline (identity permutation) under the same initial
   // bindings — the comparison point for est_probes_saved.
   std::vector<size_t> identity(n);
@@ -258,30 +224,27 @@ JoinPlan JoinPlanner::BuildPlan(const RuleDesc& rule, PlanRegime regime,
   {
     std::vector<char> bound = initial_bound;
     plan.est_probes_written =
-        CostOrder(rule, infos, identity, bound, force_index, nullptr,
-                  nullptr);
+        CostOrder(rule, infos, identity, bound, nullptr, nullptr);
   }
 
   std::vector<size_t> order;
   order.reserve(n);
   std::vector<char> chosen(n, 0);
   std::vector<char> bound = initial_bound;
-  if (!rule.reorderable || (live && self_feeding)) {
+  if (!rule.reorderable) {
     // Ineligible rules keep written order; the plan still carries per-depth
     // masks and index-vs-scan choices (order-neutral, so always safe).
     order = identity;
   } else {
     // Regime pins: kFull keeps literal 0 outermost (Phase A partitions its
     // scan range, and the cross-item emission order keys on it); kDeltaScan
-    // pins the delta literal (delta-row partitioning ranges over it) and
-    // kDeltaPrebound puts its containment probe first.  The live regimes
-    // carry no partition pin, so the greedy choice starts from scratch.
+    // pins the delta literal (usually the smallest input; the engine
+    // partitions it when it is literal 0) and kDeltaPrebound puts its
+    // containment probe first.
     int pinned = -1;
     if (regime == PlanRegime::kFull) {
       pinned = 0;
-    } else if ((regime == PlanRegime::kDeltaScan ||
-                regime == PlanRegime::kDeltaPrebound) &&
-               delta_literal >= 0 && delta_literal < (int)n) {
+    } else if (delta_literal >= 0 && delta_literal < (int)n) {
       pinned = delta_literal;
     }
     if (pinned >= 0) {
@@ -316,8 +279,8 @@ JoinPlan JoinPlanner::BuildPlan(const RuleDesc& rule, PlanRegime regime,
   }
 
   std::vector<char> cost_bound = initial_bound;
-  plan.est_probes = CostOrder(rule, infos, order, cost_bound, force_index,
-                              &plan.order, &plan.est_firings);
+  plan.est_probes = CostOrder(rule, infos, order, cost_bound, &plan.order,
+                              &plan.est_firings);
   plan.reordered = order != identity;
   return plan;
 }

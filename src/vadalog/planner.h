@@ -14,13 +14,10 @@
 // restoration (emissions are keyed by the matched row ids in WRITTEN
 // literal order and flushed in ascending key order, which is exactly the
 // sequence a written-order join would have produced), so materialization is
-// bit-identical to what plan_mode = kOff produces at the same thread count.
-// (Emission order is a per-thread-count contract engine-wide: the parallel
-// driver's partition boundaries scale with the worker count, so even kOff
-// output differs between worker counts; the planner preserves each count's
-// order exactly.)  Because output is invariant under ANY plan, the planner
-// is free to use whatever statistics are current — plan quality affects
-// probe counts, not results.
+// bit-identical to what plan_mode = kOff produces, which is itself the same
+// at every thread count.  Because output is invariant under ANY plan, the
+// planner is free to use whatever statistics are current — plan quality
+// affects probe counts, not results.
 //
 // Plans are cached per (rule, regime, delta literal) and re-planned when a
 // body relation's size drifts past 2x of the planning-time snapshot, or
@@ -45,35 +42,21 @@ enum class PlanMode {
 
 // Iteration regime a plan is built for.  The bound-variable set at each
 // join depth — and hence every selectivity estimate — depends on it, and
-// so does the set of admissible orders: the frozen regimes (parallel /
-// barrier driver) evaluate against an immutable pre-barrier database, while
-// the live regimes (sequential driver) emit straight into the FactDb, so a
-// rule reading its own head predicate can observe its own emissions
-// mid-call ("self-feeding").  Reordering such a call would change which
-// cascaded firings the call discovers, so live plans keep it in written
-// order (see BuildPlan).
+// so does the literal pinned outermost.  The engine's barrier driver
+// (kFull, kDeltaScan) evaluates against the frozen pre-barrier database;
+// DeltaEvaluator (kDeltaPrebound) emits through a callback.
 enum class PlanRegime {
-  // Parallel Phase A full evaluation (frozen): nothing bound initially;
-  // literal 0 stays outermost (scan partitioning ranges over it, so moving
-  // it would break the cross-item emission order the flush restoration
-  // relies on).
+  // Phase A full evaluation: nothing bound initially; literal 0 stays
+  // outermost (scan partitioning ranges over it, so moving it would break
+  // the cross-item emission order the flush restoration relies on).
   kFull,
-  // Parallel Phase B semi-naive iteration (frozen): the delta literal is
-  // forced outermost (delta-row partitioning ranges over it) and its
-  // variables are bound for everything after it.
+  // Phase B semi-naive iteration: the delta literal is forced outermost
+  // (the engine partitions it when it is literal 0, and runs a later one
+  // as a single item) and its variables are bound for everything after it.
   kDeltaScan,
-  // Sequential Phase A (live): no partition pin, so literal 0 is free to
-  // move; self-feeding rules keep written order.
-  kFullLive,
-  // Sequential Phase B (live): the delta literal enumerates an immutable
-  // snapshot and carries no partition pin, so it too is free to move;
-  // self-feeding calls (head predicate read live by a non-delta literal)
-  // keep written order.
-  kDeltaScanLive,
   // DeltaEvaluator::EvalRuleDelta: the delta literal's variables are
   // pre-bound to one delta tuple before the join starts; the delta literal
-  // itself degenerates to a containment probe.  Emissions go to a callback
-  // (never into the database), so there is no self-feeding hazard.
+  // itself degenerates to a containment probe.
   kDeltaPrebound,
 };
 
@@ -95,9 +78,6 @@ struct PlanLiteral {
 struct RuleDesc {
   int rule_index = 0;
   std::vector<PlanLiteral> positives;
-  // Head-atom predicates, used by the live regimes to detect self-feeding
-  // calls (a body literal reading a predicate the rule writes).
-  std::vector<std::string> head_preds;
   // Computed by the engine: body reordering is admissible (two or more
   // positive literals, no aggregates, not a restricted-chase existential
   // rule).  Ineligible rules still get per-literal index-vs-scan selection

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -191,11 +192,11 @@ TEST(ChaseParallelTest, StratifiedAggregateIntoExistentialHead) {
   }
 }
 
-// Differential check against the pre-barrier implementation: the eager
-// sequential chase (live head checks, inline minting — kept behind
-// EngineOptions::legacy_sequential_chase as the benchmark baseline) must
-// produce exactly the rows and null ids the barrier protocol produces.
-TEST(ChaseParallelTest, LegacySequentialChaseMatchesBarrierChase) {
+// Oracle check on the same closure program: `rel` projected to (x, y) is
+// exactly the transitive closure of `edge` computed by a plain BFS, each
+// pair carrying its own fresh null; the result is a model (re-running the
+// program on it derives nothing), and 1 and 8 threads agree bit for bit.
+TEST(ChaseParallelTest, ExistentialClosureMatchesBfsOracle) {
   const char* program = R"(
     edge(x, y) -> exists w rel(x, y, w).
     rel(x, y, w), edge(y, z) -> exists v rel(x, z, v).
@@ -208,34 +209,55 @@ TEST(ChaseParallelTest, LegacySequentialChaseMatchesBarrierChase) {
       db->Add("edge", {Value(a), Value(b)});
     }
   };
-  ChaseRun legacy;
-  load(&legacy.db);
-  {
-    auto parsed = ParseProgram(program);
-    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-    EngineOptions options;
-    options.chase_mode = ChaseMode::kRestricted;
-    options.num_threads = 8;
-    options.legacy_sequential_chase = true;
-    Engine engine(std::move(parsed).value(), options);
-    ASSERT_TRUE(engine.status().ok()) << engine.status().ToString();
-    Status s = engine.Run(&legacy.db);
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    legacy.stats = engine.stats();
+  FactDb input;
+  load(&input);
+  std::map<int64_t, std::vector<int64_t>> succ;
+  const Relation* edge = input.Get("edge");
+  for (size_t i = 0; i < edge->size(); ++i) {
+    succ[edge->tuple(i)[0].AsInt()].push_back(edge->tuple(i)[1].AsInt());
   }
-  // The opt-in legacy path forces one worker and reports it as a fallback.
-  EXPECT_EQ(legacy.stats.threads_used, 1u);
-  EXPECT_EQ(legacy.stats.requested_threads, 8u);
-  EXPECT_TRUE(legacy.stats.sequential_fallback);
-  EXPECT_EQ(legacy.stats.chase_candidates, 0u);
-  ASSERT_GT(legacy.stats.nulls_minted, 0u);
-  for (size_t threads : {1u, 8u}) {
-    ChaseRun barrier = RunRestricted(program, load, threads);
-    EXPECT_FALSE(barrier.stats.sequential_fallback);
-    ExpectBitIdentical(legacy.db, barrier.db,
-                       "barrier threads=" + std::to_string(threads));
-    EXPECT_EQ(barrier.stats.nulls_minted, legacy.stats.nulls_minted);
+  std::set<std::pair<int64_t, int64_t>> closure;
+  for (const auto& entry : succ) {
+    std::set<int64_t> seen;
+    std::vector<int64_t> frontier = {entry.first};
+    while (!frontier.empty()) {
+      auto it = succ.find(frontier.back());
+      frontier.pop_back();
+      if (it == succ.end()) continue;
+      for (int64_t v : it->second) {
+        if (seen.insert(v).second) frontier.push_back(v);
+      }
+    }
+    for (int64_t v : seen) closure.emplace(entry.first, v);
   }
+  ASSERT_GT(closure.size(), edge->size());
+
+  ChaseRun one = RunRestricted(program, load, 1);
+  const Relation* rel = one.db.Get("rel");
+  ASSERT_NE(rel, nullptr);
+  std::set<std::pair<int64_t, int64_t>> pairs;
+  std::set<uint64_t> null_ids;
+  for (size_t i = 0; i < rel->size(); ++i) {
+    const Tuple& t = rel->tuple(i);
+    EXPECT_TRUE(pairs.emplace(t[0].AsInt(), t[1].AsInt()).second)
+        << "pair derived twice at row " << i;
+    ASSERT_TRUE(t[2].is_labeled_null()) << "row " << i;
+    EXPECT_TRUE(null_ids.insert(t[2].AsLabeledNull().id).second)
+        << "null reused at row " << i;
+  }
+  EXPECT_EQ(pairs, closure);
+  EXPECT_EQ(one.stats.nulls_minted, closure.size());
+
+  // The chase result is a model: a second run over it fires no rule head.
+  ChaseRun again = RunRestricted(
+      program, [&one](FactDb* db) { *db = one.db.Clone(); }, 1);
+  EXPECT_EQ(again.stats.facts_derived, 0u);
+  EXPECT_EQ(again.stats.nulls_minted, 0u);
+  EXPECT_EQ(again.db.TotalFacts(), one.db.TotalFacts());
+
+  ChaseRun eight = RunRestricted(program, load, 8);
+  ExpectBitIdentical(one.db, eight.db, "threads=8");
+  EXPECT_EQ(eight.stats.nulls_minted, one.stats.nulls_minted);
 }
 
 // The Company-KG intensional programs under the restricted chase, end to

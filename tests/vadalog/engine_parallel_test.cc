@@ -1,5 +1,5 @@
 // Parallel semi-naive evaluation: the multi-threaded fixpoint must derive
-// exactly the fact sets of the sequential legacy path (num_threads = 1),
+// exactly the relations, in the same row order, that one thread derives,
 // including under monotonic aggregation, negation, Skolem existentials and
 // the Company-KG intensional programs.
 
@@ -10,37 +10,39 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "base/rng.h"
 #include "finkg/company_kg.h"
 #include "finkg/generator.h"
 #include "instance/pipeline.h"
+#include "translate/csv_io.h"
 #include "vadalog/engine.h"
 #include "vadalog/parser.h"
 
 namespace kgm::vadalog {
 namespace {
 
-// Order-insensitive snapshot of one relation (parallel evaluation may
-// insert facts in a different order than the sequential path).
-std::multiset<std::string> FactSet(const FactDb& db, const std::string& pred) {
-  std::multiset<std::string> out;
+// Row-order snapshot of one relation: output is the same at every thread
+// count, down to the order rows were appended in.
+std::vector<std::string> Rows(const FactDb& db, const std::string& pred) {
+  std::vector<std::string> out;
   const Relation* rel = db.Get(pred);
   if (rel == nullptr) return out;
   for (const Tuple& t : rel->tuples()) {
     std::string s;
     for (const Value& v : t) s += v.ToString() + "|";
-    out.insert(std::move(s));
+    out.push_back(std::move(s));
   }
   return out;
 }
 
-void ExpectSameFacts(const FactDb& a, const FactDb& b) {
+void ExpectSameRows(const FactDb& a, const FactDb& b) {
   std::set<std::string> preds;
   for (const std::string& p : a.Predicates()) preds.insert(p);
   for (const std::string& p : b.Predicates()) preds.insert(p);
   for (const std::string& p : preds) {
-    EXPECT_EQ(FactSet(a, p), FactSet(b, p)) << "relation " << p;
+    EXPECT_EQ(Rows(a, p), Rows(b, p)) << "relation " << p;
   }
 }
 
@@ -68,7 +70,7 @@ TEST(EngineParallelTest, TransitiveClosureMatchesSequential) {
     par_opts.num_threads = 8;
     ASSERT_TRUE(RunProgram(program, &seq, seq_opts).ok());
     ASSERT_TRUE(RunProgram(program, &par, par_opts).ok());
-    ExpectSameFacts(seq, par);
+    ExpectSameRows(seq, par);
   }
 }
 
@@ -83,7 +85,7 @@ TEST(EngineParallelTest, NonLinearClosureMatchesSequential) {
   par_opts.num_threads = 8;
   ASSERT_TRUE(RunProgram(program, &seq, {}).ok());
   ASSERT_TRUE(RunProgram(program, &par, par_opts).ok());
-  ExpectSameFacts(seq, par);
+  ExpectSameRows(seq, par);
 }
 
 TEST(EngineParallelTest, NegationAndStrataMatchSequential) {
@@ -102,7 +104,7 @@ TEST(EngineParallelTest, NegationAndStrataMatchSequential) {
   par_opts.num_threads = 6;
   ASSERT_TRUE(RunProgram(program, &seq, seq_opts).ok());
   ASSERT_TRUE(RunProgram(program, &par, par_opts).ok());
-  ExpectSameFacts(seq, par);
+  ExpectSameRows(seq, par);
 }
 
 // Example 4.2 company control: recursion + monotonic msum + condition.
@@ -138,7 +140,7 @@ TEST(EngineParallelTest, CompanyControlMatchesSequential) {
   par_opts.num_threads = 8;
   ASSERT_TRUE(RunProgram(program, &seq, seq_opts).ok());
   ASSERT_TRUE(RunProgram(program, &par, par_opts).ok());
-  EXPECT_EQ(FactSet(seq, "controls"), FactSet(par, "controls"));
+  EXPECT_EQ(Rows(seq, "controls"), Rows(par, "controls"));
 }
 
 TEST(EngineParallelTest, MonotonicCountMatchesSequential) {
@@ -155,7 +157,7 @@ TEST(EngineParallelTest, MonotonicCountMatchesSequential) {
   par_opts.num_threads = 8;
   ASSERT_TRUE(RunProgram(program, &seq, seq_opts).ok());
   ASSERT_TRUE(RunProgram(program, &par, par_opts).ok());
-  ExpectSameFacts(seq, par);
+  ExpectSameRows(seq, par);
 }
 
 TEST(EngineParallelTest, SkolemExistentialsMatchSequential) {
@@ -177,7 +179,7 @@ TEST(EngineParallelTest, SkolemExistentialsMatchSequential) {
   par_opts.num_threads = 4;
   ASSERT_TRUE(RunProgram(program, &seq, seq_opts).ok());
   ASSERT_TRUE(RunProgram(program, &par, par_opts).ok());
-  ExpectSameFacts(seq, par);
+  ExpectSameRows(seq, par);
 }
 
 TEST(EngineParallelTest, RestrictedChaseRunsParallel) {
@@ -192,29 +194,13 @@ TEST(EngineParallelTest, RestrictedChaseRunsParallel) {
   Engine engine(std::move(program), options);
   ASSERT_TRUE(engine.status().ok());
   ASSERT_TRUE(engine.Run(&db).ok());
-  // The deterministic barrier chase keeps the requested pool: no forced
-  // sequential fallback, and no resharding (every insert happens on the
-  // driver during the ordered replay).
+  // The deterministic barrier chase keeps the requested pool and skips
+  // resharding (every insert happens on the driver during the ordered
+  // replay).
   EXPECT_EQ(engine.stats().threads_used, 8u);
-  EXPECT_EQ(engine.stats().requested_threads, 8u);
-  EXPECT_FALSE(engine.stats().sequential_fallback);
   EXPECT_EQ(engine.stats().shard_count, 1u);
   EXPECT_EQ(engine.stats().nulls_minted, 1u);
   EXPECT_EQ(engine.stats().chase_candidates, 1u);
-}
-
-TEST(EngineParallelTest, SkolemChaseDoesNotReportFallback) {
-  FactDb db = RandomEdges(20, 40, 9);
-  auto parsed = ParseProgram("edge(x, y) -> path(x, y).");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EngineOptions options;
-  options.num_threads = 4;
-  Engine engine(std::move(parsed).value(), options);
-  ASSERT_TRUE(engine.status().ok());
-  ASSERT_TRUE(engine.Run(&db).ok());
-  EXPECT_EQ(engine.stats().threads_used, 4u);
-  EXPECT_EQ(engine.stats().requested_threads, 4u);
-  EXPECT_FALSE(engine.stats().sequential_fallback);
 }
 
 TEST(EngineParallelTest, StatsArePopulated) {
@@ -395,8 +381,9 @@ class IntensionalParallelTest : public ::testing::Test {
 TEST_F(IntensionalParallelTest, AllComponentsMatchAtSmallThreadCounts) {
   // The five Company-KG components in `kgmctl materialize all` order, at
   // 2 and 3 threads (the driver plus 1 or 2 pool helpers): every label's
-  // node and edge counts, every derived edge set and every component's
-  // flush counts must equal the 1-thread run's.
+  // node and edge counts, every derived edge set, every component's flush
+  // counts and the CSV export of the final graph must equal the 1-thread
+  // run's.
   core::SuperSchema schema = finkg::CompanyKgSchema();
   const char* components[] = {
       finkg::kOwnsProgram, finkg::kControlProgram,
@@ -406,6 +393,7 @@ TEST_F(IntensionalParallelTest, AllComponentsMatchAtSmallThreadCounts) {
     std::map<std::string, size_t> counts;
     std::map<std::string, std::multiset<std::pair<pg::NodeId, pg::NodeId>>>
         edges;
+    std::map<std::string, std::string> csv;
   };
   auto run = [&](size_t threads) {
     Run out;
@@ -432,6 +420,9 @@ TEST_F(IntensionalParallelTest, AllComponentsMatchAtSmallThreadCounts) {
       out.counts["edge:" + l] = data.EdgesWithLabel(l).size();
       out.edges[l] = EdgeSet(data, l);
     }
+    auto csv = translate::ExportCsv(schema, data);
+    EXPECT_TRUE(csv.ok()) << csv.status().ToString();
+    if (csv.ok()) out.csv = std::move(csv).value();
     return out;
   };
   Run seq = run(1);
@@ -440,6 +431,12 @@ TEST_F(IntensionalParallelTest, AllComponentsMatchAtSmallThreadCounts) {
     Run par = run(threads);
     EXPECT_EQ(par.counts, seq.counts) << threads << " threads";
     EXPECT_TRUE(par.edges == seq.edges) << threads << " threads";
+    // Row order too: the exported graph is byte-identical.
+    ASSERT_EQ(par.csv.size(), seq.csv.size()) << threads << " threads";
+    for (const auto& [file, doc] : seq.csv) {
+      EXPECT_TRUE(par.csv[file] == doc) << file << " at " << threads
+                                        << " threads";
+    }
   }
 }
 

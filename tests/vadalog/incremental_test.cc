@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -251,6 +252,66 @@ TEST(IncrementalView, SkolemHeadsMaintainedByDRed) {
   delta.inserts["own"].push_back(Edge(4, 5));
   ASSERT_TRUE(view.Apply(delta).ok());
   ExpectMatchesRebuild(view, program, {}, "skolem delta");
+}
+
+// DRed never sends aggregate or restricted-chase existential rules to the
+// rule-at-a-time evaluator (see ModeSelection); called on one anyway, both
+// entry points return FailedPrecondition instead of aborting.
+TEST(DeltaEvaluator, RefusesAggregateAndRestrictedExistentialRules) {
+  FactDb db;
+  db.Add("edge", Edge(1, 2));
+  std::map<std::string, Relation> delta_rels;
+  delta_rels.emplace("edge", Relation(2)).first->second.Insert(Edge(1, 2));
+  auto emit = [](const std::string&, Tuple) {};
+  struct Case {
+    const char* program;
+    ChaseMode mode;
+    Tuple head;
+  };
+  const Case cases[] = {
+      {"edge(x, y), n = count(<y>) -> deg(x, n).", ChaseMode::kSkolem,
+       T({1, 1})},
+      {"edge(x, y) -> exists w rel(x, y, w).", ChaseMode::kRestricted,
+       T({1, 2, 3})},
+  };
+  for (const Case& c : cases) {
+    EngineOptions options;
+    options.chase_mode = c.mode;
+    Engine engine(Parse(c.program), options);
+    ASSERT_TRUE(engine.status().ok()) << engine.status().ToString();
+    DeltaEvaluator eval(&engine, &db);
+    ASSERT_TRUE(eval.status().ok()) << eval.status().ToString();
+    EXPECT_EQ(eval.EvalRuleDelta(0, 0, delta_rels, emit).code(),
+              StatusCode::kFailedPrecondition)
+        << c.program;
+    EXPECT_EQ(eval.EvalRuleSeeded(0, 0, c.head, emit).code(),
+              StatusCode::kFailedPrecondition)
+        << c.program;
+  }
+}
+
+// The DRed insert phase's emit callback inserts into the database while
+// EvalRuleDelta is still joining over it.  Here every emission lands in the
+// index bucket the join is iterating (p probed on x), so the bucket grows
+// and reallocates under the loop; the join keeps iterating it by position
+// and visits the appended rows, deriving the whole chain in one call.
+TEST(DeltaEvaluator, EmitCallbackMayInsertIntoProbedRelation) {
+  constexpr int64_t kChain = 200;
+  FactDb db;
+  for (int64_t i = 0; i < kChain; ++i) db.Add("next", Edge(i, i + 1));
+  db.Add("p", Edge(1, 0));
+  Engine engine(Parse("s(x), p(x, y), next(y, z) -> p(x, z)."));
+  ASSERT_TRUE(engine.status().ok()) << engine.status().ToString();
+  DeltaEvaluator eval(&engine, &db);
+  ASSERT_TRUE(eval.status().ok()) << eval.status().ToString();
+  std::map<std::string, Relation> delta_rels;
+  delta_rels.emplace("s", Relation(1)).first->second.Insert(T({1}));
+  Status status = eval.EvalRuleDelta(
+      0, 0, delta_rels, [&db](const std::string& pred, Tuple t) {
+        db.GetOrCreate(pred, t.size()).Insert(std::move(t));
+      });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(db.Get("p")->size(), static_cast<size_t>(kChain + 1));
 }
 
 TEST(IncrementalView, RestrictedChaseFallsBackToFullRerun) {

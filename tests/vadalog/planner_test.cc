@@ -48,12 +48,11 @@ FactDb LabeledGraph(int64_t nodes, int64_t edges, uint64_t seed) {
   return db;
 }
 
-// Emission order is a per-thread-count contract engine-wide (the parallel
-// driver's partition boundaries scale with the worker count, so even
-// plan-off output differs between worker counts); the planner must
-// preserve each count's order exactly, so every comparison below pits
-// greedy against off AT THE SAME thread count.
+// Output is the same at every thread count, so greedy at any count must
+// reproduce plan-off at that count and plan-off at one thread, row order
+// included.
 TEST(PlannerDeterminismTest, GreedyBitIdenticalToOffAtEveryThreadCount) {
+  std::string one_thread;
   for (size_t threads : {1u, 4u, 16u}) {
     EngineOptions off;
     off.num_threads = threads;
@@ -74,6 +73,8 @@ TEST(PlannerDeterminismTest, GreedyBitIdenticalToOffAtEveryThreadCount) {
     // DebugString includes canonical row order, so this is bit-identity,
     // not set equality.
     EXPECT_EQ(db.DebugString(), off_db.DebugString()) << "threads " << threads;
+    if (threads == 1) one_thread = off_db.DebugString();
+    EXPECT_EQ(off_db.DebugString(), one_thread) << "threads " << threads;
     EXPECT_TRUE(engine.stats().planner_enabled);
     EXPECT_GT(engine.stats().plans_built, 0u);
     EXPECT_GT(engine.stats().plans_reordered, 0u);

@@ -87,12 +87,32 @@ run ./build/examples/kgmctl lint --schema company examples/programs/*
 # and exits non-zero unless the outputs hash-match bit for bit.  The
 # plan listing itself is noise here, so stdout is dropped; set -e still
 # fails the script on a mismatch.
+EXPLAIN_PROGRAMS=(
+  examples/programs/owns.mlog examples/programs/control.mlog
+  examples/programs/stakeholders.mlog examples/programs/family.mlog
+  examples/programs/closelinks.mlog examples/programs/reach.vlog
+)
 echo "== kgmctl explain (planner off-vs-greedy differential)"
-./build/examples/kgmctl explain \
-  examples/programs/owns.mlog examples/programs/control.mlog \
-  examples/programs/stakeholders.mlog examples/programs/family.mlog \
-  examples/programs/closelinks.mlog examples/programs/reach.vlog \
-  > /dev/null
+./build/examples/kgmctl explain "${EXPLAIN_PROGRAMS[@]}" > /dev/null
+
+# Output must not depend on the thread count either: each program's
+# plan-off fingerprint at 1 thread must equal the one at 4 threads.
+echo "== kgmctl explain (1-vs-4-thread output differential)"
+./build/examples/kgmctl explain --json --threads 1 "${EXPLAIN_PROGRAMS[@]}" \
+  > build/explain-threads-1.json
+./build/examples/kgmctl explain --json --threads 4 "${EXPLAIN_PROGRAMS[@]}" \
+  > build/explain-threads-4.json
+python3 - build/explain-threads-1.json build/explain-threads-4.json <<'PY'
+import json
+import sys
+
+one, four = (json.load(open(path)) for path in sys.argv[1:3])
+diverged = [a["file"] for a, b in zip(one, four)
+            if a["fingerprint_off"] != b["fingerprint_off"]]
+if len(one) != len(four) or diverged:
+    sys.exit("kgmctl explain: output differs between 1 and 4 threads: "
+             + " ".join(diverged))
+PY
 
 if [[ "$FAST" == 1 ]]; then
   echo "OK (fast: sanitizer builds skipped)"
