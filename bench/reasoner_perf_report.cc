@@ -5,7 +5,6 @@
 // Usage: reasoner_perf_report [output.json] [companies] [persons]
 // Default output file: BENCH_reasoner.json in the working directory.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -205,121 +204,6 @@ int main(int argc, char** argv) {
     w.Close('}');
   }
   w.Close(']');
-
-  // Cost-based join planning on the two hot intensional components.  Each
-  // (component, threads) cell materializes a fresh instance twice — plan
-  // off and greedy — with the OWNS prerequisite materialized plan-off and
-  // single-threaded on both sides, so the probe/wall-clock deltas attribute
-  // to planning alone.  `estimate_ratio` is the estimator's own account of
-  // probes (sum over plans of est_probes * uses) against the probes the
-  // engine actually performed.  The instance is FIXED (independent of the
-  // argv sweep size): probe counts are deterministic per (instance,
-  // threads, plan_mode), so the reduction percentages are directly
-  // comparable across hosts and PRs.
-  finkg::GeneratorConfig planner_config;
-  planner_config.num_companies = 400;
-  planner_config.num_persons = 600;
-  planner_config.seed = 2022;
-  finkg::ShareholdingNetwork planner_net =
-      finkg::ShareholdingNetwork::Generate(planner_config);
-  struct PlannerStep {
-    const char* name;
-    const char* program;
-  };
-  const PlannerStep planner_steps[] = {
-      {"stakeholders", finkg::kStakeholdersProgram},
-      {"close_links", finkg::kCloseLinksProgram},
-  };
-  const size_t planner_threads[] = {1, 4};
-  double best_reduction[2] = {0, 0};  // parallel to planner_steps
-  w.Open("planner", '{');
-  w.Field("companies", static_cast<size_t>(planner_config.num_companies));
-  w.Field("persons", static_cast<size_t>(planner_config.num_persons));
-  w.Field("note",
-          "off/greedy pairs share the instance and prerequisites; output is "
-          "bit-identical by the planner determinism contract (enforced by "
-          "vadalog_planner_test), so rows differ only in evaluation cost");
-  w.Open("runs", '[');
-  for (size_t step_i = 0; step_i < 2; ++step_i) {
-    const PlannerStep& step = planner_steps[step_i];
-    for (size_t threads : planner_threads) {
-      double off_seconds = 0;
-      size_t off_probes = 0;
-      for (int greedy = 0; greedy < 2; ++greedy) {
-        pg::PropertyGraph data = planner_net.ToInstanceGraph();
-        instance::MaterializeOptions prereq;
-        prereq.engine.num_threads = 1;
-        auto pre =
-            instance::Materialize(schema, finkg::kOwnsProgram, &data, prereq);
-        if (!pre.ok()) {
-          std::fprintf(stderr, "planner prereq failed: %s\n",
-                       pre.status().ToString().c_str());
-          std::fclose(f);
-          return 1;
-        }
-        instance::MaterializeOptions options;
-        options.engine.num_threads = threads;
-        options.engine.plan_mode = greedy != 0 ? vadalog::PlanMode::kGreedy
-                                               : vadalog::PlanMode::kOff;
-        auto stats = instance::Materialize(schema, step.program, &data,
-                                           options);
-        if (!stats.ok()) {
-          std::fprintf(stderr, "planner %s failed: %s\n", step.name,
-                       stats.status().ToString().c_str());
-          std::fclose(f);
-          return 1;
-        }
-        const auto& es = stats->engine_stats;
-        double est_probes_total = 0;
-        for (const auto& p : es.rule_plans) {
-          est_probes_total += p.plan.est_probes * static_cast<double>(p.uses);
-        }
-        w.Open(nullptr, '{');
-        w.Field("component", step.name);
-        w.Field("threads", threads);
-        w.Field("plan_mode", greedy != 0 ? "greedy" : "off");
-        w.Field("reason_seconds", stats->reason_seconds);
-        w.Field("join_probes", es.join_probes);
-        w.Field("rule_firings", es.rule_firings);
-        w.Field("facts_derived", es.facts_derived);
-        if (greedy != 0) {
-          w.Field("plans_built", es.plans_built);
-          w.Field("plans_reordered", es.plans_reordered);
-          w.Field("plan_cache_hits", es.plan_cache_hits);
-          w.Field("plan_replans", es.plan_replans);
-          w.Field("est_probes_saved", es.est_probes_saved);
-          w.Field("est_probes_total", est_probes_total);
-          w.Field("estimate_ratio",
-                  es.join_probes > 0
-                      ? est_probes_total / static_cast<double>(es.join_probes)
-                      : 0.0);
-          const double reduction =
-              off_probes > 0
-                  ? 100.0 * (1.0 - static_cast<double>(es.join_probes) /
-                                       static_cast<double>(off_probes))
-                  : 0.0;
-          best_reduction[step_i] = std::max(best_reduction[step_i], reduction);
-          w.Field("probe_reduction_pct", reduction);
-          if (stats->reason_seconds > 0) {
-            w.Field("speedup_vs_off", off_seconds / stats->reason_seconds);
-          }
-        } else {
-          off_seconds = stats->reason_seconds;
-          off_probes = es.join_probes;
-        }
-        w.Close('}');
-      }
-    }
-  }
-  w.Close(']');
-
-  // Acceptance headline: the best probe reduction per component across the
-  // thread sweep (the PR 7 bar is >= 30% on close_links).
-  w.Open("summary", '{');
-  w.Field("stakeholders_best_probe_reduction_pct", best_reduction[0]);
-  w.Field("close_links_best_probe_reduction_pct", best_reduction[1]);
-  w.Close('}');
-  w.Close('}');
 
   // Restricted chase with existentials: the deterministic barrier chase at
   // 1 and 8 threads.  Each configuration runs kChaseReps times interleaved

@@ -36,13 +36,13 @@
 //       per predicate position a value-kind set narrowed by intervals and
 //       constants — plus any typeflow findings.
 //   kgmctl explain [--json] [--threads N] <program>...
-//       Evaluate each program against a demo Company-KG instance twice —
-//       plan_mode off and greedy — print the cost-based join plans the
-//       planner chose (order, index-vs-scan, estimates, probe savings),
-//       and verify the two materializations are bit-identical.  Programs
-//       run in the given order against one shared instance, so
-//       prerequisites compose (e.g. `explain owns.mlog closelinks.mlog`).
-//       Exit code 1 if any differential fails.
+//       Evaluate each program once against a demo Company-KG instance and
+//       print a fingerprint of the materialized output plus the join
+//       probes and firings of every rule.  Programs run in the given
+//       order against one shared instance, so prerequisites compose (e.g.
+//       `explain owns.mlog closelinks.mlog`).  The output is the same at
+//       every thread count, so fingerprints taken at different --threads
+//       must match.
 //   kgmctl query [--json] [--threads N] [--output PRED] --bound a1,a2,... <program>
 //       Answer a point query against the same demo instance `explain`
 //       uses: the binding (CSV of constants, `_` = free position) routes
@@ -88,7 +88,6 @@
 #include "translate/validate.h"
 #include "vadalog/magic/point_query.h"
 #include "vadalog/parser.h"
-#include "vadalog/planner.h"
 #include "vadalog/typeflow.h"
 
 namespace {
@@ -782,10 +781,9 @@ int CmdAnalyze(int argc, char** argv) {
 }
 
 // ---------------------------------------------------------------------------
-// explain: evaluate each program twice — plan_mode off and greedy — against
-// a demo Company-KG instance, print the join plans the planner chose, and
-// verify the two materializations are bit-identical (the planner's
-// determinism contract, checked end to end rather than assumed).
+// explain: evaluate each program once against a demo Company-KG instance
+// and print a fingerprint of the materialized result next to the engine's
+// per-rule probe and firing counters.
 
 uint64_t Fnv1a(const std::string& text, uint64_t hash) {
   for (unsigned char c : text) {
@@ -828,12 +826,10 @@ struct ExplainRun {
 constexpr uint64_t kFnvBasis = 1469598103934665603ull;
 
 Status ExplainMetaLog(const core::SuperSchema& schema,
-                      const std::string& source, vadalog::PlanMode mode,
-                      size_t threads, pg::PropertyGraph* graph,
-                      ExplainRun* out) {
+                      const std::string& source, size_t threads,
+                      pg::PropertyGraph* graph, ExplainRun* out) {
   instance::MaterializeOptions options;
   options.engine.num_threads = threads;
-  options.engine.plan_mode = mode;
   KGM_ASSIGN_OR_RETURN(auto stats,
                        instance::Materialize(schema, source, graph, options));
   out->stats = stats.engine_stats;
@@ -847,13 +843,12 @@ Status ExplainMetaLog(const core::SuperSchema& schema,
   return OkStatus();
 }
 
-Status ExplainVadalog(const std::string& source, vadalog::PlanMode mode,
-                      size_t threads, vadalog::FactDb db, ExplainRun* out) {
+Status ExplainVadalog(const std::string& source, size_t threads,
+                      vadalog::FactDb db, ExplainRun* out) {
   KGM_ASSIGN_OR_RETURN(vadalog::Program program,
                        vadalog::ParseProgram(source));
   vadalog::EngineOptions options;
   options.num_threads = threads;
-  options.plan_mode = mode;
   vadalog::Engine engine(std::move(program), options);
   KGM_RETURN_IF_ERROR(engine.status());
   KGM_RETURN_IF_ERROR(engine.Run(&db));
@@ -862,90 +857,44 @@ Status ExplainVadalog(const std::string& source, vadalog::PlanMode mode,
   return OkStatus();
 }
 
-double ProbeReductionPct(const vadalog::EngineStats& off,
-                         const vadalog::EngineStats& greedy) {
-  if (off.join_probes == 0) return 0;
-  return 100.0 * (1.0 - static_cast<double>(greedy.join_probes) /
-                            static_cast<double>(off.join_probes));
+void PrintExplainText(const std::string& path, const char* language,
+                      size_t threads, const ExplainRun& run) {
+  const vadalog::EngineStats& st = run.stats;
+  std::printf("== %s  %s  threads=%zu ==\n", path.c_str(), language, threads);
+  std::printf("fingerprint: fnv1a %s\n", run.fingerprint.c_str());
+  std::printf("probes=%zu firings=%zu facts_derived=%zu\n", st.join_probes,
+              st.rule_firings, st.facts_derived);
+  for (size_t r = 0; r < st.rule_probes_by_rule.size(); ++r) {
+    std::printf("  rule %-3zu probes=%zu firings=%zu\n", r,
+                st.rule_probes_by_rule[r], st.rule_firings_by_rule[r]);
+  }
 }
 
-void PrintExplainText(const std::string& path, const char* language,
-                      size_t threads, bool identical, const ExplainRun& off,
-                      const ExplainRun& greedy) {
-  std::printf("== %s  %s  threads=%zu ==\n", path.c_str(), language, threads);
-  if (identical) {
-    std::printf("differential: identical (fnv1a %s)\n",
-                off.fingerprint.c_str());
-  } else {
-    std::printf("differential: MISMATCH off=%s greedy=%s\n",
-                off.fingerprint.c_str(), greedy.fingerprint.c_str());
+void AppendCounts(std::ostringstream& out, const std::vector<size_t>& counts) {
+  out << "[";
+  for (size_t i = 0; i < counts.size(); ++i) {
+    if (i > 0) out << ",";
+    out << counts[i];
   }
-  std::printf("probes: off=%zu greedy=%zu (%.1f%% fewer)\n",
-              off.stats.join_probes, greedy.stats.join_probes,
-              ProbeReductionPct(off.stats, greedy.stats));
-  std::printf(
-      "planner: built=%zu reordered=%zu cache_hits=%zu replans=%zu "
-      "est_probes_saved=%.3g\n",
-      greedy.stats.plans_built, greedy.stats.plans_reordered,
-      greedy.stats.plan_cache_hits, greedy.stats.plan_replans,
-      greedy.stats.est_probes_saved);
-  for (const vadalog::PlanSnapshot& p : greedy.stats.rule_plans) {
-    std::printf("  rule %-3d %-15s", p.rule_index,
-                vadalog::PlanRegimeName(p.regime));
-    if (p.delta_literal >= 0) std::printf(" delta=%d", p.delta_literal);
-    std::printf("  %s  est %.3g -> %.3g  uses=%zu replans=%zu\n",
-                p.plan.reordered ? "reordered" : "written-order",
-                p.plan.est_probes_written, p.plan.est_probes, p.uses,
-                p.replans);
-    std::printf("   ");
-    for (size_t i = 0; i < p.plan.order.size(); ++i) {
-      const vadalog::PlannedLiteral& lit = p.plan.order[i];
-      std::printf(" %s#%zu(%s, est %.3g)", p.preds[i].c_str(), lit.literal,
-                  lit.use_index ? "index" : "scan", lit.est_rows);
-    }
-    std::printf("\n");
-  }
+  out << "]";
 }
 
 void AppendExplainJson(std::ostringstream& out, const std::string& path,
-                       const char* language, size_t threads, bool identical,
-                       const ExplainRun& off, const ExplainRun& greedy) {
+                       const char* language, size_t threads,
+                       const ExplainRun& run) {
+  const vadalog::EngineStats& st = run.stats;
   out << "{\"file\":\"" << JsonEscape(path) << "\"";
   out << ",\"language\":\"" << language << "\"";
   out << ",\"threads\":" << threads;
-  out << ",\"identical\":" << (identical ? "true" : "false");
-  out << ",\"fingerprint_off\":\"" << off.fingerprint << "\"";
-  out << ",\"fingerprint_greedy\":\"" << greedy.fingerprint << "\"";
-  out << ",\"probes\":{\"off\":" << off.stats.join_probes
-      << ",\"greedy\":" << greedy.stats.join_probes << ",\"reduction_pct\":"
-      << ProbeReductionPct(off.stats, greedy.stats) << "}";
-  out << ",\"planner\":{\"plans_built\":" << greedy.stats.plans_built
-      << ",\"plans_reordered\":" << greedy.stats.plans_reordered
-      << ",\"cache_hits\":" << greedy.stats.plan_cache_hits
-      << ",\"replans\":" << greedy.stats.plan_replans
-      << ",\"est_probes_saved\":" << greedy.stats.est_probes_saved << "}";
-  out << ",\"plans\":[";
-  for (size_t pi = 0; pi < greedy.stats.rule_plans.size(); ++pi) {
-    const vadalog::PlanSnapshot& p = greedy.stats.rule_plans[pi];
-    if (pi > 0) out << ",";
-    out << "{\"rule\":" << p.rule_index << ",\"regime\":\""
-        << vadalog::PlanRegimeName(p.regime) << "\""
-        << ",\"delta_literal\":" << p.delta_literal
-        << ",\"reordered\":" << (p.plan.reordered ? "true" : "false")
-        << ",\"est_probes\":" << p.plan.est_probes
-        << ",\"est_probes_written\":" << p.plan.est_probes_written
-        << ",\"est_firings\":" << p.plan.est_firings << ",\"uses\":" << p.uses
-        << ",\"replans\":" << p.replans << ",\"order\":[";
-    for (size_t i = 0; i < p.plan.order.size(); ++i) {
-      const vadalog::PlannedLiteral& lit = p.plan.order[i];
-      if (i > 0) out << ",";
-      out << "{\"pred\":\"" << JsonEscape(p.preds[i]) << "\",\"literal\":"
-          << lit.literal << ",\"index\":" << (lit.use_index ? "true" : "false")
-          << ",\"est_rows\":" << lit.est_rows << "}";
-    }
-    out << "]}";
-  }
-  out << "]}";
+  out << ",\"fingerprint\":\"" << run.fingerprint << "\"";
+  out << ",\"join_probes\":" << st.join_probes;
+  out << ",\"rule_firings\":" << st.rule_firings;
+  out << ",\"facts_derived\":" << st.facts_derived;
+  out << ",\"rule_probes_by_rule\":";
+  AppendCounts(out, st.rule_probes_by_rule);
+  out << ",\"rule_firings_by_rule\":";
+  AppendCounts(out, st.rule_firings_by_rule);
+  out << "}";
 }
 
 int CmdExplain(int argc, char** argv) {
@@ -969,23 +918,18 @@ int CmdExplain(int argc, char** argv) {
   }
   if (files.empty()) return Usage();
 
-  // A small deterministic instance: big enough that the statistics make
-  // label scans and relationship probes clearly asymmetric, small enough
-  // that every program pair runs in seconds.
+  // A small deterministic instance, big enough that every shipped program
+  // derives something, small enough that each runs in well under a second.
   core::SuperSchema schema = finkg::CompanyKgSchema();
   finkg::GeneratorConfig config;
   config.num_companies = 100;
   config.num_persons = 150;
   config.seed = 2022;
-  finkg::ShareholdingNetwork net =
-      finkg::ShareholdingNetwork::Generate(config);
-  // Two instances evolved in lockstep: MetaLog programs enrich both (one
-  // with planning off, one greedy), so later programs see their
-  // prerequisites and every step is differentially checked.
-  pg::PropertyGraph off_graph = net.ToInstanceGraph();
-  pg::PropertyGraph greedy_graph = net.ToInstanceGraph();
+  // MetaLog programs enrich the graph, so later programs see their
+  // prerequisites.
+  pg::PropertyGraph graph =
+      finkg::ShareholdingNetwork::Generate(config).ToInstanceGraph();
 
-  bool all_identical = true;
   std::ostringstream json_out;
   json_out << "[";
   bool first = true;
@@ -1000,42 +944,26 @@ int CmdExplain(int argc, char** argv) {
     const std::string source = buffer.str();
     const bool vlog = path.ends_with(".vlog") || path.ends_with(".vdl");
 
-    ExplainRun off;
-    ExplainRun greedy;
-    Status s_off, s_greedy;
-    if (vlog) {
-      // Vadalog programs run read-only over the relational encoding of the
-      // current instance; they do not advance the shared graphs.
-      s_off = ExplainVadalog(
-          source, vadalog::PlanMode::kOff, threads,
-          metalog::EncodeGraph(off_graph,
-                               metalog::GraphCatalog::FromGraph(off_graph)),
-          &off);
-      s_greedy = ExplainVadalog(
-          source, vadalog::PlanMode::kGreedy, threads,
-          metalog::EncodeGraph(
-              greedy_graph, metalog::GraphCatalog::FromGraph(greedy_graph)),
-          &greedy);
-    } else {
-      s_off = ExplainMetaLog(schema, source, vadalog::PlanMode::kOff, threads,
-                             &off_graph, &off);
-      s_greedy = ExplainMetaLog(schema, source, vadalog::PlanMode::kGreedy,
-                                threads, &greedy_graph, &greedy);
-    }
-    if (!s_off.ok() || !s_greedy.ok()) {
+    ExplainRun run;
+    // Vadalog programs run read-only over the relational encoding of the
+    // current instance; they do not advance the shared graph.
+    Status status =
+        vlog ? ExplainVadalog(source, threads,
+                              metalog::EncodeGraph(
+                                  graph, metalog::GraphCatalog::FromGraph(graph)),
+                              &run)
+             : ExplainMetaLog(schema, source, threads, &graph, &run);
+    if (!status.ok()) {
       std::fprintf(stderr, "kgmctl explain: %s failed: %s\n", path.c_str(),
-                   (!s_off.ok() ? s_off : s_greedy).ToString().c_str());
+                   status.ToString().c_str());
       return 1;
     }
-    const bool identical = off.fingerprint == greedy.fingerprint;
-    all_identical = all_identical && identical;
+    const char* language = vlog ? "vadalog" : "metalog";
     if (json) {
       if (!first) json_out << ",";
-      AppendExplainJson(json_out, path, vlog ? "vadalog" : "metalog", threads,
-                        identical, off, greedy);
+      AppendExplainJson(json_out, path, language, threads, run);
     } else {
-      PrintExplainText(path, vlog ? "vadalog" : "metalog", threads, identical,
-                       off, greedy);
+      PrintExplainText(path, language, threads, run);
       std::printf("\n");
     }
     first = false;
@@ -1043,11 +971,6 @@ int CmdExplain(int argc, char** argv) {
   if (json) {
     json_out << "]";
     std::printf("%s\n", json_out.str().c_str());
-  }
-  if (!all_identical) {
-    std::fprintf(stderr,
-                 "kgmctl explain: planner output diverged from plan-off\n");
-    return 1;
   }
   return 0;
 }

@@ -67,31 +67,6 @@ size_t Value::RecordHash(size_t seed) const {
   return h;
 }
 
-size_t Value::StableHash() const {
-  switch (kind()) {
-    case ValueKind::kSkolem: {
-      size_t seed = static_cast<size_t>(kind()) * 0x9e3779b97f4a7c15ULL;
-      return seed ^ (SkolemTable::Global().StableHashOf(AsSkolem()) +
-                     0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
-    }
-    case ValueKind::kRecord:
-      return RecordStableHash(static_cast<size_t>(kind()) *
-                              0x9e3779b97f4a7c15ULL);
-    default:
-      // Every other kind already hashes by content.
-      return Hash();
-  }
-}
-
-size_t Value::RecordStableHash(size_t seed) const {
-  size_t h = seed;
-  for (const auto& [name, value] : *AsRecord()) {
-    h = HashCombine(h, std::hash<std::string>{}(name));
-    h = HashCombine(h, value.StableHash());
-  }
-  return h;
-}
-
 std::string Value::ToString() const {
   switch (kind()) {
     case ValueKind::kNull:
@@ -165,18 +140,6 @@ struct SkolemTable::Index {
   std::unordered_map<SkolemKey, uint64_t, SkolemKeyHash> map;
 };
 
-namespace {
-// Content hash of a term, independent of intern order.  Argument
-// StableHash() calls may re-enter the table (nested Skolem arguments), so
-// callers must NOT hold the table mutex.
-size_t SkolemContentHash(const std::string& functor,
-                         const std::vector<Value>& args) {
-  size_t h = std::hash<std::string>{}(functor);
-  for (const Value& a : args) h = HashCombine(h, a.StableHash());
-  return h;
-}
-}  // namespace
-
 SkolemTable::SkolemTable() : index_(std::make_shared<Index>()) {}
 
 SkolemTable& SkolemTable::Global() {
@@ -187,14 +150,11 @@ SkolemTable& SkolemTable::Global() {
 Value SkolemTable::Intern(const std::string& functor,
                           const std::vector<Value>& args) {
   SkolemKey key{functor, args};
-  // Computed before taking mu_ (see SkolemContentHash); wasted on a hit,
-  // but hits skip straight to the id anyway.
-  size_t stable = SkolemContentHash(functor, args);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_->map.find(key);
   if (it != index_->map.end()) return Value(SkolemRef{it->second});
   uint64_t id = terms_.size();
-  terms_.push_back(Term{functor, args, stable});
+  terms_.push_back(Term{functor, args});
   index_->map.emplace(std::move(key), id);
   return Value(SkolemRef{id});
 }
@@ -203,14 +163,6 @@ std::vector<Value> SkolemTable::InternBatch(
     const std::vector<std::pair<std::string, std::vector<Value>>>& batch) {
   std::vector<Value> out;
   out.reserve(batch.size());
-  // Content hashes computed before taking mu_ (see SkolemContentHash).
-  // Batch args only reference refs interned before this call, so the
-  // unlocked reads are safe.
-  std::vector<size_t> stable;
-  stable.reserve(batch.size());
-  for (const auto& [functor, args] : batch) {
-    stable.push_back(SkolemContentHash(functor, args));
-  }
   std::lock_guard<std::mutex> lock(mu_);
   for (size_t i = 0; i < batch.size(); ++i) {
     const auto& [functor, args] = batch[i];
@@ -221,7 +173,7 @@ std::vector<Value> SkolemTable::InternBatch(
       continue;
     }
     uint64_t id = terms_.size();
-    terms_.push_back(Term{functor, args, stable[i]});
+    terms_.push_back(Term{functor, args});
     index_->map.emplace(std::move(key), id);
     out.emplace_back(SkolemRef{id});
   }
@@ -238,12 +190,6 @@ const std::vector<Value>& SkolemTable::ArgsOf(SkolemRef ref) const {
   std::lock_guard<std::mutex> lock(mu_);
   KGM_CHECK(ref.id < terms_.size());
   return terms_[ref.id].args;
-}
-
-size_t SkolemTable::StableHashOf(SkolemRef ref) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  KGM_CHECK(ref.id < terms_.size());
-  return terms_[ref.id].stable_hash;
 }
 
 size_t SkolemTable::size() const {

@@ -159,20 +159,6 @@ class Value {
     return seed;
   }
 
-  // Process-history-independent hash: a pure function of the value's
-  // CONTENT.  Identical to Hash() for every scalar kind except kSkolem,
-  // which Hash() keys by its intern-table index — an id that depends on how
-  // many terms the process interned before, so two runs over the same data
-  // can disagree.  StableHash() resolves a Skolem term to its (functor,
-  // args) content instead (memoized at intern time, so the lookup is O(1)),
-  // and records recurse with StableHash.  The cardinality statistics feed
-  // their distinct-count sketches with this hash so that selectivity
-  // estimates — and therefore join-plan choices — are reproducible per
-  // (instance, program) regardless of what ran earlier in the process.
-  // Labeled nulls still hash by id: the chase mints them from a run-local
-  // counter in deterministic order, so they are already reproducible.
-  size_t StableHash() const;
-
   // Debug/display rendering: strings are quoted, nulls print as _:nK,
   // Skolem terms as their functor applied to arguments.
   std::string ToString() const;
@@ -181,7 +167,6 @@ class Value {
   // Record (pack()) comparisons and hashes, out of line.
   bool RecordEquals(const Value& other) const;
   size_t RecordHash(size_t seed) const;
-  size_t RecordStableHash(size_t seed) const;
 
   std::variant<std::monostate, bool, int64_t, double, std::string, LabeledNull,
                SkolemRef, RecordPtr>
@@ -227,19 +212,12 @@ class SkolemTable {
   const std::string& FunctorOf(SkolemRef ref) const;
   // Returns the arguments of an interned term.
   const std::vector<Value>& ArgsOf(SkolemRef ref) const;
-  // Content hash of an interned term — hash(functor) combined with the
-  // StableHash of each argument, computed once at intern time.  Unlike the
-  // ref id, the same (functor, args) yields the same value in every
-  // process, whatever was interned before.
-  size_t StableHashOf(SkolemRef ref) const;
-
   size_t size() const;
 
  private:
   struct Term {
     std::string functor;
     std::vector<Value> args;
-    size_t stable_hash = 0;  // content hash, fixed at intern time
   };
   struct TermKeyHash {
     size_t operator()(const std::pair<std::string, std::vector<Value>>& k)

@@ -434,7 +434,6 @@ Result<QueryResult> KgService::EvaluateOnSnapshot(
         program, binding, &db, pq_options, &pq_stats);
     KGM_RETURN_IF_ERROR(answers.status());
     stats_.RecordPointQuery(pq_stats);
-    stats_.RecordPlanner(pq_stats.engine);
     out.point_mode = pq_stats.mode;
     if (pq_stats.fallback != vadalog::magic::FallbackReason::kNone) {
       out.point_fallback =
@@ -446,7 +445,6 @@ Result<QueryResult> KgService::EvaluateOnSnapshot(
     vadalog::Engine engine(std::move(program), engine_options);
     KGM_RETURN_IF_ERROR(engine.status());
     KGM_RETURN_IF_ERROR(engine.Run(&db));
-    stats_.RecordPlanner(engine.stats());
     out.join_probes = engine.stats().join_probes;
     if (const vadalog::Relation* rel = db.Get(request.output)) {
       *rows = rel->tuples();

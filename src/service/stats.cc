@@ -45,14 +45,6 @@ std::string StatsSnapshot::ToJson() const {
   out << ",\"latency_p95\":" << latency_p95;
   out << ",\"latency_p99\":" << latency_p99;
   out << ",\"latency_max\":" << latency_max;
-  out << ",\"planner\":{";
-  out << "\"runs\":" << planner_runs;
-  out << ",\"plans_built\":" << plans_built;
-  out << ",\"plans_reordered\":" << plans_reordered;
-  out << ",\"cache_hits\":" << plan_cache_hits;
-  out << ",\"replans\":" << plan_replans;
-  out << ",\"est_probes_saved\":" << est_probes_saved;
-  out << "}";
   out << ",\"magic\":{";
   out << "\"point_queries\":" << point_queries;
   out << ",\"magic\":" << point_magic;
@@ -110,17 +102,6 @@ void ServiceStats::RecordResultCache(bool hit) {
   }
 }
 
-void ServiceStats::RecordPlanner(const vadalog::EngineStats& engine_stats) {
-  if (!engine_stats.planner_enabled) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  ++planner_runs_;
-  plans_built_ += engine_stats.plans_built;
-  plans_reordered_ += engine_stats.plans_reordered;
-  plan_cache_hits_ += engine_stats.plan_cache_hits;
-  plan_replans_ += engine_stats.plan_replans;
-  est_probes_saved_ += engine_stats.est_probes_saved;
-}
-
 void ServiceStats::RecordPointQuery(
     const vadalog::magic::PointQueryStats& pq_stats) {
   using vadalog::magic::PointQueryMode;
@@ -174,12 +155,6 @@ StatsSnapshot ServiceStats::Snapshot(size_t queue_depth,
   s.delta_publishes = delta_publishes_;
   s.epoch = epoch_;
   s.queue_depth = queue_depth;
-  s.planner_runs = planner_runs_;
-  s.plans_built = plans_built_;
-  s.plans_reordered = plans_reordered_;
-  s.plan_cache_hits = plan_cache_hits_;
-  s.plan_replans = plan_replans_;
-  s.est_probes_saved = est_probes_saved_;
   s.point_magic = point_magic_;
   s.point_edb_lookup = point_edb_lookup_;
   s.point_materialize = point_materialize_;

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "vadalog/engine.h"
 #include "vadalog/magic/point_query.h"
 
 namespace kgm::service {
@@ -56,16 +55,6 @@ struct StatsSnapshot {
   double latency_p99 = 0;
   double latency_max = 0;
 
-  // Cost-based join planning (vadalog::EngineOptions::plan_mode),
-  // accumulated over every evaluation that ran with the planner enabled.
-  // Rendered as a nested "planner" object in ToJson.
-  uint64_t planner_runs = 0;        // engine runs with planning enabled
-  uint64_t plans_built = 0;         // plans constructed (incl. replans)
-  uint64_t plans_reordered = 0;     // built plans that changed the order
-  uint64_t plan_cache_hits = 0;     // PlanFor calls served from cache
-  uint64_t plan_replans = 0;        // rebuilds on stats drift / erase
-  double est_probes_saved = 0;      // estimator's account of avoided probes
-
   // Point-query routing (vadalog::magic::EvalPointQuery), accumulated over
   // every bound-argument evaluation.  Rendered as a nested "magic" object
   // in ToJson.  point_queries = the mode counters summed; magic_fallbacks
@@ -94,9 +83,6 @@ class ServiceStats {
   void RecordQueueRejected();
   void RecordResultCache(bool hit);
   void RecordPublish(uint64_t epoch, bool delta = false);
-  // Folds one engine run's planner counters into the service aggregates;
-  // a no-op unless the run had planning enabled.
-  void RecordPlanner(const vadalog::EngineStats& engine_stats);
   // Folds one point-query evaluation's routing outcome and magic counters
   // into the service aggregates.
   void RecordPointQuery(const vadalog::magic::PointQueryStats& pq_stats);
@@ -129,12 +115,6 @@ class ServiceStats {
   uint64_t publishes_ = 0;
   uint64_t delta_publishes_ = 0;
   uint64_t epoch_ = 0;
-  uint64_t planner_runs_ = 0;
-  uint64_t plans_built_ = 0;
-  uint64_t plans_reordered_ = 0;
-  uint64_t plan_cache_hits_ = 0;
-  uint64_t plan_replans_ = 0;
-  double est_probes_saved_ = 0;
   uint64_t point_magic_ = 0;
   uint64_t point_edb_lookup_ = 0;
   uint64_t point_materialize_ = 0;

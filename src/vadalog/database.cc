@@ -1,8 +1,6 @@
 #include "vadalog/database.h"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <queue>
 #include <sstream>
 #include <unordered_map>
@@ -61,44 +59,6 @@ size_t TupleHasher::Masked(uint64_t mask) const {
   return h;
 }
 
-void DistinctSketch::Add(size_t hash) {
-  // Low 6 bits pick the register; the rank is the position of the lowest
-  // set bit among the remaining 58, capped so it fits the register width.
-  size_t idx = hash & (kRegisters - 1);
-  uint64_t rest = static_cast<uint64_t>(hash) >> 6;
-  uint8_t rank =
-      rest == 0 ? 59 : static_cast<uint8_t>(std::countr_zero(rest) + 1);
-  if (rank > regs_[idx]) regs_[idx] = rank;
-}
-
-void DistinctSketch::Merge(const DistinctSketch& other) {
-  for (size_t i = 0; i < kRegisters; ++i) {
-    if (other.regs_[i] > regs_[i]) regs_[i] = other.regs_[i];
-  }
-}
-
-void DistinctSketch::Clear() {
-  for (uint8_t& r : regs_) r = 0;
-}
-
-double DistinctSketch::Estimate() const {
-  double inv_sum = 0.0;
-  size_t zeros = 0;
-  for (uint8_t r : regs_) {
-    inv_sum += std::ldexp(1.0, -static_cast<int>(r));
-    if (r == 0) ++zeros;
-  }
-  if (zeros == kRegisters) return 0.0;
-  constexpr double kM = static_cast<double>(kRegisters);
-  // alpha_64 * m^2 / sum(2^-reg); linear counting below 2.5m where the
-  // raw HLL estimator is biased.
-  double raw = 0.709 * kM * kM / inv_sum;
-  if (raw <= 2.5 * kM && zeros > 0) {
-    return kM * std::log(kM / static_cast<double>(zeros));
-  }
-  return raw;
-}
-
 Relation::Relation(size_t arity, size_t shard_count) : arity_(arity) {
   shard_count = RoundUpPow2(shard_count);
   shards_.reserve(shard_count);
@@ -106,7 +66,6 @@ Relation::Relation(size_t arity, size_t shard_count) : arity_(arity) {
     shards_.push_back(std::make_unique<Shard>());
   }
   shard_mask_ = shard_count - 1;
-  stats_sketches_.resize(arity_);
 }
 
 Relation Relation::Clone() const {
@@ -121,8 +80,6 @@ Relation Relation::Clone() const {
     out.shards_[i]->dedup = shards_[i]->dedup;
   }
   out.indexes_ = indexes_;
-  out.stats_sketches_ = stats_sketches_;
-  out.stats_stale_ = stats_stale_;
   return out;
 }
 
@@ -162,12 +119,6 @@ bool Relation::Insert(Tuple t) {
   bucket.rows.push_back(row);
   for (auto& [mask, index] : indexes_) {
     index[hasher.Masked(mask)].rows.push_back(row);
-  }
-  // Sketches fold in the process-history-independent StableHash (not the
-  // cached position hash) so distinct estimates — and the join plans built
-  // from them — are reproducible per instance; see Value::StableHash.
-  for (size_t i = 0; i < arity_; ++i) {
-    stats_sketches_[i].Add(t[i].StableHash());
   }
   tuples_.push_back(std::move(t));
   ++version_;
@@ -226,9 +177,6 @@ size_t Relation::EraseTuples(const std::vector<Tuple>& ts) {
       it = it->second.rows.empty() ? index.erase(it) : std::next(it);
     }
   }
-  // HLL registers cannot subtract; the planner rebuilds them on demand via
-  // RefreshStats before trusting any estimate again.
-  stats_stale_ = true;
   ++version_;
   return erased;
 }
@@ -307,17 +255,6 @@ bool Relation::StageInsert(StageTag tag, Tuple t) {
   if (CanonicalContains(shard, h, t)) {
     ++shard.counters.duplicates;
     return false;
-  }
-  // The distinct-count registers are updated per shard under the same lock;
-  // same-barrier duplicates fold in identical hashes, which the sketch
-  // absorbs (register state is set-pure), so no dedup is needed here.
-  // StableHash (not the cached position hash) keeps the estimates
-  // independent of process history; see Value::StableHash.
-  if (shard.staged_sketches.size() < arity_) {
-    shard.staged_sketches.resize(arity_);
-  }
-  for (size_t i = 0; i < arity_; ++i) {
-    shard.staged_sketches[i].Add(t[i].StableHash());
   }
   // Duplicates *within* the barrier are not chased here: the drain sorts
   // each shard by tag and drops every copy after the first, so the
@@ -415,42 +352,13 @@ size_t Relation::DrainPrepared() {
   }
   for (auto& shard : shards_) {
     shard->staged.clear();
-    if (!shard->staged_sketches.empty()) {
-      for (size_t i = 0; i < arity_; ++i) {
-        stats_sketches_[i].Merge(shard->staged_sketches[i]);
-      }
-      shard->staged_sketches.clear();
-    }
   }
   if (appended > 0) ++version_;
   return appended;
 }
 
 void Relation::DiscardStaged() {
-  for (auto& shard : shards_) {
-    shard->staged.clear();
-    shard->staged_sketches.clear();
-  }
-}
-
-double Relation::DistinctEstimate(size_t pos) const {
-  KGM_CHECK(pos < arity_);
-  if (tuples_.empty()) return 0.0;
-  double est = stats_sketches_[pos].Estimate();
-  double n = static_cast<double>(tuples_.size());
-  return std::min(n, std::max(1.0, est));
-}
-
-void Relation::RefreshStats() {
-  if (!stats_stale_) return;
-  KGM_CHECK(StagedCount() == 0);
-  for (DistinctSketch& s : stats_sketches_) s.Clear();
-  for (const Tuple& t : tuples_) {
-    for (size_t i = 0; i < arity_; ++i) {
-      stats_sketches_[i].Add(t[i].StableHash());
-    }
-  }
-  stats_stale_ = false;
+  for (auto& shard : shards_) shard->staged.clear();
 }
 
 void Relation::AccumulateShardCounters(std::vector<ShardCounters>* by_shard,

@@ -74,31 +74,6 @@ struct StageTag {
   }
 };
 
-// Approximate distinct-value counter for one tuple position: a 64-register
-// HyperLogLog.  Add() folds in a value hash; Merge() takes the register-wise
-// max, so per-shard register files built under the shard locks combine into
-// the canonical file at drain time without any ordering constraint.  The
-// register state is a pure function of the SET of hashes added — duplicate
-// adds and add order are invisible — which keeps the estimates identical
-// across thread and shard counts.  The relation feeds Value::StableHash so
-// the estimates are also independent of process history (Skolem terms hash
-// by content, not by intern-table index).
-class DistinctSketch {
- public:
-  static constexpr size_t kRegisters = 64;
-
-  void Add(size_t hash);
-  void Merge(const DistinctSketch& other);
-  void Clear();
-
-  // Approximate number of distinct hashes added.  Standard HLL estimator
-  // with linear counting in the small range; exact 0 for an empty sketch.
-  double Estimate() const;
-
- private:
-  uint8_t regs_[kRegisters] = {0};
-};
-
 // Per-shard insert counters, accumulated into EngineStats after a run.
 struct ShardCounters {
   size_t accepted = 0;     // staged inserts that were new tuples
@@ -192,31 +167,6 @@ class Relation {
     return true;
   }
 
-  // --- cardinality statistics -----------------------------------------------
-  //
-  // Cheap per-relation statistics for the cost-based join planner: the row
-  // count (size()) plus a per-position approximate distinct count.  The
-  // distinct-count registers are maintained incrementally — Insert folds the
-  // per-position hashes it already computes, StageInsert updates a per-shard
-  // register file under the shard lock, and DrainPrepared merges
-  // the shard files into the canonical one — so keeping them costs a few
-  // table lookups per new tuple.  EraseTuples only marks them stale (HLL
-  // registers cannot subtract); RefreshStats rebuilds from the surviving
-  // rows on demand.
-
-  // Approximate distinct-value count at position `pos`, clamped to
-  // [1, size()] for a non-empty relation (0 when empty).  Meaningless while
-  // stats_stale() — callers refresh first.
-  double DistinctEstimate(size_t pos) const;
-
-  // True after an erase invalidated the distinct-count registers.
-  bool stats_stale() const { return stats_stale_; }
-
-  // Rebuilds the distinct-count registers from the canonical rows when
-  // stale (O(rows x arity) hashing); no-op otherwise.  Must not be called
-  // with staged tuples pending.
-  void RefreshStats();
-
   // --- sharded concurrent staging -------------------------------------------
 
   size_t shard_count() const { return shards_.size(); }
@@ -294,9 +244,6 @@ class Relation {
     HashIndex dedup;  // full-tuple hash -> canonical rows (this shard's keys)
     std::vector<Staged> staged;
     ShardCounters counters;
-    // Per-position distinct-count registers for tuples accepted into this
-    // shard's staging area; merged into stats_sketches_ at drain.
-    std::vector<DistinctSketch> staged_sketches;
   };
 
   Shard& ShardFor(size_t hash) const { return *shards_[hash & shard_mask_]; }
@@ -312,11 +259,6 @@ class Relation {
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t shard_mask_ = 0;
   std::map<uint64_t, HashIndex> indexes_;  // mask -> index
-  // Per-position distinct-count registers over the canonical rows (plus,
-  // between StageInsert and drain, nothing — staged contributions live in
-  // the shards until merged).  Invalid while stats_stale_.
-  std::vector<DistinctSketch> stats_sketches_;
-  bool stats_stale_ = false;
   static const std::vector<uint32_t> kEmptyRows;
 };
 

@@ -37,7 +37,8 @@ struct CompiledLiteral {
   bool recursive = false;  // predicate in the rule's own SCC
   // Index mask the join will probe for this literal: constants plus
   // variables bound by earlier body literals.  Statically known because
-  // literals are joined in textual order.
+  // the barrier driver joins literals in textual order (DeltaEvaluator
+  // calls reorder, but probe unfrozen, building indexes lazily).
   uint64_t static_mask = 0;
   // Relation resolved by the last PrepareJoinIndexes call (nullptr when the
   // predicate does not exist yet).  Only trusted under a frozen context —
@@ -188,21 +189,6 @@ struct ReplayOp {
   std::vector<char> bound;            // kCandidate: bound-mask snapshot
 };
 
-// One complete body match of a rule evaluated under a REORDERED join plan,
-// recorded instead of finishing inline.  `key` is the matched row id per
-// positive literal in WRITTEN order: a written-order join enumerates
-// firings in exactly the lexicographic order of these keys (it recurses
-// per literal over ascending row ids), and a reordered join over the same
-// frozen sources finds the same firing set — so sorting the collected
-// firings by key and flushing them through FinishBinding reproduces the
-// written-order emission sequence bit for bit.  Keys are unique: the rows
-// fully determine the binding.
-struct CollectedFiring {
-  std::vector<uint32_t> key;
-  std::vector<Value> slots;
-  std::vector<char> bound;
-};
-
 // Per-evaluation binding and output state.  Every work item owns a context
 // that stages derived facts into the sharded relations (or records them
 // for the barrier-chase replay) and records aggregate contributions, for
@@ -274,20 +260,10 @@ struct EvalContext {
   // recursion occupies one depth per literal, so frames never alias).
   std::vector<Tuple> join_probes;
 
-  // Cost-based join plan for this evaluation (vadalog/planner.h); nullptr
-  // = written order.  Set by the driver at item creation (PlanFor is
-  // driver-only); Join maps recursion depth d to plan->order[d].literal.
-  const JoinPlan* plan = nullptr;
-  // True while evaluating a REORDERED plan: Join records complete matches
-  // into `collected` (keyed by written-order row ids) instead of calling
-  // FinishBinding inline; the driver sorts and flushes them afterwards,
-  // restoring the written-order emission sequence.  Identity-order plans
-  // (index-vs-scan selection only) skip the collect machinery — scan and
-  // index-bucket row orders are both ascending, so they already enumerate
-  // firings in written order.
-  bool collect = false;
-  std::vector<uint32_t> match_rows;  // scratch: row id per written literal
-  std::vector<CollectedFiring> collected;
+  // Join order for this evaluation: recursion depth d evaluates positive
+  // literal (*order)[d]; nullptr = written order.  Only DeltaEvaluator
+  // calls set it (see BoundFirstOrder).
+  const std::vector<uint32_t>* order = nullptr;
 
   // Counters, flushed into EngineStats by the driver.
   size_t firings = 0;
@@ -338,11 +314,6 @@ struct Engine::Impl {
   // True when the run has a deadline or a cancellation flag to poll.
   bool checkpoints_armed = false;
 
-  // Cost-based join planner (EngineOptions::plan_mode == kGreedy); null =
-  // written-order evaluation.
-  std::unique_ptr<JoinPlanner> planner;
-  void BuildPlanner();
-
   // Cooperative deadline/cancellation poll.  Called at stratum and batch
   // boundaries, at every fixpoint iteration, and (rate-limited) from the
   // join loops; safe on pool threads.
@@ -383,9 +354,6 @@ struct Engine::Impl {
   Status EvalRule(EvalContext& ctx, CompiledRule& cr, int delta_literal);
   Status Join(EvalContext& ctx, CompiledRule& cr, size_t literal_index,
               int delta_literal);
-  // Sorts the firings a reordered join collected and runs FinishBinding on
-  // each in ascending written-order key — the exact off-mode sequence.
-  Status FlushCollected(EvalContext& ctx, CompiledRule& cr);
   Status FinishBinding(EvalContext& ctx, CompiledRule& cr);
   Status ProcessAggregates(EvalContext& ctx, CompiledRule& cr);
   Status ApplyContribution(CompiledRule& cr, const CompiledAgg& agg,
@@ -412,7 +380,7 @@ struct Engine::Impl {
   };
   std::vector<std::vector<CompiledRule*>> IndependentBatches(
       const std::vector<CompiledRule*>& rules) const;
-  void PrepareJoinIndexes(CompiledRule& cr, const JoinPlan* plan = nullptr);
+  void PrepareJoinIndexes(CompiledRule& cr);
   size_t PartitionCount(size_t rows) const;
   // Barrier-chase dedup policy carried across barriers: stays true while
   // worker-side signature dedup pays for itself (see RunItems).
@@ -863,7 +831,6 @@ Status Engine::Impl::Run(FactDb* target) {
   // helper fewer than the threads that run.
   if (num_workers > 1) pool = std::make_unique<ThreadPool>(num_workers - 1);
   stats->threads_used = num_workers;
-  if (options.plan_mode != PlanMode::kOff) BuildPlanner();
   if (pool != nullptr && !barrier_chase) {
     // Spread the dedup tables over enough shards that concurrent StageInsert
     // calls rarely collide on a lock.  Barrier-chase runs skip resharding:
@@ -907,55 +874,7 @@ Status Engine::Impl::Run(FactDb* target) {
   for (size_t i = 0; i < by_shard.size(); ++i) {
     stats->inserts_by_shard[i] = by_shard[i].accepted;
   }
-  if (planner != nullptr) {
-    stats->planner_enabled = true;
-    stats->plans_built = planner->plans_built();
-    stats->plans_reordered = planner->plans_reordered();
-    stats->plan_cache_hits = planner->cache_hits();
-    stats->plan_replans = planner->replans();
-    stats->rule_plans = planner->Snapshot();
-    for (const PlanSnapshot& ps : stats->rule_plans) {
-      stats->est_probes_saved +=
-          (ps.plan.est_probes_written - ps.plan.est_probes) *
-          static_cast<double>(ps.uses);
-    }
-  }
   return OkStatus();
-}
-
-void Engine::Impl::BuildPlanner() {
-  std::vector<RuleDesc> descs;
-  descs.reserve(compiled.size());
-  for (const CompiledRule& cr : compiled) {
-    RuleDesc d;
-    d.rule_index = cr.index;
-    for (const CompiledLiteral& lit : cr.positives) {
-      PlanLiteral pl;
-      pl.pred = lit.pred;
-      pl.args.reserve(lit.args.size());
-      for (const ArgSlot& a : lit.args) {
-        pl.args.push_back(PlanArg{a.is_const, a.slot});
-      }
-      d.positives.push_back(std::move(pl));
-    }
-    // Reordering is admissible when the collect-and-flush restoration
-    // applies cleanly: at least two positive literals (else there is
-    // nothing to reorder), no aggregates (their fold order is the firing
-    // order, which restoration preserves, but deferring every contribution
-    // through the collect buffer buys nothing — and stratified finalize
-    // interleaves with the join), and not a restricted-chase existential
-    // rule (the barrier protocol's frozen screen + ordered replay is
-    // conservative about firing order; Skolem-mode existentials are fine —
-    // their terms are content-addressed).  Ineligible rules still get
-    // order-neutral index-vs-scan selection on the written order.
-    d.reorderable =
-        cr.positives.size() >= 2 && cr.aggregates.empty() &&
-        !(options.chase_mode == ChaseMode::kRestricted &&
-          !cr.existentials.empty());
-    descs.push_back(std::move(d));
-  }
-  planner =
-      std::make_unique<JoinPlanner>(options.plan_mode, std::move(descs));
 }
 
 // --- stratum driver ----------------------------------------------------------
@@ -1019,7 +938,7 @@ std::vector<std::vector<CompiledRule*>> Engine::Impl::IndependentBatches(
   return out;
 }
 
-void Engine::Impl::PrepareJoinIndexes(CompiledRule& cr, const JoinPlan* plan) {
+void Engine::Impl::PrepareJoinIndexes(CompiledRule& cr) {
   auto prepare = [this](CompiledLiteral& lit) {
     lit.rel = db->GetMutable(lit.pred);
     if (lit.rel == nullptr) return;
@@ -1027,24 +946,7 @@ void Engine::Impl::PrepareJoinIndexes(CompiledRule& cr, const JoinPlan* plan) {
     if (lit.static_mask == 0 || FullyBoundMask(lit.static_mask, n)) return;
     lit.rel->EnsureIndex(lit.static_mask);
   };
-  if (plan != nullptr) {
-    // Planned evaluation: resolve every positive's relation but build only
-    // the masks the plan will actually probe (a literal planned as a scan
-    // needs no index).  A plan-mode Join that misses an index anyway —
-    // e.g. a regime mismatch — degrades to a filtered scan via
-    // TryLookupBuilt rather than mutating shared state.
-    for (CompiledLiteral& lit : cr.positives) {
-      lit.rel = db->GetMutable(lit.pred);
-    }
-    for (const PlannedLiteral& pl : plan->order) {
-      CompiledLiteral& lit = cr.positives[pl.literal];
-      if (lit.rel == nullptr || !pl.use_index) continue;
-      if (pl.mask == 0 || FullyBoundMask(pl.mask, lit.args.size())) continue;
-      lit.rel->EnsureIndex(pl.mask);
-    }
-  } else {
-    for (CompiledLiteral& lit : cr.positives) prepare(lit);
-  }
+  for (CompiledLiteral& lit : cr.positives) prepare(lit);
   for (CompiledLiteral& lit : cr.negatives) prepare(lit);
   // Barrier chase: pre-build the head-satisfaction probe indexes so the
   // frozen screen in the workers is read-only (if a mask is missing
@@ -1411,22 +1313,10 @@ Status Engine::Impl::EvalStratum(int stratum,
   // enumeration order.
   for (std::vector<CompiledRule*>& batch : IndependentBatches(rules)) {
     KGM_RETURN_IF_ERROR(Checkpoint());
-    // Plans are fetched at the barrier (PlanFor is driver-only; it may
-    // refresh stale statistics) and handed to the items; kFull keeps
-    // written literal 0 outermost, so the scan partitioning below — and
-    // with it the cross-item emission order — is identical to plan-off.
-    std::vector<const JoinPlan*> plans(batch.size(), nullptr);
-    for (size_t b = 0; b < batch.size(); ++b) {
-      if (planner != nullptr) {
-        plans[b] = planner->PlanFor(batch[b]->index, PlanRegime::kFull,
-                                    /*delta_literal=*/-1, *db, nullptr);
-      }
-      PrepareJoinIndexes(*batch[b], plans[b]);
-    }
+    for (CompiledRule* cr : batch) PrepareJoinIndexes(*cr);
     std::deque<WorkItem> items;
     std::vector<CompiledRule*> stratified;
-    for (size_t b = 0; b < batch.size(); ++b) {
-      CompiledRule* cr = batch[b];
+    for (CompiledRule* cr : batch) {
       if (!cr->aggregates.empty() && !AllMonotonic(*cr)) {
         stratified.push_back(cr);
       }
@@ -1450,7 +1340,6 @@ Status Engine::Impl::EvalStratum(int stratum,
         item.ctx.range_literal = 0;
         item.ctx.row_begin = begin;
         item.ctx.row_end = std::min(rows, begin + chunk);
-        item.ctx.plan = plans[b];
       }
     }
     KGM_RETURN_IF_ERROR(RunItems(items));
@@ -1494,44 +1383,18 @@ Status Engine::Impl::EvalStratum(int stratum,
       const CompiledLiteral& lit = cr->positives[li];
       auto dit = cur_delta->find(lit.pred);
       if (dit == cur_delta->end()) continue;
-      // Plan the iteration: kDeltaScan pins the delta literal outermost
-      // (its size anchors the estimate).
-      const JoinPlan* plan =
-          planner != nullptr
-              ? planner->PlanFor(cr->index, PlanRegime::kDeltaScan, li, *db,
-                                 &dit->second)
-              : nullptr;
       // Indexes on the database relations this rule probes (no-ops after
       // the first iteration: Insert maintains built indexes), and on the
       // fresh delta relation when the delta literal itself is probed.
-      PrepareJoinIndexes(*cr, plan);
+      PrepareJoinIndexes(*cr);
       size_t n = lit.args.size();
-      if (plan != nullptr) {
-        for (const PlannedLiteral& pl : plan->order) {
-          if (pl.literal != static_cast<size_t>(li) || !pl.use_index) {
-            continue;
-          }
-          if (pl.mask != 0 && !FullyBoundMask(pl.mask, n)) {
-            dit->second.EnsureIndex(pl.mask);
-          }
-        }
-      } else if (lit.static_mask != 0 && !FullyBoundMask(lit.static_mask, n)) {
+      if (lit.static_mask != 0 && !FullyBoundMask(lit.static_mask, n)) {
         dit->second.EnsureIndex(lit.static_mask);
       }
-      // Partition only over written literal 0, and only when it is also
-      // evaluated outermost: the partitions then enumerate consecutive
-      // slices of the one-item firing order, so the output does not depend
-      // on how many partitions the worker count allows.  Plan-off always
-      // qualifies (the delta itself when li == 0, else literal 0's
-      // relation); a greedy plan that pins a later delta literal outermost
-      // runs the slot as one item.
-      if (plan != nullptr && plan->order[0].literal != 0) {
-        WorkItem& item = items.emplace_back();
-        item.rule = cr;
-        item.delta_literal = li;
-        item.ctx.plan = plan;
-        continue;
-      }
+      // Partition only over written literal 0, which is evaluated
+      // outermost: the partitions then enumerate consecutive slices of the
+      // one-item firing order, so the output does not depend on how many
+      // partitions the worker count allows.
       const Relation* scan = li == 0 ? &dit->second : cr->positives[0].rel;
       size_t rows = scan == nullptr ? 0 : scan->size();
       size_t parts = PartitionCount(rows);
@@ -1545,7 +1408,6 @@ Status Engine::Impl::EvalStratum(int stratum,
         item.ctx.range_literal = 0;
         item.ctx.row_begin = begin;
         item.ctx.row_end = std::min(rows, begin + chunk);
-        item.ctx.plan = plan;
       }
     }
     Status status = RunItems(items);
@@ -1568,47 +1430,17 @@ Status Engine::Impl::EvalRule(EvalContext& ctx, CompiledRule& cr,
   ctx.rule = &cr;
   ctx.slots.assign(cr.slot_names.size(), Value());
   ctx.bound.assign(cr.slot_names.size(), 0);
-  // A reordered plan enumerates the same firing set in a different order;
-  // collect the matches and flush them in written-order key order so every
-  // emission happens in exactly the off-mode sequence.  Identity-order
-  // plans finish inline — scan and index-bucket orders are both ascending,
-  // so their enumeration already matches written order.
-  bool collect = ctx.plan != nullptr && ctx.plan->reordered;
-  ctx.collect = collect;
-  if (collect) {
-    ctx.match_rows.assign(cr.positives.size(), 0);
-    ctx.collected.clear();
-  }
-  KGM_RETURN_IF_ERROR(Join(ctx, cr, 0, delta_literal));
-  if (collect) {
-    KGM_RETURN_IF_ERROR(FlushCollected(ctx, cr));
-  }
-  return OkStatus();
+  return Join(ctx, cr, 0, delta_literal);
 }
 
 Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
                           size_t literal_index, int delta_literal) {
-  if (literal_index == cr.positives.size()) {
-    if (ctx.collect) {
-      // Reordered plan: defer the finish; FlushCollected restores the
-      // written-order emission sequence after the join completes.
-      ctx.collected.push_back(CollectedFiring{ctx.match_rows, ctx.slots,
-                                              ctx.bound});
-      if (ctx.collected.size() > options.max_facts) {
-        return ResourceExhausted(
-            "collected firings exceed the fact budget (" +
-            std::to_string(options.max_facts) + ")");
-      }
-      return OkStatus();
-    }
-    return FinishBinding(ctx, cr);
-  }
-  // Under a plan, recursion depth d evaluates literal plan->order[d];
+  if (literal_index == cr.positives.size()) return FinishBinding(ctx, cr);
+  // Under a join order, recursion depth d evaluates literal (*order)[d];
   // everything below keys on the ACTUAL written literal index (delta /
-  // range checks, probe scratch, row bookkeeping).
-  const PlannedLiteral* planned =
-      ctx.plan != nullptr ? &ctx.plan->order[literal_index] : nullptr;
-  const size_t actual = planned != nullptr ? planned->literal : literal_index;
+  // range checks, probe scratch).
+  const size_t actual =
+      ctx.order != nullptr ? (*ctx.order)[literal_index] : literal_index;
   const CompiledLiteral& lit = cr.positives[actual];
   bool is_delta = static_cast<int>(actual) == delta_literal;
   bool is_ranged = static_cast<int>(actual) == ctx.range_literal;
@@ -1702,79 +1534,31 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
     ++ctx.probes;
     size_t row = source->RowOf(probe);
     if (row != Relation::kNoRow && row >= range_begin && row < range_end) {
-      if (ctx.collect) ctx.match_rows[actual] = static_cast<uint32_t>(row);
       return Join(ctx, cr, literal_index + 1, delta_literal);
     }
     return OkStatus();
   }
-  // Index-vs-scan: the plan's per-literal choice is trusted when the
-  // dynamic mask matches the planned one (it always does under a
-  // regime-consistent plan); on a mismatch, default to the index.
-  bool use_index =
-      mask != 0 &&
-      (planned == nullptr || planned->mask != mask || planned->use_index);
-  if (use_index) {
-    const std::vector<uint32_t>* rows_ptr;
-    if (!ctx.frozen_db) {
-      rows_ptr = &source->Lookup(mask, probe);
-    } else if (ctx.plan != nullptr) {
-      // Plan-mode frozen probes tolerate a missing index (a mask the
-      // barrier did not pre-build, e.g. after a regime mismatch): fall
-      // back to the filtered scan below instead of CHECK-failing or
-      // mutating shared state.
-      rows_ptr = source->TryLookupBuilt(mask, probe);
-    } else {
-      rows_ptr = &source->LookupBuilt(mask, probe);
+  if (mask != 0) {
+    const std::vector<uint32_t>& rows = ctx.frozen_db
+                                            ? source->LookupBuilt(mask, probe)
+                                            : source->Lookup(mask, probe);
+    // A DeltaEvaluator emit callback may insert into `source`, growing
+    // this bucket while we iterate; index by position.
+    for (size_t k = 0; k < rows.size(); ++k) {
+      uint32_t rowi = rows[k];
+      if (rowi < range_begin || rowi >= range_end) continue;
+      ++ctx.probes;
+      if (!source->MatchesMasked(rowi, mask, probe)) continue;
+      KGM_RETURN_IF_ERROR(try_row(source->tuple(rowi)));
     }
-    if (rows_ptr != nullptr) {
-      const std::vector<uint32_t>& rows = *rows_ptr;
-      // A DeltaEvaluator emit callback may insert into `source`, growing
-      // this bucket while we iterate; index by position.
-      for (size_t k = 0; k < rows.size(); ++k) {
-        uint32_t rowi = rows[k];
-        if (rowi < range_begin || rowi >= range_end) continue;
-        ++ctx.probes;
-        if (!source->MatchesMasked(rowi, mask, probe)) continue;
-        if (ctx.collect) ctx.match_rows[actual] = rowi;
-        KGM_RETURN_IF_ERROR(try_row(source->tuple(rowi)));
-      }
-      return OkStatus();
-    }
+    return OkStatus();
   }
-  // Full or filtered scan: mask == 0, a plan that chose the scan, or a
-  // missing planned index.  try_row re-validates constants and bound
-  // slots, so scanning with a nonzero mask is correct, just unindexed.
   size_t scan_end = std::min(source->size(), range_end);
   for (size_t k = range_begin; k < scan_end; ++k) {
     ++ctx.probes;
-    if (ctx.collect) ctx.match_rows[actual] = static_cast<uint32_t>(k);
     KGM_RETURN_IF_ERROR(try_row(source->tuple(k)));
   }
   return OkStatus();
-}
-
-Status Engine::Impl::FlushCollected(EvalContext& ctx, CompiledRule& cr) {
-  ctx.collect = false;
-  if (ctx.collected.empty()) return OkStatus();
-  // Keys are unique (the matched rows determine the binding), so a plain
-  // sort yields exactly the written-order enumeration sequence.
-  std::sort(ctx.collected.begin(), ctx.collected.end(),
-            [](const CollectedFiring& a, const CollectedFiring& b) {
-              return a.key < b.key;
-            });
-  Status status = OkStatus();
-  for (CollectedFiring& f : ctx.collected) {
-    if (checkpoints_armed && (++ctx.checkpoint_tick & 0x3FFF) == 0) {
-      status = Checkpoint();
-      if (!status.ok()) break;
-    }
-    ctx.slots = std::move(f.slots);
-    ctx.bound = std::move(f.bound);
-    status = FinishBinding(ctx, cr);
-    if (!status.ok()) break;
-  }
-  ctx.collected.clear();
-  return status;
 }
 
 Status Engine::Impl::FinishBinding(EvalContext& ctx, CompiledRule& cr) {
@@ -2372,9 +2156,51 @@ Status Engine::RunStrata(FactDb* db, const std::set<int>& strata) {
 
 // --- DeltaEvaluator -----------------------------------------------------------
 
+namespace {
+
+// The join order of a rule-at-a-time call.  At each depth it takes the
+// first unevaluated positive literal, in written order, from the best tier:
+// fully bound (a containment probe), then partly bound (an index lookup),
+// then unbound (a scan).  `bound` marks the slots bound before the join
+// starts.  The order depends only on the rule's shape and those slots, so
+// it needs no statistics.
+std::vector<uint32_t> BoundFirstOrder(const CompiledRule& cr,
+                                      std::vector<char> bound) {
+  const size_t n = cr.positives.size();
+  std::vector<uint32_t> order;
+  order.reserve(n);
+  std::vector<char> taken(n, 0);
+  while (order.size() < n) {
+    size_t best = n;
+    int best_tier = 3;
+    for (size_t i = 0; i < n && best_tier > 0; ++i) {
+      if (taken[i]) continue;
+      const std::vector<ArgSlot>& args = cr.positives[i].args;
+      size_t fixed = 0;
+      for (const ArgSlot& a : args) {
+        if (a.is_const || (a.slot >= 0 && bound[a.slot])) ++fixed;
+      }
+      int tier = fixed == 0 ? 2 : fixed < args.size() ? 1 : 0;
+      if (tier < best_tier) {
+        best = i;
+        best_tier = tier;
+      }
+    }
+    taken[best] = 1;
+    order.push_back(static_cast<uint32_t>(best));
+    for (const ArgSlot& a : cr.positives[best].args) {
+      if (a.slot >= 0) bound[a.slot] = 1;
+    }
+  }
+  return order;
+}
+
+}  // namespace
+
 struct DeltaEvaluator::State {
   Engine::Impl impl;
   Status init;
+  size_t join_probes = 0;  // summed over every call
 
   explicit State(Engine* engine) : impl(engine) {}
 
@@ -2405,19 +2231,13 @@ DeltaEvaluator::DeltaEvaluator(Engine* engine, FactDb* db)
   // One thread, unfrozen: no pool, no staging, no barrier chase.
   state_->impl.db = db;
   state_->impl.num_workers = 1;
-  // Rule-at-a-time calls still benefit from planning: EvalRuleDelta joins
-  // are kDeltaPrebound plans (delta variables bound up front).  The
-  // database is stable during each call, so the deferred collect-and-flush
-  // restoration applies exactly as in the frozen driver.
-  if (state_->init.ok() &&
-      engine->options_.plan_mode != PlanMode::kOff) {
-    state_->impl.BuildPlanner();
-  }
 }
 
 DeltaEvaluator::~DeltaEvaluator() = default;
 
 const Status& DeltaEvaluator::status() const { return state_->init; }
+
+size_t DeltaEvaluator::join_probes() const { return state_->join_probes; }
 
 Status DeltaEvaluator::EvalRuleDelta(size_t rule_index, size_t literal_index,
                                      std::map<std::string, Relation>& delta_rels,
@@ -2433,39 +2253,31 @@ Status DeltaEvaluator::EvalRuleDelta(size_t rule_index, size_t literal_index,
   if (it == delta_rels.end()) return OkStatus();
   const Relation& delta_rel = it->second;
 
+  // Enumerate the delta outermost, pre-binding the delta literal's
+  // variables, so the join reaches the other literals through their
+  // indexes on the shared variables instead of scanning them.  With a
+  // small delta this makes the evaluation cost proportional to the
+  // delta's join partners, not to the database.  The delta literal itself
+  // is still probed inside Join (a containment probe); anonymous positions
+  // in it are left free, which can revisit a sibling delta row —
+  // emissions are idempotent for every caller, so that costs duplicate
+  // work, never duplicate facts.  Every delta row binds the same slots, so
+  // one order serves the whole call.
+  std::vector<char> prebound(cr.slot_names.size(), 0);
+  for (const ArgSlot& a : lit.args) {
+    if (a.slot >= 0) prebound[a.slot] = 1;
+  }
+  const std::vector<uint32_t> order = BoundFirstOrder(cr, prebound);
+  EvalContext ctx;
+  ctx.rule = &cr;
+  ctx.order = &order;
   impl.cur_delta = &delta_rels;
   impl.emit_override = emit;
-  // Plan once per call: the delta literal's variables are pre-bound, so a
-  // kDeltaPrebound plan orders the REMAINING literals by selectivity.  The
-  // database is not mutated during the call (emissions go through `emit`),
-  // so per-row collect-and-flush restores the written-order emission
-  // sequence exactly.
-  const JoinPlan* plan =
-      impl.planner != nullptr
-          ? impl.planner->PlanFor(rule_index, PlanRegime::kDeltaPrebound,
-                                  static_cast<int>(literal_index), *impl.db,
-                                  &delta_rel)
-          : nullptr;
-  bool collect = plan != nullptr && plan->reordered;
   Status status = OkStatus();
-  // Enumerate the delta outermost, pre-binding the delta literal's
-  // variables, so Join probes the other literals through their indexes on
-  // the shared variables instead of scanning an unrestricted first literal.
-  // With a small delta this makes the evaluation cost proportional to the
-  // delta's join partners, not to the database.  The delta literal itself
-  // is still probed inside Join (a fully bound containment probe);
-  // anonymous positions in it are left free, which can revisit a sibling
-  // delta row — emissions are idempotent for every caller, so that costs
-  // duplicate work, never duplicate facts.
   for (size_t row = 0; row < delta_rel.size() && status.ok(); ++row) {
     const Tuple& t = delta_rel.tuple(row);
-    EvalContext ctx;
-    ctx.rule = &cr;
     ctx.slots.assign(cr.slot_names.size(), Value());
     ctx.bound.assign(cr.slot_names.size(), 0);
-    ctx.plan = plan;
-    ctx.collect = collect;
-    if (collect) ctx.match_rows.assign(cr.positives.size(), 0);
     bool ok = true;
     for (size_t i = 0; i < lit.args.size() && ok; ++i) {
       const ArgSlot& a = lit.args[i];
@@ -2482,10 +2294,10 @@ Status DeltaEvaluator::EvalRuleDelta(size_t rule_index, size_t literal_index,
     }
     if (!ok) continue;
     status = impl.Join(ctx, cr, 0, static_cast<int>(literal_index));
-    if (status.ok() && collect) status = impl.FlushCollected(ctx, cr);
   }
   impl.emit_override = nullptr;
   impl.cur_delta = nullptr;
+  state_->join_probes += ctx.probes;
   return status;
 }
 
@@ -2525,12 +2337,15 @@ Status DeltaEvaluator::EvalRuleSeeded(size_t rule_index, size_t head_index,
       ctx.bound[a.slot] = 1;
     }
   }
-  // Join builds probe masks from the live bound-state, so the pre-bound
-  // head variables restrict every literal they appear in — this is a
-  // targeted derivability probe, not a full rule evaluation.
+  // The pre-bound head variables restrict every literal they appear in,
+  // and the bound-first order starts from the literals they bind — this is
+  // a targeted derivability probe, not a full rule evaluation.
+  const std::vector<uint32_t> order = BoundFirstOrder(cr, ctx.bound);
+  ctx.order = &order;
   impl.emit_override = emit;
   Status status = impl.Join(ctx, cr, 0, /*delta_literal=*/-1);
   impl.emit_override = nullptr;
+  state_->join_probes += ctx.probes;
   return status;
 }
 

@@ -36,7 +36,6 @@
 #include "vadalog/analysis.h"
 #include "vadalog/ast.h"
 #include "vadalog/database.h"
-#include "vadalog/planner.h"
 
 namespace kgm::vadalog {
 
@@ -95,12 +94,6 @@ struct EngineOptions {
   // flag is read with relaxed ordering, so it may take one checkpoint for
   // a store from another thread to be observed.
   std::shared_ptr<const std::atomic<bool>> cancel;
-  // Cost-based join planning (vadalog/planner.h).  kGreedy reorders rule
-  // bodies by estimated selectivity and picks index-vs-scan per literal;
-  // materialized output stays bit-identical to kOff at every thread count
-  // (reordered rules collect firings and flush them in written-literal row
-  // order, restoring the exact off-mode emission sequence).
-  PlanMode plan_mode = PlanMode::kOff;
 };
 
 struct EngineStats {
@@ -136,18 +129,6 @@ struct EngineStats {
   std::vector<size_t> rule_probes_by_rule;
   // Wall-clock seconds per stratum, in evaluation order.
   std::vector<double> stratum_seconds;
-  // Cost-based join planning observability (EngineOptions::plan_mode).
-  bool planner_enabled = false;
-  size_t plans_built = 0;      // plans constructed (incl. replans)
-  size_t plans_reordered = 0;  // built plans whose order differs from text
-  size_t plan_cache_hits = 0;  // PlanFor calls served from cache
-  size_t plan_replans = 0;     // rebuilds triggered by stats drift / erase
-  // Sum over cached plans of (est_probes_written - est_probes) * uses:
-  // the estimator's own account of probes avoided by reordering.
-  double est_probes_saved = 0;
-  // Every cached plan (per rule / regime / delta literal) with estimates
-  // and usage counters.
-  std::vector<PlanSnapshot> rule_plans;
   // Query-driven point-query observability (vadalog/magic/point_query.h).
   // Engine::Run never touches these; the magic::EvalPointQuery dispatcher
   // fills them on the stats it reports, so service/bench counters read one
@@ -216,12 +197,17 @@ Status RunProgram(std::string_view source, FactDb* db,
 // join/binding/emit machinery — assignments-as-equality-constraints,
 // condition splits and Skolem interning behave exactly as in Engine::Run,
 // which is what makes the maintained database converge to the from-scratch
-// result.  The database may be mutated between calls (the maintainer
-// erases and inserts tuples as phases complete); during a call only the
-// emit callback may change it, and only by inserting (the DRed insert
-// phase does).  Rules with aggregates, and restricted-chase rules with
-// existentials, fold or mint only at the engine's barriers: both calls
-// return FailedPrecondition for them (IncrementalView never sends them).
+// result.  Unlike Engine::Run, which joins in written order, both calls
+// join bound-first: at each depth the first remaining literal, in written
+// order, whose arguments are all bound, else the first partly bound one,
+// else the first remaining one (DESIGN.md §3.11).  Emissions come in that
+// join order, not in written order.  The database may be mutated between calls (the
+// maintainer erases and inserts tuples as phases complete); during a call
+// only the emit callback may change it, and only by inserting (the DRed
+// insert phase does).  Rules with aggregates, and restricted-chase rules
+// with existentials, fold or mint only at the engine's barriers: both
+// calls return FailedPrecondition for them (IncrementalView never sends
+// them).
 class DeltaEvaluator {
  public:
   // `engine` must have ok status and outlive the evaluator; `db` is the
@@ -234,6 +220,9 @@ class DeltaEvaluator {
 
   // Construction-time compilation outcome.
   const Status& status() const;
+
+  // Candidate rows examined by the joins of every call so far.
+  size_t join_probes() const;
 
   using EmitFn = std::function<void(const std::string& pred, Tuple t)>;
 

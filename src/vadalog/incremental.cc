@@ -472,6 +472,7 @@ Status IncrementalView::State::DRedStratum(const StratumInfo& info,
           for (size_t hi = 0; hi < heads.size() && !derivable; ++hi) {
             if (heads[hi] != pred) continue;
             bool found = false;
+            ++last_stats.seeded_calls;
             KGM_RETURN_IF_ERROR(dev.EvalRuleSeeded(
                 ri, hi, t, [&](const std::string& ep, Tuple et) {
                   if (!found && ep == pred && et == t) found = true;
@@ -618,6 +619,7 @@ Status IncrementalView::State::ApplyDRed(TupleListMap& d_del,
     KGM_RETURN_IF_ERROR(DRedStratum(info, dev, &d_del, &d_ins));
     ++last_stats.strata_processed;
   }
+  last_stats.join_probes = dev.join_probes();
   return OkStatus();
 }
 

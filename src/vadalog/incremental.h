@@ -93,6 +93,11 @@ struct IncrementalStats {
   size_t rederived = 0;        // over-deleted tuples with a surviving proof
   size_t idb_deleted = 0;      // derived tuples permanently removed
   size_t idb_inserted = 0;     // derived tuples newly added
+  // Rule-at-a-time (DeltaEvaluator) work of the kDRed strata: candidate
+  // rows examined by every EvalRuleDelta and EvalRuleSeeded join, and the
+  // number of EvalRuleSeeded calls rederivation made.
+  size_t join_probes = 0;
+  size_t seeded_calls = 0;
   double apply_seconds = 0;
   // DRed phase breakdown (zero outside kDRed strata).
   double overdelete_seconds = 0;

@@ -17,7 +17,7 @@
 //
 // Bottom-up (semi-naive) evaluation of the rewritten program then
 // touches only the query-relevant slice of the database, with the
-// existing engine — parallelism, planner, deadline polls and all —
+// existing engine — parallelism, deadline polls and all —
 // unchanged.  Answers equal the full materialization filtered by the
 // binding (the classic magic-sets theorem; the differential tests in
 // tests/finkg/pointquery_differential_test.cc assert set-identity).

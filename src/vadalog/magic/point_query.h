@@ -43,7 +43,7 @@ const char* PointQueryModeName(PointQueryMode m);
 
 struct PointQueryOptions {
   // Engine options for whichever evaluation runs (deadline, cancel,
-  // threads, chase mode, planner all honored).
+  // threads, chase mode all honored).
   EngineOptions engine;
   RewriteOptions rewrite;
   // Diagnostics/benchmarks: skip straight to the materialize baseline.

@@ -88,35 +88,6 @@ TEST(SkolemTableTest, InterningIsDeterministicAndInjective) {
   EXPECT_EQ(table.ArgsOf(a.AsSkolem())[0], Value(int64_t{1}));
 }
 
-// StableHash must be a pure function of term CONTENT — the intern-table id
-// (which depends on how many terms the process interned before) must not
-// enter it.  The test recomputes the documented formula by hand, after
-// padding the table with unrelated terms so the ref ids are shifted away
-// from any accidental id/content agreement.
-TEST(SkolemTableTest, StableHashIsContentAddressed) {
-  SkolemTable& table = SkolemTable::Global();
-  for (int i = 0; i < 50; ++i) {
-    table.Intern("skPad", {Value(int64_t{i})});
-  }
-  Value arg("stable-arg");
-  Value v = table.Intern("skStable", {arg, Value(int64_t{9})});
-  size_t content = std::hash<std::string>{}("skStable");
-  content = HashCombine(content, arg.StableHash());
-  content = HashCombine(content, Value(int64_t{9}).StableHash());
-  EXPECT_EQ(table.StableHashOf(v.AsSkolem()), content);
-  size_t seed = static_cast<size_t>(ValueKind::kSkolem) * 0x9e3779b97f4a7c15ULL;
-  EXPECT_EQ(v.StableHash(),
-            seed ^ (content + 0x9e3779b97f4a7c15ULL + (seed << 6) +
-                    (seed >> 2)));
-  // Scalars hash by content in both schemes.
-  EXPECT_EQ(arg.StableHash(), arg.Hash());
-  // Re-interning the same content yields the same stable hash even after
-  // further unrelated interning.
-  table.Intern("skPadLate", {Value(int64_t{-1})});
-  EXPECT_EQ(table.Intern("skStable", {arg, Value(int64_t{9})}).StableHash(),
-            v.StableHash());
-}
-
 TEST(SkolemTableTest, NestedSkolemArguments) {
   SkolemTable& table = SkolemTable::Global();
   Value inner = table.Intern("skIn", {Value("x")});

@@ -265,76 +265,6 @@ TEST(FactDbTest, CloneCopiesEveryRelation) {
   EXPECT_EQ(copy.Get("p")->size(), 3u);
 }
 
-// --- cardinality statistics (distinct-count registers) -----------------------
-
-TEST(RelationStatsTest, DistinctEstimateTracksPerPositionCardinality) {
-  Relation rel(2);
-  for (int64_t i = 0; i < 1000; ++i) rel.Insert(T({i % 10, i}));
-  // Position 0 has 10 distinct values, position 1 has 1000.  HLL with 64
-  // registers is approximate; demand the right order of magnitude.
-  EXPECT_GE(rel.DistinctEstimate(0), 5.0);
-  EXPECT_LE(rel.DistinctEstimate(0), 20.0);
-  EXPECT_GE(rel.DistinctEstimate(1), 500.0);
-  EXPECT_LE(rel.DistinctEstimate(1), 1000.0);  // clamped to the row count
-  Relation empty(2);
-  EXPECT_EQ(empty.DistinctEstimate(0), 0.0);
-}
-
-TEST(RelationStatsTest, StagedDrainMergesShardSketchesLikeDirectInsert) {
-  Relation direct(2);
-  Relation staged(2, 4);
-  uint32_t seq = 0;
-  for (int64_t i = 0; i < 500; ++i) {
-    direct.Insert(T({i % 7, i}));
-    ASSERT_TRUE(staged.StageInsert({0, seq++}, T({i % 7, i})));
-  }
-  EXPECT_EQ(Drain(staged), 500u);
-  // Sketch merge is register-wise max over the same hash stream, so the
-  // drained relation's estimates equal the directly inserted one's.
-  EXPECT_EQ(staged.DistinctEstimate(0), direct.DistinctEstimate(0));
-  EXPECT_EQ(staged.DistinctEstimate(1), direct.DistinctEstimate(1));
-}
-
-TEST(RelationStatsTest, DiscardStagedDropsPendingSketches) {
-  Relation rel(1, 4);
-  rel.Insert(T({1}));
-  double before = rel.DistinctEstimate(0);
-  for (int64_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE(rel.StageInsert({0, static_cast<uint32_t>(i)}, T({i + 10})));
-  }
-  rel.DiscardStaged();
-  EXPECT_EQ(rel.DistinctEstimate(0), before);
-}
-
-TEST(RelationStatsTest, EraseMarksStaleAndRefreshRebuilds) {
-  Relation rel(2);
-  for (int64_t i = 0; i < 200; ++i) rel.Insert(T({i, i % 3}));
-  EXPECT_FALSE(rel.stats_stale());
-  std::vector<Tuple> doomed;
-  for (int64_t i = 0; i < 150; ++i) doomed.push_back(T({i, i % 3}));
-  EXPECT_EQ(rel.EraseTuples(doomed), 150u);
-  // HLL registers cannot subtract: erase marks them stale instead of
-  // leaving silently inflated estimates.
-  EXPECT_TRUE(rel.stats_stale());
-  rel.RefreshStats();
-  EXPECT_FALSE(rel.stats_stale());
-  // Rebuilt from the 50 surviving rows: estimates deflate accordingly
-  // (and stay clamped to the new row count).
-  EXPECT_LE(rel.DistinctEstimate(0), 50.0);
-  EXPECT_GE(rel.DistinctEstimate(0), 25.0);
-}
-
-TEST(RelationStatsTest, CloneCopiesSketchesAndStaleness) {
-  Relation rel(1);
-  for (int64_t i = 0; i < 300; ++i) rel.Insert(T({i}));
-  Relation copy = rel.Clone();
-  EXPECT_EQ(copy.DistinctEstimate(0), rel.DistinctEstimate(0));
-  rel.EraseTuples({T({0})});
-  Relation stale_copy = rel.Clone();
-  EXPECT_TRUE(stale_copy.stats_stale());
-  EXPECT_FALSE(copy.stats_stale());
-}
-
 TEST(FactDbTest, ReshardAllAppliesToExistingAndFutureRelations) {
   FactDb db;
   db.Add("p", T({1}));

@@ -182,6 +182,56 @@ TEST(EngineParallelTest, SkolemExistentialsMatchSequential) {
   ExpectSameRows(seq, par);
 }
 
+// A closure whose written order opens with unbound label atoms: Phase B
+// partitions written literal 0 (a node scan) while the delta literal sits
+// at position 2.
+constexpr const char* kLabeledClosure = R"(
+  node(x), node(y), edge(x, y) -> reach(x, y).
+  node(x), node(z), reach(x, y), edge(y, z) -> reach(x, z).
+)";
+
+FactDb LabeledGraph(int64_t nodes, int64_t edges, uint64_t seed) {
+  FactDb db;
+  for (int64_t i = 0; i < nodes; ++i) db.Add("node", {Value(i)});
+  Rng rng(seed);
+  for (int64_t i = 0; i < edges; ++i) {
+    db.Add("edge", {Value(static_cast<int64_t>(rng.NextBelow(nodes))),
+                    Value(static_cast<int64_t>(rng.NextBelow(nodes)))});
+  }
+  return db;
+}
+
+// DebugString includes canonical row order, so these are bit-identity
+// checks, not set equality.
+TEST(EngineParallelTest, LabeledClosureIsBitIdenticalAtEveryThreadCount) {
+  std::string one_thread;
+  for (size_t threads : {1u, 4u, 16u}) {
+    EngineOptions options;
+    options.num_threads = threads;
+    FactDb db = LabeledGraph(80, 200, 17);
+    ASSERT_TRUE(RunProgram(kLabeledClosure, &db, options).ok());
+    if (threads == 1) one_thread = db.DebugString();
+    EXPECT_EQ(db.DebugString(), one_thread) << "threads " << threads;
+  }
+}
+
+TEST(EngineParallelTest, LabeledRestrictedChaseIsBitIdenticalAcrossThreads) {
+  const char* program = R"(
+    node(x), node(y), edge(x, y) -> exists w owner(x, w), reach(x, y).
+    node(x), node(z), reach(x, y), edge(y, z) -> reach(x, z).
+  )";
+  std::string one_thread;
+  for (size_t threads : {1u, 4u}) {
+    EngineOptions options;
+    options.num_threads = threads;
+    options.chase_mode = ChaseMode::kRestricted;
+    FactDb db = LabeledGraph(40, 90, 5);
+    ASSERT_TRUE(RunProgram(program, &db, options).ok());
+    if (threads == 1) one_thread = db.DebugString();
+    EXPECT_EQ(db.DebugString(), one_thread) << "threads " << threads;
+  }
+}
+
 TEST(EngineParallelTest, RestrictedChaseRunsParallel) {
   FactDb db;
   db.Add("node", {Value(int64_t{1})});

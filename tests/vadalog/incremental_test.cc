@@ -314,6 +314,52 @@ TEST(DeltaEvaluator, EmitCallbackMayInsertIntoProbedRelation) {
   EXPECT_EQ(db.Get("p")->size(), static_cast<size_t>(kChain + 1));
 }
 
+// Rule-at-a-time joins start from the pre-bound literals, so their cost
+// follows the delta or the seeded head, not the database.  Nothing binds x
+// before a(x) in written order, so a written-order seeded call scans all of
+// `a`; the bound-first order reaches b(x, y) through its y index and then
+// probes a(x) by containment.  The delta call binds x from the delta row.
+TEST(DeltaEvaluator, JoinProbesDoNotGrowWithUnboundRelation) {
+  constexpr int64_t kDelta = 10;
+  struct Probes {
+    size_t delta = 0;
+    size_t seeded = 0;
+  };
+  auto run = [&](int64_t a_rows, Probes* out) {
+    FactDb db;
+    for (int64_t i = 0; i < a_rows; ++i) db.Add("a", T({i}));
+    std::map<std::string, Relation> delta_rels;
+    Relation& delta = delta_rels.emplace("b", Relation(2)).first->second;
+    for (int64_t i = 0; i < kDelta; ++i) {
+      db.Add("b", T({i, 100 + i}));
+      delta.Insert(T({i, 100 + i}));
+    }
+    Engine engine(Parse("a(x), b(x, y) -> c(y)."));
+    ASSERT_TRUE(engine.status().ok()) << engine.status().ToString();
+    DeltaEvaluator eval(&engine, &db);
+    ASSERT_TRUE(eval.status().ok()) << eval.status().ToString();
+    size_t emitted = 0;
+    auto emit = [&emitted](const std::string&, Tuple) { ++emitted; };
+    ASSERT_TRUE(eval.EvalRuleDelta(0, 1, delta_rels, emit).ok());
+    EXPECT_EQ(emitted, static_cast<size_t>(kDelta));
+    out->delta = eval.join_probes();
+    for (int64_t i = 0; i < kDelta; ++i) {
+      ASSERT_TRUE(eval.EvalRuleSeeded(0, 0, T({100 + i}), emit).ok());
+    }
+    EXPECT_EQ(emitted, static_cast<size_t>(2 * kDelta));
+    out->seeded = eval.join_probes() - out->delta;
+  };
+  Probes small;
+  Probes large;
+  run(1'000, &small);
+  run(10'000, &large);
+  EXPECT_EQ(large.delta, small.delta);
+  EXPECT_EQ(large.seeded, small.seeded);
+  // One probe per literal for every delta row or seed.
+  EXPECT_LE(large.delta, static_cast<size_t>(2 * kDelta));
+  EXPECT_LE(large.seeded, static_cast<size_t>(2 * kDelta));
+}
+
 TEST(IncrementalView, RestrictedChaseFallsBackToFullRerun) {
   const char* src = "p(x) -> exists k q(x,k).\n";
   Program program = Parse(src);

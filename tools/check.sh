@@ -82,21 +82,14 @@ run ctest --test-dir build --output-on-failure -j "$JOBS"
 # Shipped example programs must lint clean (exit 0 = no warnings/errors).
 run ./build/examples/kgmctl lint --schema company examples/programs/*
 
-# Cost-based join planning must never change results: `kgmctl explain`
-# materializes every shipped program twice — plan_mode off and greedy —
-# and exits non-zero unless the outputs hash-match bit for bit.  The
-# plan listing itself is noise here, so stdout is dropped; set -e still
-# fails the script on a mismatch.
+# Output must not depend on the thread count: each shipped program's
+# `kgmctl explain` output fingerprint at 1 thread must equal the one at 4
+# threads.
 EXPLAIN_PROGRAMS=(
   examples/programs/owns.mlog examples/programs/control.mlog
   examples/programs/stakeholders.mlog examples/programs/family.mlog
   examples/programs/closelinks.mlog examples/programs/reach.vlog
 )
-echo "== kgmctl explain (planner off-vs-greedy differential)"
-./build/examples/kgmctl explain "${EXPLAIN_PROGRAMS[@]}" > /dev/null
-
-# Output must not depend on the thread count either: each program's
-# plan-off fingerprint at 1 thread must equal the one at 4 threads.
 echo "== kgmctl explain (1-vs-4-thread output differential)"
 ./build/examples/kgmctl explain --json --threads 1 "${EXPLAIN_PROGRAMS[@]}" \
   > build/explain-threads-1.json
@@ -108,7 +101,7 @@ import sys
 
 one, four = (json.load(open(path)) for path in sys.argv[1:3])
 diverged = [a["file"] for a, b in zip(one, four)
-            if a["fingerprint_off"] != b["fingerprint_off"]]
+            if a["fingerprint"] != b["fingerprint"]]
 if len(one) != len(four) or diverged:
     sys.exit("kgmctl explain: output differs between 1 and 4 threads: "
              + " ".join(diverged))
@@ -127,11 +120,10 @@ fi
 # main thing TSan needs to see.  finkg_incremental runs the
 # incremental-vs-rebuild differential at 1 and 4 engine threads, which
 # exercises delta maintenance (DRed + stratum recompute) under both
-# sanitizers.  vadalog_ also matches vadalog_planner_test (greedy-vs-off
-# bit-identity at 1/4/16 threads) and vadalog_database_test (the
-# cardinality-statistics registers the planner reads).  vadalog_ also
-# matches vadalog_magic_test; finkg_pointquery runs the point-query
-# differential (magic vs full materialization) at 1 and 4 threads.
+# sanitizers.  vadalog_ also matches vadalog_database_test (sharded
+# staging and drains) and vadalog_magic_test; finkg_pointquery runs the
+# point-query differential (magic vs full materialization) at 1 and 4
+# threads.
 SANITIZER_TESTS='vadalog_|base_thread_pool|service_|finkg_incremental|finkg_pointquery'
 
 run cmake -B build-asan -S . \
