@@ -146,26 +146,27 @@ Result<uint64_t> KgService::ApplyDelta(const vadalog::EdbDelta& delta) {
   snap->num_nodes = prev->num_nodes;
   snap->num_edges = prev->num_edges;
 
-  // Re-materialize only the touched relations; alias the rest.  `changed`
-  // records relations whose contents actually moved (a delete of an
-  // absent tuple or an insert of a present one is a no-op).
+  // Copy only the touched relations; share the rest.  `changed` records
+  // relations whose contents actually moved (a delete of an absent tuple
+  // or an insert of a present one is a no-op).
+  std::set<std::string> touched;
+  for (const auto& [pred, tuples] : delta.deletes) touched.insert(pred);
+  for (const auto& [pred, tuples] : delta.inserts) touched.insert(pred);
+  vadalog::FactDb db = prev->CloneFacts();
   std::set<std::string> changed;
-  for (const auto& [pred, rel] : prev->facts) {
+  for (const std::string& pred : touched) {
+    vadalog::Relation* rel = db.GetMutable(pred);
     auto del = delta.deletes.find(pred);
     auto ins = delta.inserts.find(pred);
-    if (del == delta.deletes.end() && ins == delta.inserts.end()) {
-      snap->facts.emplace(pred, rel);  // structural sharing
-      continue;
-    }
-    vadalog::Relation next = rel->Clone();
-    if (del != delta.deletes.end()) next.EraseTuples(del->second);
+    if (del != delta.deletes.end()) rel->EraseTuples(del->second);
     if (ins != delta.inserts.end()) {
-      for (const vadalog::Tuple& t : ins->second) next.Insert(t);
+      for (const vadalog::Tuple& t : ins->second) rel->Insert(t);
     }
-    if (next.version() != rel->version()) changed.insert(pred);
-    snap->facts.emplace(
-        pred, std::make_shared<const vadalog::Relation>(std::move(next)));
+    if (rel->version() != prev->facts.at(pred)->version()) {
+      changed.insert(pred);
+    }
   }
+  snap->facts = std::move(db).Share();
 
   {
     std::lock_guard<std::mutex> snap_lock(snapshot_mu_);
@@ -421,7 +422,7 @@ Result<QueryResult> KgService::EvaluateOnSnapshot(
   auto rows = std::make_shared<std::vector<vadalog::Tuple>>();
   if (!request.bound_args.empty()) {
     // Point query: route through the magic-sets dispatcher against
-    // this request's private clone of the pinned snapshot.  With
+    // this request's view of the pinned snapshot.  With
     // use_point_query=false the dispatcher is forced onto the materialize
     // route, giving benchmarks an apples-to-apples baseline (same entry
     // point, same filter semantics, full bottom-up evaluation).
@@ -452,6 +453,9 @@ Result<QueryResult> KgService::EvaluateOnSnapshot(
   }
   out.rows = std::move(rows);
   out.eval_seconds = Seconds(eval_start, Clock::now());
+  if (db.relations_copied() > 0) {
+    stats_.RecordRelationsCopied(db.relations_copied());
+  }
 
   if (request.use_result_cache) {
     auto cached = std::make_shared<CachedResult>();

@@ -5,9 +5,7 @@
 namespace kgm::service {
 
 vadalog::FactDb Snapshot::CloneFacts() const {
-  vadalog::FactDb db;
-  for (const auto& [pred, rel] : facts) db.Adopt(pred, rel->Clone());
-  return db;
+  return vadalog::FactDb(facts);
 }
 
 size_t Snapshot::TotalFacts() const {
@@ -25,10 +23,17 @@ std::shared_ptr<const Snapshot> BuildSnapshot(pg::PropertyGraph graph,
   snap->catalog = metalog::GraphCatalog::FromGraph(*snap->graph);
   snap->catalog_fingerprint = snap->catalog.Fingerprint();
   vadalog::FactDb encoded = metalog::EncodeGraph(*snap->graph, snap->catalog);
-  encoded.ForEachRelation([&](const std::string& pred, vadalog::Relation& rel) {
-    snap->facts.emplace(
-        pred, std::make_shared<const vadalog::Relation>(std::move(rel)));
-  });
+  // Shared relations are never mutated, so the indexes reads probe are
+  // built here: the structural columns every label has.  A probe on any
+  // other column copies that one relation for the query.
+  for (const std::string& label : snap->catalog.NodeLabels()) {
+    encoded.GetIndexed(label, 0b001);  // oid
+  }
+  for (const std::string& label : snap->catalog.EdgeLabels()) {
+    encoded.GetIndexed(label, 0b010);  // from
+    encoded.GetIndexed(label, 0b100);  // to
+  }
+  snap->facts = std::move(encoded).Share();
   snap->num_nodes = snap->graph->num_nodes();
   snap->num_edges = snap->graph->num_edges();
   return snap;

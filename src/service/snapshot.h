@@ -8,10 +8,14 @@
 // without locks while writers materialize the next epoch off to the side.
 //
 // The relational encoding is held as one immutable `shared_ptr<const
-// Relation>` per predicate, so a *delta* snapshot (KgService::ApplyDelta)
-// re-encodes only the relations the delta touched and shares every other
-// relation — and the graph, and the catalog — with the previous epoch by
-// pointer.  Full publications own every relation exclusively.
+// Relation>` per predicate.  A query evaluates over a FactDb that shares
+// these relations (CloneFacts) and copies only a relation it writes or
+// probes on an unindexed column, so a read costs no copy of the encoding.
+// The indexes reads probe are built at publication, because a shared
+// relation is never mutated.  A *delta*
+// snapshot (KgService::ApplyDelta) copies only the relations the delta
+// touched and shares every other relation — and the graph, and the
+// catalog — with the previous epoch by pointer.
 
 #ifndef KGM_SERVICE_SNAPSHOT_H_
 #define KGM_SERVICE_SNAPSHOT_H_
@@ -39,10 +43,12 @@ struct Snapshot {
   metalog::GraphCatalog catalog;
   uint64_t catalog_fingerprint = 0;
   // Relational encoding of `graph` per `catalog`, one immutable relation
-  // per predicate, precomputed so queries clone facts instead of
-  // re-encoding the graph per request.  Delta snapshots alias unchanged
-  // relations with the previous epoch.
-  std::map<std::string, std::shared_ptr<const vadalog::Relation>> facts;
+  // per predicate, precomputed so queries share it instead of re-encoding
+  // the graph per request.  Every node relation is indexed on its oid
+  // (column 0) and every edge relation on its endpoints (columns 1 and
+  // 2).  Delta snapshots alias unchanged relations with the previous
+  // epoch.
+  vadalog::SharedRelations facts;
 
   // True when this epoch was produced by ApplyDelta: `facts` has diverged
   // from `graph` (the graph still describes the base publication), so
@@ -54,7 +60,9 @@ struct Snapshot {
   size_t num_nodes = 0;
   size_t num_edges = 0;
 
-  // Deep-copies the encoding into a mutable database for one evaluation.
+  // A database for one evaluation that shares every relation of `facts`:
+  // O(#relations) pointer copies; a relation is copied only when the
+  // evaluation writes it or probes it through an unbuilt index.
   vadalog::FactDb CloneFacts() const;
   size_t TotalFacts() const;
 };

@@ -26,6 +26,7 @@ std::string StatsSnapshot::ToJson() const {
   out << ",\"queries_failed\":" << queries_failed;
   out << ",\"queue_rejected\":" << queue_rejected;
   out << ",\"deadline_exceeded\":" << deadline_exceeded;
+  out << ",\"relations_copied\":" << relations_copied;
   out << ",\"result_cache_hits\":" << result_cache_hits;
   out << ",\"result_cache_misses\":" << result_cache_misses;
   out << ",\"result_cache_key_collisions\":" << result_cache_key_collisions;
@@ -102,6 +103,11 @@ void ServiceStats::RecordResultCache(bool hit) {
   }
 }
 
+void ServiceStats::RecordRelationsCopied(uint64_t n) {
+  std::lock_guard<std::mutex> lock(mu_);
+  relations_copied_ += n;
+}
+
 void ServiceStats::RecordPointQuery(
     const vadalog::magic::PointQueryStats& pq_stats) {
   using vadalog::magic::PointQueryMode;
@@ -141,6 +147,7 @@ StatsSnapshot ServiceStats::Snapshot(size_t queue_depth,
   s.queries_failed = queries_failed_;
   s.queue_rejected = queue_rejected_;
   s.deadline_exceeded = deadline_exceeded_;
+  s.relations_copied = relations_copied_;
   // Completed queries only; queue rejections are reported separately (see
   // the StatsSnapshot contract in stats.h) so queries_total and qps share
   // one definition.

@@ -29,6 +29,10 @@ struct StatsSnapshot {
   uint64_t queue_rejected = 0;      // admission control (Unavailable);
                                     // NOT included in queries_total
   uint64_t deadline_exceeded = 0;
+  // Snapshot relations that evaluations had to copy because they wrote
+  // them or probed them through an index the publication did not build.
+  // 0 while every query stays on the zero-copy path.
+  uint64_t relations_copied = 0;
 
   uint64_t result_cache_hits = 0;
   uint64_t result_cache_misses = 0;
@@ -82,6 +86,7 @@ class ServiceStats {
   void RecordDeadlineExceeded(double latency_seconds);
   void RecordQueueRejected();
   void RecordResultCache(bool hit);
+  void RecordRelationsCopied(uint64_t n);
   void RecordPublish(uint64_t epoch, bool delta = false);
   // Folds one point-query evaluation's routing outcome and magic counters
   // into the service aggregates.
@@ -110,6 +115,7 @@ class ServiceStats {
   uint64_t queries_failed_ = 0;
   uint64_t queue_rejected_ = 0;
   uint64_t deadline_exceeded_ = 0;
+  uint64_t relations_copied_ = 0;
   uint64_t result_cache_hits_ = 0;
   uint64_t result_cache_misses_ = 0;
   uint64_t publishes_ = 0;

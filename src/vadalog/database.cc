@@ -375,68 +375,108 @@ void Relation::AccumulateShardCounters(std::vector<ShardCounters>* by_shard,
   }
 }
 
+FactDb::FactDb(const SharedRelations& relations) {
+  for (const auto& [pred, rel] : relations) relations_[pred].shared = rel;
+}
+
 FactDb FactDb::Clone() const {
   FactDb out;
   out.default_shard_count_ = default_shard_count_;
-  for (const auto& [pred, rel] : relations_) {
-    out.relations_.emplace(pred, rel.Clone());
+  for (const auto& [pred, slot] : relations_) {
+    Slot& copy = out.relations_[pred];
+    if (slot.owned != nullptr) {
+      copy.owned = std::make_unique<Relation>(slot.owned->Clone());
+    } else {
+      copy.shared = slot.shared;
+    }
   }
   return out;
+}
+
+SharedRelations FactDb::Share() && {
+  SharedRelations out;
+  for (auto& [pred, slot] : relations_) {
+    if (slot.owned != nullptr) {
+      out.emplace(pred, std::shared_ptr<const Relation>(std::move(slot.owned)));
+    } else {
+      out.emplace(pred, std::move(slot.shared));
+    }
+  }
+  relations_.clear();
+  return out;
+}
+
+Relation& FactDb::Own(Slot& slot) {
+  if (slot.owned == nullptr) {
+    slot.owned = std::make_unique<Relation>(slot.shared->Clone());
+    ++relations_copied_;
+  }
+  return *slot.owned;
 }
 
 Relation& FactDb::GetOrCreate(const std::string& pred, size_t arity) {
   auto it = relations_.find(pred);
   if (it == relations_.end()) {
-    it = relations_.emplace(pred, Relation(arity, default_shard_count_)).first;
+    it = relations_.emplace(pred, Slot{}).first;
+    it->second.owned = std::make_unique<Relation>(arity, default_shard_count_);
   }
-  KGM_CHECK_MSG(it->second.arity() == arity,
+  Relation& rel = Own(it->second);
+  KGM_CHECK_MSG(rel.arity() == arity,
                 ("arity conflict for predicate " + pred).c_str());
-  return it->second;
+  return rel;
 }
 
 const Relation* FactDb::Get(const std::string& pred) const {
   auto it = relations_.find(pred);
   if (it == relations_.end()) return nullptr;
-  return &it->second;
+  return it->second.get();
 }
 
 Relation* FactDb::GetMutable(const std::string& pred) {
   auto it = relations_.find(pred);
   if (it == relations_.end()) return nullptr;
-  return &it->second;
+  return &Own(it->second);
+}
+
+const Relation* FactDb::GetIndexed(const std::string& pred, uint64_t mask) {
+  auto it = relations_.find(pred);
+  if (it == relations_.end()) return nullptr;
+  Slot& slot = it->second;
+  if (slot.owned == nullptr && slot.shared->HasIndex(mask)) {
+    return slot.shared.get();
+  }
+  Relation& rel = Own(slot);
+  rel.EnsureIndex(mask);
+  return &rel;
 }
 
 bool FactDb::Add(const std::string& pred, Tuple t) {
   return GetOrCreate(pred, t.size()).Insert(std::move(t));
 }
 
-void FactDb::Adopt(const std::string& pred, Relation rel) {
-  const bool inserted = relations_.emplace(pred, std::move(rel)).second;
-  KGM_CHECK(inserted);
-}
-
 std::vector<std::string> FactDb::Predicates() const {
   std::vector<std::string> out;
   out.reserve(relations_.size());
-  for (const auto& [pred, rel] : relations_) out.push_back(pred);
+  for (const auto& [pred, slot] : relations_) out.push_back(pred);
   return out;
 }
 
 size_t FactDb::TotalFacts() const {
   size_t n = 0;
-  for (const auto& [pred, rel] : relations_) n += rel.size();
+  for (const auto& [pred, slot] : relations_) n += slot.get()->size();
   return n;
 }
 
 void FactDb::ReshardAll(size_t shard_count) {
   default_shard_count_ = shard_count;
-  for (auto& [pred, rel] : relations_) rel.Reshard(shard_count);
+  ForEachRelation(
+      [&](const std::string&, Relation& rel) { rel.Reshard(shard_count); });
 }
 
 std::string FactDb::DebugString() const {
   std::ostringstream os;
-  for (const auto& [pred, rel] : relations_) {
-    for (const Tuple& t : rel.tuples()) {
+  for (const auto& [pred, slot] : relations_) {
+    for (const Tuple& t : slot.get()->tuples()) {
       os << pred << "(";
       for (size_t i = 0; i < t.size(); ++i) {
         if (i > 0) os << ",";

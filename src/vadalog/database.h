@@ -1,8 +1,9 @@
 // Fact storage for the Vadalog engine.
 //
-// A FactDb maps predicate names to relations; a Relation is a deduplicated
-// append-only tuple store with lazily built hash indexes over arbitrary
-// position masks (used by the join in the semi-naive evaluator).
+// A FactDb maps predicate names to relations, each owned or shared
+// copy-on-write; a Relation is a deduplicated append-only tuple store with
+// lazily built hash indexes over arbitrary position masks (used by the
+// join in the semi-naive evaluator).
 //
 // Sharding & concurrent staging.  Each Relation is internally sharded:
 // full-tuple hashes route dedup entries to one of N shards (N a power of
@@ -90,8 +91,8 @@ class Relation {
 
   // Deep copy: canonical tuples, dedup shards, and built indexes.  Much
   // cheaper than re-inserting (no value is rehashed).  Must not be called
-  // with staged tuples pending.  The serving layer uses this to evaluate
-  // queries against a cloned snapshot without mutating the published one.
+  // with staged tuples pending.  FactDb uses this to copy a shared
+  // relation on its first write.
   Relation Clone() const;
 
   size_t arity() const { return arity_; }
@@ -137,6 +138,8 @@ class Relation {
   // `probe`.  Builds (and afterwards maintains) a hash index for `mask` on
   // first use.  mask must have at least one bit set and fit the arity.
   const std::vector<uint32_t>& Lookup(uint64_t mask, const Tuple& probe);
+
+  bool HasIndex(uint64_t mask) const { return indexes_.count(mask) > 0; }
 
   // Pre-builds the hash index for `mask` (no-op if already built).  Once
   // built, indexes are maintained incrementally by Insert and DrainPrepared,
@@ -262,52 +265,96 @@ class Relation {
   static const std::vector<uint32_t> kEmptyRows;
 };
 
+// Relations published for sharing between databases, one immutable
+// relation per predicate (see FactDb::Share).
+using SharedRelations = std::map<std::string, std::shared_ptr<const Relation>>;
+
+// A FactDb holds each relation either *owned* or *shared*.  A shared
+// relation (std::shared_ptr<const Relation>, e.g. a published snapshot's
+// encoding) is read in place and never mutated: the first write access to
+// it — GetMutable, GetOrCreate, or GetIndexed for an index it lacks —
+// swaps in a private copy of that one relation (copy-on-write).  The
+// shared original stays referenced until the database is destroyed, so a
+// pointer read through Get before the copy stays valid.
+//
+// Write access is a map update when it copies, so concurrent readers (the
+// engine's parallel phases) require it to be taken beforehand; on an owned
+// relation it is a pure map lookup.
 class FactDb {
  public:
   FactDb() = default;
+  // Shares every relation of `relations`; nothing is copied until written.
+  explicit FactDb(const SharedRelations& relations);
   FactDb(FactDb&&) = default;
   FactDb& operator=(FactDb&&) = default;
   FactDb(const FactDb&) = delete;
   FactDb& operator=(const FactDb&) = delete;
 
-  // Deep copy of every relation (see Relation::Clone).
+  // Deep copy of every owned relation (see Relation::Clone); shared
+  // relations stay shared.
   FactDb Clone() const;
 
-  // The relation for `pred`, created with `arity` if absent.  Aborts on an
-  // arity conflict (callers validate programs first).
+  // Consumes the database into per-predicate shared relations: owned
+  // relations move into new shared_ptrs, shared ones pass through.
+  SharedRelations Share() &&;
+
+  // The relation for `pred`, created with `arity` if absent.  Write
+  // access.  Aborts on an arity conflict (callers validate programs
+  // first).
   Relation& GetOrCreate(const std::string& pred, size_t arity);
 
-  // nullptr if the predicate has no facts.
+  // nullptr if the predicate has no facts.  Never copies.
   const Relation* Get(const std::string& pred) const;
+  // Write access; nullptr if the predicate has no facts.
   Relation* GetMutable(const std::string& pred);
+
+  // The relation for `pred` with the hash index for `mask` built (nullptr
+  // if the predicate has no facts).  An owned relation builds a missing
+  // index in place; a shared one is copied only when it lacks the index.
+  const Relation* GetIndexed(const std::string& pred, uint64_t mask);
 
   // Convenience: insert one fact.
   bool Add(const std::string& pred, Tuple t);
 
-  // Moves a whole relation in under `pred`; aborts if the predicate
-  // already exists.  Used to assemble a database from independently built
-  // relations (e.g. cloning a snapshot's shared per-relation encoding).
-  void Adopt(const std::string& pred, Relation rel);
-
   std::vector<std::string> Predicates() const;
   size_t TotalFacts() const;
 
-  // Reshards every relation to `shard_count` (see Relation::Reshard) and
-  // makes it the default for relations created afterwards.
+  // Shared relations this database has copied on write.
+  size_t relations_copied() const { return relations_copied_; }
+
+  // Reshards every owned relation to `shard_count` (see Relation::Reshard)
+  // and makes it the default for relations created afterwards.  Shared
+  // relations are never staged into, so they keep their layout.
   void ReshardAll(size_t shard_count);
   size_t default_shard_count() const { return default_shard_count_; }
 
-  // Visits every relation in predicate order.  Driver-only.
+  // Visits every owned relation in predicate order.  Driver-only.
   template <typename Fn>
   void ForEachRelation(Fn&& fn) {
-    for (auto& [pred, rel] : relations_) fn(pred, rel);
+    for (auto& [pred, slot] : relations_) {
+      if (slot.owned != nullptr) fn(pred, *slot.owned);
+    }
   }
 
   std::string DebugString() const;
 
  private:
-  std::map<std::string, Relation> relations_;
+  struct Slot {
+    std::unique_ptr<Relation> owned;
+    // The shared relation; kept after a copy-on-write (see class comment).
+    std::shared_ptr<const Relation> shared;
+
+    const Relation* get() const {
+      return owned != nullptr ? owned.get() : shared.get();
+    }
+  };
+
+  // Write access to `slot`: copies its shared relation on first use.
+  Relation& Own(Slot& slot);
+
+  std::map<std::string, Slot> relations_;
   size_t default_shard_count_ = 1;
+  size_t relations_copied_ = 0;
 };
 
 }  // namespace kgm::vadalog

@@ -45,8 +45,8 @@ struct CompiledLiteral {
   // the canonical store cannot gain relations mid-phase there, and the
   // driver refreshes the cache at every barrier; DeltaEvaluator calls,
   // which never run PrepareJoinIndexes, re-resolve per probe.  Relation
-  // addresses are stable (node-based map).
-  Relation* rel = nullptr;
+  // addresses are stable (see FactDb).  Body literals only read.
+  const Relation* rel = nullptr;
 };
 
 struct CompiledAgg {
@@ -795,10 +795,18 @@ Status Engine::Impl::Run(FactDb* target) {
   checkpoints_armed =
       options.cancel != nullptr ||
       options.deadline != std::chrono::steady_clock::time_point{};
-  // Materialize program facts and pre-create relations.
+  // Materialize program facts and pre-create relations.  Write access is
+  // taken here, once, before the first barrier, and only to the predicates
+  // the program derives or declares facts for: a shared relation the
+  // program only reads is never copied for a write, and the workers'
+  // GetMutable on a head relation stays a pure map lookup.
   for (const FactDecl& f : engine->program_.facts) {
     Relation& rel = db->GetOrCreate(f.predicate, f.values.size());
     rel.Insert(Tuple(f.values.begin(), f.values.end()));
+  }
+  std::set<std::string> derived;
+  for (const CompiledRule& cr : compiled) {
+    for (const CompiledLiteral& h : cr.head) derived.insert(h.pred);
   }
   for (const auto& [pred, n] : arity) {
     const Relation* existing = db->Get(pred);
@@ -808,7 +816,9 @@ Status Engine::Impl::Run(FactDb* target) {
                                 " but the program expects " +
                                 std::to_string(n));
     }
-    db->GetOrCreate(pred, n);
+    if (existing == nullptr || derived.count(pred) > 0) {
+      db->GetOrCreate(pred, n);
+    }
   }
 
   // Every stratum runs the frozen barrier driver at every thread count
@@ -939,12 +949,13 @@ std::vector<std::vector<CompiledRule*>> Engine::Impl::IndependentBatches(
 }
 
 void Engine::Impl::PrepareJoinIndexes(CompiledRule& cr) {
+  // A shared relation is copied here only when it lacks the mask — on the
+  // driver, never inside a parallel phase.
   auto prepare = [this](CompiledLiteral& lit) {
-    lit.rel = db->GetMutable(lit.pred);
-    if (lit.rel == nullptr) return;
     size_t n = lit.args.size();
-    if (lit.static_mask == 0 || FullyBoundMask(lit.static_mask, n)) return;
-    lit.rel->EnsureIndex(lit.static_mask);
+    lit.rel = lit.static_mask == 0 || FullyBoundMask(lit.static_mask, n)
+                  ? db->Get(lit.pred)
+                  : db->GetIndexed(lit.pred, lit.static_mask);
   };
   for (CompiledLiteral& lit : cr.positives) prepare(lit);
   for (CompiledLiteral& lit : cr.negatives) prepare(lit);
@@ -1444,23 +1455,6 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
   const CompiledLiteral& lit = cr.positives[actual];
   bool is_delta = static_cast<int>(actual) == delta_literal;
   bool is_ranged = static_cast<int>(actual) == ctx.range_literal;
-  Relation* source = nullptr;
-  if (is_delta) {
-    KGM_CHECK(cur_delta != nullptr);
-    auto it = cur_delta->find(lit.pred);
-    if (it == cur_delta->end()) return OkStatus();
-    source = &it->second;
-  } else if (ctx.frozen_db) {
-    // Frozen phase: no relation can appear mid-phase, so the pointer
-    // cached by PrepareJoinIndexes at the barrier is authoritative — this
-    // skips a string-map lookup per recursive Join call, which profiles as
-    // a top cost of delta-heavy joins.
-    source = lit.rel;
-    if (source == nullptr) return OkStatus();
-  } else {
-    source = db->GetMutable(lit.pred);
-    if (source == nullptr) return OkStatus();
-  }
   // Build the bound mask and probe.  The probe is per-literal scratch: the
   // recursion touches one depth per literal, and a fresh Tuple here costs
   // an allocation per outer-row visit.  Sized to the full literal count up
@@ -1484,6 +1478,25 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
       probe[i] = ctx.slots[a.slot];
     }
   }
+  const bool indexed = mask != 0 && !FullyBoundMask(mask, n);
+  const Relation* source = nullptr;
+  if (is_delta) {
+    KGM_CHECK(cur_delta != nullptr);
+    auto it = cur_delta->find(lit.pred);
+    if (it == cur_delta->end()) return OkStatus();
+    // Frozen phases probe the index EvalStratum built before the barrier.
+    if (indexed && !ctx.frozen_db) it->second.EnsureIndex(mask);
+    source = &it->second;
+  } else if (ctx.frozen_db) {
+    // Frozen phase: no relation can appear mid-phase, so the pointer
+    // cached by PrepareJoinIndexes at the barrier is authoritative — this
+    // skips a string-map lookup per recursive Join call, which profiles as
+    // a top cost of delta-heavy joins.
+    source = lit.rel;
+  } else {
+    source = indexed ? db->GetIndexed(lit.pred, mask) : db->Get(lit.pred);
+  }
+  if (source == nullptr) return OkStatus();
 
   // Partition filter: only the partitioned literal is range-restricted.
   size_t range_begin = is_ranged ? ctx.row_begin : 0;
@@ -1538,10 +1551,8 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
     }
     return OkStatus();
   }
-  if (mask != 0) {
-    const std::vector<uint32_t>& rows = ctx.frozen_db
-                                            ? source->LookupBuilt(mask, probe)
-                                            : source->Lookup(mask, probe);
+  if (indexed) {
+    const std::vector<uint32_t>& rows = source->LookupBuilt(mask, probe);
     // A DeltaEvaluator emit callback may insert into `source`, growing
     // this bucket while we iterate; index by position.
     for (size_t k = 0; k < rows.size(); ++k) {
@@ -1581,18 +1592,20 @@ Status Engine::Impl::FinishBinding(EvalContext& ctx, CompiledRule& cr) {
         mask |= 1ULL << i;
       }
     }
-    Relation* rel = db->GetMutable(lit.pred);
+    const uint64_t full = n < 64 ? (1ULL << n) - 1 : ~0ULL;
+    const bool indexed = mask != 0 && mask != full;
+    // Frozen phases probe the index PrepareJoinIndexes built.
+    const Relation* rel = indexed && !ctx.frozen_db
+                              ? db->GetIndexed(lit.pred, mask)
+                              : db->Get(lit.pred);
     if (rel == nullptr) continue;  // empty relation: negation holds
-    if (mask == (n < 64 ? (1ULL << n) - 1 : ~0ULL)) {
+    if (mask == full) {
       if (rel->Contains(probe)) return OkStatus();
     } else if (mask == 0) {
       if (rel->size() > 0) return OkStatus();
     } else {
       bool found = false;
-      const std::vector<uint32_t>& rows = ctx.frozen_db
-                                              ? rel->LookupBuilt(mask, probe)
-                                              : rel->Lookup(mask, probe);
-      for (uint32_t row : rows) {
+      for (uint32_t row : rel->LookupBuilt(mask, probe)) {
         if (rel->MatchesMasked(row, mask, probe)) {
           found = true;
           break;

@@ -86,8 +86,8 @@ struct EngineOptions {
   // every fixpoint iteration, and every few tens of thousands of join
   // probes — and Run returns DeadlineExceeded with the stats gathered so
   // far.  Derived facts of completed barriers stay in the database;
-  // callers that need isolation evaluate against a throwaway FactDb (the
-  // serving layer clones the snapshot).
+  // callers that need isolation evaluate against a FactDb that shares its
+  // inputs copy-on-write (the serving layer's Snapshot::CloneFacts).
   std::chrono::steady_clock::time_point deadline{};
   // Cooperative cancellation: polled at the same checkpoints as
   // `deadline`; setting the flag makes Run return DeadlineExceeded.  The

@@ -61,7 +61,7 @@ Result<std::vector<Tuple>> RunEdbLookup(const Program& program,
       db->GetOrCreate(f.predicate, f.values.size()).Insert(f.values);
     }
   }
-  Relation* rel = db->GetMutable(query.predicate);
+  const Relation* rel = db->Get(query.predicate);
   std::vector<Tuple> out;
   if (rel == nullptr) return out;
   if (rel->arity() != query.args.size()) {
@@ -79,7 +79,8 @@ Result<std::vector<Tuple>> RunEdbLookup(const Program& program,
     }
   }
   if (mask != 0 && rel->size() >= kIndexMinRows) {
-    for (uint32_t row : rel->Lookup(mask, probe)) {
+    rel = db->GetIndexed(query.predicate, mask);
+    for (uint32_t row : rel->LookupBuilt(mask, probe)) {
       ++stats->engine.join_probes;
       if (rel->MatchesMasked(row, mask, probe)) out.push_back(rel->tuple(row));
     }

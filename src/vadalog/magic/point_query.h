@@ -14,10 +14,10 @@
 // Routing order: EDB lookup, then magic, then materialize.
 //
 // All modes answer against the caller's FactDb (the serving layer passes
-// a throwaway clone of the pinned epoch snapshot) and produce answer sets
-// identical to `materialize then filter` — including Skolem terms, which
-// the rewrite pins to the original program's functors (see
-// magic::PinSkolemSpecs).
+// one that shares the pinned epoch snapshot's relations; see FactDb) and
+// produce answer sets identical to `materialize then filter` — including
+// Skolem terms, which the rewrite pins to the original program's functors
+// (see magic::PinSkolemSpecs).
 
 #ifndef KGM_VADALOG_MAGIC_POINT_QUERY_H_
 #define KGM_VADALOG_MAGIC_POINT_QUERY_H_
@@ -66,10 +66,11 @@ struct PointQueryStats {
 };
 
 // Evaluates `query` over `program` against `db` (mutated: derived facts,
-// memo tables and program facts land in it — pass a throwaway clone for
-// isolation).  Answer tuples agree with every bound position of the
-// binding; their order is deterministic for a given (program, db,
-// options) but differs between modes.
+// memo tables and program facts land in it — pass a database that shares
+// the inputs copy-on-write, e.g. Snapshot::CloneFacts, for isolation).
+// Answer tuples agree with every bound position of the binding; their
+// order is deterministic for a given (program, db, options) but differs
+// between modes.
 Result<std::vector<Tuple>> EvalPointQuery(const Program& program,
                                           const QueryBinding& query,
                                           FactDb* db,

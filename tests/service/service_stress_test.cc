@@ -7,6 +7,8 @@
 #include "service/service.h"
 
 #include <atomic>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -150,6 +152,116 @@ TEST(ServiceStressTest, TinyQueueUnderLoadConservesRequests) {
   EXPECT_EQ(stats.queue_rejected, rejected.load());
   EXPECT_EQ(stats.queries_ok, ok.load());
   EXPECT_EQ(stats.queue_depth, 0u);
+}
+
+// Bound reach reads share the published relations across threads (4
+// service workers, 2 engine threads per query) while a writer publishes
+// delta epochs that alias them.  The writer alternates deleting the last
+// `k` LINK edges of a chain and restoring them, so each epoch's answer
+// size is known from its number alone.
+TEST(ServiceStressTest, SharedRelationReadsStayConsistentUnderDeltaWrites) {
+  constexpr size_t kChainEdges = 12;
+  constexpr size_t kSources = 3;
+  constexpr size_t kWriteCycles = 24;
+  KgServiceOptions options;
+  options.num_workers = 4;
+  options.queue_capacity = 64;
+  options.engine.num_threads = 2;
+  KgService svc(options);
+  svc.Publish(GraphForEpoch(kChainEdges - kBaseEdges));
+
+  // LINK rows by chain position; node i's oid is LINK row i's `from`.
+  std::shared_ptr<const Snapshot> base = svc.CurrentSnapshot();
+  std::vector<vadalog::Tuple> chain(kChainEdges);
+  std::vector<Value> node_oids(kChainEdges + 1);
+  {
+    std::map<Value, vadalog::Tuple> by_from;
+    std::set<Value> targets;
+    for (const vadalog::Tuple& t : base->facts.at("LINK")->tuples()) {
+      by_from.emplace(t[1], t);
+      targets.insert(t[2]);
+    }
+    Value at;
+    for (const auto& [from, t] : by_from) {
+      if (targets.count(from) == 0) at = from;  // the chain's head
+    }
+    for (size_t i = 0; i < kChainEdges; ++i) {
+      chain[i] = by_from.at(at);
+      node_oids[i] = at;
+      at = chain[i][2];
+    }
+    node_oids[kChainEdges] = at;
+  }
+  // Write cycle c deletes the last (c % 3 + 1) edges at epoch 2 + 2c and
+  // restores them at epoch 3 + 2c.
+  auto removed = [&](uint64_t epoch) -> size_t {
+    if (epoch < 2 || epoch % 2 == 1) return 0;
+    return (epoch - 2) / 2 % 3 + 1;
+  };
+  auto expected = [&](uint64_t epoch, size_t source) -> size_t {
+    const size_t edges = kChainEdges - removed(epoch);
+    return edges > source ? edges - source : 0;
+  };
+
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> checked{0};
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < 4; ++r) {
+    readers.emplace_back([&, r] {
+      size_t i = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const size_t source = (r + i) % kSources;
+        QueryRequest request;
+        request.program =
+            "LINK(_e, x, y) -> reach(x, y).\n"
+            "reach(x, y), LINK(_e, y, z) -> reach(x, z).";
+        request.language = QueryLanguage::kVadalog;
+        request.output = "reach";
+        request.bound_args = {node_oids[source], std::nullopt};
+        request.use_result_cache = ((r + i++) % 2) == 0;
+        auto result = svc.Query(request);
+        if (!result.ok()) {
+          if (result.status().code() != StatusCode::kUnavailable) {
+            ADD_FAILURE() << result.status().ToString();
+            failures.fetch_add(1);
+          }
+          continue;
+        }
+        if (result->rows->size() != expected(result->epoch, source)) {
+          ADD_FAILURE() << "epoch " << result->epoch << " source " << source
+                        << ": " << result->rows->size() << " rows, expected "
+                        << expected(result->epoch, source);
+          failures.fetch_add(1);
+        }
+        checked.fetch_add(1);
+      }
+    });
+  }
+
+  for (size_t c = 0; c < kWriteCycles; ++c) {
+    const size_t k = c % 3 + 1;
+    vadalog::EdbDelta forward;
+    vadalog::EdbDelta inverse;
+    for (size_t i = kChainEdges - k; i < kChainEdges; ++i) {
+      forward.deletes["LINK"].push_back(chain[i]);
+      inverse.inserts["LINK"].push_back(chain[i]);
+    }
+    for (const vadalog::EdbDelta* delta : {&forward, &inverse}) {
+      auto epoch = svc.ApplyDelta(*delta);
+      ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_GT(checked.load(), 0u);
+  EXPECT_EQ(svc.CurrentEpoch(), 1 + 2 * kWriteCycles);
+  // Reads never copied a snapshot relation; the pinned base is intact.
+  EXPECT_EQ(svc.Stats().relations_copied, 0u);
+  EXPECT_EQ(base->facts.at("LINK")->size(), kChainEdges);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include "service/service.h"
 
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -531,6 +532,120 @@ TEST(ServiceTest, PointQueryResultCacheKeysOnBindingAndRoute) {
   EXPECT_FALSE(unbound->result_cache_hit);
   EXPECT_EQ(unbound->point_mode, vadalog::magic::PointQueryMode::kOff);
   EXPECT_GT(unbound->rows->size(), first->rows->size());
+}
+
+// A ring of `n` Business nodes: OWNS edges i -> i+1 with percentage 0.6
+// (so every business controls its successor) and one LINK edge per node.
+pg::PropertyGraph OwnershipRing(int n) {
+  pg::PropertyGraph g;
+  std::vector<pg::NodeId> nodes;
+  for (int i = 0; i < n; ++i) {
+    nodes.push_back(g.AddNode("Business", {{"n", Value(int64_t{i})}}));
+  }
+  for (int i = 0; i < n; ++i) {
+    g.AddEdge(nodes[i], nodes[(i + 1) % n], "OWNS",
+              {{"percentage", Value(0.6)}});
+    g.AddEdge(nodes[i], nodes[(i + 1) % n], "LINK");
+  }
+  return g;
+}
+
+// Pointer, version and fingerprint of every snapshot relation.
+struct RelationIdentity {
+  const vadalog::Relation* rel;
+  uint64_t version;
+  uint64_t content_hash;
+
+  bool operator==(const RelationIdentity& o) const {
+    return rel == o.rel && version == o.version &&
+           content_hash == o.content_hash;
+  }
+};
+
+std::map<std::string, RelationIdentity> Identities(const Snapshot& snap) {
+  std::map<std::string, RelationIdentity> out;
+  for (const auto& [pred, rel] : snap.facts) {
+    out.emplace(pred, RelationIdentity{rel.get(), rel->version(),
+                                       rel->content_hash()});
+  }
+  return out;
+}
+
+TEST(ServiceTest, QueriesReadThePinnedSnapshotWithoutCopyingIt) {
+  KgService svc;
+  svc.Publish(OwnershipRing(12));
+  std::shared_ptr<const Snapshot> snap = svc.CurrentSnapshot();
+  const std::map<std::string, RelationIdentity> before = Identities(*snap);
+  auto copied = [&] { return svc.Stats().relations_copied; };
+
+  // Reach point queries probe OWNS on its `from` column, which the
+  // publication indexed: nothing is copied.
+  QueryRequest reach;
+  reach.program =
+      "OWNS(_e, x, y, _w) -> reach(x, y).\n"
+      "reach(x, y), OWNS(_e, y, z, _w) -> reach(x, z).";
+  reach.language = QueryLanguage::kVadalog;
+  reach.output = "reach";
+  reach.use_result_cache = false;
+  for (const vadalog::Tuple& t : snap->facts.at("OWNS")->tuples()) {
+    reach.bound_args = {t[1], std::nullopt};
+    auto result = svc.Query(reach);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->point_mode, vadalog::magic::PointQueryMode::kMagic);
+    EXPECT_EQ(result->rows->size(), 12u);  // the whole ring
+  }
+  EXPECT_EQ(copied(), 0u);
+  EXPECT_EQ(Identities(*snap), before);
+
+  // The control query reads Business by oid and OWNS by `from`.
+  QueryRequest control;
+  control.program = R"(
+    (x: Business) -> exists c = skCtrl(x, x) (x)[c: CONTROLS](x).
+    (x: Business)[: CONTROLS](z: Business)
+        [: OWNS; percentage: w](y: Business),
+    v = msum(w, <z>), v > 0.5
+      -> exists c = skCtrl(x, y) (x)[c: CONTROLS](y).
+  )";
+  control.output = "CONTROLS";
+  control.use_result_cache = false;
+  auto controls = svc.Query(control);
+  ASSERT_TRUE(controls.ok()) << controls.status().ToString();
+  EXPECT_EQ(controls->rows->size(), 12u * 12u);
+  EXPECT_EQ(copied(), 0u);
+  EXPECT_EQ(Identities(*snap), before);
+
+  // A serve-shaped mix of writes and reads stays on the zero-copy path:
+  // ApplyDelta copies the relation it edits, but no read copies anything.
+  const vadalog::Tuple first = snap->facts.at("OWNS")->tuple(0);
+  vadalog::EdbDelta forward;
+  forward.deletes["OWNS"].push_back(first);
+  vadalog::EdbDelta inverse;
+  inverse.inserts["OWNS"].push_back(first);
+  for (const vadalog::EdbDelta* delta : {&forward, &inverse}) {
+    ASSERT_TRUE(svc.ApplyDelta(*delta).ok());
+    reach.bound_args = {first[1], std::nullopt};
+    auto result = svc.Query(reach);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->rows->size(), delta == &forward ? 0u : 12u);
+    ASSERT_TRUE(svc.Query(control).ok());
+  }
+  EXPECT_EQ(copied(), 0u);
+  EXPECT_EQ(Identities(*snap), before);
+
+  // A program deriving into the base LINK predicate copies exactly that
+  // relation, sees its own derivations, and leaves the snapshot intact.
+  snap = svc.CurrentSnapshot();
+  const std::map<std::string, RelationIdentity> current = Identities(*snap);
+  QueryRequest reverse;
+  reverse.program = "LINK(e, x, y) -> LINK(e, y, x).";
+  reverse.language = QueryLanguage::kVadalog;
+  reverse.output = "LINK";
+  auto reversed = svc.Query(reverse);
+  ASSERT_TRUE(reversed.ok()) << reversed.status().ToString();
+  EXPECT_EQ(reversed->rows->size(), 24u);
+  EXPECT_EQ(snap->facts.at("LINK")->size(), 12u);
+  EXPECT_EQ(copied(), 1u);
+  EXPECT_EQ(Identities(*snap), current);
 }
 
 }  // namespace

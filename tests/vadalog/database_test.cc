@@ -1,5 +1,7 @@
 #include "vadalog/database.h"
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
 namespace kgm::vadalog {
@@ -273,6 +275,99 @@ TEST(FactDbTest, ReshardAllAppliesToExistingAndFutureRelations) {
   EXPECT_EQ(db.Get("p")->shard_count(), 4u);
   db.Add("q", T({2}));
   EXPECT_EQ(db.Get("q")->shard_count(), 4u);
+}
+
+// A relation published for sharing: `rows` two-column tuples (i, i * 2)
+// with an index on column 0.
+std::shared_ptr<const Relation> SharedRelation(int64_t rows) {
+  auto rel = std::make_shared<Relation>(2);
+  for (int64_t i = 0; i < rows; ++i) rel->Insert(T({i, i * 2}));
+  rel->EnsureIndex(0b01);
+  return rel;
+}
+
+TEST(FactDbShareTest, GetReadsSharedRelationInPlace) {
+  std::shared_ptr<const Relation> p = SharedRelation(10);
+  FactDb db(SharedRelations{{"p", p}});
+  EXPECT_EQ(db.Get("p"), p.get());
+  // A built index is probed in place too.
+  EXPECT_EQ(db.GetIndexed("p", 0b01), p.get());
+  EXPECT_EQ(db.TotalFacts(), 10u);
+  EXPECT_EQ(db.relations_copied(), 0u);
+}
+
+TEST(FactDbShareTest, FirstWriteCopiesOnlyThatRelation) {
+  std::shared_ptr<const Relation> p = SharedRelation(10);
+  std::shared_ptr<const Relation> q = SharedRelation(5);
+  const uint64_t version = p->version();
+  const uint64_t hash = p->content_hash();
+  FactDb db(SharedRelations{{"p", p}, {"q", q}});
+
+  Relation* own = db.GetMutable("p");
+  ASSERT_NE(own, nullptr);
+  EXPECT_NE(own, p.get());
+  EXPECT_EQ(db.relations_copied(), 1u);
+  EXPECT_EQ(db.Get("p"), own);
+  EXPECT_EQ(db.Get("q"), q.get());  // untouched relations stay shared
+
+  EXPECT_TRUE(own->Insert(T({100, 200})));
+  EXPECT_EQ(own->EraseTuples({T({0, 0})}), 1u);
+  // The shared original keeps its tuples, version and fingerprint.
+  EXPECT_EQ(p->size(), 10u);
+  EXPECT_TRUE(p->Contains(T({0, 0})));
+  EXPECT_FALSE(p->Contains(T({100, 200})));
+  EXPECT_EQ(p->version(), version);
+  EXPECT_EQ(p->content_hash(), hash);
+
+  // The copy is the database's own now: no second copy.
+  EXPECT_EQ(db.GetMutable("p"), own);
+  EXPECT_EQ(&db.GetOrCreate("p", 2), own);
+  EXPECT_EQ(db.relations_copied(), 1u);
+}
+
+TEST(FactDbShareTest, UnbuiltIndexCopiesAndBuiltIndexDoesNot) {
+  std::shared_ptr<const Relation> p = SharedRelation(10);
+  FactDb db(SharedRelations{{"p", p}});
+  const Relation* indexed = db.GetIndexed("p", 0b10);
+  EXPECT_NE(indexed, p.get());
+  EXPECT_TRUE(indexed->HasIndex(0b10));
+  EXPECT_FALSE(p->HasIndex(0b10));
+  EXPECT_EQ(db.relations_copied(), 1u);
+  EXPECT_EQ(db.GetIndexed("p", 0b01), indexed);
+  EXPECT_EQ(db.relations_copied(), 1u);
+}
+
+TEST(FactDbShareTest, CloneSharesRatherThanCopies) {
+  std::shared_ptr<const Relation> p = SharedRelation(10);
+  FactDb db(SharedRelations{{"p", p}});
+  db.Add("own", T({1, 2}));
+  FactDb copy = db.Clone();
+  EXPECT_EQ(copy.Get("p"), p.get());
+  EXPECT_NE(copy.Get("own"), db.Get("own"));
+  EXPECT_EQ(copy.relations_copied(), 0u);
+  EXPECT_EQ(p.use_count(), 3);  // the test, `db` and `copy`
+}
+
+TEST(FactDbShareTest, ReshardAllLeavesSharedRelationsUntouched) {
+  std::shared_ptr<const Relation> p = SharedRelation(10);
+  FactDb db(SharedRelations{{"p", p}});
+  db.Add("own", T({1, 2}));
+  db.ReshardAll(4);
+  EXPECT_EQ(db.Get("p"), p.get());
+  EXPECT_EQ(p->shard_count(), 1u);
+  EXPECT_EQ(db.Get("own")->shard_count(), 4u);
+  EXPECT_EQ(db.relations_copied(), 0u);
+}
+
+TEST(FactDbShareTest, ShareMovesOwnedAndPassesSharedThrough) {
+  std::shared_ptr<const Relation> p = SharedRelation(10);
+  FactDb db(SharedRelations{{"p", p}});
+  Relation& own = db.GetOrCreate("own", 2);
+  own.Insert(T({1, 2}));
+  SharedRelations shared = std::move(db).Share();
+  ASSERT_EQ(shared.size(), 2u);
+  EXPECT_EQ(shared.at("p").get(), p.get());
+  EXPECT_EQ(shared.at("own").get(), &own);  // moved, not copied
 }
 
 }  // namespace
