@@ -196,12 +196,6 @@ void Relation::EnsureIndex(uint64_t mask) {
   indexes_.emplace(mask, std::move(index));
 }
 
-const std::vector<uint32_t>& Relation::Lookup(uint64_t mask,
-                                              const Tuple& probe) {
-  EnsureIndex(mask);
-  return LookupBuilt(mask, probe);
-}
-
 const std::vector<uint32_t>& Relation::LookupBuilt(uint64_t mask,
                                                    const Tuple& probe) const {
   auto it = indexes_.find(mask);

@@ -2,8 +2,8 @@
 //
 // A FactDb maps predicate names to relations, each owned or shared
 // copy-on-write; a Relation is a deduplicated append-only tuple store with
-// lazily built hash indexes over arbitrary position masks (used by the
-// join in the semi-naive evaluator).
+// hash indexes over arbitrary position masks, built on request before the
+// joins of the semi-naive evaluator probe them.
 //
 // Sharding & concurrent staging.  Each Relation is internally sharded:
 // full-tuple hashes route dedup entries to one of N shards (N a power of
@@ -134,21 +134,17 @@ class Relation {
   static constexpr size_t kNoRow = static_cast<size_t>(-1);
   size_t RowOf(const Tuple& t) const { return FindRow(t); }
 
-  // Row indices whose masked positions equal the corresponding positions of
-  // `probe`.  Builds (and afterwards maintains) a hash index for `mask` on
-  // first use.  mask must have at least one bit set and fit the arity.
-  const std::vector<uint32_t>& Lookup(uint64_t mask, const Tuple& probe);
-
   bool HasIndex(uint64_t mask) const { return indexes_.count(mask) > 0; }
 
-  // Pre-builds the hash index for `mask` (no-op if already built).  Once
-  // built, indexes are maintained incrementally by Insert and DrainPrepared,
-  // so the engine calls this before a parallel phase and probes with
-  // LookupBuilt.
+  // Builds the hash index for `mask` (non-zero, within the arity; no-op if
+  // built).  Insert, DrainPrepared and EraseTuples keep built indexes
+  // current, so the engine builds every index a join probes before the
+  // join starts and probes with LookupBuilt.
   void EnsureIndex(uint64_t mask);
 
-  // Read-only probe: like Lookup, but requires EnsureIndex(mask) to have
-  // been called.  Safe to call concurrently with other const methods.
+  // Candidate rows for `probe` under `mask` (those sharing its masked hash;
+  // confirm with MatchesMasked).  Requires EnsureIndex(mask).  Read-only:
+  // safe to call concurrently with other const methods.
   const std::vector<uint32_t>& LookupBuilt(uint64_t mask,
                                            const Tuple& probe) const;
 

@@ -35,17 +35,13 @@ struct CompiledLiteral {
   std::string pred;
   std::vector<ArgSlot> args;
   bool recursive = false;  // predicate in the rule's own SCC
-  // Index mask the join will probe for this literal: constants plus
-  // variables bound by earlier body literals.  Statically known because
-  // the barrier driver joins literals in textual order (DeltaEvaluator
-  // calls reorder, but probe unfrozen, building indexes lazily).
+  // Index mask the barrier driver's written-order join probes for this
+  // literal (PlanJoin): constants plus variables bound by earlier body
+  // literals.  DeltaEvaluator calls plan their own bound-first masks.
   uint64_t static_mask = 0;
-  // Relation resolved by the last PrepareJoinIndexes call (nullptr when the
-  // predicate does not exist yet).  Only trusted under a frozen context —
-  // the canonical store cannot gain relations mid-phase there, and the
-  // driver refreshes the cache at every barrier; DeltaEvaluator calls,
-  // which never run PrepareJoinIndexes, re-resolve per probe.  Relation
-  // addresses are stable (see FactDb).  Body literals only read.
+  // Relation the join reads (nullptr when the predicate has none), with
+  // its probe index built before the join starts — by PrepareJoinIndexes
+  // at every barrier, by DeltaEvaluator before every call.  Read-only.
   const Relation* rel = nullptr;
 };
 
@@ -101,12 +97,10 @@ struct CompiledRule {
   // these masks so the frozen screen probes read-only.
   std::vector<uint64_t> head_check_masks;
   // Head relations resolved once per barrier by PrepareJoinIndexes (one
-  // entry per head atom, nullptr when the relation does not exist yet) so
-  // the head-satisfaction screen skips the by-name lookup on every firing.
-  // Readers fall back to FactDb::GetMutable on nullptr: a relation that
-  // appears mid-barrier (first mint into a new predicate) must be seen by
-  // the replay re-checks that follow it.
-  std::vector<Relation*> head_rels;
+  // entry per head atom; barrier chase only) so the head-satisfaction
+  // screen skips the by-name lookup on every firing.  Engine::Run
+  // pre-creates every head relation, so no entry is null.
+  std::vector<const Relation*> head_rels;
   // True when no existential's Skolem arguments name another existential
   // of the same rule, so one firing's Skolem terms can intern as a single
   // ordered batch.
@@ -165,6 +159,79 @@ bool FullyBoundMask(uint64_t mask, size_t n) {
   return n > 0 && n < 64 && mask == (1ULL << n) - 1;
 }
 
+// True when a probe under `mask` of an n-ary literal uses a hash index.
+bool PartlyBound(uint64_t mask, size_t n) {
+  return mask != 0 && !FullyBoundMask(mask, n);
+}
+
+// The relation of `pred` with the index a probe under `mask` needs built;
+// nullptr when the predicate has no relation.  A shared relation is copied
+// only when it lacks that index.
+const Relation* ProbeRelation(FactDb* db, const std::string& pred,
+                              uint64_t mask, size_t n) {
+  return PartlyBound(mask, n) ? db->GetIndexed(pred, mask) : db->Get(pred);
+}
+
+// A rule's join: recursion depth d joins positive order[d]; masks holds
+// every body literal's probe mask, positives then negatives.
+struct JoinPlan {
+  std::vector<uint32_t> order;
+  std::vector<uint64_t> masks;
+};
+
+// Plans the join of `cr` with the slots in `bound` bound before it starts.
+// A literal's mask is its constants plus the variables bound when it
+// joins; negated literals are checked with every named argument bound.
+// Written order (bound_first = false) gives CompiledLiteral::static_mask.
+// Bound first, each depth takes the first unevaluated positive literal, in
+// written order, from the best tier: fully bound (a containment probe),
+// then partly bound (an index lookup), then unbound (a scan).  The plan
+// depends only on the rule's shape and `bound`: it needs no statistics.
+JoinPlan PlanJoin(const CompiledRule& cr, std::vector<char> bound,
+                  bool bound_first) {
+  auto mask_of = [&bound](const CompiledLiteral& lit) {
+    uint64_t m = 0;
+    for (size_t i = 0; i < lit.args.size(); ++i) {
+      const ArgSlot& a = lit.args[i];
+      if (a.is_const || (a.slot >= 0 && bound[a.slot])) m |= 1ULL << i;
+    }
+    return m;
+  };
+  const size_t n = cr.positives.size();
+  JoinPlan plan;
+  plan.order.reserve(n);
+  plan.masks.assign(n + cr.negatives.size(), 0);
+  std::vector<char> taken(n, 0);
+  while (plan.order.size() < n) {
+    size_t best = plan.order.size();
+    if (bound_first) {
+      best = n;
+      int best_tier = 3;
+      for (size_t i = 0; i < n && best_tier > 0; ++i) {
+        if (taken[i]) continue;
+        uint64_t m = mask_of(cr.positives[i]);
+        size_t arity = cr.positives[i].args.size();
+        int tier = m == 0 ? 2 : FullyBoundMask(m, arity) ? 0 : 1;
+        if (tier < best_tier) {
+          best = i;
+          best_tier = tier;
+        }
+      }
+    }
+    taken[best] = 1;
+    plan.order.push_back(static_cast<uint32_t>(best));
+    plan.masks[best] = mask_of(cr.positives[best]);
+    for (const ArgSlot& a : cr.positives[best].args) {
+      if (a.slot >= 0) bound[a.slot] = 1;
+    }
+  }
+  std::fill(bound.begin(), bound.end(), 1);
+  for (size_t j = 0; j < cr.negatives.size(); ++j) {
+    plan.masks[n + j] = mask_of(cr.negatives[j]);
+  }
+  return plan;
+}
+
 // One recorded firing of a rule with monotonic aggregates, produced by a
 // parallel join worker and folded into the rule's group state by the
 // driver in deterministic work-item order.
@@ -176,7 +243,8 @@ struct PendingContribution {
 };
 
 // One recorded emission of a barrier-chase work item, replayed by the
-// driver at the iteration barrier in ascending (item, seq) order.  kFact
+// driver at the iteration barrier in ascending (item, seq) order, or of a
+// DeltaEvaluator call, handed to its emit callback after the join.  kFact
 // is a plain derived fact; kCandidate is a restricted-chase firing whose
 // head passed the frozen screen and must be re-checked against the live
 // database before its existential witnesses are minted.
@@ -192,8 +260,9 @@ struct ReplayOp {
 // Per-evaluation binding and output state.  Every work item owns a context
 // that stages derived facts into the sharded relations (or records them
 // for the barrier-chase replay) and records aggregate contributions, for
-// the drain at the iteration barrier.  DeltaEvaluator calls use an
-// unfrozen, unstaged context whose emissions go to a callback.
+// the drain at the iteration barrier.  A DeltaEvaluator call records its
+// facts for its callback.  Either way the join reads a database that does
+// not change, through relations and indexes prepared before it started.
 struct EvalContext {
   CompiledRule* rule = nullptr;
   std::vector<Value> slots;
@@ -209,7 +278,7 @@ struct EvalContext {
   // instead of staging into shards, emissions are recorded in firing order
   // and the driver replays them at the barrier in ascending item order, so
   // head re-checks and null minting are deterministic for any worker
-  // count.
+  // count.  DeltaEvaluator calls record in this mode too.
   bool replay = false;
   std::vector<ReplayOp> replay_ops;
   size_t chase_candidates = 0;  // candidate firings recorded for replay
@@ -235,10 +304,6 @@ struct EvalContext {
   // into the rule's group state at the barrier.
   std::vector<PendingContribution> contributions;
 
-  // Work item under a barrier: joins probe only pre-built indexes and the
-  // relations PrepareJoinIndexes cached.
-  bool frozen_db = false;
-
   // Partitioning: positive literal (written index) whose enumeration is
   // restricted to rows [row_begin, row_end); -1 = none.
   int range_literal = -1;
@@ -262,7 +327,7 @@ struct EvalContext {
 
   // Join order for this evaluation: recursion depth d evaluates positive
   // literal (*order)[d]; nullptr = written order.  Only DeltaEvaluator
-  // calls set it (see BoundFirstOrder).
+  // calls set it (see PlanJoin).
   const std::vector<uint32_t>* order = nullptr;
 
   // Counters, flushed into EngineStats by the driver.
@@ -338,11 +403,6 @@ struct Engine::Impl {
   // When set, Run evaluates only the strata whose id is in the filter
   // (Engine::RunStrata).
   const std::set<int>* stratum_filter = nullptr;
-
-  // When set, derived facts are handed to the callback instead of being
-  // inserted (DeltaEvaluator).  Only meaningful on the unstaged
-  // InsertShared path — staged/replay contexts never coexist with it.
-  std::function<void(const std::string&, Tuple)> emit_override;
 
   explicit Impl(Engine* e) : engine(e), options(e->options_),
                              stats(&e->stats_) {}
@@ -508,33 +568,13 @@ Status Engine::Impl::CompileRule(const Rule& rule, int index) {
     }
   }
 
-  // Static probe masks: the bound set at literal i is exactly the
-  // variables of literals 0..i-1 (assignments run after all positives);
-  // negated literals are checked after the full positive join, so every
-  // named argument is bound.
-  {
-    std::set<int> seen_slots;
-    for (CompiledLiteral& cl : cr.positives) {
-      uint64_t m = 0;
-      for (size_t i = 0; i < cl.args.size(); ++i) {
-        const ArgSlot& a = cl.args[i];
-        if (a.is_const || (a.slot >= 0 && seen_slots.count(a.slot) > 0)) {
-          m |= 1ULL << i;
-        }
-      }
-      cl.static_mask = m;
-      for (const ArgSlot& a : cl.args) {
-        if (a.slot >= 0) seen_slots.insert(a.slot);
-      }
-    }
-    for (CompiledLiteral& cl : cr.negatives) {
-      uint64_t m = 0;
-      for (size_t i = 0; i < cl.args.size(); ++i) {
-        const ArgSlot& a = cl.args[i];
-        if (a.is_const || a.slot >= 0) m |= 1ULL << i;
-      }
-      cl.static_mask = m;
-    }
+  // Static probe masks: the barrier driver joins in written order with
+  // nothing bound up front (assignments run after all positives).
+  const JoinPlan written = PlanJoin(
+      cr, std::vector<char>(cr.slot_names.size(), 0), /*bound_first=*/false);
+  for (size_t i = 0, np = cr.positives.size(); i < written.masks.size(); ++i) {
+    (i < np ? cr.positives[i] : cr.negatives[i - np]).static_mask =
+        written.masks[i];
   }
 
   std::unordered_set<std::string> result_names;
@@ -728,10 +768,6 @@ Status Engine::Impl::CompileRule(const Rule& rule, int index) {
 }
 
 Status Engine::Impl::InsertShared(const std::string& pred, Tuple t) {
-  if (emit_override) {
-    emit_override(pred, std::move(t));
-    return OkStatus();
-  }
   Relation& rel = db->GetOrCreate(pred, t.size());
   if (rel.Insert(t)) {
     ++stats->facts_derived;
@@ -756,10 +792,11 @@ Status Engine::Impl::InsertFact(EvalContext& ctx, const std::string& pred,
                                 Tuple t) {
   if (ctx.replay) {
     // Barrier chase: record the fact for the ordered replay at the
-    // barrier.  `pred` refers into the compiled rule, so the pointer stays
-    // valid for the replay.  The budget counts recorded emissions (an
-    // overestimate when a barrier derives the same fact twice) so a
-    // runaway chase fails inside the barrier, not only at the replay.
+    // barrier (a DeltaEvaluator call, for its callback after the join).
+    // `pred` refers into the compiled rule, so the pointer stays valid for
+    // the replay.  The budget counts recorded emissions (an overestimate
+    // when a barrier derives the same fact twice) so a runaway chase fails
+    // inside the barrier, not only at the replay.
     ReplayOp op;
     op.pred = &pred;
     op.tuple = std::move(t);
@@ -951,29 +988,23 @@ std::vector<std::vector<CompiledRule*>> Engine::Impl::IndependentBatches(
 void Engine::Impl::PrepareJoinIndexes(CompiledRule& cr) {
   // A shared relation is copied here only when it lacks the mask — on the
   // driver, never inside a parallel phase.
-  auto prepare = [this](CompiledLiteral& lit) {
-    size_t n = lit.args.size();
-    lit.rel = lit.static_mask == 0 || FullyBoundMask(lit.static_mask, n)
-                  ? db->Get(lit.pred)
-                  : db->GetIndexed(lit.pred, lit.static_mask);
-  };
-  for (CompiledLiteral& lit : cr.positives) prepare(lit);
-  for (CompiledLiteral& lit : cr.negatives) prepare(lit);
-  // Barrier chase: pre-build the head-satisfaction probe indexes so the
-  // frozen screen in the workers is read-only (if a mask is missing
-  // anyway, HeadSatisfied degrades to a masked scan rather than mutating
-  // shared state), and re-resolve the cached head relations — Relation
-  // addresses are stable (node-based map) but a predicate minted for the
-  // first time last barrier only appears now.
-  if (!cr.head_check_masks.empty()) {
+  for (CompiledLiteral& lit : cr.positives) {
+    lit.rel = ProbeRelation(db, lit.pred, lit.static_mask, lit.args.size());
+  }
+  for (CompiledLiteral& lit : cr.negatives) {
+    lit.rel = ProbeRelation(db, lit.pred, lit.static_mask, lit.args.size());
+  }
+  // Barrier chase: resolve the head relations and pre-build the
+  // head-satisfaction probe indexes, so both the frozen screen in the
+  // workers and the replay re-check at the barrier probe read-only
+  // (Insert keeps the indexes current during the replay).
+  if (barrier_chase && !cr.head_check_masks.empty()) {
     cr.head_rels.assign(cr.head.size(), nullptr);
     for (size_t i = 0; i < cr.head.size(); ++i) {
-      Relation* rel = db->GetMutable(cr.head[i].pred);
-      cr.head_rels[i] = rel;
-      uint64_t mask = cr.head_check_masks[i];
-      size_t n = cr.head[i].args.size();
-      if (!barrier_chase || mask == 0 || FullyBoundMask(mask, n)) continue;
-      if (rel != nullptr) rel->EnsureIndex(mask);
+      const CompiledLiteral& h = cr.head[i];
+      cr.head_rels[i] =
+          ProbeRelation(db, h.pred, cr.head_check_masks[i], h.args.size());
+      KGM_CHECK(cr.head_rels[i] != nullptr);
     }
   }
 }
@@ -1002,7 +1033,6 @@ Status Engine::Impl::RunItems(std::deque<WorkItem>& items) {
   for (WorkItem& item : items) {
     item.ctx.staged = !barrier_chase;
     item.ctx.replay = barrier_chase;
-    item.ctx.frozen_db = true;
     item.ctx.budget_base = budget_base;
     item.ctx.item_index = index++;
     item.ctx.chase_dedup_enabled = chase_dedup_hint;
@@ -1114,7 +1144,6 @@ Status Engine::Impl::FoldItemContributions(std::deque<WorkItem>& items) {
   EvalContext scratch;
   scratch.staged = !barrier_chase;
   scratch.replay = barrier_chase;
-  scratch.frozen_db = true;
   size_t tick = 0;
   for (WorkItem& item : items) {
     if (item.ctx.contributions.empty()) continue;
@@ -1478,23 +1507,18 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
       probe[i] = ctx.slots[a.slot];
     }
   }
-  const bool indexed = mask != 0 && !FullyBoundMask(mask, n);
+  const bool indexed = PartlyBound(mask, n);
+  // Relations and probe indexes were prepared before the join started: the
+  // delta's by EvalStratum or DeltaEvaluator, the database's in lit.rel
+  // (no string-map lookup per recursive Join call).
   const Relation* source = nullptr;
   if (is_delta) {
     KGM_CHECK(cur_delta != nullptr);
     auto it = cur_delta->find(lit.pred);
     if (it == cur_delta->end()) return OkStatus();
-    // Frozen phases probe the index EvalStratum built before the barrier.
-    if (indexed && !ctx.frozen_db) it->second.EnsureIndex(mask);
     source = &it->second;
-  } else if (ctx.frozen_db) {
-    // Frozen phase: no relation can appear mid-phase, so the pointer
-    // cached by PrepareJoinIndexes at the barrier is authoritative — this
-    // skips a string-map lookup per recursive Join call, which profiles as
-    // a top cost of delta-heavy joins.
-    source = lit.rel;
   } else {
-    source = indexed ? db->GetIndexed(lit.pred, mask) : db->Get(lit.pred);
+    source = lit.rel;
   }
   if (source == nullptr) return OkStatus();
 
@@ -1502,10 +1526,8 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
   size_t range_begin = is_ranged ? ctx.row_begin : 0;
   size_t range_end = is_ranged ? ctx.row_end : static_cast<size_t>(-1);
 
-  // Rows bind by reference: try_row reads `row` only before it recurses.
-  // Work items never insert mid-join (they stage or record emissions), but
-  // a DeltaEvaluator emit callback may insert into `source` and reallocate
-  // its tuple storage, so `row` must not be read after the recursion.
+  // Rows bind by reference: joins never insert (they stage or record
+  // emissions), so `source` is stable for the whole recursion.
   auto try_row = [&](const Tuple& row) -> Status {
     // A single fixpoint iteration can run for minutes on a bad join order;
     // poll the deadline/cancel flag every ~16k candidate rows so such
@@ -1552,11 +1574,7 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
     return OkStatus();
   }
   if (indexed) {
-    const std::vector<uint32_t>& rows = source->LookupBuilt(mask, probe);
-    // A DeltaEvaluator emit callback may insert into `source`, growing
-    // this bucket while we iterate; index by position.
-    for (size_t k = 0; k < rows.size(); ++k) {
-      uint32_t rowi = rows[k];
+    for (uint32_t rowi : source->LookupBuilt(mask, probe)) {
       if (rowi < range_begin || rowi >= range_end) continue;
       ++ctx.probes;
       if (!source->MatchesMasked(rowi, mask, probe)) continue;
@@ -1576,30 +1594,24 @@ Status Engine::Impl::FinishBinding(EvalContext& ctx, CompiledRule& cr) {
   ++ctx.firings;
   // Negated literals: named arguments are bound (safety-validated);
   // anonymous positions act as wildcards, so the check is a masked
-  // existence test.
+  // existence test against lit.rel, whose index for the static mask was
+  // built before the join started.
   for (const CompiledLiteral& lit : cr.negatives) {
     size_t n = lit.args.size();
+    const uint64_t mask = lit.static_mask;
     Tuple probe(n);
-    uint64_t mask = 0;
     for (size_t i = 0; i < n; ++i) {
       const ArgSlot& a = lit.args[i];
       if (a.is_const) {
         probe[i] = a.constant;
-        mask |= 1ULL << i;
       } else if (a.slot >= 0) {
         KGM_CHECK(ctx.bound[a.slot]);
         probe[i] = ctx.slots[a.slot];
-        mask |= 1ULL << i;
       }
     }
-    const uint64_t full = n < 64 ? (1ULL << n) - 1 : ~0ULL;
-    const bool indexed = mask != 0 && mask != full;
-    // Frozen phases probe the index PrepareJoinIndexes built.
-    const Relation* rel = indexed && !ctx.frozen_db
-                              ? db->GetIndexed(lit.pred, mask)
-                              : db->Get(lit.pred);
+    const Relation* rel = lit.rel;
     if (rel == nullptr) continue;  // empty relation: negation holds
-    if (mask == full) {
+    if (FullyBoundMask(mask, n)) {
       if (rel->Contains(probe)) return OkStatus();
     } else if (mask == 0) {
       if (rel->size() > 0) return OkStatus();
@@ -1804,10 +1816,11 @@ Status Engine::Impl::EmitHeadWithPostConditions(EvalContext& ctx,
 
 bool Engine::Impl::HeadSatisfied(EvalContext& ctx, CompiledRule& cr) {
   // Backtracking search for an assignment of the existential slots such
-  // that every head atom is already present in the database.  With a
-  // frozen context (barrier-chase workers) every probe is read-only: the
-  // dynamic masks below coincide with CompiledRule::head_check_masks,
-  // whose indexes PrepareJoinIndexes pre-builds; should an index be
+  // that every head atom is already present in the database.  Every probe
+  // is read-only, in the workers' frozen screen and in the driver's replay
+  // re-check alike: the dynamic masks below coincide with
+  // CompiledRule::head_check_masks, whose indexes PrepareJoinIndexes
+  // pre-builds on the relations it caches in head_rels; should an index be
   // missing anyway, the probe degrades to a masked scan instead of
   // building one on shared state.
   // Single-atom heads (the common case) skip the backtracking machinery:
@@ -1815,12 +1828,7 @@ bool Engine::Impl::HeadSatisfied(EvalContext& ctx, CompiledRule& cr) {
   // within the atom checked directly on each candidate row.
   if (cr.head.size() == 1 && cr.head[0].args.size() <= 64) {
     const CompiledLiteral& h = cr.head[0];
-    // Prefer the relation pointer cached at the last PrepareJoinIndexes; a
-    // nullptr entry means the predicate may have been created mid-barrier
-    // (first mint during replay), so re-resolve it.
-    Relation* rel = cr.head_rels.size() == 1 ? cr.head_rels[0] : nullptr;
-    if (rel == nullptr) rel = db->GetMutable(h.pred);
-    if (rel == nullptr) return false;
+    const Relation* rel = cr.head_rels[0];
     size_t n = h.args.size();
     uint64_t mask = 0;
     Tuple& probe = ctx.head_probe;
@@ -1857,12 +1865,7 @@ bool Engine::Impl::HeadSatisfied(EvalContext& ctx, CompiledRule& cr) {
       return true;
     };
     if (mask != 0) {
-      const std::vector<uint32_t>* rows = nullptr;
-      if (ctx.frozen_db) {
-        rows = rel->TryLookupBuilt(mask, probe);
-      } else {
-        rows = &rel->Lookup(mask, probe);
-      }
+      const std::vector<uint32_t>* rows = rel->TryLookupBuilt(mask, probe);
       if (rows != nullptr) {
         for (uint32_t rowi : *rows) {
           if (row_ok(rowi)) return true;
@@ -1879,8 +1882,7 @@ bool Engine::Impl::HeadSatisfied(EvalContext& ctx, CompiledRule& cr) {
   std::function<bool(size_t)> solve = [&](size_t atom_index) -> bool {
     if (atom_index == cr.head.size()) return true;
     const CompiledLiteral& h = cr.head[atom_index];
-    Relation* rel = db->GetMutable(h.pred);
-    if (rel == nullptr) return false;
+    const Relation* rel = cr.head_rels[atom_index];
     size_t n = h.args.size();
     uint64_t mask = 0;
     Tuple probe(n);
@@ -1928,12 +1930,8 @@ bool Engine::Impl::HeadSatisfied(EvalContext& ctx, CompiledRule& cr) {
       return false;
     };
     if (mask != 0) {
-      if (ctx.frozen_db) {
-        const std::vector<uint32_t>* rows = rel->TryLookupBuilt(mask, probe);
-        if (rows != nullptr) return try_rows(*rows);
-      } else {
-        return try_rows(rel->Lookup(mask, probe));
-      }
+      const std::vector<uint32_t>* rows = rel->TryLookupBuilt(mask, probe);
+      if (rows != nullptr) return try_rows(*rows);
     }
     std::vector<uint32_t> all(rel->size());
     for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
@@ -2169,47 +2167,6 @@ Status Engine::RunStrata(FactDb* db, const std::set<int>& strata) {
 
 // --- DeltaEvaluator -----------------------------------------------------------
 
-namespace {
-
-// The join order of a rule-at-a-time call.  At each depth it takes the
-// first unevaluated positive literal, in written order, from the best tier:
-// fully bound (a containment probe), then partly bound (an index lookup),
-// then unbound (a scan).  `bound` marks the slots bound before the join
-// starts.  The order depends only on the rule's shape and those slots, so
-// it needs no statistics.
-std::vector<uint32_t> BoundFirstOrder(const CompiledRule& cr,
-                                      std::vector<char> bound) {
-  const size_t n = cr.positives.size();
-  std::vector<uint32_t> order;
-  order.reserve(n);
-  std::vector<char> taken(n, 0);
-  while (order.size() < n) {
-    size_t best = n;
-    int best_tier = 3;
-    for (size_t i = 0; i < n && best_tier > 0; ++i) {
-      if (taken[i]) continue;
-      const std::vector<ArgSlot>& args = cr.positives[i].args;
-      size_t fixed = 0;
-      for (const ArgSlot& a : args) {
-        if (a.is_const || (a.slot >= 0 && bound[a.slot])) ++fixed;
-      }
-      int tier = fixed == 0 ? 2 : fixed < args.size() ? 1 : 0;
-      if (tier < best_tier) {
-        best = i;
-        best_tier = tier;
-      }
-    }
-    taken[best] = 1;
-    order.push_back(static_cast<uint32_t>(best));
-    for (const ArgSlot& a : cr.positives[best].args) {
-      if (a.slot >= 0) bound[a.slot] = 1;
-    }
-  }
-  return order;
-}
-
-}  // namespace
-
 struct DeltaEvaluator::State {
   Engine::Impl impl;
   Status init;
@@ -2235,13 +2192,48 @@ struct DeltaEvaluator::State {
     }
     return OkStatus();
   }
+
+  // Readies `ctx` for a call that joins `cr` by `plan`: resolves every body
+  // relation and builds each index the plan probes.  The delta literal
+  // (-1 = none) reads `delta`, indexed when anonymous positions leave it
+  // partly bound.  Emissions are recorded as kFact ops, at most max_facts.
+  void Prepare(CompiledRule& cr, const JoinPlan& plan, int delta_literal,
+               Relation* delta, EvalContext* ctx) {
+    const size_t np = cr.positives.size();
+    for (size_t i = 0; i < np; ++i) {
+      CompiledLiteral& lit = cr.positives[i];
+      if (static_cast<int>(i) != delta_literal) {
+        lit.rel = ProbeRelation(impl.db, lit.pred, plan.masks[i],
+                                lit.args.size());
+      } else if (PartlyBound(plan.masks[i], lit.args.size())) {
+        delta->EnsureIndex(plan.masks[i]);
+      }
+    }
+    for (size_t j = 0; j < cr.negatives.size(); ++j) {
+      CompiledLiteral& lit = cr.negatives[j];
+      lit.rel = ProbeRelation(impl.db, lit.pred, plan.masks[np + j],
+                              lit.args.size());
+    }
+    ctx->rule = &cr;
+    ctx->order = &plan.order;
+    ctx->replay = true;
+    impl.staged_total_.store(0, std::memory_order_relaxed);
+  }
+
+  // Hands the recorded emissions to `emit` once the join has returned, so
+  // an insert from `emit` cannot reach it.
+  Status Finish(EvalContext& ctx, Status status, const EmitFn& emit) {
+    join_probes += ctx.probes;
+    for (ReplayOp& op : ctx.replay_ops) emit(*op.pred, std::move(op.tuple));
+    return status;
+  }
 };
 
 DeltaEvaluator::DeltaEvaluator(Engine* engine, FactDb* db)
     : state_(std::make_unique<State>(engine)) {
   state_->init = engine->status();
   if (state_->init.ok()) state_->init = state_->impl.CompileAll();
-  // One thread, unfrozen: no pool, no staging, no barrier chase.
+  // One thread: no pool, no staging, no barrier chase.
   state_->impl.db = db;
   state_->impl.num_workers = 1;
 }
@@ -2264,7 +2256,8 @@ Status DeltaEvaluator::EvalRuleDelta(size_t rule_index, size_t literal_index,
   const CompiledLiteral& lit = cr.positives[literal_index];
   auto it = delta_rels.find(lit.pred);
   if (it == delta_rels.end()) return OkStatus();
-  const Relation& delta_rel = it->second;
+  Relation& delta_rel = it->second;
+  const int delta_literal = static_cast<int>(literal_index);
 
   // Enumerate the delta outermost, pre-binding the delta literal's
   // variables, so the join reaches the other literals through their
@@ -2275,17 +2268,15 @@ Status DeltaEvaluator::EvalRuleDelta(size_t rule_index, size_t literal_index,
   // in it are left free, which can revisit a sibling delta row —
   // emissions are idempotent for every caller, so that costs duplicate
   // work, never duplicate facts.  Every delta row binds the same slots, so
-  // one order serves the whole call.
+  // one plan serves the whole call.
   std::vector<char> prebound(cr.slot_names.size(), 0);
   for (const ArgSlot& a : lit.args) {
     if (a.slot >= 0) prebound[a.slot] = 1;
   }
-  const std::vector<uint32_t> order = BoundFirstOrder(cr, prebound);
+  const JoinPlan plan = PlanJoin(cr, std::move(prebound), /*bound_first=*/true);
   EvalContext ctx;
-  ctx.rule = &cr;
-  ctx.order = &order;
+  state_->Prepare(cr, plan, delta_literal, &delta_rel, &ctx);
   impl.cur_delta = &delta_rels;
-  impl.emit_override = emit;
   Status status = OkStatus();
   for (size_t row = 0; row < delta_rel.size() && status.ok(); ++row) {
     const Tuple& t = delta_rel.tuple(row);
@@ -2306,12 +2297,10 @@ Status DeltaEvaluator::EvalRuleDelta(size_t rule_index, size_t literal_index,
       }
     }
     if (!ok) continue;
-    status = impl.Join(ctx, cr, 0, static_cast<int>(literal_index));
+    status = impl.Join(ctx, cr, 0, delta_literal);
   }
-  impl.emit_override = nullptr;
   impl.cur_delta = nullptr;
-  state_->join_probes += ctx.probes;
-  return status;
+  return state_->Finish(ctx, std::move(status), emit);
 }
 
 Status DeltaEvaluator::EvalRuleSeeded(size_t rule_index, size_t head_index,
@@ -2332,7 +2321,6 @@ Status DeltaEvaluator::EvalRuleSeeded(size_t rule_index, size_t head_index,
   for (const ExistSlot& e : cr.existentials) existential_slots.insert(e.slot);
 
   EvalContext ctx;
-  ctx.rule = &cr;
   ctx.slots.assign(cr.slot_names.size(), Value());
   ctx.bound.assign(cr.slot_names.size(), 0);
   for (size_t i = 0; i < head.args.size(); ++i) {
@@ -2353,13 +2341,10 @@ Status DeltaEvaluator::EvalRuleSeeded(size_t rule_index, size_t head_index,
   // The pre-bound head variables restrict every literal they appear in,
   // and the bound-first order starts from the literals they bind — this is
   // a targeted derivability probe, not a full rule evaluation.
-  const std::vector<uint32_t> order = BoundFirstOrder(cr, ctx.bound);
-  ctx.order = &order;
-  impl.emit_override = emit;
+  const JoinPlan plan = PlanJoin(cr, ctx.bound, /*bound_first=*/true);
+  state_->Prepare(cr, plan, /*delta_literal=*/-1, nullptr, &ctx);
   Status status = impl.Join(ctx, cr, 0, /*delta_literal=*/-1);
-  impl.emit_override = nullptr;
-  state_->join_probes += ctx.probes;
-  return status;
+  return state_->Finish(ctx, std::move(status), emit);
 }
 
 Status RunProgram(std::string_view source, FactDb* db,

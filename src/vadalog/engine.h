@@ -201,13 +201,16 @@ Status RunProgram(std::string_view source, FactDb* db,
 // join bound-first: at each depth the first remaining literal, in written
 // order, whose arguments are all bound, else the first partly bound one,
 // else the first remaining one (DESIGN.md §3.11).  Emissions come in that
-// join order, not in written order.  The database may be mutated between calls (the
-// maintainer erases and inserts tuples as phases complete); during a call
-// only the emit callback may change it, and only by inserting (the DRed
-// insert phase does).  Rules with aggregates, and restricted-chase rules
-// with existentials, fold or mint only at the engine's barriers: both
-// calls return FailedPrecondition for them (IncrementalView never sends
-// them).
+// join order, not in written order.
+//
+// The database must not change during a call: like a barrier work item, a
+// call builds the indexes its join order probes before the join starts and
+// calls `emit` only after the join returns.  So `emit` may insert (the DRed
+// insert phase does); the next call sees it, this one does not.  Between
+// calls the maintainer erases and inserts tuples as its phases complete.
+// Rules with aggregates, and restricted-chase rules with existentials,
+// fold or mint only at the engine's barriers: both calls return
+// FailedPrecondition for them (IncrementalView never sends them).
 class DeltaEvaluator {
  public:
   // `engine` must have ok status and outlive the evaluator; `db` is the
@@ -229,7 +232,10 @@ class DeltaEvaluator {
   // Evaluates rule `rule_index` with its `literal_index`-th *positive* body
   // literal restricted to the tuples of `delta_rels[pred]` (the literal's
   // predicate; absent predicate = no matches); every other literal joins
-  // against the live database.  Calls `emit` once per derived head atom.
+  // against the database as it was when the call started.  Calls `emit`
+  // once per derived head atom, after the join.  May build an index on the
+  // delta relation (anonymous positions leave the delta literal partly
+  // bound).
   Status EvalRuleDelta(size_t rule_index, size_t literal_index,
                        std::map<std::string, Relation>& delta_rels,
                        const EmitFn& emit);

@@ -522,6 +522,8 @@ Status IncrementalView::State::DRedStratum(const StratumInfo& info,
       }
     }
   }
+  // Each call hands its emissions over after its join returns, so these
+  // inserts land between calls; `next` carries them into the next round.
   while (!frontier.empty()) {
     std::map<std::string, Relation> delta_rels = make_delta_rels(frontier);
     TupleListMap next;

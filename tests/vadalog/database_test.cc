@@ -41,7 +41,8 @@ TEST(RelationTest, MaskedLookup) {
   rel.Insert(T({2, 10, 300}));
   // Lookup on first position.
   Tuple probe = T({1, 0, 0});
-  const auto& rows = rel.Lookup(0b001, probe);
+  rel.EnsureIndex(0b001);
+  const auto& rows = rel.LookupBuilt(0b001, probe);
   size_t matches = 0;
   for (uint32_t r : rows) {
     if (rel.MatchesMasked(r, 0b001, probe)) ++matches;
@@ -53,10 +54,11 @@ TEST(RelationTest, IndexMaintainedAcrossInserts) {
   Relation rel(2);
   rel.Insert(T({1, 10}));
   Tuple probe = T({1, 0});
-  EXPECT_EQ(rel.Lookup(0b01, probe).size(), 1u);
+  rel.EnsureIndex(0b01);
+  EXPECT_EQ(rel.LookupBuilt(0b01, probe).size(), 1u);
   // Insert after the index is built: index must pick it up.
   rel.Insert(T({1, 20}));
-  EXPECT_EQ(rel.Lookup(0b01, probe).size(), 2u);
+  EXPECT_EQ(rel.LookupBuilt(0b01, probe).size(), 2u);
 }
 
 TEST(RelationTest, MultiPositionMask) {
@@ -65,7 +67,8 @@ TEST(RelationTest, MultiPositionMask) {
   rel.Insert(T({1, 10, 200}));
   rel.Insert(T({1, 20, 300}));
   Tuple probe = T({1, 10, 0});
-  const auto& rows = rel.Lookup(0b011, probe);
+  rel.EnsureIndex(0b011);
+  const auto& rows = rel.LookupBuilt(0b011, probe);
   size_t matches = 0;
   for (uint32_t r : rows) {
     if (rel.MatchesMasked(r, 0b011, probe)) ++matches;
@@ -127,14 +130,15 @@ TEST(RelationShardTest, ReshardPreservesDedupAndIndexes) {
   Relation rel(2);
   for (int64_t i = 0; i < 100; ++i) rel.Insert(T({i, i * 10}));
   Tuple probe = T({7, 0});
-  EXPECT_EQ(rel.Lookup(0b01, probe).size(), 1u);
+  rel.EnsureIndex(0b01);
+  EXPECT_EQ(rel.LookupBuilt(0b01, probe).size(), 1u);
   rel.Reshard(16);
   EXPECT_EQ(rel.size(), 100u);
   for (int64_t i = 0; i < 100; ++i) {
     EXPECT_FALSE(rel.Insert(T({i, i * 10}))) << i;  // still deduplicated
     EXPECT_TRUE(rel.Contains(T({i, i * 10}))) << i;
   }
-  EXPECT_EQ(rel.Lookup(0b01, probe).size(), 1u);
+  EXPECT_EQ(rel.LookupBuilt(0b01, probe).size(), 1u);
 }
 
 TEST(RelationShardTest, StageInsertDedupsAgainstCanonicalAndStaged) {
@@ -229,22 +233,24 @@ TEST(RelationShardTest, DrainMaintainsBuiltIndexes) {
   Relation rel(2, 4);
   rel.Insert(T({1, 10}));
   Tuple probe = T({1, 0});
-  EXPECT_EQ(rel.Lookup(0b01, probe).size(), 1u);
+  rel.EnsureIndex(0b01);
+  EXPECT_EQ(rel.LookupBuilt(0b01, probe).size(), 1u);
   EXPECT_TRUE(rel.StageInsert({0, 0}, T({1, 20})));
   EXPECT_TRUE(rel.StageInsert({1, 0}, T({1, 30})));
   EXPECT_EQ(Drain(rel), 2u);
-  EXPECT_EQ(rel.Lookup(0b01, probe).size(), 3u);
+  EXPECT_EQ(rel.LookupBuilt(0b01, probe).size(), 3u);
 }
 
 TEST(RelationShardTest, CloneIsDeepAndIndependent) {
   Relation rel(2, 4);
   for (int64_t i = 0; i < 50; ++i) rel.Insert(T({i, i * 2}));
   Tuple probe = T({7, 0});
-  EXPECT_EQ(rel.Lookup(0b01, probe).size(), 1u);  // build an index first
+  rel.EnsureIndex(0b01);  // build an index first
+  EXPECT_EQ(rel.LookupBuilt(0b01, probe).size(), 1u);
 
   Relation copy = rel.Clone();
   EXPECT_EQ(copy.size(), 50u);
-  EXPECT_EQ(copy.Lookup(0b01, probe).size(), 1u);
+  EXPECT_EQ(copy.LookupBuilt(0b01, probe).size(), 1u);  // index copied
   for (int64_t i = 0; i < 50; ++i) {
     EXPECT_FALSE(copy.Insert(T({i, i * 2}))) << i;  // dedup state copied
   }

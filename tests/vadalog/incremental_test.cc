@@ -254,6 +254,54 @@ TEST(IncrementalView, SkolemHeadsMaintainedByDRed) {
   ExpectMatchesRebuild(view, program, {}, "skolem delta");
 }
 
+// DRed differential test over the probe indexes a DeltaEvaluator call
+// builds before its join starts: an anonymous position in the literal that
+// receives the delta (edge(x, y, _) leaves the delta partly bound), a
+// constant in a body literal, one predicate used twice in a body, and a
+// negated literal with an anonymous position, not blocked(z, _).  Each
+// batch also touches `open`, so the lower stratum recomputes `blocked`
+// into a fresh relation without that literal's index; `blocked` itself
+// does not change, so the reach stratum stays on DRed and its calls must
+// build the index.  A missing index would abort the join.
+TEST(IncrementalView, DRedIndexesAnonymousConstantRepeatedAndNegatedLiterals) {
+  const char* src =
+      "blocked(z,w) :- wall(z,w), not open(z).\n"
+      "reach(x,y) :- edge(x,y,_).\n"
+      "reach(x,z) :- reach(x,y), edge(y,z,_), not blocked(z,_).\n"
+      "hop2(x,z) :- edge(x,y,1), edge(y,z,1).\n";
+  Program program = Parse(src);
+  IncrementalView view(Parse(src));
+  ASSERT_EQ(view.mode(), MaintenanceMode::kDRed);
+  constexpr int64_t kNodes = 12;
+  FactDb edb;
+  for (int64_t i = 0; i < kNodes; ++i) {
+    edb.Add("edge", T({i, (i + 1) % kNodes, i % 2}));
+    edb.Add("edge", T({i, (i * 5 + 2) % kNodes, 1}));
+  }
+  edb.Add("wall", T({7, 0}));
+  edb.Add("wall", T({7, 1}));
+  edb.Add("wall", T({10, 3}));
+  ASSERT_TRUE(view.Initialize(std::move(edb)).ok());
+
+  EdbDelta inserts;
+  inserts.inserts["edge"] = {T({3, 9, 1}), T({9, 4, 1}), T({4, 11, 0})};
+  inserts.inserts["open"] = {T({5})};
+  ASSERT_TRUE(view.Apply(inserts).ok());
+  EXPECT_EQ(view.last_stats().strata_recomputed, 1u);  // blocked's stratum
+  EXPECT_EQ(view.last_changed().count("blocked"), 0u);
+  EXPECT_GT(view.last_stats().idb_inserted, 0u);
+  ExpectMatchesRebuild(view, program, {}, "insert batch");
+
+  EdbDelta deletes;
+  deletes.deletes["edge"] = {T({3, 9, 1}), T({0, 1, 0}), T({5, 3, 1})};
+  deletes.deletes["open"] = {T({5})};
+  ASSERT_TRUE(view.Apply(deletes).ok());
+  EXPECT_EQ(view.last_stats().strata_recomputed, 1u);
+  EXPECT_GT(view.last_stats().overdeleted, 0u);
+  EXPECT_GT(view.last_stats().idb_deleted, 0u);
+  ExpectMatchesRebuild(view, program, {}, "delete batch");
+}
+
 // DRed never sends aggregate or restricted-chase existential rules to the
 // rule-at-a-time evaluator (see ModeSelection); called on one anyway, both
 // entry points return FailedPrecondition instead of aborting.
@@ -290,27 +338,51 @@ TEST(DeltaEvaluator, RefusesAggregateAndRestrictedExistentialRules) {
   }
 }
 
-// The DRed insert phase's emit callback inserts into the database while
-// EvalRuleDelta is still joining over it.  Here every emission lands in the
-// index bucket the join is iterating (p probed on x), so the bucket grows
-// and reallocates under the loop; the join keeps iterating it by position
-// and visits the appended rows, deriving the whole chain in one call.
+// The DRed insert phase's emit callback inserts into a relation the join
+// probes (here p, probed on x).  A call reads the database as it was when
+// the call started and hands its emissions to the callback only after the
+// join returns, so one call derives exactly one step of the chain even
+// though its callback inserts.  Semi-naive rounds over the newly inserted
+// p tuples, as the insert phase's frontier loop runs them, derive the
+// whole chain.
 TEST(DeltaEvaluator, EmitCallbackMayInsertIntoProbedRelation) {
   constexpr int64_t kChain = 200;
   FactDb db;
   for (int64_t i = 0; i < kChain; ++i) db.Add("next", Edge(i, i + 1));
   db.Add("p", Edge(1, 0));
+  db.Add("s", T({1}));
   Engine engine(Parse("s(x), p(x, y), next(y, z) -> p(x, z)."));
   ASSERT_TRUE(engine.status().ok()) << engine.status().ToString();
   DeltaEvaluator eval(&engine, &db);
   ASSERT_TRUE(eval.status().ok()) << eval.status().ToString();
+  size_t emitted = 0;
+  std::vector<Tuple> inserted;
+  auto insert = [&](const std::string& pred, Tuple t) {
+    ++emitted;
+    if (db.GetOrCreate(pred, t.size()).Insert(t)) {
+      inserted.push_back(std::move(t));
+    }
+  };
   std::map<std::string, Relation> delta_rels;
   delta_rels.emplace("s", Relation(1)).first->second.Insert(T({1}));
-  Status status = eval.EvalRuleDelta(
-      0, 0, delta_rels, [&db](const std::string& pred, Tuple t) {
-        db.GetOrCreate(pred, t.size()).Insert(std::move(t));
-      });
+  Status status = eval.EvalRuleDelta(0, 0, delta_rels, insert);
   ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(emitted, 1u);
+  EXPECT_EQ(inserted, std::vector<Tuple>{Edge(1, 1)});
+
+  size_t total = emitted;
+  while (!inserted.empty()) {
+    std::map<std::string, Relation> frontier;
+    Relation& delta = frontier.emplace("p", Relation(2)).first->second;
+    for (Tuple& t : inserted) delta.Insert(std::move(t));
+    inserted.clear();
+    emitted = 0;
+    status = eval.EvalRuleDelta(0, 1, frontier, insert);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_LE(emitted, 1u);
+    total += emitted;
+  }
+  EXPECT_EQ(total, static_cast<size_t>(kChain));
   EXPECT_EQ(db.Get("p")->size(), static_cast<size_t>(kChain + 1));
 }
 
