@@ -197,34 +197,6 @@ BENCHMARK(BM_StratifiedAggregation)
     ->Args({50000, 2})->Args({50000, 4})->Args({50000, 8})
     ->Unit(benchmark::kMillisecond);
 
-// Shard-count sweep at a fixed worker count: measures how much of the
-// insert path is lock-limited versus dedup-limited.
-void BM_TransitiveClosureShards(benchmark::State& state) {
-  const int64_t n = 300;
-  vadalog::EngineOptions options;
-  options.num_threads = 8;
-  options.num_shards = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    FactDb db;
-    Rng rng(7);
-    for (int64_t i = 0; i < 2 * n; ++i) {
-      db.Add("edge", {Value(static_cast<int64_t>(rng.NextBelow(n))),
-                      Value(static_cast<int64_t>(rng.NextBelow(n)))});
-    }
-    state.ResumeTiming();
-    Status s = vadalog::RunProgram(R"(
-      edge(x, y) -> path(x, y).
-      path(x, y), edge(y, z) -> path(x, z).
-    )", &db, options);
-    KGM_CHECK(s.ok());
-    benchmark::DoNotOptimize(db.TotalFacts());
-  }
-  state.counters["shards"] = static_cast<double>(options.num_shards);
-}
-BENCHMARK(BM_TransitiveClosureShards)->Arg(1)->Arg(4)->Arg(16)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 BENCHMARK_MAIN();

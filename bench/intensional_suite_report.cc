@@ -68,13 +68,9 @@ int main(int argc, char** argv) {
                 stats->engine_stats.join_probes,
                 stats->engine_stats.rule_firings);
     const auto& es = stats->engine_stats;
-    if (es.threads_used > 1) {
-      std::printf(
-          "%-24s shards: %zu  staged: %zu (+%zu dup)  contended: %zu  "
-          "merge: %.3fs  aggfin: %.3fs\n",
-          "", es.shard_count, es.staged_inserts, es.staged_duplicates,
-          es.shard_contentions, es.merge_seconds, es.agg_finalize_seconds);
-    }
+    std::printf("%-24s staged: %zu (+%zu dup)  merge: %.3fs  aggfin: %.3fs\n",
+                "", es.staged_inserts, es.staged_duplicates, es.merge_seconds,
+                es.agg_finalize_seconds);
   }
 
   std::printf("\nderived totals:\n");

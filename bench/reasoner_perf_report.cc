@@ -1,6 +1,6 @@
 // Machine-readable reasoner benchmark: runs the finkg intensional suite at
-// a sweep of (threads, shards) configurations and writes BENCH_reasoner.json
-// so the perf trajectory can be tracked across PRs.
+// 1 and 8 engine threads and writes BENCH_reasoner.json so the perf
+// trajectory can be tracked across PRs.
 //
 // Usage: reasoner_perf_report [output.json] [companies] [persons]
 // Default output file: BENCH_reasoner.json in the working directory.
@@ -140,11 +140,7 @@ int main(int argc, char** argv) {
       {"stakeholders", finkg::kStakeholdersProgram},
       {"close_links", finkg::kCloseLinksProgram},
   };
-  struct Config {
-    size_t threads;
-    size_t shards;  // 0 = auto
-  };
-  const Config configs[] = {{1, 0}, {8, 0}, {8, 1}, {8, 16}};
+  const size_t thread_counts[] = {1, 8};
 
   FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {
@@ -158,16 +154,14 @@ int main(int argc, char** argv) {
   w.Field("persons", static_cast<size_t>(config.num_persons));
   w.Field("holdings", net.holdings().size());
   w.Open("runs", '[');
-  for (const Config& c : configs) {
+  for (size_t threads : thread_counts) {
     // Fresh data per configuration: components build on OWNS et al., so
     // reusing a graph would shrink later runs.
     pg::PropertyGraph data = net.ToInstanceGraph();
     instance::MaterializeOptions options;
-    options.engine.num_threads = c.threads;
-    options.engine.num_shards = c.shards;
+    options.engine.num_threads = threads;
     w.Open(nullptr, '{');
-    w.Field("threads_requested", c.threads);
-    w.Field("shards_requested", c.shards);
+    w.Field("threads_requested", threads);
     w.Open("components", '[');
     for (const Step& step : steps) {
       auto stats = instance::Materialize(schema, step.program, &data, options);
@@ -181,7 +175,6 @@ int main(int argc, char** argv) {
       w.Open(nullptr, '{');
       w.Field("component", step.name);
       w.Field("threads_used", es.threads_used);
-      w.Field("shard_count", es.shard_count);
       w.Field("load_seconds", stats->load_seconds);
       w.Field("reason_seconds", stats->reason_seconds);
       w.Field("flush_seconds", stats->flush_seconds);
@@ -189,7 +182,6 @@ int main(int argc, char** argv) {
       w.Field("agg_finalize_seconds", es.agg_finalize_seconds);
       w.Field("staged_inserts", es.staged_inserts);
       w.Field("staged_duplicates", es.staged_duplicates);
-      w.Field("shard_contentions", es.shard_contentions);
       w.Field("facts_derived", es.facts_derived);
       w.Field("iterations", es.iterations);
       w.Open("stratum_seconds", '[');
@@ -235,6 +227,7 @@ int main(int argc, char** argv) {
   w.Field("reps", static_cast<size_t>(kChaseReps));
   w.Field("host_cpus",
           static_cast<size_t>(std::thread::hardware_concurrency()));
+  w.Field("build_type", KGM_BUILD_TYPE);
   w.Field("note",
           "on a single-core host the multi-thread row measures "
           "oversubscription, not scaling");
@@ -246,7 +239,7 @@ int main(int argc, char** argv) {
     w.Field("threads_requested", chase_threads[i]);
     w.Field("threads_used", r.stats.threads_used);
     w.Field("reason_seconds", r.reason_seconds);
-    w.Field("chase_replay_seconds", r.stats.chase_replay_seconds);
+    w.Field("merge_seconds", r.stats.merge_seconds);
     w.Field("facts_derived", r.stats.facts_derived);
     w.Field("nulls_minted", r.stats.nulls_minted);
     w.Field("chase_candidates", r.stats.chase_candidates);

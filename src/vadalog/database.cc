@@ -1,24 +1,12 @@
 #include "vadalog/database.h"
 
-#include <algorithm>
-#include <queue>
+#include <iterator>
 #include <sstream>
-#include <unordered_map>
+#include <utility>
 
 #include "base/check.h"
 
 namespace kgm::vadalog {
-
-namespace {
-
-size_t RoundUpPow2(size_t n) {
-  if (n <= 1) return 1;
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
 
 const std::vector<uint32_t> Relation::kEmptyRows;
 
@@ -59,45 +47,21 @@ size_t TupleHasher::Masked(uint64_t mask) const {
   return h;
 }
 
-Relation::Relation(size_t arity, size_t shard_count) : arity_(arity) {
-  shard_count = RoundUpPow2(shard_count);
-  shards_.reserve(shard_count);
-  for (size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  shard_mask_ = shard_count - 1;
-}
+Relation::Relation(size_t arity) : arity_(arity) {}
 
 Relation Relation::Clone() const {
-  KGM_CHECK(StagedCount() == 0);
-  Relation out(arity_, shards_.size());
+  Relation out(arity_);
   out.version_ = version_;
   out.fingerprint_ = fingerprint_;
   out.tuples_ = tuples_;
-  // Dedup buckets are keyed by full-tuple hash and the shard layout is
-  // identical, so they copy wholesale — nothing is rehashed.
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    out.shards_[i]->dedup = shards_[i]->dedup;
-  }
+  out.dedup_ = dedup_;
   out.indexes_ = indexes_;
   return out;
 }
 
-bool Relation::CanonicalContains(const Shard& shard, size_t hash,
-                                 const Tuple& t) const {
-  auto it = shard.dedup.find(hash);
-  if (it == shard.dedup.end()) return false;
-  for (uint32_t row : it->second.rows) {
-    if (tuples_[row] == t) return true;
-  }
-  return false;
-}
-
 size_t Relation::FindRow(const Tuple& t) const {
-  size_t h = HashTuple(t);
-  const Shard& shard = ShardFor(h);
-  auto it = shard.dedup.find(h);
-  if (it == shard.dedup.end()) return kNoRow;
+  auto it = dedup_.find(HashTuple(t));
+  if (it == dedup_.end()) return kNoRow;
   for (uint32_t row : it->second.rows) {
     if (tuples_[row] == t) return row;
   }
@@ -110,8 +74,7 @@ bool Relation::Insert(Tuple t) {
   // every maintained index mask.
   TupleHasher hasher(t);
   size_t h = hasher.full();
-  Shard& shard = ShardFor(h);
-  Bucket& bucket = shard.dedup[h];
+  Bucket& bucket = dedup_[h];
   for (uint32_t row : bucket.rows) {
     if (tuples_[row] == t) return false;
   }
@@ -127,7 +90,6 @@ bool Relation::Insert(Tuple t) {
 }
 
 size_t Relation::EraseTuples(const std::vector<Tuple>& ts) {
-  KGM_CHECK(StagedCount() == 0);
   std::vector<char> dead(tuples_.size(), 0);
   size_t erased = 0;
   for (const Tuple& t : ts) {
@@ -140,7 +102,7 @@ size_t Relation::EraseTuples(const std::vector<Tuple>& ts) {
   }
   if (erased == 0) return 0;
   // Order-preserving compaction shifts the surviving row ids, but every
-  // content hash stays the same, so the dedup shards and built indexes are
+  // content hash stays the same, so the dedup table and built indexes are
   // patched in place: drop dead entries, remap the rest.  This keeps a
   // deletion at O(entries) integer work instead of rehashing every tuple —
   // the difference dominates incremental maintenance, which erases from
@@ -164,19 +126,14 @@ size_t Relation::EraseTuples(const std::vector<Tuple>& ts) {
     }
     rows.resize(w);
   };
-  for (auto& shard : shards_) {
-    for (auto it = shard->dedup.begin(); it != shard->dedup.end();) {
-      patch_rows(it->second.rows);
-      it = it->second.rows.empty() ? shard->dedup.erase(it) : std::next(it);
-    }
-  }
-  for (auto& [mask, index] : indexes_) {
-    (void)mask;
+  auto patch_index = [&](HashIndex& index) {
     for (auto it = index.begin(); it != index.end();) {
       patch_rows(it->second.rows);
       it = it->second.rows.empty() ? index.erase(it) : std::next(it);
     }
-  }
+  };
+  patch_index(dedup_);
+  for (auto& [mask, index] : indexes_) patch_index(index);
   ++version_;
   return erased;
 }
@@ -214,168 +171,12 @@ const std::vector<uint32_t>* Relation::TryLookupBuilt(
   return &bucket->second.rows;
 }
 
-void Relation::Reshard(size_t shard_count) {
-  shard_count = RoundUpPow2(shard_count);
-  KGM_CHECK(StagedCount() == 0);
-  std::vector<std::unique_ptr<Shard>> fresh;
-  fresh.reserve(shard_count);
-  for (size_t i = 0; i < shard_count; ++i) {
-    fresh.push_back(std::make_unique<Shard>());
-  }
-  size_t mask = shard_count - 1;
-  // Buckets are keyed by full-tuple hash, so they move wholesale; no tuple
-  // is rehashed.
-  for (auto& shard : shards_) {
-    for (auto& [h, bucket] : shard->dedup) {
-      fresh[h & mask]->dedup.emplace(h, std::move(bucket));
-    }
-  }
-  shards_ = std::move(fresh);
-  shard_mask_ = mask;
-}
-
-bool Relation::StageInsert(StageTag tag, Tuple t) {
-  KGM_CHECK(t.size() == arity_);
-  TupleHasher hasher(t);
-  size_t h = hasher.full();
-  Shard& shard = ShardFor(h);
-  std::unique_lock<std::mutex> lock(shard.mu, std::try_to_lock);
-  if (!lock.owns_lock()) {
-    lock.lock();
-    ++shard.counters.contentions;
-  }
-  // The canonical store is frozen while stagings are in flight, so reading
-  // the shard's dedup slice under the shard lock is race-free.
-  if (CanonicalContains(shard, h, t)) {
-    ++shard.counters.duplicates;
-    return false;
-  }
-  // Duplicates *within* the barrier are not chased here: the drain sorts
-  // each shard by tag and drops every copy after the first, so the
-  // minimum-tag occurrence survives without a staging-side index.
-  // That keeps this hot path to one hash, one lock, and one push.
-  shard.staged.push_back(Staged{tag, h, std::move(t), {}, false});
-  ++shard.counters.accepted;
-  return true;
-}
-
-size_t Relation::StagedCount() const {
-  size_t n = 0;
-  for (const auto& shard : shards_) n += shard->staged.size();
-  return n;
-}
-
-void Relation::PrepareStagedShard(size_t shard_index) {
-  Shard& shard = *shards_[shard_index];
-  if (shard.staged.empty()) return;
-  std::sort(
-      shard.staged.begin(), shard.staged.end(),
-      [](const Staged& a, const Staged& b) { return a.tag < b.tag; });
-  // Same-barrier duplicates are shard-local (equal tuples share a full
-  // hash), so after the sort the first — minimum-tag — copy of every
-  // tuple survives and later copies are flagged.  StageInsert already
-  // rejected tuples present in the (frozen) canonical store.
-  std::unordered_map<size_t, std::vector<const Staged*>> firsts_by_hash;
-  firsts_by_hash.reserve(shard.staged.size());
-  for (Staged& e : shard.staged) {
-    e.duplicate = false;
-    std::vector<const Staged*>& firsts = firsts_by_hash[e.hash];
-    for (const Staged* f : firsts) {
-      if (f->tuple == e.tuple) {
-        e.duplicate = true;
-        break;
-      }
-    }
-    if (e.duplicate) {
-      ++shard.counters.duplicates;
-      --shard.counters.accepted;
-      continue;
-    }
-    firsts.push_back(&e);
-    // Precompute the masked hashes the merge will need, so DrainPrepared
-    // never rehashes a value: this is the expensive part of a drain, and
-    // it now runs per shard in parallel.
-    if (!indexes_.empty()) {
-      TupleHasher hasher(e.tuple);
-      e.index_hashes.clear();
-      e.index_hashes.reserve(indexes_.size());
-      for (const auto& [mask, index] : indexes_) {
-        (void)index;
-        e.index_hashes.push_back(hasher.Masked(mask));
-      }
-    }
-  }
-}
-
-size_t Relation::DrainPrepared() {
-  size_t total = StagedCount();
-  if (total == 0) return 0;
-  // K-way merge of the per-shard tag-sorted runs.
-  struct Cursor {
-    std::vector<Staged>* run;
-    size_t pos;
-  };
-  std::vector<Cursor> cursors;
-  cursors.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    if (!shard->staged.empty()) cursors.push_back(Cursor{&shard->staged, 0});
-  }
-  auto greater = [](const Cursor& a, const Cursor& b) {
-    return (*b.run)[b.pos].tag < (*a.run)[a.pos].tag;
-  };
-  std::priority_queue<Cursor, std::vector<Cursor>, decltype(greater)> heap(
-      greater, std::move(cursors));
-  tuples_.reserve(tuples_.size() + total);
-  size_t appended = 0;
-  while (!heap.empty()) {
-    Cursor cur = heap.top();
-    heap.pop();
-    Staged& e = (*cur.run)[cur.pos];
-    if (++cur.pos < cur.run->size()) heap.push(cur);
-    if (e.duplicate) continue;
-    uint32_t row = static_cast<uint32_t>(tuples_.size());
-    ShardFor(e.hash).dedup[e.hash].rows.push_back(row);
-    size_t ii = 0;
-    for (auto& [mask, index] : indexes_) {
-      (void)mask;
-      index[e.index_hashes[ii++]].rows.push_back(row);
-    }
-    tuples_.push_back(std::move(e.tuple));
-    fingerprint_ ^= e.hash;
-    ++appended;
-  }
-  for (auto& shard : shards_) {
-    shard->staged.clear();
-  }
-  if (appended > 0) ++version_;
-  return appended;
-}
-
-void Relation::DiscardStaged() {
-  for (auto& shard : shards_) shard->staged.clear();
-}
-
-void Relation::AccumulateShardCounters(std::vector<ShardCounters>* by_shard,
-                                       ShardCounters* total) const {
-  if (by_shard->size() < shards_.size()) by_shard->resize(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const ShardCounters& c = shards_[i]->counters;
-    (*by_shard)[i].accepted += c.accepted;
-    (*by_shard)[i].duplicates += c.duplicates;
-    (*by_shard)[i].contentions += c.contentions;
-    total->accepted += c.accepted;
-    total->duplicates += c.duplicates;
-    total->contentions += c.contentions;
-  }
-}
-
 FactDb::FactDb(const SharedRelations& relations) {
   for (const auto& [pred, rel] : relations) relations_[pred].shared = rel;
 }
 
 FactDb FactDb::Clone() const {
   FactDb out;
-  out.default_shard_count_ = default_shard_count_;
   for (const auto& [pred, slot] : relations_) {
     Slot& copy = out.relations_[pred];
     if (slot.owned != nullptr) {
@@ -412,7 +213,7 @@ Relation& FactDb::GetOrCreate(const std::string& pred, size_t arity) {
   auto it = relations_.find(pred);
   if (it == relations_.end()) {
     it = relations_.emplace(pred, Slot{}).first;
-    it->second.owned = std::make_unique<Relation>(arity, default_shard_count_);
+    it->second.owned = std::make_unique<Relation>(arity);
   }
   Relation& rel = Own(it->second);
   KGM_CHECK_MSG(rel.arity() == arity,
@@ -459,12 +260,6 @@ size_t FactDb::TotalFacts() const {
   size_t n = 0;
   for (const auto& [pred, slot] : relations_) n += slot.get()->size();
   return n;
-}
-
-void FactDb::ReshardAll(size_t shard_count) {
-  default_shard_count_ = shard_count;
-  ForEachRelation(
-      [&](const std::string&, Relation& rel) { rel.Reshard(shard_count); });
 }
 
 std::string FactDb::DebugString() const {

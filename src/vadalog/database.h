@@ -5,21 +5,12 @@
 // hash indexes over arbitrary position masks, built on request before the
 // joins of the semi-naive evaluator probe them.
 //
-// Sharding & concurrent staging.  Each Relation is internally sharded:
-// full-tuple hashes route dedup entries to one of N shards (N a power of
-// two), and every shard owns its slice of the dedup table, a mutex, and a
-// staging area for concurrent inserts.  The canonical tuple store — the
-// `tuples()` vector, row ids, and the secondary hash indexes — stays
-// unsharded and is only written single-threaded.  During a parallel engine
-// phase the canonical store is frozen; work items call StageInsert, which
-// dedups against the canonical store under only that shard's lock.  Every
-// staged tuple carries a (work-item, sequence) tag.  At the barrier a
-// two-phase drain (PrepareStagedShard per shard, then DrainPrepared)
-// appends the staged tuples to the canonical store in ascending tag order,
-// dropping same-barrier duplicates — so the minimum-tag copy of every
-// tuple survives regardless of thread scheduling, which makes canonical
-// row order — and therefore everything downstream of it — deterministic
-// for any worker count.
+// A Relation is written by one thread at a time.  During a parallel engine
+// phase every relation is frozen and read only through its const methods
+// (Contains, LookupBuilt, ...); work items record their derived facts, and
+// at the barrier the driver inserts them in work-item order (see
+// EngineOptions::num_threads), so canonical row order — and everything
+// downstream of it — is the same for any worker count.
 
 #ifndef KGM_VADALOG_DATABASE_H_
 #define KGM_VADALOG_DATABASE_H_
@@ -27,7 +18,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -64,35 +54,16 @@ class TupleHasher {
   std::vector<size_t> heap_;
 };
 
-// Deterministic ordering tag for one staged insert: the submitting work
-// item's submission index plus a per-item sequence number.
-struct StageTag {
-  uint32_t item = 0;
-  uint32_t seq = 0;
-
-  friend bool operator<(const StageTag& a, const StageTag& b) {
-    return a.item != b.item ? a.item < b.item : a.seq < b.seq;
-  }
-};
-
-// Per-shard insert counters, accumulated into EngineStats after a run.
-struct ShardCounters {
-  size_t accepted = 0;     // staged inserts that were new tuples
-  size_t duplicates = 0;   // staged inserts dropped as duplicates
-  size_t contentions = 0;  // lock acquisitions that had to wait
-};
-
 class Relation {
  public:
-  explicit Relation(size_t arity, size_t shard_count = 1);
+  explicit Relation(size_t arity);
 
   Relation(Relation&&) = default;
   Relation& operator=(Relation&&) = default;
 
-  // Deep copy: canonical tuples, dedup shards, and built indexes.  Much
-  // cheaper than re-inserting (no value is rehashed).  Must not be called
-  // with staged tuples pending.  FactDb uses this to copy a shared
-  // relation on its first write.
+  // Deep copy: tuples, dedup table, and built indexes.  Much cheaper than
+  // re-inserting (no value is rehashed).  FactDb uses this to copy a
+  // shared relation on its first write.
   Relation Clone() const;
 
   size_t arity() const { return arity_; }
@@ -101,33 +72,32 @@ class Relation {
   const Tuple& tuple(size_t i) const { return tuples_[i]; }
 
   // Inserts (deduplicated); returns true if the tuple is new.  Not
-  // thread-safe; must not run while staged tuples are pending.
+  // thread-safe.
   bool Insert(Tuple t);
 
   // Removes every listed tuple that is present; returns the number actually
   // removed (duplicates in `ts` and absent tuples are ignored).  Surviving
   // rows keep their relative order — row ids compact downwards — and the
-  // dedup table plus every built index are rebuilt.  Not thread-safe; must
-  // not run while staged tuples are pending.  Erasure is the one mutation
-  // that invalidates previously observed row ids; it exists for incremental
-  // maintenance (DRed overdeletion), not for the engine's fixpoint loop,
-  // which remains append-only.
+  // dedup table plus every built index are rebuilt.  Not thread-safe.
+  // Erasure is the one mutation that invalidates previously observed row
+  // ids; it exists for incremental maintenance (DRed overdeletion), not for
+  // the engine's fixpoint loop, which remains append-only.
   size_t EraseTuples(const std::vector<Tuple>& ts);
 
   bool Contains(const Tuple& t) const;
 
-  // Monotonic mutation counter: bumped every time the canonical store gains
-  // or loses rows (an Insert that was new, a drain that appended, an erase
-  // that removed).  Lets callers detect "relation unchanged" without
-  // comparing contents.  Clone preserves the counter.
+  // Monotonic mutation counter: bumped every time the relation gains or
+  // loses rows (an Insert that was new, an erase that removed).  Lets
+  // callers detect "relation unchanged" without comparing contents.  Clone
+  // preserves the counter.
   uint64_t version() const { return version_; }
 
   // Order-independent content fingerprint: XOR of the full-tuple hashes of
-  // the canonical rows, maintained incrementally by Insert / drains /
-  // EraseTuples.  Two relations holding the same set of tuples have equal
-  // fingerprints regardless of insertion order; unequal fingerprints imply
-  // different contents (equal fingerprints can collide and callers needing
-  // certainty must compare tuples).
+  // the rows, maintained incrementally by Insert and EraseTuples.  Two
+  // relations holding the same set of tuples have equal fingerprints
+  // regardless of insertion order; unequal fingerprints imply different
+  // contents (equal fingerprints can collide and callers needing certainty
+  // must compare tuples).
   uint64_t content_hash() const { return fingerprint_; }
 
   // Row index of `t`, or kNoRow if absent.
@@ -137,9 +107,9 @@ class Relation {
   bool HasIndex(uint64_t mask) const { return indexes_.count(mask) > 0; }
 
   // Builds the hash index for `mask` (non-zero, within the arity; no-op if
-  // built).  Insert, DrainPrepared and EraseTuples keep built indexes
-  // current, so the engine builds every index a join probes before the
-  // join starts and probes with LookupBuilt.
+  // built).  Insert and EraseTuples keep built indexes current, so the
+  // engine builds every index a join probes before the join starts and
+  // probes with LookupBuilt.
   void EnsureIndex(uint64_t mask);
 
   // Candidate rows for `probe` under `mask` (those sharing its masked hash;
@@ -166,97 +136,19 @@ class Relation {
     return true;
   }
 
-  // --- sharded concurrent staging -------------------------------------------
-
-  size_t shard_count() const { return shards_.size(); }
-
-  // Redistributes the dedup table over `shard_count` shards (rounded up to
-  // a power of two).  Buckets move by hash; tuples are not rehashed.  Must
-  // not be called with staged tuples pending.  Resets the shard counters.
-  void Reshard(size_t shard_count);
-
-  // Thread-safe dedup-on-insert into the staging area.  Returns true if
-  // the tuple was staged (i.e. absent from the canonical store); tuples
-  // staged more than once within a barrier are resolved at the drain
-  // (PrepareStagedShard), where the minimum-tag copy wins, so canonical
-  // order stays schedule-independent.  The caller must keep the canonical
-  // store frozen (no Insert / EnsureIndex / drain) while stagings are in
-  // flight.
-  bool StageInsert(StageTag tag, Tuple t);
-
-  // Number of staged tuples.  Driver-only: not safe while StageInsert
-  // calls are in flight.
-  size_t StagedCount() const;
-
-  // Staged tuples in one shard.  Driver-only.
-  size_t StagedCountShard(size_t shard_index) const {
-    return shards_[shard_index]->staged.size();
-  }
-
-  // Phase 1 of a two-phase drain, parallelizable per shard: sorts shard
-  // `shard_index`'s staged tuples by tag, drops same-barrier duplicates
-  // (equal tuples share a full hash, so every copy routes to the same
-  // shard — dedup is shard-local and the minimum-tag copy survives), and
-  // precomputes the hash every built index will need.  Reclassifies the
-  // dropped duplicates in the shard counters.  Tasks for distinct shards
-  // of one relation may run concurrently; the canonical store must stay
-  // frozen until DrainPrepared.
-  void PrepareStagedShard(size_t shard_index);
-
-  // Phase 2: merges the prepared shards into the canonical store in
-  // ascending tag order, maintaining the dedup table and every built
-  // index.  After PrepareStagedShard every surviving tuple is globally
-  // unique and absent from the canonical store, so this is a pure
-  // merge-append — no hashing, no tuple comparisons.  Driver-only (one
-  // caller per relation); returns the number of rows appended (their row
-  // ids are [old size, new size)).
-  size_t DrainPrepared();
-
-  // Drops all staged tuples (used on error paths).  Driver-only.
-  void DiscardStaged();
-
-  // Adds this relation's per-shard counters into `by_shard` (resized as
-  // needed) and the totals into `total`.  Driver-only.
-  void AccumulateShardCounters(std::vector<ShardCounters>* by_shard,
-                               ShardCounters* total) const;
-
  private:
   struct Bucket {
     std::vector<uint32_t> rows;
   };
   using HashIndex = std::unordered_map<size_t, Bucket>;
 
-  // One staged (not yet canonical) tuple.
-  struct Staged {
-    StageTag tag;
-    size_t hash = 0;
-    Tuple tuple;
-    // Filled by PrepareStagedShard: per-built-index masked hashes (in
-    // indexes_ iteration order), and whether the entry lost a same-barrier
-    // dedup race to a smaller-tag copy.
-    std::vector<size_t> index_hashes;
-    bool duplicate = false;
-  };
-
-  struct Shard {
-    std::mutex mu;
-    HashIndex dedup;  // full-tuple hash -> canonical rows (this shard's keys)
-    std::vector<Staged> staged;
-    ShardCounters counters;
-  };
-
-  Shard& ShardFor(size_t hash) const { return *shards_[hash & shard_mask_]; }
   size_t FindRow(const Tuple& t) const;
-  // Canonical-store membership by precomputed hash.  Read-only.
-  bool CanonicalContains(const Shard& shard, size_t hash,
-                         const Tuple& t) const;
 
   size_t arity_;
   uint64_t version_ = 0;
   uint64_t fingerprint_ = 0;
   std::vector<Tuple> tuples_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  size_t shard_mask_ = 0;
+  HashIndex dedup_;  // full-tuple hash -> rows
   std::map<uint64_t, HashIndex> indexes_;  // mask -> index
   static const std::vector<uint32_t> kEmptyRows;
 };
@@ -318,20 +210,6 @@ class FactDb {
   // Shared relations this database has copied on write.
   size_t relations_copied() const { return relations_copied_; }
 
-  // Reshards every owned relation to `shard_count` (see Relation::Reshard)
-  // and makes it the default for relations created afterwards.  Shared
-  // relations are never staged into, so they keep their layout.
-  void ReshardAll(size_t shard_count);
-  size_t default_shard_count() const { return default_shard_count_; }
-
-  // Visits every owned relation in predicate order.  Driver-only.
-  template <typename Fn>
-  void ForEachRelation(Fn&& fn) {
-    for (auto& [pred, slot] : relations_) {
-      if (slot.owned != nullptr) fn(pred, *slot.owned);
-    }
-  }
-
   std::string DebugString() const;
 
  private:
@@ -349,7 +227,6 @@ class FactDb {
   Relation& Own(Slot& slot);
 
   std::map<std::string, Slot> relations_;
-  size_t default_shard_count_ = 1;
   size_t relations_copied_ = 0;
 };
 

@@ -242,12 +242,12 @@ struct PendingContribution {
   std::vector<Tuple> per_agg;
 };
 
-// One recorded emission of a barrier-chase work item, replayed by the
-// driver at the iteration barrier in ascending (item, seq) order, or of a
-// DeltaEvaluator call, handed to its emit callback after the join.  kFact
-// is a plain derived fact; kCandidate is a restricted-chase firing whose
-// head passed the frozen screen and must be re-checked against the live
-// database before its existential witnesses are minted.
+// One recorded emission of a work item, replayed by the driver at the
+// iteration barrier in ascending (item, seq) order, or of a DeltaEvaluator
+// call, handed to its emit callback after the join.  kFact is a plain
+// derived fact; kCandidate is a restricted-chase firing whose head passed
+// the frozen screen and must be re-checked against the live database
+// before its existential witnesses are minted.
 struct ReplayOp {
   enum class Kind : uint8_t { kFact, kCandidate };
   Kind kind = Kind::kFact;
@@ -258,28 +258,28 @@ struct ReplayOp {
 };
 
 // Per-evaluation binding and output state.  Every work item owns a context
-// that stages derived facts into the sharded relations (or records them
-// for the barrier-chase replay) and records aggregate contributions, for
-// the drain at the iteration barrier.  A DeltaEvaluator call records its
-// facts for its callback.  Either way the join reads a database that does
-// not change, through relations and indexes prepared before it started.
+// that records its derived facts (and restricted-chase candidates) in
+// firing order, and its aggregate contributions, for the replay at the
+// iteration barrier.  A DeltaEvaluator call records its facts for its
+// callback.  Either way the join reads a database that does not change,
+// through relations and indexes prepared before it started.
 struct EvalContext {
   CompiledRule* rule = nullptr;
   std::vector<Value> slots;
   std::vector<char> bound;
 
-  // Staged mode: facts go through Relation::StageInsert tagged with
-  // (item_index, insert_seq) instead of the canonical store.
-  bool staged = false;
+  // The work item's submission index (the barrier chase's cross-item
+  // dedup tag).
   uint32_t item_index = 0;
-  uint32_t insert_seq = 0;
 
-  // Barrier-chase replay mode (deterministic parallel restricted chase):
-  // instead of staging into shards, emissions are recorded in firing order
-  // and the driver replays them at the barrier in ascending item order, so
-  // head re-checks and null minting are deterministic for any worker
-  // count.  DeltaEvaluator calls record in this mode too.
-  bool replay = false;
+  // Record mode: InsertFact appends kFact ops to replay_ops instead of
+  // inserting.  Work items and DeltaEvaluator calls record; only the
+  // driver's replay inserts.  With drop_present (work items only), a fact
+  // the frozen database already holds is dropped instead, and counted in
+  // present_dropped.
+  bool record = false;
+  bool drop_present = false;
+  size_t present_dropped = 0;
   std::vector<ReplayOp> replay_ops;
   size_t chase_candidates = 0;  // candidate firings recorded for replay
   size_t chase_screened = 0;    // firings dropped by the frozen screen
@@ -310,7 +310,7 @@ struct EvalContext {
   size_t row_begin = 0;
   size_t row_end = static_cast<size_t>(-1);
 
-  // Fact-budget baseline for staged inserts (db size at freeze time).
+  // Fact-budget baseline for recorded ops (db size at freeze time).
   size_t budget_base = 0;
 
   // Join-probe counter driving the periodic deadline/cancellation poll
@@ -426,7 +426,9 @@ struct Engine::Impl {
   Status MintAndEmitHead(EvalContext& ctx, CompiledRule& cr);
   bool HeadSatisfied(EvalContext& ctx, CompiledRule& cr);
   Status InsertFact(EvalContext& ctx, const std::string& pred, Tuple t);
-  Status InsertShared(const std::string& pred, Tuple t);
+  // Inserts one fact on the driver (mirroring a new row of a recursive
+  // predicate into next_delta); returns whether it was new.
+  bool InsertShared(const std::string& pred, Tuple t);
 
   // --- stratum driver ---
   struct WorkItem {
@@ -454,12 +456,11 @@ struct Engine::Impl {
     }
     for (size_t i = 0; i < n; ++i) fn(i);
   }
-  // Runs the items on the driver and the pool's helpers and drains the
-  // staged inserts at the barrier.  Newly appended canonical rows are
-  // mirrored into next_delta for recursive predicates.
+  // Runs the items on the driver and the pool's helpers, then replays
+  // their recorded emissions at the barrier.  New rows of recursive
+  // predicates are mirrored into next_delta.
   Status RunItems(std::deque<WorkItem>& items);
-  Status DrainStagedInserts();
-  // Barrier-chase drain: replays the recorded emissions of `items` on the
+  // The barrier replay: runs the recorded emissions of `items` on the
   // driver in ascending (item, seq) order — facts insert via the shared
   // path, candidates re-check head satisfaction against the live database
   // and mint their existential witnesses in replay order.
@@ -474,8 +475,24 @@ struct Engine::Impl {
                      const PendingContribution& pc);
   void FlushCtxStats(EvalContext& ctx, const CompiledRule& cr);
 
-  // Count of staged inserts accepted since the last drain (fact budget).
-  std::atomic<size_t> staged_total_{0};
+  // Count of ops recorded since the last barrier (fact budget).
+  std::atomic<size_t> recorded_total_{0};
+
+  Status FactBudgetExceeded() const {
+    return ResourceExhausted(
+        "fact budget exceeded (" + std::to_string(options.max_facts) +
+        "); the chase may not terminate on this program");
+  }
+  // Counts one op `ctx` recorded against the fact budget.  The count
+  // overestimates when a barrier derives the same fact twice, so a runaway
+  // chase fails inside the barrier, not only at the replay.
+  Status CountRecorded(const EvalContext& ctx) {
+    size_t recorded =
+        recorded_total_.fetch_add(1, std::memory_order_relaxed) + 1;
+    return ctx.budget_base + recorded > options.max_facts
+               ? FactBudgetExceeded()
+               : OkStatus();
+  }
 
   Result<Value> Eval(EvalContext& ctx, const ExprPtr& e) {
     return EvalExpr(*e, [&ctx](const std::string& name) -> const Value* {
@@ -767,64 +784,44 @@ Status Engine::Impl::CompileRule(const Rule& rule, int index) {
   return OkStatus();
 }
 
-Status Engine::Impl::InsertShared(const std::string& pred, Tuple t) {
+bool Engine::Impl::InsertShared(const std::string& pred, Tuple t) {
   Relation& rel = db->GetOrCreate(pred, t.size());
-  if (rel.Insert(t)) {
-    ++stats->facts_derived;
-    if (db->TotalFacts() > options.max_facts) {
-      return ResourceExhausted(
-          "fact budget exceeded (" + std::to_string(options.max_facts) +
-          "); the chase may not terminate on this program");
+  if (!rel.Insert(t)) return false;
+  ++stats->facts_derived;
+  if (recursive_preds != nullptr && next_delta != nullptr &&
+      recursive_preds->count(pred) > 0) {
+    auto it = next_delta->find(pred);
+    if (it == next_delta->end()) {
+      it = next_delta->emplace(pred, Relation(t.size())).first;
     }
-    if (recursive_preds != nullptr && next_delta != nullptr &&
-        recursive_preds->count(pred) > 0) {
-      auto it = next_delta->find(pred);
-      if (it == next_delta->end()) {
-        it = next_delta->emplace(pred, Relation(t.size())).first;
-      }
-      it->second.Insert(std::move(t));
-    }
+    it->second.Insert(std::move(t));
   }
-  return OkStatus();
+  return true;
 }
 
 Status Engine::Impl::InsertFact(EvalContext& ctx, const std::string& pred,
                                 Tuple t) {
-  if (ctx.replay) {
-    // Barrier chase: record the fact for the ordered replay at the
-    // barrier (a DeltaEvaluator call, for its callback after the join).
-    // `pred` refers into the compiled rule, so the pointer stays valid for
-    // the replay.  The budget counts recorded emissions (an overestimate
-    // when a barrier derives the same fact twice) so a runaway chase fails
-    // inside the barrier, not only at the replay.
-    ReplayOp op;
-    op.pred = &pred;
-    op.tuple = std::move(t);
-    ctx.replay_ops.push_back(std::move(op));
-    size_t staged = staged_total_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (ctx.budget_base + staged > options.max_facts) {
-      return ResourceExhausted(
-          "fact budget exceeded (" + std::to_string(options.max_facts) +
-          "); the chase may not terminate on this program");
-    }
+  // The driver's replay inserts; everyone else records.
+  if (!ctx.record) {
+    InsertShared(pred, std::move(t));
     return OkStatus();
   }
-  if (!ctx.staged) return InsertShared(pred, std::move(t));
-  // Staged work item: dedup-on-insert into the relation's shards.  Every
-  // head predicate is pre-created in Run, so the map lookup is read-only
-  // and safe under concurrency.
-  Relation* rel = db->GetMutable(pred);
-  KGM_CHECK(rel != nullptr);
-  StageTag tag{ctx.item_index, ctx.insert_seq++};
-  if (rel->StageInsert(tag, std::move(t))) {
-    size_t staged = staged_total_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (ctx.budget_base + staged > options.max_facts) {
-      return ResourceExhausted(
-          "fact budget exceeded (" + std::to_string(options.max_facts) +
-          "); the chase may not terminate on this program");
-    }
+  // A work item drops a fact the frozen database already holds: the
+  // replay's insert would be a no-op, and Contains is read-only, so the
+  // check is safe beside the other workers.  Every head predicate is
+  // pre-created in Run.  A DeltaEvaluator call keeps such facts: DRed
+  // overdeletion follows the derivations of tuples that exist.
+  if (ctx.drop_present && db->Get(pred)->Contains(t)) {
+    ++ctx.present_dropped;
+    return OkStatus();
   }
-  return OkStatus();
+  // `pred` refers into the compiled rule, so the pointer stays valid for
+  // the replay.
+  ReplayOp op;
+  op.pred = &pred;
+  op.tuple = std::move(t);
+  ctx.replay_ops.push_back(std::move(op));
+  return CountRecorded(ctx);
 }
 
 Status Engine::Impl::Run(FactDb* target) {
@@ -832,15 +829,12 @@ Status Engine::Impl::Run(FactDb* target) {
   checkpoints_armed =
       options.cancel != nullptr ||
       options.deadline != std::chrono::steady_clock::time_point{};
-  // Materialize program facts and pre-create relations.  Write access is
-  // taken here, once, before the first barrier, and only to the predicates
-  // the program derives or declares facts for: a shared relation the
-  // program only reads is never copied for a write, and the workers'
-  // GetMutable on a head relation stays a pure map lookup.
-  for (const FactDecl& f : engine->program_.facts) {
-    Relation& rel = db->GetOrCreate(f.predicate, f.values.size());
-    rel.Insert(Tuple(f.values.begin(), f.values.end()));
-  }
+  // Check arities, pre-create relations and materialize program facts.
+  // Arities are checked first, so a program fact that conflicts with a
+  // database relation fails here instead of aborting in GetOrCreate.
+  // Write access is taken here, once, before the first barrier, and only
+  // to the predicates the program derives or declares facts for: a shared
+  // relation the program only reads is never copied for a write.
   std::set<std::string> derived;
   for (const CompiledRule& cr : compiled) {
     for (const CompiledLiteral& h : cr.head) derived.insert(h.pred);
@@ -857,15 +851,19 @@ Status Engine::Impl::Run(FactDb* target) {
       db->GetOrCreate(pred, n);
     }
   }
+  for (const FactDecl& f : engine->program_.facts) {
+    Relation& rel = db->GetOrCreate(f.predicate, f.values.size());
+    rel.Insert(Tuple(f.values.begin(), f.values.end()));
+  }
 
   // Every stratum runs the frozen barrier driver at every thread count
-  // (at one thread the driver runs the work items inline).  Skolem-mode
-  // programs (and restricted ones without existentials) stage inserts into
-  // the sharded relations.  Restricted-chase programs with existentials
-  // run the deterministic barrier chase: head-satisfaction screens
-  // evaluate against the frozen pre-barrier database and the driver
-  // re-checks candidates and mints nulls in ascending (item, seq) order,
-  // so null ids are a pure function of the program and input.
+  // (at one thread the driver runs the work items inline), and the driver
+  // inserts every recorded fact in ascending (item, seq) order.
+  // Restricted-chase programs with existentials run the deterministic
+  // barrier chase: head-satisfaction screens evaluate against the frozen
+  // pre-barrier database and the replay re-checks candidates and mints
+  // nulls in the same order, so null ids are a pure function of the
+  // program and input.
   bool has_existentials = false;
   for (const CompiledRule& cr : compiled) {
     if (!cr.existentials.empty()) has_existentials = true;
@@ -878,18 +876,6 @@ Status Engine::Impl::Run(FactDb* target) {
   // helper fewer than the threads that run.
   if (num_workers > 1) pool = std::make_unique<ThreadPool>(num_workers - 1);
   stats->threads_used = num_workers;
-  if (pool != nullptr && !barrier_chase) {
-    // Spread the dedup tables over enough shards that concurrent StageInsert
-    // calls rarely collide on a lock.  Barrier-chase runs skip resharding:
-    // every insert happens on the driver during the ordered replay.
-    size_t shards = options.num_shards != 0
-                        ? options.num_shards
-                        : std::min<size_t>(num_workers * 4, 64);
-    size_t pow2 = 1;
-    while (pow2 < shards) pow2 <<= 1;
-    db->ReshardAll(pow2);
-    stats->shard_count = pow2;
-  }
 
   // Group rules by stratum.
   std::map<int, std::vector<CompiledRule*>> by_stratum;
@@ -909,18 +895,6 @@ Status Engine::Impl::Run(FactDb* target) {
     stats->nulls_minted = nulls.count();
     KGM_RETURN_IF_ERROR(status);
   }
-  std::vector<ShardCounters> by_shard;
-  ShardCounters total;
-  db->ForEachRelation([&](const std::string&, Relation& rel) {
-    rel.AccumulateShardCounters(&by_shard, &total);
-  });
-  stats->staged_inserts = total.accepted;
-  stats->staged_duplicates = total.duplicates;
-  stats->shard_contentions = total.contentions;
-  stats->inserts_by_shard.resize(by_shard.size());
-  for (size_t i = 0; i < by_shard.size(); ++i) {
-    stats->inserts_by_shard[i] = by_shard[i].accepted;
-  }
   return OkStatus();
 }
 
@@ -934,21 +908,23 @@ void Engine::Impl::FlushCtxStats(EvalContext& ctx, const CompiledRule& cr) {
   stats->chase_candidates += ctx.chase_candidates;
   stats->chase_screened += ctx.chase_screened;
   stats->chase_deduped += ctx.chase_deduped;
+  stats->staged_duplicates += ctx.present_dropped;
   ctx.firings = 0;
   ctx.probes = 0;
   ctx.chase_candidates = 0;
   ctx.chase_screened = 0;
   ctx.chase_deduped = 0;
+  ctx.present_dropped = 0;
 }
 
 // Greedy batching in program order: a rule joins the current batch unless
 // it reads a predicate some batch member writes.  Within a batch no rule
 // observes another's output — exactly the sequential semantics, since
-// earlier rules never see later rules' facts and staged evaluation hides
+// earlier rules never see later rules' facts and recorded evaluation hides
 // same-batch outputs.  Head relations also keep their sequential row
-// order: staged inserts (and monotonic-aggregate emissions) drain in
+// order: recorded facts (and monotonic-aggregate emissions) replay in
 // work-item order.  The one exception is a stratified-aggregate rule,
-// whose groups are emitted in a second round after the batch's drain — so
+// whose groups are emitted in a second round after the batch's replay — so
 // such a rule must not share a head predicate with any other batch member.
 std::vector<std::vector<CompiledRule*>> Engine::Impl::IndependentBatches(
     const std::vector<CompiledRule*>& rules) const {
@@ -1020,7 +996,7 @@ size_t Engine::Impl::PartitionCount(size_t rows) const {
 }
 
 Status Engine::Impl::RunItems(std::deque<WorkItem>& items) {
-  staged_total_.store(0, std::memory_order_relaxed);
+  recorded_total_.store(0, std::memory_order_relaxed);
   if (barrier_chase) {
     // Stale entries would still be output-neutral (their signatures are
     // satisfied in the live database by now, so the frozen screen would
@@ -1031,8 +1007,8 @@ Status Engine::Impl::RunItems(std::deque<WorkItem>& items) {
   size_t budget_base = db->TotalFacts();
   uint32_t index = 0;
   for (WorkItem& item : items) {
-    item.ctx.staged = !barrier_chase;
-    item.ctx.replay = barrier_chase;
+    item.ctx.record = true;
+    item.ctx.drop_present = true;
     item.ctx.budget_base = budget_base;
     item.ctx.item_index = index++;
     item.ctx.chase_dedup_enabled = chase_dedup_hint;
@@ -1061,19 +1037,14 @@ Status Engine::Impl::RunItems(std::deque<WorkItem>& items) {
   }
   if (first_error.ok()) {
     // Monotonic-aggregate contributions fold at the barrier in work-item
-    // order; the emissions are staged (or recorded) under the folding
-    // item's tag, so the drain places them right after that item's own
-    // inserts whatever the partitioning.
+    // order; the emissions are appended to the folding item's log, so the
+    // replay places them right after that item's own facts whatever the
+    // partitioning.
     first_error = FoldItemContributions(items);
   }
-  if (!first_error.ok()) {
-    db->ForEachRelation(
-        [](const std::string&, Relation& rel) { rel.DiscardStaged(); });
-    return first_error;
-  }
-  Status drained =
-      barrier_chase ? ReplayOrderedOps(items) : DrainStagedInserts();
-  if (barrier_chase && drained.ok()) {
+  if (!first_error.ok()) return first_error;
+  Status replayed = ReplayOrderedOps(items);
+  if (barrier_chase && replayed.ok()) {
     // Adapt the worker-side dedup to the program, in both directions:
     // when few of this barrier's firings were wasted (dropped as
     // duplicates, screened, or re-check-dropped), the next barrier skips
@@ -1092,7 +1063,7 @@ Status Engine::Impl::RunItems(std::deque<WorkItem>& items) {
                     (stats->chase_recheck_drops - recheck_drops0);
     if (fired >= 4096) chase_dedup_hint = wasted * 4 >= fired;
   }
-  return drained;
+  return replayed;
 }
 
 Status Engine::Impl::ReplayOrderedOps(std::deque<WorkItem>& items) {
@@ -1100,9 +1071,10 @@ Status Engine::Impl::ReplayOrderedOps(std::deque<WorkItem>& items) {
   // Replay in ascending (item, seq) order: item creation order is rule /
   // partition order, with partitions covering ascending ranges, so the
   // concatenated op sequence is independent of how many partitions (and
-  // threads) the iteration used.  Candidates re-check against the live
-  // database, so a head satisfied by a tuple minted earlier in the same
-  // barrier drops instead of minting a redundant null.
+  // threads) the iteration used.  A fact recorded twice in one barrier
+  // keeps its first copy.  Candidates re-check against the live database,
+  // so a head satisfied by a tuple minted earlier in the same barrier
+  // drops instead of minting a redundant null.
   EvalContext scratch;
   Status status = OkStatus();
   size_t tick = 0;
@@ -1115,7 +1087,9 @@ Status Engine::Impl::ReplayOrderedOps(std::deque<WorkItem>& items) {
         if (!status.ok()) break;
       }
       if (op.kind == ReplayOp::Kind::kFact) {
-        status = InsertShared(*op.pred, std::move(op.tuple));
+        ++(InsertShared(*op.pred, std::move(op.tuple))
+               ? stats->staged_inserts
+               : stats->staged_duplicates);
       } else {
         CompiledRule& cr = *item.rule;
         scratch.rule = &cr;
@@ -1133,29 +1107,33 @@ Status Engine::Impl::ReplayOrderedOps(std::deque<WorkItem>& items) {
     item.ctx.replay_ops.clear();
     if (!status.ok()) break;
   }
-  stats->chase_replay_seconds +=
+  stats->merge_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  // The workers bounded the recorded ops by the budget; a replayed
+  // candidate can still add one fact per head atom.
+  if (status.ok() && db->TotalFacts() > options.max_facts) {
+    return FactBudgetExceeded();
+  }
   return status;
 }
 
 Status Engine::Impl::FoldItemContributions(std::deque<WorkItem>& items) {
   auto t0 = std::chrono::steady_clock::now();
   EvalContext scratch;
-  scratch.staged = !barrier_chase;
-  scratch.replay = barrier_chase;
+  scratch.record = true;
+  scratch.drop_present = true;
   size_t tick = 0;
   for (WorkItem& item : items) {
     if (item.ctx.contributions.empty()) continue;
     CompiledRule& cr = *item.rule;
     // Stratified contributions are folded by FoldAndEmitStratified after
-    // the whole batch has drained.
+    // the whole batch has replayed.
     if (!AllMonotonic(cr)) continue;
     scratch.rule = &cr;
     scratch.slots.assign(cr.slot_names.size(), Value());
     scratch.bound.assign(cr.slot_names.size(), 0);
     scratch.item_index = item.ctx.item_index;
-    scratch.insert_seq = item.ctx.insert_seq;
     scratch.budget_base = item.ctx.budget_base;
     for (const PendingContribution& pc : item.ctx.contributions) {
       // Folds between barriers can run long; poll the deadline/cancel
@@ -1166,77 +1144,16 @@ Status Engine::Impl::FoldItemContributions(std::deque<WorkItem>& items) {
       KGM_RETURN_IF_ERROR(FoldPending(cr, scratch, pc));
     }
     item.ctx.contributions.clear();
-    if (barrier_chase && !scratch.replay_ops.empty()) {
-      // Splice the fold's emissions into the owning item's log so the
-      // barrier replay interleaves them exactly where the staged drain
-      // would have placed them.
-      std::move(scratch.replay_ops.begin(), scratch.replay_ops.end(),
-                std::back_inserter(item.ctx.replay_ops));
-      scratch.replay_ops.clear();
-    }
+    // Splice the fold's emissions into the owning item's log, after the
+    // item's own facts.
+    std::move(scratch.replay_ops.begin(), scratch.replay_ops.end(),
+              std::back_inserter(item.ctx.replay_ops));
+    scratch.replay_ops.clear();
   }
+  stats->staged_duplicates += scratch.present_dropped;
   stats->agg_finalize_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  return OkStatus();
-}
-
-Status Engine::Impl::DrainStagedInserts() {
-  auto t0 = std::chrono::steady_clock::now();
-  // Snapshot the dirty relations first: the relation map must not change
-  // while the per-relation drains run on the pool.
-  struct Dirty {
-    const std::string* pred;
-    Relation* rel;
-    size_t before;
-    size_t added = 0;
-  };
-  std::vector<Dirty> dirty;
-  db->ForEachRelation([&](const std::string& pred, Relation& rel) {
-    if (rel.StagedCount() > 0) {
-      dirty.push_back(Dirty{&pred, &rel, rel.size()});
-    }
-  });
-  // Phase 1 — sort/dedup/hash, one pool task per dirty (relation, shard):
-  // a stratum dominated by a single huge relation still spreads its drain
-  // work (the hashing dominates) across the pool.
-  std::vector<std::pair<Relation*, size_t>> prep;
-  for (Dirty& d : dirty) {
-    for (size_t s = 0; s < d.rel->shard_count(); ++s) {
-      if (d.rel->StagedCountShard(s) > 0) prep.emplace_back(d.rel, s);
-    }
-  }
-  ForEachIndex(prep.size(), [&prep](size_t i) {
-    prep[i].first->PrepareStagedShard(prep[i].second);
-  });
-  // Phase 2 — tag-ordered merge-append, parallel across relations (the
-  // append order within a relation is inherently sequential).
-  ForEachIndex(dirty.size(), [&dirty](size_t i) {
-    dirty[i].added = dirty[i].rel->DrainPrepared();
-  });
-  for (Dirty& d : dirty) {
-    stats->facts_derived += d.added;
-    if (recursive_preds == nullptr || next_delta == nullptr ||
-        recursive_preds->count(*d.pred) == 0) {
-      continue;
-    }
-    // Mirror the fresh canonical rows into the next-iteration delta.
-    auto it = next_delta->find(*d.pred);
-    if (it == next_delta->end()) {
-      it = next_delta->emplace(*d.pred, Relation(d.rel->arity())).first;
-    }
-    for (size_t row = d.before; row < d.rel->size(); ++row) {
-      it->second.Insert(d.rel->tuple(row));
-    }
-  }
-  stats->merge_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  if (db->TotalFacts() > options.max_facts) {
-    return ResourceExhausted(
-        "fact budget exceeded (" + std::to_string(options.max_facts) +
-        "); the chase may not terminate on this program");
-  }
   return OkStatus();
 }
 
@@ -1280,7 +1197,7 @@ Status Engine::Impl::FoldAndEmitStratified(CompiledRule& cr,
           .count();
   if (order.empty()) return OkStatus();
   // Emit the groups in first-seen order, partitioned across the pool.
-  // Staged inserts drain in tag order, so each head relation receives the
+  // The replay runs in item order, so each head relation receives the
   // groups in first-seen order whatever the partitioning.
   size_t parts = PartitionCount(order.size());
   size_t chunk = (order.size() + parts - 1) / parts;
@@ -1526,8 +1443,8 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
   size_t range_begin = is_ranged ? ctx.row_begin : 0;
   size_t range_end = is_ranged ? ctx.row_end : static_cast<size_t>(-1);
 
-  // Rows bind by reference: joins never insert (they stage or record
-  // emissions), so `source` is stable for the whole recursion.
+  // Rows bind by reference: joins never insert (they record emissions),
+  // so `source` is stable for the whole recursion.
   auto try_row = [&](const Tuple& row) -> Status {
     // A single fixpoint iteration can run for minutes on a bad join order;
     // poll the deadline/cancel flag every ~16k candidate rows so such
@@ -1948,7 +1865,7 @@ Status Engine::Impl::EmitHead(EvalContext& ctx, CompiledRule& cr) {
   // A restricted-chase existential rule only fires inside a barrier-chase
   // work item (DeltaEvaluator refuses such rules): screen the firing and
   // record it as a candidate; the driver mints at the replay.
-  KGM_CHECK(ctx.replay);
+  KGM_CHECK(ctx.record);
   // Dedup before anything else: both the frozen screen's verdict and
   // the barrier re-check's fate are functions of the bound-head-
   // argument signature alone (the screen reads only the frozen
@@ -2033,14 +1950,7 @@ Status Engine::Impl::EmitHead(EvalContext& ctx, CompiledRule& cr) {
   op.slots = ctx.slots;
   op.bound = ctx.bound;
   ctx.replay_ops.push_back(std::move(op));
-  size_t staged =
-      staged_total_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (ctx.budget_base + staged > options.max_facts) {
-    return ResourceExhausted(
-        "fact budget exceeded (" + std::to_string(options.max_facts) +
-        "); the chase may not terminate on this program");
-  }
-  return OkStatus();
+  return CountRecorded(ctx);
 }
 
 // Binds the existential slots — fresh labeled nulls for restricted-chase
@@ -2216,8 +2126,8 @@ struct DeltaEvaluator::State {
     }
     ctx->rule = &cr;
     ctx->order = &plan.order;
-    ctx->replay = true;
-    impl.staged_total_.store(0, std::memory_order_relaxed);
+    ctx->record = true;
+    impl.recorded_total_.store(0, std::memory_order_relaxed);
   }
 
   // Hands the recorded emissions to `emit` once the join has returned, so
@@ -2233,7 +2143,7 @@ DeltaEvaluator::DeltaEvaluator(Engine* engine, FactDb* db)
     : state_(std::make_unique<State>(engine)) {
   state_->init = engine->status();
   if (state_->init.ok()) state_->init = state_->impl.CompileAll();
-  // One thread: no pool, no staging, no barrier chase.
+  // One thread: no pool, no barrier chase.
   state_->impl.db = db;
   state_->impl.num_workers = 1;
 }

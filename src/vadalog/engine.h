@@ -66,21 +66,16 @@ struct EngineOptions {
   // at 1 the driver runs every work item itself.  Every stratum runs one
   // barrier driver: Phase-A (rule x scan-partition) and Phase-B (rule x
   // delta-literal x partition) work items join against the frozen
-  // pre-barrier database and stage derived facts into the sharded FactDb
-  // (dedup-on-insert under per-shard locks, tagged with the work-item
-  // submission order); at the iteration barrier the shards are drained
-  // into the canonical store in tag order (see DESIGN.md, "Sharded FactDb
-  // & deterministic merge").  Restricted-chase programs with existentials
-  // record candidate firings instead, and the driver re-checks head
-  // satisfaction and mints nulls in ascending (item, seq) order (see
-  // DESIGN.md, "Deterministic parallel restricted chase").  Either way
-  // the output — row order and minted null ids included — is the same at
-  // every thread and shard count.
+  // pre-barrier database and record what they derive, in firing order; at
+  // the iteration barrier the driver inserts the recorded facts in
+  // ascending (item, seq) order, so the first copy in item order survives
+  // (see DESIGN.md, "Ordered barrier replay").  Restricted-chase programs
+  // with existentials record candidate firings too, and the same replay
+  // re-checks head satisfaction and mints nulls (see DESIGN.md,
+  // "Deterministic parallel restricted chase").  Either way the output —
+  // row order and minted null ids included — is the same at every thread
+  // count.
   size_t num_threads = 0;
-  // Shards per relation for staged inserts (rounded up to a power of two).
-  // 0 = auto: scales with the worker count.  Ignored at one thread and by
-  // the barrier chase, which keep single-shard relations.
-  size_t num_shards = 0;
   // Cooperative deadline: when set (non-default time_point), the engine
   // polls the clock at evaluation checkpoints — stratum/batch boundaries,
   // every fixpoint iteration, and every few tens of thousands of join
@@ -112,17 +107,14 @@ struct EngineStats {
   size_t chase_rechecks = 0;       // candidates re-checked at barriers
   size_t chase_recheck_drops = 0;  // dropped: satisfied by same-barrier facts
   size_t nulls_minted = 0;         // fresh labeled nulls created by the run
-  double chase_replay_seconds = 0; // ordered candidate replay at barriers
   // Wall-clock seconds spent in the (possibly pooled) join phase between
   // barriers — the part of an iteration that scales with worker count.
   double eval_seconds = 0;
-  // Sharded-insert observability.
-  size_t shard_count = 1;         // shards per relation
-  size_t staged_inserts = 0;      // concurrent inserts accepted by shards
-  size_t staged_duplicates = 0;   // concurrent inserts dropped as duplicates
-  size_t shard_contentions = 0;   // shard lock acquisitions that had to wait
-  std::vector<size_t> inserts_by_shard;  // accepted inserts per shard index
-  double merge_seconds = 0;        // barrier drains (canonical + delta)
+  // Work-item facts: accepted as new at the barrier replay, or dropped as
+  // already present before the barrier or as a same-barrier duplicate.
+  size_t staged_inserts = 0;
+  size_t staged_duplicates = 0;
+  double merge_seconds = 0;        // ordered barrier replays
   double agg_finalize_seconds = 0; // aggregate fold + finalize at barriers
   // Indexed by rule position in the program.
   std::vector<size_t> rule_firings_by_rule;

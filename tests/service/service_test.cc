@@ -162,6 +162,21 @@ TEST(ServiceTest, VadalogQueryRunsOverEncoding) {
   EXPECT_EQ(result->rows->size(), 6u);
 }
 
+TEST(ServiceTest, VadalogFactWithConflictingArityIsRejected) {
+  KgService svc;
+  svc.Publish(ChainGraph(4));
+  // LINK is 3-ary in the encoding; a 2-ary client fact must fail the query,
+  // not the process.
+  QueryRequest request;
+  request.program = "@fact LINK(1, 2). LINK(x, y) -> hop(x, y).";
+  request.language = QueryLanguage::kVadalog;
+  request.output = "hop";
+  auto result = svc.Query(request);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition)
+      << result.status().ToString();
+}
+
 TEST(ServiceTest, ZeroCapacityQueueRejectsDeterministically) {
   KgServiceOptions options;
   options.queue_capacity = 0;

@@ -13,12 +13,6 @@ Tuple T(std::initializer_list<int64_t> values) {
   return t;
 }
 
-// The engine's barrier drain: prepare every shard, then merge-append.
-size_t Drain(Relation& rel) {
-  for (size_t s = 0; s < rel.shard_count(); ++s) rel.PrepareStagedShard(s);
-  return rel.DrainPrepared();
-}
-
 TEST(RelationTest, InsertDeduplicates) {
   Relation rel(2);
   EXPECT_TRUE(rel.Insert(T({1, 2})));
@@ -119,130 +113,8 @@ TEST(TupleHashTest, TupleHasherMatchesFreeFunctions) {
   EXPECT_EQ(wide_hasher.Masked(0xFFFFF), HashTupleMasked(wide, 0xFFFFF));
 }
 
-TEST(RelationShardTest, ShardCountRoundsUpToPowerOfTwo) {
-  Relation rel(2, 5);
-  EXPECT_EQ(rel.shard_count(), 8u);
-  rel.Reshard(3);
-  EXPECT_EQ(rel.shard_count(), 4u);
-}
-
-TEST(RelationShardTest, ReshardPreservesDedupAndIndexes) {
+TEST(RelationTest, CloneIsDeepAndIndependent) {
   Relation rel(2);
-  for (int64_t i = 0; i < 100; ++i) rel.Insert(T({i, i * 10}));
-  Tuple probe = T({7, 0});
-  rel.EnsureIndex(0b01);
-  EXPECT_EQ(rel.LookupBuilt(0b01, probe).size(), 1u);
-  rel.Reshard(16);
-  EXPECT_EQ(rel.size(), 100u);
-  for (int64_t i = 0; i < 100; ++i) {
-    EXPECT_FALSE(rel.Insert(T({i, i * 10}))) << i;  // still deduplicated
-    EXPECT_TRUE(rel.Contains(T({i, i * 10}))) << i;
-  }
-  EXPECT_EQ(rel.LookupBuilt(0b01, probe).size(), 1u);
-}
-
-TEST(RelationShardTest, StageInsertDedupsAgainstCanonicalAndStaged) {
-  Relation rel(2, 4);
-  rel.Insert(T({1, 2}));
-  EXPECT_FALSE(rel.StageInsert({0, 0}, T({1, 2})));  // canonical duplicate
-  EXPECT_TRUE(rel.StageInsert({0, 1}, T({3, 4})));
-  // Same-barrier duplicates are staged (cheaply) and resolved at drain.
-  EXPECT_TRUE(rel.StageInsert({1, 0}, T({3, 4})));
-  EXPECT_EQ(rel.StagedCount(), 2u);
-  EXPECT_EQ(rel.size(), 1u);  // canonical store untouched until the drain
-  EXPECT_EQ(Drain(rel), 1u);
-  EXPECT_EQ(rel.size(), 2u);
-  EXPECT_EQ(rel.StagedCount(), 0u);
-  EXPECT_TRUE(rel.Contains(T({3, 4})));
-  EXPECT_FALSE(rel.Insert(T({3, 4})));  // drained rows are deduplicated
-}
-
-TEST(RelationShardTest, DrainOrdersByTagWithMinTagMerge) {
-  Relation rel(1, 4);
-  // Staged out of submission order; tuple 30 is staged both by item 5 and
-  // by item 1 — the min-tag copy (1, 0) must win its drain position and
-  // the (5, 0) copy must be dropped.
-  EXPECT_TRUE(rel.StageInsert({5, 0}, T({30})));
-  EXPECT_TRUE(rel.StageInsert({2, 0}, T({20})));
-  EXPECT_TRUE(rel.StageInsert({1, 0}, T({30})));
-  EXPECT_TRUE(rel.StageInsert({0, 1}, T({10})));
-  EXPECT_TRUE(rel.StageInsert({0, 0}, T({5})));
-  EXPECT_EQ(Drain(rel), 4u);
-  ASSERT_EQ(rel.size(), 4u);
-  EXPECT_EQ(rel.tuple(0), T({5}));   // (0, 0)
-  EXPECT_EQ(rel.tuple(1), T({10}));  // (0, 1)
-  EXPECT_EQ(rel.tuple(2), T({30}));  // (1, 0) beats (5, 0)
-  EXPECT_EQ(rel.tuple(3), T({20}));  // (2, 0)
-}
-
-TEST(RelationShardTest, DiscardStagedDropsEverything) {
-  Relation rel(1, 2);
-  EXPECT_TRUE(rel.StageInsert({0, 0}, T({1})));
-  EXPECT_TRUE(rel.StageInsert({0, 1}, T({2})));
-  rel.DiscardStaged();
-  EXPECT_EQ(rel.StagedCount(), 0u);
-  EXPECT_EQ(Drain(rel), 0u);
-  EXPECT_EQ(rel.size(), 0u);
-}
-
-TEST(RelationShardTest, CountersTrackAcceptedAndDuplicates) {
-  Relation rel(1, 2);
-  rel.Insert(T({1}));
-  EXPECT_FALSE(rel.StageInsert({0, 0}, T({1})));  // canonical duplicate
-  EXPECT_TRUE(rel.StageInsert({0, 1}, T({2})));
-  EXPECT_TRUE(rel.StageInsert({0, 2}, T({2})));  // same-barrier duplicate
-  // The same-barrier duplicate is reclassified when the drain drops it.
-  EXPECT_EQ(Drain(rel), 1u);
-  std::vector<ShardCounters> by_shard;
-  ShardCounters total;
-  rel.AccumulateShardCounters(&by_shard, &total);
-  EXPECT_EQ(total.accepted, 1u);
-  EXPECT_EQ(total.duplicates, 2u);
-  EXPECT_EQ(by_shard.size(), 2u);
-}
-
-TEST(RelationShardTest, DrainMatchesSequentialInsertOrder) {
-  // Staged out of order, with a same-barrier duplicate: the drain must
-  // leave the canonical order a sequential evaluation would have built by
-  // inserting the tuples in ascending tag order.
-  Relation staged(2, 4);
-  EXPECT_TRUE(staged.StageInsert({5, 0}, T({30, 1})));
-  EXPECT_TRUE(staged.StageInsert({2, 0}, T({20, 2})));
-  EXPECT_TRUE(staged.StageInsert({1, 0}, T({30, 1})));  // same-barrier dup
-  EXPECT_TRUE(staged.StageInsert({0, 1}, T({10, 3})));
-  EXPECT_TRUE(staged.StageInsert({0, 0}, T({5, 4})));
-  EXPECT_TRUE(staged.StageInsert({3, 2}, T({40, 5})));
-  EXPECT_EQ(Drain(staged), 5u);
-
-  Relation sequential(2);
-  // Tag order: (0,0) (0,1) (1,0) (2,0) (3,2) (5,0).
-  for (const Tuple& t : {T({5, 4}), T({10, 3}), T({30, 1}), T({20, 2}),
-                         T({40, 5}), T({30, 1})}) {
-    sequential.Insert(t);
-  }
-  ASSERT_EQ(staged.size(), sequential.size());
-  for (size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_EQ(staged.tuple(i), sequential.tuple(i)) << i;
-  }
-  // The drain leaves the dedup state a sequential insert would.
-  EXPECT_FALSE(staged.Insert(T({30, 1})));
-  EXPECT_TRUE(staged.Contains(T({40, 5})));
-}
-
-TEST(RelationShardTest, DrainMaintainsBuiltIndexes) {
-  Relation rel(2, 4);
-  rel.Insert(T({1, 10}));
-  Tuple probe = T({1, 0});
-  rel.EnsureIndex(0b01);
-  EXPECT_EQ(rel.LookupBuilt(0b01, probe).size(), 1u);
-  EXPECT_TRUE(rel.StageInsert({0, 0}, T({1, 20})));
-  EXPECT_TRUE(rel.StageInsert({1, 0}, T({1, 30})));
-  EXPECT_EQ(Drain(rel), 2u);
-  EXPECT_EQ(rel.LookupBuilt(0b01, probe).size(), 3u);
-}
-
-TEST(RelationShardTest, CloneIsDeepAndIndependent) {
-  Relation rel(2, 4);
   for (int64_t i = 0; i < 50; ++i) rel.Insert(T({i, i * 2}));
   Tuple probe = T({7, 0});
   rel.EnsureIndex(0b01);  // build an index first
@@ -271,16 +143,6 @@ TEST(FactDbTest, CloneCopiesEveryRelation) {
   copy.Add("p", T({9}));
   EXPECT_EQ(db.Get("p")->size(), 2u);
   EXPECT_EQ(copy.Get("p")->size(), 3u);
-}
-
-TEST(FactDbTest, ReshardAllAppliesToExistingAndFutureRelations) {
-  FactDb db;
-  db.Add("p", T({1}));
-  db.ReshardAll(4);
-  EXPECT_EQ(db.default_shard_count(), 4u);
-  EXPECT_EQ(db.Get("p")->shard_count(), 4u);
-  db.Add("q", T({2}));
-  EXPECT_EQ(db.Get("q")->shard_count(), 4u);
 }
 
 // A relation published for sharing: `rows` two-column tuples (i, i * 2)
@@ -352,17 +214,6 @@ TEST(FactDbShareTest, CloneSharesRatherThanCopies) {
   EXPECT_NE(copy.Get("own"), db.Get("own"));
   EXPECT_EQ(copy.relations_copied(), 0u);
   EXPECT_EQ(p.use_count(), 3);  // the test, `db` and `copy`
-}
-
-TEST(FactDbShareTest, ReshardAllLeavesSharedRelationsUntouched) {
-  std::shared_ptr<const Relation> p = SharedRelation(10);
-  FactDb db(SharedRelations{{"p", p}});
-  db.Add("own", T({1, 2}));
-  db.ReshardAll(4);
-  EXPECT_EQ(db.Get("p"), p.get());
-  EXPECT_EQ(p->shard_count(), 1u);
-  EXPECT_EQ(db.Get("own")->shard_count(), 4u);
-  EXPECT_EQ(db.relations_copied(), 0u);
 }
 
 TEST(FactDbShareTest, ShareMovesOwnedAndPassesSharedThrough) {

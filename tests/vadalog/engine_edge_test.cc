@@ -178,6 +178,17 @@ TEST(EngineEdgeTest, EmptyDatabaseNoRuleFires) {
   EXPECT_EQ(db.Get("q")->size(), 0u);
 }
 
+TEST(EngineEdgeTest, FactArityConflictWithDatabaseIsAnError) {
+  // A program fact whose arity conflicts with a database relation is
+  // rejected before anything is inserted.
+  FactDb db;
+  db.Add("p", {Value(int64_t{1}), Value(int64_t{2}), Value(int64_t{3})});
+  Status s = RunProgram("@fact p(1, 2).\n p(x, y) -> q(x).", &db);
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  EXPECT_EQ(db.Get("p")->size(), 1u);
+  EXPECT_EQ(db.Get("q"), nullptr);
+}
+
 TEST(EngineEdgeTest, LargeStrataCount) {
   // A 50-level pipeline exercises the stratum scheduler.
   std::string program;

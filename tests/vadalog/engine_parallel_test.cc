@@ -244,62 +244,53 @@ TEST(EngineParallelTest, RestrictedChaseRunsParallel) {
   Engine engine(std::move(program), options);
   ASSERT_TRUE(engine.status().ok());
   ASSERT_TRUE(engine.Run(&db).ok());
-  // The deterministic barrier chase keeps the requested pool and skips
-  // resharding (every insert happens on the driver during the ordered
-  // replay).
+  // The deterministic barrier chase keeps the requested pool.
   EXPECT_EQ(engine.stats().threads_used, 8u);
-  EXPECT_EQ(engine.stats().shard_count, 1u);
   EXPECT_EQ(engine.stats().nulls_minted, 1u);
   EXPECT_EQ(engine.stats().chase_candidates, 1u);
 }
 
 TEST(EngineParallelTest, StatsArePopulated) {
-  FactDb db = RandomEdges(30, 60, 3);
-  auto parsed = ParseProgram(R"(
+  const char* program = R"(
     edge(x, y) -> path(x, y).
     path(x, y), edge(y, z) -> path(x, z).
-  )");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  Program program = std::move(parsed).value();
-  EngineOptions options;
-  options.num_threads = 4;
-  Engine engine(std::move(program), options);
-  ASSERT_TRUE(engine.status().ok());
-  ASSERT_TRUE(engine.Run(&db).ok());
-  const EngineStats& stats = engine.stats();
-  EXPECT_EQ(stats.threads_used, 4u);
-  ASSERT_EQ(stats.rule_firings_by_rule.size(), 2u);
-  ASSERT_EQ(stats.rule_probes_by_rule.size(), 2u);
-  EXPECT_GT(stats.rule_firings_by_rule[0], 0u);
-  EXPECT_GT(stats.rule_firings_by_rule[1], 0u);
-  EXPECT_EQ(stats.rule_firings,
-            stats.rule_firings_by_rule[0] + stats.rule_firings_by_rule[1]);
-  EXPECT_GT(stats.join_probes, 0u);
-  EXPECT_EQ(stats.stratum_seconds.size(), static_cast<size_t>(stats.strata));
-  // Sharded-insert observability: every derived fact went through a shard,
-  // and the per-shard histogram adds up to the accepted total.
-  EXPECT_GT(stats.shard_count, 1u);
-  EXPECT_EQ(stats.staged_inserts, stats.facts_derived);
-  size_t by_shard_total = 0;
-  for (size_t n : stats.inserts_by_shard) by_shard_total += n;
-  EXPECT_EQ(by_shard_total, stats.staged_inserts);
-}
-
-TEST(EngineParallelTest, ExplicitShardCountIsHonored) {
-  FactDb db = RandomEdges(30, 60, 3);
-  auto parsed = ParseProgram(R"(
-    edge(x, y) -> path(x, y).
-    path(x, y), edge(y, z) -> path(x, z).
-  )");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EngineOptions options;
-  options.num_threads = 4;
-  options.num_shards = 5;  // rounded up to the next power of two
-  Engine engine(std::move(parsed).value(), options);
-  ASSERT_TRUE(engine.status().ok());
-  ASSERT_TRUE(engine.Run(&db).ok());
-  EXPECT_EQ(engine.stats().shard_count, 8u);
-  EXPECT_EQ(db.default_shard_count(), 8u);
+  )";
+  size_t one_thread_inserts = 0;
+  size_t one_thread_duplicates = 0;
+  for (size_t threads : {1u, 2u, 4u}) {
+    FactDb db = RandomEdges(30, 60, 3);
+    auto parsed = ParseProgram(program);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EngineOptions options;
+    options.num_threads = threads;
+    Engine engine(std::move(parsed).value(), options);
+    ASSERT_TRUE(engine.status().ok());
+    ASSERT_TRUE(engine.Run(&db).ok());
+    const EngineStats& stats = engine.stats();
+    EXPECT_EQ(stats.threads_used, threads);
+    ASSERT_EQ(stats.rule_firings_by_rule.size(), 2u);
+    ASSERT_EQ(stats.rule_probes_by_rule.size(), 2u);
+    EXPECT_GT(stats.rule_firings_by_rule[0], 0u);
+    EXPECT_GT(stats.rule_firings_by_rule[1], 0u);
+    EXPECT_EQ(stats.rule_firings,
+              stats.rule_firings_by_rule[0] + stats.rule_firings_by_rule[1]);
+    EXPECT_GT(stats.join_probes, 0u);
+    EXPECT_EQ(stats.stratum_seconds.size(),
+              static_cast<size_t>(stats.strata));
+    // Every derived fact was a work item's accepted fact, and every head
+    // emission (one per firing: both heads are single atoms) was either
+    // accepted or dropped as a duplicate.
+    EXPECT_EQ(stats.staged_inserts, stats.facts_derived);
+    EXPECT_GT(stats.staged_duplicates, 0u);
+    EXPECT_EQ(stats.staged_inserts + stats.staged_duplicates,
+              stats.rule_firings);
+    if (threads == 1) {
+      one_thread_inserts = stats.staged_inserts;
+      one_thread_duplicates = stats.staged_duplicates;
+    }
+    EXPECT_EQ(stats.staged_inserts, one_thread_inserts) << threads;
+    EXPECT_EQ(stats.staged_duplicates, one_thread_duplicates) << threads;
+  }
 }
 
 // A stratified (non-monotonic) float sum evaluated by parallel scan
@@ -325,24 +316,23 @@ TEST(EngineParallelTest, StratifiedFloatSumIsBitIdentical) {
   EngineOptions seq_opts;
   seq_opts.num_threads = 1;
   ASSERT_TRUE(RunProgram(program, &seq, seq_opts).ok());
-  for (size_t shards : {1u, 4u, 16u}) {
+  for (size_t threads : {2u, 4u, 8u}) {
     FactDb par;
     load(&par);
     EngineOptions par_opts;
-    par_opts.num_threads = 8;
-    par_opts.num_shards = shards;
+    par_opts.num_threads = threads;
     ASSERT_TRUE(RunProgram(program, &par, par_opts).ok());
     const Relation* a = seq.Get("total");
     const Relation* b = par.Get("total");
     ASSERT_NE(a, nullptr);
     ASSERT_NE(b, nullptr);
-    ASSERT_EQ(a->size(), b->size()) << "shards " << shards;
+    ASSERT_EQ(a->size(), b->size()) << "threads " << threads;
     ASSERT_GT(a->size(), 0u);
     // Compare Value-exact (operator== on doubles), not via ToString, so a
     // single flipped mantissa bit fails the test.
     for (const Tuple& t : a->tuples()) {
       EXPECT_TRUE(b->Contains(t))
-          << "shards " << shards << ": missing " << t[0].ToString() << ", "
+          << "threads " << threads << ": missing " << t[0].ToString() << ", "
           << t[1].ToString();
     }
   }
@@ -390,12 +380,12 @@ class IntensionalParallelTest : public ::testing::Test {
     return out;
   }
 
-  // Runs `program` once with num_threads = 1 and once with 8 threads at
-  // each shard count in `shard_counts`, and demands identical edge sets.
+  // Runs `program` once with num_threads = 1 and once at each thread count
+  // in `thread_counts`, and demands identical edge sets.
   static void CheckProgram(const char* program,
                            const std::vector<std::string>& labels,
-                           const std::vector<const char*>& prereqs = {},
-                           const std::vector<size_t>& shard_counts = {0}) {
+                           const std::vector<const char*>& prereqs,
+                           const std::vector<size_t>& thread_counts) {
     core::SuperSchema schema = finkg::CompanyKgSchema();
     pg::PropertyGraph seq = MakeData();
     instance::MaterializeOptions seq_opts;
@@ -407,21 +397,20 @@ class IntensionalParallelTest : public ::testing::Test {
     }
     auto seq_stats = instance::Materialize(schema, program, &seq, seq_opts);
     ASSERT_TRUE(seq_stats.ok()) << seq_stats.status().ToString();
-    for (size_t shards : shard_counts) {
+    for (size_t threads : thread_counts) {
       pg::PropertyGraph par = MakeData();
       instance::MaterializeOptions par_opts;
-      par_opts.engine.num_threads = 8;
-      par_opts.engine.num_shards = shards;
+      par_opts.engine.num_threads = threads;
       for (const char* prereq : prereqs) {
         ASSERT_TRUE(
             instance::Materialize(schema, prereq, &par, seq_opts).ok());
       }
       auto par_stats = instance::Materialize(schema, program, &par, par_opts);
       ASSERT_TRUE(par_stats.ok()) << par_stats.status().ToString();
-      EXPECT_EQ(par_stats->engine_stats.threads_used, 8u);
+      EXPECT_EQ(par_stats->engine_stats.threads_used, threads);
       for (const std::string& label : labels) {
         EXPECT_EQ(EdgeSet(seq, label), EdgeSet(par, label))
-            << "label " << label << " shards " << shards;
+            << "label " << label << " threads " << threads;
         EXPECT_GT(EdgeSet(seq, label).size(), 0u) << "label " << label;
       }
     }
@@ -491,12 +480,12 @@ TEST_F(IntensionalParallelTest, AllComponentsMatchAtSmallThreadCounts) {
 }
 
 TEST_F(IntensionalParallelTest, ControlProgramIsDeterministic) {
-  CheckProgram(finkg::kControlProgram, {"CONTROLS"}, {}, {1, 4, 16});
+  CheckProgram(finkg::kControlProgram, {"CONTROLS"}, {}, {4, 8});
 }
 
 TEST_F(IntensionalParallelTest, CloseLinksProgramIsDeterministic) {
   CheckProgram(finkg::kCloseLinksProgram, {"IO", "CLOSE_LINK"},
-               {finkg::kOwnsProgram}, {1, 4, 16});
+               {finkg::kOwnsProgram}, {4, 8});
 }
 
 }  // namespace

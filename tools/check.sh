@@ -82,29 +82,42 @@ run ctest --test-dir build --output-on-failure -j "$JOBS"
 # Shipped example programs must lint clean (exit 0 = no warnings/errors).
 run ./build/examples/kgmctl lint --schema company examples/programs/*
 
-# Output must not depend on the thread count: each shipped program's
-# `kgmctl explain` output fingerprint at 1 thread must equal the one at 4
-# threads.
+# Output must not change, at any thread count: each shipped program's
+# `kgmctl explain` output fingerprint, at 1 and at 4 threads, must equal
+# the one pinned in tools/explain_fingerprints.txt.
 EXPLAIN_PROGRAMS=(
   examples/programs/owns.mlog examples/programs/control.mlog
   examples/programs/stakeholders.mlog examples/programs/family.mlog
   examples/programs/closelinks.mlog examples/programs/reach.vlog
 )
-echo "== kgmctl explain (1-vs-4-thread output differential)"
+echo "== kgmctl explain (fingerprints at 1 and 4 threads vs tools/explain_fingerprints.txt)"
 ./build/examples/kgmctl explain --json --threads 1 "${EXPLAIN_PROGRAMS[@]}" \
   > build/explain-threads-1.json
 ./build/examples/kgmctl explain --json --threads 4 "${EXPLAIN_PROGRAMS[@]}" \
   > build/explain-threads-4.json
-python3 - build/explain-threads-1.json build/explain-threads-4.json <<'PY'
+python3 - tools/explain_fingerprints.txt build/explain-threads-1.json \
+  build/explain-threads-4.json <<'PY'
 import json
 import sys
 
-one, four = (json.load(open(path)) for path in sys.argv[1:3])
-diverged = [a["file"] for a, b in zip(one, four)
-            if a["fingerprint"] != b["fingerprint"]]
-if len(one) != len(four) or diverged:
-    sys.exit("kgmctl explain: output differs between 1 and 4 threads: "
-             + " ".join(diverged))
+pinned = {}
+for line in open(sys.argv[1]):
+    if line.strip() and not line.startswith("#"):
+        path, fingerprint = line.split()
+        pinned[path] = fingerprint
+failures = []
+for run_path in sys.argv[2:]:
+    run = json.load(open(run_path))
+    if sorted(entry["file"] for entry in run) != sorted(pinned):
+        failures.append(run_path + ": programs differ from the pinned list")
+    for entry in run:
+        if entry["fingerprint"] != pinned.get(entry["file"]):
+            failures.append("%s at %d threads: %s, pinned %s" % (
+                entry["file"], entry["threads"], entry["fingerprint"],
+                pinned.get(entry["file"])))
+if failures:
+    sys.exit("kgmctl explain: output differs from the pinned fingerprints:\n  "
+             + "\n  ".join(failures))
 PY
 
 if [[ "$FAST" == 1 ]]; then
@@ -120,10 +133,10 @@ fi
 # main thing TSan needs to see.  finkg_incremental runs the
 # incremental-vs-rebuild differential at 1 and 4 engine threads, which
 # exercises delta maintenance (DRed + stratum recompute) under both
-# sanitizers.  vadalog_ also matches vadalog_database_test (sharded
-# staging and drains) and vadalog_magic_test; finkg_pointquery runs the
-# point-query differential (magic vs full materialization) at 1 and 4
-# threads.
+# sanitizers.  vadalog_ also matches vadalog_database_test (relations,
+# indexes and copy-on-write sharing) and vadalog_magic_test;
+# finkg_pointquery runs the point-query differential (magic vs full
+# materialization) at 1 and 4 threads.
 SANITIZER_TESTS='vadalog_|base_thread_pool|service_|finkg_incremental|finkg_pointquery'
 
 run cmake -B build-asan -S . \
