@@ -1,6 +1,8 @@
 // Machine-readable reasoner benchmark: runs the finkg intensional suite at
 // 1 and 8 engine threads and writes BENCH_reasoner.json so the perf
-// trajectory can be tracked across PRs.
+// trajectory can be tracked across PRs.  Exits non-zero when the
+// restricted-chase runs disagree on facts_derived or nulls_minted across
+// thread counts (the chase's output must not depend on them).
 //
 // Usage: reasoner_perf_report [output.json] [companies] [persons]
 // Default output file: BENCH_reasoner.json in the working directory.
@@ -199,7 +201,8 @@ int main(int argc, char** argv) {
 
   // Restricted chase with existentials: the deterministic barrier chase at
   // 1 and 8 threads.  Each configuration runs kChaseReps times interleaved
-  // and reports the minimum, since shared hosts are noisy.
+  // and reports the minimum, since shared hosts are noisy.  Every run must
+  // derive the facts and mint the nulls of the first.
   const size_t chase_nodes = 120;
   const size_t chase_edges = 4800;
   constexpr int kChaseReps = 3;
@@ -207,6 +210,7 @@ int main(int argc, char** argv) {
   constexpr int kChaseConfigs =
       static_cast<int>(sizeof(chase_threads) / sizeof(chase_threads[0]));
   ChaseBenchResult best[kChaseConfigs];
+  bool chase_deterministic = true;
   for (int rep = 0; rep < kChaseReps; ++rep) {
     for (int i = 0; i < kChaseConfigs; ++i) {
       ChaseBenchResult r =
@@ -214,6 +218,17 @@ int main(int argc, char** argv) {
       if (!r.ok) {
         std::fclose(f);
         return 1;
+      }
+      if (best[0].ok &&
+          (r.stats.facts_derived != best[0].stats.facts_derived ||
+           r.stats.nulls_minted != best[0].stats.nulls_minted)) {
+        std::fprintf(stderr,
+                     "restricted chase at %zu threads: %zu facts, %zu nulls; "
+                     "at %zu threads: %zu facts, %zu nulls\n",
+                     chase_threads[i], r.stats.facts_derived,
+                     r.stats.nulls_minted, chase_threads[0],
+                     best[0].stats.facts_derived, best[0].stats.nulls_minted);
+        chase_deterministic = false;
       }
       if (!best[i].ok || r.reason_seconds < best[i].reason_seconds) {
         best[i] = r;
@@ -256,5 +271,5 @@ int main(int argc, char** argv) {
   std::fputc('\n', f);
   std::fclose(f);
   std::printf("wrote %s\n", out_path);
-  return 0;
+  return chase_deterministic ? 0 : 1;
 }

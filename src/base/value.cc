@@ -159,27 +159,6 @@ Value SkolemTable::Intern(const std::string& functor,
   return Value(SkolemRef{id});
 }
 
-std::vector<Value> SkolemTable::InternBatch(
-    const std::vector<std::pair<std::string, std::vector<Value>>>& batch) {
-  std::vector<Value> out;
-  out.reserve(batch.size());
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const auto& [functor, args] = batch[i];
-    SkolemKey key{functor, args};
-    auto it = index_->map.find(key);
-    if (it != index_->map.end()) {
-      out.emplace_back(SkolemRef{it->second});
-      continue;
-    }
-    uint64_t id = terms_.size();
-    terms_.push_back(Term{functor, args});
-    index_->map.emplace(std::move(key), id);
-    out.emplace_back(SkolemRef{id});
-  }
-  return out;
-}
-
 const std::string& SkolemTable::FunctorOf(SkolemRef ref) const {
   std::lock_guard<std::mutex> lock(mu_);
   KGM_CHECK(ref.id < terms_.size());

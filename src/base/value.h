@@ -197,16 +197,11 @@ class SkolemTable {
   static SkolemTable& Global();
 
   // Interns sk_functor(args) and returns its Value (kind kSkolem).
-  // Thread-safe; idempotent per (functor, args).
-  Value Intern(const std::string& functor, const std::vector<Value>& args);
-
-  // Interns every (functor, args) pair of `batch` under a single lock
-  // acquisition and returns the Values in batch order.  Fresh ids are
-  // assigned in batch order, so a caller that fixes the batch order also
+  // Thread-safe; idempotent per (functor, args).  Fresh ids are assigned
+  // in call order, so a caller that fixes the order of its calls also
   // fixes the ids minted for previously unseen terms — the deterministic
-  // parallel chase relies on this when replaying candidate firings.
-  std::vector<Value> InternBatch(
-      const std::vector<std::pair<std::string, std::vector<Value>>>& batch);
+  // restricted chase relies on this when its barrier replay mints in order.
+  Value Intern(const std::string& functor, const std::vector<Value>& args);
 
   // Returns the functor of an interned term.
   const std::string& FunctorOf(SkolemRef ref) const;

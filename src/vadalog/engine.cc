@@ -101,10 +101,6 @@ struct CompiledRule {
   // screen skips the by-name lookup on every firing.  Engine::Run
   // pre-creates every head relation, so no entry is null.
   std::vector<const Relation*> head_rels;
-  // True when no existential's Skolem arguments name another existential
-  // of the same rule, so one firing's Skolem terms can intern as a single
-  // ordered batch.
-  bool skolem_batch_ok = true;
 
   // Monotonic aggregation state (persists across the whole run).
   std::unordered_map<Tuple, GroupState, TupleHashFn> mono_groups;
@@ -268,10 +264,6 @@ struct EvalContext {
   std::vector<Value> slots;
   std::vector<char> bound;
 
-  // The work item's submission index (the barrier chase's cross-item
-  // dedup tag).
-  uint32_t item_index = 0;
-
   // Record mode: InsertFact appends kFact ops to replay_ops instead of
   // inserting.  Work items and DeltaEvaluator calls record; only the
   // driver's replay inserts.  With drop_present (work items only), a fact
@@ -283,7 +275,7 @@ struct EvalContext {
   std::vector<ReplayOp> replay_ops;
   size_t chase_candidates = 0;  // candidate firings recorded for replay
   size_t chase_screened = 0;    // firings dropped by the frozen screen
-  size_t chase_deduped = 0;     // duplicate firings dropped worker-side
+  size_t chase_deduped = 0;     // duplicate firings dropped in this item
   // Bound-head-argument signatures of the firings this item has already
   // screened or recorded.  A later firing with an identical signature
   // would deterministically drop at the barrier re-check (the earlier
@@ -294,11 +286,6 @@ struct EvalContext {
   // signatures are copied in; duplicates — the common case in dense
   // chases — cost no allocation).
   Tuple sig_scratch;
-  // Worker-side dedup, set per barrier by RunItems from the previous
-  // barrier's observed duplicate rate.  Any policy here is output-neutral:
-  // a duplicate that is not deduped is dropped by the frozen screen or the
-  // barrier re-check instead.
-  bool chase_dedup_enabled = true;
 
   // Aggregate contributions recorded by the join; the driver folds them
   // into the rule's group state at the barrier.
@@ -317,9 +304,10 @@ struct EvalContext {
   // (checked every few tens of thousands of candidate rows).
   size_t checkpoint_tick = 0;
 
-  // Scratch probe reused by the head-satisfaction fast path so screening
-  // half a million firings does not allocate a vector per check.
-  Tuple head_probe;
+  // Per-head-atom scratch probes for HeadSatisfied, indexed like
+  // join_probes, so screening half a million firings does not allocate a
+  // vector per check.
+  std::vector<Tuple> head_probes;
 
   // Per-literal scratch probes for Join, indexed by literal position (the
   // recursion occupies one depth per literal, so frames never alias).
@@ -359,22 +347,6 @@ struct Engine::Impl {
   // workers evaluate against the frozen pre-barrier database and record
   // emissions; the driver replays them in ascending (item, seq) order.
   bool barrier_chase = false;
-
-  // Cross-item signature dedup for the barrier chase, sharded by signature
-  // hash and cleared at every barrier.  Maps a bound-head-argument
-  // signature (prefixed with the rule index) to the smallest packed
-  // (item, seq) tag that has claimed it so far.  A firing drops only
-  // against a STRICTLY smaller tag, so the minimum-tag copy of every
-  // signature is always recorded regardless of thread schedule; larger-tag
-  // copies that slip through are dropped deterministically by the barrier
-  // re-check.  Outputs are therefore schedule-independent even though the
-  // dedup counters are not.
-  static constexpr size_t kChaseSeenShards = 16;
-  struct ChaseSeenShard {
-    std::mutex mu;
-    std::unordered_map<Tuple, uint64_t, TupleHashFn> map;
-  };
-  std::array<ChaseSeenShard, kChaseSeenShards> chase_seen_shared;
 
   // True when the run has a deadline or a cancellation flag to poll.
   bool checkpoints_armed = false;
@@ -424,7 +396,8 @@ struct Engine::Impl {
   Status EmitHeadWithPostConditions(EvalContext& ctx, CompiledRule& cr);
   Status EmitHead(EvalContext& ctx, CompiledRule& cr);
   Status MintAndEmitHead(EvalContext& ctx, CompiledRule& cr);
-  bool HeadSatisfied(EvalContext& ctx, CompiledRule& cr);
+  bool HeadSatisfied(EvalContext& ctx, CompiledRule& cr,
+                     size_t atom_index = 0);
   Status InsertFact(EvalContext& ctx, const std::string& pred, Tuple t);
   // Inserts one fact on the driver (mirroring a new row of a recursive
   // predicate into next_delta); returns whether it was new.
@@ -444,9 +417,6 @@ struct Engine::Impl {
       const std::vector<CompiledRule*>& rules) const;
   void PrepareJoinIndexes(CompiledRule& cr);
   size_t PartitionCount(size_t rows) const;
-  // Barrier-chase dedup policy carried across barriers: stays true while
-  // worker-side signature dedup pays for itself (see RunItems).
-  bool chase_dedup_hint = true;
   // Runs fn(0) .. fn(n - 1): on the driver and the pool's helpers when
   // there is a pool, inline in index order otherwise.
   void ForEachIndex(size_t n, const std::function<void(size_t)>& fn) {
@@ -710,11 +680,6 @@ Status Engine::Impl::CompileRule(const Rule& rule, int index) {
         if (!a.is_const && exist_slots.count(a.slot) > 0) {
           fixed.insert(a.slot);
         }
-      }
-    }
-    for (const ExistSlot& e : cr.existentials) {
-      for (int s : e.arg_slots) {
-        if (exist_slots.count(s) > 0) cr.skolem_batch_ok = false;
       }
     }
   }
@@ -997,26 +962,12 @@ size_t Engine::Impl::PartitionCount(size_t rows) const {
 
 Status Engine::Impl::RunItems(std::deque<WorkItem>& items) {
   recorded_total_.store(0, std::memory_order_relaxed);
-  if (barrier_chase) {
-    // Stale entries would still be output-neutral (their signatures are
-    // satisfied in the live database by now, so the frozen screen would
-    // drop the copies anyway), but clearing per barrier keeps the maps
-    // bounded and the tag comparisons meaningful.
-    for (ChaseSeenShard& shard : chase_seen_shared) shard.map.clear();
-  }
   size_t budget_base = db->TotalFacts();
-  uint32_t index = 0;
   for (WorkItem& item : items) {
     item.ctx.record = true;
     item.ctx.drop_present = true;
     item.ctx.budget_base = budget_base;
-    item.ctx.item_index = index++;
-    item.ctx.chase_dedup_enabled = chase_dedup_hint;
   }
-  size_t screened0 = stats->chase_screened;
-  size_t deduped0 = stats->chase_deduped;
-  size_t candidates0 = stats->chase_candidates;
-  size_t recheck_drops0 = stats->chase_recheck_drops;
   auto eval_start = std::chrono::steady_clock::now();
   // Without a pool (one thread) the items run inline in submission order,
   // with the same frozen-iteration semantics.
@@ -1043,27 +994,7 @@ Status Engine::Impl::RunItems(std::deque<WorkItem>& items) {
     first_error = FoldItemContributions(items);
   }
   if (!first_error.ok()) return first_error;
-  Status replayed = ReplayOrderedOps(items);
-  if (barrier_chase && replayed.ok()) {
-    // Adapt the worker-side dedup to the program, in both directions:
-    // when few of this barrier's firings were wasted (dropped as
-    // duplicates, screened, or re-check-dropped), the next barrier skips
-    // the per-firing signature probe and lets the frozen screen / barrier
-    // re-check absorb the rare repeats; when waste is high — including
-    // after dedup was switched off, where duplicates surface as screens
-    // and re-check drops instead — it switches back on.  Measured after
-    // the replay so same-barrier duplicates count as waste either way.
-    // Output-neutral by construction (see EmitHead), so the policy is
-    // free to depend on partition- or thread-count-specific counters.
-    size_t fired = (stats->chase_screened - screened0) +
-                   (stats->chase_deduped - deduped0) +
-                   (stats->chase_candidates - candidates0);
-    size_t wasted = (stats->chase_screened - screened0) +
-                    (stats->chase_deduped - deduped0) +
-                    (stats->chase_recheck_drops - recheck_drops0);
-    if (fired >= 4096) chase_dedup_hint = wasted * 4 >= fired;
-  }
-  return replayed;
+  return ReplayOrderedOps(items);
 }
 
 Status Engine::Impl::ReplayOrderedOps(std::deque<WorkItem>& items) {
@@ -1133,7 +1064,6 @@ Status Engine::Impl::FoldItemContributions(std::deque<WorkItem>& items) {
     scratch.rule = &cr;
     scratch.slots.assign(cr.slot_names.size(), Value());
     scratch.bound.assign(cr.slot_names.size(), 0);
-    scratch.item_index = item.ctx.item_index;
     scratch.budget_base = item.ctx.budget_base;
     for (const PendingContribution& pc : item.ctx.contributions) {
       // Folds between barriers can run long; poll the deadline/cancel
@@ -1731,130 +1661,81 @@ Status Engine::Impl::EmitHeadWithPostConditions(EvalContext& ctx,
   return EmitHead(ctx, cr);
 }
 
-bool Engine::Impl::HeadSatisfied(EvalContext& ctx, CompiledRule& cr) {
-  // Backtracking search for an assignment of the existential slots such
-  // that every head atom is already present in the database.  Every probe
-  // is read-only, in the workers' frozen screen and in the driver's replay
-  // re-check alike: the dynamic masks below coincide with
+bool Engine::Impl::HeadSatisfied(EvalContext& ctx, CompiledRule& cr,
+                                 size_t atom_index) {
+  // Backtracking search, head atom by head atom from `atom_index`, for
+  // witness values of the existential slots that make every head atom
+  // already present in the database.  Witnesses bind into ctx.slots /
+  // ctx.bound like Join's rows do and are unbound before returning, so a
+  // repeated existential slot must take one value across positions and
+  // atoms.  Every probe is read-only, in the workers' frozen screen and in
+  // the driver's replay re-check alike: the masks below coincide with
   // CompiledRule::head_check_masks, whose indexes PrepareJoinIndexes
   // pre-builds on the relations it caches in head_rels; should an index be
   // missing anyway, the probe degrades to a masked scan instead of
   // building one on shared state.
-  // Single-atom heads (the common case) skip the backtracking machinery:
-  // one masked probe decides satisfaction, with repeated existential slots
-  // within the atom checked directly on each candidate row.
-  if (cr.head.size() == 1 && cr.head[0].args.size() <= 64) {
-    const CompiledLiteral& h = cr.head[0];
-    const Relation* rel = cr.head_rels[0];
-    size_t n = h.args.size();
-    uint64_t mask = 0;
-    Tuple& probe = ctx.head_probe;
-    probe.clear();
-    probe.resize(n);
-    // (position, slot) pairs left free for the existential witness.
-    size_t free_count = 0;
-    std::array<std::pair<size_t, int>, 64> free_positions;
-    for (size_t i = 0; i < n; ++i) {
-      const ArgSlot& a = h.args[i];
-      if (a.is_const) {
-        mask |= 1ULL << i;
-        probe[i] = a.constant;
-      } else if (ctx.bound[a.slot]) {
-        mask |= 1ULL << i;
-        probe[i] = ctx.slots[a.slot];
+  if (atom_index == cr.head.size()) return true;
+  const CompiledLiteral& h = cr.head[atom_index];
+  const Relation* rel = cr.head_rels[atom_index];
+  const size_t n = h.args.size();
+  // Sized up front so a deeper atom never reallocates the vector under a
+  // shallower frame's reference.
+  if (ctx.head_probes.size() < cr.head.size()) {
+    ctx.head_probes.resize(cr.head.size());
+  }
+  Tuple& probe = ctx.head_probes[atom_index];
+  probe.clear();
+  probe.resize(n);
+  uint64_t mask = 0;
+  bool any_free = false;
+  for (size_t i = 0; i < n; ++i) {
+    const ArgSlot& a = h.args[i];
+    if (a.is_const) {
+      mask |= 1ULL << i;
+      probe[i] = a.constant;
+    } else if (ctx.bound[a.slot]) {
+      mask |= 1ULL << i;
+      probe[i] = ctx.slots[a.slot];
+    } else {
+      any_free = true;
+    }
+  }
+  if (!any_free) {
+    return rel->Contains(probe) && HeadSatisfied(ctx, cr, atom_index + 1);
+  }
+  auto try_row = [&](uint32_t rowi) -> bool {
+    if (mask != 0 && !rel->MatchesMasked(rowi, mask, probe)) return false;
+    const Tuple& row = rel->tuple(rowi);
+    std::array<int, 64> bound_here;
+    size_t bound_count = 0;
+    bool ok = true;
+    for (size_t i = 0; i < n && ok; ++i) {
+      if ((mask >> i) & 1) continue;
+      int s = h.args[i].slot;
+      if (ctx.bound[s]) {
+        if (!(row[i] == ctx.slots[s])) ok = false;
       } else {
-        free_positions[free_count++] = {i, a.slot};
+        ctx.slots[s] = row[i];
+        ctx.bound[s] = 1;
+        bound_here[bound_count++] = s;
       }
     }
-    if (free_count == 0) return rel->Contains(probe);
-    auto row_ok = [&](uint32_t rowi) -> bool {
-      if (mask != 0 && !rel->MatchesMasked(rowi, mask, probe)) return false;
-      const Tuple& row = rel->tuple(rowi);
-      // A repeated existential slot must take one value across positions.
-      for (size_t i = 1; i < free_count; ++i) {
-        for (size_t j = 0; j < i; ++j) {
-          if (free_positions[i].second == free_positions[j].second &&
-              !(row[free_positions[i].first] == row[free_positions[j].first])) {
-            return false;
-          }
-        }
-      }
-      return true;
-    };
-    if (mask != 0) {
-      const std::vector<uint32_t>* rows = rel->TryLookupBuilt(mask, probe);
-      if (rows != nullptr) {
-        for (uint32_t rowi : *rows) {
-          if (row_ok(rowi)) return true;
-        }
-        return false;
-      }
-    }
-    for (size_t i = 0; i < rel->size(); ++i) {
-      if (row_ok(static_cast<uint32_t>(i))) return true;
+    bool satisfied = ok && HeadSatisfied(ctx, cr, atom_index + 1);
+    for (size_t i = 0; i < bound_count; ++i) ctx.bound[bound_here[i]] = 0;
+    return satisfied;
+  };
+  const std::vector<uint32_t>* rows =
+      mask != 0 ? rel->TryLookupBuilt(mask, probe) : nullptr;
+  if (rows != nullptr) {
+    for (uint32_t rowi : *rows) {
+      if (try_row(rowi)) return true;
     }
     return false;
   }
-  std::unordered_map<int, Value> assignment;
-  std::function<bool(size_t)> solve = [&](size_t atom_index) -> bool {
-    if (atom_index == cr.head.size()) return true;
-    const CompiledLiteral& h = cr.head[atom_index];
-    const Relation* rel = cr.head_rels[atom_index];
-    size_t n = h.args.size();
-    uint64_t mask = 0;
-    Tuple probe(n);
-    std::vector<std::pair<size_t, int>> free_positions;  // (pos, slot)
-    for (size_t i = 0; i < n; ++i) {
-      const ArgSlot& a = h.args[i];
-      if (a.is_const) {
-        mask |= 1ULL << i;
-        probe[i] = a.constant;
-      } else if (ctx.bound[a.slot]) {
-        mask |= 1ULL << i;
-        probe[i] = ctx.slots[a.slot];
-      } else if (assignment.count(a.slot) > 0) {
-        mask |= 1ULL << i;
-        probe[i] = assignment[a.slot];
-      } else {
-        free_positions.emplace_back(i, a.slot);
-      }
-    }
-    if (free_positions.empty()) {
-      return rel->Contains(probe) && solve(atom_index + 1);
-    }
-    auto try_rows = [&](const std::vector<uint32_t>& rows) -> bool {
-      for (uint32_t rowi : rows) {
-        if (mask != 0 && !rel->MatchesMasked(rowi, mask, probe)) continue;
-        const Tuple& row = rel->tuple(rowi);
-        // Bind free positions consistently.
-        std::vector<int> assigned_here;
-        bool ok = true;
-        for (const auto& [pos, slot] : free_positions) {
-          auto it = assignment.find(slot);
-          if (it != assignment.end()) {
-            if (!(it->second == row[pos])) {
-              ok = false;
-              break;
-            }
-          } else {
-            assignment.emplace(slot, row[pos]);
-            assigned_here.push_back(slot);
-          }
-        }
-        if (ok && solve(atom_index + 1)) return true;
-        for (int s : assigned_here) assignment.erase(s);
-      }
-      return false;
-    };
-    if (mask != 0) {
-      const std::vector<uint32_t>* rows = rel->TryLookupBuilt(mask, probe);
-      if (rows != nullptr) return try_rows(*rows);
-    }
-    std::vector<uint32_t> all(rel->size());
-    for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
-    return try_rows(all);
-  };
-  return solve(0);
+  for (size_t i = 0; i < rel->size(); ++i) {
+    if (try_row(static_cast<uint32_t>(i))) return true;
+  }
+  return false;
 }
 
 Status Engine::Impl::EmitHead(EvalContext& ctx, CompiledRule& cr) {
@@ -1875,66 +1756,26 @@ Status Engine::Impl::EmitHead(EvalContext& ctx, CompiledRule& cr) {
   // item can only ever drop.  Dense chases fire the same head many
   // times per barrier — one hash probe here replaces a screen (and
   // possibly a recorded op plus a replay re-check) per repeat, without
-  // changing the surviving-candidate order or the minted null ids.
-  // Dropping a duplicate is output-neutral either way, so whether to
-  // pay for the dedup set is purely a cost heuristic: RunItems turns
-  // it off for later barriers when the observed duplicate rate is low,
-  // and the screen / re-check absorb the (rare) repeats instead.
-  if (ctx.chase_dedup_enabled) {
-    // The signature carries the rule index so two rules whose heads
-    // happen to bind equal values never collide in the shared map.
-    Tuple& signature = ctx.sig_scratch;
-    signature.clear();
-    signature.push_back(Value(static_cast<int64_t>(cr.index)));
-    for (const CompiledLiteral& h : cr.head) {
-      for (const ArgSlot& a : h.args) {
-        if (!a.is_const && a.slot >= 0 && ctx.bound[a.slot]) {
-          signature.push_back(ctx.slots[a.slot]);
-        }
-      }
-    }
-    if (ctx.chase_seen.find(signature) != ctx.chase_seen.end()) {
-      ++ctx.chase_deduped;
-      return OkStatus();
-    }
-    ctx.chase_seen.insert(signature);
-    // Cross-item level (multi-threaded runs only — a single worker's
-    // local sets already see every firing): drop only against a
-    // strictly smaller (item, seq) tag.  The minimum-tag copy of a
-    // signature can never observe a smaller tag, so it is always
-    // recorded no matter how the pool schedules items; any larger-tag
-    // copy that records before the minimum arrives is dropped by the
-    // barrier re-check.  Future copies within this item drop on the
-    // local set above.
-    if (pool != nullptr) {
-      uint64_t tag = (static_cast<uint64_t>(ctx.item_index) << 32) |
-                     (ctx.replay_ops.size() & 0xFFFFFFFFull);
-      ChaseSeenShard& shard =
-          chase_seen_shared[TupleHashFn{}(signature) % kChaseSeenShards];
-      bool drop = false;
-      {
-        // try_lock: a contended shard is skipped rather than waited
-        // on — the copy is recorded and the barrier re-check drops
-        // it, so blocking (and on an oversubscribed host, a futex
-        // sleep) would buy nothing correctness needs.
-        std::unique_lock<std::mutex> lock(shard.mu, std::try_to_lock);
-        if (lock.owns_lock()) {
-          auto [it, inserted] = shard.map.try_emplace(signature, tag);
-          if (!inserted) {
-            if (it->second < tag) {
-              drop = true;
-            } else {
-              it->second = tag;
-            }
-          }
-        }
-      }
-      if (drop) {
-        ++ctx.chase_deduped;
-        return OkStatus();
+  // changing the surviving-candidate order or the minted null ids.  The
+  // set is per item, so the drop counts depend only on the program, the
+  // input and the partitioning (the thread count), never on scheduling.
+  // The signature carries the rule index because the barrier's aggregate
+  // fold emits the heads of several rules through one context.
+  Tuple& signature = ctx.sig_scratch;
+  signature.clear();
+  signature.push_back(Value(static_cast<int64_t>(cr.index)));
+  for (const CompiledLiteral& h : cr.head) {
+    for (const ArgSlot& a : h.args) {
+      if (!a.is_const && a.slot >= 0 && ctx.bound[a.slot]) {
+        signature.push_back(ctx.slots[a.slot]);
       }
     }
   }
+  if (ctx.chase_seen.find(signature) != ctx.chase_seen.end()) {
+    ++ctx.chase_deduped;
+    return OkStatus();
+  }
+  ctx.chase_seen.insert(signature);
   // Screen against the frozen pre-barrier database.  Satisfaction is
   // monotone (facts are never retracted), so a head satisfied here
   // stays satisfied at the barrier and the firing drops immediately;
@@ -1953,56 +1794,36 @@ Status Engine::Impl::EmitHead(EvalContext& ctx, CompiledRule& cr) {
   return CountRecorded(ctx);
 }
 
-// Binds the existential slots — fresh labeled nulls for restricted-chase
-// automatic existentials, interned Skolem terms otherwise — and inserts
-// the head atoms.  The caller has already decided the head must fire.
+// Binds the existential slots in order — fresh labeled nulls for
+// restricted-chase automatic existentials, interned Skolem terms
+// otherwise — and inserts the head atoms.  The caller has already decided
+// the head must fire.  Fixing the binding order fixes the ids minted for
+// unseen terms, so the ordered replay mints the same ids at every thread
+// count.
 Status Engine::Impl::MintAndEmitHead(EvalContext& ctx, CompiledRule& cr) {
   std::vector<int> bound_here;
   auto cleanup = [&]() {
     for (int s : bound_here) ctx.bound[s] = 0;
   };
-  if (!cr.existentials.empty()) {
-    auto bind = [&](int slot, Value v) {
-      KGM_CHECK(!ctx.bound[slot]);
-      ctx.slots[slot] = std::move(v);
-      ctx.bound[slot] = 1;
-      bound_here.push_back(slot);
-    };
-    auto gather_args = [&](const ExistSlot& e) {
+  for (size_t i = 0; i < cr.existentials.size(); ++i) {
+    const ExistSlot& e = cr.existentials[i];
+    Value v;
+    if (options.chase_mode == ChaseMode::kRestricted &&
+        cr.rule->existentials[i].skolem_functor.empty()) {
+      v = nulls.Fresh();
+    } else {
       std::vector<Value> args;
       args.reserve(e.arg_slots.size());
       for (int s : e.arg_slots) {
         KGM_CHECK(ctx.bound[s]);
         args.push_back(ctx.slots[s]);
       }
-      return args;
-    };
-    // One firing's Skolem terms intern as a single ordered batch (one lock
-    // acquisition) unless an existential's arguments name another
-    // existential of the rule, which forces in-order interleaving.
-    std::vector<std::pair<std::string, std::vector<Value>>> batch;
-    std::vector<int> batch_slots;
-    for (const ExistSlot& e : cr.existentials) {
-      bool fresh_null =
-          options.chase_mode == ChaseMode::kRestricted &&
-          cr.rule->existentials[&e - cr.existentials.data()]
-              .skolem_functor.empty();
-      if (fresh_null) {
-        bind(e.slot, nulls.Fresh());
-      } else if (cr.skolem_batch_ok) {
-        batch.emplace_back(e.functor, gather_args(e));
-        batch_slots.push_back(e.slot);
-      } else {
-        bind(e.slot,
-             SkolemTable::Global().Intern(e.functor, gather_args(e)));
-      }
+      v = SkolemTable::Global().Intern(e.functor, args);
     }
-    if (!batch.empty()) {
-      std::vector<Value> interned = SkolemTable::Global().InternBatch(batch);
-      for (size_t i = 0; i < batch_slots.size(); ++i) {
-        bind(batch_slots[i], std::move(interned[i]));
-      }
-    }
+    KGM_CHECK(!ctx.bound[e.slot]);
+    ctx.slots[e.slot] = std::move(v);
+    ctx.bound[e.slot] = 1;
+    bound_here.push_back(e.slot);
   }
   for (const CompiledLiteral& h : cr.head) {
     Tuple t(h.args.size());

@@ -101,9 +101,13 @@ struct EngineStats {
   // EngineOptions::num_threads, with 0 resolved to hardware_concurrency.
   size_t threads_used = 1;
   // Deterministic restricted chase (barrier protocol) observability.
+  // Like the outputs, these depend only on the program, the input and the
+  // thread count (which fixes the work-item partitioning).
   size_t chase_candidates = 0;     // firings recorded for barrier re-check
   size_t chase_screened = 0;       // firings dropped by the frozen pre-check
-  size_t chase_deduped = 0;        // duplicate firings dropped worker-side
+  // Firings dropped because the same work item already screened or
+  // recorded a firing with the same bound head arguments.
+  size_t chase_deduped = 0;
   size_t chase_rechecks = 0;       // candidates re-checked at barriers
   size_t chase_recheck_drops = 0;  // dropped: satisfied by same-barrier facts
   size_t nulls_minted = 0;         // fresh labeled nulls created by the run

@@ -98,6 +98,82 @@ TEST(ChaseParallelTest, ExistentialClosureBitIdenticalAcrossThreads) {
   }
 }
 
+// The chase counters are as deterministic as the outputs: repeated runs
+// at one thread count screen, drop and re-check exactly the same firings.
+TEST(ChaseParallelTest, ChaseCountersRepeatAtEachThreadCount) {
+  const char* program = R"(
+    edge(x, y) -> exists w rel(x, y, w).
+    rel(x, y, w), edge(y, z) -> exists v rel(x, z, v).
+  )";
+  auto load = [](FactDb* db) {
+    Rng rng(1234);
+    for (int i = 0; i < 160; ++i) {
+      auto a = static_cast<int64_t>(rng.NextBelow(60));
+      auto b = static_cast<int64_t>(rng.NextBelow(60));
+      db->Add("edge", {Value(a), Value(b)});
+    }
+  };
+  auto counters = [](const EngineStats& s) {
+    return std::vector<size_t>{s.chase_candidates,    s.chase_screened,
+                               s.chase_deduped,       s.chase_rechecks,
+                               s.chase_recheck_drops, s.nulls_minted};
+  };
+  for (size_t threads : {1u, 4u}) {
+    std::vector<size_t> first =
+        counters(RunRestricted(program, load, threads).stats);
+    ASSERT_GT(first[2], 0u) << "no duplicate firing at " << threads;
+    for (int run = 1; run < 3; ++run) {
+      EXPECT_EQ(counters(RunRestricted(program, load, threads).stats), first)
+          << "run " << run << " at " << threads << " threads";
+    }
+  }
+}
+
+// A head satisfied only when a repeated existential takes one value at
+// every position: within one atom (q(x, z, z)) and across atoms
+// (q(x, z), r(z, z)).  For `a` the stored rows bind z inconsistently, so
+// only `a` mints a null; `b` is satisfied.
+TEST(ChaseParallelTest, RepeatedExistentialSlotNeedsOneWitness) {
+  struct Case {
+    const char* program;
+    std::vector<std::pair<std::string, Tuple>> facts;
+    std::string pred;  // relation holding the minted null at position 1
+  };
+  const std::vector<Case> cases = {
+      {"p(x) -> exists z q(x, z, z).",
+       {{"p", {Value("a")}},
+        {"p", {Value("b")}},
+        {"q", {Value("a"), Value(int64_t{1}), Value(int64_t{2})}},
+        {"q", {Value("b"), Value(int64_t{3}), Value(int64_t{3})}}},
+       "q"},
+      {"p(x) -> exists z q(x, z), r(z, z).",
+       {{"p", {Value("a")}},
+        {"p", {Value("b")}},
+        {"q", {Value("a"), Value(int64_t{1})}},
+        {"r", {Value(int64_t{1}), Value(int64_t{2})}},
+        {"q", {Value("b"), Value(int64_t{3})}},
+        {"r", {Value(int64_t{3}), Value(int64_t{3})}}},
+       "q"},
+  };
+  for (const Case& c : cases) {
+    auto load = [&c](FactDb* db) {
+      for (const auto& [pred, tuple] : c.facts) db->Add(pred, tuple);
+    };
+    for (size_t threads : {1u, 4u}) {
+      ChaseRun run = RunRestricted(c.program, load, threads);
+      std::string label =
+          std::string(c.program) + " at " + std::to_string(threads);
+      EXPECT_EQ(run.stats.nulls_minted, 1u) << label;
+      const Relation* rel = run.db.Get(c.pred);
+      ASSERT_NE(rel, nullptr) << label;
+      ASSERT_EQ(rel->size(), 3u) << label;
+      const Tuple& minted = rel->tuple(2);
+      EXPECT_TRUE(minted[0] == Value("a")) << label;
+      EXPECT_TRUE(minted[1].is_labeled_null()) << label;
+    }
+  }
+}
+
 // Two rules whose heads overlap on the same existential atom: the second
 // rule's candidates are screened against the frozen database (which does
 // not yet hold the first rule's nulls) but re-checked at the barrier

@@ -129,7 +129,7 @@ fi
 # engine and serving paths; everything else is covered by the regular
 # build above.  vadalog_ includes the deterministic-chase suites
 # (vadalog_engine_chase_parallel_test and the engine parallel tests),
-# whose frozen-screen + shared-dedup + ordered-replay protocol is the
+# whose frozen-screen + per-item-dedup + ordered-replay protocol is the
 # main thing TSan needs to see.  finkg_incremental runs the
 # incremental-vs-rebuild differential at 1 and 4 engine threads, which
 # exercises delta maintenance (DRed + stratum recompute) under both
