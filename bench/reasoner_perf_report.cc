@@ -1,26 +1,22 @@
 // Machine-readable reasoner benchmark: runs the finkg intensional suite at
 // 1 and 8 engine threads and writes BENCH_reasoner.json so the perf
-// trajectory can be tracked across PRs.  Exits non-zero when the
-// restricted-chase runs disagree on facts_derived or nulls_minted across
-// thread counts (the chase's output must not depend on them).
+// trajectory can be tracked across PRs.  Exits non-zero when a component
+// derives a different number of facts at 8 threads than at 1 (the
+// engine's output must not depend on the thread count).
 //
 // Usage: reasoner_perf_report [output.json] [companies] [persons]
 // Default output file: BENCH_reasoner.json in the working directory.
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
-#include <string>
+#include <iterator>
 #include <thread>
 #include <vector>
 
-#include "base/rng.h"
 #include "finkg/company_kg.h"
 #include "finkg/generator.h"
 #include "instance/pipeline.h"
 #include "vadalog/engine.h"
-#include "vadalog/parser.h"
 
 namespace {
 
@@ -67,57 +63,6 @@ struct JsonWriter {
   }
 };
 
-// Restricted-chase existential benchmark: a dense recursive closure whose
-// head mints one automatic null per reachable pair, so every iteration
-// both screens against earlier nulls and mints new ones.
-struct ChaseBenchResult {
-  double reason_seconds = 0;
-  kgm::vadalog::EngineStats stats;
-  bool ok = false;
-};
-
-ChaseBenchResult RunChaseBench(size_t nodes, size_t edges, size_t threads) {
-  using namespace kgm;
-  using namespace kgm::vadalog;
-  ChaseBenchResult out;
-  FactDb db;
-  Rng rng(4051);
-  for (size_t i = 0; i < edges; ++i) {
-    auto a = static_cast<int64_t>(rng.NextBelow(nodes));
-    auto b = static_cast<int64_t>(rng.NextBelow(nodes));
-    db.Add("edge", {Value(a), Value(b)});
-  }
-  // Conjunctive existential heads: satisfaction needs a witness w with
-  // rel(x, y, w) AND mark(w), so every head check is a two-atom
-  // backtracking search.  The barrier chase pays a hash probe per
-  // duplicate of the ~600k firings and the expensive screen only per
-  // distinct head.
-  auto parsed = ParseProgram(
-      "edge(x, y) -> exists w rel(x, y, w), mark(w).\n"
-      "rel(x, y, w), edge(y, z) -> exists v rel(x, z, v), mark(v).\n");
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "chase bench parse failed: %s\n",
-                 parsed.status().ToString().c_str());
-    return out;
-  }
-  EngineOptions options;
-  options.chase_mode = ChaseMode::kRestricted;
-  options.num_threads = threads;
-  Engine engine(std::move(*parsed), options);
-  if (!engine.status().ok()) return out;
-  auto start = std::chrono::steady_clock::now();
-  Status s = engine.Run(&db);
-  auto stop = std::chrono::steady_clock::now();
-  if (!s.ok()) {
-    std::fprintf(stderr, "chase bench run failed: %s\n", s.ToString().c_str());
-    return out;
-  }
-  out.reason_seconds = std::chrono::duration<double>(stop - start).count();
-  out.stats = engine.stats();
-  out.ok = true;
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -155,7 +100,14 @@ int main(int argc, char** argv) {
   w.Field("companies", static_cast<size_t>(config.num_companies));
   w.Field("persons", static_cast<size_t>(config.num_persons));
   w.Field("holdings", net.holdings().size());
+  w.Field("host_cpus",
+          static_cast<size_t>(std::thread::hardware_concurrency()));
+  w.Field("build_type", KGM_BUILD_TYPE);
   w.Open("runs", '[');
+  // facts_derived per component at the first thread count, checked at the
+  // others.
+  std::vector<size_t> first_facts;
+  bool deterministic = true;
   for (size_t threads : thread_counts) {
     // Fresh data per configuration: components build on OWNS et al., so
     // reusing a graph would shrink later runs.
@@ -165,7 +117,8 @@ int main(int argc, char** argv) {
     w.Open(nullptr, '{');
     w.Field("threads_requested", threads);
     w.Open("components", '[');
-    for (const Step& step : steps) {
+    for (size_t si = 0; si < std::size(steps); ++si) {
+      const Step& step = steps[si];
       auto stats = instance::Materialize(schema, step.program, &data, options);
       if (!stats.ok()) {
         std::fprintf(stderr, "%s failed: %s\n", step.name,
@@ -174,6 +127,15 @@ int main(int argc, char** argv) {
         return 1;
       }
       const auto& es = stats->engine_stats;
+      if (threads == thread_counts[0]) {
+        first_facts.push_back(es.facts_derived);
+      } else if (es.facts_derived != first_facts[si]) {
+        std::fprintf(stderr,
+                     "%s at %zu threads: %zu facts; at %zu threads: %zu\n",
+                     step.name, threads, es.facts_derived, thread_counts[0],
+                     first_facts[si]);
+        deterministic = false;
+      }
       w.Open(nullptr, '{');
       w.Field("component", step.name);
       w.Field("threads_used", es.threads_used);
@@ -199,77 +161,9 @@ int main(int argc, char** argv) {
   }
   w.Close(']');
 
-  // Restricted chase with existentials: the deterministic barrier chase at
-  // 1 and 8 threads.  Each configuration runs kChaseReps times interleaved
-  // and reports the minimum, since shared hosts are noisy.  Every run must
-  // derive the facts and mint the nulls of the first.
-  const size_t chase_nodes = 120;
-  const size_t chase_edges = 4800;
-  constexpr int kChaseReps = 3;
-  const size_t chase_threads[] = {1, 8};
-  constexpr int kChaseConfigs =
-      static_cast<int>(sizeof(chase_threads) / sizeof(chase_threads[0]));
-  ChaseBenchResult best[kChaseConfigs];
-  bool chase_deterministic = true;
-  for (int rep = 0; rep < kChaseReps; ++rep) {
-    for (int i = 0; i < kChaseConfigs; ++i) {
-      ChaseBenchResult r =
-          RunChaseBench(chase_nodes, chase_edges, chase_threads[i]);
-      if (!r.ok) {
-        std::fclose(f);
-        return 1;
-      }
-      if (best[0].ok &&
-          (r.stats.facts_derived != best[0].stats.facts_derived ||
-           r.stats.nulls_minted != best[0].stats.nulls_minted)) {
-        std::fprintf(stderr,
-                     "restricted chase at %zu threads: %zu facts, %zu nulls; "
-                     "at %zu threads: %zu facts, %zu nulls\n",
-                     chase_threads[i], r.stats.facts_derived,
-                     r.stats.nulls_minted, chase_threads[0],
-                     best[0].stats.facts_derived, best[0].stats.nulls_minted);
-        chase_deterministic = false;
-      }
-      if (!best[i].ok || r.reason_seconds < best[i].reason_seconds) {
-        best[i] = r;
-      }
-    }
-  }
-  w.Open("restricted_chase", '{');
-  w.Field("program", "existential_closure_conjunctive_heads");
-  w.Field("nodes", chase_nodes);
-  w.Field("edges", chase_edges);
-  w.Field("reps", static_cast<size_t>(kChaseReps));
-  w.Field("host_cpus",
-          static_cast<size_t>(std::thread::hardware_concurrency()));
-  w.Field("build_type", KGM_BUILD_TYPE);
-  w.Field("note",
-          "on a single-core host the multi-thread row measures "
-          "oversubscription, not scaling");
-  w.Open("runs", '[');
-  for (int i = 0; i < kChaseConfigs; ++i) {
-    const ChaseBenchResult& r = best[i];
-    w.Open(nullptr, '{');
-    w.Field("mode", "barrier");
-    w.Field("threads_requested", chase_threads[i]);
-    w.Field("threads_used", r.stats.threads_used);
-    w.Field("reason_seconds", r.reason_seconds);
-    w.Field("merge_seconds", r.stats.merge_seconds);
-    w.Field("facts_derived", r.stats.facts_derived);
-    w.Field("nulls_minted", r.stats.nulls_minted);
-    w.Field("chase_candidates", r.stats.chase_candidates);
-    w.Field("chase_screened", r.stats.chase_screened);
-    w.Field("chase_deduped", r.stats.chase_deduped);
-    w.Field("chase_rechecks", r.stats.chase_rechecks);
-    w.Field("chase_recheck_drops", r.stats.chase_recheck_drops);
-    w.Close('}');
-  }
-  w.Close(']');
-  w.Close('}');
-
   w.Close('}');
   std::fputc('\n', f);
   std::fclose(f);
   std::printf("wrote %s\n", out_path);
-  return chase_deterministic ? 0 : 1;
+  return deterministic ? 0 : 1;
 }

@@ -29,8 +29,9 @@ class Value;
 using Record = std::vector<std::pair<std::string, Value>>;
 using RecordPtr = std::shared_ptr<const Record>;
 
-// A fresh labeled null from N, created by the chase for an existentially
-// quantified variable with no linker Skolem functor.
+// A labeled null from N.  The engine's chase names every existential with
+// a Skolem term and mints none; the relational model's conformance checks
+// and the type analysis still recognize nulls as identifier-like values.
 struct LabeledNull {
   uint64_t id;
   bool operator==(const LabeledNull& o) const { return id == o.id; }
@@ -198,9 +199,8 @@ class SkolemTable {
 
   // Interns sk_functor(args) and returns its Value (kind kSkolem).
   // Thread-safe; idempotent per (functor, args).  Fresh ids are assigned
-  // in call order, so a caller that fixes the order of its calls also
-  // fixes the ids minted for previously unseen terms — the deterministic
-  // restricted chase relies on this when its barrier replay mints in order.
+  // in call order, so concurrent callers may number new terms differently
+  // from run to run; the term each (functor, args) names does not change.
   Value Intern(const std::string& functor, const std::vector<Value>& args);
 
   // Returns the functor of an interned term.
@@ -230,16 +230,6 @@ class SkolemTable {
 
  public:
   SkolemTable();
-};
-
-// Allocates fresh labeled nulls.
-class NullFactory {
- public:
-  Value Fresh() { return Value(LabeledNull{next_++}); }
-  uint64_t count() const { return next_; }
-
- private:
-  uint64_t next_ = 0;
 };
 
 }  // namespace kgm

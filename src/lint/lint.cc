@@ -322,7 +322,7 @@ void SingletonPass(const Program& program, LintResult* out) {
 // the magic-sets rewrite (see vadalog/magic) always pays the full
 // materialization at point-query time — either because no bound argument
 // reaches a recursive predicate, or because the output's cone forces a
-// fallback (aggregates, restricted-chase existentials).  Only meaningful
+// fallback (aggregates).  Only meaningful
 // against declared outputs, like the unused/unreachable passes.
 void MagicFutilityPass(const Program& program, LintResult* out) {
   for (size_t i = 0; i < program.outputs.size(); ++i) {

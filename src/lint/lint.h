@@ -31,7 +31,7 @@
 //                        benefit from the magic-sets rewrite: either no
 //                        bound argument reaches a recursive predicate, or
 //                        the output's cone forces a materialize fallback
-//                        (aggregates / restricted-chase existentials);
+//                        (aggregates);
 //                        only when the program declares outputs and has
 //                        no errors (warning)
 //

@@ -20,8 +20,8 @@
 
 namespace kgm::metalog {
 
-// Reserved property that preserves the chase OID (a Skolem term or labeled
-// null) of derived nodes/edges across encode/decode round trips, keeping
+// Reserved property that preserves the chase OID (a Skolem term) of
+// derived nodes/edges across encode/decode round trips, keeping
 // repeated materialization runs idempotent.
 inline constexpr char kOidProperty[] = "__oid";
 

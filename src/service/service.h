@@ -66,11 +66,10 @@ struct QueryRequest {
   // `output` (one entry per position, nullopt = free) and the evaluation
   // routes through the magic-sets point-query dispatcher instead
   // of full materialization; the rows returned are exactly the tuples
-  // matching the binding.  Aggregates, restricted-chase existentials and
-  // all-free bindings fall back to materialize-then-filter with the
-  // reason recorded on the result.  `use_point_query = false` keeps the
-  // binding semantics but forces the materialize route (benchmark
-  // baseline).
+  // matching the binding.  Aggregates and all-free bindings fall back to
+  // materialize-then-filter with the reason recorded on the result.
+  // `use_point_query = false` keeps the binding semantics but forces the
+  // materialize route (benchmark baseline).
   std::vector<std::optional<Value>> bound_args;
   bool use_point_query = true;
 };

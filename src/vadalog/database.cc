@@ -162,15 +162,6 @@ const std::vector<uint32_t>& Relation::LookupBuilt(uint64_t mask,
   return bucket->second.rows;
 }
 
-const std::vector<uint32_t>* Relation::TryLookupBuilt(
-    uint64_t mask, const Tuple& probe) const {
-  auto it = indexes_.find(mask);
-  if (it == indexes_.end()) return nullptr;
-  auto bucket = it->second.find(HashTupleMasked(probe, mask));
-  if (bucket == it->second.end()) return &kEmptyRows;
-  return &bucket->second.rows;
-}
-
 FactDb::FactDb(const SharedRelations& relations) {
   for (const auto& [pred, rel] : relations) relations_[pred].shared = rel;
 }

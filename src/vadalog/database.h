@@ -118,16 +118,9 @@ class Relation {
   const std::vector<uint32_t>& LookupBuilt(uint64_t mask,
                                            const Tuple& probe) const;
 
-  // Read-only probe that tolerates a missing index: returns nullptr when
-  // no index has been built for `mask` (the caller falls back to a masked
-  // scan) instead of CHECK-failing like LookupBuilt.  Safe to call
-  // concurrently with other const methods.
-  const std::vector<uint32_t>* TryLookupBuilt(uint64_t mask,
-                                              const Tuple& probe) const;
-
   // True if row `i`'s masked positions equal those of `probe`.  Inline:
   // this is the verification step of every index probe, one of the
-  // hottest paths of the join and the chase head-satisfaction screen.
+  // hottest paths of the join.
   bool MatchesMasked(size_t i, uint64_t mask, const Tuple& probe) const {
     const Tuple& t = tuples_[i];
     for (size_t p = 0; mask != 0; ++p, mask >>= 1) {

@@ -90,18 +90,6 @@ struct CompiledRule {
   std::vector<ExistSlot> existentials;
   std::vector<CompiledLiteral> head;  // reuse ArgSlot encoding
 
-  // Per head atom, the statically-known bound mask of the restricted-chase
-  // head-satisfaction probe: constants, universal (non-existential) slots,
-  // and existential slots fixed by an earlier head atom.  Only computed
-  // for rules with existentials; the barrier chase pre-builds indexes for
-  // these masks so the frozen screen probes read-only.
-  std::vector<uint64_t> head_check_masks;
-  // Head relations resolved once per barrier by PrepareJoinIndexes (one
-  // entry per head atom; barrier chase only) so the head-satisfaction
-  // screen skips the by-name lookup on every firing.  Engine::Run
-  // pre-creates every head relation, so no entry is null.
-  std::vector<const Relation*> head_rels;
-
   // Monotonic aggregation state (persists across the whole run).
   std::unordered_map<Tuple, GroupState, TupleHashFn> mono_groups;
 };
@@ -238,54 +226,31 @@ struct PendingContribution {
   std::vector<Tuple> per_agg;
 };
 
-// One recorded emission of a work item, replayed by the driver at the
-// iteration barrier in ascending (item, seq) order, or of a DeltaEvaluator
-// call, handed to its emit callback after the join.  kFact is a plain
-// derived fact; kCandidate is a restricted-chase firing whose head passed
-// the frozen screen and must be re-checked against the live database
-// before its existential witnesses are minted.
+// One derived fact recorded by a work item, replayed by the driver at the
+// iteration barrier in ascending (item, seq) order, or by a DeltaEvaluator
+// call, handed to its emit callback after the join.
 struct ReplayOp {
-  enum class Kind : uint8_t { kFact, kCandidate };
-  Kind kind = Kind::kFact;
-  const std::string* pred = nullptr;  // kFact: head predicate
-  Tuple tuple;                        // kFact: the derived fact
-  std::vector<Value> slots;           // kCandidate: binding snapshot
-  std::vector<char> bound;            // kCandidate: bound-mask snapshot
+  const std::string* pred = nullptr;  // head predicate
+  Tuple tuple;
 };
 
 // Per-evaluation binding and output state.  Every work item owns a context
-// that records its derived facts (and restricted-chase candidates) in
-// firing order, and its aggregate contributions, for the replay at the
-// iteration barrier.  A DeltaEvaluator call records its facts for its
-// callback.  Either way the join reads a database that does not change,
+// that records its derived facts in firing order, and its aggregate
+// contributions, for the replay at the iteration barrier.  A
+// DeltaEvaluator call records its facts for its callback.  Either way the join reads a database that does not change,
 // through relations and indexes prepared before it started.
 struct EvalContext {
   CompiledRule* rule = nullptr;
   std::vector<Value> slots;
   std::vector<char> bound;
 
-  // Record mode: InsertFact appends kFact ops to replay_ops instead of
-  // inserting.  Work items and DeltaEvaluator calls record; only the
-  // driver's replay inserts.  With drop_present (work items only), a fact
-  // the frozen database already holds is dropped instead, and counted in
+  // Derived facts, appended by RecordFact; only the driver's replay
+  // inserts.  With drop_present (work items only), a fact the frozen
+  // database already holds is dropped instead, and counted in
   // present_dropped.
-  bool record = false;
   bool drop_present = false;
   size_t present_dropped = 0;
   std::vector<ReplayOp> replay_ops;
-  size_t chase_candidates = 0;  // candidate firings recorded for replay
-  size_t chase_screened = 0;    // firings dropped by the frozen screen
-  size_t chase_deduped = 0;     // duplicate firings dropped in this item
-  // Bound-head-argument signatures of the firings this item has already
-  // screened or recorded.  A later firing with an identical signature
-  // would deterministically drop at the barrier re-check (the earlier
-  // candidate either minted a witness for exactly this head or was itself
-  // already satisfied), so it can be dropped here without recording.
-  std::unordered_set<Tuple, TupleHashFn> chase_seen;
-  // Scratch for the signature probed against chase_seen (distinct
-  // signatures are copied in; duplicates — the common case in dense
-  // chases — cost no allocation).
-  Tuple sig_scratch;
 
   // Aggregate contributions recorded by the join; the driver folds them
   // into the rule's group state at the barrier.
@@ -303,11 +268,6 @@ struct EvalContext {
   // Join-probe counter driving the periodic deadline/cancellation poll
   // (checked every few tens of thousands of candidate rows).
   size_t checkpoint_tick = 0;
-
-  // Per-head-atom scratch probes for HeadSatisfied, indexed like
-  // join_probes, so screening half a million firings does not allocate a
-  // vector per check.
-  std::vector<Tuple> head_probes;
 
   // Per-literal scratch probes for Join, indexed by literal position (the
   // recursion occupies one depth per literal, so frames never alias).
@@ -335,18 +295,11 @@ struct Engine::Impl {
 
   std::vector<CompiledRule> compiled;
   std::map<std::string, size_t> arity;
-  NullFactory nulls;
 
   // Helper pool (num_workers - 1 threads; the driver is the last worker);
   // null at one thread, where the driver runs every work item inline.
   std::unique_ptr<ThreadPool> pool;
   size_t num_workers = 1;
-
-  // Deterministic barrier chase: restricted-chase programs with
-  // existentials run the two-phase protocol at every thread count —
-  // workers evaluate against the frozen pre-barrier database and record
-  // emissions; the driver replays them in ascending (item, seq) order.
-  bool barrier_chase = false;
 
   // True when the run has a deadline or a cancellation flag to poll.
   bool checkpoints_armed = false;
@@ -394,11 +347,9 @@ struct Engine::Impl {
   Status EmitWithAggregates(EvalContext& ctx, CompiledRule& cr,
                             const Tuple& group_key, const GroupState& state);
   Status EmitHeadWithPostConditions(EvalContext& ctx, CompiledRule& cr);
-  Status EmitHead(EvalContext& ctx, CompiledRule& cr);
   Status MintAndEmitHead(EvalContext& ctx, CompiledRule& cr);
-  bool HeadSatisfied(EvalContext& ctx, CompiledRule& cr,
-                     size_t atom_index = 0);
-  Status InsertFact(EvalContext& ctx, const std::string& pred, Tuple t);
+  // Appends `t` to ctx.replay_ops (see EvalContext::drop_present).
+  Status RecordFact(EvalContext& ctx, const std::string& pred, Tuple t);
   // Inserts one fact on the driver (mirroring a new row of a recursive
   // predicate into next_delta); returns whether it was new.
   bool InsertShared(const std::string& pred, Tuple t);
@@ -430,10 +381,8 @@ struct Engine::Impl {
   // their recorded emissions at the barrier.  New rows of recursive
   // predicates are mirrored into next_delta.
   Status RunItems(std::deque<WorkItem>& items);
-  // The barrier replay: runs the recorded emissions of `items` on the
-  // driver in ascending (item, seq) order — facts insert via the shared
-  // path, candidates re-check head satisfaction against the live database
-  // and mint their existential witnesses in replay order.
+  // The barrier replay: inserts the recorded facts of `items` on the
+  // driver, through the shared path, in ascending (item, seq) order.
   Status ReplayOrderedOps(std::deque<WorkItem>& items);
   // Folds the deferred aggregate contributions of `items` in submission
   // order: monotonic aggregates re-emit through the shared FactDb,
@@ -658,32 +607,6 @@ Status Engine::Impl::CompileRule(const Rule& rule, int index) {
     }
   }
 
-  // Static bound masks for the restricted-chase head-satisfaction probe.
-  // HeadSatisfied searches head atoms left to right, so at atom i every
-  // position is bound except existential slots not yet fixed by an earlier
-  // atom — which makes the probe masks statically known here.
-  if (!cr.existentials.empty()) {
-    std::set<int> exist_slots;
-    for (const ExistSlot& e : cr.existentials) exist_slots.insert(e.slot);
-    std::set<int> fixed;  // existential slots named by earlier head atoms
-    for (const CompiledLiteral& h : cr.head) {
-      uint64_t m = 0;
-      for (size_t i = 0; i < h.args.size(); ++i) {
-        const ArgSlot& a = h.args[i];
-        if (a.is_const || exist_slots.count(a.slot) == 0 ||
-            fixed.count(a.slot) > 0) {
-          m |= 1ULL << i;
-        }
-      }
-      cr.head_check_masks.push_back(m);
-      for (const ArgSlot& a : h.args) {
-        if (!a.is_const && exist_slots.count(a.slot) > 0) {
-          fixed.insert(a.slot);
-        }
-      }
-    }
-  }
-
   // Split conditions into pre-/post-aggregation.
   for (const Condition& c : rule.conditions) {
     std::vector<std::string> vars;
@@ -764,13 +687,8 @@ bool Engine::Impl::InsertShared(const std::string& pred, Tuple t) {
   return true;
 }
 
-Status Engine::Impl::InsertFact(EvalContext& ctx, const std::string& pred,
+Status Engine::Impl::RecordFact(EvalContext& ctx, const std::string& pred,
                                 Tuple t) {
-  // The driver's replay inserts; everyone else records.
-  if (!ctx.record) {
-    InsertShared(pred, std::move(t));
-    return OkStatus();
-  }
   // A work item drops a fact the frozen database already holds: the
   // replay's insert would be a no-op, and Contains is read-only, so the
   // check is safe beside the other workers.  Every head predicate is
@@ -824,17 +742,6 @@ Status Engine::Impl::Run(FactDb* target) {
   // Every stratum runs the frozen barrier driver at every thread count
   // (at one thread the driver runs the work items inline), and the driver
   // inserts every recorded fact in ascending (item, seq) order.
-  // Restricted-chase programs with existentials run the deterministic
-  // barrier chase: head-satisfaction screens evaluate against the frozen
-  // pre-barrier database and the replay re-checks candidates and mints
-  // nulls in the same order, so null ids are a pure function of the
-  // program and input.
-  bool has_existentials = false;
-  for (const CompiledRule& cr : compiled) {
-    if (!cr.existentials.empty()) has_existentials = true;
-  }
-  barrier_chase =
-      options.chase_mode == ChaseMode::kRestricted && has_existentials;
   num_workers = options.num_threads == 0 ? ThreadPool::DefaultThreads()
                                          : options.num_threads;
   // The driver runs work items too (ParallelFor), so the pool holds one
@@ -857,7 +764,6 @@ Status Engine::Impl::Run(FactDb* target) {
     stats->stratum_seconds.push_back(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count());
-    stats->nulls_minted = nulls.count();
     KGM_RETURN_IF_ERROR(status);
   }
   return OkStatus();
@@ -870,15 +776,9 @@ void Engine::Impl::FlushCtxStats(EvalContext& ctx, const CompiledRule& cr) {
   stats->join_probes += ctx.probes;
   stats->rule_firings_by_rule[cr.index] += ctx.firings;
   stats->rule_probes_by_rule[cr.index] += ctx.probes;
-  stats->chase_candidates += ctx.chase_candidates;
-  stats->chase_screened += ctx.chase_screened;
-  stats->chase_deduped += ctx.chase_deduped;
   stats->staged_duplicates += ctx.present_dropped;
   ctx.firings = 0;
   ctx.probes = 0;
-  ctx.chase_candidates = 0;
-  ctx.chase_screened = 0;
-  ctx.chase_deduped = 0;
   ctx.present_dropped = 0;
 }
 
@@ -935,19 +835,6 @@ void Engine::Impl::PrepareJoinIndexes(CompiledRule& cr) {
   for (CompiledLiteral& lit : cr.negatives) {
     lit.rel = ProbeRelation(db, lit.pred, lit.static_mask, lit.args.size());
   }
-  // Barrier chase: resolve the head relations and pre-build the
-  // head-satisfaction probe indexes, so both the frozen screen in the
-  // workers and the replay re-check at the barrier probe read-only
-  // (Insert keeps the indexes current during the replay).
-  if (barrier_chase && !cr.head_check_masks.empty()) {
-    cr.head_rels.assign(cr.head.size(), nullptr);
-    for (size_t i = 0; i < cr.head.size(); ++i) {
-      const CompiledLiteral& h = cr.head[i];
-      cr.head_rels[i] =
-          ProbeRelation(db, h.pred, cr.head_check_masks[i], h.args.size());
-      KGM_CHECK(cr.head_rels[i] != nullptr);
-    }
-  }
 }
 
 size_t Engine::Impl::PartitionCount(size_t rows) const {
@@ -964,7 +851,6 @@ Status Engine::Impl::RunItems(std::deque<WorkItem>& items) {
   recorded_total_.store(0, std::memory_order_relaxed);
   size_t budget_base = db->TotalFacts();
   for (WorkItem& item : items) {
-    item.ctx.record = true;
     item.ctx.drop_present = true;
     item.ctx.budget_base = budget_base;
   }
@@ -1003,10 +889,7 @@ Status Engine::Impl::ReplayOrderedOps(std::deque<WorkItem>& items) {
   // partition order, with partitions covering ascending ranges, so the
   // concatenated op sequence is independent of how many partitions (and
   // threads) the iteration used.  A fact recorded twice in one barrier
-  // keeps its first copy.  Candidates re-check against the live database,
-  // so a head satisfied by a tuple minted earlier in the same barrier
-  // drops instead of minting a redundant null.
-  EvalContext scratch;
+  // keeps its first copy.
   Status status = OkStatus();
   size_t tick = 0;
   for (WorkItem& item : items) {
@@ -1017,23 +900,9 @@ Status Engine::Impl::ReplayOrderedOps(std::deque<WorkItem>& items) {
         status = Checkpoint();
         if (!status.ok()) break;
       }
-      if (op.kind == ReplayOp::Kind::kFact) {
-        ++(InsertShared(*op.pred, std::move(op.tuple))
-               ? stats->staged_inserts
-               : stats->staged_duplicates);
-      } else {
-        CompiledRule& cr = *item.rule;
-        scratch.rule = &cr;
-        scratch.slots = std::move(op.slots);
-        scratch.bound = std::move(op.bound);
-        ++stats->chase_rechecks;
-        if (HeadSatisfied(scratch, cr)) {
-          ++stats->chase_recheck_drops;
-          continue;
-        }
-        status = MintAndEmitHead(scratch, cr);
-      }
-      if (!status.ok()) break;
+      ++(InsertShared(*op.pred, std::move(op.tuple))
+             ? stats->staged_inserts
+             : stats->staged_duplicates);
     }
     item.ctx.replay_ops.clear();
     if (!status.ok()) break;
@@ -1041,8 +910,8 @@ Status Engine::Impl::ReplayOrderedOps(std::deque<WorkItem>& items) {
   stats->merge_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  // The workers bounded the recorded ops by the budget; a replayed
-  // candidate can still add one fact per head atom.
+  // Every recorded op was counted against the budget; this is the safety
+  // net on the database itself.
   if (status.ok() && db->TotalFacts() > options.max_facts) {
     return FactBudgetExceeded();
   }
@@ -1052,7 +921,6 @@ Status Engine::Impl::ReplayOrderedOps(std::deque<WorkItem>& items) {
 Status Engine::Impl::FoldItemContributions(std::deque<WorkItem>& items) {
   auto t0 = std::chrono::steady_clock::now();
   EvalContext scratch;
-  scratch.record = true;
   scratch.drop_present = true;
   size_t tick = 0;
   for (WorkItem& item : items) {
@@ -1658,170 +1526,27 @@ Status Engine::Impl::EmitHeadWithPostConditions(EvalContext& ctx,
     }
     if (!v.AsBool()) return OkStatus();
   }
-  return EmitHead(ctx, cr);
+  return MintAndEmitHead(ctx, cr);
 }
 
-bool Engine::Impl::HeadSatisfied(EvalContext& ctx, CompiledRule& cr,
-                                 size_t atom_index) {
-  // Backtracking search, head atom by head atom from `atom_index`, for
-  // witness values of the existential slots that make every head atom
-  // already present in the database.  Witnesses bind into ctx.slots /
-  // ctx.bound like Join's rows do and are unbound before returning, so a
-  // repeated existential slot must take one value across positions and
-  // atoms.  Every probe is read-only, in the workers' frozen screen and in
-  // the driver's replay re-check alike: the masks below coincide with
-  // CompiledRule::head_check_masks, whose indexes PrepareJoinIndexes
-  // pre-builds on the relations it caches in head_rels; should an index be
-  // missing anyway, the probe degrades to a masked scan instead of
-  // building one on shared state.
-  if (atom_index == cr.head.size()) return true;
-  const CompiledLiteral& h = cr.head[atom_index];
-  const Relation* rel = cr.head_rels[atom_index];
-  const size_t n = h.args.size();
-  // Sized up front so a deeper atom never reallocates the vector under a
-  // shallower frame's reference.
-  if (ctx.head_probes.size() < cr.head.size()) {
-    ctx.head_probes.resize(cr.head.size());
-  }
-  Tuple& probe = ctx.head_probes[atom_index];
-  probe.clear();
-  probe.resize(n);
-  uint64_t mask = 0;
-  bool any_free = false;
-  for (size_t i = 0; i < n; ++i) {
-    const ArgSlot& a = h.args[i];
-    if (a.is_const) {
-      mask |= 1ULL << i;
-      probe[i] = a.constant;
-    } else if (ctx.bound[a.slot]) {
-      mask |= 1ULL << i;
-      probe[i] = ctx.slots[a.slot];
-    } else {
-      any_free = true;
-    }
-  }
-  if (!any_free) {
-    return rel->Contains(probe) && HeadSatisfied(ctx, cr, atom_index + 1);
-  }
-  auto try_row = [&](uint32_t rowi) -> bool {
-    if (mask != 0 && !rel->MatchesMasked(rowi, mask, probe)) return false;
-    const Tuple& row = rel->tuple(rowi);
-    std::array<int, 64> bound_here;
-    size_t bound_count = 0;
-    bool ok = true;
-    for (size_t i = 0; i < n && ok; ++i) {
-      if ((mask >> i) & 1) continue;
-      int s = h.args[i].slot;
-      if (ctx.bound[s]) {
-        if (!(row[i] == ctx.slots[s])) ok = false;
-      } else {
-        ctx.slots[s] = row[i];
-        ctx.bound[s] = 1;
-        bound_here[bound_count++] = s;
-      }
-    }
-    bool satisfied = ok && HeadSatisfied(ctx, cr, atom_index + 1);
-    for (size_t i = 0; i < bound_count; ++i) ctx.bound[bound_here[i]] = 0;
-    return satisfied;
-  };
-  const std::vector<uint32_t>* rows =
-      mask != 0 ? rel->TryLookupBuilt(mask, probe) : nullptr;
-  if (rows != nullptr) {
-    for (uint32_t rowi : *rows) {
-      if (try_row(rowi)) return true;
-    }
-    return false;
-  }
-  for (size_t i = 0; i < rel->size(); ++i) {
-    if (try_row(static_cast<uint32_t>(i))) return true;
-  }
-  return false;
-}
-
-Status Engine::Impl::EmitHead(EvalContext& ctx, CompiledRule& cr) {
-  if (cr.existentials.empty() ||
-      options.chase_mode != ChaseMode::kRestricted) {
-    return MintAndEmitHead(ctx, cr);
-  }
-  // A restricted-chase existential rule only fires inside a barrier-chase
-  // work item (DeltaEvaluator refuses such rules): screen the firing and
-  // record it as a candidate; the driver mints at the replay.
-  KGM_CHECK(ctx.record);
-  // Dedup before anything else: both the frozen screen's verdict and
-  // the barrier re-check's fate are functions of the bound-head-
-  // argument signature alone (the screen reads only the frozen
-  // database; a duplicate of a recorded candidate re-checks after the
-  // earlier copy either minted a witness for exactly this head or was
-  // itself found satisfied), so a repeated signature within this work
-  // item can only ever drop.  Dense chases fire the same head many
-  // times per barrier — one hash probe here replaces a screen (and
-  // possibly a recorded op plus a replay re-check) per repeat, without
-  // changing the surviving-candidate order or the minted null ids.  The
-  // set is per item, so the drop counts depend only on the program, the
-  // input and the partitioning (the thread count), never on scheduling.
-  // The signature carries the rule index because the barrier's aggregate
-  // fold emits the heads of several rules through one context.
-  Tuple& signature = ctx.sig_scratch;
-  signature.clear();
-  signature.push_back(Value(static_cast<int64_t>(cr.index)));
-  for (const CompiledLiteral& h : cr.head) {
-    for (const ArgSlot& a : h.args) {
-      if (!a.is_const && a.slot >= 0 && ctx.bound[a.slot]) {
-        signature.push_back(ctx.slots[a.slot]);
-      }
-    }
-  }
-  if (ctx.chase_seen.find(signature) != ctx.chase_seen.end()) {
-    ++ctx.chase_deduped;
-    return OkStatus();
-  }
-  ctx.chase_seen.insert(signature);
-  // Screen against the frozen pre-barrier database.  Satisfaction is
-  // monotone (facts are never retracted), so a head satisfied here
-  // stays satisfied at the barrier and the firing drops immediately;
-  // unsatisfied heads become candidates the driver re-checks against
-  // the live database in replay order.
-  if (HeadSatisfied(ctx, cr)) {
-    ++ctx.chase_screened;
-    return OkStatus();
-  }
-  ++ctx.chase_candidates;
-  ReplayOp op;
-  op.kind = ReplayOp::Kind::kCandidate;
-  op.slots = ctx.slots;
-  op.bound = ctx.bound;
-  ctx.replay_ops.push_back(std::move(op));
-  return CountRecorded(ctx);
-}
-
-// Binds the existential slots in order — fresh labeled nulls for
-// restricted-chase automatic existentials, interned Skolem terms
-// otherwise — and inserts the head atoms.  The caller has already decided
-// the head must fire.  Fixing the binding order fixes the ids minted for
-// unseen terms, so the ordered replay mints the same ids at every thread
-// count.
+// Binds each existential slot, in order, to the Skolem term of its functor
+// over its frontier arguments, and records the head atoms.  Skolem terms
+// are content-addressed, so a firing yields the same term whichever work
+// item, thread or call makes it.
 Status Engine::Impl::MintAndEmitHead(EvalContext& ctx, CompiledRule& cr) {
   std::vector<int> bound_here;
   auto cleanup = [&]() {
     for (int s : bound_here) ctx.bound[s] = 0;
   };
-  for (size_t i = 0; i < cr.existentials.size(); ++i) {
-    const ExistSlot& e = cr.existentials[i];
-    Value v;
-    if (options.chase_mode == ChaseMode::kRestricted &&
-        cr.rule->existentials[i].skolem_functor.empty()) {
-      v = nulls.Fresh();
-    } else {
-      std::vector<Value> args;
-      args.reserve(e.arg_slots.size());
-      for (int s : e.arg_slots) {
-        KGM_CHECK(ctx.bound[s]);
-        args.push_back(ctx.slots[s]);
-      }
-      v = SkolemTable::Global().Intern(e.functor, args);
+  for (const ExistSlot& e : cr.existentials) {
+    std::vector<Value> args;
+    args.reserve(e.arg_slots.size());
+    for (int s : e.arg_slots) {
+      KGM_CHECK(ctx.bound[s]);
+      args.push_back(ctx.slots[s]);
     }
     KGM_CHECK(!ctx.bound[e.slot]);
-    ctx.slots[e.slot] = std::move(v);
+    ctx.slots[e.slot] = SkolemTable::Global().Intern(e.functor, args);
     ctx.bound[e.slot] = 1;
     bound_here.push_back(e.slot);
   }
@@ -1839,7 +1564,7 @@ Status Engine::Impl::MintAndEmitHead(EvalContext& ctx, CompiledRule& cr) {
         t[i] = ctx.slots[a.slot];
       }
     }
-    Status status = InsertFact(ctx, h.pred, std::move(t));
+    Status status = RecordFact(ctx, h.pred, std::move(t));
     if (!status.ok()) {
       cleanup();
       return status;
@@ -1905,20 +1630,13 @@ struct DeltaEvaluator::State {
 
   explicit State(Engine* engine) : impl(engine) {}
 
-  // Aggregates fold, and restricted-chase existentials mint, only at the
-  // engine's barriers, which rule-at-a-time calls never reach.  Incremental
-  // maintenance recomputes or reruns such programs instead.
+  // Aggregates fold only at the engine's barriers, which rule-at-a-time
+  // calls never reach.  Incremental maintenance recomputes such programs
+  // instead.
   Status CheckSupported(const CompiledRule& cr) const {
     if (!cr.aggregates.empty()) {
       return FailedPrecondition(
           "rule-at-a-time evaluation does not support aggregates: " +
-          cr.rule->ToString());
-    }
-    if (!cr.existentials.empty() &&
-        impl.options.chase_mode == ChaseMode::kRestricted) {
-      return FailedPrecondition(
-          "rule-at-a-time evaluation does not support restricted-chase "
-          "existentials: " +
           cr.rule->ToString());
     }
     return OkStatus();
@@ -1927,7 +1645,7 @@ struct DeltaEvaluator::State {
   // Readies `ctx` for a call that joins `cr` by `plan`: resolves every body
   // relation and builds each index the plan probes.  The delta literal
   // (-1 = none) reads `delta`, indexed when anonymous positions leave it
-  // partly bound.  Emissions are recorded as kFact ops, at most max_facts.
+  // partly bound.  Emissions are recorded as ops, at most max_facts.
   void Prepare(CompiledRule& cr, const JoinPlan& plan, int delta_literal,
                Relation* delta, EvalContext* ctx) {
     const size_t np = cr.positives.size();
@@ -1947,7 +1665,6 @@ struct DeltaEvaluator::State {
     }
     ctx->rule = &cr;
     ctx->order = &plan.order;
-    ctx->record = true;
     impl.recorded_total_.store(0, std::memory_order_relaxed);
   }
 
@@ -1964,7 +1681,7 @@ DeltaEvaluator::DeltaEvaluator(Engine* engine, FactDb* db)
     : state_(std::make_unique<State>(engine)) {
   state_->init = engine->status();
   if (state_->init.ok()) state_->init = state_->impl.CompileAll();
-  // One thread: no pool, no barrier chase.
+  // One thread: no pool.
   state_->impl.db = db;
   state_->impl.num_workers = 1;
 }

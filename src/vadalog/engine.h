@@ -3,10 +3,9 @@
 // Semi-naive, stratified, bottom-up evaluation of existential rule programs
 // (the chase).  Features, following Section 4 of the paper:
 //
-//  * existential quantification, materialized either through linker Skolem
+//  * existential quantification, materialized through linker Skolem
 //    functors (explicit `exists v = sk(x)` or automatic frontier
-//    Skolemization) or through fresh labeled nulls with a restricted-chase
-//    satisfaction check;
+//    Skolemization);
 //  * stratified negation;
 //  * aggregation: ordinary group-by semantics in non-recursive rules,
 //    Vadalog-style *monotonic* aggregation inside recursion (this is what
@@ -46,16 +45,7 @@ namespace kgm::vadalog {
 inline constexpr size_t kMaxRuleVariables = 64;
 inline constexpr size_t kMaxAtomArity = 60;
 
-enum class ChaseMode {
-  // Existentials become deterministic Skolem terms over the rule frontier.
-  kSkolem,
-  // Existentials become fresh labeled nulls, guarded by a head-satisfaction
-  // check (the restricted / standard chase).
-  kRestricted,
-};
-
 struct EngineOptions {
-  ChaseMode chase_mode = ChaseMode::kSkolem;
   // Hard ceiling on the total number of facts in the database.
   size_t max_facts = 50'000'000;
   // Hard ceiling on fixpoint iterations per stratum.
@@ -69,12 +59,9 @@ struct EngineOptions {
   // pre-barrier database and record what they derive, in firing order; at
   // the iteration barrier the driver inserts the recorded facts in
   // ascending (item, seq) order, so the first copy in item order survives
-  // (see DESIGN.md, "Ordered barrier replay").  Restricted-chase programs
-  // with existentials record candidate firings too, and the same replay
-  // re-checks head satisfaction and mints nulls (see DESIGN.md,
-  // "Deterministic parallel restricted chase").  Either way the output —
-  // row order and minted null ids included — is the same at every thread
-  // count.
+  // (see DESIGN.md, "Ordered barrier replay").  Skolem terms are
+  // content-addressed, so the output — row order included — is the same
+  // at every thread count.
   size_t num_threads = 0;
   // Cooperative deadline: when set (non-default time_point), the engine
   // polls the clock at evaluation checkpoints — stratum/batch boundaries,
@@ -100,17 +87,6 @@ struct EngineStats {
   // Threads that ran the evaluation, the driver included:
   // EngineOptions::num_threads, with 0 resolved to hardware_concurrency.
   size_t threads_used = 1;
-  // Deterministic restricted chase (barrier protocol) observability.
-  // Like the outputs, these depend only on the program, the input and the
-  // thread count (which fixes the work-item partitioning).
-  size_t chase_candidates = 0;     // firings recorded for barrier re-check
-  size_t chase_screened = 0;       // firings dropped by the frozen pre-check
-  // Firings dropped because the same work item already screened or
-  // recorded a firing with the same bound head arguments.
-  size_t chase_deduped = 0;
-  size_t chase_rechecks = 0;       // candidates re-checked at barriers
-  size_t chase_recheck_drops = 0;  // dropped: satisfied by same-barrier facts
-  size_t nulls_minted = 0;         // fresh labeled nulls created by the run
   // Wall-clock seconds spent in the (possibly pooled) join phase between
   // barriers — the part of an iteration that scales with worker count.
   double eval_seconds = 0;
@@ -204,9 +180,8 @@ Status RunProgram(std::string_view source, FactDb* db,
 // calls `emit` only after the join returns.  So `emit` may insert (the DRed
 // insert phase does); the next call sees it, this one does not.  Between
 // calls the maintainer erases and inserts tuples as its phases complete.
-// Rules with aggregates, and restricted-chase rules with existentials,
-// fold or mint only at the engine's barriers: both calls return
-// FailedPrecondition for them (IncrementalView never sends them).
+// Rules with aggregates fold only at the engine's barriers: both calls
+// return FailedPrecondition for them (IncrementalView never sends them).
 class DeltaEvaluator {
  public:
   // `engine` must have ok status and outlive the evaluator; `db` is the

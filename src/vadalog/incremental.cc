@@ -42,8 +42,6 @@ const char* MaintenanceModeName(MaintenanceMode mode) {
       return "dred";
     case MaintenanceMode::kRecomputeStrata:
       return "recompute-strata";
-    case MaintenanceMode::kFullRerun:
-      return "full-rerun";
   }
   return "unknown";
 }
@@ -51,7 +49,6 @@ const char* MaintenanceModeName(MaintenanceMode mode) {
 // --- State -------------------------------------------------------------------
 
 struct IncrementalView::State {
-  EngineOptions options;
   Engine engine;
   Status init;
   bool initialized = false;
@@ -79,14 +76,13 @@ struct IncrementalView::State {
   std::vector<std::vector<std::string>> rule_heads;
 
   State(Program program, EngineOptions opts)
-      : options(opts), engine(std::move(program), opts) {
+      : engine(std::move(program), opts) {
     init = engine.status();
     if (!init.ok()) return;
     const Program& p = engine.program();
     const Stratification& strat = engine.stratification();
     rule_positives.resize(p.rules.size());
     rule_heads.resize(p.rules.size());
-    bool has_existentials = false;
     bool has_aggregates = false;
     for (size_t i = 0; i < p.rules.size(); ++i) {
       const Rule& r = p.rules[i];
@@ -107,22 +103,14 @@ struct IncrementalView::State {
         all_heads.insert(h.predicate);
         rule_heads[i].push_back(h.predicate);
       }
-      if (!r.existentials.empty()) has_existentials = true;
       if (!r.aggregates.empty()) has_aggregates = true;
     }
     for (const FactDecl& f : p.facts) {
       pred_arity.emplace(f.predicate, f.values.size());
     }
-    if (options.chase_mode == ChaseMode::kRestricted && has_existentials) {
-      // Labeled nulls come from a run-global counter; partial re-evaluation
-      // would renumber them.
-      mode = MaintenanceMode::kFullRerun;
-    } else if (has_aggregates) {
-      // A folded accumulator cannot un-fold a deleted contribution.
-      mode = MaintenanceMode::kRecomputeStrata;
-    } else {
-      mode = MaintenanceMode::kDRed;
-    }
+    // A folded accumulator cannot un-fold a deleted contribution.
+    mode = has_aggregates ? MaintenanceMode::kRecomputeStrata
+                          : MaintenanceMode::kDRed;
   }
 
   size_t ArityOf(const std::string& pred, size_t fallback) const {
@@ -139,7 +127,6 @@ struct IncrementalView::State {
   Status NormalizeAndApplyEdb(const EdbDelta& delta, TupleListMap* d_del,
                               TupleListMap* d_ins);
 
-  Status ApplyFullRerun();
   Status ApplyRecompute(TupleListMap& d_del, TupleListMap& d_ins);
   Status ApplyDRed(TupleListMap& d_del, TupleListMap& d_ins);
 
@@ -262,29 +249,6 @@ void IncrementalView::State::ApplyEdbToDbForNonHeads(
     for (const Tuple& t : ts) rel.Insert(t);
     last_changed.insert(pred);
   }
-}
-
-Status IncrementalView::State::ApplyFullRerun() {
-  FactDb fresh = edb.Clone();
-  KGM_RETURN_IF_ERROR(engine.Run(&fresh));
-  // Diff against the previous materialization so the serving layer learns
-  // which relations to re-encode; order-sensitive on purpose.
-  for (const std::string& pred : fresh.Predicates()) {
-    const Relation* now = fresh.Get(pred);
-    const Relation* was = db.Get(pred);
-    if (was == nullptr || was->size() != now->size() ||
-        was->content_hash() != now->content_hash() ||
-        was->tuples() != now->tuples()) {
-      last_changed.insert(pred);
-    }
-  }
-  for (const std::string& pred : db.Predicates()) {
-    if (fresh.Get(pred) == nullptr && db.Get(pred)->size() > 0) {
-      last_changed.insert(pred);
-    }
-  }
-  db = std::move(fresh);
-  return OkStatus();
 }
 
 Status IncrementalView::State::RecomputeStratum(int stratum,
@@ -663,9 +627,6 @@ Status IncrementalView::Apply(const EdbDelta& delta) {
   Status status = state_->NormalizeAndApplyEdb(delta, &d_del, &d_ins);
   if (status.ok() && !(d_del.empty() && d_ins.empty())) {
     switch (state_->mode) {
-      case MaintenanceMode::kFullRerun:
-        status = state_->ApplyFullRerun();
-        break;
       case MaintenanceMode::kRecomputeStrata:
         status = state_->ApplyRecompute(d_del, d_ins);
         break;

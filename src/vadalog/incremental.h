@@ -19,10 +19,10 @@
 //                tuples and, transitively, by newly derived facts.
 //
 // Not every program is DRed-maintainable with the engine's semantics, so
-// the maintainer picks one of three modes per program (MaintenanceMode):
+// the maintainer picks one of two modes per program (MaintenanceMode):
 //
-//   kDRed             No aggregates, and existentials (if any) materialize
-//                     as content-addressed Skolem terms, so rederivation
+//   kDRed             No aggregates.  Existentials materialize as
+//                     content-addressed Skolem terms, so rederivation
 //                     reproduces the original witnesses.  Maintains the
 //                     database as a set: contents match a from-scratch
 //                     materialization exactly; row order may differ.
@@ -36,16 +36,10 @@
 //                     detection is order-sensitive, which makes the
 //                     maintained database bit-identical to a from-scratch
 //                     run — including row order and float bits.
-//   kFullRerun        Restricted-chase programs with existentials mint
-//                     labeled nulls from a run-global counter; any partial
-//                     re-evaluation would renumber them.  The maintainer
-//                     falls back to a full re-materialization, which the
-//                     deterministic engine makes bit-identical by
-//                     construction.
 //
 // Correctness contract: after Apply, db() equals the database produced by
 // running the program from scratch on the post-delta EDB — bit-identical
-// (ordered) in kRecomputeStrata / kFullRerun modes, equal as a set of
+// (ordered) in kRecomputeStrata mode, equal as a set of
 // facts in kDRed mode — at any engine thread count (the engine itself is
 // deterministic across worker counts).
 
@@ -77,7 +71,7 @@ struct EdbDelta {
   std::vector<std::string> TouchedPredicates() const;
 };
 
-enum class MaintenanceMode { kDRed, kRecomputeStrata, kFullRerun };
+enum class MaintenanceMode { kDRed, kRecomputeStrata };
 
 const char* MaintenanceModeName(MaintenanceMode mode);
 
@@ -156,7 +150,7 @@ class IncrementalView {
 
 // True when both databases hold exactly the same relations with exactly
 // the same rows in the same order (the bit-identity check of the
-// kRecomputeStrata / kFullRerun contract).  Relations that exist in only
+// kRecomputeStrata contract).  Relations that exist in only
 // one database must be empty.
 bool DatabasesEqualOrdered(const FactDb& a, const FactDb& b);
 

@@ -236,8 +236,6 @@ const char* FallbackReasonName(FallbackReason r) {
       return "no_bound_argument";
     case FallbackReason::kAggregates:
       return "aggregates";
-    case FallbackReason::kRestrictedExistentials:
-      return "restricted_existentials";
     case FallbackReason::kAdornmentExplosion:
       return "adornment_explosion";
     case FallbackReason::kRewriteRejected:
@@ -681,11 +679,6 @@ FallbackReason CheckCone(const RewriteState& st,
                 ") aggregates inside the query's cone";
       return FallbackReason::kAggregates;
     }
-    if (st.options.restricted_chase && !r.existentials.empty()) {
-      *detail = "rule " + std::to_string(i) + " (" + r.head[0].predicate +
-                ") has existentials under the restricted chase";
-      return FallbackReason::kRestrictedExistentials;
-    }
   }
   return FallbackReason::kNone;
 }
@@ -761,12 +754,10 @@ MagicRewrite RewriteForQuery(const Program& program,
 }
 
 MagicOpportunity AnalyzeMagicOpportunity(const Program& program,
-                                         const std::string& output_pred,
-                                         bool restricted_chase) {
+                                         const std::string& output_pred) {
   MagicOpportunity out;
   RewriteState st;
   st.program = &program;
-  st.options.restricted_chase = restricted_chase;
   st.build_rules = false;
   BuildDefs(program, &st);
   if (!st.Intensional(output_pred)) {

@@ -24,15 +24,13 @@
 //
 // Supported fragment and fallbacks.  Rules reachable from the query
 // predicate may use positive/negated literals, conditions, assignments
-// and Skolem-mode existentials.  The rewrite *falls back* — reporting a
+// and existentials.  The rewrite *falls back* — reporting a
 // FallbackReason instead of a program, after which the point-query
 // dispatcher (point_query.h) answers by full materialization — for
-// aggregates (monotonic aggregation is not magic-preserving), for
-// existentials under the restricted chase (fresh nulls are not
-// comparable across runs), when the query has no bound argument, or when
-// the adornment worklist explodes past
-// RewriteOptions::max_adorned_predicates.  Negated or
-// all-free intensional subgoals are handled by marking their cones
+// aggregates (monotonic aggregation is not magic-preserving), when the
+// query has no bound argument, or when the adornment worklist explodes
+// past RewriteOptions::max_adorned_predicates.  Negated or all-free
+// intensional subgoals are handled by marking their cones
 // "full-required": those predicates keep their original rules unguarded
 // (complete evaluation), which preserves stratification because magic
 // predicates never appear under negation.
@@ -98,7 +96,6 @@ enum class FallbackReason {
   kNone = 0,
   kNoBoundArgument,         // every query position is free
   kAggregates,              // an aggregate rule is in the query's cone
-  kRestrictedExistentials,  // existentials under ChaseMode::kRestricted
   kAdornmentExplosion,      // > max_adorned_predicates distinct adornments
   kRewriteRejected,         // rewritten program failed engine validation
 };
@@ -108,9 +105,6 @@ const char* FallbackReasonName(FallbackReason r);
 struct RewriteOptions {
   // Cap on distinct (predicate, adornment) pairs before giving up.
   size_t max_adorned_predicates = 128;
-  // True when the evaluation will run under ChaseMode::kRestricted:
-  // any existential in the cone then forces a fallback.
-  bool restricted_chase = false;
 };
 
 // One adorned predicate, for explain output.
@@ -170,8 +164,7 @@ struct MagicOpportunity {
 };
 
 MagicOpportunity AnalyzeMagicOpportunity(const Program& program,
-                                         const std::string& output_pred,
-                                         bool restricted_chase = false);
+                                         const std::string& output_pred);
 
 }  // namespace kgm::vadalog::magic
 

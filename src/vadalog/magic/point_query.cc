@@ -167,12 +167,9 @@ Result<std::vector<Tuple>> EvalPointQuery(const Program& program,
   if (!IsIntensional(program, query.predicate)) {
     return finish(RunEdbLookup(program, query, db, stats));
   }
-  RewriteOptions rw_options = options.rewrite;
-  rw_options.restricted_chase =
-      options.engine.chase_mode == ChaseMode::kRestricted;
   std::set<std::string> edb;
   for (const std::string& p : db->Predicates()) edb.insert(p);
-  MagicRewrite rw = RewriteForQuery(program, query, edb, rw_options);
+  MagicRewrite rw = RewriteForQuery(program, query, edb, options.rewrite);
   stats->fallback = rw.fallback;
   stats->fallback_detail = rw.detail;
   if (rw.ok()) {

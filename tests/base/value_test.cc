@@ -64,15 +64,6 @@ TEST(ValueTest, ToStringRendering) {
   EXPECT_EQ(Value(LabeledNull{7}).ToString(), "_:n7");
 }
 
-TEST(LabeledNullTest, DistinctIds) {
-  NullFactory factory;
-  Value a = factory.Fresh();
-  Value b = factory.Fresh();
-  EXPECT_TRUE(a.is_labeled_null());
-  EXPECT_NE(a, b);
-  EXPECT_EQ(factory.count(), 2u);
-}
-
 TEST(SkolemTableTest, InterningIsDeterministicAndInjective) {
   SkolemTable& table = SkolemTable::Global();
   Value a = table.Intern("skN", {Value(int64_t{1})});

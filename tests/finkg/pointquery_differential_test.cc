@@ -238,8 +238,8 @@ TEST_P(PointQueryDifferential, AllProgramsMatchOracle) {
     RunDifferential(put, GetParam(), &counters);
   }
   // The suite exercised real work in each routing mode: reach.vlog's
-  // bound closure queries go through magic, and the aggregate/restricted
-  // programs must have recorded reasons on their materialize fallbacks.
+  // bound closure queries go through magic, and the aggregate programs
+  // must have recorded reasons on their materialize fallbacks.
   EXPECT_GT(counters.queries, 20u);
   EXPECT_GT(counters.magic_mode, 0u);
   EXPECT_GT(counters.fallbacks, 0u);

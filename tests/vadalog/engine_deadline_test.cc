@@ -111,9 +111,9 @@ TEST(EngineDeadlineTest, ShortDeadlineStopsAggregateFinalization) {
   EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded) << s.ToString();
 }
 
-TEST(EngineDeadlineTest, ShortDeadlineStopsRestrictedChase) {
-  // Barrier chase: the ordered replay between barriers polls the deadline
-  // too, so existential programs stay cancellable at every thread count.
+TEST(EngineDeadlineTest, ShortDeadlineStopsExistentialChase) {
+  // The ordered replay between barriers polls the deadline too, so
+  // existential programs stay cancellable at every thread count.
   std::ostringstream src;
   for (int i = 0; i < 400; ++i) {
     src << "@fact edge(" << i << ", " << (i + 1) % 400 << ").\n";
@@ -123,7 +123,6 @@ TEST(EngineDeadlineTest, ShortDeadlineStopsRestrictedChase) {
   auto program = ParseProgram(src.str());
   ASSERT_TRUE(program.ok()) << program.status().ToString();
   EngineOptions options;
-  options.chase_mode = ChaseMode::kRestricted;
   options.num_threads = 4;
   options.deadline = Clock::now() + std::chrono::milliseconds(1);
   Engine engine(std::move(*program), options);

@@ -153,24 +153,6 @@ TEST(EngineEdgeTest, MultipleStratifiedAggregatesInOneRule) {
        Value(int64_t{7})}));
 }
 
-TEST(EngineEdgeTest, RestrictedChaseReusesExistingWitnessAcrossRules) {
-  FactDb db;
-  db.Add("person", {Value("bob")});
-  db.Add("dept_of", {Value("bob"), Value("accounting")});
-  EngineOptions options;
-  options.chase_mode = ChaseMode::kRestricted;
-  // The multi-atom head is already satisfiable with d = "accounting".
-  // (The restricted chase is order-dependent: known_dept must be derived
-  // before the existential rule checks satisfaction, so its rule comes
-  // first in the program text.)
-  Status s = RunProgram(R"(
-    dept_of(x, d) -> known_dept(d).
-    person(x) -> exists d dept_of(x, d), known_dept(d).
-  )", &db, options);
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(db.Get("dept_of")->size(), 1u);  // no fresh null needed
-}
-
 TEST(EngineEdgeTest, EmptyDatabaseNoRuleFires) {
   FactDb db;
   Status s = RunProgram("p(x) -> q(x).", &db);

@@ -215,41 +215,6 @@ TEST(EngineParallelTest, LabeledClosureIsBitIdenticalAtEveryThreadCount) {
   }
 }
 
-TEST(EngineParallelTest, LabeledRestrictedChaseIsBitIdenticalAcrossThreads) {
-  const char* program = R"(
-    node(x), node(y), edge(x, y) -> exists w owner(x, w), reach(x, y).
-    node(x), node(z), reach(x, y), edge(y, z) -> reach(x, z).
-  )";
-  std::string one_thread;
-  for (size_t threads : {1u, 4u}) {
-    EngineOptions options;
-    options.num_threads = threads;
-    options.chase_mode = ChaseMode::kRestricted;
-    FactDb db = LabeledGraph(40, 90, 5);
-    ASSERT_TRUE(RunProgram(program, &db, options).ok());
-    if (threads == 1) one_thread = db.DebugString();
-    EXPECT_EQ(db.DebugString(), one_thread) << "threads " << threads;
-  }
-}
-
-TEST(EngineParallelTest, RestrictedChaseRunsParallel) {
-  FactDb db;
-  db.Add("node", {Value(int64_t{1})});
-  auto parsed = ParseProgram("node(x) -> exists e edge_of(e, x).");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  Program program = std::move(parsed).value();
-  EngineOptions options;
-  options.chase_mode = ChaseMode::kRestricted;
-  options.num_threads = 8;
-  Engine engine(std::move(program), options);
-  ASSERT_TRUE(engine.status().ok());
-  ASSERT_TRUE(engine.Run(&db).ok());
-  // The deterministic barrier chase keeps the requested pool.
-  EXPECT_EQ(engine.stats().threads_used, 8u);
-  EXPECT_EQ(engine.stats().nulls_minted, 1u);
-  EXPECT_EQ(engine.stats().chase_candidates, 1u);
-}
-
 TEST(EngineParallelTest, StatsArePopulated) {
   const char* program = R"(
     edge(x, y) -> path(x, y).

@@ -75,12 +75,9 @@ TEST(IncrementalView, ModeSelection) {
                 Parse("p(x) -> exists k = sk(x) q(x,k).\n"))
                 .mode(),
             MaintenanceMode::kDRed);
-  // Restricted-chase existentials force a full rerun (labeled nulls).
-  EngineOptions restricted;
-  restricted.chase_mode = ChaseMode::kRestricted;
-  EXPECT_EQ(IncrementalView(Parse("p(x) -> exists k q(x,k).\n"), restricted)
-                .mode(),
-            MaintenanceMode::kFullRerun);
+  // So do automatic ones: their functor is frontier-Skolemized too.
+  EXPECT_EQ(IncrementalView(Parse("p(x) -> exists k q(x,k).\n")).mode(),
+            MaintenanceMode::kDRed);
 }
 
 TEST(IncrementalView, InsertExtendsClosure) {
@@ -302,40 +299,23 @@ TEST(IncrementalView, DRedIndexesAnonymousConstantRepeatedAndNegatedLiterals) {
   ExpectMatchesRebuild(view, program, {}, "delete batch");
 }
 
-// DRed never sends aggregate or restricted-chase existential rules to the
-// rule-at-a-time evaluator (see ModeSelection); called on one anyway, both
-// entry points return FailedPrecondition instead of aborting.
-TEST(DeltaEvaluator, RefusesAggregateAndRestrictedExistentialRules) {
+// DRed never sends aggregate rules to the rule-at-a-time evaluator (see
+// ModeSelection); called on one anyway, both entry points return
+// FailedPrecondition instead of aborting.
+TEST(DeltaEvaluator, RefusesAggregateRules) {
   FactDb db;
   db.Add("edge", Edge(1, 2));
   std::map<std::string, Relation> delta_rels;
   delta_rels.emplace("edge", Relation(2)).first->second.Insert(Edge(1, 2));
   auto emit = [](const std::string&, Tuple) {};
-  struct Case {
-    const char* program;
-    ChaseMode mode;
-    Tuple head;
-  };
-  const Case cases[] = {
-      {"edge(x, y), n = count(<y>) -> deg(x, n).", ChaseMode::kSkolem,
-       T({1, 1})},
-      {"edge(x, y) -> exists w rel(x, y, w).", ChaseMode::kRestricted,
-       T({1, 2, 3})},
-  };
-  for (const Case& c : cases) {
-    EngineOptions options;
-    options.chase_mode = c.mode;
-    Engine engine(Parse(c.program), options);
-    ASSERT_TRUE(engine.status().ok()) << engine.status().ToString();
-    DeltaEvaluator eval(&engine, &db);
-    ASSERT_TRUE(eval.status().ok()) << eval.status().ToString();
-    EXPECT_EQ(eval.EvalRuleDelta(0, 0, delta_rels, emit).code(),
-              StatusCode::kFailedPrecondition)
-        << c.program;
-    EXPECT_EQ(eval.EvalRuleSeeded(0, 0, c.head, emit).code(),
-              StatusCode::kFailedPrecondition)
-        << c.program;
-  }
+  Engine engine(Parse("edge(x, y), n = count(<y>) -> deg(x, n)."));
+  ASSERT_TRUE(engine.status().ok()) << engine.status().ToString();
+  DeltaEvaluator eval(&engine, &db);
+  ASSERT_TRUE(eval.status().ok()) << eval.status().ToString();
+  EXPECT_EQ(eval.EvalRuleDelta(0, 0, delta_rels, emit).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(eval.EvalRuleSeeded(0, 0, T({1, 1}), emit).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 // The DRed insert phase's emit callback inserts into a relation the join
@@ -430,24 +410,6 @@ TEST(DeltaEvaluator, JoinProbesDoNotGrowWithUnboundRelation) {
   // One probe per literal for every delta row or seed.
   EXPECT_LE(large.delta, static_cast<size_t>(2 * kDelta));
   EXPECT_LE(large.seeded, static_cast<size_t>(2 * kDelta));
-}
-
-TEST(IncrementalView, RestrictedChaseFallsBackToFullRerun) {
-  const char* src = "p(x) -> exists k q(x,k).\n";
-  Program program = Parse(src);
-  EngineOptions options;
-  options.chase_mode = ChaseMode::kRestricted;
-  IncrementalView view(Parse(src), options);
-  ASSERT_EQ(view.mode(), MaintenanceMode::kFullRerun);
-  FactDb edb;
-  edb.Add("p", T({1}));
-  ASSERT_TRUE(view.Initialize(std::move(edb)).ok());
-
-  EdbDelta delta;
-  delta.inserts["p"].push_back(T({2}));
-  ASSERT_TRUE(view.Apply(delta).ok());
-  EXPECT_EQ(view.db().Get("q")->size(), 2u);
-  ExpectMatchesRebuild(view, program, options, "restricted rerun");
 }
 
 // Randomized differential test over the transitive closure: a stream of

@@ -351,25 +351,6 @@ TEST(PointQueryTest, AggregatesFallBackWithReason) {
                         db, {}, PointQueryMode::kMagic);
 }
 
-TEST(PointQueryTest, RestrictedChaseExistentialsFallBack) {
-  const char* src = R"(
-    edge(x, y) -> exists o link(o, x, y).
-  )";
-  FactDb db = ChainDb(5);
-  PointQueryOptions options;
-  options.engine.chase_mode = ChaseMode::kRestricted;
-  Program program = Parse(src);
-  FactDb run_db = db.Clone();
-  PointQueryStats stats;
-  auto rows = EvalPointQuery(
-      program, QueryBinding{"link", {std::nullopt, Value(int64_t{1}), std::nullopt}},
-      &run_db, options, &stats);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(stats.mode, PointQueryMode::kMaterialize);
-  EXPECT_EQ(stats.fallback, FallbackReason::kRestrictedExistentials);
-  EXPECT_EQ(rows->size(), 1u);
-}
-
 TEST(PointQueryTest, AdornmentExplosionFallsBackToMaterialize) {
   // Querying `rpath` adorns both rpath@bf and path@fb; capping the
   // adorned set at one predicate forces the explosion fallback.

@@ -245,39 +245,6 @@ TEST_P(AggregationProperty, AggregatesMatchOracleInParallel) {
   }
 }
 
-// Chase modes agree on null-free derivations: for Datalog programs (no
-// existentials) kSkolem and kRestricted must produce identical results.
-class ChaseModeProperty
-    : public ::testing::TestWithParam<std::tuple<size_t, uint64_t>> {};
-
-TEST_P(ChaseModeProperty, ModesAgreeOnDatalog) {
-  auto [nodes, seed] = GetParam();
-  std::vector<Edge> input = RandomEdges(nodes, nodes * 2, seed);
-  const char* program = R"(
-    edge(x, y) -> path(x, y).
-    path(x, y), path(y, z) -> path(x, z).
-  )";
-  FactDb a;
-  FactDb b;
-  for (const Edge& e : input) {
-    a.Add("edge", {Value(e.first), Value(e.second)});
-    b.Add("edge", {Value(e.first), Value(e.second)});
-  }
-  EngineOptions restricted;
-  restricted.chase_mode = ChaseMode::kRestricted;
-  ASSERT_TRUE(RunProgram(program, &a).ok());
-  ASSERT_TRUE(RunProgram(program, &b, restricted).ok());
-  ASSERT_EQ(a.Get("path")->size(), b.Get("path")->size());
-  for (const Tuple& t : a.Get("path")->tuples()) {
-    EXPECT_TRUE(b.Get("path")->Contains(t));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, ChaseModeProperty,
-    ::testing::Combine(::testing::Values(size_t{10}, size_t{30}),
-                       ::testing::Values(uint64_t{1}, uint64_t{13})));
-
 TEST(NullSemanticsTest, OrderingWithNullIsFalse) {
   FactDb db;
   db.Add("p", {Value(int64_t{1}), Value()});

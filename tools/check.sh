@@ -127,12 +127,13 @@ fi
 
 # The sanitizer runs focus on the suites that exercise the concurrent
 # engine and serving paths; everything else is covered by the regular
-# build above.  vadalog_ includes the deterministic-chase suites
+# build above.  vadalog_ includes the thread-determinism suites
 # (vadalog_engine_chase_parallel_test and the engine parallel tests),
-# whose frozen-screen + per-item-dedup + ordered-replay protocol is the
-# main thing TSan needs to see.  finkg_incremental runs the
-# incremental-vs-rebuild differential at 1 and 4 engine threads, which
-# exercises delta maintenance (DRed + stratum recompute) under both
+# whose work items join a frozen database beside each other and record
+# facts for the driver's ordered replay — the main thing TSan needs to
+# see, with Skolem terms interned from every worker.  finkg_incremental
+# runs the incremental-vs-rebuild differential at 1 and 4 engine threads,
+# which exercises delta maintenance (DRed + stratum recompute) under both
 # sanitizers.  vadalog_ also matches vadalog_database_test (relations,
 # indexes and copy-on-write sharing) and vadalog_magic_test;
 # finkg_pointquery runs the point-query differential (magic vs full
