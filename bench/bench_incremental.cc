@@ -1,8 +1,8 @@
 // Incremental materialization benchmark: update-to-queryable latency of a
 // small EDB delta, maintained incrementally vs rebuilt from scratch.
 //
-// Engine level: the finkg `control` (aggregates -> per-stratum recompute)
-// and `close_links` (Skolem existentials -> DRed) programs are materialized
+// Engine level: the finkg `control` (aggregates -> rerun) and
+// `close_links` (Skolem existentials -> DRed) programs are materialized
 // over the OWNS ownership graph, then a stream of shareholding-update
 // batches is applied through IncrementalView::Apply and, for comparison, a
 // fresh Engine::Run over the same post-delta EDB.  Each batch's maintained
@@ -29,6 +29,7 @@
 #include <iomanip>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "finkg/company_kg.h"
@@ -141,7 +142,6 @@ struct EngineBenchResult {
   size_t overdeleted = 0;
   size_t rederived = 0;
   size_t strata_skipped = 0;
-  size_t strata_recomputed = 0;
   // Rule-at-a-time work of the DRed strata (deterministic counters).
   size_t join_probes = 0;
   size_t seeded_calls = 0;
@@ -196,7 +196,6 @@ EngineBenchResult RunEngineBench(const CompiledProgram& cp,
     r.overdeleted += view.last_stats().overdeleted;
     r.rederived += view.last_stats().rederived;
     r.strata_skipped += view.last_stats().strata_skipped;
-    r.strata_recomputed += view.last_stats().strata_recomputed;
     r.join_probes += view.last_stats().join_probes;
     r.seeded_calls += view.last_stats().seeded_calls;
     r.overdelete_seconds += view.last_stats().overdelete_seconds;
@@ -215,7 +214,7 @@ EngineBenchResult RunEngineBench(const CompiledProgram& cp,
       std::fprintf(stderr, "rebuild failed: %s\n", ran.ToString().c_str());
       return r;
     }
-    const bool ordered = view.mode() != MaintenanceMode::kDRed;
+    const bool ordered = view.last_stats().mode == MaintenanceMode::kRerun;
     std::string diff;
     if (DescribeFirstDifference(view.db(), rebuilt, ordered, &diff)) {
       std::fprintf(stderr, "maintained database diverged at batch %zu: %s\n",
@@ -351,6 +350,9 @@ int main(int argc, char** argv) {
   w.Field("persons", static_cast<size_t>(config.num_persons));
   w.Field("batch_size", batch_size);
   w.Field("batches", batches);
+  w.Field("host_cpus",
+          static_cast<size_t>(std::thread::hardware_concurrency()));
+  w.Field("build_type", KGM_BUILD_TYPE);
   w.Open("programs", '[');
   size_t failures = 0;
   for (const Step& step : steps) {
@@ -380,7 +382,6 @@ int main(int argc, char** argv) {
     w.Field("overdeleted", r.overdeleted);
     w.Field("rederived", r.rederived);
     w.Field("strata_skipped", r.strata_skipped);
-    w.Field("strata_recomputed", r.strata_recomputed);
     w.Field("join_probes", r.join_probes);
     w.Field("seeded_calls", r.seeded_calls);
     w.Field("verified_against_rebuild", "true");

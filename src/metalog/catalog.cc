@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <functional>
 #include <set>
+#include <string>
 #include <unordered_map>
-
-#include "base/check.h"
 
 namespace kgm::metalog {
 
@@ -261,6 +260,24 @@ vadalog::FactDb EncodeGraph(const pg::PropertyGraph& graph,
 Result<DecodeStats> DecodeGraph(const vadalog::FactDb& db,
                                 const GraphCatalog& catalog,
                                 pg::PropertyGraph* graph) {
+  // Validate every label relation's width before touching the graph.
+  auto check_width = [&db](const std::string& label,
+                           size_t expected) -> Status {
+    const vadalog::Relation* rel = db.Get(label);
+    if (rel == nullptr || rel->size() == 0 || rel->arity() == expected) {
+      return OkStatus();
+    }
+    return FailedPrecondition("relation " + label + " has width " +
+                              std::to_string(rel->arity()) +
+                              " but its catalog label decodes " +
+                              std::to_string(expected) + " columns");
+  };
+  for (const std::string& label : catalog.NodeLabels()) {
+    KGM_RETURN_IF_ERROR(check_width(label, catalog.NodeArity(label)));
+  }
+  for (const std::string& label : catalog.EdgeLabels()) {
+    KGM_RETURN_IF_ERROR(check_width(label, catalog.EdgeArity(label)));
+  }
   DecodeStats stats;
   std::unordered_map<Value, pg::NodeId, ValueHash> node_of;
   std::unordered_map<EdgeKey, pg::EdgeId, EdgeKeyHash> edge_of;
@@ -280,7 +297,6 @@ Result<DecodeStats> DecodeGraph(const vadalog::FactDb& db,
     if (rel == nullptr) continue;
     const std::vector<std::string>& props = catalog.NodeProps(label);
     for (const vadalog::Tuple& t : rel->tuples()) {
-      KGM_CHECK(t.size() == 1 + props.size());
       const Value& oid = t[0];
       auto it = node_of.find(oid);
       pg::NodeId id;
@@ -315,7 +331,6 @@ Result<DecodeStats> DecodeGraph(const vadalog::FactDb& db,
     if (rel == nullptr) continue;
     const std::vector<std::string>& props = catalog.EdgeProps(label);
     for (const vadalog::Tuple& t : rel->tuples()) {
-      KGM_CHECK(t.size() == 3 + props.size());
       const Value& oid = t[0];
       // Resolve the endpoints before the existing-edge lookup: an existing
       // edge's endpoints always resolve, so failing here changes no result.

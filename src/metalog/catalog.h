@@ -96,7 +96,10 @@ struct DecodeStats {
 //  * node facts with a fresh OID (Skolem/null) create new nodes;
 //  * node facts with a known OID merge their non-null properties;
 //  * edge facts with fresh OIDs create edges between resolved endpoints.
-// Facts whose predicates are not catalog labels are ignored.
+// Facts whose predicates are not catalog labels are ignored.  A non-empty
+// label relation whose width differs from the catalog's (OID, endpoints for
+// an edge, one column per property) returns FailedPrecondition before the
+// graph changes.
 Result<DecodeStats> DecodeGraph(const vadalog::FactDb& db,
                                 const GraphCatalog& catalog,
                                 pg::PropertyGraph* graph);

@@ -325,10 +325,6 @@ struct Engine::Impl {
   std::map<std::string, Relation>* next_delta = nullptr;
   std::map<std::string, Relation>* cur_delta = nullptr;
 
-  // When set, Run evaluates only the strata whose id is in the filter
-  // (Engine::RunStrata).
-  const std::set<int>* stratum_filter = nullptr;
-
   explicit Impl(Engine* e) : engine(e), options(e->options_),
                              stats(&e->stats_) {}
 
@@ -756,9 +752,6 @@ Status Engine::Impl::Run(FactDb* target) {
   }
   stats->strata = static_cast<int>(by_stratum.size());
   for (auto& [stratum, rules] : by_stratum) {
-    if (stratum_filter != nullptr && stratum_filter->count(stratum) == 0) {
-      continue;
-    }
     auto t0 = std::chrono::steady_clock::now();
     Status status = EvalStratum(stratum, rules);
     stats->stratum_seconds.push_back(
@@ -1613,14 +1606,6 @@ Status Engine::Run(FactDb* db) {
   return impl.Run(db);
 }
 
-Status Engine::RunStrata(FactDb* db, const std::set<int>& strata) {
-  KGM_RETURN_IF_ERROR(init_status_);
-  Impl impl(this);
-  KGM_RETURN_IF_ERROR(impl.CompileAll());
-  impl.stratum_filter = &strata;
-  return impl.Run(db);
-}
-
 // --- DeltaEvaluator -----------------------------------------------------------
 
 struct DeltaEvaluator::State {
@@ -1631,7 +1616,7 @@ struct DeltaEvaluator::State {
   explicit State(Engine* engine) : impl(engine) {}
 
   // Aggregates fold only at the engine's barriers, which rule-at-a-time
-  // calls never reach.  Incremental maintenance recomputes such programs
+  // calls never reach.  Incremental maintenance reruns such programs
   // instead.
   Status CheckSupported(const CompiledRule& cr) const {
     if (!cr.aggregates.empty()) {

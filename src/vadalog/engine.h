@@ -27,7 +27,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -129,16 +128,6 @@ class Engine {
   // Evaluates the program to fixpoint against `db`.  Facts declared in the
   // program text are inserted first.  Derived facts are added in place.
   Status Run(FactDb* db);
-
-  // Evaluates only the strata whose SCC ids appear in `strata` (see
-  // stratification()), assuming every lower stratum is already materialized
-  // in `db`.  Program facts are (re-)inserted first; inserts are
-  // deduplicated, so re-running a stratum whose head relations were reset
-  // to their EDB base reproduces exactly the evaluation a full Run would
-  // perform at that stratum.  Used by incremental maintenance
-  // (vadalog/incremental.h) to recompute a suffix of the program after a
-  // delta.
-  Status RunStrata(FactDb* db, const std::set<int>& strata);
 
   const EngineStats& stats() const { return stats_; }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <set>
 #include <unordered_set>
 #include <utility>
 
@@ -40,8 +41,8 @@ const char* MaintenanceModeName(MaintenanceMode mode) {
   switch (mode) {
     case MaintenanceMode::kDRed:
       return "dred";
-    case MaintenanceMode::kRecomputeStrata:
-      return "recompute-strata";
+    case MaintenanceMode::kRerun:
+      return "rerun";
   }
   return "unknown";
 }
@@ -57,7 +58,6 @@ struct IncrementalView::State {
   FactDb edb;  // extensional base, program facts included
   FactDb db;   // maintained materialization
 
-  std::set<std::string> last_changed;
   IncrementalStats last_stats;
 
   // --- static program metadata (derived once at construction) ---
@@ -109,8 +109,7 @@ struct IncrementalView::State {
       pred_arity.emplace(f.predicate, f.values.size());
     }
     // A folded accumulator cannot un-fold a deleted contribution.
-    mode = has_aggregates ? MaintenanceMode::kRecomputeStrata
-                          : MaintenanceMode::kDRed;
+    mode = has_aggregates ? MaintenanceMode::kRerun : MaintenanceMode::kDRed;
   }
 
   size_t ArityOf(const std::string& pred, size_t fallback) const {
@@ -127,20 +126,19 @@ struct IncrementalView::State {
   Status NormalizeAndApplyEdb(const EdbDelta& delta, TupleListMap* d_del,
                               TupleListMap* d_ins);
 
-  Status ApplyRecompute(TupleListMap& d_del, TupleListMap& d_ins);
-  Status ApplyDRed(TupleListMap& d_del, TupleListMap& d_ins);
-
   // Applies the net EDB change to the materialized db for predicates that
-  // are not IDB heads (head predicates are handled by their stratum).
+  // are not IDB heads (head predicates are handled by their stratum), so
+  // those relations stay equal to the EDB's row for row.
   void ApplyEdbToDbForNonHeads(const TupleListMap& d_del,
                                const TupleListMap& d_ins);
 
-  // Recomputes one stratum from its EDB base via Engine::RunStrata.  When
-  // `diffs` is true (DRed negation fallback) the set-level differences of
-  // each head predicate are written back into d_del / d_ins for downstream
-  // strata.
-  Status RecomputeStratum(int stratum, const StratumInfo& info, bool diffs,
-                          TupleListMap* d_del, TupleListMap* d_ins);
+  // Resets every head relation of db to its EDB base and runs the program
+  // over db: the from-scratch materialization, bit for bit.
+  Status Rerun();
+
+  // Patches db stratum by stratum; reruns the program when a stratum's
+  // negated input changed.
+  Status ApplyDRed(TupleListMap& d_del, TupleListMap& d_ins);
 
   Status DRedStratum(const StratumInfo& info, DeltaEvaluator& dev,
                      TupleListMap* d_del, TupleListMap* d_ins);
@@ -241,88 +239,22 @@ void IncrementalView::State::ApplyEdbToDbForNonHeads(
     if (all_heads.count(pred) > 0) continue;
     Relation* rel = db.GetMutable(pred);
     if (rel != nullptr) rel->EraseTuples(ts);
-    last_changed.insert(pred);
   }
   for (const auto& [pred, ts] : d_ins) {
     if (all_heads.count(pred) > 0) continue;
     Relation& rel = db.GetOrCreate(pred, ts[0].size());
     for (const Tuple& t : ts) rel.Insert(t);
-    last_changed.insert(pred);
   }
 }
 
-Status IncrementalView::State::RecomputeStratum(int stratum,
-                                                const StratumInfo& info,
-                                                bool diffs,
-                                                TupleListMap* d_del,
-                                                TupleListMap* d_ins) {
-  std::map<std::string, Relation> old;
-  for (const std::string& pred : info.heads) {
+Status IncrementalView::State::Rerun() {
+  last_stats.mode = MaintenanceMode::kRerun;
+  for (const std::string& pred : all_heads) {
     Relation& rel = db.GetOrCreate(pred, ArityOf(pred, 0));
-    size_t arity = rel.arity();
-    old.emplace(pred, std::move(rel));
     const Relation* base = edb.Get(pred);
-    rel = base != nullptr ? base->Clone() : Relation(arity);
+    rel = base != nullptr ? base->Clone() : Relation(rel.arity());
   }
-  KGM_RETURN_IF_ERROR(engine.RunStrata(&db, {stratum}));
-  for (const std::string& pred : info.heads) {
-    const Relation& now = *db.Get(pred);
-    const Relation& was = old.at(pred);
-    bool same_ordered = was.size() == now.size() &&
-                        was.content_hash() == now.content_hash() &&
-                        was.tuples() == now.tuples();
-    if (!same_ordered) last_changed.insert(pred);
-    if (!diffs) continue;
-    // Set-level differences feed the DRed deltas of downstream strata.
-    std::vector<Tuple> added;
-    for (const Tuple& t : now.tuples()) {
-      if (!was.Contains(t)) added.push_back(t);
-    }
-    std::vector<Tuple> removed;
-    for (const Tuple& t : was.tuples()) {
-      if (!now.Contains(t)) removed.push_back(t);
-    }
-    last_stats.idb_inserted += added.size();
-    last_stats.idb_deleted += removed.size();
-    if (!added.empty()) {
-      (*d_ins)[pred] = std::move(added);
-    } else {
-      d_ins->erase(pred);
-    }
-    if (!removed.empty()) {
-      (*d_del)[pred] = std::move(removed);
-    } else {
-      d_del->erase(pred);
-    }
-  }
-  return OkStatus();
-}
-
-Status IncrementalView::State::ApplyRecompute(TupleListMap& d_del,
-                                              TupleListMap& d_ins) {
-  ApplyEdbToDbForNonHeads(d_del, d_ins);
-  for (const auto& [stratum, info] : strata) {
-    bool head_delta = false;
-    for (const std::string& p : info.heads) {
-      if (NonEmpty(d_del, p) || NonEmpty(d_ins, p)) head_delta = true;
-    }
-    bool inputs_changed = false;
-    for (const std::string& p : info.pos_body) {
-      if (last_changed.count(p) > 0) inputs_changed = true;
-    }
-    for (const std::string& p : info.neg_body) {
-      if (last_changed.count(p) > 0) inputs_changed = true;
-    }
-    if (!head_delta && !inputs_changed) {
-      ++last_stats.strata_skipped;
-      continue;
-    }
-    KGM_RETURN_IF_ERROR(
-        RecomputeStratum(stratum, info, /*diffs=*/false, &d_del, &d_ins));
-    ++last_stats.strata_recomputed;
-    ++last_stats.strata_processed;
-  }
-  return OkStatus();
+  return engine.Run(&db);
 }
 
 Status IncrementalView::State::DRedStratum(const StratumInfo& info,
@@ -531,11 +463,6 @@ Status IncrementalView::State::DRedStratum(const StratumInfo& info,
         if (perm_set.count(t) == 0) net_ins.push_back(std::move(t));
       }
     }
-    // Order may have churned even when the pair cancelled; be conservative
-    // for the serving layer.
-    if (NonEmpty(over, pred) || NonEmpty(new_ins, pred)) {
-      last_changed.insert(pred);
-    }
     last_stats.idb_deleted += net_del.size();
     last_stats.idb_inserted += net_ins.size();
     if (!net_del.empty()) {
@@ -555,31 +482,23 @@ Status IncrementalView::State::DRedStratum(const StratumInfo& info,
 
 Status IncrementalView::State::ApplyDRed(TupleListMap& d_del,
                                          TupleListMap& d_ins) {
-  ApplyEdbToDbForNonHeads(d_del, d_ins);
   DeltaEvaluator dev(&engine, &db);
   KGM_RETURN_IF_ERROR(dev.status());
+  auto touched = [&](const std::string& p) {
+    return NonEmpty(d_del, p) || NonEmpty(d_ins, p);
+  };
+  auto any_touched = [&](const std::set<std::string>& preds) {
+    return std::any_of(preds.begin(), preds.end(), touched);
+  };
   for (const auto& [stratum, info] : strata) {
-    bool relevant = false;
-    auto touched = [&](const std::string& p) {
-      return NonEmpty(d_del, p) || NonEmpty(d_ins, p);
-    };
-    for (const std::string& p : info.pos_body) relevant = relevant || touched(p);
-    for (const std::string& p : info.heads) relevant = relevant || touched(p);
-    bool neg_changed = false;
-    for (const std::string& p : info.neg_body) {
-      if (touched(p)) neg_changed = true;
+    if (any_touched(info.neg_body)) {
+      // Negation is not monotone under deletion: rerun the program instead
+      // of patching this stratum.
+      last_stats.join_probes = dev.join_probes();
+      return Rerun();
     }
-    if (!relevant && !neg_changed) {
+    if (!any_touched(info.pos_body) && !any_touched(info.heads)) {
       ++last_stats.strata_skipped;
-      continue;
-    }
-    if (neg_changed) {
-      // Negation is not monotone under deletion; recompute the stratum from
-      // its base instead of trying to patch it.
-      KGM_RETURN_IF_ERROR(
-          RecomputeStratum(stratum, info, /*diffs=*/true, &d_del, &d_ins));
-      ++last_stats.strata_recomputed;
-      ++last_stats.strata_processed;
       continue;
     }
     KGM_RETURN_IF_ERROR(DRedStratum(info, dev, &d_del, &d_ins));
@@ -618,7 +537,6 @@ Status IncrementalView::Apply(const EdbDelta& delta) {
     return FailedPrecondition("IncrementalView::Apply before Initialize");
   }
   auto t0 = std::chrono::steady_clock::now();
-  state_->last_changed.clear();
   state_->last_stats = IncrementalStats{};
   state_->last_stats.mode = state_->mode;
 
@@ -626,14 +544,10 @@ Status IncrementalView::Apply(const EdbDelta& delta) {
   TupleListMap d_ins;
   Status status = state_->NormalizeAndApplyEdb(delta, &d_del, &d_ins);
   if (status.ok() && !(d_del.empty() && d_ins.empty())) {
-    switch (state_->mode) {
-      case MaintenanceMode::kRecomputeStrata:
-        status = state_->ApplyRecompute(d_del, d_ins);
-        break;
-      case MaintenanceMode::kDRed:
-        status = state_->ApplyDRed(d_del, d_ins);
-        break;
-    }
+    state_->ApplyEdbToDbForNonHeads(d_del, d_ins);
+    status = state_->mode == MaintenanceMode::kDRed
+                 ? state_->ApplyDRed(d_del, d_ins)
+                 : state_->Rerun();
   }
   state_->last_stats.apply_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -647,10 +561,6 @@ MaintenanceMode IncrementalView::mode() const { return state_->mode; }
 const FactDb& IncrementalView::db() const { return state_->db; }
 
 const FactDb& IncrementalView::edb() const { return state_->edb; }
-
-const std::set<std::string>& IncrementalView::last_changed() const {
-  return state_->last_changed;
-}
 
 const IncrementalStats& IncrementalView::last_stats() const {
   return state_->last_stats;

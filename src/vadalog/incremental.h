@@ -1,6 +1,5 @@
 // Incremental materialization: maintains the output of a Vadalog program
-// under insertions and deletions of extensional facts without re-running
-// the whole chase.
+// under insertions and deletions of extensional facts.
 //
 // The maintainer follows the classic delete-rederive (DRed) algorithm
 // adapted to this engine's stratified, deterministic evaluation:
@@ -18,37 +17,34 @@
 //   insert       Semi-naive insertion rounds seeded by the inserted EDB
 //                tuples and, transitively, by newly derived facts.
 //
-// Not every program is DRed-maintainable with the engine's semantics, so
-// the maintainer picks one of two modes per program (MaintenanceMode):
+// DRed (Gupta, Mumick and Subrahmanian, SIGMOD 1993) cannot patch every
+// batch, so the maintainer has one fallback, a rerun: reset each IDB head
+// relation to its EDB base and run the whole program in place over the
+// maintained database.  Its non-head relations already match the EDB row
+// for row, so a rerun reproduces the from-scratch materialization
+// exactly.  The mode (MaintenanceMode) is picked once per program:
 //
-//   kDRed             No aggregates.  Existentials materialize as
-//                     content-addressed Skolem terms, so rederivation
-//                     reproduces the original witnesses.  Maintains the
-//                     database as a set: contents match a from-scratch
-//                     materialization exactly; row order may differ.
-//                     A stratum that negates a changed predicate falls back
-//                     to per-stratum recomputation (negation is not
-//                     monotone under deletion).
-//   kRecomputeStrata  The program aggregates (deleting one contribution
-//                     cannot be undone on a folded accumulator), so each
-//                     affected stratum is recomputed from its EDB base
-//                     while unaffected strata are skipped.  Change
-//                     detection is order-sensitive, which makes the
-//                     maintained database bit-identical to a from-scratch
-//                     run — including row order and float bits.
+//   kDRed   No aggregates.  Existentials materialize as content-addressed
+//           Skolem terms, so rederivation reproduces the original
+//           witnesses.  A batch that reaches a stratum whose negated input
+//           changed reruns the program instead (negation is not monotone
+//           under deletion), and IncrementalStats::mode reads kRerun.
+//   kRerun  The program aggregates (deleting one contribution cannot be
+//           undone on a folded accumulator, and fold order sets the float
+//           bits), so every batch reruns the program.
 //
 // Correctness contract: after Apply, db() equals the database produced by
-// running the program from scratch on the post-delta EDB — bit-identical
-// (ordered) in kRecomputeStrata mode, equal as a set of
-// facts in kDRed mode — at any engine thread count (the engine itself is
-// deterministic across worker counts).
+// running the program from scratch on the post-delta EDB, at any engine
+// thread count (the engine itself is deterministic across worker counts).
+// A batch that reran is bit-identical (ordered: row order and float bits);
+// a batch that DRed patched is equal as a set of facts, and only its row
+// order may differ.
 
 #ifndef KGM_VADALOG_INCREMENTAL_H_
 #define KGM_VADALOG_INCREMENTAL_H_
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -71,29 +67,32 @@ struct EdbDelta {
   std::vector<std::string> TouchedPredicates() const;
 };
 
-enum class MaintenanceMode { kDRed, kRecomputeStrata };
+enum class MaintenanceMode { kDRed, kRerun };
 
 const char* MaintenanceModeName(MaintenanceMode mode);
 
 // Observability for one Apply call.
 struct IncrementalStats {
+  // The path the batch took: kRerun for every batch of a kRerun program
+  // and for a kDRed batch that bailed out on negation.
   MaintenanceMode mode = MaintenanceMode::kDRed;
   size_t edb_inserted = 0;     // realized EDB insertions
   size_t edb_deleted = 0;      // realized EDB deletions
   size_t strata_processed = 0; // strata that did incremental work
   size_t strata_skipped = 0;   // strata untouched by the delta
-  size_t strata_recomputed = 0;  // strata recomputed from their EDB base
   size_t overdeleted = 0;      // tuples removed by the overdeletion phase
   size_t rederived = 0;        // over-deleted tuples with a surviving proof
   size_t idb_deleted = 0;      // derived tuples permanently removed
   size_t idb_inserted = 0;     // derived tuples newly added
-  // Rule-at-a-time (DeltaEvaluator) work of the kDRed strata: candidate
+  // Rule-at-a-time (DeltaEvaluator) work of the DRed strata: candidate
   // rows examined by every EvalRuleDelta and EvalRuleSeeded join, and the
-  // number of EvalRuleSeeded calls rederivation made.
+  // number of EvalRuleSeeded calls rederivation made.  The DRed counters
+  // and timings of a batch that bailed out count the work done before the
+  // rerun; a rerun counts no derived tuples.
   size_t join_probes = 0;
   size_t seeded_calls = 0;
   double apply_seconds = 0;
-  // DRed phase breakdown (zero outside kDRed strata).
+  // DRed phase breakdown (zero for a kRerun program).
   double overdelete_seconds = 0;
   double rederive_seconds = 0;
   double insert_seconds = 0;
@@ -136,11 +135,6 @@ class IncrementalView {
   // The maintained extensional database (program facts included).
   const FactDb& edb() const;
 
-  // Predicates whose relation contents actually changed during the last
-  // Apply (normalized: a delete of an absent tuple does not count).  This
-  // is what the serving layer uses to decide which snapshot relations to
-  // re-encode and which cached results to carry forward.
-  const std::set<std::string>& last_changed() const;
   const IncrementalStats& last_stats() const;
 
  private:
@@ -149,13 +143,12 @@ class IncrementalView {
 };
 
 // True when both databases hold exactly the same relations with exactly
-// the same rows in the same order (the bit-identity check of the
-// kRecomputeStrata contract).  Relations that exist in only
-// one database must be empty.
+// the same rows in the same order (the bit-identity check of a rerun).
+// Relations that exist in only one database must be empty.
 bool DatabasesEqualOrdered(const FactDb& a, const FactDb& b);
 
 // True when both databases hold the same set of facts per predicate,
-// ignoring row order (the kDRed contract).
+// ignoring row order (the contract of a batch DRed patched).
 bool DatabasesEqualAsSets(const FactDb& a, const FactDb& b);
 
 // Appends a human-readable description of the first difference to `out`

@@ -5,8 +5,8 @@
 // after every batch the maintained database is compared against a
 // from-scratch materialization on the same post-delta EDB.
 //
-// `control` aggregates, so the maintainer recomputes affected strata and
-// the comparison is bit-identical (row order and float bits included);
+// `control` aggregates, so the maintainer reruns the program and the
+// comparison is bit-identical (row order and float bits included);
 // `close_links` is Skolem-existential and maintained by DRed, where the
 // contract is set-level equality.  Both are exercised at 1 and 4 engine
 // threads — the result must not depend on the worker count.
@@ -124,9 +124,9 @@ INSTANTIATE_TEST_SUITE_P(
     CompanyKg, IncrementalDifferential,
     ::testing::Values(
         DifferentialCase{"control_1t", kControlProgram,
-                         vadalog::MaintenanceMode::kRecomputeStrata, 1},
+                         vadalog::MaintenanceMode::kRerun, 1},
         DifferentialCase{"control_4t", kControlProgram,
-                         vadalog::MaintenanceMode::kRecomputeStrata, 4},
+                         vadalog::MaintenanceMode::kRerun, 4},
         DifferentialCase{"close_links_1t", kCloseLinksProgram,
                          vadalog::MaintenanceMode::kDRed, 1},
         DifferentialCase{"close_links_4t", kCloseLinksProgram,

@@ -153,6 +153,31 @@ TEST(DecodeTest, UnresolvedEndpointRejected) {
   EXPECT_FALSE(stats.ok());
 }
 
+// A label relation one column short of the catalog's width (Person carries
+// OID, age, name) is rejected with a status naming the label and both
+// widths, and the graph is left as it was.
+TEST(DecodeTest, WidthMismatchRejected) {
+  pg::PropertyGraph g = SampleGraph();
+  GraphCatalog catalog = GraphCatalog::FromGraph(g);
+  vadalog::FactDb db;
+  db.Add("Person", {Value(int64_t{42}), Value("eve")});
+  size_t nodes_before = g.num_nodes();
+  auto stats = DecodeGraph(db, catalog, &g);
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kFailedPrecondition);
+  const std::string message = stats.status().ToString();
+  EXPECT_NE(message.find("Person"), std::string::npos) << message;
+  EXPECT_NE(message.find("width 2"), std::string::npos) << message;
+  EXPECT_NE(message.find("decodes 3"), std::string::npos) << message;
+  EXPECT_EQ(g.num_nodes(), nodes_before);
+
+  vadalog::FactDb edges;
+  edges.Add("OWNS", {Value(int64_t{7}), Value(int64_t{0}), Value(int64_t{2})});
+  auto edge_stats = DecodeGraph(edges, catalog, &g);
+  ASSERT_FALSE(edge_stats.ok());
+  EXPECT_NE(edge_stats.status().ToString().find("OWNS"), std::string::npos);
+}
+
 TEST(CatalogTest, MergeCombinesCatalogs) {
   GraphCatalog a;
   a.AddNodeLabel("Person", {"name"});

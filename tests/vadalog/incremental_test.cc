@@ -1,12 +1,12 @@
 // Incremental maintenance (vadalog/incremental.h): delta normalization,
-// DRed overdelete/rederive/insert, per-stratum recomputation fallbacks,
-// mode selection, and randomized differential checks against from-scratch
-// materialization.
+// DRed overdelete/rederive/insert, the rerun fallback, mode selection, and
+// randomized differential checks against from-scratch materialization.
 
 #include "vadalog/incremental.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -34,14 +34,15 @@ Tuple T(std::initializer_list<int64_t> xs) {
 Tuple Edge(int64_t a, int64_t b) { return T({a, b}); }
 
 // Runs the program from scratch on a clone of `edb` and asserts equality
-// with the maintained database.
+// with the maintained database: ordered (row order and float bits) when
+// the last batch reran the program, as sets when DRed patched it.
 void ExpectMatchesRebuild(const IncrementalView& view, const Program& program,
                           EngineOptions options, const std::string& where) {
   FactDb rebuilt = view.edb().Clone();
   Engine engine(program, options);
   ASSERT_TRUE(engine.status().ok()) << engine.status().ToString();
   ASSERT_TRUE(engine.Run(&rebuilt).ok()) << where;
-  bool ordered = view.mode() != MaintenanceMode::kDRed;
+  bool ordered = view.last_stats().mode == MaintenanceMode::kRerun;
   std::string diff;
   if (DescribeFirstDifference(view.db(), rebuilt, ordered, &diff)) {
     FAIL() << where << ": maintained database diverged ("
@@ -69,7 +70,7 @@ TEST(IncrementalView, ModeSelection) {
   EXPECT_EQ(IncrementalView(
                 Parse("t(x,v) :- e(x,y,w), v = msum(w).\n"))
                 .mode(),
-            MaintenanceMode::kRecomputeStrata);
+            MaintenanceMode::kRerun);
   // Skolem existentials stay DRed-maintainable (content-addressed terms).
   EXPECT_EQ(IncrementalView(
                 Parse("p(x) -> exists k = sk(x) q(x,k).\n"))
@@ -97,8 +98,6 @@ TEST(IncrementalView, InsertExtendsClosure) {
   EXPECT_EQ(view.db().Get("path")->size(), 6u);
   EXPECT_EQ(view.last_stats().mode, MaintenanceMode::kDRed);
   EXPECT_GT(view.last_stats().idb_inserted, 0u);
-  EXPECT_TRUE(view.last_changed().count("path") > 0);
-  EXPECT_TRUE(view.last_changed().count("edge") > 0);
   ExpectMatchesRebuild(view, program, {}, "insert 3->4");
 }
 
@@ -153,7 +152,7 @@ TEST(IncrementalView, DeleteAndReinsertIsNoOp) {
   ASSERT_TRUE(view.Apply(delta).ok());
   EXPECT_EQ(view.last_stats().edb_deleted, 0u);
   EXPECT_EQ(view.last_stats().edb_inserted, 0u);
-  EXPECT_TRUE(view.last_changed().empty());
+  EXPECT_EQ(view.last_stats().strata_processed, 0u);
   EXPECT_EQ(view.db().Get("path")->size(), 3u);
 }
 
@@ -167,7 +166,7 @@ TEST(IncrementalView, DeleteAbsentAndInsertPresentAreIgnored) {
   delta.deletes["edge"].push_back(Edge(7, 8));
   delta.inserts["edge"].push_back(Edge(1, 2));
   ASSERT_TRUE(view.Apply(delta).ok());
-  EXPECT_TRUE(view.last_changed().empty());
+  EXPECT_EQ(view.last_stats().strata_processed, 0u);
   EXPECT_EQ(view.db().Get("edge")->size(), 1u);
 }
 
@@ -201,19 +200,21 @@ TEST(IncrementalView, NegationFallsBackToRecomputation) {
   EdbDelta delta;
   delta.inserts["edge"].push_back(Edge(2, 3));
   ASSERT_TRUE(view.Apply(delta).ok());
-  // reach changed, so the stratum negating it recomputes.
-  EXPECT_GT(view.last_stats().strata_recomputed, 0u);
+  // reach changed, so the batch reruns the program at the stratum negating
+  // it; the program stays a DRed program.
+  EXPECT_EQ(view.last_stats().mode, MaintenanceMode::kRerun);
+  EXPECT_EQ(view.mode(), MaintenanceMode::kDRed);
   EXPECT_FALSE(view.db().Get("blocked")->Contains(Edge(1, 3)));
   ExpectMatchesRebuild(view, program, {}, "negation fallback");
 }
 
-TEST(IncrementalView, AggregateProgramRecomputesAffectedStrataOnly) {
+TEST(IncrementalView, AggregateProgramReruns) {
   const char* src =
       "total(x,s) :- sale(x,v), s = sum(v, <x>).\n"
       "flag(x) :- other(x).\n";
   Program program = Parse(src);
   IncrementalView view(Parse(src));
-  ASSERT_EQ(view.mode(), MaintenanceMode::kRecomputeStrata);
+  ASSERT_EQ(view.mode(), MaintenanceMode::kRerun);
   FactDb edb;
   edb.Add("sale", Edge(1, 10));
   edb.Add("sale", Edge(1, 5));
@@ -225,10 +226,9 @@ TEST(IncrementalView, AggregateProgramRecomputesAffectedStrataOnly) {
   ASSERT_TRUE(view.Apply(delta).ok());
   EXPECT_TRUE(view.db().Get("total")->Contains(Edge(1, 10)));
   EXPECT_FALSE(view.db().Get("total")->Contains(Edge(1, 15)));
-  // The `flag` stratum is untouched by a `sale` delta.
-  EXPECT_GT(view.last_stats().strata_skipped, 0u);
-  EXPECT_EQ(view.last_changed().count("flag"), 0u);
-  ExpectMatchesRebuild(view, program, {}, "aggregate recompute");
+  EXPECT_EQ(view.last_stats().mode, MaintenanceMode::kRerun);
+  EXPECT_TRUE(view.db().Get("flag")->Contains(T({7})));
+  ExpectMatchesRebuild(view, program, {}, "aggregate rerun");
 }
 
 TEST(IncrementalView, SkolemHeadsMaintainedByDRed) {
@@ -255,11 +255,13 @@ TEST(IncrementalView, SkolemHeadsMaintainedByDRed) {
 // builds before its join starts: an anonymous position in the literal that
 // receives the delta (edge(x, y, _) leaves the delta partly bound), a
 // constant in a body literal, one predicate used twice in a body, and a
-// negated literal with an anonymous position, not blocked(z, _).  Each
-// batch also touches `open`, so the lower stratum recomputes `blocked`
-// into a fresh relation without that literal's index; `blocked` itself
-// does not change, so the reach stratum stays on DRed and its calls must
-// build the index.  A missing index would abort the join.
+// negated literal with an anonymous position, not blocked(z, _).  A batch
+// that touches `open` changes the negated input of blocked's stratum, so
+// it reruns the program, which rebuilds `blocked` into a fresh relation.
+// The edge-only batch after each rerun leaves `blocked` untouched, so the
+// reach stratum runs DRed through the negated literal and its calls must
+// build the indexes the rerun's joins did not.  A missing index would
+// abort the join.
 TEST(IncrementalView, DRedIndexesAnonymousConstantRepeatedAndNegatedLiterals) {
   const char* src =
       "blocked(z,w) :- wall(z,w), not open(z).\n"
@@ -280,24 +282,98 @@ TEST(IncrementalView, DRedIndexesAnonymousConstantRepeatedAndNegatedLiterals) {
   edb.Add("wall", T({10, 3}));
   ASSERT_TRUE(view.Initialize(std::move(edb)).ok());
 
-  EdbDelta inserts;
-  inserts.inserts["edge"] = {T({3, 9, 1}), T({9, 4, 1}), T({4, 11, 0})};
-  inserts.inserts["open"] = {T({5})};
-  ASSERT_TRUE(view.Apply(inserts).ok());
-  EXPECT_EQ(view.last_stats().strata_recomputed, 1u);  // blocked's stratum
-  EXPECT_EQ(view.last_changed().count("blocked"), 0u);
-  EXPECT_GT(view.last_stats().idb_inserted, 0u);
-  ExpectMatchesRebuild(view, program, {}, "insert batch");
+  EdbDelta open_insert;
+  open_insert.inserts["open"] = {T({5})};
+  ASSERT_TRUE(view.Apply(open_insert).ok());
+  EXPECT_EQ(view.last_stats().mode, MaintenanceMode::kRerun);
+  ExpectMatchesRebuild(view, program, {}, "open insert");
 
-  EdbDelta deletes;
-  deletes.deletes["edge"] = {T({3, 9, 1}), T({0, 1, 0}), T({5, 3, 1})};
-  deletes.deletes["open"] = {T({5})};
-  ASSERT_TRUE(view.Apply(deletes).ok());
-  EXPECT_EQ(view.last_stats().strata_recomputed, 1u);
+  EdbDelta edge_inserts;
+  edge_inserts.inserts["edge"] = {T({3, 9, 1}), T({9, 4, 1}), T({4, 11, 0})};
+  ASSERT_TRUE(view.Apply(edge_inserts).ok());
+  EXPECT_EQ(view.last_stats().mode, MaintenanceMode::kDRed);
+  EXPECT_GT(view.last_stats().idb_inserted, 0u);
+  ExpectMatchesRebuild(view, program, {}, "edge inserts");
+
+  EdbDelta open_delete;
+  open_delete.deletes["open"] = {T({5})};
+  ASSERT_TRUE(view.Apply(open_delete).ok());
+  EXPECT_EQ(view.last_stats().mode, MaintenanceMode::kRerun);
+  ExpectMatchesRebuild(view, program, {}, "open delete");
+
+  EdbDelta edge_deletes;
+  edge_deletes.deletes["edge"] = {T({3, 9, 1}), T({0, 1, 0}), T({5, 3, 1})};
+  ASSERT_TRUE(view.Apply(edge_deletes).ok());
+  EXPECT_EQ(view.last_stats().mode, MaintenanceMode::kDRed);
   EXPECT_GT(view.last_stats().overdeleted, 0u);
   EXPECT_GT(view.last_stats().idb_deleted, 0u);
-  ExpectMatchesRebuild(view, program, {}, "delete batch");
+  ExpectMatchesRebuild(view, program, {}, "edge deletes");
 }
+
+// A stratified sum over a recursive IDB predicate: `reach` is a closure in
+// its own stratum, and `score` folds double weights over it.  Fold order
+// sets the float bits of each sum, so after every mixed batch the rerun
+// must reproduce the rebuild row for row and bit for bit, at 1 and 4
+// threads.
+class AggregateOverRecursion : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(AggregateOverRecursion, RerunMatchesRebuildOrdered) {
+  const char* src =
+      "reach(x,y) :- edge(x,y).\n"
+      "reach(x,z) :- reach(x,y), edge(y,z).\n"
+      "score(x,s) :- reach(x,y), weight(y,w), s = sum(w, <y>).\n";
+  EngineOptions options;
+  options.num_threads = GetParam();
+  Program program = Parse(src);
+  IncrementalView view(Parse(src), options);
+  ASSERT_EQ(view.mode(), MaintenanceMode::kRerun);
+
+  constexpr int64_t kNodes = 16;
+  kgm::Rng rng(0xacc0 + GetParam());
+  FactDb edb;
+  std::vector<Tuple> live;
+  for (int64_t i = 0; i < kNodes; ++i) {
+    // Weights spanning magnitudes, so a different fold order would round
+    // differently.
+    double w = static_cast<double>(1 + rng.NextBelow(1000)) /
+               static_cast<double>(3 + rng.NextBelow(97));
+    if (i % 3 == 0) w *= 1e-9;
+    edb.Add("weight", Tuple{Value(i), Value(w)});
+  }
+  for (int i = 0; i < 30; ++i) {
+    Tuple e = Edge(static_cast<int64_t>(rng.NextBelow(kNodes)),
+                   static_cast<int64_t>(rng.NextBelow(kNodes)));
+    if (edb.Add("edge", Tuple(e))) live.push_back(e);
+  }
+  ASSERT_TRUE(view.Initialize(std::move(edb)).ok());
+
+  for (int batch = 0; batch < 4; ++batch) {
+    EdbDelta delta;
+    for (int i = 0; i < 3 && !live.empty(); ++i) {
+      size_t pick = rng.NextBelow(live.size());
+      delta.deletes["edge"].push_back(live[pick]);
+      live.erase(live.begin() + pick);
+    }
+    for (int i = 0; i < 3; ++i) {
+      Tuple e = Edge(static_cast<int64_t>(rng.NextBelow(kNodes)),
+                     static_cast<int64_t>(rng.NextBelow(kNodes)));
+      delta.inserts["edge"].push_back(e);
+      if (std::find(live.begin(), live.end(), e) == live.end()) {
+        live.push_back(e);
+      }
+    }
+    ASSERT_TRUE(view.Apply(delta).ok()) << "batch " << batch;
+    EXPECT_EQ(view.last_stats().mode, MaintenanceMode::kRerun);
+    EXPECT_GT(view.last_stats().edb_deleted, 0u);
+    ExpectMatchesRebuild(view, program, options,
+                         "batch " + std::to_string(batch));
+  }
+  ASSERT_NE(view.db().Get("score"), nullptr);
+  EXPECT_GT(view.db().Get("score")->size(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, AggregateOverRecursion,
+                         ::testing::Values<size_t>(1, 4));
 
 // DRed never sends aggregate rules to the rule-at-a-time evaluator (see
 // ModeSelection); called on one anyway, both entry points return

@@ -133,7 +133,7 @@ fi
 # facts for the driver's ordered replay — the main thing TSan needs to
 # see, with Skolem terms interned from every worker.  finkg_incremental
 # runs the incremental-vs-rebuild differential at 1 and 4 engine threads,
-# which exercises delta maintenance (DRed + stratum recompute) under both
+# which exercises delta maintenance (DRed + rerun) under both
 # sanitizers.  vadalog_ also matches vadalog_database_test (relations,
 # indexes and copy-on-write sharing) and vadalog_magic_test;
 # finkg_pointquery runs the point-query differential (magic vs full
