@@ -280,6 +280,7 @@ int main(int argc, char** argv) {
   w.Field("phase_seconds", phase_seconds);
   w.Field("host_cpus",
           static_cast<size_t>(std::thread::hardware_concurrency()));
+  w.Field("build_type", KGM_BUILD_TYPE);
   w.Field("note",
           "closed-loop clients share cores with the service workers; on a "
           "1-cpu CI runner compare modes within this run only, probe "

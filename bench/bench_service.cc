@@ -187,6 +187,7 @@ int main(int argc, char** argv) {
   // compare phases within a single run, not across machines.
   w.Field("host_cpus",
           static_cast<size_t>(std::thread::hardware_concurrency()));
+  w.Field("build_type", KGM_BUILD_TYPE);
   w.Field("note",
           "qps and latency are host-dependent; on a 1-cpu CI runner "
           "clients contend with the worker pool, compare only within "

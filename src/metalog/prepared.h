@@ -1,28 +1,26 @@
-// Prepared-program cache: parse a MetaLog program and compile it through
-// MTV once, then reuse the compiled Vadalog program for every execution
+// Prepared-program cache: parse a query program once — a MetaLog program
+// also compiled through MTV — then reuse the result for every execution
 // against a compatible catalog.
 //
-// Compilation output depends only on (source text, catalog contents, MTV
-// options), so entries are keyed by the source hash combined with the
-// catalog fingerprint — a program prepared for one epoch of a served
-// knowledge graph stays valid across publications as long as the label
-// catalog is unchanged, while a schema change naturally misses and
-// recompiles.  The cache is bounded (LRU) and thread-safe; concurrent
-// misses for the same key may compile twice, but only one result is
-// retained.
+// Compilation output depends only on (language, source text, catalog
+// contents, MTV options), so entries are keyed by that full key material —
+// a program prepared for one epoch of a served knowledge graph stays valid
+// across publications as long as the label catalog is unchanged, while a
+// schema change naturally misses and recompiles.  The cache is one bounded
+// LruCache and thread-safe; concurrent misses for the same key may compile
+// twice, but every caller gets the first result stored.
 
 #ifndef KGM_METALOG_PREPARED_H_
 #define KGM_METALOG_PREPARED_H_
 
+#include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "base/lru_cache.h"
 #include "base/status.h"
 #include "lint/diagnostic.h"
 #include "metalog/ast.h"
@@ -32,8 +30,17 @@
 
 namespace kgm::metalog {
 
-// One parse+MTV compilation, immutable once cached.
+enum class QueryLanguage {
+  kMetaLog,  // compiled via MTV against the catalog
+  kVadalog,  // parsed directly; runs over the relational encoding
+};
+
+// One prepared program, immutable once cached.  A MetaLog entry is one
+// parse+MTV compilation.  A Vadalog entry holds only `program` (the parsed
+// source), `catalog` (the base catalog, unchanged) and `lint`; its `meta`,
+// `helper_predicates` and `rule_origin` stay empty.
 struct CompiledMeta {
+  QueryLanguage language = QueryLanguage::kMetaLog;
   MetaProgram meta;        // the parsed source
   GraphCatalog catalog;    // base catalog after AbsorbProgram
   vadalog::Program program;
@@ -58,58 +65,51 @@ class PreparedCache {
 
   // Runs after every successful compilation, outside the cache lock; the
   // result is stored in CompiledMeta::lint.  `base` is the catalog handed
-  // to Compile (before AbsorbProgram).  Set once before concurrent use —
-  // typically by the owning service at construction.
+  // to Compile (before AbsorbProgram); CompiledMeta::language says which
+  // lint applies.  Set once before concurrent use — typically by the
+  // owning service at construction.
   using LintHook =
       std::function<lint::LintResult(const CompiledMeta&, const GraphCatalog& base)>;
   void set_lint_hook(LintHook hook) { lint_hook_ = std::move(hook); }
 
-  // Returns the compiled form of `source` against `catalog` (which must
-  // NOT yet have the program absorbed — Compile copies and absorbs it),
-  // compiling on a miss.  Parse/translation failures are returned as-is
-  // and are not cached.
+  // Returns the prepared form of `source` against `catalog` (which must
+  // NOT yet have the program absorbed — Compile copies it and absorbs a
+  // MetaLog program into the copy), compiling on a miss.  Parse and
+  // translation failures are returned as-is and are not cached.
   Result<std::shared_ptr<const CompiledMeta>> Compile(
       std::string_view source, const GraphCatalog& catalog,
-      const MtvOptions& options = {});
+      const MtvOptions& options = {},
+      QueryLanguage language = QueryLanguage::kMetaLog);
 
-  struct Counters {
-    size_t hits = 0;
-    size_t misses = 0;          // includes collision misses
-    size_t key_collisions = 0;  // hash matched, full key material did not
-    size_t evictions = 0;       // capacity evictions only
-  };
-  Counters counters() const;
-  size_t size() const;
-  void Clear();
+  using Counters = LruCounters;
+  Counters counters() const { return cache_.counters(); }
+  size_t size() const { return cache_.size(); }
+  void Clear() { cache_.Clear(); }
 
-  // Stable key for (source, catalog, options); exposed so callers (e.g.
-  // the serving layer's result cache) can key on the same identity.
-  static uint64_t KeyOf(std::string_view source, const GraphCatalog& catalog,
-                        const MtvOptions& options);
-
-  // The full key material behind KeyOf: a canonical string of the source
-  // text, the catalog's labels with their property lists, and the options.
-  // Entries store it and verify it on every hit, so a 64-bit hash
-  // collision between two distinct (source, catalog, options) triples is
-  // counted in `key_collisions` and served as a miss — never as the wrong
-  // compiled program.
-  static std::string CanonicalKey(std::string_view source,
-                                  const GraphCatalog& catalog,
-                                  const MtvOptions& options);
+  // The full key material of an entry: a canonical string of the language,
+  // the source text, the catalog's labels with their property lists, and
+  // the options.  Entries store it and verify it on every hit, so a 64-bit
+  // hash collision between two distinct key materials is counted in
+  // `key_collisions` and served as a miss — never as the wrong compiled
+  // program.
+  static std::string CanonicalKey(
+      std::string_view source, const GraphCatalog& catalog,
+      const MtvOptions& options,
+      QueryLanguage language = QueryLanguage::kMetaLog);
 
  private:
-  struct Entry {
-    uint64_t hash = 0;
-    std::string full_key;  // CanonicalKey(...); verified on hit
-    std::shared_ptr<const CompiledMeta> value;
+  struct Key {
+    std::string material;  // CanonicalKey(...)
+    uint64_t hash = 0;     // std::hash of material
+
+    uint64_t Hash() const { return hash; }
+    bool operator==(const Key& other) const {
+      return material == other.material;
+    }
   };
 
-  mutable std::mutex mu_;
-  size_t capacity_;
-  std::list<Entry> lru_;  // front = most recently used
-  std::unordered_map<uint64_t, std::list<Entry>::iterator> by_key_;
-  Counters counters_;
-  LintHook lint_hook_;  // immutable after setup; called without mu_ held
+  LruCache<Key, CompiledMeta> cache_;
+  LintHook lint_hook_;  // immutable after setup; called without a lock held
 };
 
 }  // namespace kgm::metalog

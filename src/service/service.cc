@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <functional>
 #include <future>
+#include <set>
 #include <utility>
 
 #include "base/value.h"
 #include "lint/lint.h"
-#include "vadalog/parser.h"
 
 namespace kgm::service {
 
@@ -61,13 +61,15 @@ KgService::KgService(KgServiceOptions options)
     : options_(options),
       pool_(std::max<size_t>(options.num_workers, 1)),
       prepared_(options.prepared_cache_capacity),
-      results_(options.result_cache_capacity) {
+      results_(options.result_cache_capacity),
+      rewrites_(options.prepared_cache_capacity) {
   if (options_.lint_admission) {
     prepared_.set_lint_hook([config = options_.lint_config](
                                 const metalog::CompiledMeta& compiled,
                                 const metalog::GraphCatalog& base) {
       lint::LintOptions lint_options;
       // Catalog labels are extensional: defined by the graph, not by rules.
+      // A Vadalog program reads them as relations of the encoding.
       for (const std::string& l : compiled.catalog.NodeLabels()) {
         lint_options.external_predicates.push_back(l);
       }
@@ -75,8 +77,11 @@ KgService::KgService(KgServiceOptions options)
         lint_options.external_predicates.push_back(l);
       }
       lint::LintResult result =
-          lint::LintCompiledMeta(compiled.meta, compiled.program,
-                                 compiled.rule_origin, &base, lint_options);
+          compiled.language == QueryLanguage::kVadalog
+              ? lint::RunLints(compiled.program, lint_options)
+              : lint::LintCompiledMeta(compiled.meta, compiled.program,
+                                       compiled.rule_origin, &base,
+                                       lint_options);
       // Deployment severity overrides run before the cached result is
       // stored, so admission and any later renderings agree.
       config.Apply(&result);
@@ -92,15 +97,22 @@ uint64_t KgService::Publish(pg::PropertyGraph graph) {
   const uint64_t epoch = next_epoch_++;
   std::shared_ptr<const Snapshot> snap =
       BuildSnapshot(std::move(graph), epoch);
+  const uint64_t catalog_fingerprint = snap->catalog_fingerprint;
+  std::shared_ptr<const Snapshot> prev;
   {
     std::lock_guard<std::mutex> snap_lock(snapshot_mu_);
-    snapshot_ = std::move(snap);
+    prev = std::exchange(snapshot_, std::move(snap));
   }
   // Results are keyed by epoch, so entries for older epochs can never be
   // returned for queries against this one — the clear just frees capacity.
   // A reader still pinned to an old snapshot may re-insert an old-epoch
   // entry after this; that is correct for its epoch and ages out via LRU.
   results_.Clear();
+  // Rewrites hold prepared entries compiled against the old catalog; once
+  // it changes, new reads compile new entries, so free the slots.
+  if (prev == nullptr || prev->catalog_fingerprint != catalog_fingerprint) {
+    rewrites_.Clear();
+  }
   stats_.RecordPublish(epoch);
   return epoch;
 }
@@ -248,14 +260,40 @@ KgService::ResultKeyMaterial KgService::ResultKey(
   return key;
 }
 
+bool KgService::RewriteKey::operator==(const RewriteKey& other) const {
+  return entry == other.entry && predicate == other.predicate &&
+         adornment == other.adornment;
+}
+
+uint64_t KgService::RewriteKey::Hash() const {
+  uint64_t key = std::hash<const void*>{}(entry.get());
+  key = HashCombine(key, std::hash<std::string>{}(predicate));
+  key = HashCombine(key, std::hash<std::string>{}(adornment));
+  return key;
+}
+
+std::shared_ptr<const vadalog::magic::MagicRewrite> KgService::CachedRewrite(
+    const std::shared_ptr<const metalog::CompiledMeta>& entry,
+    const vadalog::magic::QueryBinding& binding,
+    const std::set<std::string>& edb) {
+  RewriteKey key{entry, binding.predicate, binding.Adornment()};
+  if (std::shared_ptr<const vadalog::magic::MagicRewrite> hit =
+          rewrites_.Get(key)) {
+    return hit;
+  }
+  auto rewrite = std::make_shared<const vadalog::magic::MagicRewrite>(
+      vadalog::magic::RewriteForQuery(entry->program, binding, edb));
+  if (rewrite->ok()) stats_.RecordMagicRewrite();
+  return rewrites_.PutIfAbsent(std::move(key), std::move(rewrite));
+}
+
 Status KgService::LintAdmission(const QueryRequest& request,
                                 AdmittedCompile* admitted) {
-  if (request.language != QueryLanguage::kMetaLog) return OkStatus();
   std::shared_ptr<const Snapshot> snap = CurrentSnapshot();
   if (snap == nullptr) return OkStatus();  // Evaluate reports the real error
-  KGM_ASSIGN_OR_RETURN(
-      admitted->compiled,
-      prepared_.Compile(request.program, snap->catalog, options_.mtv));
+  KGM_ASSIGN_OR_RETURN(admitted->compiled,
+                       prepared_.Compile(request.program, snap->catalog,
+                                         options_.mtv, request.language));
   admitted->epoch = snap->epoch;
   if (admitted->compiled->lint.has_errors()) {
     return InvalidArgument("program rejected by lint: " +
@@ -363,57 +401,36 @@ Result<QueryResult> KgService::EvaluateOnSnapshot(
   QueryResult out;
   out.epoch = snap.epoch;
 
-  vadalog::FactDb db;
-  vadalog::Program program;
-  if (request.language == QueryLanguage::kMetaLog) {
-    std::shared_ptr<const metalog::CompiledMeta> compiled =
-        admitted.epoch == snap.epoch ? admitted.compiled : nullptr;
-    if (compiled == nullptr) {
-      KGM_ASSIGN_OR_RETURN(compiled, prepared_.Compile(request.program,
-                                                       snap.catalog,
-                                                       options_.mtv));
-    }
-    // Execute() bypasses Query()'s pre-queue check; the lint result is
-    // cached with the compilation, so this re-check costs a flag read.
-    if (options_.lint_admission && compiled->lint.has_errors()) {
-      return InvalidArgument("program rejected by lint: " +
-                             compiled->lint.FirstError());
-    }
-    if (EncodingCompatible(snap.catalog, compiled->catalog)) {
-      db = snap.CloneFacts();
-    } else if (snap.is_delta) {
-      // The delta lives only in the encoding; re-encoding the (stale)
-      // graph would silently drop it.
-      return FailedPrecondition(
-          "program widens an extensional label but the current epoch is a "
-          "delta snapshot; publish a full graph to run it");
-    } else {
-      db = metalog::EncodeGraph(*snap.graph, compiled->catalog);
-      out.fresh_encoding = true;
-    }
-    program = compiled->program;
-    out.columns = ColumnsFor(compiled->catalog, request.output);
-  } else {
-    KGM_ASSIGN_OR_RETURN(program, vadalog::ParseProgram(request.program));
-    if (options_.lint_admission) {
-      lint::LintOptions lint_options;
-      // The program reads the snapshot's relational encoding: every
-      // catalog label is an extensional predicate.
-      for (const std::string& l : snap.catalog.NodeLabels()) {
-        lint_options.external_predicates.push_back(l);
-      }
-      for (const std::string& l : snap.catalog.EdgeLabels()) {
-        lint_options.external_predicates.push_back(l);
-      }
-      lint::LintResult lint = lint::RunLints(program, lint_options);
-      options_.lint_config.Apply(&lint);
-      if (lint.has_errors()) {
-        return InvalidArgument("program rejected by lint: " +
-                               lint.FirstError());
-      }
-    }
-    db = snap.CloneFacts();
+  std::shared_ptr<const metalog::CompiledMeta> compiled =
+      admitted.epoch == snap.epoch ? admitted.compiled : nullptr;
+  if (compiled == nullptr) {
+    KGM_ASSIGN_OR_RETURN(compiled,
+                         prepared_.Compile(request.program, snap.catalog,
+                                           options_.mtv, request.language));
   }
+  // Execute() bypasses Query()'s pre-queue check; the lint result is
+  // cached with the compilation, so this re-check costs a flag read.
+  if (options_.lint_admission && compiled->lint.has_errors()) {
+    return InvalidArgument("program rejected by lint: " +
+                           compiled->lint.FirstError());
+  }
+  vadalog::FactDb db;
+  if (EncodingCompatible(snap.catalog, compiled->catalog)) {
+    db = snap.CloneFacts();
+  } else if (snap.is_delta) {
+    // The delta lives only in the encoding; re-encoding the (stale)
+    // graph would silently drop it.
+    return FailedPrecondition(
+        "program widens an extensional label but the current epoch is a "
+        "delta snapshot; publish a full graph to run it");
+  } else {
+    db = metalog::EncodeGraph(*snap.graph, compiled->catalog);
+    out.fresh_encoding = true;
+  }
+  if (request.language == QueryLanguage::kMetaLog) {
+    out.columns = ColumnsFor(compiled->catalog, request.output);
+  }
+  const vadalog::Program& program = compiled->program;
   const std::vector<std::string> input_preds = InputPredicates(program, snap);
 
   vadalog::EngineOptions engine_options = options_.engine;
@@ -430,6 +447,15 @@ Result<QueryResult> KgService::EvaluateOnSnapshot(
     vadalog::magic::PointQueryOptions pq_options;
     pq_options.engine = engine_options;
     pq_options.force_materialize = !request.use_point_query;
+    // A fresh encoding may hold other relations than the snapshot's, so
+    // its reads rewrite on the spot.
+    if (!out.fresh_encoding) {
+      pq_options.rewrite_lookup =
+          [this, &compiled](const vadalog::magic::QueryBinding& query,
+                            const std::set<std::string>& edb) {
+            return CachedRewrite(compiled, query, edb);
+          };
+    }
     vadalog::magic::PointQueryStats pq_stats;
     Result<std::vector<vadalog::Tuple>> answers = vadalog::magic::EvalPointQuery(
         program, binding, &db, pq_options, &pq_stats);
@@ -443,7 +469,7 @@ Result<QueryResult> KgService::EvaluateOnSnapshot(
     out.join_probes = pq_stats.engine.join_probes;
     *rows = *std::move(answers);
   } else {
-    vadalog::Engine engine(std::move(program), engine_options);
+    vadalog::Engine engine(program, engine_options);
     KGM_RETURN_IF_ERROR(engine.status());
     KGM_RETURN_IF_ERROR(engine.Run(&db));
     out.join_probes = engine.stats().join_probes;

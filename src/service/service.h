@@ -11,12 +11,17 @@
 //
 // Queries (MetaLog or Vadalog) flow through three layers:
 //
-//   1. admission control — a bounded queue over a worker pool; requests
-//      beyond `queue_capacity` are rejected immediately with Unavailable
-//      rather than piling up latency;
-//   2. caching — MetaLog programs are parse+MTV-compiled once per
-//      (source, catalog fingerprint) via PreparedCache, and whole results
-//      are cached per (request, epoch), invalidated by publication;
+//   1. admission control — every program is compiled through the prepared
+//      cache and rejected on a cached lint error before it is queued; a
+//      bounded queue over a worker pool then rejects requests beyond
+//      `queue_capacity` immediately with Unavailable rather than piling up
+//      latency;
+//   2. caching — programs of both languages are prepared once per
+//      (language, source, catalog) via PreparedCache: parsed, MetaLog also
+//      MTV-compiled, and linted.  A point query's magic rewrite is cached
+//      per (prepared entry, predicate, adornment) — the bound constants
+//      enter only through its seed fact.  Whole results are cached per
+//      (request, epoch), invalidated by publication;
 //   3. evaluation — the snapshot's precomputed relational encoding is
 //      cloned, the compiled program runs to fixpoint with a per-request
 //      deadline (cooperatively checked inside the engine), and the output
@@ -31,16 +36,17 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "base/lru_cache.h"
 #include "base/status.h"
 #include "base/thread_pool.h"
 #include "lint/config.h"
 #include "metalog/mtv.h"
 #include "metalog/prepared.h"
 #include "pg/property_graph.h"
-#include "service/cache.h"
 #include "service/snapshot.h"
 #include "service/stats.h"
 #include "vadalog/engine.h"
@@ -49,10 +55,7 @@
 
 namespace kgm::service {
 
-enum class QueryLanguage {
-  kMetaLog,  // compiled via MTV against the snapshot catalog
-  kVadalog,  // parsed directly; runs over the relational encoding
-};
+using QueryLanguage = metalog::QueryLanguage;
 
 struct QueryRequest {
   std::string program;
@@ -106,9 +109,9 @@ struct KgServiceOptions {
   vadalog::EngineOptions engine;
   metalog::MtvOptions mtv;
   // Run the lint pipeline on every program and reject those with
-  // error-severity diagnostics with InvalidArgument — for MetaLog before
-  // the request is even queued (diagnostics are cached with the prepared
-  // program, so the check is free on cache hits).
+  // error-severity diagnostics with InvalidArgument before the request is
+  // even queued, for both languages (diagnostics are cached with the
+  // prepared program, so the check is free on cache hits).
   bool lint_admission = true;
   // Per-pass severity overrides (.kgmlint semantics) applied to every
   // lint run before the error check, so deployments can promote a
@@ -221,11 +224,33 @@ class KgService {
     uint64_t epoch = 0;
   };
 
-  // Pre-queue admission: compiles a MetaLog request through the prepared
-  // cache and rejects programs whose cached lint result carries errors.
-  // No-op for Vadalog requests (they are linted during evaluation) and
-  // before the first Publish.
+  // Pre-queue admission: compiles a request of either language through
+  // the prepared cache and rejects programs whose cached lint result
+  // carries errors.  No-op before the first Publish.
   Status LintAdmission(const QueryRequest& request, AdmittedCompile* admitted);
+
+  // Full key material of one rewrite-cache entry.  Holding the prepared
+  // entry's shared_ptr keeps its address from being recycled for another
+  // entry while the key lives, so pointer equality is entry identity.
+  struct RewriteKey {
+    std::shared_ptr<const metalog::CompiledMeta> entry;
+    std::string predicate;
+    std::string adornment;
+
+    bool operator==(const RewriteKey& other) const;
+    uint64_t Hash() const;
+  };
+
+  // The magic rewrite of `entry`'s program for `binding`'s predicate and
+  // adornment: from the rewrite cache, or computed against `edb` and
+  // cached, fallback outcomes included.  EvaluateOnSnapshot installs it as
+  // the point query's rewrite lookup, so `edb` is the snapshot encoding's
+  // relation set.  That set is fixed by the catalog, which is part of the
+  // entry's key, and ApplyDelta never adds or drops a relation.
+  std::shared_ptr<const vadalog::magic::MagicRewrite> CachedRewrite(
+      const std::shared_ptr<const metalog::CompiledMeta>& entry,
+      const vadalog::magic::QueryBinding& binding,
+      const std::set<std::string>& edb);
 
   // Full evaluation with stats recording; `start` is the admission time.
   Result<QueryResult> Evaluate(const QueryRequest& request,
@@ -250,6 +275,7 @@ class KgService {
   uint64_t next_epoch_ = 1;  // guarded by publish_mu_
   metalog::PreparedCache prepared_;
   LruCache<ResultKeyMaterial, CachedResult> results_;
+  LruCache<RewriteKey, vadalog::magic::MagicRewrite> rewrites_;
   std::atomic<size_t> pending_{0};  // queued + running requests
   ServiceStats stats_;
 };

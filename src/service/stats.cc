@@ -131,6 +131,11 @@ void ServiceStats::RecordPointQuery(
   magic_probes_ += pq_stats.engine.join_probes;
 }
 
+void ServiceStats::RecordMagicRewrite() {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++magic_rewrites_;
+}
+
 void ServiceStats::RecordPublish(uint64_t epoch, bool delta) {
   std::lock_guard<std::mutex> lock(mu_);
   ++publishes_;

@@ -63,11 +63,15 @@ struct StatsSnapshot {
   // every bound-argument evaluation.  Rendered as a nested "magic" object
   // in ToJson.  point_queries = the mode counters summed; magic_fallbacks
   // counts only queries that wanted magic but landed on materialize.
+  // magic_rewrites counts rewrites actually computed, not magic runs
+  // (point_magic counts those): a read that reuses the service's cached
+  // rewrite for its (program, predicate, adornment) adds nothing, so
+  // point_magic - magic_rewrites is the rewrite cache's saving.
   uint64_t point_queries = 0;
   uint64_t point_magic = 0;         // answered by the magic-sets rewrite
   uint64_t point_edb_lookup = 0;    // answered by a direct relation probe
   uint64_t point_materialize = 0;   // fell back to full materialization
-  uint64_t magic_rewrites = 0;      // successful magic-sets rewrites
+  uint64_t magic_rewrites = 0;      // successful rewrites computed
   uint64_t magic_fallbacks = 0;     // wanted magic, got materialize
   uint64_t magic_subqueries = 0;    // adorned predicates of magic rewrites
   uint64_t magic_probes = 0;        // join probes spent answering
@@ -91,6 +95,9 @@ class ServiceStats {
   // Folds one point-query evaluation's routing outcome and magic counters
   // into the service aggregates.
   void RecordPointQuery(const vadalog::magic::PointQueryStats& pq_stats);
+  // Counts one successful magic rewrite computed for the rewrite cache;
+  // rewrites computed inside a point query arrive via RecordPointQuery.
+  void RecordMagicRewrite();
 
   // Cache counters owned elsewhere, passed in when snapshotting.
   struct ExternalCounters {

@@ -105,7 +105,8 @@ struct EngineStats {
   // fills them on the stats it reports, so service/bench counters read one
   // struct whichever route a query took.
   bool point_query = false;    // stats describe a point-query evaluation
-  size_t magic_rewrites = 0;   // magic-sets rewrites applied (0 or 1)
+  size_t magic_rewrites = 0;   // magic-sets rewrites computed (0 or 1; 0
+                               // when a prepared rewrite was rebound)
   size_t magic_fallbacks = 0;  // fell back to full materialization (0 or 1)
   size_t magic_subqueries = 0; // adorned predicates of the magic rewrite
   size_t magic_rules = 0;      // magic + guarded + copy rules emitted

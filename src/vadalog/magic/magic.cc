@@ -683,6 +683,15 @@ FallbackReason CheckCone(const RewriteState& st,
   return FallbackReason::kNone;
 }
 
+// The seed fact's values: the bound constants in position order.
+std::vector<Value> SeedValues(const QueryBinding& query) {
+  std::vector<Value> values;
+  for (const auto& a : query.args) {
+    if (a.has_value()) values.push_back(*a);
+  }
+  return values;
+}
+
 }  // namespace
 
 MagicRewrite RewriteForQuery(const Program& program,
@@ -738,9 +747,7 @@ MagicRewrite RewriteForQuery(const Program& program,
   out.program.facts = program.facts;
   FactDecl seed;
   seed.predicate = MagicName(query.predicate, query.Adornment());
-  for (const auto& a : query.args) {
-    if (a.has_value()) seed.values.push_back(*a);
-  }
+  seed.values = SeedValues(query);
   out.program.facts.push_back(std::move(seed));
   out.program.inputs = program.inputs;
   out.query_pred = AdornedName(query.predicate, query.Adornment());
@@ -750,6 +757,13 @@ MagicRewrite RewriteForQuery(const Program& program,
   out.magic_rules = st.magic_rules.size();
   out.guarded_rules = st.guarded_rules.size();
   out.copy_rules = st.copy_rules.size();
+  return out;
+}
+
+MagicRewrite RebindRewrite(const MagicRewrite& rewrite,
+                           const QueryBinding& query) {
+  MagicRewrite out = rewrite;
+  if (out.ok()) out.program.facts.back().values = SeedValues(query);
   return out;
 }
 

@@ -138,10 +138,23 @@ struct MagicRewrite {
 // @input, or asserted via @fact (an adorned predicate with both rules
 // and an extensional base gets a guarded copy rule).  Never fails hard:
 // out-of-fragment programs come back with `fallback` set.
+//
+// The output depends on the bound constants only through the seed fact —
+// the magic predicate's fact holding them, appended last to
+// `program.facts`.  Every binding with the same predicate and adornment
+// gets the same rules, `query_pred`, `adorned` and `full_required`, so a
+// rewrite can be computed once and rebound (RebindRewrite).
 MagicRewrite RewriteForQuery(const Program& program,
                              const QueryBinding& query,
                              const std::set<std::string>& edb_preds,
                              const RewriteOptions& options = {});
+
+// The rewrite RewriteForQuery would return for `query`, made from
+// `rewrite`, which was computed for a binding with the same predicate and
+// adornment over the same program and EDB set: a copy whose seed fact
+// carries `query`'s constants.  A fallback is returned unchanged.
+MagicRewrite RebindRewrite(const MagicRewrite& rewrite,
+                           const QueryBinding& query);
 
 // Rewrites the existential specs of `rule` (the rule at `rule_index` of
 // its program) so that auto-Skolemized existentials carry the explicit

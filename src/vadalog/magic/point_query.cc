@@ -9,13 +9,17 @@ namespace {
 
 constexpr size_t kIndexMinRows = 8;
 
-bool IsIntensional(const Program& program, const std::string& pred) {
+// Arity of the last rule head defining `pred`; nullopt when no rule does
+// (an extensional predicate).
+std::optional<size_t> HeadArity(const Program& program,
+                                const std::string& pred) {
+  std::optional<size_t> arity;
   for (const Rule& r : program.rules) {
     for (const Atom& h : r.head) {
-      if (h.predicate == pred) return true;
+      if (h.predicate == pred) arity = h.args.size();
     }
   }
-  return false;
+  return arity;
 }
 
 Result<std::vector<Tuple>> FilterRelation(const Relation* rel,
@@ -122,12 +126,8 @@ Result<std::vector<Tuple>> EvalPointQuery(const Program& program,
   // final filter over a missing relation yields zero rows — while the
   // materialize and EDB routes return InvalidArgument for the same
   // query.
-  std::optional<size_t> declared;
-  for (const Rule& r : program.rules) {
-    for (const Atom& h : r.head) {
-      if (h.predicate == query.predicate) declared = h.args.size();
-    }
-  }
+  const std::optional<size_t> head_arity = HeadArity(program, query.predicate);
+  std::optional<size_t> declared = head_arity;
   if (!declared.has_value()) {
     for (const FactDecl& f : program.facts) {
       if (f.predicate == query.predicate) declared = f.values.size();
@@ -164,12 +164,15 @@ Result<std::vector<Tuple>> EvalPointQuery(const Program& program,
         "every argument position of " + query.predicate + " is free";
     return finish(RunMaterialize(program, query, db, options, stats));
   }
-  if (!IsIntensional(program, query.predicate)) {
+  if (!head_arity.has_value()) {
     return finish(RunEdbLookup(program, query, db, stats));
   }
   std::set<std::string> edb;
   for (const std::string& p : db->Predicates()) edb.insert(p);
-  MagicRewrite rw = RewriteForQuery(program, query, edb, options.rewrite);
+  MagicRewrite rw =
+      options.rewrite_lookup
+          ? RebindRewrite(*options.rewrite_lookup(query, edb), query)
+          : RewriteForQuery(program, query, edb, options.rewrite);
   stats->fallback = rw.fallback;
   stats->fallback_detail = rw.detail;
   if (rw.ok()) {
@@ -181,7 +184,7 @@ Result<std::vector<Tuple>> EvalPointQuery(const Program& program,
       Status run = engine.Run(db);
       stats->engine = engine.stats();
       stats->engine.point_query = true;
-      stats->engine.magic_rewrites = 1;
+      stats->engine.magic_rewrites = options.rewrite_lookup ? 0 : 1;
       stats->engine.magic_subqueries = rw.adorned.size();
       stats->engine.magic_rules =
           rw.magic_rules + rw.guarded_rules + rw.copy_rules;

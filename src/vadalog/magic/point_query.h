@@ -18,10 +18,21 @@
 // produce answer sets identical to `materialize then filter` — including
 // Skolem terms, which the rewrite pins to the original program's functors
 // (see magic::PinSkolemSpecs).
+//
+// Reusing rewrites.  A magic rewrite depends on the binding only through
+// its seed fact, so a caller answering many bindings of one program can
+// compute it once per (predicate, adornment) and supply it through
+// PointQueryOptions::rewrite_lookup; the magic route then copies it and
+// rebinds the seed (magic::RebindRewrite) instead of rewriting.  The
+// serving layer's lookup keeps such rewrites in an LRU keyed on its
+// prepared program entry.
 
 #ifndef KGM_VADALOG_MAGIC_POINT_QUERY_H_
 #define KGM_VADALOG_MAGIC_POINT_QUERY_H_
 
+#include <functional>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -48,6 +59,15 @@ struct PointQueryOptions {
   RewriteOptions rewrite;
   // Diagnostics/benchmarks: skip straight to the materialize baseline.
   bool force_materialize = false;
+  // Called only once the magic route is chosen, with `edb` = `db`'s
+  // predicates.  Must return a RewriteForQuery result for the same
+  // program, `edb` and a binding with `query`'s predicate and adornment —
+  // e.g. one cached from an earlier read.  The magic route rebinds it to
+  // `query` instead of rewriting, and EngineStats::magic_rewrites stays
+  // 0: the lookup counts the rewrites it computes.
+  std::function<std::shared_ptr<const MagicRewrite>(
+      const QueryBinding& query, const std::set<std::string>& edb)>
+      rewrite_lookup;
 };
 
 struct PointQueryStats {

@@ -368,6 +368,41 @@ TEST(LintServiceTest, VadalogQueryRejectsLintErrors) {
               std::string::npos)
         << result.status().ToString();
   }
+
+  // The verdict comes before the queue: with no queue slots at all, a
+  // broken Vadalog program is still rejected by lint, not by admission
+  // control, and counts as a failed query.
+  service::KgServiceOptions options;
+  options.queue_capacity = 0;
+  service::KgService unqueued(options);
+  unqueued.Publish(TinyGraph());
+  service::QueryRequest request;
+  request.program = cases[0].program;
+  request.language = service::QueryLanguage::kVadalog;
+  request.output = cases[0].output;
+  auto result = unqueued.Query(request);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("rejected by lint"),
+            std::string::npos)
+      << result.status().ToString();
+  service::StatsSnapshot stats = unqueued.Stats();
+  EXPECT_EQ(stats.queries_failed, 1u);
+  EXPECT_EQ(stats.queue_rejected, 0u);
+  EXPECT_EQ(stats.prepared_cache_misses, 1u);
+
+  // Execute() bypasses the queue but not the cached verdict.
+  auto direct = unqueued.Execute(request);
+  ASSERT_FALSE(direct.ok());
+  EXPECT_EQ(direct.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(direct.status().message().find("rejected by lint"),
+            std::string::npos)
+      << direct.status().ToString();
+  stats = unqueued.Stats();
+  EXPECT_EQ(stats.queries_failed, 2u);
+  EXPECT_EQ(stats.prepared_cache_misses, 1u);
+  EXPECT_EQ(stats.prepared_cache_hits, 1u);
 }
 
 TEST(LintServiceTest, AdmissionCanBeDisabled) {

@@ -3,10 +3,13 @@
 // collide can never serve each other's values — a forced collision is a
 // miss (counted in key_collisions), not wrong data.
 
-#include "service/cache.h"
+#include "base/lru_cache.h"
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -77,6 +80,28 @@ TEST(LruCacheTest, SameKeyPutReplacesValue) {
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(*hit, "v2");
   EXPECT_EQ(cache.counters().key_collisions, 0u);
+}
+
+TEST(LruCacheTest, PutIfAbsentKeepsTheFirstValue) {
+  LruCache<CollidingKey, std::string> cache(4);
+  auto first = std::make_shared<const std::string>("v1");
+  EXPECT_EQ(cache.PutIfAbsent(CollidingKey{"a"}, first), first);
+  auto kept = cache.PutIfAbsent(CollidingKey{"a"},
+                                std::make_shared<const std::string>("v2"));
+  EXPECT_EQ(kept, first);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(*cache.Get(CollidingKey{"a"}), "v1");
+
+  // A colliding key still displaces instead of aliasing.
+  auto b = cache.PutIfAbsent(CollidingKey{"b"},
+                             std::make_shared<const std::string>("vb"));
+  EXPECT_EQ(*b, "vb");
+  EXPECT_EQ(cache.counters().key_collisions, 1u);
+
+  // A cache that keeps nothing hands the value back.
+  LruCache<CollidingKey, std::string> none(0);
+  EXPECT_EQ(none.PutIfAbsent(CollidingKey{"a"}, first), first);
+  EXPECT_EQ(none.size(), 0u);
 }
 
 struct DistinctKey {
@@ -151,6 +176,110 @@ TEST(PreparedCacheTest, HitsVerifyFullKeyAndCountCollisions) {
   EXPECT_EQ(cache.counters().misses, 1u);
   // No collision occurred; the counter exists and stays zero.
   EXPECT_EQ(cache.counters().key_collisions, 0u);
+}
+
+// PreparedCache is one LruCache: its capacity bounds it like any other.
+metalog::GraphCatalog ItemLinkCatalog() {
+  metalog::GraphCatalog catalog;
+  catalog.AddNodeLabel("Item", {"n"});
+  catalog.AddEdgeLabel("LINK", {});
+  return catalog;
+}
+
+TEST(PreparedCacheTest, ZeroCapacityKeepsNothing) {
+  const metalog::GraphCatalog catalog = ItemLinkCatalog();
+  metalog::PreparedCache cache(0);
+  for (int i = 0; i < 3; ++i) {
+    const std::string program = "LINK(e, x, y) -> hop" + std::to_string(i) +
+                                "(x, y).";
+    auto compiled = cache.Compile(program, catalog, {},
+                                  metalog::QueryLanguage::kVadalog);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    ASSERT_TRUE(cache.Compile(program, catalog, {},
+                              metalog::QueryLanguage::kVadalog)
+                    .ok());
+  }
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.counters().hits, 0u);
+  EXPECT_EQ(cache.counters().misses, 6u);
+}
+
+TEST(PreparedCacheTest, CapacityOneEvicts) {
+  const metalog::GraphCatalog catalog = ItemLinkCatalog();
+  metalog::PreparedCache cache(1);
+  const char* first = "LINK(e, x, y) -> hop(x, y).";
+  const char* second = "LINK(e, x, y) -> pair(x, y).";
+  ASSERT_TRUE(cache.Compile(first, catalog, {},
+                            metalog::QueryLanguage::kVadalog).ok());
+  ASSERT_TRUE(cache.Compile(second, catalog, {},
+                            metalog::QueryLanguage::kVadalog).ok());
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.counters().evictions, 1u);
+  // `first` was evicted; `second` is still resident.
+  ASSERT_TRUE(cache.Compile(second, catalog, {},
+                            metalog::QueryLanguage::kVadalog).ok());
+  ASSERT_TRUE(cache.Compile(first, catalog, {},
+                            metalog::QueryLanguage::kVadalog).ok());
+  EXPECT_EQ(cache.counters().hits, 1u);
+  EXPECT_EQ(cache.counters().misses, 3u);
+}
+
+// Racing cold-start compiles of one key may each compile, but all of them
+// get the first entry stored, so per-entry state (the serving layer's
+// rewrite cache keys on the entry) is never split across copies.
+TEST(PreparedCacheTest, ConcurrentColdCompilesShareOneEntry) {
+  const metalog::GraphCatalog catalog = ItemLinkCatalog();
+  metalog::PreparedCache cache(8);
+  constexpr size_t kThreads = 4;
+  std::atomic<bool> go{false};
+  std::vector<const metalog::CompiledMeta*> entries(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      while (!go.load()) std::this_thread::yield();
+      auto compiled = cache.Compile("LINK(e, x, y) -> hop(x, y).", catalog,
+                                    {}, metalog::QueryLanguage::kVadalog);
+      if (compiled.ok()) entries[i] = compiled->get();
+    });
+  }
+  go.store(true);
+  for (std::thread& t : threads) t.join();
+  ASSERT_NE(entries[0], nullptr);
+  for (const metalog::CompiledMeta* entry : entries) {
+    EXPECT_EQ(entry, entries[0]);
+  }
+  EXPECT_EQ(cache.size(), 1u);
+  auto again = cache.Compile("LINK(e, x, y) -> hop(x, y).", catalog, {},
+                             metalog::QueryLanguage::kVadalog);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->get(), entries[0]);
+}
+
+TEST(PreparedCacheTest, LanguageIsPartOfTheKey) {
+  const metalog::GraphCatalog catalog = ItemLinkCatalog();
+  metalog::MtvOptions options;
+  EXPECT_NE(metalog::PreparedCache::CanonicalKey(
+                "src", catalog, options, metalog::QueryLanguage::kMetaLog),
+            metalog::PreparedCache::CanonicalKey(
+                "src", catalog, options, metalog::QueryLanguage::kVadalog));
+
+  // A Vadalog entry holds the parsed program and the base catalog; MTV
+  // leaves nothing in it.
+  metalog::PreparedCache cache(8);
+  auto compiled = cache.Compile("LINK(e, x, y) -> hop(x, y).", catalog, {},
+                                metalog::QueryLanguage::kVadalog);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  EXPECT_EQ((*compiled)->language, metalog::QueryLanguage::kVadalog);
+  ASSERT_EQ((*compiled)->program.rules.size(), 1u);
+  EXPECT_EQ((*compiled)->catalog.Fingerprint(), catalog.Fingerprint());
+  EXPECT_TRUE((*compiled)->rule_origin.empty());
+  EXPECT_TRUE((*compiled)->lint.diagnostics.empty());
+
+  // Vadalog text is not MetaLog: the MetaLog compile of it is its own
+  // (failing, uncached) key.
+  EXPECT_FALSE(cache.Compile("LINK(e, x, y) -> hop(x, y).", catalog, {})
+                   .ok());
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 }  // namespace

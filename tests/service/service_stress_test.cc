@@ -154,6 +154,77 @@ TEST(ServiceStressTest, TinyQueueUnderLoadConservesRequests) {
   EXPECT_EQ(stats.queue_depth, 0u);
 }
 
+// Concurrent point reads with different constants share one cached magic
+// rewrite: after one warm-up read compiles the program and computes the
+// rewrite, no reader computes either again, and every answer has the size
+// its source fixes on the chain.
+TEST(ServiceStressTest, ConcurrentReadersShareOneCachedRewrite) {
+  constexpr size_t kChainEdges = 10;
+  KgServiceOptions options;
+  options.num_workers = 4;
+  options.queue_capacity = 64;
+  KgService svc(options);
+  svc.Publish(GraphForEpoch(kChainEdges - kBaseEdges));
+
+  // Chain position of every node with an outgoing LINK: a node with k
+  // edges after it reaches k nodes.
+  std::map<Value, Value> next;
+  std::set<Value> targets;
+  for (const vadalog::Tuple& t :
+       svc.CurrentSnapshot()->facts.at("LINK")->tuples()) {
+    next.emplace(t[1], t[2]);
+    targets.insert(t[2]);
+  }
+  std::vector<Value> sources;  // sources[i] reaches kChainEdges - i nodes
+  for (const auto& [from, to] : next) {
+    if (targets.count(from) == 0) sources.push_back(from);
+  }
+  ASSERT_EQ(sources.size(), 1u);
+  while (next.count(sources.back()) > 0 &&
+         sources.size() < kChainEdges) {
+    sources.push_back(next.at(sources.back()));
+  }
+  ASSERT_EQ(sources.size(), kChainEdges);
+
+  auto request_for = [&](size_t i) {
+    QueryRequest request;
+    request.program =
+        "LINK(_e, x, y) -> reach(x, y).\n"
+        "reach(x, y), LINK(_e, y, z) -> reach(x, z).";
+    request.language = QueryLanguage::kVadalog;
+    request.output = "reach";
+    request.bound_args = {sources[i], std::nullopt};
+    request.use_result_cache = false;
+    return request;
+  };
+  ASSERT_TRUE(svc.Query(request_for(0)).ok());
+
+  constexpr size_t kReaders = 4;
+  constexpr size_t kPerReader = 40;
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      for (size_t i = 0; i < kPerReader; ++i) {
+        const size_t source = (r * kPerReader + i) % kChainEdges;
+        auto result = svc.Query(request_for(source));
+        if (!result.ok() ||
+            result->point_mode != vadalog::magic::PointQueryMode::kMagic ||
+            result->rows->size() != kChainEdges - source) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(failures.load(), 0u);
+  StatsSnapshot stats = svc.Stats();
+  EXPECT_EQ(stats.point_magic, 1 + kReaders * kPerReader);
+  EXPECT_EQ(stats.prepared_cache_misses, 1u);
+  EXPECT_EQ(stats.magic_rewrites, 1u);
+}
+
 // Bound reach reads share the published relations across threads (4
 // service workers, 2 engine threads per query) while a writer publishes
 // delta epochs that alias them.  The writer alternates deleting the last

@@ -1,8 +1,9 @@
-// KgService behavior: publication, the two cache layers, admission
-// control, deadlines and the error taxonomy.
+// KgService behavior: publication, the prepared, rewrite and result
+// caches, admission control, deadlines and the error taxonomy.
 
 #include "service/service.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -11,6 +12,8 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "vadalog/parser.h"
 
 namespace kgm::service {
 namespace {
@@ -547,6 +550,100 @@ TEST(ServiceTest, PointQueryResultCacheKeysOnBindingAndRoute) {
   EXPECT_FALSE(unbound->result_cache_hit);
   EXPECT_EQ(unbound->point_mode, vadalog::magic::PointQueryMode::kOff);
   EXPECT_GT(unbound->rows->size(), first->rows->size());
+}
+
+// Rows of `request.output` matching `request.bound_args` after a full
+// evaluation of `request.program` over `snap`'s encoding, sorted.
+std::vector<vadalog::Tuple> MaterializeThenFilter(const QueryRequest& request,
+                                                  const Snapshot& snap) {
+  auto program = vadalog::ParseProgram(request.program);
+  EXPECT_TRUE(program.ok()) << program.status().ToString();
+  vadalog::FactDb db = snap.CloneFacts();
+  vadalog::Engine engine(*std::move(program));
+  EXPECT_TRUE(engine.Run(&db).ok());
+  const vadalog::magic::QueryBinding binding{request.output,
+                                             request.bound_args};
+  std::vector<vadalog::Tuple> rows;
+  if (const vadalog::Relation* rel = db.Get(request.output)) {
+    for (const vadalog::Tuple& t : rel->tuples()) {
+      if (binding.Matches(t)) rows.push_back(t);
+    }
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+std::vector<vadalog::Tuple> SortedRows(const QueryResult& result) {
+  std::vector<vadalog::Tuple> rows = *result.rows;
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(ServiceTest, PointReadsShareOneRewritePerEntryAndAdornment) {
+  KgService svc;
+  svc.Publish(ChainGraph(8));
+  QueryRequest request = HopClosureRequest();
+  request.use_result_cache = false;
+  // Runs one point read per LINK source with `bound_args` built by
+  // `bind`, checking each answer against materialize-then-filter.
+  auto read_all = [&](auto bind) {
+    std::shared_ptr<const Snapshot> snap = svc.CurrentSnapshot();
+    for (const vadalog::Tuple& t : snap->facts.at("LINK")->tuples()) {
+      request.bound_args = bind(t);
+      auto result = svc.Query(request);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->point_mode, vadalog::magic::PointQueryMode::kMagic)
+          << result->point_fallback;
+      EXPECT_FALSE(result->rows->empty());
+      EXPECT_EQ(SortedRows(*result), MaterializeThenFilter(request, *snap));
+    }
+  };
+  auto bound_source = [](const vadalog::Tuple& t) {
+    return std::vector<std::optional<Value>>{t[1], std::nullopt};
+  };
+  auto bound_target = [](const vadalog::Tuple& t) {
+    return std::vector<std::optional<Value>>{std::nullopt, t[2]};
+  };
+
+  // Seven sources, one adornment: one compile and one rewrite.
+  read_all(bound_source);
+  StatsSnapshot stats = svc.Stats();
+  EXPECT_EQ(stats.point_magic, 7u);
+  EXPECT_EQ(stats.prepared_cache_misses, 1u);
+  EXPECT_EQ(stats.magic_rewrites, 1u);
+
+  // A second adornment of the same entry gets its own rewrite.
+  read_all(bound_target);
+  stats = svc.Stats();
+  EXPECT_EQ(stats.point_magic, 14u);
+  EXPECT_EQ(stats.prepared_cache_misses, 1u);
+  EXPECT_EQ(stats.magic_rewrites, 2u);
+
+  // A delta keeps the catalog, so the rewrite is reused; the answers show
+  // the delta.
+  ASSERT_TRUE(svc.ApplyDelta(OneLinkDelta(*svc.CurrentSnapshot())).ok());
+  read_all(bound_source);
+  stats = svc.Stats();
+  EXPECT_EQ(stats.prepared_cache_misses, 1u);
+  EXPECT_EQ(stats.magic_rewrites, 2u);
+
+  // A publication with the same catalog keeps both the entry and the
+  // rewrite.
+  svc.Publish(ChainGraph(8));
+  read_all(bound_source);
+  stats = svc.Stats();
+  EXPECT_EQ(stats.prepared_cache_misses, 1u);
+  EXPECT_EQ(stats.magic_rewrites, 2u);
+
+  // A publication that adds a label changes the catalog: the program is
+  // compiled again and the rewrite recomputed.
+  pg::PropertyGraph wider = ChainGraph(8);
+  wider.AddNode("Other", {});
+  svc.Publish(std::move(wider));
+  read_all(bound_source);
+  stats = svc.Stats();
+  EXPECT_EQ(stats.prepared_cache_misses, 2u);
+  EXPECT_EQ(stats.magic_rewrites, 3u);
 }
 
 // A ring of `n` Business nodes: OWNS edges i -> i+1 with percentage 0.6

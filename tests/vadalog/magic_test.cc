@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -159,6 +161,91 @@ TEST(MagicRewriteTest, TransitiveClosureBoundSource) {
   // The rewritten program passes full engine validation.
   Engine engine(rw.program);
   EXPECT_TRUE(engine.status().ok()) << engine.status().message();
+}
+
+// Bindings with one adornment share every part of the rewrite but the
+// seed's values, so a rewrite computed for one binding can be rebound to
+// another.
+TEST(MagicRewriteTest, SameAdornmentDiffersOnlyInSeed) {
+  Program program = Parse(kTc);
+  QueryBinding first{"path", {Value(int64_t{0}), std::nullopt}};
+  QueryBinding second{"path", {Value(int64_t{5}), std::nullopt}};
+  MagicRewrite a = RewriteForQuery(program, first, {"edge"});
+  MagicRewrite b = RewriteForQuery(program, second, {"edge"});
+  ASSERT_TRUE(a.ok()) << a.detail;
+  ASSERT_TRUE(b.ok()) << b.detail;
+
+  ASSERT_EQ(a.program.rules.size(), b.program.rules.size());
+  for (size_t i = 0; i < a.program.rules.size(); ++i) {
+    EXPECT_EQ(a.program.rules[i].ToString(), b.program.rules[i].ToString());
+  }
+  EXPECT_EQ(a.query_pred, b.query_pred);
+  ASSERT_EQ(a.adorned.size(), b.adorned.size());
+  for (size_t i = 0; i < a.adorned.size(); ++i) {
+    EXPECT_EQ(a.adorned[i].pred, b.adorned[i].pred);
+    EXPECT_EQ(a.adorned[i].adornment, b.adorned[i].adornment);
+    EXPECT_EQ(a.adorned[i].magic_pred, b.adorned[i].magic_pred);
+  }
+  EXPECT_EQ(a.full_required, b.full_required);
+  // Only the seed, the last fact, differs — and only in its values.
+  ASSERT_EQ(a.program.facts.size(), b.program.facts.size());
+  ASSERT_FALSE(a.program.facts.empty());
+  EXPECT_EQ(a.program.facts.back().predicate, b.program.facts.back().predicate);
+  EXPECT_EQ(a.program.facts.back().values,
+            std::vector<Value>{Value(int64_t{0})});
+  EXPECT_EQ(b.program.facts.back().values,
+            std::vector<Value>{Value(int64_t{5})});
+
+  // Rebinding `a` to the second binding gives `b`.
+  EXPECT_EQ(RebindRewrite(a, second).program.ToString(),
+            b.program.ToString());
+}
+
+TEST(PointQueryTest, RewriteLookupIsReboundNotRecomputed) {
+  FactDb db = RandomGraph(40, 120, 5);
+  Program program = Parse(kTc);
+  std::set<std::string> edb;
+  for (const std::string& p : db.Predicates()) edb.insert(p);
+  const auto prepared = std::make_shared<const MagicRewrite>(RewriteForQuery(
+      program, QueryBinding{"path", {Value(int64_t{1}), std::nullopt}}, edb));
+  size_t lookups = 0;
+  PointQueryOptions options;
+  options.rewrite_lookup = [&](const QueryBinding& q,
+                               const std::set<std::string>& lookup_edb) {
+    ++lookups;
+    EXPECT_EQ(q.Adornment(), "bf");
+    EXPECT_EQ(lookup_edb, edb);
+    return prepared;
+  };
+  for (int64_t source : {1, 7, 13}) {
+    QueryBinding q{"path", {Value(source), std::nullopt}};
+    FactDb fresh_db = db.Clone();
+    PointQueryStats fresh;
+    auto expected = EvalPointQuery(program, q, &fresh_db, {}, &fresh);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+    FactDb reused_db = db.Clone();
+    PointQueryStats reused;
+    auto answers = EvalPointQuery(program, q, &reused_db, options, &reused);
+    ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+    EXPECT_EQ(reused.mode, PointQueryMode::kMagic);
+    EXPECT_EQ(Sorted(*answers), Sorted(*expected));
+    EXPECT_EQ(reused.engine.join_probes, fresh.engine.join_probes);
+    EXPECT_EQ(fresh.engine.magic_rewrites, 1u);
+    EXPECT_EQ(reused.engine.magic_rewrites, 0u);
+  }
+  EXPECT_EQ(lookups, 3u);
+
+  // The lookup is asked only on the magic route: never for an all-free
+  // binding, an extensional predicate or a binding of the wrong arity.
+  for (const QueryBinding& q :
+       {QueryBinding{"path", {std::nullopt, std::nullopt}},
+        QueryBinding{"edge", {Value(int64_t{1}), std::nullopt}},
+        QueryBinding{"path", {Value(int64_t{1})}}}) {
+    FactDb other_db = db.Clone();
+    (void)EvalPointQuery(program, q, &other_db, options, nullptr);
+  }
+  EXPECT_EQ(lookups, 3u);
 }
 
 TEST(PointQueryTest, MagicMatchesMaterializeOnRandomGraphs) {
