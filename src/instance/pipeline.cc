@@ -93,6 +93,8 @@ Result<MaterializeStats> Materialize(const core::SuperSchema& schema,
           &loaded.dict, run_options));
   auto t2 = Clock::now();
   stats.reason_seconds = Seconds(t1, t2);
+  stats.encode_seconds = reason.encode_seconds;
+  stats.decode_seconds = reason.decode_seconds;
   stats.vadalog_rules = reason.vadalog_rule_count;
   stats.facts_derived = reason.engine_stats.facts_derived;
   stats.engine_stats = reason.engine_stats;

@@ -39,6 +39,10 @@ struct MaterializeOptions {
 struct MaterializeStats {
   double load_seconds = 0;
   double reason_seconds = 0;
+  // The parts of reason_seconds spent encoding the dictionary into facts
+  // and decoding the derived facts back (MetaRunResult's timings).
+  double encode_seconds = 0;
+  double decode_seconds = 0;
   double flush_seconds = 0;
   size_t loaded_nodes = 0;
   size_t loaded_edges = 0;

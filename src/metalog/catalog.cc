@@ -24,26 +24,33 @@ void MergeProps(std::map<std::string, std::vector<std::string>>* labels,
 }  // namespace
 
 GraphCatalog GraphCatalog::FromGraph(const pg::PropertyGraph& graph) {
-  GraphCatalog catalog;
+  // One growing property set per label, turned into sorted lists once.
+  std::map<std::string, std::set<std::string>> node_props;
+  std::map<std::string, std::set<std::string>> edge_props;
+  auto collect = [](const pg::PropertyMap& props,
+                    std::set<std::string>* into) {
+    for (const auto& [k, v] : props) {
+      if (k != kOidProperty) into->insert(k);
+    }
+  };
   for (pg::NodeId id = 0; id < graph.node_capacity(); ++id) {
     if (!graph.HasNode(id)) continue;
     const pg::Node& n = graph.node(id);
-    std::vector<std::string> props;
-    for (const auto& [k, v] : n.props) {
-      if (k != kOidProperty) props.push_back(k);
-    }
     for (const std::string& label : n.labels) {
-      MergeProps(&catalog.node_labels_, label, props);
+      collect(n.props, &node_props[label]);
     }
   }
   for (pg::EdgeId id = 0; id < graph.edge_capacity(); ++id) {
     if (!graph.HasEdge(id)) continue;
     const pg::Edge& e = graph.edge(id);
-    std::vector<std::string> props;
-    for (const auto& [k, v] : e.props) {
-      if (k != kOidProperty) props.push_back(k);
-    }
-    MergeProps(&catalog.edge_labels_, e.label, props);
+    collect(e.props, &edge_props[e.label]);
+  }
+  GraphCatalog catalog;
+  for (const auto& [label, props] : node_props) {
+    catalog.node_labels_[label].assign(props.begin(), props.end());
+  }
+  for (const auto& [label, props] : edge_props) {
+    catalog.edge_labels_[label].assign(props.begin(), props.end());
   }
   return catalog;
 }
@@ -184,8 +191,8 @@ std::vector<std::string> GraphCatalog::EdgeLabels() const {
 
 namespace {
 
-// The OID a node/edge carries in the relational encoding: its preserved
-// chase OID when present, its integer id otherwise.
+// The OID a node/edge carries in the relational encoding: its __oid when
+// present, its integer id otherwise.
 Value NodeOid(const pg::Node& n) {
   auto it = n.props.find(kOidProperty);
   if (it != n.props.end()) return it->second;
@@ -198,9 +205,65 @@ Value EdgeOid(const pg::Edge& e) {
   return Value(static_cast<int64_t>(e.id));
 }
 
-// Edge identity in DecodeGraph is the full (oid, from, to) triple: under
-// frontier Skolemization two derived edges may share an OID while
-// differing in their endpoints.  The endpoints are the resolved node ids.
+// Appends one column per catalog property: the entity's value, or null.
+// `props` is sorted like the map's keys, so one merge walk covers both.
+void AppendProps(const pg::PropertyMap& have,
+                 const std::vector<std::string>& props, vadalog::Tuple* t) {
+  auto it = have.begin();
+  for (const std::string& prop : props) {
+    int cmp = 1;
+    while (it != have.end() && (cmp = it->first.compare(prop)) < 0) ++it;
+    t->push_back(it != have.end() && cmp == 0 ? it->second : Value());
+  }
+}
+
+// True if `oid` is the integer `id`: an entity encoded under its own id
+// needs no __oid.
+bool IsOwnId(const Value& oid, uint64_t id) {
+  return oid.is_int() && oid.AsInt() >= 0 &&
+         static_cast<uint64_t>(oid.AsInt()) == id;
+}
+
+// Resolves OIDs to live nodes as a map from every node's NodeOid, filled
+// in id order, would: to the lowest id whose OID equals it.  Only nodes
+// carrying __oid and the nodes the decode creates are indexed; an integer
+// OID otherwise names the node with that id.
+class NodeResolver {
+ public:
+  explicit NodeResolver(const pg::PropertyGraph& graph) : graph_(graph) {
+    for (pg::NodeId id = 0; id < graph.node_capacity(); ++id) {
+      if (!graph.HasNode(id)) continue;
+      const Value* oid = graph.NodeProperty(id, kOidProperty);
+      if (oid != nullptr) by_oid_.emplace(*oid, id);
+    }
+  }
+
+  pg::NodeId Find(const Value& oid) const {
+    pg::NodeId found = pg::kInvalidNode;
+    auto it = by_oid_.find(oid);
+    if (it != by_oid_.end()) found = it->second;
+    if (oid.is_int() && oid.AsInt() >= 0) {
+      auto id = static_cast<pg::NodeId>(oid.AsInt());
+      if (id < found && graph_.HasNode(id) &&
+          graph_.NodeProperty(id, kOidProperty) == nullptr) {
+        found = id;
+      }
+    }
+    return found;
+  }
+
+  // Records a node the decode created, after Find missed its OID.
+  void Add(const Value& oid, pg::NodeId id) { by_oid_.emplace(oid, id); }
+
+ private:
+  const pg::PropertyGraph& graph_;
+  std::unordered_map<Value, pg::NodeId, ValueHash> by_oid_;
+};
+
+// Under frontier Skolemization two derived edges may share an OID while
+// differing in their endpoints, and a relabeling rule gives an edge of
+// another label the OID of the edge it came from.  So edge identity is
+// (OID, endpoints, label); the index is keyed by the first three.
 struct EdgeKey {
   Value oid;
   pg::NodeId from;
@@ -216,50 +279,107 @@ struct EdgeKeyHash {
   }
 };
 
+// NodeResolver's rule for edges: the lowest live id with this identity.
+class EdgeResolver {
+ public:
+  explicit EdgeResolver(const pg::PropertyGraph& graph) : graph_(graph) {
+    for (pg::EdgeId id = 0; id < graph.edge_capacity(); ++id) {
+      if (!graph.HasEdge(id)) continue;
+      const pg::Edge& e = graph.edge(id);
+      auto oid = e.props.find(kOidProperty);
+      if (oid != e.props.end()) {
+        by_key_.emplace(EdgeKey{oid->second, e.from, e.to}, id);
+      }
+    }
+  }
+
+  pg::EdgeId Find(const Value& oid, pg::NodeId from, pg::NodeId to,
+                  const std::string& label) const {
+    pg::EdgeId found = pg::kInvalidEdge;
+    auto [lo, hi] = by_key_.equal_range(EdgeKey{oid, from, to});
+    for (auto it = lo; it != hi; ++it) {
+      if (it->second < found && graph_.edge(it->second).label == label) {
+        found = it->second;
+      }
+    }
+    if (oid.is_int() && oid.AsInt() >= 0) {
+      auto id = static_cast<pg::EdgeId>(oid.AsInt());
+      if (id < found && graph_.HasEdge(id)) {
+        const pg::Edge& e = graph_.edge(id);
+        if (e.from == from && e.to == to && e.label == label &&
+            e.props.count(kOidProperty) == 0) {
+          found = id;
+        }
+      }
+    }
+    return found;
+  }
+
+  // Records an edge the decode created, after Find missed its identity.
+  void Add(const Value& oid, pg::NodeId from, pg::NodeId to, pg::EdgeId id) {
+    by_key_.emplace(EdgeKey{oid, from, to}, id);
+  }
+
+ private:
+  const pg::PropertyGraph& graph_;
+  std::unordered_multimap<EdgeKey, pg::EdgeId, EdgeKeyHash> by_key_;
+};
+
 }  // namespace
 
 vadalog::FactDb EncodeGraph(const pg::PropertyGraph& graph,
                             const GraphCatalog& catalog) {
   vadalog::FactDb db;
-  for (pg::NodeId id = 0; id < graph.node_capacity(); ++id) {
-    if (!graph.HasNode(id)) continue;
-    const pg::Node& n = graph.node(id);
-    Value oid = NodeOid(n);
-    for (const std::string& label : n.labels) {
-      if (!catalog.HasNodeLabel(label)) continue;
-      const std::vector<std::string>& props = catalog.NodeProps(label);
+  for (const std::string& label : catalog.NodeLabels()) {
+    std::vector<pg::NodeId> ids = graph.NodesWithLabel(label);
+    if (ids.empty()) continue;
+    // AddLabel appends an older node to the label index; rows go in id
+    // order.
+    if (!std::is_sorted(ids.begin(), ids.end())) {
+      std::sort(ids.begin(), ids.end());
+    }
+    const std::vector<std::string>& props = catalog.NodeProps(label);
+    vadalog::Relation& rel = db.GetOrCreate(label, 1 + props.size());
+    for (pg::NodeId id : ids) {
+      const pg::Node& n = graph.node(id);
       vadalog::Tuple t;
       t.reserve(1 + props.size());
-      t.push_back(oid);
-      for (const std::string& prop : props) {
-        auto it = n.props.find(prop);
-        t.push_back(it == n.props.end() ? Value() : it->second);
-      }
-      db.Add(label, std::move(t));
+      t.push_back(NodeOid(n));
+      AppendProps(n.props, props, &t);
+      rel.Insert(std::move(t));
     }
   }
-  for (pg::EdgeId id = 0; id < graph.edge_capacity(); ++id) {
-    if (!graph.HasEdge(id)) continue;
-    const pg::Edge& e = graph.edge(id);
-    if (!catalog.HasEdgeLabel(e.label)) continue;
-    const std::vector<std::string>& props = catalog.EdgeProps(e.label);
-    vadalog::Tuple t;
-    t.reserve(3 + props.size());
-    t.push_back(EdgeOid(e));
-    t.push_back(NodeOid(graph.node(e.from)));
-    t.push_back(NodeOid(graph.node(e.to)));
-    for (const std::string& prop : props) {
-      auto it = e.props.find(prop);
-      t.push_back(it == e.props.end() ? Value() : it->second);
+  for (const std::string& label : catalog.EdgeLabels()) {
+    std::vector<pg::EdgeId> ids = graph.EdgesWithLabel(label);
+    if (ids.empty()) continue;
+    const std::vector<std::string>& props = catalog.EdgeProps(label);
+    vadalog::Relation& rel = db.GetOrCreate(label, 3 + props.size());
+    for (pg::EdgeId id : ids) {
+      const pg::Edge& e = graph.edge(id);
+      vadalog::Tuple t;
+      t.reserve(3 + props.size());
+      t.push_back(EdgeOid(e));
+      t.push_back(NodeOid(graph.node(e.from)));
+      t.push_back(NodeOid(graph.node(e.to)));
+      AppendProps(e.props, props, &t);
+      rel.Insert(std::move(t));
     }
-    db.Add(e.label, std::move(t));
   }
   return db;
 }
 
+RowCounts CountRows(const vadalog::FactDb& db) {
+  RowCounts counts;
+  for (const std::string& pred : db.Predicates()) {
+    counts.emplace(pred, db.Get(pred)->size());
+  }
+  return counts;
+}
+
 Result<DecodeStats> DecodeGraph(const vadalog::FactDb& db,
                                 const GraphCatalog& catalog,
-                                pg::PropertyGraph* graph) {
+                                pg::PropertyGraph* graph,
+                                const RowCounts& encoded_rows) {
   // Validate every label relation's width before touching the graph.
   auto check_width = [&db](const std::string& label,
                            size_t expected) -> Status {
@@ -278,17 +398,15 @@ Result<DecodeStats> DecodeGraph(const vadalog::FactDb& db,
   for (const std::string& label : catalog.EdgeLabels()) {
     KGM_RETURN_IF_ERROR(check_width(label, catalog.EdgeArity(label)));
   }
+  auto first_row = [&encoded_rows](const std::string& label,
+                                   const vadalog::Relation& rel) {
+    auto it = encoded_rows.find(label);
+    return it == encoded_rows.end() ? size_t{0}
+                                    : std::min(it->second, rel.size());
+  };
   DecodeStats stats;
-  std::unordered_map<Value, pg::NodeId, ValueHash> node_of;
-  std::unordered_map<EdgeKey, pg::EdgeId, EdgeKeyHash> edge_of;
-  for (pg::NodeId id = 0; id < graph->node_capacity(); ++id) {
-    if (graph->HasNode(id)) node_of.emplace(NodeOid(graph->node(id)), id);
-  }
-  for (pg::EdgeId id = 0; id < graph->edge_capacity(); ++id) {
-    if (!graph->HasEdge(id)) continue;
-    const pg::Edge& e = graph->edge(id);
-    edge_of.emplace(EdgeKey{EdgeOid(e), e.from, e.to}, id);
-  }
+  NodeResolver nodes(*graph);
+  EdgeResolver edges(*graph);
   // Pass 1: nodes.  Later facts win property conflicts: monotonic
   // aggregates emit improving values over time, and relation order is
   // derivation order.
@@ -296,24 +414,19 @@ Result<DecodeStats> DecodeGraph(const vadalog::FactDb& db,
     const vadalog::Relation* rel = db.Get(label);
     if (rel == nullptr) continue;
     const std::vector<std::string>& props = catalog.NodeProps(label);
-    for (const vadalog::Tuple& t : rel->tuples()) {
+    for (size_t row = first_row(label, *rel); row < rel->size(); ++row) {
+      const vadalog::Tuple& t = rel->tuple(row);
       const Value& oid = t[0];
-      auto it = node_of.find(oid);
-      pg::NodeId id;
-      bool is_new = it == node_of.end();
+      pg::NodeId id = nodes.Find(oid);
+      const bool is_new = id == pg::kInvalidNode;
       if (is_new) {
         id = graph->AddNode(label);
-        if (!oid.is_int()) {
-          graph->SetNodeProperty(id, kOidProperty, oid);
-        }
-        node_of.emplace(oid, id);
+        if (!IsOwnId(oid, id)) graph->SetNodeProperty(id, kOidProperty, oid);
+        nodes.Add(oid, id);
         ++stats.new_nodes;
-      } else {
-        id = it->second;
-        if (!graph->node(id).HasLabel(label)) {
-          graph->AddLabel(id, label);
-          ++stats.updated_nodes;
-        }
+      } else if (!graph->node(id).HasLabel(label)) {
+        graph->AddLabel(id, label);
+        ++stats.updated_nodes;
       }
       for (size_t i = 0; i < props.size(); ++i) {
         if (t[1 + i].is_null()) continue;
@@ -330,23 +443,20 @@ Result<DecodeStats> DecodeGraph(const vadalog::FactDb& db,
     const vadalog::Relation* rel = db.Get(label);
     if (rel == nullptr) continue;
     const std::vector<std::string>& props = catalog.EdgeProps(label);
-    for (const vadalog::Tuple& t : rel->tuples()) {
+    for (size_t row = first_row(label, *rel); row < rel->size(); ++row) {
+      const vadalog::Tuple& t = rel->tuple(row);
       const Value& oid = t[0];
       // Resolve the endpoints before the existing-edge lookup: an existing
       // edge's endpoints always resolve, so failing here changes no result.
-      auto from_it = node_of.find(t[1]);
-      auto to_it = node_of.find(t[2]);
-      if (from_it == node_of.end() || to_it == node_of.end()) {
-        return FailedPrecondition("derived edge " + label +
-                                  " references unresolved node OID " +
-                                  (from_it == node_of.end() ? t[1] : t[2])
-                                      .ToString());
+      const pg::NodeId from = nodes.Find(t[1]);
+      const pg::NodeId to = nodes.Find(t[2]);
+      if (from == pg::kInvalidNode || to == pg::kInvalidNode) {
+        return FailedPrecondition(
+            "derived edge " + label + " references unresolved node OID " +
+            (from == pg::kInvalidNode ? t[1] : t[2]).ToString());
       }
-      EdgeKey key{oid, from_it->second, to_it->second};
-      auto existing = edge_of.find(key);
-      if (existing != edge_of.end() &&
-          graph->edge(existing->second).label == label) {
-        pg::EdgeId eid = existing->second;
+      pg::EdgeId eid = edges.Find(oid, from, to, label);
+      if (eid != pg::kInvalidEdge) {
         for (size_t i = 0; i < props.size(); ++i) {
           if (t[3 + i].is_null()) continue;
           const Value* old = graph->EdgeProperty(eid, props[i]);
@@ -360,10 +470,11 @@ Result<DecodeStats> DecodeGraph(const vadalog::FactDb& db,
       for (size_t i = 0; i < props.size(); ++i) {
         if (!t[3 + i].is_null()) prop_map[props[i]] = t[3 + i];
       }
-      if (!oid.is_int()) prop_map[kOidProperty] = oid;
-      pg::EdgeId eid = graph->AddEdge(from_it->second, to_it->second, label,
-                                      std::move(prop_map));
-      edge_of.emplace(std::move(key), eid);
+      if (!IsOwnId(oid, graph->edge_capacity())) {
+        prop_map[kOidProperty] = oid;
+      }
+      eid = graph->AddEdge(from, to, label, std::move(prop_map));
+      edges.Add(oid, from, to, eid);
       ++stats.new_edges;
     }
   }

@@ -20,9 +20,11 @@
 
 namespace kgm::metalog {
 
-// Reserved property that preserves the chase OID (a Skolem term) of
-// derived nodes/edges across encode/decode round trips, keeping
-// repeated materialization runs idempotent.
+// Reserved property that preserves the OID of derived nodes/edges across
+// encode/decode round trips, keeping repeated materialization runs
+// idempotent: a chase OID (a Skolem term), or an integer OID other than the
+// entity's own id (an edge relabeled under the OID of the edge it came
+// from, a surrogate key written by instance::rel_bridge).
 inline constexpr char kOidProperty[] = "__oid";
 
 // Canonical property lists per node label and edge label.
@@ -80,10 +82,19 @@ class GraphCatalog {
 };
 
 // Encodes `graph` into relational facts per the catalog.  Node OIDs are the
-// node ids as integers; edge OIDs the edge ids.  Labels absent from the
-// catalog are skipped.
+// node ids as integers, or the node's __oid when it carries one; edge OIDs
+// likewise.  Each label relation holds its nodes/edges in id order.  Labels
+// absent from the catalog are skipped.
 vadalog::FactDb EncodeGraph(const pg::PropertyGraph& graph,
                             const GraphCatalog& catalog);
+
+// Row count of each relation of a database, by predicate.
+using RowCounts = std::map<std::string, size_t>;
+
+// The row count of every relation of `db`.  Taken right after EncodeGraph,
+// it marks where the graph's own encoding ends: Engine::Run only appends,
+// so the rows past each count are the ones the engine derived.
+RowCounts CountRows(const vadalog::FactDb& db);
 
 // Statistics of a decode pass.
 struct DecodeStats {
@@ -93,16 +104,29 @@ struct DecodeStats {
 };
 
 // Merges derived facts of `db` back into `graph` (the inverse mapping):
-//  * node facts with a fresh OID (Skolem/null) create new nodes;
+//  * node facts with an unknown OID create new nodes;
 //  * node facts with a known OID merge their non-null properties;
-//  * edge facts with fresh OIDs create edges between resolved endpoints.
+//  * edge facts create an edge unless one with the same (OID, endpoints,
+//    label) exists, and merge their non-null properties into it otherwise.
+// Each label relation is decoded from row `encoded_rows[label]` on (row 0
+// for a label it lacks).  Passing CountRows of the freshly encoded graph
+// skips the rows that merely re-encode `graph` — which also keeps a label's
+// old row from reverting a property another label of the node derived.
+//
+// An OID names the lowest live id whose encoded OID (see EncodeGraph)
+// equals it: an integer names the node/edge with that id unless that one
+// carries __oid, and __oid may itself hold an integer.  A new node/edge
+// keeps its OID in __oid unless the OID is its own integer id, so a rerun
+// re-encodes and finds it under the same OID.
+//
 // Facts whose predicates are not catalog labels are ignored.  A non-empty
 // label relation whose width differs from the catalog's (OID, endpoints for
 // an edge, one column per property) returns FailedPrecondition before the
 // graph changes.
 Result<DecodeStats> DecodeGraph(const vadalog::FactDb& db,
                                 const GraphCatalog& catalog,
-                                pg::PropertyGraph* graph);
+                                pg::PropertyGraph* graph,
+                                const RowCounts& encoded_rows = {});
 
 }  // namespace kgm::metalog
 

@@ -1,10 +1,18 @@
 #include "metalog/runner.h"
 
+#include <chrono>
+
 #include "metalog/parser.h"
 
 namespace kgm::metalog {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double Seconds(Clock::time_point a, Clock::time_point b) {
+  return std::chrono::duration<double>(b - a).count();
+}
 
 // The graph's own labels plus the caller's extra ones, before the
 // program's labels are absorbed.
@@ -42,18 +50,24 @@ Result<MetaRunResult> RunMetaLogSource(std::string_view source,
 Result<MetaRunResult> RunCompiledMeta(const CompiledMeta& compiled,
                                       pg::PropertyGraph* graph,
                                       const MetaRunOptions& options) {
+  MetaRunResult result;
+  const Clock::time_point t0 = Clock::now();
   vadalog::FactDb db = EncodeGraph(*graph, compiled.catalog);
+  const RowCounts encoded_rows = CountRows(db);
+  result.encode_seconds = Seconds(t0, Clock::now());
 
   vadalog::Program program = compiled.program;  // engine takes ownership
   vadalog::Engine engine(std::move(program), options.engine);
   KGM_RETURN_IF_ERROR(engine.status());
   KGM_RETURN_IF_ERROR(engine.Run(&db));
 
-  MetaRunResult result;
   result.engine_stats = engine.stats();
   result.vadalog_rule_count = engine.program().rules.size();
-  KGM_ASSIGN_OR_RETURN(result.decode,
-                       DecodeGraph(db, compiled.catalog, graph));
+  const Clock::time_point t1 = Clock::now();
+  KGM_ASSIGN_OR_RETURN(
+      result.decode,
+      DecodeGraph(db, compiled.catalog, graph, encoded_rows));
+  result.decode_seconds = Seconds(t1, Clock::now());
   return result;
 }
 

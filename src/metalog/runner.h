@@ -3,9 +3,11 @@
 //   1. build a catalog from the graph, absorb the program's labels, and
 //      compile the MetaLog program to Vadalog (CompileMeta, MTV steps
 //      (2)-(3)) — or take that compilation from a PreparedCache,
-//   2. encode the graph relationally (MTV step (1)),
-//   3. run the Vadalog engine to fixpoint,
-//   4. decode derived node/edge facts back into the graph.
+//   2. encode the graph relationally (MTV step (1)), noting each label
+//      relation's row count (CountRows),
+//   3. run the Vadalog engine to fixpoint (it only appends rows),
+//   4. decode the rows past those counts — the derived node/edge facts —
+//      back into the graph.
 //
 // Steps 2-4 live in RunCompiledMeta alone; every entry point ends there.
 //
@@ -44,6 +46,9 @@ struct MetaRunResult {
   DecodeStats decode;
   vadalog::EngineStats engine_stats;
   size_t vadalog_rule_count = 0;
+  // Wall time of step 2 (encode) and of step 4 (decode).
+  double encode_seconds = 0;
+  double decode_seconds = 0;
 };
 
 // Runs a parsed MetaLog program against `graph`, materializing derived

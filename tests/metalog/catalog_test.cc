@@ -142,6 +142,68 @@ TEST(DecodeTest, NewNodeAndPropertyMerge) {
   EXPECT_EQ(*g.NodeProperty(2, "name"), Value("acme"));
 }
 
+// Decoding a fresh encoding from its own row counts decodes no row, even
+// where decoding every row would not be a no-op: node 3 carries __oid 1,
+// node 1's id, so from row 0 its row would merge into node 1.
+TEST(DecodeTest, OwnRowCountsDecodeNothing) {
+  pg::PropertyGraph g = SampleGraph();
+  g.AddNode("Person",
+            {{"name", Value("cy")}, {kOidProperty, Value(int64_t{1})}});
+  GraphCatalog catalog = GraphCatalog::FromGraph(g);
+  vadalog::FactDb db = EncodeGraph(g, catalog);
+  const std::string before = g.DebugString();
+  auto stats = DecodeGraph(db, catalog, &g, CountRows(db));
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->new_nodes, 0u);
+  EXPECT_EQ(stats->new_edges, 0u);
+  EXPECT_EQ(stats->updated_nodes, 0u);
+  EXPECT_EQ(g.DebugString(), before);
+}
+
+// An OID names the lowest live id whose encoded OID equals it, and an
+// integer __oid counts: OID 3 is node 1's __oid before it is node 3's id,
+// and OID 1 names no node, since node 1 encodes as 3.  Edges likewise.
+TEST(DecodeTest, IntegerOidResolvesToLowestIdEncodingIt) {
+  pg::PropertyGraph g;
+  g.AddNode("Person", {{"name", Value("ada")}});
+  g.AddNode("Person", {{"name", Value("bob")},
+                       {kOidProperty, Value(int64_t{3})}});
+  g.AddNode("Person", {{"name", Value("cy")}});
+  g.AddNode("Person", {{"name", Value("dan")}});
+  g.AddEdge(0, 2, "KNOWS", {{kOidProperty, Value(int64_t{1})}});
+  g.AddEdge(0, 2, "KNOWS");
+  GraphCatalog catalog = GraphCatalog::FromGraph(g);
+  catalog.AddNodeLabel("Person", {"age"});
+  catalog.AddEdgeLabel("KNOWS", {"since"});
+  vadalog::FactDb db = EncodeGraph(g, catalog);
+  const RowCounts encoded = CountRows(db);
+  // Person columns: OID, age, name.
+  db.Add("Person", {Value(int64_t{3}), Value(int64_t{40}), Value()});
+  db.Add("Person", {Value(int64_t{2}), Value(int64_t{60}), Value()});
+  db.Add("Person", {Value(int64_t{1}), Value(int64_t{50}), Value()});
+  db.Add("KNOWS", {Value(int64_t{1}), Value(int64_t{0}), Value(int64_t{2}),
+                   Value(int64_t{7})});
+  auto stats = DecodeGraph(db, catalog, &g, encoded);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  // A property's value, null when absent.
+  auto node_prop = [&g](pg::NodeId id, const char* key) {
+    const Value* v = g.NodeProperty(id, key);
+    return v == nullptr ? Value() : *v;
+  };
+  EXPECT_EQ(node_prop(1, "age"), Value(int64_t{40}));
+  EXPECT_TRUE(node_prop(3, "age").is_null());
+  EXPECT_EQ(node_prop(2, "age"), Value(int64_t{60}));
+  ASSERT_EQ(stats->new_nodes, 1u);
+  EXPECT_EQ(node_prop(4, "age"), Value(int64_t{50}));
+  // Node 4 keeps the OID it was derived under.
+  EXPECT_EQ(node_prop(4, kOidProperty), Value(int64_t{1}));
+  EXPECT_EQ(stats->new_edges, 0u);
+  const Value* since = g.EdgeProperty(0, "since");
+  ASSERT_NE(since, nullptr);
+  EXPECT_EQ(*since, Value(int64_t{7}));
+  EXPECT_EQ(g.EdgeProperty(1, "since"), nullptr);
+}
+
 TEST(DecodeTest, UnresolvedEndpointRejected) {
   pg::PropertyGraph g = SampleGraph();
   GraphCatalog catalog = GraphCatalog::FromGraph(g);

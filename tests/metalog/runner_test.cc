@@ -67,6 +67,23 @@ TEST(RunnerTest, RunIsIdempotent) {
   EXPECT_EQ(g.num_edges(), edges);
 }
 
+// Relabeling an edge keeps its integer OID: the new HOLDS edge must be
+// found again on a rerun instead of matching the OWNS edge with that id.
+TEST(RunnerTest, RelabeledEdgeUnderIntegerOidIsIdempotent) {
+  const char kRelabel[] =
+      "(x: Business)[e: OWNS](y: Business) -> (x)[e: HOLDS](y).";
+  pg::PropertyGraph g = JointControlGraph();
+  auto first = RunMetaLogSource(kRelabel, &g);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->decode.new_edges, 4u);
+  size_t edges = g.num_edges();
+  auto again = RunMetaLogSource(kRelabel, &g);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->decode.new_edges, 0u);
+  EXPECT_EQ(g.num_edges(), edges);
+  EXPECT_EQ(g.EdgesWithLabel("HOLDS").size(), 4u);
+}
+
 TEST(RunnerTest, Example43DescendantsViaStar) {
   // A little generalization hierarchy in the super-model dictionary style:
   // Person <- LegalPerson <- Business, stored via SM_CHILD / SM_PARENT
@@ -120,6 +137,30 @@ TEST(RunnerTest, DerivedNodeProperties) {
   const Value* n = g.NodeProperty(c, "numberOfStakeholders");
   ASSERT_NE(n, nullptr);
   EXPECT_EQ(*n, Value(int64_t{2}));
+}
+
+// A property derived through one label of a multi-label node survives the
+// node's other label relations, whichever label sorts first.
+TEST(RunnerTest, DerivedPropertyOnMultiLabelNodeIsNotReverted) {
+  for (const std::string label : {"Business", "Company"}) {
+    SCOPED_TRACE(label);
+    pg::PropertyGraph g;
+    pg::NodeId p1 = g.AddNode("Person", {{"name", Value("ada")}});
+    pg::NodeId p2 = g.AddNode("Person", {{"name", Value("bob")}});
+    pg::NodeId c = g.AddNode(std::vector<std::string>{"Business", "Company"},
+                             {{"numberOfStakeholders", Value(int64_t{5})}});
+    g.AddEdge(p1, c, "HOLDS");
+    g.AddEdge(p2, c, "HOLDS");
+    auto result = RunMetaLogSource(
+        "(p: Person)[: HOLDS](b: " + label + "), n = count(<p>) -> (b: " +
+            label + "; numberOfStakeholders: n).",
+        &g);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const Value* n = g.NodeProperty(c, "numberOfStakeholders");
+    ASSERT_NE(n, nullptr);
+    EXPECT_EQ(*n, Value(int64_t{2})) << n->ToString();
+    EXPECT_EQ(result->decode.new_nodes, 0u);
+  }
 }
 
 TEST(RunnerTest, DerivedNodesViaExistential) {

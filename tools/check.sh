@@ -137,8 +137,11 @@ fi
 # sanitizers.  vadalog_ also matches vadalog_database_test (relations,
 # indexes and copy-on-write sharing) and vadalog_magic_test;
 # finkg_pointquery runs the point-query differential (magic vs full
-# materialization) at 1 and 4 threads.
-SANITIZER_TESTS='vadalog_|base_thread_pool|service_|finkg_incremental|finkg_pointquery'
+# materialization) at 1 and 4 threads.  metalog_ runs encode and decode:
+# DecodeGraph indexes node and edge vectors with ids read from facts and
+# starts each label at a row count, and metalog_decode_differential
+# checks that against the row-0 decode over the five components.
+SANITIZER_TESTS='vadalog_|base_thread_pool|service_|finkg_incremental|finkg_pointquery|metalog_'
 
 run cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DKGM_SANITIZE=address
