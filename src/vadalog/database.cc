@@ -1,14 +1,11 @@
 #include "vadalog/database.h"
 
-#include <iterator>
 #include <sstream>
 #include <utility>
 
 #include "base/check.h"
 
 namespace kgm::vadalog {
-
-const std::vector<uint32_t> Relation::kEmptyRows;
 
 size_t HashTuple(const Tuple& t) {
   size_t h = 0x8f3a7b12;
@@ -18,8 +15,8 @@ size_t HashTuple(const Tuple& t) {
 
 size_t HashTupleMasked(const Tuple& t, uint64_t mask) {
   size_t h = 0x51ab03c7;
-  for (size_t i = 0; i < t.size(); ++i) {
-    if (mask & (1ULL << i)) h = HashCombine(h, t[i].Hash());
+  for (size_t i = 0; mask != 0 && i < t.size(); ++i, mask >>= 1) {
+    if (mask & 1) h = HashCombine(h, t[i].Hash());
   }
   return h;
 }
@@ -41,10 +38,100 @@ TupleHasher::TupleHasher(const Tuple& t) : n_(t.size()) {
 
 size_t TupleHasher::Masked(uint64_t mask) const {
   size_t h = 0x51ab03c7;
-  for (size_t i = 0; i < n_; ++i) {
-    if (mask & (1ULL << i)) h = HashCombine(h, hashes_[i]);
+  for (size_t i = 0; mask != 0 && i < n_; ++i, mask >>= 1) {
+    if (mask & 1) h = HashCombine(h, hashes_[i]);
   }
   return h;
+}
+
+size_t RowIndex::Rows::size() const {
+  size_t n = 0;
+  for (uint32_t row = first_; row != kEnd; row = next_[row]) ++n;
+  return n;
+}
+
+RowIndex::Rows RowIndex::Lookup(size_t hash) const {
+  if (entries_ > 0) {
+    const size_t wrap = table_.size() - 1;
+    for (size_t s = Home(hash);; s = (s + 1) & wrap) {
+      const Entry& e = table_[s];
+      if (e.first == kEnd) break;
+      if (e.hash == hash) return Rows(next_.data(), e.first);
+    }
+  }
+  return Rows(next_.data(), kEnd);
+}
+
+void RowIndex::Append(size_t hash) {
+  KGM_CHECK(next_.size() < kEnd);
+  const uint32_t row = static_cast<uint32_t>(next_.size());
+  next_.push_back(kEnd);
+  if (2 * (entries_ + 1) > table_.size()) {
+    std::vector<Entry> old = std::move(table_);
+    Rebuild(entries_ + 1, old);
+  }
+  const size_t wrap = table_.size() - 1;
+  for (size_t s = Home(hash);; s = (s + 1) & wrap) {
+    Entry& e = table_[s];
+    if (e.first == kEnd) {
+      e = Entry{hash, row, row};
+      ++entries_;
+      return;
+    }
+    if (e.hash == hash) {
+      next_[e.last] = row;
+      e.last = row;
+      return;
+    }
+  }
+}
+
+void RowIndex::Compact(const std::vector<char>& dead,
+                       const std::vector<uint32_t>& remap) {
+  // remap[n - 1] counts the live rows before the last one.
+  const size_t n = next_.size();
+  const size_t kept = n == 0 ? 0 : remap[n - 1] + (dead[n - 1] ? 0 : 1);
+  std::vector<uint32_t> next(kept, kEnd);
+  std::vector<Entry> live;
+  live.reserve(entries_);
+  for (const Entry& e : table_) {
+    if (e.first == kEnd) continue;
+    uint32_t first = kEnd;
+    uint32_t last = kEnd;
+    for (uint32_t row = e.first; row != kEnd; row = next_[row]) {
+      if (dead[row]) continue;
+      const uint32_t moved = remap[row];
+      if (first == kEnd) {
+        first = moved;
+      } else {
+        next[last] = moved;
+      }
+      last = moved;
+    }
+    if (first != kEnd) live.push_back(Entry{e.hash, first, last});
+  }
+  next_ = std::move(next);
+  Rebuild(live.size(), live);
+}
+
+void RowIndex::Rebuild(size_t entries, const std::vector<Entry>& live) {
+  size_t slots = 16;
+  unsigned shift = 60;
+  while (slots < 2 * entries) {
+    slots *= 2;
+    --shift;
+  }
+  table_.assign(slots, Entry{0, kEnd, kEnd});
+  shift_ = shift;
+  entries_ = 0;
+  const size_t wrap = slots - 1;
+  for (const Entry& e : live) {
+    if (e.first == kEnd) continue;
+    ++entries_;
+    size_t s = Home(e.hash);
+    while (table_[s].first != kEnd) s = (s + 1) & wrap;
+    table_[s] = e;
+  }
 }
 
 Relation::Relation(size_t arity) : arity_(arity) {}
@@ -60,12 +147,17 @@ Relation Relation::Clone() const {
 }
 
 size_t Relation::FindRow(const Tuple& t) const {
-  auto it = dedup_.find(HashTuple(t));
-  if (it == dedup_.end()) return kNoRow;
-  for (uint32_t row : it->second.rows) {
+  for (uint32_t row : dedup_.Lookup(HashTuple(t))) {
     if (tuples_[row] == t) return row;
   }
   return kNoRow;
+}
+
+const RowIndex* Relation::FindIndex(uint64_t mask) const {
+  for (const MaskIndex& index : indexes_) {
+    if (index.mask == mask) return &index.rows;
+  }
+  return nullptr;
 }
 
 bool Relation::Insert(Tuple t) {
@@ -73,16 +165,12 @@ bool Relation::Insert(Tuple t) {
   // Position hashes are computed once and reused for the dedup hash and
   // every maintained index mask.
   TupleHasher hasher(t);
-  size_t h = hasher.full();
-  Bucket& bucket = dedup_[h];
-  for (uint32_t row : bucket.rows) {
+  const size_t h = hasher.full();
+  for (uint32_t row : dedup_.Lookup(h)) {
     if (tuples_[row] == t) return false;
   }
-  uint32_t row = static_cast<uint32_t>(tuples_.size());
-  bucket.rows.push_back(row);
-  for (auto& [mask, index] : indexes_) {
-    index[hasher.Masked(mask)].rows.push_back(row);
-  }
+  dedup_.Append(h);
+  for (MaskIndex& index : indexes_) index.rows.Append(hasher.Masked(index.mask));
   tuples_.push_back(std::move(t));
   ++version_;
   fingerprint_ ^= h;
@@ -102,11 +190,10 @@ size_t Relation::EraseTuples(const std::vector<Tuple>& ts) {
   }
   if (erased == 0) return 0;
   // Order-preserving compaction shifts the surviving row ids, but every
-  // content hash stays the same, so the dedup table and built indexes are
-  // patched in place: drop dead entries, remap the rest.  This keeps a
-  // deletion at O(entries) integer work instead of rehashing every tuple —
-  // the difference dominates incremental maintenance, which erases from
-  // large relations on every delta batch.
+  // content hash stays the same, so each index relinks its chains through
+  // the remap instead of rehashing every tuple — the difference dominates
+  // incremental maintenance, which erases from large relations on every
+  // delta batch.
   std::vector<uint32_t> remap(tuples_.size());
   uint32_t next = 0;
   for (size_t i = 0; i < tuples_.size(); ++i) {
@@ -119,21 +206,8 @@ size_t Relation::EraseTuples(const std::vector<Tuple>& ts) {
     if (!dead[i]) kept.push_back(std::move(tuples_[i]));
   }
   tuples_ = std::move(kept);
-  auto patch_rows = [&](std::vector<uint32_t>& rows) {
-    size_t w = 0;
-    for (uint32_t row : rows) {
-      if (!dead[row]) rows[w++] = remap[row];
-    }
-    rows.resize(w);
-  };
-  auto patch_index = [&](HashIndex& index) {
-    for (auto it = index.begin(); it != index.end();) {
-      patch_rows(it->second.rows);
-      it = it->second.rows.empty() ? index.erase(it) : std::next(it);
-    }
-  };
-  patch_index(dedup_);
-  for (auto& [mask, index] : indexes_) patch_index(index);
+  dedup_.Compact(dead, remap);
+  for (MaskIndex& index : indexes_) index.rows.Compact(dead, remap);
   ++version_;
   return erased;
 }
@@ -144,22 +218,16 @@ bool Relation::Contains(const Tuple& t) const {
 
 void Relation::EnsureIndex(uint64_t mask) {
   KGM_CHECK(mask != 0);
-  if (indexes_.count(mask) > 0) return;
-  HashIndex index;
-  for (size_t row = 0; row < tuples_.size(); ++row) {
-    index[HashTupleMasked(tuples_[row], mask)].rows.push_back(
-        static_cast<uint32_t>(row));
-  }
-  indexes_.emplace(mask, std::move(index));
+  if (HasIndex(mask)) return;
+  RowIndex index;
+  for (const Tuple& t : tuples_) index.Append(HashTupleMasked(t, mask));
+  indexes_.push_back(MaskIndex{mask, std::move(index)});
 }
 
-const std::vector<uint32_t>& Relation::LookupBuilt(uint64_t mask,
-                                                   const Tuple& probe) const {
-  auto it = indexes_.find(mask);
-  KGM_CHECK(it != indexes_.end());
-  auto bucket = it->second.find(HashTupleMasked(probe, mask));
-  if (bucket == it->second.end()) return kEmptyRows;
-  return bucket->second.rows;
+RowIndex::Rows Relation::LookupBuilt(uint64_t mask, const Tuple& probe) const {
+  const RowIndex* index = FindIndex(mask);
+  KGM_CHECK(index != nullptr);
+  return index->Lookup(HashTupleMasked(probe, mask));
 }
 
 FactDb::FactDb(const SharedRelations& relations) {

@@ -2,8 +2,8 @@
 //
 // A FactDb maps predicate names to relations, each owned or shared
 // copy-on-write; a Relation is a deduplicated append-only tuple store with
-// hash indexes over arbitrary position masks, built on request before the
-// joins of the semi-naive evaluator probe them.
+// flat hash indexes (RowIndex) over arbitrary position masks, built on
+// request before the joins of the semi-naive evaluator probe them.
 //
 // A Relation is written by one thread at a time.  During a parallel engine
 // phase every relation is frozen and read only through its const methods
@@ -19,7 +19,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "base/status.h"
@@ -54,6 +53,94 @@ class TupleHasher {
   std::vector<size_t> heap_;
 };
 
+// A hash index over the rows of one relation.  Every row has a key hash
+// (of the whole tuple, or of the positions of one mask), and Lookup(h)
+// yields exactly the rows whose key hash is h, in ascending row order.
+//
+// Layout: an open-addressing table with one (hash, first row, last row)
+// entry per distinct hash — linear probing from a multiplicative mix of the
+// hash, load at most 1/2, doubled on growth — and one `next` link per row
+// that chains the rows of one hash in ascending order.  Growth moves table
+// entries and leaves the chains alone; no tuple is rehashed after it is
+// appended.  Memory is 4 bytes per row plus 16 bytes per table slot, i.e.
+// 32–64 bytes per distinct hash, in two vectors, so freeing or copying an
+// index is a few array operations.
+class RowIndex {
+ public:
+  static constexpr uint32_t kEnd = static_cast<uint32_t>(-1);
+
+  // The rows of one hash, walked through the `next` links.  A view into the
+  // index: valid until the next Append or Compact.
+  class Rows {
+   public:
+    class iterator {
+     public:
+      iterator(const uint32_t* next, uint32_t row) : next_(next), row_(row) {}
+      uint32_t operator*() const { return row_; }
+      iterator& operator++() {
+        row_ = next_[row_];
+        return *this;
+      }
+      bool operator!=(const iterator& o) const { return row_ != o.row_; }
+
+     private:
+      const uint32_t* next_;
+      uint32_t row_;
+    };
+
+    Rows(const uint32_t* next, uint32_t first) : next_(next), first_(first) {}
+    iterator begin() const { return iterator(next_, first_); }
+    iterator end() const { return iterator(next_, kEnd); }
+    bool empty() const { return first_ == kEnd; }
+    // Walks the chain.
+    size_t size() const;
+
+   private:
+    const uint32_t* next_;
+    uint32_t first_;
+  };
+
+  // Number of rows appended (and not compacted away).
+  size_t rows() const { return next_.size(); }
+
+  Rows Lookup(size_t hash) const;
+
+  // Appends row rows() with key hash `hash` at the end of its chain.
+  void Append(size_t hash);
+
+  // Drops every row with dead[row] set and renumbers the rest by `remap`
+  // (an order-preserving compaction: remap[row] is the number of live rows
+  // before `row`).  Chains are relinked in place of the old ones and the
+  // table is rebuilt from the surviving entries; no key is rehashed.
+  void Compact(const std::vector<char>& dead,
+               const std::vector<uint32_t>& remap);
+
+ private:
+  struct Entry {
+    size_t hash;
+    uint32_t first;  // kEnd marks a free slot
+    uint32_t last;
+  };
+
+  // Home slot of `hash` in a table of 2^(64 - shift_) slots.
+  size_t Home(size_t hash) const {
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(hash) * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+  // Sizes the table for `entries` distinct hashes and places the used
+  // entries of `live` in it.
+  void Rebuild(size_t entries, const std::vector<Entry>& live);
+
+  std::vector<Entry> table_;  // empty until the first Append
+  std::vector<uint32_t> next_;  // per row: the next row of its chain
+  size_t entries_ = 0;
+  unsigned shift_ = 64;
+};
+
+// A deduplicated, append-only (apart from EraseTuples) tuple store.  Row i
+// is tuples()[i].  One RowIndex over the full-tuple hash deduplicates; one
+// more per built mask serves the joins.  Insert appends to every index, so
+// a built index never needs rebuilding.
 class Relation {
  public:
   explicit Relation(size_t arity);
@@ -61,9 +148,9 @@ class Relation {
   Relation(Relation&&) = default;
   Relation& operator=(Relation&&) = default;
 
-  // Deep copy: tuples, dedup table, and built indexes.  Much cheaper than
-  // re-inserting (no value is rehashed).  FactDb uses this to copy a
-  // shared relation on its first write.
+  // Deep copy: tuples, dedup index, and built indexes.  Much cheaper than
+  // re-inserting (no value is rehashed; each index is two vector copies).
+  // FactDb uses this to copy a shared relation on its first write.
   Relation Clone() const;
 
   size_t arity() const { return arity_; }
@@ -78,10 +165,12 @@ class Relation {
   // Removes every listed tuple that is present; returns the number actually
   // removed (duplicates in `ts` and absent tuples are ignored).  Surviving
   // rows keep their relative order — row ids compact downwards — and the
-  // dedup table plus every built index are rebuilt.  Not thread-safe.
-  // Erasure is the one mutation that invalidates previously observed row
-  // ids; it exists for incremental maintenance (DRed overdeletion), not for
-  // the engine's fixpoint loop, which remains append-only.
+  // dedup index plus every built index are compacted with them
+  // (RowIndex::Compact: chains relinked, no tuple rehashed).  Not
+  // thread-safe.  Erasure is the one mutation that invalidates previously
+  // observed row ids; it exists for incremental maintenance (DRed
+  // overdeletion), not for the engine's fixpoint loop, which remains
+  // append-only.
   size_t EraseTuples(const std::vector<Tuple>& ts);
 
   bool Contains(const Tuple& t) const;
@@ -104,7 +193,7 @@ class Relation {
   static constexpr size_t kNoRow = static_cast<size_t>(-1);
   size_t RowOf(const Tuple& t) const { return FindRow(t); }
 
-  bool HasIndex(uint64_t mask) const { return indexes_.count(mask) > 0; }
+  bool HasIndex(uint64_t mask) const { return FindIndex(mask) != nullptr; }
 
   // Builds the hash index for `mask` (non-zero, within the arity; no-op if
   // built).  Insert and EraseTuples keep built indexes current, so the
@@ -112,11 +201,12 @@ class Relation {
   // probes with LookupBuilt.
   void EnsureIndex(uint64_t mask);
 
-  // Candidate rows for `probe` under `mask` (those sharing its masked hash;
-  // confirm with MatchesMasked).  Requires EnsureIndex(mask).  Read-only:
-  // safe to call concurrently with other const methods.
-  const std::vector<uint32_t>& LookupBuilt(uint64_t mask,
-                                           const Tuple& probe) const;
+  // Candidate rows for `probe` under `mask`, ascending: those sharing its
+  // masked hash (confirm with MatchesMasked).  Requires EnsureIndex(mask).
+  // Read-only: safe to call concurrently with other const methods.  The
+  // range stays valid until the next Insert or EraseTuples on this
+  // relation.
+  RowIndex::Rows LookupBuilt(uint64_t mask, const Tuple& probe) const;
 
   // True if row `i`'s masked positions equal those of `probe`.  Inline:
   // this is the verification step of every index probe, one of the
@@ -130,20 +220,20 @@ class Relation {
   }
 
  private:
-  struct Bucket {
-    std::vector<uint32_t> rows;
+  struct MaskIndex {
+    uint64_t mask;
+    RowIndex rows;
   };
-  using HashIndex = std::unordered_map<size_t, Bucket>;
 
   size_t FindRow(const Tuple& t) const;
+  const RowIndex* FindIndex(uint64_t mask) const;
 
   size_t arity_;
   uint64_t version_ = 0;
   uint64_t fingerprint_ = 0;
   std::vector<Tuple> tuples_;
-  HashIndex dedup_;  // full-tuple hash -> rows
-  std::map<uint64_t, HashIndex> indexes_;  // mask -> index
-  static const std::vector<uint32_t> kEmptyRows;
+  RowIndex dedup_;                  // full-tuple hash -> rows
+  std::vector<MaskIndex> indexes_;  // one per built mask, in build order
 };
 
 // Relations published for sharing between databases, one immutable

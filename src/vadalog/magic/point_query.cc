@@ -74,9 +74,11 @@ Result<std::vector<Tuple>> RunEdbLookup(const Program& program,
                            " does not match " + query.predicate + "/" +
                            std::to_string(rel->arity()));
   }
+  // The index mask holds the bound positions below 64; candidates are
+  // confirmed against the whole binding, which checks the rest.
   uint64_t mask = 0;
   Tuple probe(rel->arity());
-  for (size_t i = 0; i < query.args.size() && i < 60; ++i) {
+  for (size_t i = 0; i < query.args.size() && i < 64; ++i) {
     if (query.args[i].has_value()) {
       mask |= 1ULL << i;
       probe[i] = *query.args[i];
@@ -86,7 +88,7 @@ Result<std::vector<Tuple>> RunEdbLookup(const Program& program,
     rel = db->GetIndexed(query.predicate, mask);
     for (uint32_t row : rel->LookupBuilt(mask, probe)) {
       ++stats->engine.join_probes;
-      if (rel->MatchesMasked(row, mask, probe)) out.push_back(rel->tuple(row));
+      if (query.Matches(rel->tuple(row))) out.push_back(rel->tuple(row));
     }
     return out;
   }

@@ -1,8 +1,13 @@
 #include "vadalog/database.h"
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <set>
 
 #include <gtest/gtest.h>
+
+#include "base/rng.h"
 
 namespace kgm::vadalog {
 namespace {
@@ -225,6 +230,206 @@ TEST(FactDbShareTest, ShareMovesOwnedAndPassesSharedThrough) {
   ASSERT_EQ(shared.size(), 2u);
   EXPECT_EQ(shared.at("p").get(), p.get());
   EXPECT_EQ(shared.at("own").get(), &own);  // moved, not copied
+}
+
+// Hashes whose slot is the last one of the table at every table size:
+// RowIndex places a hash by the top bits of hash * 0x9E3779B97F4A7C15, and
+// these make that product 2^64 - 1 - j.  Each of them starts its probe run
+// at the table's end, so every run they share wraps around to slot 0.
+std::vector<size_t> EndHomedHashes(size_t n) {
+  const uint64_t mix = 0x9E3779B97F4A7C15ULL;
+  uint64_t inverse = mix;  // Newton's iteration for mix^-1 mod 2^64
+  for (int i = 0; i < 6; ++i) inverse *= 2 - mix * inverse;
+  std::vector<size_t> out;
+  for (uint64_t j = 0; j < n; ++j) out.push_back((~uint64_t{0} - j) * inverse);
+  return out;
+}
+
+// RowIndex against a map from hash to ascending rows.  Most hashes are
+// small integers — the near-identity shape of Value::Hash on ints — drawn
+// from a few thousand values, so the table doubles many times; the rest are
+// end-homed, so probe runs wrap around the table's end at every size.
+TEST(RowIndexTest, MatchesModelUnderAppendAndCompact) {
+  Rng rng(25);
+  const std::vector<size_t> wrapping = EndHomedHashes(48);
+  std::vector<size_t> probes = wrapping;
+  for (size_t h = 0; h < 3100; ++h) probes.push_back(h);
+  RowIndex index;
+  std::vector<size_t> hashes;  // per row, as the model sees it
+  auto check = [&] {
+    std::map<size_t, std::vector<uint32_t>> model;
+    for (size_t row = 0; row < hashes.size(); ++row) {
+      model[hashes[row]].push_back(static_cast<uint32_t>(row));
+    }
+    ASSERT_EQ(index.rows(), hashes.size());
+    for (size_t h : probes) {
+      std::vector<uint32_t> got;
+      for (uint32_t row : index.Lookup(h)) got.push_back(row);
+      auto it = model.find(h);
+      ASSERT_EQ(got, it == model.end() ? std::vector<uint32_t>{} : it->second)
+          << "hash " << h;
+    }
+  };
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 2500; ++i) {
+      size_t h = rng.NextBool(0.05) ? wrapping[rng.NextBelow(wrapping.size())]
+                                    : rng.NextBelow(3000);
+      index.Append(h);
+      hashes.push_back(h);
+    }
+    check();
+    std::vector<char> dead(hashes.size(), 0);
+    std::vector<uint32_t> remap(hashes.size());
+    std::vector<size_t> kept;
+    for (size_t row = 0; row < hashes.size(); ++row) {
+      remap[row] = static_cast<uint32_t>(kept.size());
+      dead[row] = rng.NextBool(0.4) ? 1 : 0;
+      if (!dead[row]) kept.push_back(hashes[row]);
+    }
+    index.Compact(dead, remap);
+    hashes = std::move(kept);
+    check();
+  }
+}
+
+// A relation under interleaved Insert / EnsureIndex / EraseTuples / Clone,
+// against a model kept as the tuple list plus, per built mask, a map from
+// masked hash to ascending rows.
+TEST(RowIndexTest, RelationMatchesModelUnderMixedOperations) {
+  Rng rng(7);
+  Relation rel(3);
+  std::vector<Tuple> rows;  // the model relation, in row order
+  std::vector<uint64_t> masks;
+  auto random_tuple = [&] {
+    return T({static_cast<int64_t>(rng.NextBelow(4000)),
+              static_cast<int64_t>(rng.NextBelow(3)),
+              static_cast<int64_t>(rng.NextBelow(5))});
+  };
+  auto check = [&] {
+    ASSERT_EQ(rel.size(), rows.size());
+    for (size_t row = 0; row < rows.size(); ++row) {
+      ASSERT_EQ(rel.tuple(row), rows[row]);
+      ASSERT_EQ(rel.RowOf(rows[row]), row);
+    }
+    for (int i = 0; i < 200; ++i) {
+      Tuple t = random_tuple();
+      auto it = std::find(rows.begin(), rows.end(), t);
+      ASSERT_EQ(rel.Contains(t), it != rows.end());
+      ASSERT_EQ(rel.RowOf(t), it == rows.end()
+                                  ? Relation::kNoRow
+                                  : static_cast<size_t>(it - rows.begin()));
+    }
+    for (uint64_t mask : masks) {
+      std::map<size_t, std::vector<uint32_t>> model;
+      for (size_t row = 0; row < rows.size(); ++row) {
+        model[HashTupleMasked(rows[row], mask)].push_back(
+            static_cast<uint32_t>(row));
+      }
+      for (const auto& [hash, want] : model) {
+        const Tuple& probe = rows[want.front()];
+        ASSERT_EQ(HashTupleMasked(probe, mask), hash);
+        std::vector<uint32_t> got;
+        for (uint32_t row : rel.LookupBuilt(mask, probe)) got.push_back(row);
+        ASSERT_EQ(got, want) << "mask " << mask;
+      }
+      ASSERT_TRUE(rel.LookupBuilt(mask, T({-1, -1, -1})).empty());
+    }
+  };
+  const uint64_t kMasks[] = {0b001, 0b110, 0b011};
+  for (int step = 0; step < 24; ++step) {
+    switch (step % 4) {
+      case 0:
+      case 1:
+        for (int i = 0; i < 1500; ++i) {
+          Tuple t = random_tuple();
+          bool fresh = std::find(rows.begin(), rows.end(), t) == rows.end();
+          ASSERT_EQ(rel.Insert(t), fresh);
+          if (fresh) rows.push_back(std::move(t));
+        }
+        break;
+      case 2: {
+        std::vector<Tuple> doomed;
+        std::set<Tuple> doomed_set;
+        for (const Tuple& t : rows) {
+          if (rng.NextBool(0.3)) {
+            doomed.push_back(t);
+            doomed_set.insert(t);
+          }
+        }
+        doomed.push_back(T({-5, 0, 0}));  // absent: ignored
+        if (!doomed.empty()) doomed.push_back(doomed.front());  // duplicate
+        ASSERT_EQ(rel.EraseTuples(doomed), doomed_set.size());
+        std::vector<Tuple> kept;
+        for (Tuple& t : rows) {
+          if (doomed_set.count(t) == 0) kept.push_back(std::move(t));
+        }
+        rows = std::move(kept);
+        break;
+      }
+      case 3:
+        rel = rel.Clone();
+        break;
+    }
+    if (step / 4 < 3) {
+      rel.EnsureIndex(kMasks[step / 4]);
+      if (std::find(masks.begin(), masks.end(), kMasks[step / 4]) ==
+          masks.end()) {
+        masks.push_back(kMasks[step / 4]);
+      }
+    }
+    check();
+  }
+}
+
+TEST(RowIndexTest, KeyEmptiedByEraseReturnsAtTheChainEnd) {
+  Relation rel(2);
+  rel.EnsureIndex(0b01);
+  rel.Insert(T({1, 10}));  // row 0
+  rel.Insert(T({2, 20}));  // row 1
+  rel.Insert(T({1, 11}));  // row 2
+  rel.Insert(T({2, 21}));  // row 3
+  EXPECT_EQ(rel.EraseTuples({T({1, 10}), T({1, 11})}), 2u);
+  auto rows_of = [&rel](int64_t key) {
+    std::vector<uint32_t> out;
+    for (uint32_t row : rel.LookupBuilt(0b01, T({key, 0}))) out.push_back(row);
+    return out;
+  };
+  EXPECT_TRUE(rows_of(1).empty());
+  EXPECT_EQ(rows_of(2), (std::vector<uint32_t>{0, 1}));
+  EXPECT_FALSE(rel.Contains(T({1, 10})));
+  EXPECT_TRUE(rel.Insert(T({1, 10})));  // row 2
+  EXPECT_TRUE(rel.Insert(T({2, 22})));  // row 3
+  EXPECT_TRUE(rel.Insert(T({1, 12})));  // row 4
+  EXPECT_EQ(rows_of(1), (std::vector<uint32_t>{2, 4}));
+  EXPECT_EQ(rows_of(2), (std::vector<uint32_t>{0, 1, 3}));
+  EXPECT_EQ(rel.RowOf(T({1, 10})), 2u);
+  EXPECT_EQ(rel.RowOf(T({2, 21})), 1u);
+}
+
+TEST(RowIndexTest, CloneKeepsAnsweringAfterTheOriginalChanges) {
+  Relation rel(2);
+  for (int64_t i = 0; i < 300; ++i) rel.Insert(T({i % 17, i}));
+  rel.EnsureIndex(0b01);
+  Relation copy = rel.Clone();
+  auto rows_of = [](const Relation& r, int64_t key) {
+    std::vector<uint32_t> out;
+    for (uint32_t row : r.LookupBuilt(0b01, T({key, 0}))) out.push_back(row);
+    return out;
+  };
+  std::vector<std::vector<uint32_t>> before;
+  for (int64_t key = 0; key < 17; ++key) before.push_back(rows_of(copy, key));
+  std::vector<Tuple> doomed;
+  for (int64_t i = 0; i < 300; i += 3) doomed.push_back(T({i % 17, i}));
+  EXPECT_EQ(rel.EraseTuples(doomed), 100u);
+  for (int64_t i = 300; i < 600; ++i) rel.Insert(T({i % 17, i}));
+  rel.EnsureIndex(0b10);
+  for (int64_t key = 0; key < 17; ++key) {
+    EXPECT_EQ(rows_of(copy, key), before[key]) << key;
+  }
+  EXPECT_EQ(copy.size(), 300u);
+  EXPECT_FALSE(copy.HasIndex(0b10));
+  EXPECT_EQ(copy.RowOf(T({3, 3})), 3u);
+  EXPECT_FALSE(copy.Contains(T({0, 300})));
 }
 
 }  // namespace

@@ -410,6 +410,34 @@ TEST(PointQueryTest, EdbPredicateAnswersByIndexLookup) {
   EXPECT_LT(stats.engine.join_probes, 5u);
 }
 
+TEST(PointQueryTest, EdbLookupHonoursBindingsPastPosition60) {
+  // wide/62: row i holds i % 2 at position 0, i at position 61, 0 elsewhere.
+  FactDb db;
+  for (int64_t i = 0; i < 10; ++i) {
+    Tuple t(62, Value(int64_t{0}));
+    t[0] = Value(i % 2);
+    t[61] = Value(i);
+    db.Add("wide", std::move(t));
+  }
+  auto lookup = [&](int64_t first, int64_t last) {
+    QueryBinding query{"wide", std::vector<std::optional<Value>>(62)};
+    query.args[0] = Value(first);
+    query.args[61] = Value(last);
+    FactDb scratch = db.Clone();
+    PointQueryStats stats;
+    Result<std::vector<Tuple>> rows =
+        EvalPointQuery(Parse(kTc), query, &scratch, {}, &stats);
+    EXPECT_TRUE(rows.ok()) << rows.status().message();
+    EXPECT_EQ(stats.mode, PointQueryMode::kEdbLookup);
+    return rows.ok() ? *rows : std::vector<Tuple>{};
+  };
+  // Row 4 has a 0 at position 0: nothing matches both bound positions.
+  EXPECT_TRUE(lookup(1, 4).empty());
+  std::vector<Tuple> five = lookup(1, 5);
+  ASSERT_EQ(five.size(), 1u);
+  EXPECT_EQ(five[0][61], Value(int64_t{5}));
+}
+
 TEST(PointQueryTest, NoBoundArgumentFallsBackToMaterialize) {
   FactDb db = ChainDb(10);
   PointQueryStats stats;
