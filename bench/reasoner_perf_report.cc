@@ -1,8 +1,10 @@
 // Machine-readable reasoner benchmark: runs the finkg intensional suite at
 // 1 and 8 engine threads and writes BENCH_reasoner.json so the perf
-// trajectory can be tracked across PRs.  Exits non-zero when a component
-// derives a different number of facts at 8 threads than at 1 (the
-// engine's output must not depend on the thread count).
+// trajectory can be tracked across changes.  Each component row carries
+// its engine counters (facts_derived, join_probes, rule_firings), which
+// repeat exactly between runs, next to its timings.  Exits non-zero when
+// a component derives a different number of facts at 8 threads than at 1
+// (the engine's output must not depend on the thread count).
 //
 // Usage: reasoner_perf_report [output.json] [companies] [persons]
 // Default output file: BENCH_reasoner.json in the working directory.
@@ -147,6 +149,8 @@ int main(int argc, char** argv) {
       w.Field("staged_inserts", es.staged_inserts);
       w.Field("staged_duplicates", es.staged_duplicates);
       w.Field("facts_derived", es.facts_derived);
+      w.Field("join_probes", es.join_probes);
+      w.Field("rule_firings", es.rule_firings);
       w.Field("iterations", es.iterations);
       w.Open("stratum_seconds", '[');
       for (double s : es.stratum_seconds) {

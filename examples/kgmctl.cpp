@@ -37,12 +37,14 @@
 //       constants — plus any typeflow findings.
 //   kgmctl explain [--json] [--threads N] <program>...
 //       Evaluate each program once against a demo Company-KG instance and
-//       print a fingerprint of the materialized output plus the join
-//       probes and firings of every rule.  Programs run in the given
-//       order against one shared instance, so prerequisites compose (e.g.
-//       `explain owns.mlog closelinks.mlog`).  The output is the same at
-//       every thread count, so fingerprints taken at different --threads
-//       must match.
+//       print two fingerprints of the materialized output — `fingerprint`
+//       over it in row order, `content_fingerprint` over its sorted lines,
+//       so a change that only reorders rows moves the first alone — plus
+//       the join probes and firings of every rule.  Programs run in the
+//       given order against one shared instance, so prerequisites compose
+//       (e.g. `explain owns.mlog closelinks.mlog`).  The output is the same
+//       at every thread count, so fingerprints taken at different
+//       --threads must match.
 //   kgmctl query [--json] [--threads N] [--output PRED] --bound a1,a2,... <program>
 //       Answer a point query against the same demo instance `explain`
 //       uses: the binding (CSV of constants, `_` = free position) routes
@@ -57,12 +59,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -782,14 +787,28 @@ int CmdAnalyze(int argc, char** argv) {
 
 // ---------------------------------------------------------------------------
 // explain: evaluate each program once against a demo Company-KG instance
-// and print a fingerprint of the materialized result next to the engine's
+// and print fingerprints of the materialized result next to the engine's
 // per-rule probe and firing counters.
 
-uint64_t Fnv1a(const std::string& text, uint64_t hash) {
+uint64_t Fnv1a(std::string_view text, uint64_t hash) {
   for (unsigned char c : text) {
     hash ^= c;
     hash *= 1099511628211ull;
   }
+  return hash;
+}
+
+// Fnv1a over the lines of `text` in sorted order, each with its newline:
+// the same for every order of the same lines.
+uint64_t Fnv1aSortedLines(std::string_view text, uint64_t hash) {
+  std::vector<std::string_view> lines;
+  while (!text.empty()) {
+    size_t end = text.find('\n');
+    lines.push_back(text.substr(0, end));
+    text.remove_prefix(end == std::string_view::npos ? text.size() : end + 1);
+  }
+  std::sort(lines.begin(), lines.end());
+  for (std::string_view line : lines) hash = Fnv1a("\n", Fnv1a(line, hash));
   return hash;
 }
 
@@ -815,12 +834,14 @@ std::string JsonEscape(const std::string& text) {
   return out;
 }
 
-// One evaluation of a program: the engine counters plus a fingerprint of
-// the materialized result (CSV export for MetaLog, FactDb dump for
-// Vadalog) — equal fingerprints mean bit-identical output.
+// One evaluation of a program: the engine counters plus two fingerprints
+// of the materialized result (CSV export for MetaLog, FactDb dump for
+// Vadalog).  Equal `fingerprint`s mean bit-identical output; equal
+// `content_fingerprint`s mean the same lines in some order.
 struct ExplainRun {
   vadalog::EngineStats stats;
   std::string fingerprint;
+  std::string content_fingerprint;
 };
 
 constexpr uint64_t kFnvBasis = 1469598103934665603ull;
@@ -835,11 +856,13 @@ Status ExplainMetaLog(const core::SuperSchema& schema,
   out->stats = stats.engine_stats;
   KGM_ASSIGN_OR_RETURN(auto files, translate::ExportCsv(schema, *graph));
   uint64_t hash = kFnvBasis;
+  uint64_t content_hash = kFnvBasis;
   for (const auto& [name, content] : files) {
-    hash = Fnv1a(name, hash);
-    hash = Fnv1a(content, hash);
+    hash = Fnv1a(content, Fnv1a(name, hash));
+    content_hash = Fnv1aSortedLines(content, Fnv1a(name, content_hash));
   }
   out->fingerprint = HashHex(hash);
+  out->content_fingerprint = HashHex(content_hash);
   return OkStatus();
 }
 
@@ -854,6 +877,25 @@ Status ExplainVadalog(const std::string& source, size_t threads,
   KGM_RETURN_IF_ERROR(engine.Run(&db));
   out->stats = engine.stats();
   out->fingerprint = HashHex(Fnv1a(db.DebugString(), kFnvBasis));
+  // Content covers the derived relations only: the input encoding numbers
+  // edges in insertion order, which an earlier MetaLog program may change
+  // without changing what it derived.
+  std::set<std::string> derived;
+  for (const vadalog::Rule& rule : engine.program().rules) {
+    for (const vadalog::Atom& head : rule.head) derived.insert(head.predicate);
+  }
+  std::string rows;
+  for (const std::string& pred : derived) {
+    for (const vadalog::Tuple& t : db.Get(pred)->tuples()) {
+      rows += pred + "(";
+      for (size_t i = 0; i < t.size(); ++i) {
+        if (i > 0) rows += ",";
+        rows += t[i].ToString();
+      }
+      rows += ")\n";
+    }
+  }
+  out->content_fingerprint = HashHex(Fnv1aSortedLines(rows, kFnvBasis));
   return OkStatus();
 }
 
@@ -862,6 +904,8 @@ void PrintExplainText(const std::string& path, const char* language,
   const vadalog::EngineStats& st = run.stats;
   std::printf("== %s  %s  threads=%zu ==\n", path.c_str(), language, threads);
   std::printf("fingerprint: fnv1a %s\n", run.fingerprint.c_str());
+  std::printf("content_fingerprint: fnv1a %s\n",
+              run.content_fingerprint.c_str());
   std::printf("probes=%zu firings=%zu facts_derived=%zu\n", st.join_probes,
               st.rule_firings, st.facts_derived);
   for (size_t r = 0; r < st.rule_probes_by_rule.size(); ++r) {
@@ -887,6 +931,7 @@ void AppendExplainJson(std::ostringstream& out, const std::string& path,
   out << ",\"language\":\"" << language << "\"";
   out << ",\"threads\":" << threads;
   out << ",\"fingerprint\":\"" << run.fingerprint << "\"";
+  out << ",\"content_fingerprint\":\"" << run.content_fingerprint << "\"";
   out << ",\"join_probes\":" << st.join_probes;
   out << ",\"rule_firings\":" << st.rule_firings;
   out << ",\"facts_derived\":" << st.facts_derived;

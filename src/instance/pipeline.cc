@@ -90,7 +90,7 @@ Result<MaterializeStats> Materialize(const core::SuperSchema& schema,
       metalog::MetaRunResult reason,
       metalog::RunMetaLogSource(
           stats.input_views + "\n" + sigma_source + "\n" + stats.output_views,
-          &loaded.dict, run_options));
+          &loaded.dict, run_options, kFlushLabels));
   auto t2 = Clock::now();
   stats.reason_seconds = Seconds(t1, t2);
   stats.encode_seconds = reason.encode_seconds;
@@ -100,6 +100,14 @@ Result<MaterializeStats> Materialize(const core::SuperSchema& schema,
   stats.engine_stats = reason.engine_stats;
 
   // --- flush ------------------------------------------------------------------
+  KGM_RETURN_IF_ERROR(FlushStaging(schema, loaded, data, &stats));
+  stats.flush_seconds = Seconds(t2, Clock::now());
+  return stats;
+}
+
+Status FlushStaging(const core::SuperSchema& schema,
+                    const LoadedInstance& loaded, pg::PropertyGraph* data,
+                    MaterializeStats* stats) {
   const pg::PropertyGraph& dict = loaded.dict;
   // Labels whose relational encoding this flush changes (see
   // MaterializeStats::changed_labels).
@@ -114,7 +122,7 @@ Result<MaterializeStats> Materialize(const core::SuperSchema& schema,
       auto it = loaded.data_of_inode.find(dict.edge(e).to);
       if (it == loaded.data_of_inode.end()) continue;
       data->SetNodeProperty(it->second, name->AsString(), *value);
-      ++stats.updated_properties;
+      ++stats->updated_properties;
       // Every label relation of the node re-encodes the updated property.
       for (const std::string& l : data->node(it->second).labels) {
         changed_labels.insert(l);
@@ -134,7 +142,7 @@ Result<MaterializeStats> Materialize(const core::SuperSchema& schema,
     for (const std::string& l : labels) changed_labels.insert(l);
     pg::NodeId id = data->AddNode(labels, StagedAttributes(dict, o));
     data_of_onode[o] = id;
-    ++stats.new_nodes;
+    ++stats->new_nodes;
   }
   // 3. New edges, deduplicated against existing (label, from, to) triples.
   auto resolve_endpoint = [&](pg::NodeId target) -> pg::NodeId {
@@ -182,13 +190,11 @@ Result<MaterializeStats> Materialize(const core::SuperSchema& schema,
     }
     if (exists) continue;
     data->AddEdge(from, to, type->AsString(), StagedAttributes(dict, o));
-    ++stats.new_edges;
+    ++stats->new_edges;
     changed_labels.insert(type->AsString());
   }
-  stats.changed_labels.assign(changed_labels.begin(), changed_labels.end());
-  auto t3 = Clock::now();
-  stats.flush_seconds = Seconds(t2, t3);
-  return stats;
+  stats->changed_labels.assign(changed_labels.begin(), changed_labels.end());
+  return OkStatus();
 }
 
 }  // namespace kgm::instance

@@ -17,6 +17,7 @@
 #define KGM_INSTANCE_PIPELINE_H_
 
 #include <string>
+#include <vector>
 
 #include "base/status.h"
 #include "core/superschema.h"
@@ -72,11 +73,28 @@ struct MaterializeStats {
 metalog::GraphCatalog SchemaCatalog(const core::SuperSchema& schema);
 
 // Runs Algorithm 2: materializes the intensional component `sigma_source`
-// (MetaLog) into `data` in place.
+// (MetaLog) into `data` in place.  The reasoning step decodes only
+// kFlushLabels back into the dictionary: flush reads nothing else.
 Result<MaterializeStats> Materialize(const core::SuperSchema& schema,
                                      const std::string& sigma_source,
                                      pg::PropertyGraph* data,
                                      const MaterializeOptions& options = {});
+
+// The labels flush reads: the staging constructs and the edges that tie
+// them to their attributes and endpoints.  The set is closed — every
+// endpoint is an I_SM_Node of the dictionary or a staged node — so the
+// derived facts of the input views and of Sigma's own labels need no
+// decoding.
+inline const std::vector<std::string> kFlushLabels = {
+    kOSmNode, kOSmEdge, kOSmAttribute, kOSmPropUpdate,
+    kOSmHasAttr, kOFrom, kOTo, kOOn};
+
+// Algorithm 2's flush: writes the staging constructs of `loaded.dict` —
+// property updates, new nodes, new edges deduplicated against `data` —
+// into `data`, and sets the counts and changed_labels of `stats`.
+Status FlushStaging(const core::SuperSchema& schema,
+                    const LoadedInstance& loaded, pg::PropertyGraph* data,
+                    MaterializeStats* stats);
 
 }  // namespace kgm::instance
 

@@ -34,22 +34,28 @@ Result<MetaRunResult> RunMetaLog(const MetaProgram& program,
   return RunCompiledMeta(compiled, graph, options);
 }
 
-Result<MetaRunResult> RunMetaLogSource(std::string_view source,
-                                       pg::PropertyGraph* graph,
-                                       const MetaRunOptions& options) {
+Result<MetaRunResult> RunMetaLogSource(
+    std::string_view source, pg::PropertyGraph* graph,
+    const MetaRunOptions& options,
+    const std::vector<std::string>& decode_labels) {
   if (options.prepared == nullptr) {
     KGM_ASSIGN_OR_RETURN(MetaProgram program, ParseMetaProgram(source));
-    return RunMetaLog(program, graph, options);
+    KGM_ASSIGN_OR_RETURN(
+        CompiledMeta compiled,
+        CompileMeta(std::move(program), BaseCatalog(*graph, options),
+                    options.mtv));
+    return RunCompiledMeta(compiled, graph, options, decode_labels);
   }
   KGM_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledMeta> compiled,
                        options.prepared->Compile(
                            source, BaseCatalog(*graph, options), options.mtv));
-  return RunCompiledMeta(*compiled, graph, options);
+  return RunCompiledMeta(*compiled, graph, options, decode_labels);
 }
 
-Result<MetaRunResult> RunCompiledMeta(const CompiledMeta& compiled,
-                                      pg::PropertyGraph* graph,
-                                      const MetaRunOptions& options) {
+Result<MetaRunResult> RunCompiledMeta(
+    const CompiledMeta& compiled, pg::PropertyGraph* graph,
+    const MetaRunOptions& options,
+    const std::vector<std::string>& decode_labels) {
   MetaRunResult result;
   const Clock::time_point t0 = Clock::now();
   vadalog::FactDb db = EncodeGraph(*graph, compiled.catalog);
@@ -64,9 +70,19 @@ Result<MetaRunResult> RunCompiledMeta(const CompiledMeta& compiled,
   result.engine_stats = engine.stats();
   result.vadalog_rule_count = engine.program().rules.size();
   const Clock::time_point t1 = Clock::now();
+  // DecodeGraph decodes the labels of the catalog it is given.
+  GraphCatalog decoded;
+  for (const std::string& label : decode_labels) {
+    if (compiled.catalog.HasNodeLabel(label)) {
+      decoded.AddNodeLabel(label, compiled.catalog.NodeProps(label));
+    } else if (compiled.catalog.HasEdgeLabel(label)) {
+      decoded.AddEdgeLabel(label, compiled.catalog.EdgeProps(label));
+    }
+  }
   KGM_ASSIGN_OR_RETURN(
       result.decode,
-      DecodeGraph(db, compiled.catalog, graph, encoded_rows));
+      DecodeGraph(db, decode_labels.empty() ? compiled.catalog : decoded,
+                  graph, encoded_rows));
   result.decode_seconds = Seconds(t1, Clock::now());
   return result;
 }

@@ -7,7 +7,8 @@
 //      relation's row count (CountRows),
 //   3. run the Vadalog engine to fixpoint (it only appends rows),
 //   4. decode the rows past those counts — the derived node/edge facts —
-//      back into the graph.
+//      back into the graph, of every catalog label or only of the labels
+//      the caller reads.
 //
 // Steps 2-4 live in RunCompiledMeta alone; every entry point ends there.
 //
@@ -18,6 +19,7 @@
 #define KGM_METALOG_RUNNER_H_
 
 #include <string>
+#include <vector>
 
 #include "base/status.h"
 #include "metalog/ast.h"
@@ -60,16 +62,22 @@ Result<MetaRunResult> RunMetaLog(const MetaProgram& program,
 
 // Parses and runs MetaLog source text.  With options.prepared set, the
 // parse+MTV compilation is served from the cache when possible.
-Result<MetaRunResult> RunMetaLogSource(std::string_view source,
-                                       pg::PropertyGraph* graph,
-                                       const MetaRunOptions& options = {});
+// `decode_labels` as in RunCompiledMeta.
+Result<MetaRunResult> RunMetaLogSource(
+    std::string_view source, pg::PropertyGraph* graph,
+    const MetaRunOptions& options = {},
+    const std::vector<std::string>& decode_labels = {});
 
 // Runs an already-compiled MetaLog program (from PreparedCache::Compile)
 // against `graph`.  The compilation's catalog must cover the graph's
-// labels; labels absent from it are skipped during encoding.
-Result<MetaRunResult> RunCompiledMeta(const CompiledMeta& compiled,
-                                      pg::PropertyGraph* graph,
-                                      const MetaRunOptions& options = {});
+// labels; labels absent from it are skipped during encoding.  The derived
+// facts of every catalog label are decoded into `graph`, or only those of
+// the labels `decode_labels` names when it is not empty; a caller that
+// reads only some labels back (instance::Materialize) skips the rest.
+Result<MetaRunResult> RunCompiledMeta(
+    const CompiledMeta& compiled, pg::PropertyGraph* graph,
+    const MetaRunOptions& options = {},
+    const std::vector<std::string>& decode_labels = {});
 
 }  // namespace kgm::metalog
 

@@ -35,9 +35,9 @@ struct CompiledLiteral {
   std::string pred;
   std::vector<ArgSlot> args;
   bool recursive = false;  // predicate in the rule's own SCC
-  // Index mask the barrier driver's written-order join probes for this
-  // literal (PlanJoin): constants plus variables bound by earlier body
-  // literals.  DeltaEvaluator calls plan their own bound-first masks.
+  // Index mask the rule's compile-time plan (CompiledRule::order) probes
+  // this literal with: constants plus the variables of the literals the
+  // plan joins before it.  DeltaEvaluator calls plan their own masks.
   uint64_t static_mask = 0;
   // Relation the join reads (nullptr when the predicate has none), with
   // its probe index built before the join starts — by PrepareJoinIndexes
@@ -79,6 +79,10 @@ struct CompiledRule {
 
   std::vector<CompiledLiteral> positives;
   std::vector<CompiledLiteral> negatives;
+  // The barrier driver's join order (PlanJoin with nothing pre-bound):
+  // recursion depth d joins positives[order[d]], and every work item
+  // partitions positives[order[0]].
+  std::vector<uint32_t> order;
   // Assignments evaluated before aggregation, and those that depend
   // (transitively) on aggregate results, evaluated after it.
   std::vector<std::pair<int, ExprPtr>> assignments;       // pre-aggregation
@@ -164,15 +168,13 @@ struct JoinPlan {
 };
 
 // Plans the join of `cr` with the slots in `bound` bound before it starts.
-// A literal's mask is its constants plus the variables bound when it
-// joins; negated literals are checked with every named argument bound.
-// Written order (bound_first = false) gives CompiledLiteral::static_mask.
-// Bound first, each depth takes the first unevaluated positive literal, in
-// written order, from the best tier: fully bound (a containment probe),
-// then partly bound (an index lookup), then unbound (a scan).  The plan
-// depends only on the rule's shape and `bound`: it needs no statistics.
-JoinPlan PlanJoin(const CompiledRule& cr, std::vector<char> bound,
-                  bool bound_first) {
+// Each depth takes the first unevaluated positive literal, in written
+// order, from the best tier: fully bound (a containment probe), then partly
+// bound (an index lookup), then unbound (a scan).  A literal's mask is its
+// constants plus the variables bound when it joins; negated literals are
+// checked with every named argument bound.  The plan depends only on the
+// rule's shape and `bound`: it needs no statistics.
+JoinPlan PlanJoin(const CompiledRule& cr, std::vector<char> bound) {
   auto mask_of = [&bound](const CompiledLiteral& lit) {
     uint64_t m = 0;
     for (size_t i = 0; i < lit.args.size(); ++i) {
@@ -187,19 +189,16 @@ JoinPlan PlanJoin(const CompiledRule& cr, std::vector<char> bound,
   plan.masks.assign(n + cr.negatives.size(), 0);
   std::vector<char> taken(n, 0);
   while (plan.order.size() < n) {
-    size_t best = plan.order.size();
-    if (bound_first) {
-      best = n;
-      int best_tier = 3;
-      for (size_t i = 0; i < n && best_tier > 0; ++i) {
-        if (taken[i]) continue;
-        uint64_t m = mask_of(cr.positives[i]);
-        size_t arity = cr.positives[i].args.size();
-        int tier = m == 0 ? 2 : FullyBoundMask(m, arity) ? 0 : 1;
-        if (tier < best_tier) {
-          best = i;
-          best_tier = tier;
-        }
+    size_t best = n;
+    int best_tier = 3;
+    for (size_t i = 0; i < n && best_tier > 0; ++i) {
+      if (taken[i]) continue;
+      uint64_t m = mask_of(cr.positives[i]);
+      size_t arity = cr.positives[i].args.size();
+      int tier = m == 0 ? 2 : FullyBoundMask(m, arity) ? 0 : 1;
+      if (tier < best_tier) {
+        best = i;
+        best_tier = tier;
       }
     }
     taken[best] = 1;
@@ -274,8 +273,9 @@ struct EvalContext {
   std::vector<Tuple> join_probes;
 
   // Join order for this evaluation: recursion depth d evaluates positive
-  // literal (*order)[d]; nullptr = written order.  Only DeltaEvaluator
-  // calls set it (see PlanJoin).
+  // literal (*order)[d].  Barrier work items join by the rule's
+  // compile-time plan (EvalRule sets CompiledRule::order); a DeltaEvaluator
+  // call joins by a plan made for what it pre-binds.
   const std::vector<uint32_t>* order = nullptr;
 
   // Counters, flushed into EngineStats by the driver.
@@ -500,14 +500,14 @@ Status Engine::Impl::CompileRule(const Rule& rule, int index) {
     }
   }
 
-  // Static probe masks: the barrier driver joins in written order with
-  // nothing bound up front (assignments run after all positives).
-  const JoinPlan written = PlanJoin(
-      cr, std::vector<char>(cr.slot_names.size(), 0), /*bound_first=*/false);
-  for (size_t i = 0, np = cr.positives.size(); i < written.masks.size(); ++i) {
+  // The barrier driver's plan, with nothing bound up front (assignments
+  // run after all positives): its order and every literal's probe mask.
+  JoinPlan plan = PlanJoin(cr, std::vector<char>(cr.slot_names.size(), 0));
+  for (size_t i = 0, np = cr.positives.size(); i < plan.masks.size(); ++i) {
     (i < np ? cr.positives[i] : cr.negatives[i - np]).static_mask =
-        written.masks[i];
+        plan.masks[i];
   }
+  cr.order = std::move(plan.order);
 
   std::unordered_set<std::string> result_names;
   for (const Aggregate& a : rule.aggregates) {
@@ -951,8 +951,8 @@ Status Engine::Impl::FoldItemContributions(std::deque<WorkItem>& items) {
 Status Engine::Impl::FoldAndEmitStratified(CompiledRule& cr,
                                            std::deque<WorkItem>& items) {
   auto t0 = std::chrono::steady_clock::now();
-  // Fold in work-item order: the rule's items cover ascending scan ranges
-  // of its first body literal, so this replays exactly the unpartitioned
+  // Fold in work-item order: the rule's items cover ascending row ranges
+  // of its outermost literal, so this replays exactly the unpartitioned
   // contribution order (float sums are bit-identical).
   std::unordered_map<Tuple, GroupState, TupleHashFn> groups;
   std::vector<Tuple> order;
@@ -1055,7 +1055,7 @@ Status Engine::Impl::EvalStratum(int stratum,
   cur_delta = nullptr;
 
   // Phase A: independent-rule batches.  Each rule fans out into
-  // (rule x scan partition) items: the first body literal is
+  // (rule x partition) items: the literal its plan joins outermost is
   // range-restricted, so large scans split across the pool while the
   // concatenation of the partitions preserves the unpartitioned
   // enumeration order.
@@ -1074,7 +1074,8 @@ Status Engine::Impl::EvalStratum(int stratum,
         item.delta_literal = -1;
         continue;
       }
-      const Relation* scan = db->Get(cr->positives[0].pred);
+      const uint32_t outer = cr->order[0];
+      const Relation* scan = cr->positives[outer].rel;
       size_t rows = scan == nullptr ? 0 : scan->size();
       if (rows == 0) continue;  // empty scan: the rule cannot fire
       size_t parts = PartitionCount(rows);
@@ -1085,7 +1086,7 @@ Status Engine::Impl::EvalStratum(int stratum,
         WorkItem& item = items.emplace_back();
         item.rule = cr;
         item.delta_literal = -1;
-        item.ctx.range_literal = 0;
+        item.ctx.range_literal = static_cast<int>(outer);
         item.ctx.row_begin = begin;
         item.ctx.row_end = std::min(rows, begin + chunk);
       }
@@ -1097,9 +1098,9 @@ Status Engine::Impl::EvalStratum(int stratum,
   }
 
   // Phase B: semi-naive fixpoint; work items are (rule x recursive
-  // literal x partition of the outermost literal), all joining against the
-  // frozen database and the current delta, merged at the iteration
-  // barrier.
+  // literal x partition of the plan's outermost literal), all joining
+  // against the frozen database and the current delta, merged at the
+  // iteration barrier.
   std::vector<std::pair<CompiledRule*, int>> rec_slots;
   for (CompiledRule* cr : rules) {
     for (size_t li = 0; li < cr->positives.size(); ++li) {
@@ -1139,11 +1140,15 @@ Status Engine::Impl::EvalStratum(int stratum,
       if (lit.static_mask != 0 && !FullyBoundMask(lit.static_mask, n)) {
         dit->second.EnsureIndex(lit.static_mask);
       }
-      // Partition only over written literal 0, which is evaluated
-      // outermost: the partitions then enumerate consecutive slices of the
-      // one-item firing order, so the output does not depend on how many
+      // Partition only the literal the plan joins outermost — the delta
+      // when it is the delta literal, its database relation otherwise: the
+      // partitions then enumerate consecutive slices of the one-item
+      // firing order, so the output does not depend on how many
       // partitions the worker count allows.
-      const Relation* scan = li == 0 ? &dit->second : cr->positives[0].rel;
+      const uint32_t outer = cr->order[0];
+      const Relation* scan = static_cast<int>(outer) == li
+                                 ? &dit->second
+                                 : cr->positives[outer].rel;
       size_t rows = scan == nullptr ? 0 : scan->size();
       size_t parts = PartitionCount(rows);
       size_t chunk = (rows + parts - 1) / parts;
@@ -1153,7 +1158,7 @@ Status Engine::Impl::EvalStratum(int stratum,
         WorkItem& item = items.emplace_back();
         item.rule = cr;
         item.delta_literal = li;
-        item.ctx.range_literal = 0;
+        item.ctx.range_literal = static_cast<int>(outer);
         item.ctx.row_begin = begin;
         item.ctx.row_end = std::min(rows, begin + chunk);
       }
@@ -1176,6 +1181,7 @@ Status Engine::Impl::EvalStratum(int stratum,
 Status Engine::Impl::EvalRule(EvalContext& ctx, CompiledRule& cr,
                               int delta_literal) {
   ctx.rule = &cr;
+  ctx.order = &cr.order;
   ctx.slots.assign(cr.slot_names.size(), Value());
   ctx.bound.assign(cr.slot_names.size(), 0);
   return Join(ctx, cr, 0, delta_literal);
@@ -1184,11 +1190,10 @@ Status Engine::Impl::EvalRule(EvalContext& ctx, CompiledRule& cr,
 Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
                           size_t literal_index, int delta_literal) {
   if (literal_index == cr.positives.size()) return FinishBinding(ctx, cr);
-  // Under a join order, recursion depth d evaluates literal (*order)[d];
-  // everything below keys on the ACTUAL written literal index (delta /
-  // range checks, probe scratch).
-  const size_t actual =
-      ctx.order != nullptr ? (*ctx.order)[literal_index] : literal_index;
+  // Recursion depth d evaluates literal (*order)[d]; everything below keys
+  // on the ACTUAL written literal index (delta / range checks, probe
+  // scratch).
+  const size_t actual = (*ctx.order)[literal_index];
   const CompiledLiteral& lit = cr.positives[actual];
   bool is_delta = static_cast<int>(actual) == delta_literal;
   bool is_ranged = static_cast<int>(actual) == ctx.range_literal;
@@ -1273,8 +1278,9 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
   if (FullyBoundMask(mask, n)) {
     // Fully bound: containment test (by row so the partition filter
     // applies — a fully bound partitioned literal must match in exactly
-    // one partition, not every one).
-    ++ctx.probes;
+    // one partition, not every one).  Its first partition counts the
+    // probe, so the count does not depend on the partitioning either.
+    if (range_begin == 0) ++ctx.probes;
     size_t row = source->RowOf(probe);
     if (row != Relation::kNoRow && row >= range_begin && row < range_end) {
       return Join(ctx, cr, literal_index + 1, delta_literal);
@@ -1282,8 +1288,11 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
     return OkStatus();
   }
   if (indexed) {
+    // A chain lists its rows in ascending order, so a partition's rows end
+    // at the first row past its range.
     for (uint32_t rowi : source->LookupBuilt(mask, probe)) {
-      if (rowi < range_begin || rowi >= range_end) continue;
+      if (rowi >= range_end) break;
+      if (rowi < range_begin) continue;
       ++ctx.probes;
       if (!source->MatchesMasked(rowi, mask, probe)) continue;
       KGM_RETURN_IF_ERROR(try_row(source->tuple(rowi)));
@@ -1706,7 +1715,7 @@ Status DeltaEvaluator::EvalRuleDelta(size_t rule_index, size_t literal_index,
   for (const ArgSlot& a : lit.args) {
     if (a.slot >= 0) prebound[a.slot] = 1;
   }
-  const JoinPlan plan = PlanJoin(cr, std::move(prebound), /*bound_first=*/true);
+  const JoinPlan plan = PlanJoin(cr, std::move(prebound));
   EvalContext ctx;
   state_->Prepare(cr, plan, delta_literal, &delta_rel, &ctx);
   impl.cur_delta = &delta_rels;
@@ -1774,7 +1783,7 @@ Status DeltaEvaluator::EvalRuleSeeded(size_t rule_index, size_t head_index,
   // The pre-bound head variables restrict every literal they appear in,
   // and the bound-first order starts from the literals they bind — this is
   // a targeted derivability probe, not a full rule evaluation.
-  const JoinPlan plan = PlanJoin(cr, ctx.bound, /*bound_first=*/true);
+  const JoinPlan plan = PlanJoin(cr, ctx.bound);
   state_->Prepare(cr, plan, /*delta_literal=*/-1, nullptr, &ctx);
   Status status = impl.Join(ctx, cr, 0, /*delta_literal=*/-1);
   return state_->Finish(ctx, std::move(status), emit);

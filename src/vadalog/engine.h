@@ -53,8 +53,9 @@ struct EngineOptions {
   // the engine's pool holds num_threads - 1 helpers, and the driver runs
   // work items beside them at every barrier.  0 = hardware_concurrency;
   // at 1 the driver runs every work item itself.  Every stratum runs one
-  // barrier driver: Phase-A (rule x scan-partition) and Phase-B (rule x
-  // delta-literal x partition) work items join against the frozen
+  // barrier driver: Phase-A (rule x partition) and Phase-B (rule x
+  // delta-literal x partition) work items, each a row range of the literal
+  // its rule's bound-first plan joins outermost, join against the frozen
   // pre-barrier database and record what they derive, in firing order; at
   // the iteration barrier the driver inserts the recorded facts in
   // ascending (item, seq) order, so the first copy in item order survives
@@ -159,11 +160,12 @@ Status RunProgram(std::string_view source, FactDb* db,
 // join/binding/emit machinery — assignments-as-equality-constraints,
 // condition splits and Skolem interning behave exactly as in Engine::Run,
 // which is what makes the maintained database converge to the from-scratch
-// result.  Unlike Engine::Run, which joins in written order, both calls
-// join bound-first: at each depth the first remaining literal, in written
-// order, whose arguments are all bound, else the first partly bound one,
-// else the first remaining one (DESIGN.md §3.11).  Emissions come in that
-// join order, not in written order.
+// result.  Both calls join bound-first, like Engine::Run: at each depth
+// the first remaining literal, in written order, whose arguments are all
+// bound, else the first partly bound one, else the first remaining one
+// (DESIGN.md §3.11).  Engine::Run plans each rule once with nothing bound;
+// a call plans for what it pre-binds, so its emissions come in that join
+// order, not in Engine::Run's.
 //
 // The database must not change during a call: like a barrier work item, a
 // call builds the indexes its join order probes before the join starts and

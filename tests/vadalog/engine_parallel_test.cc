@@ -215,6 +215,54 @@ TEST(EngineParallelTest, LabeledClosureIsBitIdenticalAtEveryThreadCount) {
   }
 }
 
+// Plans that join a later literal outermost, so work items partition it:
+// the constant-bound s(x, "k") in the first rule, and in the recursive
+// rule t(y, "k", z), with the delta literal r(y) joined inside it.  The
+// ground flag("on") joins first and is a containment probe.  Each
+// partitioned relation holds enough rows to split at 16 threads.
+constexpr const char* kReorderedOuter = R"(
+  e(x, y), s(x, "k") -> r(y).
+  r(y), t(y, "k", z) -> r(z).
+  flag("on"), e(x, y) -> q(x, y).
+)";
+
+TEST(EngineParallelTest, ReorderedOuterLiteralIsBitIdenticalAtEveryThreadCount) {
+  constexpr int64_t kNodes = 3000;
+  FactDb input;
+  Rng rng(29);
+  for (int64_t i = 0; i < kNodes; ++i) {
+    const int64_t x = static_cast<int64_t>(rng.NextBelow(kNodes));
+    const int64_t y = static_cast<int64_t>(rng.NextBelow(kNodes));
+    input.Add("e", {Value(x), Value(y)});
+    input.Add("s", {Value(i), Value(i % 7 == 0 ? "k" : "j")});
+    input.Add("t", {Value(y), Value(i % 3 == 0 ? "k" : "j"),
+                    Value(static_cast<int64_t>(rng.NextBelow(kNodes)))});
+    input.Add("flag", {Value("off" + std::to_string(i))});
+  }
+  input.Add("flag", {Value("on")});
+  std::string one_thread;
+  size_t one_thread_probes = 0;
+  for (size_t threads : {1u, 2u, 4u, 16u}) {
+    auto parsed = ParseProgram(kReorderedOuter);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EngineOptions options;
+    options.num_threads = threads;
+    Engine engine(std::move(parsed).value(), options);
+    ASSERT_TRUE(engine.status().ok()) << engine.status().ToString();
+    FactDb db = input.Clone();
+    ASSERT_TRUE(engine.Run(&db).ok());
+    ASSERT_GT(db.Get("r")->size(), 100u);
+    ASSERT_EQ(db.Get("q")->size(), db.Get("e")->size());
+    if (threads == 1) {
+      one_thread = db.DebugString();
+      one_thread_probes = engine.stats().join_probes;
+    }
+    EXPECT_EQ(db.DebugString(), one_thread) << "threads " << threads;
+    EXPECT_EQ(engine.stats().join_probes, one_thread_probes)
+        << "threads " << threads;
+  }
+}
+
 TEST(EngineParallelTest, StatsArePopulated) {
   const char* program = R"(
     edge(x, y) -> path(x, y).

@@ -389,5 +389,29 @@ TEST(EngineTest, EngineStatsPopulated) {
   EXPECT_GE(engine.stats().strata, 1);
 }
 
+// The barrier driver joins bound-first: after a(x) the plan takes the
+// partly bound c(x, y) and then checks b(y) by containment, so the join
+// never scans b.  Written order would scan b once per a row.
+TEST(EngineTest, BarrierJoinProbesDoNotGrowWithUnboundRelation) {
+  constexpr int64_t kRows = 10;
+  auto probes = [](int64_t b_rows) {
+    FactDb db;
+    for (int64_t i = 0; i < kRows; ++i) {
+      db.Add("a", {Value(i)});
+      db.Add("c", {Value(i), Value(i + 1)});
+    }
+    for (int64_t i = 0; i < b_rows; ++i) db.Add("b", {Value(i)});
+    Engine engine(ParseProgram("a(x), b(y), c(x, y) -> d(x, y).").value());
+    EXPECT_TRUE(engine.status().ok()) << engine.status().ToString();
+    EXPECT_TRUE(engine.Run(&db).ok());
+    EXPECT_EQ(Count(db, "d"), static_cast<size_t>(kRows));
+    return engine.stats().join_probes;
+  };
+  const size_t small = probes(1'000);
+  EXPECT_EQ(probes(10'000), small);
+  // One probe per literal for every a row.
+  EXPECT_LE(small, static_cast<size_t>(3 * kRows));
+}
+
 }  // namespace
 }  // namespace kgm::vadalog

@@ -83,14 +83,15 @@ run ctest --test-dir build --output-on-failure -j "$JOBS"
 run ./build/examples/kgmctl lint --schema company examples/programs/*
 
 # Output must not change, at any thread count: each shipped program's
-# `kgmctl explain` output fingerprint, at 1 and at 4 threads, must equal
-# the one pinned in tools/explain_fingerprints.txt.
+# `kgmctl explain` output fingerprints (row order and sorted content), at 1
+# and at 4 threads, must equal the ones pinned in
+# tools/explain_fingerprints.txt.
 EXPLAIN_PROGRAMS=(
   examples/programs/owns.mlog examples/programs/control.mlog
   examples/programs/stakeholders.mlog examples/programs/family.mlog
   examples/programs/closelinks.mlog examples/programs/reach.vlog
 )
-echo "== kgmctl explain (fingerprints at 1 and 4 threads vs tools/explain_fingerprints.txt)"
+echo "== kgmctl explain (fingerprints and content fingerprints at 1 and 4 threads vs tools/explain_fingerprints.txt)"
 ./build/examples/kgmctl explain --json --threads 1 "${EXPLAIN_PROGRAMS[@]}" \
   > build/explain-threads-1.json
 ./build/examples/kgmctl explain --json --threads 4 "${EXPLAIN_PROGRAMS[@]}" \
@@ -103,18 +104,19 @@ import sys
 pinned = {}
 for line in open(sys.argv[1]):
     if line.strip() and not line.startswith("#"):
-        path, fingerprint = line.split()
-        pinned[path] = fingerprint
+        path, fingerprint, content = line.split()
+        pinned[path] = (fingerprint, content)
 failures = []
 for run_path in sys.argv[2:]:
     run = json.load(open(run_path))
     if sorted(entry["file"] for entry in run) != sorted(pinned):
         failures.append(run_path + ": programs differ from the pinned list")
     for entry in run:
-        if entry["fingerprint"] != pinned.get(entry["file"]):
+        got = (entry["fingerprint"], entry["content_fingerprint"])
+        if got != pinned.get(entry["file"]):
             failures.append("%s at %d threads: %s, pinned %s" % (
-                entry["file"], entry["threads"], entry["fingerprint"],
-                pinned.get(entry["file"])))
+                entry["file"], entry["threads"], " ".join(got),
+                " ".join(pinned.get(entry["file"], ("none",)))))
 if failures:
     sys.exit("kgmctl explain: output differs from the pinned fingerprints:\n  "
              + "\n  ".join(failures))
