@@ -11,14 +11,18 @@
 // cache is disabled so every request measures evaluation.
 //
 // Per phase the harness reports throughput, latency percentiles, total
-// join probes and fallback counts; the whole run is spliced as a
+// join probes and fallback counts.  One timed run records host load as
+// much as code (runs of one binary spread several-fold on a shared host),
+// so each phase runs kRepeats times, alternating the two modes: qps is
+// the median run's, with the min and max beside it, and the counts and
+// latency percentiles cover every run.  The whole run is spliced as a
 // "point_query" section into BENCH_service.json (run after bench_service,
 // which creates the file).  The probe-reduction factor is asserted: magic
 // must beat the materialize baseline by >= 5x on this workload or the
 // bench exits nonzero — probe counts are deterministic, so this is a
 // correctness-of-optimization gate, not a timing gate.
 //
-// Usage: bench_pointquery [output.json] [seconds_per_phase] [companies]
+// Usage: bench_pointquery [output.json] [seconds_per_run] [companies]
 //                         [persons]
 // Default output file: BENCH_service.json in the working directory.
 
@@ -42,6 +46,8 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+constexpr size_t kRepeats = 5;
 
 // Section writer: builds the "point_query" JSON object in memory so it
 // can be spliced into bench_service's BENCH_service.json.
@@ -95,13 +101,26 @@ constexpr const char* kReachProgram =
     "reach(x, y), OWNS(_e, y, z, _w) -> reach(x, z).\n"
     "@output(\"reach\").\n";
 
-struct PhaseResult {
+// One timed run of a phase.
+struct PhaseRun {
   size_t queries = 0;
   size_t errors = 0;
   size_t fallbacks = 0;     // answered by materialize despite routing on
   size_t probes_total = 0;  // engine join probes across all requests
-  double seconds = 0;
   double qps = 0;
+  std::vector<double> latencies;  // seconds, one per query
+};
+
+// The runs of one phase: counts and latency percentiles over every run,
+// qps of the median run with the lowest and highest.
+struct PhaseResult {
+  size_t queries = 0;
+  size_t errors = 0;
+  size_t fallbacks = 0;
+  size_t probes_total = 0;
+  double qps = 0;
+  double qps_min = 0;
+  double qps_max = 0;
   double p50 = 0;
   double p95 = 0;
   double p99 = 0;
@@ -118,9 +137,9 @@ double Percentile(const std::vector<double>& sorted, double p) {
 
 // Runs `clients` closed-loop threads firing bound reach queries for
 // `duration`; `use_point_query = false` forces the materialize baseline.
-PhaseResult RunPhase(kgm::service::KgService& svc,
-                     const std::vector<kgm::Value>& sources, size_t clients,
-                     double duration, bool use_point_query) {
+PhaseRun RunPhase(kgm::service::KgService& svc,
+                  const std::vector<kgm::Value>& sources, size_t clients,
+                  double duration, bool use_point_query) {
   std::atomic<size_t> queries{0};
   std::atomic<size_t> errors{0};
   std::atomic<size_t> fallbacks{0};
@@ -166,13 +185,37 @@ PhaseResult RunPhase(kgm::service::KgService& svc,
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : threads) t.join();
 
-  PhaseResult r;
-  r.seconds = std::chrono::duration<double>(Clock::now() - start).count();
+  PhaseRun r;
+  const double seconds =
+      std::chrono::duration<double>(Clock::now() - start).count();
   r.queries = queries.load();
   r.errors = errors.load();
   r.fallbacks = fallbacks.load();
   r.probes_total = probes.load();
-  r.qps = r.seconds > 0 ? static_cast<double>(r.queries) / r.seconds : 0;
+  r.qps = seconds > 0 ? static_cast<double>(r.queries) / seconds : 0;
+  r.latencies = std::move(latencies);
+  return r;
+}
+
+PhaseResult Combine(const std::vector<PhaseRun>& runs) {
+  PhaseResult r;
+  std::vector<double> qps;
+  std::vector<double> latencies;
+  for (const PhaseRun& run : runs) {
+    r.queries += run.queries;
+    r.errors += run.errors;
+    r.fallbacks += run.fallbacks;
+    r.probes_total += run.probes_total;
+    qps.push_back(run.qps);
+    latencies.insert(latencies.end(), run.latencies.begin(),
+                     run.latencies.end());
+  }
+  if (!qps.empty()) {
+    std::sort(qps.begin(), qps.end());
+    r.qps = qps[qps.size() / 2];
+    r.qps_min = qps.front();
+    r.qps_max = qps.back();
+  }
   std::sort(latencies.begin(), latencies.end());
   r.p50 = Percentile(latencies, 0.50);
   r.p95 = Percentile(latencies, 0.95);
@@ -186,6 +229,8 @@ void WritePhase(SectionWriter& w, const char* key, const PhaseResult& r) {
   w.Field("errors", r.errors);
   w.Field("fallbacks", r.fallbacks);
   w.Field("qps", r.qps);
+  w.Field("qps_min", r.qps_min);
+  w.Field("qps_max", r.qps_max);
   w.Field("latency_p50", r.p50);
   w.Field("latency_p95", r.p95);
   w.Field("latency_p99", r.p99);
@@ -278,6 +323,7 @@ int main(int argc, char** argv) {
   w.Field("persons", static_cast<size_t>(config.num_persons));
   w.Field("bindings", sources.size());
   w.Field("phase_seconds", phase_seconds);
+  w.Field("repeats", kRepeats);
   w.Field("host_cpus",
           static_cast<size_t>(std::thread::hardware_concurrency()));
   w.Field("build_type", KGM_BUILD_TYPE);
@@ -291,10 +337,16 @@ int main(int argc, char** argv) {
   bool have_reduction = false;
   w.Open("clients", '[');
   for (size_t clients : {size_t{1}, size_t{8}, size_t{32}}) {
-    PhaseResult magic =
-        RunPhase(svc, sources, clients, phase_seconds, true);
-    PhaseResult mat =
-        RunPhase(svc, sources, clients, phase_seconds, false);
+    std::vector<PhaseRun> magic_runs;
+    std::vector<PhaseRun> mat_runs;
+    for (size_t i = 0; i < kRepeats; ++i) {
+      magic_runs.push_back(
+          RunPhase(svc, sources, clients, phase_seconds, true));
+      mat_runs.push_back(
+          RunPhase(svc, sources, clients, phase_seconds, false));
+    }
+    const PhaseResult magic = Combine(magic_runs);
+    const PhaseResult mat = Combine(mat_runs);
     total_errors += magic.errors + mat.errors;
 
     const double magic_ppq =

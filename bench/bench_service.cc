@@ -3,10 +3,15 @@
 // the throughput/latency difference between the uncached path (every
 // request compiles + evaluates) and the warm result cache (every request is
 // a lookup against the pinned epoch) is written to BENCH_service.json.
+// One timed run of a phase records host load as much as code (runs of one
+// binary spread several-fold on a shared host), so each phase runs
+// kRepeats times, alternating with the other phase, and the file records
+// the median run's qps with the min and max.
 //
-// Usage: bench_service [output.json] [clients] [seconds_per_phase]
+// Usage: bench_service [output.json] [clients] [seconds_per_run]
 // Default output file: BENCH_service.json in the working directory.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -21,6 +26,8 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+constexpr size_t kRepeats = 5;
 
 struct JsonWriter {
   FILE* f;
@@ -90,6 +97,36 @@ struct PhaseResult {
   double seconds = 0;
   double qps = 0;
 };
+
+// The runs of one phase: counts summed over the runs, qps of the median
+// run with the lowest and highest.
+struct RepeatedPhase {
+  size_t queries = 0;
+  size_t errors = 0;
+  size_t cache_hits = 0;
+  size_t runs = 0;
+  double qps = 0;
+  double qps_min = 0;
+  double qps_max = 0;
+};
+
+RepeatedPhase Combine(const std::vector<PhaseResult>& runs) {
+  RepeatedPhase out;
+  std::vector<double> qps;
+  for (const PhaseResult& r : runs) {
+    out.queries += r.queries;
+    out.errors += r.errors;
+    out.cache_hits += r.cache_hits;
+    qps.push_back(r.qps);
+  }
+  out.runs = runs.size();
+  if (qps.empty()) return out;
+  std::sort(qps.begin(), qps.end());
+  out.qps = qps[qps.size() / 2];
+  out.qps_min = qps.front();
+  out.qps_max = qps.back();
+  return out;
+}
 
 // Runs `clients` closed-loop threads against `svc` for `duration`.
 PhaseResult RunPhase(kgm::service::KgService& svc,
@@ -165,8 +202,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  PhaseResult uncached = RunPhase(svc, mix, clients, phase_seconds, false);
-  PhaseResult cached = RunPhase(svc, mix, clients, phase_seconds, true);
+  std::vector<PhaseResult> uncached_runs;
+  std::vector<PhaseResult> cached_runs;
+  for (size_t i = 0; i < kRepeats; ++i) {
+    uncached_runs.push_back(RunPhase(svc, mix, clients, phase_seconds, false));
+    cached_runs.push_back(RunPhase(svc, mix, clients, phase_seconds, true));
+  }
+  const RepeatedPhase uncached = Combine(uncached_runs);
+  const RepeatedPhase cached = Combine(cached_runs);
   const double speedup = uncached.qps > 0 ? cached.qps / uncached.qps : 0;
 
   kgm::service::StatsSnapshot stats = svc.Stats();
@@ -181,6 +224,7 @@ int main(int argc, char** argv) {
   w.Field("bench", "service");
   w.Field("clients", clients);
   w.Field("phase_seconds", phase_seconds);
+  w.Field("repeats", kRepeats);
   // Interpreting this file across runs: qps/latency depend on the host.
   // On a 1-CPU CI runner the closed-loop clients time-share one core with
   // the worker pool, so absolute numbers there are indicative only —
@@ -199,12 +243,16 @@ int main(int argc, char** argv) {
   w.Field("queries", uncached.queries);
   w.Field("errors", uncached.errors);
   w.Field("qps", uncached.qps);
+  w.Field("qps_min", uncached.qps_min);
+  w.Field("qps_max", uncached.qps_max);
   w.Close('}');
   w.Open("result_cached", '{');
   w.Field("queries", cached.queries);
   w.Field("errors", cached.errors);
   w.Field("cache_hits", cached.cache_hits);
   w.Field("qps", cached.qps);
+  w.Field("qps_min", cached.qps_min);
+  w.Field("qps_max", cached.qps_max);
   w.Close('}');
   w.Field("speedup", speedup);
   w.Open("service_stats", '{');

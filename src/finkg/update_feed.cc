@@ -10,7 +10,8 @@ UpdateFeed::UpdateFeed(const vadalog::Relation* edges, UpdateFeedConfig config)
     : config_(std::move(config)), rng_(config_.seed) {
   if (edges == nullptr || edges->arity() < 3) return;
   arity_ = edges->arity();
-  live_ = edges->tuples();
+  const vadalog::Relation::LiveTuples rows = edges->tuples();
+  live_.assign(rows.begin(), rows.end());
   std::set<Value> seen;
   for (const vadalog::Tuple& t : live_) {
     if (t[0].is_int()) next_oid_ = std::max(next_oid_, t[0].AsInt() + 1);

@@ -371,7 +371,7 @@ vadalog::FactDb EncodeGraph(const pg::PropertyGraph& graph,
 RowCounts CountRows(const vadalog::FactDb& db) {
   RowCounts counts;
   for (const std::string& pred : db.Predicates()) {
-    counts.emplace(pred, db.Get(pred)->size());
+    counts.emplace(pred, db.Get(pred)->row_bound());
   }
   return counts;
 }
@@ -402,7 +402,7 @@ Result<DecodeStats> DecodeGraph(const vadalog::FactDb& db,
                                    const vadalog::Relation& rel) {
     auto it = encoded_rows.find(label);
     return it == encoded_rows.end() ? size_t{0}
-                                    : std::min(it->second, rel.size());
+                                    : std::min(it->second, rel.row_bound());
   };
   DecodeStats stats;
   NodeResolver nodes(*graph);
@@ -414,7 +414,8 @@ Result<DecodeStats> DecodeGraph(const vadalog::FactDb& db,
     const vadalog::Relation* rel = db.Get(label);
     if (rel == nullptr) continue;
     const std::vector<std::string>& props = catalog.NodeProps(label);
-    for (size_t row = first_row(label, *rel); row < rel->size(); ++row) {
+    for (size_t row = first_row(label, *rel); row < rel->row_bound(); ++row) {
+      if (!rel->live(row)) continue;
       const vadalog::Tuple& t = rel->tuple(row);
       const Value& oid = t[0];
       pg::NodeId id = nodes.Find(oid);
@@ -443,7 +444,8 @@ Result<DecodeStats> DecodeGraph(const vadalog::FactDb& db,
     const vadalog::Relation* rel = db.Get(label);
     if (rel == nullptr) continue;
     const std::vector<std::string>& props = catalog.EdgeProps(label);
-    for (size_t row = first_row(label, *rel); row < rel->size(); ++row) {
+    for (size_t row = first_row(label, *rel); row < rel->row_bound(); ++row) {
+      if (!rel->live(row)) continue;
       const vadalog::Tuple& t = rel->tuple(row);
       const Value& oid = t[0];
       // Resolve the endpoints before the existing-edge lookup: an existing

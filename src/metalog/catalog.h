@@ -88,12 +88,13 @@ class GraphCatalog {
 vadalog::FactDb EncodeGraph(const pg::PropertyGraph& graph,
                             const GraphCatalog& catalog);
 
-// Row count of each relation of a database, by predicate.
+// Row-id bound of each relation of a database, by predicate.
 using RowCounts = std::map<std::string, size_t>;
 
-// The row count of every relation of `db`.  Taken right after EncodeGraph,
-// it marks where the graph's own encoding ends: Engine::Run only appends,
-// so the rows past each count are the ones the engine derived.
+// The row-id bound (Relation::row_bound) of every relation of `db`.  Taken
+// right after EncodeGraph, it marks where the graph's own encoding ends:
+// Engine::Run only appends, so the rows past each bound are the ones the
+// engine derived.
 RowCounts CountRows(const vadalog::FactDb& db);
 
 // Statistics of a decode pass.

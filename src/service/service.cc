@@ -474,7 +474,8 @@ Result<QueryResult> KgService::EvaluateOnSnapshot(
     KGM_RETURN_IF_ERROR(engine.Run(&db));
     out.join_probes = engine.stats().join_probes;
     if (const vadalog::Relation* rel = db.Get(request.output)) {
-      *rows = rel->tuples();
+      const vadalog::Relation::LiveTuples live = rel->tuples();
+      rows->assign(live.begin(), live.end());
     }
   }
   out.rows = std::move(rows);

@@ -55,15 +55,25 @@ RowIndex::Rows RowIndex::Lookup(size_t hash) const {
     const size_t wrap = table_.size() - 1;
     for (size_t s = Home(hash);; s = (s + 1) & wrap) {
       const Entry& e = table_[s];
-      if (e.first == kEnd) break;
+      if (e.first == kFree) break;
       if (e.hash == hash) return Rows(next_.data(), e.first);
     }
   }
   return Rows(next_.data(), kEnd);
 }
 
+RowIndex::Entry* RowIndex::Find(size_t hash) {
+  if (entries_ == 0) return nullptr;
+  const size_t wrap = table_.size() - 1;
+  for (size_t s = Home(hash);; s = (s + 1) & wrap) {
+    Entry& e = table_[s];
+    if (e.first == kFree) return nullptr;
+    if (e.hash == hash) return &e;
+  }
+}
+
 void RowIndex::Append(size_t hash) {
-  KGM_CHECK(next_.size() < kEnd);
+  KGM_CHECK(next_.size() < kFree);
   const uint32_t row = static_cast<uint32_t>(next_.size());
   next_.push_back(kEnd);
   if (2 * (entries_ + 1) > table_.size()) {
@@ -73,42 +83,59 @@ void RowIndex::Append(size_t hash) {
   const size_t wrap = table_.size() - 1;
   for (size_t s = Home(hash);; s = (s + 1) & wrap) {
     Entry& e = table_[s];
-    if (e.first == kEnd) {
+    if (e.first == kFree) {
       e = Entry{hash, row, row};
       ++entries_;
       return;
     }
     if (e.hash == hash) {
-      next_[e.last] = row;
+      if (e.first == kEnd) {
+        e.first = row;
+      } else {
+        next_[e.last] = row;
+      }
       e.last = row;
       return;
     }
   }
 }
 
-void RowIndex::Compact(const std::vector<char>& dead,
-                       const std::vector<uint32_t>& remap) {
-  // remap[n - 1] counts the live rows before the last one.
-  const size_t n = next_.size();
-  const size_t kept = n == 0 ? 0 : remap[n - 1] + (dead[n - 1] ? 0 : 1);
+void RowIndex::AppendUnlinked() {
+  KGM_CHECK(next_.size() < kFree);
+  next_.push_back(kEnd);
+}
+
+void RowIndex::Unlink(size_t hash, uint32_t row) {
+  Entry* e = Find(hash);
+  KGM_CHECK(e != nullptr && e->first != kEnd);
+  const uint32_t after = next_[row];
+  if (e->first == row) {
+    e->first = after;
+    if (after == kEnd) e->last = kEnd;
+  } else {
+    uint32_t prev = e->first;
+    while (next_[prev] != row) {
+      prev = next_[prev];
+      KGM_CHECK(prev != kEnd);
+    }
+    next_[prev] = after;
+    if (e->last == row) e->last = prev;
+  }
+  next_[row] = kEnd;
+}
+
+void RowIndex::Compact(const std::vector<uint32_t>& remap, size_t kept) {
   std::vector<uint32_t> next(kept, kEnd);
   std::vector<Entry> live;
   live.reserve(entries_);
   for (const Entry& e : table_) {
-    if (e.first == kEnd) continue;
-    uint32_t first = kEnd;
-    uint32_t last = kEnd;
-    for (uint32_t row = e.first; row != kEnd; row = next_[row]) {
-      if (dead[row]) continue;
-      const uint32_t moved = remap[row];
-      if (first == kEnd) {
-        first = moved;
-      } else {
-        next[last] = moved;
-      }
-      last = moved;
+    if (e.first == kFree || e.first == kEnd) continue;
+    uint32_t last = remap[e.first];
+    for (uint32_t row = next_[e.first]; row != kEnd; row = next_[row]) {
+      next[last] = remap[row];
+      last = remap[row];
     }
-    if (first != kEnd) live.push_back(Entry{e.hash, first, last});
+    live.push_back(Entry{e.hash, remap[e.first], last});
   }
   next_ = std::move(next);
   Rebuild(live.size(), live);
@@ -121,15 +148,15 @@ void RowIndex::Rebuild(size_t entries, const std::vector<Entry>& live) {
     slots *= 2;
     --shift;
   }
-  table_.assign(slots, Entry{0, kEnd, kEnd});
+  table_.assign(slots, Entry{0, kFree, kFree});
   shift_ = shift;
   entries_ = 0;
   const size_t wrap = slots - 1;
   for (const Entry& e : live) {
-    if (e.first == kEnd) continue;
+    if (e.first == kFree) continue;
     ++entries_;
     size_t s = Home(e.hash);
-    while (table_[s].first != kEnd) s = (s + 1) & wrap;
+    while (table_[s].first != kFree) s = (s + 1) & wrap;
     table_[s] = e;
   }
 }
@@ -141,13 +168,15 @@ Relation Relation::Clone() const {
   out.version_ = version_;
   out.fingerprint_ = fingerprint_;
   out.tuples_ = tuples_;
+  out.dead_ = dead_;
+  out.dead_count_ = dead_count_;
   out.dedup_ = dedup_;
   out.indexes_ = indexes_;
   return out;
 }
 
-size_t Relation::FindRow(const Tuple& t) const {
-  for (uint32_t row : dedup_.Lookup(HashTuple(t))) {
+size_t Relation::FindRow(const Tuple& t, size_t hash) const {
+  for (uint32_t row : dedup_.Lookup(hash)) {
     if (tuples_[row] == t) return row;
   }
   return kNoRow;
@@ -166,61 +195,72 @@ bool Relation::Insert(Tuple t) {
   // every maintained index mask.
   TupleHasher hasher(t);
   const size_t h = hasher.full();
-  for (uint32_t row : dedup_.Lookup(h)) {
-    if (tuples_[row] == t) return false;
-  }
+  if (FindRow(t, h) != kNoRow) return false;
   dedup_.Append(h);
   for (MaskIndex& index : indexes_) index.rows.Append(hasher.Masked(index.mask));
   tuples_.push_back(std::move(t));
+  if (!dead_.empty()) dead_.push_back(0);
   ++version_;
   fingerprint_ ^= h;
   return true;
 }
 
 size_t Relation::EraseTuples(const std::vector<Tuple>& ts) {
-  std::vector<char> dead(tuples_.size(), 0);
   size_t erased = 0;
   for (const Tuple& t : ts) {
     if (t.size() != arity_) continue;
-    size_t row = FindRow(t);
-    if (row == kNoRow || dead[row]) continue;
-    dead[row] = 1;
-    fingerprint_ ^= HashTuple(t);
+    TupleHasher hasher(t);
+    const size_t row = FindRow(t, hasher.full());
+    if (row == kNoRow) continue;  // absent, or erased earlier in `ts`
+    const uint32_t id = static_cast<uint32_t>(row);
+    dedup_.Unlink(hasher.full(), id);
+    for (MaskIndex& index : indexes_) {
+      index.rows.Unlink(hasher.Masked(index.mask), id);
+    }
+    if (dead_.empty()) dead_.assign(tuples_.size(), 0);
+    dead_[row] = 1;
+    ++dead_count_;
+    Tuple().swap(tuples_[row]);  // releases the values
+    fingerprint_ ^= hasher.full();
     ++erased;
   }
   if (erased == 0) return 0;
-  // Order-preserving compaction shifts the surviving row ids, but every
-  // content hash stays the same, so each index relinks its chains through
-  // the remap instead of rehashing every tuple — the difference dominates
-  // incremental maintenance, which erases from large relations on every
-  // delta batch.
-  std::vector<uint32_t> remap(tuples_.size());
-  uint32_t next = 0;
-  for (size_t i = 0; i < tuples_.size(); ++i) {
-    remap[i] = next;
-    if (!dead[i]) ++next;
-  }
-  std::vector<Tuple> kept;
-  kept.reserve(tuples_.size() - erased);
-  for (size_t i = 0; i < tuples_.size(); ++i) {
-    if (!dead[i]) kept.push_back(std::move(tuples_[i]));
-  }
-  tuples_ = std::move(kept);
-  dedup_.Compact(dead, remap);
-  for (MaskIndex& index : indexes_) index.rows.Compact(dead, remap);
   ++version_;
+  if (2 * dead_count_ >= tuples_.size()) Compact();
   return erased;
 }
 
+void Relation::Compact() {
+  std::vector<uint32_t> remap(tuples_.size(), RowIndex::kEnd);
+  size_t kept = 0;
+  for (size_t row = 0; row < tuples_.size(); ++row) {
+    if (dead_[row]) continue;
+    remap[row] = static_cast<uint32_t>(kept);
+    if (kept != row) tuples_[kept] = std::move(tuples_[row]);
+    ++kept;
+  }
+  tuples_.resize(kept);
+  dedup_.Compact(remap, kept);
+  for (MaskIndex& index : indexes_) index.rows.Compact(remap, kept);
+  dead_.clear();
+  dead_count_ = 0;
+}
+
 bool Relation::Contains(const Tuple& t) const {
-  return FindRow(t) != kNoRow;
+  return RowOf(t) != kNoRow;
 }
 
 void Relation::EnsureIndex(uint64_t mask) {
   KGM_CHECK(mask != 0);
   if (HasIndex(mask)) return;
   RowIndex index;
-  for (const Tuple& t : tuples_) index.Append(HashTupleMasked(t, mask));
+  for (size_t row = 0; row < tuples_.size(); ++row) {
+    if (live(row)) {
+      index.Append(HashTupleMasked(tuples_[row], mask));
+    } else {
+      index.AppendUnlinked();
+    }
+  }
   indexes_.push_back(MaskIndex{mask, std::move(index)});
 }
 

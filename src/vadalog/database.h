@@ -1,9 +1,10 @@
 // Fact storage for the Vadalog engine.
 //
 // A FactDb maps predicate names to relations, each owned or shared
-// copy-on-write; a Relation is a deduplicated append-only tuple store with
-// flat hash indexes (RowIndex) over arbitrary position masks, built on
-// request before the joins of the semi-naive evaluator probe them.
+// copy-on-write; a Relation is a deduplicated tuple store — appended to by
+// Insert, tombstoned by EraseTuples — with flat hash indexes (RowIndex) over
+// arbitrary position masks, built on request before the joins of the
+// semi-naive evaluator probe them.
 //
 // A Relation is written by one thread at a time.  During a parallel engine
 // phase every relation is frozen and read only through its const methods
@@ -15,7 +16,9 @@
 #ifndef KGM_VADALOG_DATABASE_H_
 #define KGM_VADALOG_DATABASE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -55,22 +58,26 @@ class TupleHasher {
 
 // A hash index over the rows of one relation.  Every row has a key hash
 // (of the whole tuple, or of the positions of one mask), and Lookup(h)
-// yields exactly the rows whose key hash is h, in ascending row order.
+// yields exactly the linked rows whose key hash is h, in ascending row
+// order.  A row can be appended unlinked (a dead row of its relation) or
+// unlinked later; either way no lookup yields it again.
 //
 // Layout: an open-addressing table with one (hash, first row, last row)
 // entry per distinct hash — linear probing from a multiplicative mix of the
 // hash, load at most 1/2, doubled on growth — and one `next` link per row
 // that chains the rows of one hash in ascending order.  Growth moves table
 // entries and leaves the chains alone; no tuple is rehashed after it is
-// appended.  Memory is 4 bytes per row plus 16 bytes per table slot, i.e.
-// 32–64 bytes per distinct hash, in two vectors, so freeing or copying an
-// index is a few array operations.
+// appended.  An entry whose chain Unlink emptied keeps its slot until the
+// next Compact, and an Append of its hash starts the chain again.  Memory
+// is 4 bytes per row plus 16 bytes per table slot, i.e. 32–64 bytes per
+// distinct hash, in two vectors, so freeing or copying an index is a few
+// array operations.
 class RowIndex {
  public:
   static constexpr uint32_t kEnd = static_cast<uint32_t>(-1);
 
   // The rows of one hash, walked through the `next` links.  A view into the
-  // index: valid until the next Append or Compact.
+  // index: valid until the next Append, Unlink or Compact.
   class Rows {
    public:
     class iterator {
@@ -100,7 +107,7 @@ class RowIndex {
     uint32_t first_;
   };
 
-  // Number of rows appended (and not compacted away).
+  // Number of rows appended, linked or not (and not compacted away).
   size_t rows() const { return next_.size(); }
 
   Rows Lookup(size_t hash) const;
@@ -108,17 +115,28 @@ class RowIndex {
   // Appends row rows() with key hash `hash` at the end of its chain.
   void Append(size_t hash);
 
-  // Drops every row with dead[row] set and renumbers the rest by `remap`
-  // (an order-preserving compaction: remap[row] is the number of live rows
-  // before `row`).  Chains are relinked in place of the old ones and the
-  // table is rebuilt from the surviving entries; no key is rehashed.
-  void Compact(const std::vector<char>& dead,
-               const std::vector<uint32_t>& remap);
+  // Appends row rows() in no chain.
+  void AppendUnlinked();
+
+  // Removes `row`, linked under `hash`, from its chain.  Walks the chain
+  // from its head to find the row's predecessor.
+  void Unlink(size_t hash, uint32_t row);
+
+  // Renumbers every linked row by `remap` (an order-preserving compaction:
+  // remap[row] is the row's new id, and `kept` rows remain) and drops the
+  // unlinked rows and the emptied entries.  Chains are relinked in place of
+  // the old ones and the table is rebuilt from the surviving entries; no
+  // key is rehashed.
+  void Compact(const std::vector<uint32_t>& remap, size_t kept);
 
  private:
+  // Entry::first of a free slot; an entry whose chain Unlink emptied has
+  // first == kEnd.
+  static constexpr uint32_t kFree = kEnd - 1;
+
   struct Entry {
     size_t hash;
-    uint32_t first;  // kEnd marks a free slot
+    uint32_t first;
     uint32_t last;
   };
 
@@ -127,8 +145,10 @@ class RowIndex {
     return static_cast<size_t>(
         (static_cast<uint64_t>(hash) * 0x9E3779B97F4A7C15ULL) >> shift_);
   }
-  // Sizes the table for `entries` distinct hashes and places the used
-  // entries of `live` in it.
+  // The entry of `hash`, or nullptr.
+  Entry* Find(size_t hash);
+  // Sizes the table for `entries` distinct hashes and places the entries
+  // of `live` in it.
   void Rebuild(size_t entries, const std::vector<Entry>& live);
 
   std::vector<Entry> table_;  // empty until the first Append
@@ -137,10 +157,19 @@ class RowIndex {
   unsigned shift_ = 64;
 };
 
-// A deduplicated, append-only (apart from EraseTuples) tuple store.  Row i
-// is tuples()[i].  One RowIndex over the full-tuple hash deduplicates; one
+// A deduplicated tuple store.  Insert appends row row_bound(); EraseTuples
+// tombstones rows.  One RowIndex over the full-tuple hash deduplicates; one
 // more per built mask serves the joins.  Insert appends to every index, so
 // a built index never needs rebuilding.
+//
+// Tombstones: an erased row stays in place as a dead row.  Its tuple is
+// released and it is unlinked from every index, so no lookup, Contains,
+// RowOf or LookupBuilt ever yields it; full scans walk row ids
+// [0, row_bound()) and skip the rows live() rejects.  Once dead rows make
+// up half of the row ids, EraseTuples compacts the relation in order.  So
+// the live rows always enumerate in ascending row order, and a re-inserted
+// tuple appends: a relation enumerates exactly as one that compacted on
+// every erase would.
 class Relation {
  public:
   explicit Relation(size_t arity);
@@ -148,29 +177,79 @@ class Relation {
   Relation(Relation&&) = default;
   Relation& operator=(Relation&&) = default;
 
-  // Deep copy: tuples, dedup index, and built indexes.  Much cheaper than
-  // re-inserting (no value is rehashed; each index is two vector copies).
-  // FactDb uses this to copy a shared relation on its first write.
+  // Deep copy: tuples, tombstones, dedup index, and built indexes.  Much
+  // cheaper than re-inserting (no value is rehashed; each index is two
+  // vector copies).  Row ids carry over.  FactDb uses this to copy a shared
+  // relation on its first write.
   Relation Clone() const;
 
   size_t arity() const { return arity_; }
-  size_t size() const { return tuples_.size(); }
-  const std::vector<Tuple>& tuples() const { return tuples_; }
-  const Tuple& tuple(size_t i) const { return tuples_[i]; }
+  // Number of live rows.
+  size_t size() const { return tuples_.size() - dead_count_; }
+  // One past the highest row id: rows [0, row_bound()) include the dead
+  // ones.  Scans and partitions range over row ids.
+  size_t row_bound() const { return tuples_.size(); }
+  bool live(size_t row) const { return dead_.empty() || dead_[row] == 0; }
+  // The tuple of row `row` < row_bound(); empty for a dead row.
+  const Tuple& tuple(size_t row) const { return tuples_[row]; }
 
-  // Inserts (deduplicated); returns true if the tuple is new.  Not
-  // thread-safe.
+  // The live tuples in ascending row order.  A view: valid until the next
+  // Insert or EraseTuples on this relation.
+  class LiveTuples {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = Tuple;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const Tuple*;
+      using reference = const Tuple&;
+
+      iterator(const Relation* rel, size_t row) : rel_(rel), row_(row) {
+        Skip();
+      }
+      const Tuple& operator*() const { return rel_->tuples_[row_]; }
+      iterator& operator++() {
+        ++row_;
+        Skip();
+        return *this;
+      }
+      bool operator==(const iterator& o) const { return row_ == o.row_; }
+      bool operator!=(const iterator& o) const { return row_ != o.row_; }
+
+     private:
+      void Skip() {
+        while (row_ < rel_->tuples_.size() && !rel_->live(row_)) ++row_;
+      }
+      const Relation* rel_;
+      size_t row_;
+    };
+
+    explicit LiveTuples(const Relation* rel) : rel_(rel) {}
+    iterator begin() const { return iterator(rel_, 0); }
+    iterator end() const { return iterator(rel_, rel_->tuples_.size()); }
+
+   private:
+    const Relation* rel_;
+  };
+  LiveTuples tuples() const { return LiveTuples(this); }
+
+  // Inserts (deduplicated); returns true if the tuple is new.  A new tuple
+  // appends row row_bound(), even when an equal tuple was erased before.
+  // Not thread-safe.
   bool Insert(Tuple t);
 
   // Removes every listed tuple that is present; returns the number actually
-  // removed (duplicates in `ts` and absent tuples are ignored).  Surviving
-  // rows keep their relative order — row ids compact downwards — and the
-  // dedup index plus every built index are compacted with them
-  // (RowIndex::Compact: chains relinked, no tuple rehashed).  Not
-  // thread-safe.  Erasure is the one mutation that invalidates previously
-  // observed row ids; it exists for incremental maintenance (DRed
-  // overdeletion), not for the engine's fixpoint loop, which remains
-  // append-only.
+  // removed (duplicates in `ts` and absent tuples are ignored).  Each
+  // removed row becomes a dead row: its tuple is released and it is
+  // unlinked from the dedup index and every built index by its own hashes,
+  // so a call costs O(removed rows), not O(relation).  When dead rows then
+  // reach half of row_bound(), the relation compacts: live rows keep their order and move down to ids [0, size()),
+  // and every index relinks its chains through the remap
+  // (RowIndex::Compact: no tuple rehashed).  Row ids observed before a
+  // call stay valid for the live rows unless the call compacted.  Not thread-safe.  Erasure exists for incremental
+  // maintenance (DRed overdeletion) and snapshot deltas, not for the
+  // engine's fixpoint loop, which remains append-only.
   size_t EraseTuples(const std::vector<Tuple>& ts);
 
   bool Contains(const Tuple& t) const;
@@ -182,7 +261,7 @@ class Relation {
   uint64_t version() const { return version_; }
 
   // Order-independent content fingerprint: XOR of the full-tuple hashes of
-  // the rows, maintained incrementally by Insert and EraseTuples.  Two
+  // the live rows, maintained incrementally by Insert and EraseTuples.  Two
   // relations holding the same set of tuples have equal fingerprints
   // regardless of insertion order; unequal fingerprints imply different
   // contents (equal fingerprints can collide and callers needing certainty
@@ -191,7 +270,7 @@ class Relation {
 
   // Row index of `t`, or kNoRow if absent.
   static constexpr size_t kNoRow = static_cast<size_t>(-1);
-  size_t RowOf(const Tuple& t) const { return FindRow(t); }
+  size_t RowOf(const Tuple& t) const { return FindRow(t, HashTuple(t)); }
 
   bool HasIndex(uint64_t mask) const { return FindIndex(mask) != nullptr; }
 
@@ -201,15 +280,15 @@ class Relation {
   // probes with LookupBuilt.
   void EnsureIndex(uint64_t mask);
 
-  // Candidate rows for `probe` under `mask`, ascending: those sharing its
-  // masked hash (confirm with MatchesMasked).  Requires EnsureIndex(mask).
-  // Read-only: safe to call concurrently with other const methods.  The
-  // range stays valid until the next Insert or EraseTuples on this
-  // relation.
+  // Candidate live rows for `probe` under `mask`, ascending: those sharing
+  // its masked hash (confirm with MatchesMasked).  Requires
+  // EnsureIndex(mask).  Read-only: safe to call concurrently with other
+  // const methods.  The range stays valid until the next Insert or
+  // EraseTuples on this relation.
   RowIndex::Rows LookupBuilt(uint64_t mask, const Tuple& probe) const;
 
-  // True if row `i`'s masked positions equal those of `probe`.  Inline:
-  // this is the verification step of every index probe, one of the
+  // True if live row `i`'s masked positions equal those of `probe`.
+  // Inline: this is the verification step of every index probe, one of the
   // hottest paths of the join.
   bool MatchesMasked(size_t i, uint64_t mask, const Tuple& probe) const {
     const Tuple& t = tuples_[i];
@@ -225,13 +304,19 @@ class Relation {
     RowIndex rows;
   };
 
-  size_t FindRow(const Tuple& t) const;
+  size_t FindRow(const Tuple& t, size_t hash) const;
   const RowIndex* FindIndex(uint64_t mask) const;
+  // Drops the dead rows: live rows keep their order.
+  void Compact();
 
   size_t arity_;
   uint64_t version_ = 0;
   uint64_t fingerprint_ = 0;
   std::vector<Tuple> tuples_;
+  // Per row: 1 when dead.  Empty while the relation has no dead row, so a
+  // relation that never erased pays one predictable branch in live().
+  std::vector<char> dead_;
+  size_t dead_count_ = 0;
   RowIndex dedup_;                  // full-tuple hash -> rows
   std::vector<MaskIndex> indexes_;  // one per built mask, in build order
 };

@@ -1076,8 +1076,10 @@ Status Engine::Impl::EvalStratum(int stratum,
       }
       const uint32_t outer = cr->order[0];
       const Relation* scan = cr->positives[outer].rel;
-      size_t rows = scan == nullptr ? 0 : scan->size();
-      if (rows == 0) continue;  // empty scan: the rule cannot fire
+      // Empty: the rule cannot fire.  Otherwise the partitions split the
+      // row ids, dead rows included.
+      if (scan == nullptr || scan->size() == 0) continue;
+      size_t rows = scan->row_bound();
       size_t parts = PartitionCount(rows);
       size_t chunk = (rows + parts - 1) / parts;
       for (size_t p = 0; p < parts; ++p) {
@@ -1149,7 +1151,8 @@ Status Engine::Impl::EvalStratum(int stratum,
       const Relation* scan = static_cast<int>(outer) == li
                                  ? &dit->second
                                  : cr->positives[outer].rel;
-      size_t rows = scan == nullptr ? 0 : scan->size();
+      if (scan == nullptr || scan->size() == 0) continue;
+      size_t rows = scan->row_bound();
       size_t parts = PartitionCount(rows);
       size_t chunk = (rows + parts - 1) / parts;
       for (size_t p = 0; p < parts; ++p) {
@@ -1299,8 +1302,11 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
     }
     return OkStatus();
   }
-  size_t scan_end = std::min(source->size(), range_end);
+  // A scan walks row ids and skips the dead rows of an erased-from
+  // relation (see Relation); only live rows count as probes.
+  size_t scan_end = std::min(source->row_bound(), range_end);
   for (size_t k = range_begin; k < scan_end; ++k) {
+    if (!source->live(k)) continue;
     ++ctx.probes;
     KGM_RETURN_IF_ERROR(try_row(source->tuple(k)));
   }
@@ -1618,11 +1624,59 @@ Status Engine::Run(FactDb* db) {
 // --- DeltaEvaluator -----------------------------------------------------------
 
 struct DeltaEvaluator::State {
+  // The join of EvalRuleSeeded for one (rule, head atom): the slot each
+  // head position binds (-1 for a constant, anonymous or existential
+  // position) and the plan for those slots bound.
+  struct SeededPlan {
+    std::vector<int> head_slots;
+    JoinPlan plan;
+  };
+
   Engine::Impl impl;
   Status init;
   size_t join_probes = 0;  // summed over every call
+  // Plans, made on first use: every call of one (rule, literal) or (rule,
+  // head atom) binds the same slots, so it joins by the same plan.
+  std::map<std::pair<size_t, size_t>, JoinPlan> delta_plans;
+  std::map<std::pair<size_t, size_t>, SeededPlan> seeded_plans;
 
   explicit State(Engine* engine) : impl(engine) {}
+
+  // EvalRuleDelta enumerates the delta outermost, so the plan starts with
+  // the delta literal's variables bound.
+  const JoinPlan& DeltaPlan(const CompiledRule& cr, size_t literal_index) {
+    auto [it, fresh] =
+        delta_plans.try_emplace({static_cast<size_t>(cr.index), literal_index});
+    if (fresh) {
+      std::vector<char> prebound(cr.slot_names.size(), 0);
+      for (const ArgSlot& a : cr.positives[literal_index].args) {
+        if (a.slot >= 0) prebound[a.slot] = 1;
+      }
+      it->second = PlanJoin(cr, std::move(prebound));
+    }
+    return it->second;
+  }
+
+  // Existential slots stay free: MintAndEmitHead re-interns their Skolem
+  // terms, which are content-addressed, so a matching body reproduces the
+  // original values.
+  const SeededPlan& SeededPlanFor(const CompiledRule& cr, size_t head_index) {
+    auto [it, fresh] =
+        seeded_plans.try_emplace({static_cast<size_t>(cr.index), head_index});
+    if (fresh) {
+      std::vector<char> existential(cr.slot_names.size(), 0);
+      for (const ExistSlot& e : cr.existentials) existential[e.slot] = 1;
+      std::vector<char> bound(cr.slot_names.size(), 0);
+      SeededPlan& sp = it->second;
+      for (const ArgSlot& a : cr.head[head_index].args) {
+        const bool binds = !a.is_const && a.slot >= 0 && !existential[a.slot];
+        sp.head_slots.push_back(binds ? a.slot : -1);
+        if (binds) bound[a.slot] = 1;
+      }
+      sp.plan = PlanJoin(cr, std::move(bound));
+    }
+    return it->second;
+  }
 
   // Aggregates fold only at the engine's barriers, which rule-at-a-time
   // calls never reach.  Incremental maintenance reruns such programs
@@ -1710,18 +1764,14 @@ Status DeltaEvaluator::EvalRuleDelta(size_t rule_index, size_t literal_index,
   // in it are left free, which can revisit a sibling delta row —
   // emissions are idempotent for every caller, so that costs duplicate
   // work, never duplicate facts.  Every delta row binds the same slots, so
-  // one plan serves the whole call.
-  std::vector<char> prebound(cr.slot_names.size(), 0);
-  for (const ArgSlot& a : lit.args) {
-    if (a.slot >= 0) prebound[a.slot] = 1;
-  }
-  const JoinPlan plan = PlanJoin(cr, std::move(prebound));
+  // one plan serves every call of this (rule, literal).
+  const JoinPlan& plan = state_->DeltaPlan(cr, literal_index);
   EvalContext ctx;
   state_->Prepare(cr, plan, delta_literal, &delta_rel, &ctx);
   impl.cur_delta = &delta_rels;
   Status status = OkStatus();
-  for (size_t row = 0; row < delta_rel.size() && status.ok(); ++row) {
-    const Tuple& t = delta_rel.tuple(row);
+  for (const Tuple& t : delta_rel.tuples()) {
+    if (!status.ok()) break;
     ctx.slots.assign(cr.slot_names.size(), Value());
     ctx.bound.assign(cr.slot_names.size(), 0);
     bool ok = true;
@@ -1756,12 +1806,7 @@ Status DeltaEvaluator::EvalRuleSeeded(size_t rule_index, size_t head_index,
   const CompiledLiteral& head = cr.head[head_index];
   KGM_CHECK(target.size() == head.args.size());
 
-  // Existential slots stay free: MintAndEmitHead re-interns their Skolem
-  // terms, which are content-addressed, so a matching body reproduces the
-  // original values.
-  std::set<int> existential_slots;
-  for (const ExistSlot& e : cr.existentials) existential_slots.insert(e.slot);
-
+  const State::SeededPlan& sp = state_->SeededPlanFor(cr, head_index);
   EvalContext ctx;
   ctx.slots.assign(cr.slot_names.size(), Value());
   ctx.bound.assign(cr.slot_names.size(), 0);
@@ -1771,20 +1816,20 @@ Status DeltaEvaluator::EvalRuleSeeded(size_t rule_index, size_t head_index,
       if (!(a.constant == target[i])) return OkStatus();
       continue;
     }
-    if (a.slot < 0 || existential_slots.count(a.slot) > 0) continue;
-    if (ctx.bound[a.slot]) {
+    const int slot = sp.head_slots[i];
+    if (slot < 0) continue;
+    if (ctx.bound[slot]) {
       // Repeated head variable: the target must agree with itself.
-      if (!(ctx.slots[a.slot] == target[i])) return OkStatus();
+      if (!(ctx.slots[slot] == target[i])) return OkStatus();
     } else {
-      ctx.slots[a.slot] = target[i];
-      ctx.bound[a.slot] = 1;
+      ctx.slots[slot] = target[i];
+      ctx.bound[slot] = 1;
     }
   }
   // The pre-bound head variables restrict every literal they appear in,
   // and the bound-first order starts from the literals they bind — this is
   // a targeted derivability probe, not a full rule evaluation.
-  const JoinPlan plan = PlanJoin(cr, ctx.bound);
-  state_->Prepare(cr, plan, /*delta_literal=*/-1, nullptr, &ctx);
+  state_->Prepare(cr, sp.plan, /*delta_literal=*/-1, nullptr, &ctx);
   Status status = impl.Join(ctx, cr, 0, /*delta_literal=*/-1);
   return state_->Finish(ctx, std::move(status), emit);
 }

@@ -164,8 +164,9 @@ Status RunProgram(std::string_view source, FactDb* db,
 // the first remaining literal, in written order, whose arguments are all
 // bound, else the first partly bound one, else the first remaining one
 // (DESIGN.md §3.11).  Engine::Run plans each rule once with nothing bound;
-// a call plans for what it pre-binds, so its emissions come in that join
-// order, not in Engine::Run's.
+// a call joins by a plan for what it pre-binds, made once per evaluator for
+// each (rule, delta literal) or (rule, head atom), so its emissions come in
+// that join order, not in Engine::Run's.
 //
 // The database must not change during a call: like a barrier work item, a
 // call builds the indexes its join order probes before the join starts and

@@ -117,14 +117,19 @@ struct IncrementalView::State {
     return it != pred_arity.end() ? it->second : fallback;
   }
 
-  // Normalizes `delta` against the current EDB and applies the net change
-  // to it: d_del gets the deletions that removed a present tuple, d_ins the
-  // insertions that added an absent one, with delete+reinsert pairs of
-  // present tuples cancelled (deletes apply before inserts).  After the
-  // call d_del[p] and d_ins[p] are disjoint and exactly describe how
-  // edb[p] changed.
-  Status NormalizeAndApplyEdb(const EdbDelta& delta, TupleListMap* d_del,
-                              TupleListMap* d_ins);
+  // InvalidArgument when a tuple of `delta` does not have its predicate's
+  // arity: the program's, else the EDB relation's, else that of the
+  // predicate's first tuple in the delta.
+  Status ValidateDelta(const EdbDelta& delta) const;
+
+  // Normalizes a validated `delta` against the current EDB and applies the
+  // net change to it: d_del gets the deletions that removed a present
+  // tuple, d_ins the insertions that added an absent one, with
+  // delete+reinsert pairs of present tuples cancelled (deletes apply
+  // before inserts).  After the call d_del[p] and d_ins[p] are disjoint and
+  // exactly describe how edb[p] changed.
+  void NormalizeAndApplyEdb(const EdbDelta& delta, TupleListMap* d_del,
+                            TupleListMap* d_ins);
 
   // Applies the net EDB change to the materialized db for predicates that
   // are not IDB heads (head predicates are handled by their stratum), so
@@ -144,19 +149,8 @@ struct IncrementalView::State {
                      TupleListMap* d_del, TupleListMap* d_ins);
 };
 
-Status IncrementalView::State::NormalizeAndApplyEdb(const EdbDelta& delta,
-                                                    TupleListMap* d_del,
-                                                    TupleListMap* d_ins) {
-  std::set<std::string> preds;
-  for (const auto& [p, ts] : delta.deletes) {
-    if (!ts.empty()) preds.insert(p);
-  }
-  for (const auto& [p, ts] : delta.inserts) {
-    if (!ts.empty()) preds.insert(p);
-  }
-  for (const std::string& pred : preds) {
-    // Arity validation: against the program first, then against any
-    // existing relation, then internal consistency of the delta itself.
+Status IncrementalView::State::ValidateDelta(const EdbDelta& delta) const {
+  for (const std::string& pred : delta.TouchedPredicates()) {
     size_t arity = 0;
     bool have_arity = false;
     if (auto it = pred_arity.find(pred); it != pred_arity.end()) {
@@ -166,8 +160,10 @@ Status IncrementalView::State::NormalizeAndApplyEdb(const EdbDelta& delta,
       arity = rel->arity();
       have_arity = true;
     }
-    auto check = [&](const std::vector<Tuple>& ts) -> Status {
-      for (const Tuple& t : ts) {
+    for (const TupleListMap* part : {&delta.deletes, &delta.inserts}) {
+      auto it = part->find(pred);
+      if (it == part->end()) continue;
+      for (const Tuple& t : it->second) {
         if (!have_arity) {
           arity = t.size();
           have_arity = true;
@@ -179,15 +175,15 @@ Status IncrementalView::State::NormalizeAndApplyEdb(const EdbDelta& delta,
                                  " was expected");
         }
       }
-      return OkStatus();
-    };
-    if (auto it = delta.deletes.find(pred); it != delta.deletes.end()) {
-      KGM_RETURN_IF_ERROR(check(it->second));
     }
-    if (auto it = delta.inserts.find(pred); it != delta.inserts.end()) {
-      KGM_RETURN_IF_ERROR(check(it->second));
-    }
+  }
+  return OkStatus();
+}
 
+void IncrementalView::State::NormalizeAndApplyEdb(const EdbDelta& delta,
+                                                  TupleListMap* d_del,
+                                                  TupleListMap* d_ins) {
+  for (const std::string& pred : delta.TouchedPredicates()) {
     const Relation* existing = edb.Get(pred);
     TupleSet del_set;
     std::vector<Tuple> dels;
@@ -230,7 +226,6 @@ Status IncrementalView::State::NormalizeAndApplyEdb(const EdbDelta& delta,
     if (!net_del.empty()) (*d_del)[pred] = std::move(net_del);
     if (!net_ins.empty()) (*d_ins)[pred] = std::move(net_ins);
   }
-  return OkStatus();
 }
 
 void IncrementalView::State::ApplyEdbToDbForNonHeads(
@@ -295,8 +290,16 @@ Status IncrementalView::State::DRedStratum(const StratumInfo& info,
     }
   }
 
-  TupleListMap over;             // overdeleted tuples per head pred, in order
-  std::map<std::string, TupleSet> over_sets;
+  TupleListMap over;  // overdeleted tuples per head pred, in order
+  // Per head pred: each overdeleted tuple's position in over[pred].
+  std::map<std::string, std::unordered_map<Tuple, size_t, TupleHashFn>>
+      over_index;
+  auto overdelete = [&](const std::string& pred, const Tuple& t) {
+    std::vector<Tuple>& ts = over[pred];
+    if (!over_index[pred].emplace(t, ts.size()).second) return false;
+    ts.push_back(t);
+    return true;
+  };
   TupleListMap frontier;
   for (const std::string& pred : info.pos_body) {
     auto it = d_del->find(pred);
@@ -309,9 +312,7 @@ Status IncrementalView::State::DRedStratum(const StratumInfo& info,
     // and enter overdeletion; rederivation decides whether a rule still
     // proves them.  They also seed rule firings (handled via `frontier`
     // when the predicate occurs in a body).
-    for (const Tuple& t : it->second) {
-      if (over_sets[pred].insert(t).second) over[pred].push_back(t);
-    }
+    for (const Tuple& t : it->second) overdelete(pred, t);
     if (info.pos_body.count(pred) == 0) frontier[pred] = it->second;
   }
   while (!frontier.empty()) {
@@ -323,12 +324,9 @@ Status IncrementalView::State::DRedStratum(const StratumInfo& info,
         if (frontier.find(pos[li]) == frontier.end()) continue;
         KGM_RETURN_IF_ERROR(dev.EvalRuleDelta(
             ri, li, delta_rels, [&](const std::string& hp, Tuple t) {
-              if (over_sets[hp].count(t) > 0) return;
               const Relation* cur = db.Get(hp);
               if (cur == nullptr || !cur->Contains(t)) return;
-              over_sets[hp].insert(t);
-              over[hp].push_back(t);
-              next[hp].push_back(std::move(t));
+              if (overdelete(hp, t)) next[hp].push_back(std::move(t));
             }));
       }
     }
@@ -348,40 +346,60 @@ Status IncrementalView::State::DRedStratum(const StratumInfo& info,
 
   // --- rederivation ----------------------------------------------------------
   // A tuple comes back when the post-delta EDB still supports it or some
-  // rule still derives it from surviving facts.  Each rescue can enable
-  // another, so iterate to a fixpoint.
+  // rule still derives it from surviving facts.  One seeded pass checks
+  // each overdeleted tuple once, seeing the rescues before it.  A rescue
+  // can enable a tuple the pass already checked, so the rescues then spread
+  // semi-naively: each round joins the last round's rescues as the delta
+  // and rescues every emission still overdeleted.  A derivation whose
+  // rescued body facts all came back before its head was checked was
+  // found by the pass; any other has a last-rescued body fact, and the
+  // round that carries it finds the derivation.
   std::map<std::string, std::vector<char>> alive;
   for (const auto& [pred, ts] : over) alive[pred].assign(ts.size(), 0);
-  bool again = true;
-  while (again) {
-    again = false;
-    for (const auto& [pred, ts] : over) {
-      std::vector<char>& flags = alive[pred];
-      const Relation* base = edb.Get(pred);
-      for (size_t i = 0; i < ts.size(); ++i) {
-        if (flags[i]) continue;
-        const Tuple& t = ts[i];
-        bool derivable = base != nullptr && base->Contains(t);
-        for (size_t ri : info.rules) {
-          if (derivable) break;
-          const std::vector<std::string>& heads = rule_heads[ri];
-          for (size_t hi = 0; hi < heads.size() && !derivable; ++hi) {
-            if (heads[hi] != pred) continue;
-            bool found = false;
-            ++last_stats.seeded_calls;
-            KGM_RETURN_IF_ERROR(dev.EvalRuleSeeded(
-                ri, hi, t, [&](const std::string& ep, Tuple et) {
-                  if (!found && ep == pred && et == t) found = true;
-                }));
-            derivable = found;
-          }
+  TupleListMap rescued;
+  auto rescue = [&](const std::string& pred, size_t i) {
+    const Tuple& t = over[pred][i];
+    db.GetMutable(pred)->Insert(t);
+    alive[pred][i] = 1;
+    ++last_stats.rederived;
+    rescued[pred].push_back(t);
+  };
+  for (const auto& [pred, ts] : over) {
+    const Relation* base = edb.Get(pred);
+    for (size_t i = 0; i < ts.size(); ++i) {
+      const Tuple& t = ts[i];
+      bool derivable = base != nullptr && base->Contains(t);
+      for (size_t ri : info.rules) {
+        if (derivable) break;
+        const std::vector<std::string>& heads = rule_heads[ri];
+        for (size_t hi = 0; hi < heads.size() && !derivable; ++hi) {
+          if (heads[hi] != pred) continue;
+          ++last_stats.seeded_calls;
+          KGM_RETURN_IF_ERROR(dev.EvalRuleSeeded(
+              ri, hi, t, [&](const std::string& ep, const Tuple& et) {
+                if (ep == pred && et == t) derivable = true;
+              }));
         }
-        if (derivable) {
-          db.GetMutable(pred)->Insert(t);
-          flags[i] = 1;
-          ++last_stats.rederived;
-          again = true;
-        }
+      }
+      if (derivable) rescue(pred, i);
+    }
+  }
+  while (!rescued.empty()) {
+    std::map<std::string, Relation> delta_rels = make_delta_rels(rescued);
+    rescued.clear();
+    for (size_t ri : info.rules) {
+      const std::vector<std::string>& pos = rule_positives[ri];
+      for (size_t li = 0; li < pos.size(); ++li) {
+        if (delta_rels.find(pos[li]) == delta_rels.end()) continue;
+        KGM_RETURN_IF_ERROR(dev.EvalRuleDelta(
+            ri, li, delta_rels, [&](const std::string& hp, const Tuple& t) {
+              auto pit = over_index.find(hp);
+              if (pit == over_index.end()) return;
+              auto tit = pit->second.find(t);
+              if (tit != pit->second.end() && !alive[hp][tit->second]) {
+                rescue(hp, tit->second);
+              }
+            }));
       }
     }
   }
@@ -536,22 +554,28 @@ Status IncrementalView::Apply(const EdbDelta& delta) {
   if (!state_->initialized) {
     return FailedPrecondition("IncrementalView::Apply before Initialize");
   }
-  auto t0 = std::chrono::steady_clock::now();
-  state_->last_stats = IncrementalStats{};
-  state_->last_stats.mode = state_->mode;
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point t0 = Clock::now();
+  // A rejected delta changes nothing, so the view stays usable.
+  KGM_RETURN_IF_ERROR(state_->ValidateDelta(delta));
+  IncrementalStats& stats = state_->last_stats;
+  stats = IncrementalStats{};
+  stats.mode = state_->mode;
 
   TupleListMap d_del;
   TupleListMap d_ins;
-  Status status = state_->NormalizeAndApplyEdb(delta, &d_del, &d_ins);
-  if (status.ok() && !(d_del.empty() && d_ins.empty())) {
-    state_->ApplyEdbToDbForNonHeads(d_del, d_ins);
+  state_->NormalizeAndApplyEdb(delta, &d_del, &d_ins);
+  const bool changed = !(d_del.empty() && d_ins.empty());
+  if (changed) state_->ApplyEdbToDbForNonHeads(d_del, d_ins);
+  stats.edb_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+  Status status = OkStatus();
+  if (changed) {
     status = state_->mode == MaintenanceMode::kDRed
                  ? state_->ApplyDRed(d_del, d_ins)
                  : state_->Rerun();
   }
-  state_->last_stats.apply_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  stats.apply_seconds =
+      std::chrono::duration<double>(Clock::now() - t0).count();
   if (!status.ok()) state_->initialized = false;
   return status;
 }
@@ -599,12 +623,16 @@ bool CompareDatabases(const FactDb& a, const FactDb& b, bool ordered,
     }
     if (na == 0) continue;
     if (ordered) {
-      for (size_t i = 0; i < na; ++i) {
-        if (!(ra->tuple(i) == rb->tuple(i))) {
+      // Live rows in order: dead rows of either side do not count.
+      const Relation::LiveTuples la = ra->tuples();
+      const Relation::LiveTuples lb = rb->tuples();
+      size_t i = 0;
+      for (auto ia = la.begin(), ib = lb.begin(); ia != la.end();
+           ++ia, ++ib, ++i) {
+        if (!(*ia == *ib)) {
           if (out != nullptr) {
             *out += pred + " row " + std::to_string(i) + ": " +
-                    TupleToString(ra->tuple(i)) + " vs " +
-                    TupleToString(rb->tuple(i));
+                    TupleToString(*ia) + " vs " + TupleToString(*ib);
           }
           return false;
         }

@@ -9,11 +9,16 @@
 //                against the pre-deletion database) and collect the derived
 //                heads; iterate to a fixpoint.  This over-approximates the
 //                set of facts that may have lost a derivation.
-//   rederive     Erase the over-deleted tuples, then probe each one with a
-//                seeded evaluation (head variables pre-bound to the tuple):
-//                a tuple with a surviving derivation — or post-delta EDB
-//                support — is re-inserted.  Iterated until no tuple comes
-//                back, so rescue chains inside a recursive stratum resolve.
+//   rederive     Erase the over-deleted tuples, then probe each one once
+//                with a seeded evaluation (head variables pre-bound to the
+//                tuple): a tuple with a surviving derivation — or
+//                post-delta EDB support — is re-inserted.  A rescue can
+//                enable a tuple probed before it, so the rescues then
+//                spread semi-naively: rules fire with the last round's
+//                rescues as the delta, and every emission still
+//                over-deleted comes back, until a round rescues nothing.
+//                Rescue chains inside a recursive stratum resolve without
+//                probing any tuple twice.
 //   insert       Semi-naive insertion rounds seeded by the inserted EDB
 //                tuples and, transitively, by newly derived facts.
 //
@@ -92,7 +97,11 @@ struct IncrementalStats {
   size_t join_probes = 0;
   size_t seeded_calls = 0;
   double apply_seconds = 0;
-  // DRed phase breakdown (zero for a kRerun program).
+  // Phases of apply_seconds: validating and applying the delta to the EDB
+  // and to the non-head relations of the materialization, then the DRed
+  // phases (zero for a kRerun program).  A DRed batch's four phases add up
+  // to apply_seconds, less the few clock reads between them.
+  double edb_seconds = 0;
   double overdelete_seconds = 0;
   double rederive_seconds = 0;
   double insert_seconds = 0;
@@ -123,8 +132,10 @@ class IncrementalView {
   Status Initialize(FactDb edb);
 
   // Applies `delta` to the EDB and incrementally maintains the
-  // materialization.  On error the view is left in an unspecified state
-  // and must be re-Initialized.
+  // materialization.  A delta with a tuple of the wrong arity returns
+  // InvalidArgument before anything changes, and the view stays usable.
+  // On any other error the view is left in an unspecified state and must
+  // be re-Initialized.
   Status Apply(const EdbDelta& delta);
 
   // Which maintenance strategy Apply uses for this program.

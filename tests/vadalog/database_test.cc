@@ -245,21 +245,25 @@ std::vector<size_t> EndHomedHashes(size_t n) {
   return out;
 }
 
-// RowIndex against a map from hash to ascending rows.  Most hashes are
-// small integers — the near-identity shape of Value::Hash on ints — drawn
-// from a few thousand values, so the table doubles many times; the rest are
-// end-homed, so probe runs wrap around the table's end at every size.
-TEST(RowIndexTest, MatchesModelUnderAppendAndCompact) {
+// RowIndex against a map from hash to ascending linked rows.  Most hashes
+// are small integers — the near-identity shape of Value::Hash on ints —
+// drawn from a few thousand values, so the table doubles many times; the
+// rest are end-homed, so probe runs wrap around the table's end at every
+// size.  Each round appends (some rows unlinked), unlinks a share of the
+// linked rows — emptying some chains, which later appends restart — and
+// compacts every other round.
+TEST(RowIndexTest, MatchesModelUnderAppendUnlinkAndCompact) {
   Rng rng(25);
   const std::vector<size_t> wrapping = EndHomedHashes(48);
   std::vector<size_t> probes = wrapping;
   for (size_t h = 0; h < 3100; ++h) probes.push_back(h);
   RowIndex index;
   std::vector<size_t> hashes;  // per row, as the model sees it
+  std::vector<char> linked;    // per row
   auto check = [&] {
     std::map<size_t, std::vector<uint32_t>> model;
     for (size_t row = 0; row < hashes.size(); ++row) {
-      model[hashes[row]].push_back(static_cast<uint32_t>(row));
+      if (linked[row]) model[hashes[row]].push_back(static_cast<uint32_t>(row));
     }
     ASSERT_EQ(index.rows(), hashes.size());
     for (size_t h : probes) {
@@ -274,32 +278,52 @@ TEST(RowIndexTest, MatchesModelUnderAppendAndCompact) {
     for (int i = 0; i < 2500; ++i) {
       size_t h = rng.NextBool(0.05) ? wrapping[rng.NextBelow(wrapping.size())]
                                     : rng.NextBelow(3000);
-      index.Append(h);
+      if (rng.NextBool(0.05)) {
+        index.AppendUnlinked();
+        linked.push_back(0);
+      } else {
+        index.Append(h);
+        linked.push_back(1);
+      }
       hashes.push_back(h);
     }
     check();
-    std::vector<char> dead(hashes.size(), 0);
-    std::vector<uint32_t> remap(hashes.size());
-    std::vector<size_t> kept;
     for (size_t row = 0; row < hashes.size(); ++row) {
-      remap[row] = static_cast<uint32_t>(kept.size());
-      dead[row] = rng.NextBool(0.4) ? 1 : 0;
-      if (!dead[row]) kept.push_back(hashes[row]);
+      if (linked[row] && rng.NextBool(0.4)) {
+        index.Unlink(hashes[row], static_cast<uint32_t>(row));
+        linked[row] = 0;
+      }
     }
-    index.Compact(dead, remap);
-    hashes = std::move(kept);
     check();
+    if (round % 2 == 1) {
+      std::vector<uint32_t> remap(hashes.size(), RowIndex::kEnd);
+      std::vector<size_t> kept;
+      for (size_t row = 0; row < hashes.size(); ++row) {
+        if (!linked[row]) continue;
+        remap[row] = static_cast<uint32_t>(kept.size());
+        kept.push_back(hashes[row]);
+      }
+      index.Compact(remap, kept.size());
+      hashes = std::move(kept);
+      linked.assign(hashes.size(), 1);
+      check();
+    }
   }
 }
 
-// A relation under interleaved Insert / EnsureIndex / EraseTuples / Clone,
-// against a model kept as the tuple list plus, per built mask, a map from
-// masked hash to ascending rows.
-TEST(RowIndexTest, RelationMatchesModelUnderMixedOperations) {
+// A relation under interleaved Insert / EraseTuples / EnsureIndex / Clone,
+// against a plain compacting model: the tuple list in row order.  Erase
+// rounds remove 30–60% of the rows, so dead rows cross half of the row ids
+// — and the relation compacts — several times.  The live rows must
+// enumerate in model order; Contains, RowOf and LookupBuilt must agree
+// with the model and never yield a dead row.
+TEST(RowIndexTest, TombstonedRelationMatchesCompactingModel) {
   Rng rng(7);
   Relation rel(3);
   std::vector<Tuple> rows;  // the model relation, in row order
   std::vector<uint64_t> masks;
+  size_t compactions = 0;
+  size_t tombstoned_checks = 0;
   auto random_tuple = [&] {
     return T({static_cast<int64_t>(rng.NextBelow(4000)),
               static_cast<int64_t>(rng.NextBelow(3)),
@@ -307,78 +331,147 @@ TEST(RowIndexTest, RelationMatchesModelUnderMixedOperations) {
   };
   auto check = [&] {
     ASSERT_EQ(rel.size(), rows.size());
-    for (size_t row = 0; row < rows.size(); ++row) {
-      ASSERT_EQ(rel.tuple(row), rows[row]);
-      ASSERT_EQ(rel.RowOf(rows[row]), row);
+    // Dead rows stay under half of the row ids (or the relation compacts).
+    const size_t dead = rel.row_bound() - rel.size();
+    ASSERT_TRUE(dead == 0 || 2 * dead < rel.row_bound());
+    if (dead > 0) ++tombstoned_checks;
+    std::vector<Tuple> live(rel.tuples().begin(), rel.tuples().end());
+    ASSERT_EQ(live, rows);
+    size_t live_rows = 0;
+    size_t last = 0;
+    for (size_t row = 0; row < rel.row_bound(); ++row) {
+      if (!rel.live(row)) {
+        ASSERT_TRUE(rel.tuple(row).empty());
+        continue;
+      }
+      ASSERT_EQ(rel.tuple(row), rows[live_rows]);
+      const size_t found = rel.RowOf(rows[live_rows]);
+      ASSERT_EQ(found, row);
+      ASSERT_TRUE(live_rows == 0 || found > last);
+      last = found;
+      ++live_rows;
     }
+    ASSERT_EQ(live_rows, rows.size());
     for (int i = 0; i < 200; ++i) {
       Tuple t = random_tuple();
-      auto it = std::find(rows.begin(), rows.end(), t);
-      ASSERT_EQ(rel.Contains(t), it != rows.end());
-      ASSERT_EQ(rel.RowOf(t), it == rows.end()
-                                  ? Relation::kNoRow
-                                  : static_cast<size_t>(it - rows.begin()));
+      const bool present = std::find(rows.begin(), rows.end(), t) != rows.end();
+      ASSERT_EQ(rel.Contains(t), present);
+      const size_t row = rel.RowOf(t);
+      ASSERT_EQ(row != Relation::kNoRow, present);
+      if (present) {
+        ASSERT_TRUE(rel.live(row));
+      }
     }
     for (uint64_t mask : masks) {
-      std::map<size_t, std::vector<uint32_t>> model;
-      for (size_t row = 0; row < rows.size(); ++row) {
-        model[HashTupleMasked(rows[row], mask)].push_back(
-            static_cast<uint32_t>(row));
-      }
+      std::map<size_t, std::vector<Tuple>> model;
+      for (const Tuple& t : rows) model[HashTupleMasked(t, mask)].push_back(t);
       for (const auto& [hash, want] : model) {
-        const Tuple& probe = rows[want.front()];
-        ASSERT_EQ(HashTupleMasked(probe, mask), hash);
-        std::vector<uint32_t> got;
-        for (uint32_t row : rel.LookupBuilt(mask, probe)) got.push_back(row);
+        const Tuple& probe = want.front();
+        std::vector<Tuple> got;
+        for (uint32_t row : rel.LookupBuilt(mask, probe)) {
+          ASSERT_TRUE(rel.live(row)) << "mask " << mask << " row " << row;
+          got.push_back(rel.tuple(row));
+        }
         ASSERT_EQ(got, want) << "mask " << mask;
       }
       ASSERT_TRUE(rel.LookupBuilt(mask, T({-1, -1, -1})).empty());
     }
   };
   const uint64_t kMasks[] = {0b001, 0b110, 0b011};
-  for (int step = 0; step < 24; ++step) {
+  for (int step = 0; step < 32; ++step) {
     switch (step % 4) {
       case 0:
-      case 1:
-        for (int i = 0; i < 1500; ++i) {
+        for (int i = 0; i < 1200; ++i) {
           Tuple t = random_tuple();
           bool fresh = std::find(rows.begin(), rows.end(), t) == rows.end();
           ASSERT_EQ(rel.Insert(t), fresh);
           if (fresh) rows.push_back(std::move(t));
         }
         break;
+      case 1:
       case 2: {
+        // Erase a share of the rows, and re-insert a few of them: a
+        // re-inserted tuple appends at the end.
+        const double share = step % 4 == 1 ? 0.3 : 0.6 * rng.NextDouble();
         std::vector<Tuple> doomed;
         std::set<Tuple> doomed_set;
         for (const Tuple& t : rows) {
-          if (rng.NextBool(0.3)) {
+          if (rng.NextBool(share)) {
             doomed.push_back(t);
             doomed_set.insert(t);
           }
         }
         doomed.push_back(T({-5, 0, 0}));  // absent: ignored
         if (!doomed.empty()) doomed.push_back(doomed.front());  // duplicate
+        const size_t bound = rel.row_bound();
         ASSERT_EQ(rel.EraseTuples(doomed), doomed_set.size());
+        if (rel.row_bound() < bound) ++compactions;
         std::vector<Tuple> kept;
         for (Tuple& t : rows) {
           if (doomed_set.count(t) == 0) kept.push_back(std::move(t));
         }
         rows = std::move(kept);
+        for (size_t i = 0; i < doomed.size(); i += 7) {
+          if (doomed_set.count(doomed[i]) == 0) continue;
+          ASSERT_TRUE(rel.Insert(doomed[i]));
+          rows.push_back(doomed[i]);
+          doomed_set.erase(doomed[i]);
+        }
         break;
       }
       case 3:
         rel = rel.Clone();
         break;
     }
-    if (step / 4 < 3) {
-      rel.EnsureIndex(kMasks[step / 4]);
-      if (std::find(masks.begin(), masks.end(), kMasks[step / 4]) ==
-          masks.end()) {
-        masks.push_back(kMasks[step / 4]);
-      }
+    if (step % 8 == 2 && step / 8 < 3) {
+      rel.EnsureIndex(kMasks[step / 8]);
+      masks.push_back(kMasks[step / 8]);
     }
     check();
   }
+  EXPECT_GE(compactions, 3u);
+  EXPECT_GE(tombstoned_checks, 3u);
+}
+
+TEST(RelationTest, EraseBelowHalfKeepsRowIdsAndReinsertAppends) {
+  Relation rel(2);
+  rel.EnsureIndex(0b01);
+  for (int64_t i = 0; i < 5; ++i) rel.Insert(T({i % 2, i}));
+  const uint64_t version = rel.version();
+  EXPECT_EQ(rel.EraseTuples({T({0, 2}), T({1, 3})}), 2u);  // rows 2 and 3
+  EXPECT_EQ(rel.version(), version + 1);
+  EXPECT_EQ(rel.size(), 3u);
+  EXPECT_EQ(rel.row_bound(), 5u);
+  EXPECT_FALSE(rel.live(2));
+  EXPECT_FALSE(rel.Contains(T({0, 2})));
+  EXPECT_EQ(rel.RowOf(T({0, 4})), 4u);
+  auto rows_of = [&rel](int64_t key) {
+    std::vector<uint32_t> out;
+    for (uint32_t row : rel.LookupBuilt(0b01, T({key, 0}))) out.push_back(row);
+    return out;
+  };
+  EXPECT_EQ(rows_of(0), (std::vector<uint32_t>{0, 4}));
+  EXPECT_EQ(rows_of(1), (std::vector<uint32_t>{1}));
+  EXPECT_TRUE(rel.Insert(T({0, 2})));  // row 5
+  EXPECT_EQ(rel.RowOf(T({0, 2})), 5u);
+  EXPECT_EQ(rows_of(0), (std::vector<uint32_t>{0, 4, 5}));
+  rel.EnsureIndex(0b10);
+  EXPECT_TRUE(rel.LookupBuilt(0b10, T({0, 3})).empty());
+  EXPECT_EQ(rel.LookupBuilt(0b10, T({0, 2})).size(), 1u);
+  std::vector<Tuple> live(rel.tuples().begin(), rel.tuples().end());
+  EXPECT_EQ(live, (std::vector<Tuple>{T({0, 0}), T({1, 1}), T({0, 4}),
+                                      T({0, 2})}));
+  // The content fingerprint follows the live rows only.
+  Relation fresh(2);
+  for (const Tuple& t : live) fresh.Insert(t);
+  EXPECT_EQ(rel.content_hash(), fresh.content_hash());
+  // Dead rows reaching half of the row ids compact the relation in order.
+  EXPECT_EQ(rel.EraseTuples({T({0, 4})}), 1u);  // 3 of 6 rows dead
+  EXPECT_EQ(rel.row_bound(), 3u);
+  EXPECT_EQ(rel.size(), 3u);
+  EXPECT_EQ(rel.RowOf(T({0, 2})), 2u);
+  EXPECT_EQ(rows_of(0), (std::vector<uint32_t>{0, 2}));
+  EXPECT_EQ(rows_of(1), (std::vector<uint32_t>{1}));
 }
 
 TEST(RowIndexTest, KeyEmptiedByEraseReturnsAtTheChainEnd) {

@@ -181,6 +181,32 @@ TEST(IncrementalView, ArityMismatchRejected) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
+// Every predicate's arity is checked before anything changes: a delta whose
+// `edge` part is valid but whose `zzz` part is not leaves the EDB and the
+// materialization untouched, and the next valid delta applies.
+TEST(IncrementalView, RejectedDeltaChangesNothingAndViewStaysUsable) {
+  Program program = Parse(kClosure);
+  IncrementalView view(Parse(kClosure));
+  FactDb edb;
+  edb.Add("edge", Edge(1, 2));
+  edb.Add("zzz", T({1}));
+  ASSERT_TRUE(view.Initialize(std::move(edb)).ok());
+  FactDb before = view.db().Clone();
+
+  EdbDelta bad;
+  bad.inserts["edge"].push_back(Edge(2, 3));
+  bad.inserts["zzz"].push_back(T({1, 2}));
+  EXPECT_EQ(view.Apply(bad).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(view.edb().Get("edge")->size(), 1u);
+  EXPECT_TRUE(DatabasesEqualOrdered(view.db(), before));
+
+  EdbDelta good;
+  good.inserts["edge"].push_back(Edge(2, 3));
+  ASSERT_TRUE(view.Apply(good).ok());
+  EXPECT_TRUE(view.db().Get("path")->Contains(Edge(1, 3)));
+  ExpectMatchesRebuild(view, program, {}, "after a rejected delta");
+}
+
 TEST(IncrementalView, NegationFallsBackToRecomputation) {
   const char* src =
       "reach(x,y) :- edge(x,y).\n"
@@ -374,6 +400,118 @@ TEST_P(AggregateOverRecursion, RerunMatchesRebuildOrdered) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, AggregateOverRecursion,
                          ::testing::Values<size_t>(1, 4));
+
+// A copy of `db` whose relations hold only the live rows, in order: what a
+// relation that compacted on every erase would hold.
+FactDb Compacted(const FactDb& db) {
+  FactDb out;
+  for (const std::string& pred : db.Predicates()) {
+    const Relation* rel = db.Get(pred);
+    Relation& copy = out.GetOrCreate(pred, rel->arity());
+    for (const Tuple& t : rel->tuples()) copy.Insert(t);
+  }
+  return out;
+}
+
+// Erasing a few EDB rows leaves them as dead rows (tombstones), and a rerun
+// runs the program over relations that carry them.  The rerun must still
+// equal, row for row and bit for bit, a rebuild over an EDB that holds
+// only the live rows.
+TEST(IncrementalView, RerunOverTombstonedEdbMatchesCompactedRebuild) {
+  const char* src =
+      "reach(x,y) :- edge(x,y).\n"
+      "reach(x,z) :- reach(x,y), edge(y,z).\n"
+      "score(x,s) :- reach(x,y), weight(y,w), s = sum(w, <y>).\n";
+  Program program = Parse(src);
+  IncrementalView view(Parse(src));
+  ASSERT_EQ(view.mode(), MaintenanceMode::kRerun);
+  kgm::Rng rng(0x70b);
+  FactDb edb;
+  std::vector<Tuple> live;
+  for (int64_t i = 0; i < 24; ++i) {
+    edb.Add("weight", Tuple{Value(i), Value(1.0 / static_cast<double>(3 + i))});
+  }
+  for (int i = 0; i < 60; ++i) {
+    Tuple e = Edge(static_cast<int64_t>(rng.NextBelow(24)),
+                   static_cast<int64_t>(rng.NextBelow(24)));
+    if (edb.Add("edge", Tuple(e))) live.push_back(e);
+  }
+  ASSERT_TRUE(view.Initialize(std::move(edb)).ok());
+  for (int batch = 0; batch < 3; ++batch) {
+    EdbDelta delta;
+    for (int i = 0; i < 4; ++i) {
+      size_t pick = rng.NextBelow(live.size());
+      delta.deletes["edge"].push_back(live[pick]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+    }
+    ASSERT_TRUE(view.Apply(delta).ok());
+    const Relation* edges = view.edb().Get("edge");
+    ASSERT_GT(edges->row_bound(), edges->size()) << "no tombstones left";
+    FactDb rebuilt = Compacted(view.edb());
+    Engine engine(program);
+    ASSERT_TRUE(engine.Run(&rebuilt).ok());
+    std::string diff;
+    EXPECT_FALSE(DescribeFirstDifference(view.db(), rebuilt, true, &diff))
+        << "batch " << batch << ": " << diff;
+  }
+}
+
+// A rescue chain on a cycle: deleting edge(1,2) overdeletes path(1,2) and
+// path(1,3).  The recursive rule comes first, so the seeded pass finds
+// path(1,2) underivable — path(1,3) is still erased — and then rescues
+// path(1,3) by edge(1,3).  That rescue spreads to path(1,2) through
+// path(1,3), edge(3,2) semi-naively, without a second seeded probe of
+// path(1,2): one call per (overdeleted tuple, rule head), and component B
+// (10 -> 11 -> 12, losing edge(10,11) for good) adds no re-probe either.
+TEST(IncrementalView, RescueChainProbesEachTupleOnce) {
+  const char* src =
+      "path(x,z) :- path(x,y), edge(y,z).\n"
+      "path(x,y) :- edge(x,y).\n";
+  Program program = Parse(src);
+  IncrementalView view(Parse(src));
+  FactDb edb;
+  for (const Tuple& e : {Edge(1, 2), Edge(2, 3), Edge(3, 2), Edge(1, 3),
+                         Edge(10, 11), Edge(11, 12)}) {
+    edb.Add("edge", e);
+  }
+  ASSERT_TRUE(view.Initialize(std::move(edb)).ok());
+  EdbDelta delta;
+  delta.deletes["edge"] = {Edge(1, 2), Edge(10, 11)};
+  ASSERT_TRUE(view.Apply(delta).ok());
+  const IncrementalStats& stats = view.last_stats();
+  ASSERT_EQ(stats.mode, MaintenanceMode::kDRed);
+  // path(1,2), path(1,3), path(10,11), path(10,12).
+  EXPECT_EQ(stats.overdeleted, 4u);
+  EXPECT_EQ(stats.rederived, 2u);
+  EXPECT_EQ(stats.seeded_calls, 2 * stats.overdeleted);
+  EXPECT_TRUE(view.db().Get("path")->Contains(Edge(1, 2)));
+  EXPECT_FALSE(view.db().Get("path")->Contains(Edge(10, 12)));
+  ExpectMatchesRebuild(view, program, {}, "rescue chain");
+}
+
+// The phase timers are disjoint slices of one Apply: EDB, then the three
+// DRed phases of each stratum.
+TEST(IncrementalView, PhaseTimesAddUpToApplyTime) {
+  Program program = Parse(kClosure);
+  IncrementalView view(Parse(kClosure));
+  FactDb edb;
+  for (int64_t i = 0; i < 40; ++i) edb.Add("edge", Edge(i, (i * 7 + 3) % 40));
+  ASSERT_TRUE(view.Initialize(std::move(edb)).ok());
+  for (int64_t batch = 0; batch < 4; ++batch) {
+    EdbDelta delta;
+    delta.deletes["edge"].push_back(Edge(batch, (batch * 7 + 3) % 40));
+    delta.inserts["edge"].push_back(Edge(batch, batch + 20));
+    ASSERT_TRUE(view.Apply(delta).ok());
+    const IncrementalStats& s = view.last_stats();
+    ASSERT_EQ(s.mode, MaintenanceMode::kDRed);
+    EXPECT_GT(s.edb_seconds, 0);
+    EXPECT_GT(s.overdelete_seconds, 0);
+    EXPECT_LE(s.edb_seconds + s.overdelete_seconds + s.rederive_seconds +
+                  s.insert_seconds,
+              s.apply_seconds);
+  }
+  ExpectMatchesRebuild(view, program, {}, "phase timers");
+}
 
 // DRed never sends aggregate rules to the rule-at-a-time evaluator (see
 // ModeSelection); called on one anyway, both entry points return

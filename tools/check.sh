@@ -71,11 +71,14 @@ if [[ "$TIDY" == 1 ]]; then
   exit 0
 fi
 
+# Builds and test runs use one job per CPU: an unbounded `-j` starts a
+# compiler per target at once and can exhaust memory.
+JOBS="$(nproc)"
+
 # No explicit generator: reconfiguring an existing build dir with a
 # different one is a cmake error, so stick to the platform default.
 run cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
-run cmake --build build -j
-JOBS="$(nproc)"
+run cmake --build build -j "$JOBS"
 
 run ctest --test-dir build --output-on-failure -j "$JOBS"
 
@@ -147,13 +150,13 @@ SANITIZER_TESTS='vadalog_|base_thread_pool|service_|finkg_incremental|finkg_poin
 
 run cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DKGM_SANITIZE=address
-run cmake --build build-asan -j
+run cmake --build build-asan -j "$JOBS"
 run ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
   -R "$SANITIZER_TESTS"
 
 run cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DKGM_SANITIZE=thread
-run cmake --build build-tsan -j
+run cmake --build build-tsan -j "$JOBS"
 run ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
   -R "$SANITIZER_TESTS"
 
