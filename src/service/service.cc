@@ -63,31 +63,29 @@ KgService::KgService(KgServiceOptions options)
       prepared_(options.prepared_cache_capacity),
       results_(options.result_cache_capacity),
       rewrites_(options.prepared_cache_capacity) {
-  if (options_.lint_admission) {
-    prepared_.set_lint_hook([config = options_.lint_config](
-                                const metalog::CompiledMeta& compiled,
-                                const metalog::GraphCatalog& base) {
-      lint::LintOptions lint_options;
-      // Catalog labels are extensional: defined by the graph, not by rules.
-      // A Vadalog program reads them as relations of the encoding.
-      for (const std::string& l : compiled.catalog.NodeLabels()) {
-        lint_options.external_predicates.push_back(l);
-      }
-      for (const std::string& l : compiled.catalog.EdgeLabels()) {
-        lint_options.external_predicates.push_back(l);
-      }
-      lint::LintResult result =
-          compiled.language == QueryLanguage::kVadalog
-              ? lint::RunLints(compiled.program, lint_options)
-              : lint::LintCompiledMeta(compiled.meta, compiled.program,
-                                       compiled.rule_origin, &base,
-                                       lint_options);
-      // Deployment severity overrides run before the cached result is
-      // stored, so admission and any later renderings agree.
-      config.Apply(&result);
-      return result;
-    });
-  }
+  prepared_.set_lint_hook([config = options_.lint_config](
+                              const metalog::CompiledMeta& compiled,
+                              const metalog::GraphCatalog& base) {
+    lint::LintOptions lint_options;
+    // Catalog labels are extensional: defined by the graph, not by rules.
+    // A Vadalog program reads them as relations of the encoding.
+    for (const std::string& l : compiled.catalog.NodeLabels()) {
+      lint_options.external_predicates.push_back(l);
+    }
+    for (const std::string& l : compiled.catalog.EdgeLabels()) {
+      lint_options.external_predicates.push_back(l);
+    }
+    lint::LintResult result =
+        compiled.language == QueryLanguage::kVadalog
+            ? lint::RunLints(compiled.program, lint_options)
+            : lint::LintCompiledMeta(compiled.meta, compiled.program,
+                                     compiled.rule_origin, &base,
+                                     lint_options);
+    // Deployment severity overrides run before the cached result is
+    // stored, so admission and any later renderings agree.
+    config.Apply(&result);
+    return result;
+  });
 }
 
 KgService::~KgService() { pool_.WaitIdle(); }
@@ -308,12 +306,9 @@ Result<QueryResult> KgService::Query(const QueryRequest& request) {
   // queue slot or a worker.  The compiled program is carried into
   // evaluation so admission never adds a second cache lookup.
   AdmittedCompile admitted;
-  if (options_.lint_admission) {
-    Status ok = LintAdmission(request, &admitted);
-    if (!ok.ok()) {
-      stats_.RecordFailed(Seconds(start, Clock::now()));
-      return ok;
-    }
+  if (Status ok = LintAdmission(request, &admitted); !ok.ok()) {
+    stats_.RecordFailed(Seconds(start, Clock::now()));
+    return ok;
   }
   // Admission: reserve a queue slot or reject.  fetch_add + rollback keeps
   // the check race-free without a lock.
@@ -410,7 +405,7 @@ Result<QueryResult> KgService::EvaluateOnSnapshot(
   }
   // Execute() bypasses Query()'s pre-queue check; the lint result is
   // cached with the compilation, so this re-check costs a flag read.
-  if (options_.lint_admission && compiled->lint.has_errors()) {
+  if (compiled->lint.has_errors()) {
     return InvalidArgument("program rejected by lint: " +
                            compiled->lint.FirstError());
   }

@@ -108,13 +108,12 @@ struct KgServiceOptions {
   // evaluation — the pool provides cross-request parallelism.
   vadalog::EngineOptions engine;
   metalog::MtvOptions mtv;
-  // Run the lint pipeline on every program and reject those with
-  // error-severity diagnostics with InvalidArgument before the request is
+  // Every program runs the lint pipeline, and one with error-severity
+  // diagnostics is rejected with InvalidArgument before the request is
   // even queued, for both languages (diagnostics are cached with the
-  // prepared program, so the check is free on cache hits).
-  bool lint_admission = true;
-  // Per-pass severity overrides (.kgmlint semantics) applied to every
-  // lint run before the error check, so deployments can promote a
+  // prepared program, so the check is free on cache hits).  These
+  // per-pass severity overrides (.kgmlint semantics) apply to every lint
+  // run before the error check, so deployments can promote a
   // warning-grade pass to an admission blocker or silence a pass without
   // a rebuild.  Empty = stock severities.
   lint::LintConfig lint_config;

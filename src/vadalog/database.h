@@ -33,6 +33,11 @@ using Tuple = std::vector<Value>;
 
 size_t HashTuple(const Tuple& t);
 
+// HashTuple as a hash functor, for unordered containers keyed by Tuple.
+struct TupleHashFn {
+  size_t operator()(const Tuple& t) const { return HashTuple(t); }
+};
+
 // Hashes only positions selected by `mask` (bit i set = position i).
 size_t HashTupleMasked(const Tuple& t, uint64_t mask);
 
@@ -244,10 +249,11 @@ class Relation {
   // removed row becomes a dead row: its tuple is released and it is
   // unlinked from the dedup index and every built index by its own hashes,
   // so a call costs O(removed rows), not O(relation).  When dead rows then
-  // reach half of row_bound(), the relation compacts: live rows keep their order and move down to ids [0, size()),
-  // and every index relinks its chains through the remap
-  // (RowIndex::Compact: no tuple rehashed).  Row ids observed before a
-  // call stay valid for the live rows unless the call compacted.  Not thread-safe.  Erasure exists for incremental
+  // reach half of row_bound(), the relation compacts: live rows keep their
+  // order and move down to ids [0, size()), and every index relinks its
+  // chains through the remap (RowIndex::Compact: no tuple rehashed).  Row
+  // ids observed before a call stay valid for the live rows unless the
+  // call compacted.  Not thread-safe.  Erasure exists for incremental
   // maintenance (DRed overdeletion) and snapshot deltas, not for the
   // engine's fixpoint loop, which remains append-only.
   size_t EraseTuples(const std::vector<Tuple>& ts);

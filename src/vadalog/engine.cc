@@ -19,10 +19,6 @@ namespace kgm::vadalog {
 
 namespace {
 
-struct TupleHashFn {
-  size_t operator()(const Tuple& t) const { return HashTuple(t); }
-};
-
 // --- compiled rule representation -------------------------------------------
 
 struct ArgSlot {
@@ -168,13 +164,15 @@ struct JoinPlan {
 };
 
 // Plans the join of `cr` with the slots in `bound` bound before it starts.
-// Each depth takes the first unevaluated positive literal, in written
-// order, from the best tier: fully bound (a containment probe), then partly
-// bound (an index lookup), then unbound (a scan).  A literal's mask is its
-// constants plus the variables bound when it joins; negated literals are
-// checked with every named argument bound.  The plan depends only on the
-// rule's shape and `bound`: it needs no statistics.
-JoinPlan PlanJoin(const CompiledRule& cr, std::vector<char> bound) {
+// Positive literal `first` (-1 = none) joins at depth 0; each other depth
+// takes the first unevaluated positive literal, in written order, from the
+// best tier: fully bound (a containment probe), then partly bound (an
+// index lookup), then unbound (a scan).  A literal's mask is its constants
+// plus the variables bound when it joins; negated literals are checked
+// with every named argument bound.  The plan depends only on the rule's
+// shape, `bound` and `first`: it needs no statistics.
+JoinPlan PlanJoin(const CompiledRule& cr, std::vector<char> bound,
+                  int first = -1) {
   auto mask_of = [&bound](const CompiledLiteral& lit) {
     uint64_t m = 0;
     for (size_t i = 0; i < lit.args.size(); ++i) {
@@ -188,6 +186,15 @@ JoinPlan PlanJoin(const CompiledRule& cr, std::vector<char> bound) {
   plan.order.reserve(n);
   plan.masks.assign(n + cr.negatives.size(), 0);
   std::vector<char> taken(n, 0);
+  auto take = [&](size_t i) {
+    taken[i] = 1;
+    plan.order.push_back(static_cast<uint32_t>(i));
+    plan.masks[i] = mask_of(cr.positives[i]);
+    for (const ArgSlot& a : cr.positives[i].args) {
+      if (a.slot >= 0) bound[a.slot] = 1;
+    }
+  };
+  if (first >= 0) take(static_cast<size_t>(first));
   while (plan.order.size() < n) {
     size_t best = n;
     int best_tier = 3;
@@ -201,12 +208,7 @@ JoinPlan PlanJoin(const CompiledRule& cr, std::vector<char> bound) {
         best_tier = tier;
       }
     }
-    taken[best] = 1;
-    plan.order.push_back(static_cast<uint32_t>(best));
-    plan.masks[best] = mask_of(cr.positives[best]);
-    for (const ArgSlot& a : cr.positives[best].args) {
-      if (a.slot >= 0) bound[a.slot] = 1;
-    }
+    take(best);
   }
   std::fill(bound.begin(), bound.end(), 1);
   for (size_t j = 0; j < cr.negatives.size(); ++j) {
@@ -236,8 +238,9 @@ struct ReplayOp {
 // Per-evaluation binding and output state.  Every work item owns a context
 // that records its derived facts in firing order, and its aggregate
 // contributions, for the replay at the iteration barrier.  A
-// DeltaEvaluator call records its facts for its callback.  Either way the join reads a database that does not change,
-// through relations and indexes prepared before it started.
+// DeltaEvaluator call records its facts for its callback.  Either way the
+// join reads a database that does not change, through relations and
+// indexes prepared before it started.
 struct EvalContext {
   CompiledRule* rule = nullptr;
   std::vector<Value> slots;
@@ -1642,17 +1645,15 @@ struct DeltaEvaluator::State {
 
   explicit State(Engine* engine) : impl(engine) {}
 
-  // EvalRuleDelta enumerates the delta outermost, so the plan starts with
-  // the delta literal's variables bound.
+  // EvalRuleDelta joins the delta literal first, with nothing bound: each
+  // delta row is enumerated once and binds the literal's variables for the
+  // rest of the join, which is planned as if they were bound up front.
   const JoinPlan& DeltaPlan(const CompiledRule& cr, size_t literal_index) {
     auto [it, fresh] =
         delta_plans.try_emplace({static_cast<size_t>(cr.index), literal_index});
     if (fresh) {
-      std::vector<char> prebound(cr.slot_names.size(), 0);
-      for (const ArgSlot& a : cr.positives[literal_index].args) {
-        if (a.slot >= 0) prebound[a.slot] = 1;
-      }
-      it->second = PlanJoin(cr, std::move(prebound));
+      it->second = PlanJoin(cr, std::vector<char>(cr.slot_names.size(), 0),
+                            static_cast<int>(literal_index));
     }
     return it->second;
   }
@@ -1692,8 +1693,8 @@ struct DeltaEvaluator::State {
 
   // Readies `ctx` for a call that joins `cr` by `plan`: resolves every body
   // relation and builds each index the plan probes.  The delta literal
-  // (-1 = none) reads `delta`, indexed when anonymous positions leave it
-  // partly bound.  Emissions are recorded as ops, at most max_facts.
+  // (-1 = none) reads `delta`, indexed when its constants leave it partly
+  // bound.  Emissions are recorded as ops, at most max_facts.
   void Prepare(CompiledRule& cr, const JoinPlan& plan, int delta_literal,
                Relation* delta, EvalContext* ctx) {
     const size_t np = cr.positives.size();
@@ -1749,48 +1750,19 @@ Status DeltaEvaluator::EvalRuleDelta(size_t rule_index, size_t literal_index,
   CompiledRule& cr = impl.compiled[rule_index];
   KGM_RETURN_IF_ERROR(state_->CheckSupported(cr));
   KGM_CHECK(literal_index < cr.positives.size());
-  const CompiledLiteral& lit = cr.positives[literal_index];
-  auto it = delta_rels.find(lit.pred);
+  auto it = delta_rels.find(cr.positives[literal_index].pred);
   if (it == delta_rels.end()) return OkStatus();
-  Relation& delta_rel = it->second;
   const int delta_literal = static_cast<int>(literal_index);
-
-  // Enumerate the delta outermost, pre-binding the delta literal's
-  // variables, so the join reaches the other literals through their
-  // indexes on the shared variables instead of scanning them.  With a
-  // small delta this makes the evaluation cost proportional to the
-  // delta's join partners, not to the database.  The delta literal itself
-  // is still probed inside Join (a containment probe); anonymous positions
-  // in it are left free, which can revisit a sibling delta row —
-  // emissions are idempotent for every caller, so that costs duplicate
-  // work, never duplicate facts.  Every delta row binds the same slots, so
-  // one plan serves every call of this (rule, literal).
+  // Joining the delta first reaches the other literals through their
+  // indexes on the variables it binds, so with a small delta the cost
+  // follows the delta's join partners, not the database.
   const JoinPlan& plan = state_->DeltaPlan(cr, literal_index);
   EvalContext ctx;
-  state_->Prepare(cr, plan, delta_literal, &delta_rel, &ctx);
+  ctx.slots.assign(cr.slot_names.size(), Value());
+  ctx.bound.assign(cr.slot_names.size(), 0);
+  state_->Prepare(cr, plan, delta_literal, &it->second, &ctx);
   impl.cur_delta = &delta_rels;
-  Status status = OkStatus();
-  for (const Tuple& t : delta_rel.tuples()) {
-    if (!status.ok()) break;
-    ctx.slots.assign(cr.slot_names.size(), Value());
-    ctx.bound.assign(cr.slot_names.size(), 0);
-    bool ok = true;
-    for (size_t i = 0; i < lit.args.size() && ok; ++i) {
-      const ArgSlot& a = lit.args[i];
-      if (a.is_const) {
-        ok = a.constant == t[i];
-      } else if (a.slot < 0) {
-        // anonymous: matches anything
-      } else if (ctx.bound[a.slot]) {
-        ok = ctx.slots[a.slot] == t[i];
-      } else {
-        ctx.slots[a.slot] = t[i];
-        ctx.bound[a.slot] = 1;
-      }
-    }
-    if (!ok) continue;
-    status = impl.Join(ctx, cr, 0, delta_literal);
-  }
+  Status status = impl.Join(ctx, cr, 0, delta_literal);
   impl.cur_delta = nullptr;
   return state_->Finish(ctx, std::move(status), emit);
 }

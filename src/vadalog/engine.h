@@ -160,13 +160,16 @@ Status RunProgram(std::string_view source, FactDb* db,
 // join/binding/emit machinery — assignments-as-equality-constraints,
 // condition splits and Skolem interning behave exactly as in Engine::Run,
 // which is what makes the maintained database converge to the from-scratch
-// result.  Both calls join bound-first, like Engine::Run: at each depth
-// the first remaining literal, in written order, whose arguments are all
-// bound, else the first partly bound one, else the first remaining one
-// (DESIGN.md §3.11).  Engine::Run plans each rule once with nothing bound;
-// a call joins by a plan for what it pre-binds, made once per evaluator for
-// each (rule, delta literal) or (rule, head atom), so its emissions come in
-// that join order, not in Engine::Run's.
+// result.  Both calls join through the engine's one Join, bound-first like
+// Engine::Run: at each depth the first remaining literal, in written
+// order, whose arguments are all bound, else the first partly bound one,
+// else the first remaining one (DESIGN.md §3.11).  A delta call joins its
+// delta literal first, scanning the delta, and plans the rest as if that
+// literal's variables were bound; a seeded call plans for the head
+// variables it pre-binds.  Engine::Run plans each rule once with nothing
+// bound; an evaluator plans once per (rule, delta literal) or (rule, head
+// atom) and keeps the plans for its whole life, so a call's emissions come
+// in its plan's join order, not in Engine::Run's.
 //
 // The database must not change during a call: like a barrier work item, a
 // call builds the indexes its join order probes before the join starts and
@@ -178,7 +181,8 @@ Status RunProgram(std::string_view source, FactDb* db,
 class DeltaEvaluator {
  public:
   // `engine` must have ok status and outlive the evaluator; `db` is the
-  // database joins read.  Compiles the program once.
+  // database joins read, and must outlive it too.  Compiles the program
+  // once; every later call reuses it, however `db` changes in between.
   DeltaEvaluator(Engine* engine, FactDb* db);
   ~DeltaEvaluator();
 
@@ -196,10 +200,11 @@ class DeltaEvaluator {
   // Evaluates rule `rule_index` with its `literal_index`-th *positive* body
   // literal restricted to the tuples of `delta_rels[pred]` (the literal's
   // predicate; absent predicate = no matches); every other literal joins
-  // against the database as it was when the call started.  Calls `emit`
-  // once per derived head atom, after the join.  May build an index on the
-  // delta relation (anonymous positions leave the delta literal partly
-  // bound).
+  // against the database as it was when the call started.  The delta
+  // literal joins first, so each delta row is enumerated once, anonymous
+  // positions included.  Calls `emit` once per derived head atom, after
+  // the join.  May build an index on the delta relation (when the literal
+  // has constants besides variables).
   Status EvalRuleDelta(size_t rule_index, size_t literal_index,
                        std::map<std::string, Relation>& delta_rels,
                        const EmitFn& emit);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <set>
 #include <unordered_set>
 #include <utility>
@@ -12,16 +13,50 @@ namespace kgm::vadalog {
 
 namespace {
 
-struct TupleHashFn {
-  size_t operator()(const Tuple& t) const { return HashTuple(t); }
-};
-
 using TupleSet = std::unordered_set<Tuple, TupleHashFn>;
 using TupleListMap = std::map<std::string, std::vector<Tuple>>;
+// A semi-naive frontier: per predicate, the tuples one round joins as the
+// delta.
+using DeltaRels = std::map<std::string, Relation>;
 
 bool NonEmpty(const TupleListMap& m, const std::string& pred) {
   auto it = m.find(pred);
   return it != m.end() && !it->second.empty();
+}
+
+void AddToFrontier(DeltaRels* frontier, const std::string& pred,
+                   const std::vector<Tuple>& ts) {
+  if (ts.empty()) return;
+  Relation& rel = frontier->try_emplace(pred, ts[0].size()).first->second;
+  for (const Tuple& t : ts) rel.Insert(t);
+}
+
+// Removes every tuple listed in both `dels` and `ins` from both, keeping
+// the order of the rest: a tuple deleted and re-inserted has no net
+// effect.  Neither list may hold a duplicate.
+void CancelPairs(std::vector<Tuple>* dels, std::vector<Tuple>* ins) {
+  if (dels->empty() || ins->empty()) return;
+  const TupleSet del_set(dels->begin(), dels->end());
+  const TupleSet ins_set(ins->begin(), ins->end());
+  auto drop = [](std::vector<Tuple>* ts, const TupleSet& other) {
+    ts->erase(std::remove_if(ts->begin(), ts->end(),
+                             [&other](const Tuple& t) {
+                               return other.count(t) > 0;
+                             }),
+              ts->end());
+  };
+  drop(dels, ins_set);
+  drop(ins, del_set);
+}
+
+// Sets m[pred] to `ts`, or removes the entry when `ts` is empty.
+void SetOrErase(TupleListMap* m, const std::string& pred,
+                std::vector<Tuple> ts) {
+  if (ts.empty()) {
+    m->erase(pred);
+  } else {
+    (*m)[pred] = std::move(ts);
+  }
 }
 
 }  // namespace
@@ -57,6 +92,9 @@ struct IncrementalView::State {
 
   FactDb edb;  // extensional base, program facts included
   FactDb db;   // maintained materialization
+  // Rule-at-a-time joins over db for every DRed batch: the program is
+  // compiled, and each join planned, once per view.
+  DeltaEvaluator dev{&engine, &db};
 
   IncrementalStats last_stats;
 
@@ -145,8 +183,18 @@ struct IncrementalView::State {
   // negated input changed.
   Status ApplyDRed(TupleListMap& d_del, TupleListMap& d_ins);
 
-  Status DRedStratum(const StratumInfo& info, DeltaEvaluator& dev,
-                     TupleListMap* d_del, TupleListMap* d_ins);
+  Status DRedStratum(const StratumInfo& info, TupleListMap* d_del,
+                     TupleListMap* d_ins);
+
+  // The semi-naive rounds every DRed phase runs: each round fires the
+  // stratum's rules once per positive body literal whose predicate is in
+  // `frontier`, with that literal restricted to the frontier's tuples.
+  // Every emission `accept` returns true for joins the next round's
+  // frontier; the rounds end when one accepts nothing.  `accept` may
+  // change db: a call sees the changes of the calls before it.
+  using AcceptFn = std::function<bool(const std::string& pred, const Tuple& t)>;
+  Status Propagate(const StratumInfo& info, DeltaRels frontier,
+                   const AcceptFn& accept);
 };
 
 Status IncrementalView::State::ValidateDelta(const EdbDelta& delta) const {
@@ -186,34 +234,25 @@ void IncrementalView::State::NormalizeAndApplyEdb(const EdbDelta& delta,
   for (const std::string& pred : delta.TouchedPredicates()) {
     const Relation* existing = edb.Get(pred);
     TupleSet del_set;
-    std::vector<Tuple> dels;
+    std::vector<Tuple> net_del;
     if (auto it = delta.deletes.find(pred); it != delta.deletes.end()) {
       for (const Tuple& t : it->second) {
         if (existing == nullptr || !existing->Contains(t)) continue;
-        if (!del_set.insert(t).second) continue;
-        dels.push_back(t);
+        if (del_set.insert(t).second) net_del.push_back(t);
       }
     }
     TupleSet ins_set;
-    std::vector<Tuple> inss;
+    std::vector<Tuple> net_ins;
     if (auto it = delta.inserts.find(pred); it != delta.inserts.end()) {
       for (const Tuple& t : it->second) {
-        bool present =
-            existing != nullptr && existing->Contains(t) && del_set.count(t) == 0;
+        bool present = existing != nullptr && existing->Contains(t) &&
+                       del_set.count(t) == 0;
         if (present) continue;
-        if (!ins_set.insert(t).second) continue;
-        inss.push_back(t);
+        if (ins_set.insert(t).second) net_ins.push_back(t);
       }
     }
-    // Cancel delete+reinsert pairs: net effect on the EDB is none.
-    std::vector<Tuple> net_del;
-    for (Tuple& t : dels) {
-      if (ins_set.count(t) == 0) net_del.push_back(std::move(t));
-    }
-    std::vector<Tuple> net_ins;
-    for (Tuple& t : inss) {
-      if (del_set.count(t) == 0) net_ins.push_back(std::move(t));
-    }
+    // Delete+reinsert pairs leave the EDB as it was.
+    CancelPairs(&net_del, &net_ins);
     if (net_del.empty() && net_ins.empty()) continue;
     Relation& rel = edb.GetOrCreate(pred, ArityOf(pred, net_del.empty()
                                                             ? net_ins[0].size()
@@ -252,8 +291,28 @@ Status IncrementalView::State::Rerun() {
   return engine.Run(&db);
 }
 
+Status IncrementalView::State::Propagate(const StratumInfo& info,
+                                         DeltaRels frontier,
+                                         const AcceptFn& accept) {
+  while (!frontier.empty()) {
+    DeltaRels next;
+    for (size_t ri : info.rules) {
+      const std::vector<std::string>& pos = rule_positives[ri];
+      for (size_t li = 0; li < pos.size(); ++li) {
+        if (frontier.count(pos[li]) == 0) continue;
+        KGM_RETURN_IF_ERROR(dev.EvalRuleDelta(
+            ri, li, frontier, [&](const std::string& hp, Tuple t) {
+              if (!accept(hp, t)) return;
+              next.try_emplace(hp, t.size()).first->second.Insert(std::move(t));
+            }));
+      }
+    }
+    frontier = std::move(next);
+  }
+  return OkStatus();
+}
+
 Status IncrementalView::State::DRedStratum(const StratumInfo& info,
-                                           DeltaEvaluator& dev,
                                            TupleListMap* d_del,
                                            TupleListMap* d_ins) {
   using PhaseClock = std::chrono::steady_clock;
@@ -263,15 +322,6 @@ Status IncrementalView::State::DRedStratum(const StratumInfo& info,
     double s = std::chrono::duration<double>(now - phase_start).count();
     phase_start = now;
     return s;
-  };
-  auto make_delta_rels = [&](const TupleListMap& frontier) {
-    std::map<std::string, Relation> rels;
-    for (const auto& [pred, ts] : frontier) {
-      Relation rel(ts[0].size());
-      for (const Tuple& t : ts) rel.Insert(t);
-      rels.emplace(pred, std::move(rel));
-    }
-    return rels;
   };
 
   // --- overdeletion ----------------------------------------------------------
@@ -300,38 +350,25 @@ Status IncrementalView::State::DRedStratum(const StratumInfo& info,
     ts.push_back(t);
     return true;
   };
-  TupleListMap frontier;
+  DeltaRels frontier;
   for (const std::string& pred : info.pos_body) {
-    auto it = d_del->find(pred);
-    if (it != d_del->end() && !it->second.empty()) frontier[pred] = it->second;
-  }
-  for (const std::string& pred : info.heads) {
-    auto it = d_del->find(pred);
-    if (it == d_del->end() || it->second.empty()) continue;
-    // EDB deletions of an IDB predicate: the tuples lose their base support
-    // and enter overdeletion; rederivation decides whether a rule still
-    // proves them.  They also seed rule firings (handled via `frontier`
-    // when the predicate occurs in a body).
-    for (const Tuple& t : it->second) overdelete(pred, t);
-    if (info.pos_body.count(pred) == 0) frontier[pred] = it->second;
-  }
-  while (!frontier.empty()) {
-    std::map<std::string, Relation> delta_rels = make_delta_rels(frontier);
-    TupleListMap next;
-    for (size_t ri : info.rules) {
-      const std::vector<std::string>& pos = rule_positives[ri];
-      for (size_t li = 0; li < pos.size(); ++li) {
-        if (frontier.find(pos[li]) == frontier.end()) continue;
-        KGM_RETURN_IF_ERROR(dev.EvalRuleDelta(
-            ri, li, delta_rels, [&](const std::string& hp, Tuple t) {
-              const Relation* cur = db.Get(hp);
-              if (cur == nullptr || !cur->Contains(t)) return;
-              if (overdelete(hp, t)) next[hp].push_back(std::move(t));
-            }));
-      }
+    if (auto it = d_del->find(pred); it != d_del->end()) {
+      AddToFrontier(&frontier, pred, it->second);
     }
-    frontier = std::move(next);
   }
+  // EDB deletions of an IDB predicate: the tuples lose their base support
+  // and enter overdeletion; rederivation decides whether a rule still
+  // proves them.
+  for (const std::string& pred : info.heads) {
+    if (auto it = d_del->find(pred); it != d_del->end()) {
+      for (const Tuple& t : it->second) overdelete(pred, t);
+    }
+  }
+  KGM_RETURN_IF_ERROR(Propagate(
+      info, std::move(frontier), [&](const std::string& hp, const Tuple& t) {
+        const Relation* cur = db.Get(hp);
+        return cur != nullptr && cur->Contains(t) && overdelete(hp, t);
+      }));
 
   // Erase the overdeletions and drop the temporary re-inserts: from here on
   // the database reflects the post-deletion world.
@@ -356,14 +393,12 @@ Status IncrementalView::State::DRedStratum(const StratumInfo& info,
   // round that carries it finds the derivation.
   std::map<std::string, std::vector<char>> alive;
   for (const auto& [pred, ts] : over) alive[pred].assign(ts.size(), 0);
-  TupleListMap rescued;
   auto rescue = [&](const std::string& pred, size_t i) {
-    const Tuple& t = over[pred][i];
-    db.GetMutable(pred)->Insert(t);
+    db.GetMutable(pred)->Insert(over[pred][i]);
     alive[pred][i] = 1;
     ++last_stats.rederived;
-    rescued[pred].push_back(t);
   };
+  DeltaRels rescued;
   for (const auto& [pred, ts] : over) {
     const Relation* base = edb.Get(pred);
     for (size_t i = 0; i < ts.size(); ++i) {
@@ -381,29 +416,20 @@ Status IncrementalView::State::DRedStratum(const StratumInfo& info,
               }));
         }
       }
-      if (derivable) rescue(pred, i);
+      if (!derivable) continue;
+      rescue(pred, i);
+      rescued.try_emplace(pred, t.size()).first->second.Insert(t);
     }
   }
-  while (!rescued.empty()) {
-    std::map<std::string, Relation> delta_rels = make_delta_rels(rescued);
-    rescued.clear();
-    for (size_t ri : info.rules) {
-      const std::vector<std::string>& pos = rule_positives[ri];
-      for (size_t li = 0; li < pos.size(); ++li) {
-        if (delta_rels.find(pos[li]) == delta_rels.end()) continue;
-        KGM_RETURN_IF_ERROR(dev.EvalRuleDelta(
-            ri, li, delta_rels, [&](const std::string& hp, const Tuple& t) {
-              auto pit = over_index.find(hp);
-              if (pit == over_index.end()) return;
-              auto tit = pit->second.find(t);
-              if (tit != pit->second.end() && !alive[hp][tit->second]) {
-                rescue(hp, tit->second);
-              }
-            }));
-      }
-    }
-  }
-
+  KGM_RETURN_IF_ERROR(Propagate(
+      info, std::move(rescued), [&](const std::string& hp, const Tuple& t) {
+        auto pit = over_index.find(hp);
+        if (pit == over_index.end()) return false;
+        auto tit = pit->second.find(t);
+        if (tit == pit->second.end() || alive[hp][tit->second]) return false;
+        rescue(hp, tit->second);
+        return true;
+      }));
   last_stats.rederive_seconds += take_phase();
 
   // Permanent deletions of this stratum's head predicates.
@@ -417,82 +443,44 @@ Status IncrementalView::State::DRedStratum(const StratumInfo& info,
 
   // --- insertion -------------------------------------------------------------
   TupleListMap new_ins;
-  frontier.clear();
+  DeltaRels ins_frontier;
   for (const std::string& pred : info.pos_body) {
     if (info.heads.count(pred) > 0) continue;
-    auto it = d_ins->find(pred);
-    if (it != d_ins->end() && !it->second.empty()) frontier[pred] = it->second;
+    if (auto it = d_ins->find(pred); it != d_ins->end()) {
+      AddToFrontier(&ins_frontier, pred, it->second);
+    }
   }
   for (const std::string& pred : info.heads) {
     auto it = d_ins->find(pred);
     if (it == d_ins->end() || it->second.empty()) continue;
     Relation& rel = db.GetOrCreate(pred, it->second[0].size());
+    // A tuple may already be derived, and then its EDB insert changes
+    // nothing.
     for (const Tuple& t : it->second) {
-      // May already be derived, in which case the EDB insert changes
-      // nothing.
-      if (rel.Insert(t)) {
-        new_ins[pred].push_back(t);
-        frontier[pred].push_back(t);
-      }
+      if (rel.Insert(t)) new_ins[pred].push_back(t);
     }
+    AddToFrontier(&ins_frontier, pred, new_ins[pred]);
   }
   // Each call hands its emissions over after its join returns, so these
-  // inserts land between calls; `next` carries them into the next round.
-  while (!frontier.empty()) {
-    std::map<std::string, Relation> delta_rels = make_delta_rels(frontier);
-    TupleListMap next;
-    for (size_t ri : info.rules) {
-      const std::vector<std::string>& pos = rule_positives[ri];
-      for (size_t li = 0; li < pos.size(); ++li) {
-        if (frontier.find(pos[li]) == frontier.end()) continue;
-        KGM_RETURN_IF_ERROR(dev.EvalRuleDelta(
-            ri, li, delta_rels, [&](const std::string& hp, Tuple t) {
-              if (db.GetOrCreate(hp, t.size()).Insert(t)) {
-                next[hp].push_back(t);
-                new_ins[hp].push_back(std::move(t));
-              }
-            }));
-      }
-    }
-    frontier = std::move(next);
-  }
+  // inserts land between calls.
+  KGM_RETURN_IF_ERROR(Propagate(
+      info, std::move(ins_frontier),
+      [&](const std::string& hp, const Tuple& t) {
+        if (!db.GetOrCreate(hp, t.size()).Insert(t)) return false;
+        new_ins[hp].push_back(t);
+        return true;
+      }));
 
   // Publish this stratum's net change for downstream strata, cancelling
-  // tuples that were deleted and then re-derived within the stratum (their
-  // net effect is nil).
+  // tuples that were deleted and then re-derived within the stratum.
   for (const std::string& pred : info.heads) {
-    TupleSet perm_set;
-    if (auto it = perm.find(pred); it != perm.end()) {
-      for (const Tuple& t : it->second) perm_set.insert(t);
-    }
-    TupleSet ins_set;
-    if (auto it = new_ins.find(pred); it != new_ins.end()) {
-      for (const Tuple& t : it->second) ins_set.insert(t);
-    }
-    std::vector<Tuple> net_del;
-    if (auto it = perm.find(pred); it != perm.end()) {
-      for (Tuple& t : it->second) {
-        if (ins_set.count(t) == 0) net_del.push_back(std::move(t));
-      }
-    }
-    std::vector<Tuple> net_ins;
-    if (auto it = new_ins.find(pred); it != new_ins.end()) {
-      for (Tuple& t : it->second) {
-        if (perm_set.count(t) == 0) net_ins.push_back(std::move(t));
-      }
-    }
+    std::vector<Tuple>& net_del = perm[pred];
+    std::vector<Tuple>& net_ins = new_ins[pred];
+    CancelPairs(&net_del, &net_ins);
     last_stats.idb_deleted += net_del.size();
     last_stats.idb_inserted += net_ins.size();
-    if (!net_del.empty()) {
-      (*d_del)[pred] = std::move(net_del);
-    } else {
-      d_del->erase(pred);
-    }
-    if (!net_ins.empty()) {
-      (*d_ins)[pred] = std::move(net_ins);
-    } else {
-      d_ins->erase(pred);
-    }
+    SetOrErase(d_del, pred, std::move(net_del));
+    SetOrErase(d_ins, pred, std::move(net_ins));
   }
   last_stats.insert_seconds += take_phase();
   return OkStatus();
@@ -500,30 +488,31 @@ Status IncrementalView::State::DRedStratum(const StratumInfo& info,
 
 Status IncrementalView::State::ApplyDRed(TupleListMap& d_del,
                                          TupleListMap& d_ins) {
-  DeltaEvaluator dev(&engine, &db);
   KGM_RETURN_IF_ERROR(dev.status());
+  const size_t probes_before = dev.join_probes();
   auto touched = [&](const std::string& p) {
     return NonEmpty(d_del, p) || NonEmpty(d_ins, p);
   };
   auto any_touched = [&](const std::set<std::string>& preds) {
     return std::any_of(preds.begin(), preds.end(), touched);
   };
+  bool rerun = false;
   for (const auto& [stratum, info] : strata) {
     if (any_touched(info.neg_body)) {
       // Negation is not monotone under deletion: rerun the program instead
       // of patching this stratum.
-      last_stats.join_probes = dev.join_probes();
-      return Rerun();
+      rerun = true;
+      break;
     }
     if (!any_touched(info.pos_body) && !any_touched(info.heads)) {
       ++last_stats.strata_skipped;
       continue;
     }
-    KGM_RETURN_IF_ERROR(DRedStratum(info, dev, &d_del, &d_ins));
+    KGM_RETURN_IF_ERROR(DRedStratum(info, &d_del, &d_ins));
     ++last_stats.strata_processed;
   }
-  last_stats.join_probes = dev.join_probes();
-  return OkStatus();
+  last_stats.join_probes = dev.join_probes() - probes_before;
+  return rerun ? Rerun() : OkStatus();
 }
 
 // --- IncrementalView ---------------------------------------------------------

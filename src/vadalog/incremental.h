@@ -22,6 +22,13 @@
 //   insert       Semi-naive insertion rounds seeded by the inserted EDB
 //                tuples and, transitively, by newly derived facts.
 //
+// Overdeletion, the rescue spread and insertion run one propagation loop:
+// rounds that fire the stratum's rules with one body literal restricted to
+// the last round's frontier, differing only in which emissions they accept
+// into the next one.  Every join goes through one DeltaEvaluator that the
+// view builds with its engine and keeps for its whole life, so the program
+// is compiled, and each rule's join planned, once per view, not per batch.
+//
 // DRed (Gupta, Mumick and Subrahmanian, SIGMOD 1993) cannot patch every
 // batch, so the maintainer has one fallback, a rerun: reset each IDB head
 // relation to its EDB base and run the whole program in place over the
@@ -89,9 +96,10 @@ struct IncrementalStats {
   size_t rederived = 0;        // over-deleted tuples with a surviving proof
   size_t idb_deleted = 0;      // derived tuples permanently removed
   size_t idb_inserted = 0;     // derived tuples newly added
-  // Rule-at-a-time (DeltaEvaluator) work of the DRed strata: candidate
-  // rows examined by every EvalRuleDelta and EvalRuleSeeded join, and the
-  // number of EvalRuleSeeded calls rederivation made.  The DRed counters
+  // Rule-at-a-time (DeltaEvaluator) work of this batch's DRed strata:
+  // candidate rows examined by every EvalRuleDelta and EvalRuleSeeded join
+  // (the view's evaluator counts across batches; this is the batch's
+  // share), and the number of EvalRuleSeeded calls rederivation made.  The DRed counters
   // and timings of a batch that bailed out count the work done before the
   // rerun; a rerun counts no derived tuples.
   size_t join_probes = 0;

@@ -405,24 +405,5 @@ TEST(LintServiceTest, VadalogQueryRejectsLintErrors) {
   EXPECT_EQ(stats.prepared_cache_hits, 1u);
 }
 
-TEST(LintServiceTest, AdmissionCanBeDisabled) {
-  service::KgServiceOptions options;
-  options.lint_admission = false;
-  service::KgService svc(options);
-  svc.Publish(TinyGraph());
-  service::QueryRequest request;
-  request.program = kBrokenWarded;
-  request.language = service::QueryLanguage::kMetaLog;
-  request.output = "FAMILY_OWNS";
-  // Without admission the program reaches the engine; whatever the engine
-  // decides, the verdict must not be the lint rejection.
-  auto result = svc.Query(request);
-  if (!result.ok()) {
-    EXPECT_EQ(result.status().message().find("rejected by lint"),
-              std::string::npos)
-        << result.status().ToString();
-  }
-}
-
 }  // namespace
 }  // namespace kgm::lint

@@ -513,6 +513,39 @@ TEST(IncrementalView, PhaseTimesAddUpToApplyTime) {
   ExpectMatchesRebuild(view, program, {}, "phase timers");
 }
 
+// The view keeps one DeltaEvaluator for its whole life, and the stats of a
+// batch count only that batch's joins: a batch applied again after its
+// inverse restored the database repeats the first application's work.
+TEST(IncrementalView, RepeatedBatchCountsTheSameWork) {
+  Program program = Parse(kClosure);
+  IncrementalView view(Parse(kClosure));
+  FactDb edb;
+  for (int64_t i = 0; i < 30; ++i) {
+    edb.Add("edge", Edge(i, i + 1));
+    if (i % 3 == 0) edb.Add("edge", Edge(i, i + 2));
+  }
+  ASSERT_TRUE(view.Initialize(std::move(edb)).ok());
+  EdbDelta batch;
+  batch.deletes["edge"] = {Edge(3, 4), Edge(10, 11), Edge(20, 21)};
+  batch.inserts["edge"] = {Edge(5, 2), Edge(31, 40)};
+  EdbDelta inverse;
+  inverse.deletes = batch.inserts;
+  inverse.inserts = batch.deletes;
+  ASSERT_TRUE(view.Apply(batch).ok());
+  const IncrementalStats first = view.last_stats();
+  ASSERT_EQ(first.mode, MaintenanceMode::kDRed);
+  EXPECT_GT(first.rederived, 0u);
+  EXPECT_GT(first.idb_inserted, 0u);
+  ASSERT_TRUE(view.Apply(inverse).ok());
+  ASSERT_TRUE(view.Apply(batch).ok());
+  const IncrementalStats& third = view.last_stats();
+  EXPECT_EQ(third.join_probes, first.join_probes);
+  EXPECT_EQ(third.seeded_calls, first.seeded_calls);
+  EXPECT_EQ(third.overdeleted, first.overdeleted);
+  EXPECT_EQ(third.rederived, first.rederived);
+  ExpectMatchesRebuild(view, program, {}, "repeated batch");
+}
+
 // DRed never sends aggregate rules to the rule-at-a-time evaluator (see
 // ModeSelection); called on one anyway, both entry points return
 // FailedPrecondition instead of aborting.
@@ -578,6 +611,33 @@ TEST(DeltaEvaluator, EmitCallbackMayInsertIntoProbedRelation) {
   }
   EXPECT_EQ(total, static_cast<size_t>(kChain));
   EXPECT_EQ(db.Get("p")->size(), static_cast<size_t>(kChain + 1));
+}
+
+// The delta literal joins first, so each delta row is enumerated once: an
+// anonymous position does not make a row revisit its sibling delta rows
+// that agree on the named positions.
+TEST(DeltaEvaluator, AnonymousDeltaPositionEmitsOncePerDeltaRow) {
+  FactDb db;
+  db.Add("e", Edge(1, 2));
+  db.Add("e", Edge(1, 3));
+  db.Add("f", T({1}));
+  std::map<std::string, Relation> delta_rels;
+  Relation& delta = delta_rels.emplace("e", Relation(2)).first->second;
+  delta.Insert(Edge(1, 2));
+  delta.Insert(Edge(1, 3));
+  Engine engine(Parse("e(x, _), f(x) -> g(x)."));
+  ASSERT_TRUE(engine.status().ok()) << engine.status().ToString();
+  DeltaEvaluator eval(&engine, &db);
+  ASSERT_TRUE(eval.status().ok()) << eval.status().ToString();
+  size_t emitted = 0;
+  Status status = eval.EvalRuleDelta(
+      0, 0, delta_rels, [&emitted](const std::string& pred, Tuple t) {
+        EXPECT_EQ(pred, "g");
+        EXPECT_EQ(t, T({1}));
+        ++emitted;
+      });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(emitted, 2u);
 }
 
 // Rule-at-a-time joins start from the pre-bound literals, so their cost
