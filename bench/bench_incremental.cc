@@ -13,6 +13,11 @@
 // timings, these counters repeat exactly between runs.  The row also splits
 // apply_seconds_total into its phases: EDB step, overdelete, rederive and
 // insert.
+// One timed run records host load as much as code (runs of one binary
+// spread almost twofold on a shared host), so each program runs kRepeats
+// times over the same batches; the row records the median apply and
+// rebuild totals with the lowest and highest, the phases of the median
+// apply run, and fails when the counters differ between runs.
 //
 // Service level: KgService::ApplyDelta (delta snapshot, only touched
 // relations re-encoded) vs a full Publish of the same graph.
@@ -25,6 +30,7 @@
 //                          [batch_size]
 // Default output file: BENCH_reasoner.json in the working directory.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -48,6 +54,8 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+constexpr size_t kRepeats = 5;
 
 double Seconds(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
@@ -152,6 +160,11 @@ struct EngineBenchResult {
   double overdelete_seconds = 0;
   double rederive_seconds = 0;
   double insert_seconds = 0;
+  // Spread of the totals over the runs of RepeatEngineBench.
+  double apply_seconds_min = 0;
+  double apply_seconds_max = 0;
+  double rebuild_seconds_min = 0;
+  double rebuild_seconds_max = 0;
 };
 
 // Materializes `cp` over `edb`, then streams `batches` update batches
@@ -230,6 +243,45 @@ EngineBenchResult RunEngineBench(const CompiledProgram& cp,
   }
   r.ok = true;
   return r;
+}
+
+// Runs RunEngineBench kRepeats times.  Returns the run with the median
+// apply_seconds_total, with the median rebuild total and the spreads of
+// both totals.  Fails (ok = false) when a run fails or its counters differ
+// from the first run's.
+EngineBenchResult RepeatEngineBench(const CompiledProgram& cp,
+                                    const kgm::vadalog::FactDb& edb,
+                                    size_t batches, size_t batch_size,
+                                    uint64_t seed) {
+  std::vector<EngineBenchResult> runs;
+  for (size_t i = 0; i < kRepeats; ++i) {
+    runs.push_back(RunEngineBench(cp, edb, batches, batch_size, seed));
+    const EngineBenchResult& r = runs.back();
+    if (!r.ok) return r;
+    const EngineBenchResult& first = runs.front();
+    if (r.overdeleted != first.overdeleted ||
+        r.rederived != first.rederived || r.join_probes != first.join_probes ||
+        r.seeded_calls != first.seeded_calls) {
+      std::fprintf(stderr, "counters differ between runs %zu and 0\n", i);
+      return EngineBenchResult{};
+    }
+  }
+  std::vector<double> rebuild;
+  for (const EngineBenchResult& r : runs) {
+    rebuild.push_back(r.rebuild_seconds_total);
+  }
+  std::sort(rebuild.begin(), rebuild.end());
+  std::sort(runs.begin(), runs.end(),
+            [](const EngineBenchResult& a, const EngineBenchResult& b) {
+              return a.apply_seconds_total < b.apply_seconds_total;
+            });
+  EngineBenchResult median = runs[runs.size() / 2];
+  median.apply_seconds_min = runs.front().apply_seconds_total;
+  median.apply_seconds_max = runs.back().apply_seconds_total;
+  median.rebuild_seconds_total = rebuild[rebuild.size() / 2];
+  median.rebuild_seconds_min = rebuild.front();
+  median.rebuild_seconds_max = rebuild.back();
+  return median;
 }
 
 struct ServiceBenchResult {
@@ -355,6 +407,7 @@ int main(int argc, char** argv) {
   w.Field("persons", static_cast<size_t>(config.num_persons));
   w.Field("batch_size", batch_size);
   w.Field("batches", batches);
+  w.Field("runs", kRepeats);
   w.Field("host_cpus",
           static_cast<size_t>(std::thread::hardware_concurrency()));
   w.Field("build_type", KGM_BUILD_TYPE);
@@ -366,7 +419,7 @@ int main(int argc, char** argv) {
     vadalog::FactDb edb = metalog::EncodeGraph(ownership, cp.catalog);
     const vadalog::Relation* owns = edb.Get("OWNS");
     EngineBenchResult r =
-        RunEngineBench(cp, edb, batches, batch_size, /*seed=*/7);
+        RepeatEngineBench(cp, edb, batches, batch_size, /*seed=*/7);
     if (!r.ok) {
       ++failures;
       continue;
@@ -377,8 +430,12 @@ int main(int argc, char** argv) {
     w.Field("owns_edges", owns != nullptr ? owns->size() : 0);
     w.Field("initial_seconds", r.initial_seconds);
     w.Field("apply_seconds_total", r.apply_seconds_total);
+    w.Field("apply_seconds_total_min", r.apply_seconds_min);
+    w.Field("apply_seconds_total_max", r.apply_seconds_max);
     w.Field("apply_seconds_mean", r.apply_seconds_total / r.batches);
     w.Field("rebuild_seconds_total", r.rebuild_seconds_total);
+    w.Field("rebuild_seconds_total_min", r.rebuild_seconds_min);
+    w.Field("rebuild_seconds_total_max", r.rebuild_seconds_max);
     w.Field("rebuild_seconds_mean", r.rebuild_seconds_total / r.batches);
     if (r.apply_seconds_total > 0) {
       w.Field("speedup_vs_rebuild",
@@ -396,11 +453,13 @@ int main(int argc, char** argv) {
     w.Field("verified_against_rebuild", "true");
     w.Close('}');
     std::printf(
-        "%s (%s): apply %.4fs vs rebuild %.4fs over %zu batches (%.1fx) "
+        "%s (%s): median of %zu runs: apply %.4fs [%.4f-%.4f] vs rebuild "
+        "%.4fs [%.4f-%.4f] over %zu batches (%.1fx) "
         "[edb %.4fs overdelete %.4fs rederive %.4fs insert %.4fs] "
         "join_probes %zu seeded_calls %zu\n",
-        step.name, r.mode, r.apply_seconds_total, r.rebuild_seconds_total,
-        r.batches,
+        step.name, r.mode, kRepeats, r.apply_seconds_total,
+        r.apply_seconds_min, r.apply_seconds_max, r.rebuild_seconds_total,
+        r.rebuild_seconds_min, r.rebuild_seconds_max, r.batches,
         r.apply_seconds_total > 0
             ? r.rebuild_seconds_total / r.apply_seconds_total
             : 0.0,

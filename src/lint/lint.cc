@@ -78,13 +78,25 @@ void SafetyPass(const Program& program, LintResult* out) {
   }
 }
 
+// Also runs the engine's aggregate check, whose modes follow from the
+// rules' recursion.
 void StratificationPass(const Program& program, LintResult* out) {
   std::vector<vadalog::StratViolation> violations;
-  vadalog::ComputeStratification(program, &violations);
+  vadalog::Stratification strat =
+      vadalog::ComputeStratification(program, &violations);
   for (const vadalog::StratViolation& v : violations) {
     const Rule& r = program.rules[v.rule_index];
     out->Add(Severity::kError, "stratification", RuleAnchor(r), v.rule_index,
              StripRulePrefix(v.message));
+  }
+  for (size_t ri = 0; ri < program.rules.size(); ++ri) {
+    const Rule& r = program.rules[ri];
+    Status s =
+        vadalog::ValidateRuleAggregates(r, ri, strat.rule_recursive[ri]);
+    if (!s.ok()) {
+      out->Add(Severity::kError, "aggregate", RuleAnchor(r),
+               static_cast<int>(ri), StripRulePrefix(s.message()));
+    }
   }
 }
 

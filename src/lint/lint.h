@@ -4,6 +4,9 @@
 // Passes over the (possibly compiled) Vadalog program:
 //   * safety           — range restriction per rule (error)
 //   * stratification   — negation inside a recursive SCC (error)
+//   * aggregate        — an aggregate with the wrong argument count, or a
+//                        rule mixing monotonic and stratified aggregates;
+//                        runs with stratification (error)
 //   * wardedness       — dangerous variables without a ward (error)
 //   * arity            — one predicate used with different arities, or a
 //                        rule wider than the engine compiles: more than

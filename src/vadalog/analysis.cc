@@ -316,6 +316,36 @@ Status ValidateSafety(const Program& program) {
   return OkStatus();
 }
 
+Status ValidateRuleAggregates(const Rule& r, size_t rule_index,
+                              bool recursive) {
+  const std::string where = RulePrefix(r, rule_index);
+  bool any_monotonic = false;
+  bool any_stratified = false;
+  for (const Aggregate& a : r.aggregates) {
+    if (!IsAggregateFunction(a.func)) continue;  // a safety error
+    const bool explicit_mono = IsMonotonicAggregateName(a.func);
+    const std::string base = explicit_mono ? a.func.substr(1) : a.func;
+    (explicit_mono || recursive ? any_monotonic : any_stratified) = true;
+    if (base == "count") {
+      if (a.args.size() > 1) {
+        return FailedPrecondition(where + a.func +
+                                  " takes at most one argument");
+      }
+      continue;
+    }
+    const size_t want = base == "pack" ? 2 : 1;
+    if (a.args.size() != want) {
+      return FailedPrecondition(where + "aggregate " + a.func + " takes " +
+                                std::to_string(want) + " argument(s)");
+    }
+  }
+  if (any_monotonic && any_stratified) {
+    return FailedPrecondition(where +
+                              "mixes monotonic and stratified aggregates");
+  }
+  return OkStatus();
+}
+
 WardednessReport CheckWardedness(const Program& program) {
   WardednessReport report;
 

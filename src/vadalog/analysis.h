@@ -73,6 +73,14 @@ Status ValidateRuleSafety(const Rule& r, size_t rule_index);
 // Validates every rule; fails with the first violation in rule order.
 Status ValidateSafety(const Program& program);
 
+// Validates the aggregates of one rule: each takes the arguments its
+// function needs (count at most one, pack two, the others one), and all
+// share one mode — monotonic when the rule is recursive or the function
+// is an m-prefixed one, stratified otherwise.  `recursive` is the rule's
+// Stratification::rule_recursive flag.
+Status ValidateRuleAggregates(const Rule& r, size_t rule_index,
+                              bool recursive);
+
 // A predicate position (predicate name, 0-based argument index).
 struct Position {
   std::string pred;

@@ -56,13 +56,18 @@ struct ExistSlot {
 };
 
 // Per-group aggregation state.  Persistent across fixpoint iterations for
-// monotonic aggregates, per barrier for stratified ones.
+// monotonic aggregates; a stratified rule's groups live for its one barrier.
 struct GroupState {
+  explicit GroupState(size_t num_aggs)
+      : acc(num_aggs), has_value(num_aggs, false), packed(num_aggs),
+        seen(num_aggs) {}
+
   std::vector<Value> acc;                  // one accumulator per aggregate
   std::vector<bool> has_value;             // accumulator initialized?
   std::vector<Record> packed;              // pack() accumulators
   std::vector<std::unordered_set<Tuple, TupleHashFn>> seen;  // contributions
 };
+using GroupMap = std::unordered_map<Tuple, GroupState, TupleHashFn>;
 
 struct CompiledRule {
   const Rule* rule = nullptr;
@@ -90,8 +95,12 @@ struct CompiledRule {
   std::vector<ExistSlot> existentials;
   std::vector<CompiledLiteral> head;  // reuse ArgSlot encoding
 
-  // Monotonic aggregation state (persists across the whole run).
-  std::unordered_map<Tuple, GroupState, TupleHashFn> mono_groups;
+  // Aggregation state, folded on the driver at the barrier.  A monotonic
+  // rule's groups persist across the whole run; a stratified rule's are
+  // emitted in first-seen order (group_order) and dropped after its one
+  // barrier.  Map nodes do not move, so the pointers stay valid.
+  GroupMap groups;
+  std::vector<GroupMap::value_type*> group_order;
 };
 
 Result<Value> FoldNumeric(const std::string& func, const Value& acc,
@@ -130,8 +139,8 @@ Result<Value> FoldNumeric(const std::string& func, const Value& acc,
   return Internal("unknown numeric aggregate " + func);
 }
 
-// All aggregates of a rule share one mode (mixing is rejected at
-// construction time).
+// All aggregates of a rule share one mode (ValidateRuleAggregates rejects
+// mixing at construction time).
 bool AllMonotonic(const CompiledRule& cr) {
   for (const CompiledAgg& a : cr.aggregates) {
     if (!a.monotonic) return false;
@@ -217,9 +226,9 @@ JoinPlan PlanJoin(const CompiledRule& cr, std::vector<char> bound,
   return plan;
 }
 
-// One recorded firing of a rule with monotonic aggregates, produced by a
-// parallel join worker and folded into the rule's group state by the
-// driver in deterministic work-item order.
+// One recorded firing of a rule with aggregates, produced by a parallel
+// join worker and folded into the rule's group state by the driver in
+// deterministic work-item order.
 struct PendingContribution {
   Tuple group_key;
   // Per aggregate: contributor slot values followed by evaluated argument
@@ -340,9 +349,9 @@ struct Engine::Impl {
               int delta_literal);
   Status FinishBinding(EvalContext& ctx, CompiledRule& cr);
   Status ProcessAggregates(EvalContext& ctx, CompiledRule& cr);
-  Status ApplyContribution(CompiledRule& cr, const CompiledAgg& agg,
-                           GroupState& state, size_t ai,
-                           const Tuple& contribution, bool* any_update);
+  Status ApplyContribution(const CompiledAgg& agg, GroupState& state,
+                           size_t ai, const Tuple& contribution,
+                           bool* any_update);
   Status EmitWithAggregates(EvalContext& ctx, CompiledRule& cr,
                             const Tuple& group_key, const GroupState& state);
   Status EmitHeadWithPostConditions(EvalContext& ctx, CompiledRule& cr);
@@ -357,9 +366,6 @@ struct Engine::Impl {
   struct WorkItem {
     CompiledRule* rule = nullptr;
     int delta_literal = -1;
-    // Overrides the default EvalRule body (used by aggregation-finalize
-    // emission items).
-    std::function<Status(EvalContext&)> body;
     EvalContext ctx;
     Status status;
   };
@@ -367,6 +373,12 @@ struct Engine::Impl {
       const std::vector<CompiledRule*>& rules) const;
   void PrepareJoinIndexes(CompiledRule& cr);
   size_t PartitionCount(size_t rows) const;
+  // Appends the items of `cr` (delta literal `delta_literal`, -1 = none)
+  // that split the row ids of `scan`, the relation its plan joins
+  // outermost, into PartitionCount ascending ranges; none when `scan` is
+  // empty, as the rule cannot fire.
+  void AddPartitionedItems(std::deque<WorkItem>& items, CompiledRule* cr,
+                           int delta_literal, const Relation* scan) const;
   // Runs fn(0) .. fn(n - 1): on the driver and the pool's helpers when
   // there is a pool, inline in index order otherwise.
   void ForEachIndex(size_t n, const std::function<void(size_t)>& fn) {
@@ -384,11 +396,10 @@ struct Engine::Impl {
   // driver, through the shared path, in ascending (item, seq) order.
   Status ReplayOrderedOps(std::deque<WorkItem>& items);
   // Folds the deferred aggregate contributions of `items` in submission
-  // order: monotonic aggregates re-emit through the shared FactDb,
-  // stratified ones are folded into a master group map and emitted by
-  // parallel finalize items.
+  // order into each rule's groups, and appends the emissions to the
+  // folding item's log: a monotonic rule re-emits a group when it
+  // improves, a stratified rule emits each group once after its last item.
   Status FoldItemContributions(std::deque<WorkItem>& items);
-  Status FoldAndEmitStratified(CompiledRule& cr, std::deque<WorkItem>& items);
   Status FoldPending(CompiledRule& cr, EvalContext& scratch,
                      const PendingContribution& pc);
   void FlushCtxStats(EvalContext& ctx, const CompiledRule& cr);
@@ -541,16 +552,6 @@ Status Engine::Impl::CompileRule(const Rule& rule, int index) {
     ca.base_func = explicit_mono ? a.func.substr(1) : a.func;
     ca.monotonic = explicit_mono || cr.recursive;
     ca.args = a.args;
-    size_t want_args = ca.base_func == "pack" ? 2 :
-                       ca.base_func == "count" ? 0 : 1;
-    if (ca.base_func == "count" && a.args.size() > 1) {
-      return FailedPrecondition("count takes at most one argument" + where);
-    }
-    if (ca.base_func != "count" && a.args.size() != want_args) {
-      return FailedPrecondition("aggregate " + a.func + " takes " +
-                                std::to_string(want_args) + " argument(s)" +
-                                where);
-    }
     for (const std::string& c : a.contributors) {
       ca.contributor_slots.push_back(slot_of(c));
     }
@@ -783,18 +784,13 @@ void Engine::Impl::FlushCtxStats(EvalContext& ctx, const CompiledRule& cr) {
 // observes another's output — exactly the sequential semantics, since
 // earlier rules never see later rules' facts and recorded evaluation hides
 // same-batch outputs.  Head relations also keep their sequential row
-// order: recorded facts (and monotonic-aggregate emissions) replay in
-// work-item order.  The one exception is a stratified-aggregate rule,
-// whose groups are emitted in a second round after the batch's replay — so
-// such a rule must not share a head predicate with any other batch member.
+// order: recorded facts and aggregate emissions replay in work-item order.
 std::vector<std::vector<CompiledRule*>> Engine::Impl::IndependentBatches(
     const std::vector<CompiledRule*>& rules) const {
   std::vector<std::vector<CompiledRule*>> out;
   std::vector<CompiledRule*> current;
   std::set<std::string> current_writes;
-  std::set<std::string> current_strat_writes;
   for (CompiledRule* cr : rules) {
-    bool stratified = !cr->aggregates.empty() && !AllMonotonic(*cr);
     bool conflict = false;
     for (const CompiledLiteral& l : cr->positives) {
       if (current_writes.count(l.pred) > 0) conflict = true;
@@ -802,21 +798,13 @@ std::vector<std::vector<CompiledRule*>> Engine::Impl::IndependentBatches(
     for (const CompiledLiteral& l : cr->negatives) {
       if (current_writes.count(l.pred) > 0) conflict = true;
     }
-    for (const CompiledLiteral& h : cr->head) {
-      if (current_strat_writes.count(h.pred) > 0) conflict = true;
-      if (stratified && current_writes.count(h.pred) > 0) conflict = true;
-    }
     if (conflict && !current.empty()) {
       out.push_back(std::move(current));
       current.clear();
       current_writes.clear();
-      current_strat_writes.clear();
     }
     current.push_back(cr);
-    for (const CompiledLiteral& h : cr->head) {
-      current_writes.insert(h.pred);
-      if (stratified) current_strat_writes.insert(h.pred);
-    }
+    for (const CompiledLiteral& h : cr->head) current_writes.insert(h.pred);
   }
   if (!current.empty()) out.push_back(std::move(current));
   return out;
@@ -843,6 +831,24 @@ size_t Engine::Impl::PartitionCount(size_t rows) const {
   return std::max<size_t>(parts, 1);
 }
 
+void Engine::Impl::AddPartitionedItems(std::deque<WorkItem>& items,
+                                       CompiledRule* cr, int delta_literal,
+                                       const Relation* scan) const {
+  // The partitions split the row ids, dead rows included.
+  if (scan == nullptr || scan->size() == 0) return;
+  const size_t rows = scan->row_bound();
+  const size_t parts = PartitionCount(rows);
+  const size_t chunk = (rows + parts - 1) / parts;
+  for (size_t begin = 0; begin < rows; begin += chunk) {
+    WorkItem& item = items.emplace_back();
+    item.rule = cr;
+    item.delta_literal = delta_literal;
+    item.ctx.range_literal = static_cast<int>(cr->order[0]);
+    item.ctx.row_begin = begin;
+    item.ctx.row_end = std::min(rows, begin + chunk);
+  }
+}
+
 Status Engine::Impl::RunItems(std::deque<WorkItem>& items) {
   recorded_total_.store(0, std::memory_order_relaxed);
   size_t budget_base = db->TotalFacts();
@@ -855,9 +861,7 @@ Status Engine::Impl::RunItems(std::deque<WorkItem>& items) {
   // with the same frozen-iteration semantics.
   ForEachIndex(items.size(), [this, &items](size_t i) {
     WorkItem& item = items[i];
-    item.status = item.body != nullptr
-                      ? item.body(item.ctx)
-                      : EvalRule(item.ctx, *item.rule, item.delta_literal);
+    item.status = EvalRule(item.ctx, *item.rule, item.delta_literal);
   });
   stats->eval_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -865,13 +869,13 @@ Status Engine::Impl::RunItems(std::deque<WorkItem>& items) {
           .count();
   Status first_error = OkStatus();
   for (WorkItem& item : items) {
-    if (item.rule != nullptr) FlushCtxStats(item.ctx, *item.rule);
+    FlushCtxStats(item.ctx, *item.rule);
     if (first_error.ok() && !item.status.ok()) first_error = item.status;
   }
   if (first_error.ok()) {
-    // Monotonic-aggregate contributions fold at the barrier in work-item
-    // order; the emissions are appended to the folding item's log, so the
-    // replay places them right after that item's own facts whatever the
+    // Aggregate contributions fold at the barrier in work-item order; the
+    // emissions are appended to the folding item's log, so the replay
+    // places them right after that item's own facts whatever the
     // partitioning.
     first_error = FoldItemContributions(items);
   }
@@ -919,25 +923,38 @@ Status Engine::Impl::FoldItemContributions(std::deque<WorkItem>& items) {
   EvalContext scratch;
   scratch.drop_present = true;
   size_t tick = 0;
-  for (WorkItem& item : items) {
-    if (item.ctx.contributions.empty()) continue;
+  // Folds and emissions between barriers can run long; poll the
+  // deadline/cancel flag every ~16k of them like the join loops do.
+  auto poll = [this, &tick]() {
+    return checkpoints_armed && (++tick & 0x3FFF) == 0 ? Checkpoint()
+                                                        : OkStatus();
+  };
+  for (size_t i = 0; i < items.size(); ++i) {
+    WorkItem& item = items[i];
     CompiledRule& cr = *item.rule;
-    // Stratified contributions are folded by FoldAndEmitStratified after
-    // the whole batch has replayed.
-    if (!AllMonotonic(cr)) continue;
+    if (cr.aggregates.empty()) continue;
     scratch.rule = &cr;
     scratch.slots.assign(cr.slot_names.size(), Value());
-    scratch.bound.assign(cr.slot_names.size(), 0);
     scratch.budget_base = item.ctx.budget_base;
     for (const PendingContribution& pc : item.ctx.contributions) {
-      // Folds between barriers can run long; poll the deadline/cancel
-      // flag every ~16k contributions like the join loops do.
-      if (checkpoints_armed && (++tick & 0x3FFF) == 0) {
-        KGM_RETURN_IF_ERROR(Checkpoint());
-      }
+      KGM_RETURN_IF_ERROR(poll());
       KGM_RETURN_IF_ERROR(FoldPending(cr, scratch, pc));
     }
     item.ctx.contributions.clear();
+    // A stratified rule is not recursive, so all its items run in this
+    // barrier, one after another: after the last has folded, its groups
+    // are final.  Their rows follow that item's, in first-seen order.
+    const bool last = i + 1 == items.size() || items[i + 1].rule != &cr;
+    if (last && !AllMonotonic(cr)) {
+      for (GroupMap::value_type* group : cr.group_order) {
+        KGM_RETURN_IF_ERROR(poll());
+        scratch.bound.assign(cr.slot_names.size(), 0);
+        KGM_RETURN_IF_ERROR(
+            EmitWithAggregates(scratch, cr, group->first, group->second));
+      }
+      cr.group_order.clear();
+      cr.groups.clear();
+    }
     // Splice the fold's emissions into the owning item's log, after the
     // item's own facts.
     std::move(scratch.replay_ops.begin(), scratch.replay_ops.end(),
@@ -951,93 +968,22 @@ Status Engine::Impl::FoldItemContributions(std::deque<WorkItem>& items) {
   return OkStatus();
 }
 
-Status Engine::Impl::FoldAndEmitStratified(CompiledRule& cr,
-                                           std::deque<WorkItem>& items) {
-  auto t0 = std::chrono::steady_clock::now();
-  // Fold in work-item order: the rule's items cover ascending row ranges
-  // of its outermost literal, so this replays exactly the unpartitioned
-  // contribution order (float sums are bit-identical).
-  std::unordered_map<Tuple, GroupState, TupleHashFn> groups;
-  std::vector<Tuple> order;
-  size_t tick = 0;
-  for (WorkItem& item : items) {
-    if (item.rule != &cr || item.ctx.contributions.empty()) continue;
-    for (const PendingContribution& pc : item.ctx.contributions) {
-      // Stratified folds can dominate a barrier (one contribution per
-      // firing); keep them cancellable like the join loops.
-      if (checkpoints_armed && (++tick & 0x3FFF) == 0) {
-        KGM_RETURN_IF_ERROR(Checkpoint());
-      }
-      auto [it, inserted] = groups.try_emplace(pc.group_key);
-      GroupState& state = it->second;
-      if (inserted) {
-        state.acc.resize(cr.aggregates.size());
-        state.has_value.resize(cr.aggregates.size(), false);
-        state.packed.resize(cr.aggregates.size());
-        state.seen.resize(cr.aggregates.size());
-        order.push_back(pc.group_key);
-      }
-      bool any_update = false;
-      for (size_t ai = 0; ai < cr.aggregates.size(); ++ai) {
-        KGM_RETURN_IF_ERROR(ApplyContribution(cr, cr.aggregates[ai], state,
-                                              ai, pc.per_agg[ai],
-                                              &any_update));
-      }
-    }
-    item.ctx.contributions.clear();
-  }
-  stats->agg_finalize_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  if (order.empty()) return OkStatus();
-  // Emit the groups in first-seen order, partitioned across the pool.
-  // The replay runs in item order, so each head relation receives the
-  // groups in first-seen order whatever the partitioning.
-  size_t parts = PartitionCount(order.size());
-  size_t chunk = (order.size() + parts - 1) / parts;
-  std::deque<WorkItem> emit;
-  for (size_t p = 0; p < parts; ++p) {
-    size_t begin = p * chunk;
-    if (begin >= order.size()) break;
-    size_t end = std::min(order.size(), begin + chunk);
-    WorkItem& item = emit.emplace_back();
-    item.rule = &cr;
-    item.body = [this, &cr, &groups, &order, begin, end](
-                    EvalContext& ctx) -> Status {
-      ctx.rule = &cr;
-      ctx.slots.assign(cr.slot_names.size(), Value());
-      for (size_t g = begin; g < end; ++g) {
-        if (checkpoints_armed && (++ctx.checkpoint_tick & 0x3FFF) == 0) {
-          KGM_RETURN_IF_ERROR(Checkpoint());
-        }
-        ctx.bound.assign(cr.slot_names.size(), 0);
-        auto it = groups.find(order[g]);
-        KGM_CHECK(it != groups.end());
-        KGM_RETURN_IF_ERROR(
-            EmitWithAggregates(ctx, cr, order[g], it->second));
-      }
-      return OkStatus();
-    };
-  }
-  return RunItems(emit);
-}
-
-// Folds one recorded firing into the rule's monotonic group state and
-// re-emits the head when an accumulator improves.
+// Folds one recorded firing into the rule's group state.  A monotonic
+// rule re-emits the head when an accumulator improves; a stratified rule
+// records a new group's first-seen position and emits later.
 Status Engine::Impl::FoldPending(CompiledRule& cr, EvalContext& scratch,
                                  const PendingContribution& pc) {
-  auto [it, inserted] = cr.mono_groups.try_emplace(pc.group_key);
+  auto [it, inserted] =
+      cr.groups.try_emplace(pc.group_key, cr.aggregates.size());
   GroupState& state = it->second;
-  if (inserted) {
-    state.acc.resize(cr.aggregates.size());
-    state.has_value.resize(cr.aggregates.size(), false);
-    state.packed.resize(cr.aggregates.size());
-    state.seen.resize(cr.aggregates.size());
-  }
   bool any_update = false;
   for (size_t ai = 0; ai < cr.aggregates.size(); ++ai) {
-    KGM_RETURN_IF_ERROR(ApplyContribution(cr, cr.aggregates[ai], state, ai,
+    KGM_RETURN_IF_ERROR(ApplyContribution(cr.aggregates[ai], state, ai,
                                           pc.per_agg[ai], &any_update));
+  }
+  if (!AllMonotonic(cr)) {
+    if (inserted) cr.group_order.push_back(&*it);
+    return OkStatus();
   }
   if (!any_update && !inserted) return OkStatus();
   scratch.bound.assign(cr.slot_names.size(), 0);
@@ -1066,40 +1012,14 @@ Status Engine::Impl::EvalStratum(int stratum,
     KGM_RETURN_IF_ERROR(Checkpoint());
     for (CompiledRule* cr : batch) PrepareJoinIndexes(*cr);
     std::deque<WorkItem> items;
-    std::vector<CompiledRule*> stratified;
     for (CompiledRule* cr : batch) {
-      if (!cr->aggregates.empty() && !AllMonotonic(*cr)) {
-        stratified.push_back(cr);
-      }
       if (cr->positives.empty()) {
-        WorkItem& item = items.emplace_back();
-        item.rule = cr;
-        item.delta_literal = -1;
-        continue;
-      }
-      const uint32_t outer = cr->order[0];
-      const Relation* scan = cr->positives[outer].rel;
-      // Empty: the rule cannot fire.  Otherwise the partitions split the
-      // row ids, dead rows included.
-      if (scan == nullptr || scan->size() == 0) continue;
-      size_t rows = scan->row_bound();
-      size_t parts = PartitionCount(rows);
-      size_t chunk = (rows + parts - 1) / parts;
-      for (size_t p = 0; p < parts; ++p) {
-        size_t begin = p * chunk;
-        if (begin >= rows) break;
-        WorkItem& item = items.emplace_back();
-        item.rule = cr;
-        item.delta_literal = -1;
-        item.ctx.range_literal = static_cast<int>(outer);
-        item.ctx.row_begin = begin;
-        item.ctx.row_end = std::min(rows, begin + chunk);
+        items.emplace_back().rule = cr;
+      } else {
+        AddPartitionedItems(items, cr, -1, cr->positives[cr->order[0]].rel);
       }
     }
     KGM_RETURN_IF_ERROR(RunItems(items));
-    for (CompiledRule* cr : stratified) {
-      KGM_RETURN_IF_ERROR(FoldAndEmitStratified(*cr, items));
-    }
   }
 
   // Phase B: semi-naive fixpoint; work items are (rule x recursive
@@ -1151,23 +1071,10 @@ Status Engine::Impl::EvalStratum(int stratum,
       // firing order, so the output does not depend on how many
       // partitions the worker count allows.
       const uint32_t outer = cr->order[0];
-      const Relation* scan = static_cast<int>(outer) == li
-                                 ? &dit->second
-                                 : cr->positives[outer].rel;
-      if (scan == nullptr || scan->size() == 0) continue;
-      size_t rows = scan->row_bound();
-      size_t parts = PartitionCount(rows);
-      size_t chunk = (rows + parts - 1) / parts;
-      for (size_t p = 0; p < parts; ++p) {
-        size_t begin = p * chunk;
-        if (begin >= rows) break;
-        WorkItem& item = items.emplace_back();
-        item.rule = cr;
-        item.delta_literal = li;
-        item.ctx.range_literal = static_cast<int>(outer);
-        item.ctx.row_begin = begin;
-        item.ctx.row_end = std::min(rows, begin + chunk);
-      }
+      AddPartitionedItems(items, cr, li,
+                          static_cast<int>(outer) == li
+                              ? &dit->second
+                              : cr->positives[outer].rel);
     }
     Status status = RunItems(items);
     cur_delta = nullptr;
@@ -1396,14 +1303,11 @@ Status Engine::Impl::FinishBinding(EvalContext& ctx, CompiledRule& cr) {
 }
 
 // Dedups `contribution` against the group's seen-set and folds it into
-// accumulator `ai`.  Shared by the monotonic (FoldPending) and stratified
-// (FoldAndEmitStratified) barrier folds.
-Status Engine::Impl::ApplyContribution(CompiledRule& cr,
-                                       const CompiledAgg& agg,
+// accumulator `ai`.
+Status Engine::Impl::ApplyContribution(const CompiledAgg& agg,
                                        GroupState& state, size_t ai,
                                        const Tuple& contribution,
                                        bool* any_update) {
-  (void)cr;
   if (!state.seen[ai].insert(contribution).second) {
     return OkStatus();  // duplicate
   }
@@ -1438,8 +1342,7 @@ Status Engine::Impl::ApplyContribution(CompiledRule& cr,
 
 Status Engine::Impl::ProcessAggregates(EvalContext& ctx, CompiledRule& cr) {
   // Record the contribution; the driver folds it into the group state at
-  // the barrier (FoldItemContributions for monotonic rules,
-  // FoldAndEmitStratified for stratified ones).
+  // the barrier (FoldItemContributions).
   PendingContribution pc;
   pc.group_key.reserve(cr.group_slots.size());
   for (int s : cr.group_slots) {
@@ -1460,19 +1363,18 @@ Status Engine::Impl::ProcessAggregates(EvalContext& ctx, CompiledRule& cr) {
     }
     pc.per_agg.push_back(std::move(contribution));
   }
-  if (AllMonotonic(cr)) {
-    // Skip contributions the (frozen) group state has already folded in
-    // a previous iteration; the fold dedups same-barrier duplicates.
-    auto git = cr.mono_groups.find(pc.group_key);
-    if (git != cr.mono_groups.end()) {
-      bool all_seen = true;
-      for (size_t ai = 0; ai < cr.aggregates.size(); ++ai) {
-        if (git->second.seen[ai].count(pc.per_agg[ai]) == 0) {
-          all_seen = false;
-        }
+  // Skip contributions the (frozen) group state has already folded in a
+  // previous iteration; the fold dedups same-barrier duplicates.  A
+  // stratified rule's groups are empty while it joins.
+  auto git = cr.groups.find(pc.group_key);
+  if (git != cr.groups.end()) {
+    bool all_seen = true;
+    for (size_t ai = 0; ai < cr.aggregates.size(); ++ai) {
+      if (git->second.seen[ai].count(pc.per_agg[ai]) == 0) {
+        all_seen = false;
       }
-      if (all_seen) return OkStatus();
     }
+    if (all_seen) return OkStatus();
   }
   ctx.contributions.push_back(std::move(pc));
   return OkStatus();
@@ -1481,8 +1383,8 @@ Status Engine::Impl::ProcessAggregates(EvalContext& ctx, CompiledRule& cr) {
 Status Engine::Impl::EmitWithAggregates(EvalContext& ctx, CompiledRule& cr,
                                         const Tuple& group_key,
                                         const GroupState& state) {
-  // Rebind the binding from the group key (the caller's binding may already
-  // match, but in the finalize path slots are stale).
+  // Rebind the binding from the group key: the fold's scratch slots hold
+  // the previous group's values.
   std::vector<int> bound_here;
   auto cleanup = [&]() {
     for (int s : bound_here) ctx.bound[s] = 0;
@@ -1597,23 +1499,10 @@ Engine::Engine(Program program, EngineOptions options)
     return;
   }
   strat_ = std::move(strat).value();
-  // Reject rules mixing monotonic and stratified aggregates.
   for (size_t i = 0; i < program_.rules.size(); ++i) {
-    const Rule& r = program_.rules[i];
-    if (r.aggregates.size() < 2) continue;
-    bool rec = strat_.rule_recursive[i];
-    bool any_mono = false;
-    bool any_strat = false;
-    for (const Aggregate& a : r.aggregates) {
-      bool mono = rec || IsMonotonicAggregateName(a.func);
-      (mono ? any_mono : any_strat) = true;
-    }
-    if (any_mono && any_strat) {
-      init_status_ = FailedPrecondition(
-          "rule " + r.label +
-          " mixes monotonic and stratified aggregates");
-      return;
-    }
+    init_status_ = ValidateRuleAggregates(program_.rules[i], i,
+                                          strat_.rule_recursive[i]);
+    if (!init_status_.ok()) return;
   }
 }
 

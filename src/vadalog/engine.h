@@ -95,7 +95,7 @@ struct EngineStats {
   size_t staged_inserts = 0;
   size_t staged_duplicates = 0;
   double merge_seconds = 0;        // ordered barrier replays
-  double agg_finalize_seconds = 0; // aggregate fold + finalize at barriers
+  double agg_finalize_seconds = 0; // aggregate fold + emission at barriers
   // Indexed by rule position in the program.
   std::vector<size_t> rule_firings_by_rule;
   std::vector<size_t> rule_probes_by_rule;

@@ -135,6 +135,37 @@ TEST(LintVadalogTest, RuleWiderThanEngineLimitsIsError) {
   }
 }
 
+TEST(LintVadalogTest, AggregateTheEngineRefusesIsError) {
+  // Lint and the engine run one aggregate check: each program is refused
+  // by both.
+  const struct {
+    std::string rule;
+    std::string message;
+  } cases[] = {
+      {"holds(p, c, w), n = count(<p>), s = msum(w, <p>) -> st(c, n, s).\n",
+       "mixes monotonic and stratified aggregates"},
+      {"holds(p, c, w), n = sum(w, w, <p>) -> st(c, n).\n",
+       "aggregate sum takes 1 argument(s)"},
+  };
+  for (const auto& c : cases) {
+    const std::string source =
+        "@input(\"holds\").\n" + c.rule + "@output(\"st\").\n";
+    LintResult result = LintVadalogSource(source);
+    const Diagnostic* d = FindPass(result, "aggregate");
+    ASSERT_NE(d, nullptr) << RenderText(result);
+    EXPECT_EQ(d->severity, Severity::kError);
+    EXPECT_EQ(d->loc.line, 2);
+    EXPECT_EQ(d->rule_index, 0);
+    EXPECT_EQ(d->message, c.message);
+
+    Result<vadalog::Program> program = vadalog::ParseProgram(source);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    vadalog::Engine engine(*std::move(program));
+    EXPECT_EQ(engine.status().code(), StatusCode::kFailedPrecondition)
+        << engine.status().ToString();
+  }
+}
+
 TEST(LintVadalogTest, DeadRuleIsWarnedWhenOutputsDeclared) {
   LintResult result = LintVadalogSource(
       "@input(\"edge\").\n"

@@ -361,8 +361,8 @@ TEST(EngineParallelTest, StatsArePopulated) {
 }
 
 // A stratified (non-monotonic) float sum evaluated by parallel scan
-// partitions plus the parallel group-emission round must be bit-identical
-// to the sequential fold: same groups, same IEEE addition order.
+// partitions must be bit-identical to the sequential fold: same groups,
+// same IEEE addition order.
 TEST(EngineParallelTest, StratifiedFloatSumIsBitIdentical) {
   const char* program = R"(
     w(g, v), t = sum(v, <g>) -> total(g, t).
@@ -402,6 +402,86 @@ TEST(EngineParallelTest, StratifiedFloatSumIsBitIdentical) {
           << "threads " << threads << ": missing " << t[0].ToString() << ", "
           << t[1].ToString();
     }
+  }
+}
+
+// A stratified sum/count rule between two plain rules, all three writing
+// one head predicate in one stratum and run in one barrier: the rows are
+// those of the rules run one after another in program order — the plain
+// rule's, then the groups in first-seen order, then the other plain
+// rule's — at every thread count.  The 97 groups and 1,200 items are
+// enough for several partitions, and a group fact already in the
+// database, or derived by the first rule, is not appended again.
+TEST(EngineParallelTest, StratifiedGroupsSharingAHeadKeepSequentialOrder) {
+  const char* program = R"(
+    seed(g, s, n) -> stat(g, s, n).
+    item(i, g, v), s = sum(v, <i>), n = count(<i>) -> stat(g, s, n).
+    late(g) -> stat(g, 0, 0).
+  )";
+  constexpr int64_t kGroups = 97;
+  std::vector<int64_t> item_group;
+  std::vector<int64_t> item_value;
+  Rng rng(29);
+  for (int64_t i = 0; i < 1200; ++i) {
+    item_group.push_back(static_cast<int64_t>(rng.NextBelow(kGroups)));
+    item_value.push_back(static_cast<int64_t>(rng.NextBelow(1000)));
+  }
+  // Each group's (sum, count) and first-seen position.
+  std::map<int64_t, std::pair<int64_t, int64_t>> totals;
+  std::vector<int64_t> first_seen;
+  for (size_t i = 0; i < item_group.size(); ++i) {
+    auto [it, fresh] = totals.try_emplace(item_group[i], 0, 0);
+    if (fresh) first_seen.push_back(item_group[i]);
+    it->second.first += item_value[i];
+    ++it->second.second;
+  }
+  auto stat = [](int64_t g, int64_t s, int64_t n) -> Tuple {
+    return {Value(g), Value(s), Value(n)};
+  };
+  const int64_t present = first_seen[3];   // a stat fact of the database
+  const int64_t derived = first_seen[10];  // a stat fact of the seed rule
+  auto load = [&](FactDb* db) {
+    db->Add("stat", stat(present, totals[present].first,
+                         totals[present].second));
+    db->Add("seed", stat(1000, 1, 1));
+    db->Add("seed", stat(derived, totals[derived].first,
+                         totals[derived].second));
+    for (size_t i = 0; i < item_group.size(); ++i) {
+      db->Add("item", {Value(static_cast<int64_t>(i)), Value(item_group[i]),
+                       Value(item_value[i])});
+    }
+    db->Add("late", {Value(int64_t{2000})});
+    db->Add("late", {Value(int64_t{1000})});
+  };
+
+  // The sequential order, appended by hand.
+  FactDb expected_db;
+  Relation& expected = expected_db.GetOrCreate("stat", 3);
+  expected.Insert(stat(present, totals[present].first,
+                       totals[present].second));
+  expected.Insert(stat(1000, 1, 1));
+  expected.Insert(stat(derived, totals[derived].first,
+                       totals[derived].second));
+  for (int64_t g : first_seen) {
+    expected.Insert(stat(g, totals[g].first, totals[g].second));
+  }
+  expected.Insert(stat(2000, 0, 0));
+  expected.Insert(stat(1000, 0, 0));
+  ASSERT_EQ(first_seen.size(), static_cast<size_t>(kGroups));
+  ASSERT_EQ(expected.size(), kGroups + 3u);  // two of the groups are there
+
+  for (size_t threads : {1u, 2u, 4u}) {
+    FactDb db;
+    load(&db);
+    EngineOptions options;
+    options.num_threads = threads;
+    Result<Program> parsed = ParseProgram(program);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    Engine engine(*std::move(parsed), options);
+    ASSERT_TRUE(engine.Run(&db).ok()) << "threads " << threads;
+    EXPECT_EQ(engine.stats().strata, 1) << "threads " << threads;
+    EXPECT_EQ(Rows(db, "stat"), Rows(expected_db, "stat"))
+        << "threads " << threads;
   }
 }
 

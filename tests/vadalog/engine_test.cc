@@ -338,6 +338,27 @@ TEST(EngineTest, ArityConflictRejected) {
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(EngineTest, MixedAggregateModesRejected) {
+  FactDb db;
+  Status s = RunProgram(
+      "holds(p, c, w), n = count(<p>), s = msum(w, <p>) -> st(c, n, s).",
+      &db);
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(s.message().find("mixes monotonic and stratified aggregates"),
+            std::string::npos)
+      << s.ToString();
+}
+
+TEST(EngineTest, AggregateArgumentCountRejected) {
+  FactDb db;
+  Status s =
+      RunProgram("holds(p, c, w), n = sum(w, w, <p>) -> st(c, n).", &db);
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(s.message().find("aggregate sum takes 1 argument(s)"),
+            std::string::npos)
+      << s.ToString();
+}
+
 TEST(EngineTest, InputFactsFromDbAndProgramCombine) {
   FactDb db;
   db.Add("edge", {Value(int64_t{1}), Value(int64_t{2})});
