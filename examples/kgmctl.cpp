@@ -1205,9 +1205,12 @@ int CmdQuery(int argc, char** argv) {
       out << "\"" << JsonEscape(stats.full_required[i]) << "\"";
     }
     out << "]";
-    out << ",\"rewrites\":" << stats.engine.magic_rewrites;
-    out << ",\"subqueries\":" << stats.engine.magic_subqueries;
-    out << ",\"magic_rules\":" << stats.engine.magic_rules;
+    out << ",\"rewrites\":" << stats.magic_rewrites;
+    out << ",\"subqueries\":"
+        << (stats.mode == vadalog::magic::PointQueryMode::kMagic
+                ? stats.adorned.size()
+                : 0);
+    out << ",\"magic_rules\":" << stats.magic_rules;
     out << ",\"probes\":{\"point\":" << stats.engine.join_probes
         << ",\"materialize\":" << base_stats.engine.join_probes
         << ",\"reduction_factor\":" << ratio << "}";
@@ -1224,7 +1227,7 @@ int CmdQuery(int argc, char** argv) {
     std::printf("\n");
     if (!stats.adorned.empty()) {
       std::printf("rewrite: %zu adorned predicate(s), %zu rewritten rule(s)\n",
-                  stats.adorned.size(), stats.engine.magic_rules);
+                  stats.adorned.size(), stats.magic_rules);
       for (const auto& a : stats.adorned) {
         std::printf("  %s@%s   seeded by %s\n", a.pred.c_str(),
                     a.adornment.c_str(), a.magic_pred.c_str());

@@ -6,11 +6,9 @@
 #include <map>
 #include <set>
 #include <tuple>
-#include <unordered_map>
 
 #include "metalog/parser.h"
 #include "vadalog/analysis.h"
-#include "vadalog/engine.h"
 #include "vadalog/magic/magic.h"
 #include "vadalog/parser.h"
 #include "vadalog/typeflow.h"
@@ -110,72 +108,24 @@ void WardednessPass(const Program& program, LintResult* out) {
   }
 }
 
-// The engine refuses to compile a rule wider than its limits
-// (vadalog/engine.h); report those rules so lint-clean means compilable.
-// The variable count mirrors the engine's slot assignment: every named
-// variable of an atom, assignment, aggregate or existential.
-void RuleWidthCheck(const Rule& r, int ri, LintResult* out) {
-  std::set<std::string> vars;
-  auto check_atom = [&](const Atom& a) {
-    for (const Term& t : a.args) {
-      if (t.is_var() && !t.is_anonymous()) vars.insert(t.var);
-    }
-    if (a.args.size() > vadalog::kMaxAtomArity) {
-      out->Add(Severity::kError, "arity", AtomAnchor(a, r), ri,
-               "atom " + a.predicate + " has " +
-                   std::to_string(a.args.size()) +
-                   " arguments; the engine accepts at most " +
-                   std::to_string(vadalog::kMaxAtomArity));
-    }
-  };
-  for (const Literal& l : r.body) check_atom(l.atom);
-  for (const Atom& h : r.head) check_atom(h);
-  for (const vadalog::Assignment& a : r.assignments) vars.insert(a.var);
-  for (const vadalog::Aggregate& a : r.aggregates) {
-    vars.insert(a.contributors.begin(), a.contributors.end());
-    vars.insert(a.result_var);
-  }
-  for (const vadalog::ExistentialSpec& e : r.existentials) {
-    vars.insert(e.var);
-    vars.insert(e.skolem_args.begin(), e.skolem_args.end());
-  }
-  if (vars.size() > vadalog::kMaxRuleVariables) {
-    out->Add(Severity::kError, "arity", RuleAnchor(r), ri,
-             "rule uses " + std::to_string(vars.size()) +
-                 " variables; the engine accepts at most " +
-                 std::to_string(vadalog::kMaxRuleVariables));
-  }
-}
-
+// Runs the engine's own arity table and width check, so lint-clean means
+// compilable.
 void ArityPass(const Program& program, LintResult* out) {
-  struct Seen {
-    size_t arity;
-    bool from_fact;
-  };
-  std::unordered_map<std::string, Seen> seen;
-  auto check = [&](const std::string& pred, size_t arity, SourceLoc loc,
-                   int rule_index) {
-    auto [it, inserted] = seen.emplace(pred, Seen{arity, rule_index < 0});
-    if (inserted || it->second.arity == arity) return;
-    out->Add(Severity::kError, "arity", loc, rule_index,
-             "predicate " + pred + " used with arity " +
-                 std::to_string(arity) + " but previously with arity " +
-                 std::to_string(it->second.arity));
-  };
+  std::vector<vadalog::ArityConflict> conflicts;
+  vadalog::PredicateArities(program, &conflicts);
+  for (const vadalog::ArityConflict& c : conflicts) {
+    SourceLoc loc = c.loc.valid() || c.rule_index < 0
+                        ? c.loc
+                        : RuleAnchor(program.rules[c.rule_index]);
+    out->Add(Severity::kError, "arity", loc, c.rule_index, c.Message());
+  }
   for (size_t ri = 0; ri < program.rules.size(); ++ri) {
     const Rule& r = program.rules[ri];
-    for (const Literal& l : r.body) {
-      check(l.atom.predicate, l.atom.args.size(), AtomAnchor(l.atom, r),
-            static_cast<int>(ri));
+    Status s = vadalog::ValidateRuleWidth(r, ri);
+    if (!s.ok()) {
+      out->Add(Severity::kError, "arity", RuleAnchor(r), static_cast<int>(ri),
+               StripRulePrefix(s.message()));
     }
-    for (const Atom& h : r.head) {
-      check(h.predicate, h.args.size(), AtomAnchor(h, r),
-            static_cast<int>(ri));
-    }
-    RuleWidthCheck(r, static_cast<int>(ri), out);
-  }
-  for (const vadalog::FactDecl& f : program.facts) {
-    check(f.predicate, f.values.size(), f.loc, -1);
   }
 }
 

@@ -125,9 +125,13 @@ void ServiceStats::RecordPointQuery(
     case PointQueryMode::kOff:
       return;  // not a point query; nothing to count
   }
-  magic_rewrites_ += pq_stats.engine.magic_rewrites;
-  magic_fallbacks_ += pq_stats.engine.magic_fallbacks;
-  magic_subqueries_ += pq_stats.engine.magic_subqueries;
+  magic_rewrites_ += pq_stats.magic_rewrites;
+  if (pq_stats.mode == PointQueryMode::kMagic) {
+    magic_subqueries_ += pq_stats.adorned.size();
+  } else if (pq_stats.mode == PointQueryMode::kMaterialize &&
+             pq_stats.fallback != vadalog::magic::FallbackReason::kNone) {
+    ++magic_fallbacks_;
+  }
   magic_probes_ += pq_stats.engine.join_probes;
 }
 

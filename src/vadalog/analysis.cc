@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -344,6 +345,91 @@ Status ValidateRuleAggregates(const Rule& r, size_t rule_index,
                               "mixes monotonic and stratified aggregates");
   }
   return OkStatus();
+}
+
+namespace {
+
+// Calls fn on every named variable occurrence the engine gives a slot.
+template <typename Fn>
+void ForEachSlotVariable(const Rule& r, Fn fn) {
+  auto atom = [&fn](const Atom& a) {
+    for (const Term& t : a.args) {
+      if (t.is_var() && !t.is_anonymous()) fn(t.var);
+    }
+  };
+  for (const Literal& l : r.body) atom(l.atom);
+  for (const Atom& h : r.head) atom(h);
+  for (const Assignment& a : r.assignments) fn(a.var);
+  for (const Aggregate& a : r.aggregates) {
+    for (const std::string& c : a.contributors) fn(c);
+    fn(a.result_var);
+  }
+  for (const ExistentialSpec& e : r.existentials) {
+    fn(e.var);
+    for (const std::string& v : e.skolem_args) fn(v);
+  }
+}
+
+}  // namespace
+
+Status ValidateRuleWidth(const Rule& r, size_t rule_index) {
+  auto too_wide = [&](const Atom& a) {
+    return FailedPrecondition(
+        RulePrefix(r, rule_index) + "atom " + a.predicate + " has " +
+        std::to_string(a.args.size()) +
+        " arguments; the engine accepts at most " +
+        std::to_string(kMaxAtomArity));
+  };
+  for (const Literal& l : r.body) {
+    if (l.atom.args.size() > kMaxAtomArity) return too_wide(l.atom);
+  }
+  for (const Atom& h : r.head) {
+    if (h.args.size() > kMaxAtomArity) return too_wide(h);
+  }
+  // A rule with at most kMaxRuleVariables named occurrences fits without
+  // building the name set.
+  size_t occurrences = 0;
+  ForEachSlotVariable(r, [&occurrences](const std::string&) {
+    ++occurrences;
+  });
+  if (occurrences <= kMaxRuleVariables) return OkStatus();
+  std::unordered_set<std::string_view> vars;
+  ForEachSlotVariable(r, [&vars](const std::string& v) { vars.insert(v); });
+  if (vars.size() <= kMaxRuleVariables) return OkStatus();
+  return FailedPrecondition(RulePrefix(r, rule_index) + "rule uses " +
+                            std::to_string(vars.size()) +
+                            " variables; the engine accepts at most " +
+                            std::to_string(kMaxRuleVariables));
+}
+
+std::string ArityConflict::Message() const {
+  return "predicate " + pred + " used with arity " + std::to_string(arity) +
+         " but previously with arity " + std::to_string(first_arity);
+}
+
+std::map<std::string, size_t> PredicateArities(
+    const Program& program, std::vector<ArityConflict>* conflicts) {
+  std::map<std::string, size_t> arities;
+  auto note = [&](const std::string& pred, size_t n, int rule_index,
+                  const SourceLoc& loc) {
+    auto [it, inserted] = arities.emplace(pred, n);
+    if (inserted || it->second == n || conflicts == nullptr) return;
+    conflicts->push_back({pred, it->second, n, rule_index, loc});
+  };
+  for (size_t ri = 0; ri < program.rules.size(); ++ri) {
+    const Rule& r = program.rules[ri];
+    const int index = static_cast<int>(ri);
+    for (const Literal& l : r.body) {
+      note(l.atom.predicate, l.atom.args.size(), index, l.atom.loc);
+    }
+    for (const Atom& h : r.head) {
+      note(h.predicate, h.args.size(), index, h.loc);
+    }
+  }
+  for (const FactDecl& f : program.facts) {
+    note(f.predicate, f.values.size(), -1, f.loc);
+  }
+  return arities;
 }
 
 WardednessReport CheckWardedness(const Program& program) {

@@ -81,6 +81,35 @@ Status ValidateSafety(const Program& program);
 Status ValidateRuleAggregates(const Rule& r, size_t rule_index,
                               bool recursive);
 
+// The widest rules the engine compiles: variable slots and atom positions
+// are tracked in 64-bit masks.
+inline constexpr size_t kMaxRuleVariables = 64;
+inline constexpr size_t kMaxAtomArity = 60;
+
+// Validates that one rule fits the engine's limits: no atom with more than
+// kMaxAtomArity arguments, and at most kMaxRuleVariables distinct named
+// variables over its atoms, assignments, aggregates (contributors and
+// results) and existentials (variables and Skolem arguments) — the names
+// the engine gives a slot.  Fails with the first violation.
+Status ValidateRuleWidth(const Rule& r, size_t rule_index);
+
+// A use of a predicate with an arity other than its first use's.
+struct ArityConflict {
+  std::string pred;
+  size_t first_arity = 0;  // arity of the predicate's first use
+  size_t arity = 0;        // arity of this use
+  int rule_index = -1;     // 0-based rule of this use; -1 for an @fact
+  SourceLoc loc;           // the atom's or the @fact's position
+  // "predicate p used with arity 2 but previously with arity 1"
+  std::string Message() const;
+};
+
+// Each predicate's arity at its first use: rules in order (body literals,
+// then head atoms), then @facts.  When `conflicts` is non-null, every later
+// use with another arity is appended to it, in the same order.
+std::map<std::string, size_t> PredicateArities(
+    const Program& program, std::vector<ArityConflict>* conflicts);
+
 // A predicate position (predicate name, 0-based argument index).
 struct Position {
   std::string pred;

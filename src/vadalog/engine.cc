@@ -33,11 +33,12 @@ struct CompiledLiteral {
   bool recursive = false;  // predicate in the rule's own SCC
   // Index mask the rule's compile-time plan (CompiledRule::order) probes
   // this literal with: constants plus the variables of the literals the
-  // plan joins before it.  DeltaEvaluator calls plan their own masks.
+  // plan joins before it.  Rule-at-a-time calls plan their own masks.
   uint64_t static_mask = 0;
   // Relation the join reads (nullptr when the predicate has none), with
   // its probe index built before the join starts — by PrepareJoinIndexes
-  // at every barrier, by DeltaEvaluator before every call.  Read-only.
+  // at every barrier, by PrepareCall before every rule-at-a-time call.
+  // Read-only.
   const Relation* rel = nullptr;
 };
 
@@ -98,7 +99,8 @@ struct CompiledRule {
   // Aggregation state, folded on the driver at the barrier.  A monotonic
   // rule's groups persist across the whole run; a stratified rule's are
   // emitted in first-seen order (group_order) and dropped after its one
-  // barrier.  Map nodes do not move, so the pointers stay valid.
+  // barrier.  Map nodes do not move, so the pointers stay valid.  Run
+  // clears both before it starts: the compiled rule outlives a run.
   GroupMap groups;
   std::vector<GroupMap::value_type*> group_order;
 };
@@ -237,7 +239,7 @@ struct PendingContribution {
 };
 
 // One derived fact recorded by a work item, replayed by the driver at the
-// iteration barrier in ascending (item, seq) order, or by a DeltaEvaluator
+// iteration barrier in ascending (item, seq) order, or by a rule-at-a-time
 // call, handed to its emit callback after the join.
 struct ReplayOp {
   const std::string* pred = nullptr;  // head predicate
@@ -247,7 +249,7 @@ struct ReplayOp {
 // Per-evaluation binding and output state.  Every work item owns a context
 // that records its derived facts in firing order, and its aggregate
 // contributions, for the replay at the iteration barrier.  A
-// DeltaEvaluator call records its facts for its callback.  Either way the
+// rule-at-a-time call records its facts for its callback.  Either way the
 // join reads a database that does not change, through relations and
 // indexes prepared before it started.
 struct EvalContext {
@@ -286,7 +288,7 @@ struct EvalContext {
 
   // Join order for this evaluation: recursion depth d evaluates positive
   // literal (*order)[d].  Barrier work items join by the rule's
-  // compile-time plan (EvalRule sets CompiledRule::order); a DeltaEvaluator
+  // compile-time plan (EvalRule sets CompiledRule::order); a rule-at-a-time
   // call joins by a plan made for what it pre-binds.
   const std::vector<uint32_t>* order = nullptr;
 
@@ -337,12 +339,113 @@ struct Engine::Impl {
   std::map<std::string, Relation>* next_delta = nullptr;
   std::map<std::string, Relation>* cur_delta = nullptr;
 
+  // Rule-at-a-time plans, made on first use: every call of one (rule,
+  // literal) or (rule, head atom) binds the same slots, so it joins by the
+  // same plan.  A seeded plan also keeps the slot each head position binds
+  // (-1 for a constant, anonymous or existential position).
+  struct SeededPlan {
+    std::vector<int> head_slots;
+    JoinPlan plan;
+  };
+  std::map<std::pair<size_t, size_t>, JoinPlan> delta_plans;
+  std::map<std::pair<size_t, size_t>, SeededPlan> seeded_plans;
+
   explicit Impl(Engine* e) : engine(e), options(e->options_),
                              stats(&e->stats_) {}
 
   Status CompileAll();
-  Status CompileRule(const Rule& rule, int index);
+  void CompileRule(const Rule& rule, int index);
+  // Zeroes the stats, with the per-rule vectors sized.
+  void ResetStats();
   Status Run(FactDb* target);
+
+  // --- rule-at-a-time calls ---
+
+  // A delta call joins the delta literal first, with nothing bound: each
+  // delta row is enumerated once and binds the literal's variables for the
+  // rest of the join, which is planned as if they were bound up front.
+  const JoinPlan& DeltaPlan(const CompiledRule& cr, size_t literal_index) {
+    auto [it, fresh] = delta_plans.try_emplace(
+        {static_cast<size_t>(cr.index), literal_index});
+    if (fresh) {
+      it->second = PlanJoin(cr, std::vector<char>(cr.slot_names.size(), 0),
+                            static_cast<int>(literal_index));
+    }
+    return it->second;
+  }
+
+  // Existential slots stay free: MintAndEmitHead re-interns their Skolem
+  // terms, which are content-addressed, so a matching body reproduces the
+  // original values.
+  const SeededPlan& SeededPlanFor(const CompiledRule& cr, size_t head_index) {
+    auto [it, fresh] =
+        seeded_plans.try_emplace({static_cast<size_t>(cr.index), head_index});
+    if (fresh) {
+      std::vector<char> existential(cr.slot_names.size(), 0);
+      for (const ExistSlot& e : cr.existentials) existential[e.slot] = 1;
+      std::vector<char> bound(cr.slot_names.size(), 0);
+      SeededPlan& sp = it->second;
+      for (const ArgSlot& a : cr.head[head_index].args) {
+        const bool binds = !a.is_const && a.slot >= 0 && !existential[a.slot];
+        sp.head_slots.push_back(binds ? a.slot : -1);
+        if (binds) bound[a.slot] = 1;
+      }
+      sp.plan = PlanJoin(cr, std::move(bound));
+    }
+    return it->second;
+  }
+
+  // The compiled rule a call evaluates.  Aggregates fold only at Run's
+  // barriers, which calls never reach; incremental maintenance reruns such
+  // programs instead.
+  Result<CompiledRule*> CallRule(size_t rule_index) {
+    KGM_CHECK(rule_index < compiled.size());
+    CompiledRule& cr = compiled[rule_index];
+    if (!cr.aggregates.empty()) {
+      return FailedPrecondition(
+          "rule-at-a-time evaluation does not support aggregates: " +
+          cr.rule->ToString());
+    }
+    return &cr;
+  }
+
+  // Readies `ctx` for a call that joins `cr` by `plan` against `target`:
+  // resolves every body relation and builds each index the plan probes.
+  // The delta literal (-1 = none) reads `delta`, indexed when its
+  // constants leave it partly bound.  Emissions are recorded as ops, at
+  // most max_facts.
+  void PrepareCall(FactDb* target, CompiledRule& cr, const JoinPlan& plan,
+                   int delta_literal, Relation* delta, EvalContext* ctx) {
+    db = target;
+    const size_t np = cr.positives.size();
+    for (size_t i = 0; i < np; ++i) {
+      CompiledLiteral& lit = cr.positives[i];
+      if (static_cast<int>(i) != delta_literal) {
+        lit.rel = ProbeRelation(db, lit.pred, plan.masks[i], lit.args.size());
+      } else if (PartlyBound(plan.masks[i], lit.args.size())) {
+        delta->EnsureIndex(plan.masks[i]);
+      }
+    }
+    for (size_t j = 0; j < cr.negatives.size(); ++j) {
+      CompiledLiteral& lit = cr.negatives[j];
+      lit.rel = ProbeRelation(db, lit.pred, plan.masks[np + j],
+                              lit.args.size());
+    }
+    ctx->rule = &cr;
+    ctx->order = &plan.order;
+    recorded_total_.store(0, std::memory_order_relaxed);
+  }
+
+  // Adds the call's counters to the stats and hands its recorded emissions
+  // to `emit` once the join has returned, so an insert from `emit` cannot
+  // reach it.
+  Status FinishCall(EvalContext& ctx, Status status, const EmitFn& emit) {
+    FlushCtxStats(ctx, *ctx.rule);
+    db = nullptr;
+    for (ReplayOp& op : ctx.replay_ops) emit(*op.pred, std::move(op.tuple));
+    return status;
+  }
+
   Status EvalStratum(int stratum, const std::vector<CompiledRule*>& rules);
   Status EvalRule(EvalContext& ctx, CompiledRule& cr, int delta_literal);
   Status Join(EvalContext& ctx, CompiledRule& cr, size_t literal_index,
@@ -435,47 +538,32 @@ struct Engine::Impl {
 
 Status Engine::Impl::CompileAll() {
   const Program& program = engine->program_;
-  // Predicate arities.
-  auto note_arity = [this](const std::string& pred,
-                           size_t n) -> Status {
-    auto [it, inserted] = arity.emplace(pred, n);
-    if (!inserted && it->second != n) {
-      return FailedPrecondition("predicate " + pred +
-                                " used with conflicting arities " +
-                                std::to_string(it->second) + " and " +
-                                std::to_string(n));
-    }
-    return OkStatus();
-  };
-  for (const Rule& r : program.rules) {
-    for (const Literal& l : r.body) {
-      KGM_RETURN_IF_ERROR(note_arity(l.atom.predicate, l.atom.args.size()));
-    }
-    for (const Atom& h : r.head) {
-      KGM_RETURN_IF_ERROR(note_arity(h.predicate, h.args.size()));
-    }
+  std::vector<ArityConflict> conflicts;
+  arity = PredicateArities(program, &conflicts);
+  if (!conflicts.empty()) {
+    return FailedPrecondition(conflicts.front().Message());
   }
-  for (const FactDecl& f : program.facts) {
-    KGM_RETURN_IF_ERROR(note_arity(f.predicate, f.values.size()));
-  }
+  compiled.reserve(program.rules.size());
   for (size_t i = 0; i < program.rules.size(); ++i) {
-    KGM_RETURN_IF_ERROR(CompileRule(program.rules[i], static_cast<int>(i)));
+    KGM_RETURN_IF_ERROR(ValidateRuleWidth(program.rules[i], i));
+    CompileRule(program.rules[i], static_cast<int>(i));
   }
-  stats->rule_firings_by_rule.assign(compiled.size(), 0);
-  stats->rule_probes_by_rule.assign(compiled.size(), 0);
   return OkStatus();
 }
 
-Status Engine::Impl::CompileRule(const Rule& rule, int index) {
+void Engine::Impl::ResetStats() {
+  *stats = EngineStats{};
+  stats->rule_firings_by_rule.assign(compiled.size(), 0);
+  stats->rule_probes_by_rule.assign(compiled.size(), 0);
+}
+
+void Engine::Impl::CompileRule(const Rule& rule, int index) {
   const Stratification& strat = engine->strat_;
   CompiledRule cr;
   cr.rule = &rule;
   cr.index = index;
   cr.stratum = strat.rule_stratum[index];
   cr.recursive = strat.rule_recursive[index];
-  std::string where = " (rule " + (rule.label.empty()
-                                       ? std::to_string(index + 1)
-                                       : rule.label) + ")";
 
   auto slot_of = [&cr](const std::string& name) -> int {
     auto it = cr.varmap.find(name);
@@ -651,25 +739,7 @@ Status Engine::Impl::CompileRule(const Rule& rule, int index) {
     cr.group_slots.assign(group.begin(), group.end());
   }
 
-  if (cr.slot_names.size() > kMaxRuleVariables) {
-    return FailedPrecondition("rule uses more than " +
-                              std::to_string(kMaxRuleVariables) +
-                              " variables" + where);
-  }
-  auto too_wide = [&where] {
-    return FailedPrecondition("atom with more than " +
-                              std::to_string(kMaxAtomArity) + " arguments" +
-                              where);
-  };
-  for (const Literal& l : rule.body) {
-    if (l.atom.args.size() > kMaxAtomArity) return too_wide();
-  }
-  for (const Atom& h : rule.head) {
-    if (h.args.size() > kMaxAtomArity) return too_wide();
-  }
-
   compiled.push_back(std::move(cr));
-  return OkStatus();
 }
 
 bool Engine::Impl::InsertShared(const std::string& pred, Tuple t) {
@@ -692,7 +762,7 @@ Status Engine::Impl::RecordFact(EvalContext& ctx, const std::string& pred,
   // A work item drops a fact the frozen database already holds: the
   // replay's insert would be a no-op, and Contains is read-only, so the
   // check is safe beside the other workers.  Every head predicate is
-  // pre-created in Run.  A DeltaEvaluator call keeps such facts: DRed
+  // pre-created in Run.  A rule-at-a-time call keeps such facts: DRed
   // overdeletion follows the derivations of tuples that exist.
   if (ctx.drop_present && db->Get(pred)->Contains(t)) {
     ++ctx.present_dropped;
@@ -712,6 +782,11 @@ Status Engine::Impl::Run(FactDb* target) {
   checkpoints_armed =
       options.cancel != nullptr ||
       options.deadline != std::chrono::steady_clock::time_point{};
+  ResetStats();
+  for (CompiledRule& cr : compiled) {
+    cr.groups.clear();
+    cr.group_order.clear();
+  }
   // Check arities, pre-create relations and materialize program facts.
   // Arities are checked first, so a program fact that conflicts with a
   // database relation fails here instead of aborting in GetOrCreate.
@@ -1135,7 +1210,7 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
   }
   const bool indexed = PartlyBound(mask, n);
   // Relations and probe indexes were prepared before the join started: the
-  // delta's by EvalStratum or DeltaEvaluator, the database's in lit.rel
+  // delta's by EvalStratum or PrepareCall, the database's in lit.rel
   // (no string-map lookup per recursive Join call).
   const Relation* source = nullptr;
   if (is_delta) {
@@ -1504,173 +1579,62 @@ Engine::Engine(Program program, EngineOptions options)
                                           strat_.rule_recursive[i]);
     if (!init_status_.ok()) return;
   }
+  auto impl = std::make_unique<Impl>(this);
+  init_status_ = impl->CompileAll();
+  if (!init_status_.ok()) return;
+  impl->ResetStats();
+  impl_ = std::move(impl);
 }
+
+Engine::~Engine() = default;
 
 Status Engine::Run(FactDb* db) {
   KGM_RETURN_IF_ERROR(init_status_);
-  Impl impl(this);
-  KGM_RETURN_IF_ERROR(impl.CompileAll());
-  return impl.Run(db);
+  Status status = impl_->Run(db);
+  // No helper threads, deadline polls or database outlive the run.
+  impl_->pool.reset();
+  impl_->checkpoints_armed = false;
+  impl_->db = nullptr;
+  return status;
 }
 
-// --- DeltaEvaluator -----------------------------------------------------------
-
-struct DeltaEvaluator::State {
-  // The join of EvalRuleSeeded for one (rule, head atom): the slot each
-  // head position binds (-1 for a constant, anonymous or existential
-  // position) and the plan for those slots bound.
-  struct SeededPlan {
-    std::vector<int> head_slots;
-    JoinPlan plan;
-  };
-
-  Engine::Impl impl;
-  Status init;
-  size_t join_probes = 0;  // summed over every call
-  // Plans, made on first use: every call of one (rule, literal) or (rule,
-  // head atom) binds the same slots, so it joins by the same plan.
-  std::map<std::pair<size_t, size_t>, JoinPlan> delta_plans;
-  std::map<std::pair<size_t, size_t>, SeededPlan> seeded_plans;
-
-  explicit State(Engine* engine) : impl(engine) {}
-
-  // EvalRuleDelta joins the delta literal first, with nothing bound: each
-  // delta row is enumerated once and binds the literal's variables for the
-  // rest of the join, which is planned as if they were bound up front.
-  const JoinPlan& DeltaPlan(const CompiledRule& cr, size_t literal_index) {
-    auto [it, fresh] =
-        delta_plans.try_emplace({static_cast<size_t>(cr.index), literal_index});
-    if (fresh) {
-      it->second = PlanJoin(cr, std::vector<char>(cr.slot_names.size(), 0),
-                            static_cast<int>(literal_index));
-    }
-    return it->second;
-  }
-
-  // Existential slots stay free: MintAndEmitHead re-interns their Skolem
-  // terms, which are content-addressed, so a matching body reproduces the
-  // original values.
-  const SeededPlan& SeededPlanFor(const CompiledRule& cr, size_t head_index) {
-    auto [it, fresh] =
-        seeded_plans.try_emplace({static_cast<size_t>(cr.index), head_index});
-    if (fresh) {
-      std::vector<char> existential(cr.slot_names.size(), 0);
-      for (const ExistSlot& e : cr.existentials) existential[e.slot] = 1;
-      std::vector<char> bound(cr.slot_names.size(), 0);
-      SeededPlan& sp = it->second;
-      for (const ArgSlot& a : cr.head[head_index].args) {
-        const bool binds = !a.is_const && a.slot >= 0 && !existential[a.slot];
-        sp.head_slots.push_back(binds ? a.slot : -1);
-        if (binds) bound[a.slot] = 1;
-      }
-      sp.plan = PlanJoin(cr, std::move(bound));
-    }
-    return it->second;
-  }
-
-  // Aggregates fold only at the engine's barriers, which rule-at-a-time
-  // calls never reach.  Incremental maintenance reruns such programs
-  // instead.
-  Status CheckSupported(const CompiledRule& cr) const {
-    if (!cr.aggregates.empty()) {
-      return FailedPrecondition(
-          "rule-at-a-time evaluation does not support aggregates: " +
-          cr.rule->ToString());
-    }
-    return OkStatus();
-  }
-
-  // Readies `ctx` for a call that joins `cr` by `plan`: resolves every body
-  // relation and builds each index the plan probes.  The delta literal
-  // (-1 = none) reads `delta`, indexed when its constants leave it partly
-  // bound.  Emissions are recorded as ops, at most max_facts.
-  void Prepare(CompiledRule& cr, const JoinPlan& plan, int delta_literal,
-               Relation* delta, EvalContext* ctx) {
-    const size_t np = cr.positives.size();
-    for (size_t i = 0; i < np; ++i) {
-      CompiledLiteral& lit = cr.positives[i];
-      if (static_cast<int>(i) != delta_literal) {
-        lit.rel = ProbeRelation(impl.db, lit.pred, plan.masks[i],
-                                lit.args.size());
-      } else if (PartlyBound(plan.masks[i], lit.args.size())) {
-        delta->EnsureIndex(plan.masks[i]);
-      }
-    }
-    for (size_t j = 0; j < cr.negatives.size(); ++j) {
-      CompiledLiteral& lit = cr.negatives[j];
-      lit.rel = ProbeRelation(impl.db, lit.pred, plan.masks[np + j],
-                              lit.args.size());
-    }
-    ctx->rule = &cr;
-    ctx->order = &plan.order;
-    impl.recorded_total_.store(0, std::memory_order_relaxed);
-  }
-
-  // Hands the recorded emissions to `emit` once the join has returned, so
-  // an insert from `emit` cannot reach it.
-  Status Finish(EvalContext& ctx, Status status, const EmitFn& emit) {
-    join_probes += ctx.probes;
-    for (ReplayOp& op : ctx.replay_ops) emit(*op.pred, std::move(op.tuple));
-    return status;
-  }
-};
-
-DeltaEvaluator::DeltaEvaluator(Engine* engine, FactDb* db)
-    : state_(std::make_unique<State>(engine)) {
-  state_->init = engine->status();
-  if (state_->init.ok()) state_->init = state_->impl.CompileAll();
-  // One thread: no pool.
-  state_->impl.db = db;
-  state_->impl.num_workers = 1;
-}
-
-DeltaEvaluator::~DeltaEvaluator() = default;
-
-const Status& DeltaEvaluator::status() const { return state_->init; }
-
-size_t DeltaEvaluator::join_probes() const { return state_->join_probes; }
-
-Status DeltaEvaluator::EvalRuleDelta(size_t rule_index, size_t literal_index,
-                                     std::map<std::string, Relation>& delta_rels,
-                                     const EmitFn& emit) {
-  KGM_RETURN_IF_ERROR(state_->init);
-  Engine::Impl& impl = state_->impl;
-  KGM_CHECK(rule_index < impl.compiled.size());
-  CompiledRule& cr = impl.compiled[rule_index];
-  KGM_RETURN_IF_ERROR(state_->CheckSupported(cr));
-  KGM_CHECK(literal_index < cr.positives.size());
-  auto it = delta_rels.find(cr.positives[literal_index].pred);
+Status Engine::EvalRuleDelta(FactDb* db, size_t rule_index,
+                             size_t literal_index,
+                             std::map<std::string, Relation>& delta_rels,
+                             const EmitFn& emit) {
+  KGM_RETURN_IF_ERROR(init_status_);
+  KGM_ASSIGN_OR_RETURN(CompiledRule* cr, impl_->CallRule(rule_index));
+  KGM_CHECK(literal_index < cr->positives.size());
+  auto it = delta_rels.find(cr->positives[literal_index].pred);
   if (it == delta_rels.end()) return OkStatus();
   const int delta_literal = static_cast<int>(literal_index);
   // Joining the delta first reaches the other literals through their
   // indexes on the variables it binds, so with a small delta the cost
   // follows the delta's join partners, not the database.
-  const JoinPlan& plan = state_->DeltaPlan(cr, literal_index);
+  const JoinPlan& plan = impl_->DeltaPlan(*cr, literal_index);
   EvalContext ctx;
-  ctx.slots.assign(cr.slot_names.size(), Value());
-  ctx.bound.assign(cr.slot_names.size(), 0);
-  state_->Prepare(cr, plan, delta_literal, &it->second, &ctx);
-  impl.cur_delta = &delta_rels;
-  Status status = impl.Join(ctx, cr, 0, delta_literal);
-  impl.cur_delta = nullptr;
-  return state_->Finish(ctx, std::move(status), emit);
+  ctx.slots.assign(cr->slot_names.size(), Value());
+  ctx.bound.assign(cr->slot_names.size(), 0);
+  impl_->PrepareCall(db, *cr, plan, delta_literal, &it->second, &ctx);
+  impl_->cur_delta = &delta_rels;
+  Status status = impl_->Join(ctx, *cr, 0, delta_literal);
+  impl_->cur_delta = nullptr;
+  return impl_->FinishCall(ctx, std::move(status), emit);
 }
 
-Status DeltaEvaluator::EvalRuleSeeded(size_t rule_index, size_t head_index,
-                                      const Tuple& target, const EmitFn& emit) {
-  KGM_RETURN_IF_ERROR(state_->init);
-  Engine::Impl& impl = state_->impl;
-  KGM_CHECK(rule_index < impl.compiled.size());
-  CompiledRule& cr = impl.compiled[rule_index];
-  KGM_RETURN_IF_ERROR(state_->CheckSupported(cr));
-  KGM_CHECK(head_index < cr.head.size());
-  const CompiledLiteral& head = cr.head[head_index];
+Status Engine::EvalRuleSeeded(FactDb* db, size_t rule_index,
+                              size_t head_index, const Tuple& target,
+                              const EmitFn& emit) {
+  KGM_RETURN_IF_ERROR(init_status_);
+  KGM_ASSIGN_OR_RETURN(CompiledRule* cr, impl_->CallRule(rule_index));
+  KGM_CHECK(head_index < cr->head.size());
+  const CompiledLiteral& head = cr->head[head_index];
   KGM_CHECK(target.size() == head.args.size());
 
-  const State::SeededPlan& sp = state_->SeededPlanFor(cr, head_index);
+  const Impl::SeededPlan& sp = impl_->SeededPlanFor(*cr, head_index);
   EvalContext ctx;
-  ctx.slots.assign(cr.slot_names.size(), Value());
-  ctx.bound.assign(cr.slot_names.size(), 0);
+  ctx.slots.assign(cr->slot_names.size(), Value());
+  ctx.bound.assign(cr->slot_names.size(), 0);
   for (size_t i = 0; i < head.args.size(); ++i) {
     const ArgSlot& a = head.args[i];
     if (a.is_const) {
@@ -1690,9 +1654,10 @@ Status DeltaEvaluator::EvalRuleSeeded(size_t rule_index, size_t head_index,
   // The pre-bound head variables restrict every literal they appear in,
   // and the bound-first order starts from the literals they bind — this is
   // a targeted derivability probe, not a full rule evaluation.
-  state_->Prepare(cr, sp.plan, /*delta_literal=*/-1, nullptr, &ctx);
-  Status status = impl.Join(ctx, cr, 0, /*delta_literal=*/-1);
-  return state_->Finish(ctx, std::move(status), emit);
+  impl_->PrepareCall(db, *cr, sp.plan, /*delta_literal=*/-1, nullptr,
+                     &ctx);
+  Status status = impl_->Join(ctx, *cr, 0, /*delta_literal=*/-1);
+  return impl_->FinishCall(ctx, std::move(status), emit);
 }
 
 Status RunProgram(std::string_view source, FactDb* db,

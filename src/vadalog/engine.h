@@ -37,13 +37,6 @@
 
 namespace kgm::vadalog {
 
-// The widest rules the engine compiles: variable slots and atom positions
-// are tracked in 64-bit masks.  Run returns FailedPrecondition for a rule
-// over either limit; lint reports the same rules as errors, so a
-// lint-clean program compiles.
-inline constexpr size_t kMaxRuleVariables = 64;
-inline constexpr size_t kMaxAtomArity = 60;
-
 struct EngineOptions {
   // Hard ceiling on the total number of facts in the database.
   size_t max_facts = 50'000'000;
@@ -101,27 +94,20 @@ struct EngineStats {
   std::vector<size_t> rule_probes_by_rule;
   // Wall-clock seconds per stratum, in evaluation order.
   std::vector<double> stratum_seconds;
-  // Query-driven point-query observability (vadalog/magic/point_query.h).
-  // Engine::Run never touches these; the magic::EvalPointQuery dispatcher
-  // fills them on the stats it reports, so service/bench counters read one
-  // struct whichever route a query took.
-  bool point_query = false;    // stats describe a point-query evaluation
-  size_t magic_rewrites = 0;   // magic-sets rewrites computed (0 or 1; 0
-                               // when a prepared rewrite was rebound)
-  size_t magic_fallbacks = 0;  // fell back to full materialization (0 or 1)
-  size_t magic_subqueries = 0; // adorned predicates of the magic rewrite
-  size_t magic_rules = 0;      // magic + guarded + copy rules emitted
 };
 
 class Engine {
  public:
-  // Validates and stratifies `program`; check status() before Run.
+  // Validates, stratifies and compiles `program`; check status() before
+  // Run.  The compiled program serves every later call.
   explicit Engine(Program program, EngineOptions options = {});
+  ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  // Construction-time validation outcome.
+  // Construction-time outcome: safety, stratification, aggregate,
+  // predicate arity and rule width checks (the checks lint runs too).
   const Status& status() const { return init_status_; }
 
   const Program& program() const { return program_; }
@@ -129,12 +115,58 @@ class Engine {
 
   // Evaluates the program to fixpoint against `db`.  Facts declared in the
   // program text are inserted first.  Derived facts are added in place.
+  // Run resets stats() and the aggregate groups, so one engine may run
+  // again, on the same or another database.  Not safe to call
+  // concurrently: a run mutates the engine's per-run state.
   Status Run(FactDb* db);
 
+  // The last Run, plus the rule-at-a-time calls made since it.
   const EngineStats& stats() const { return stats_; }
 
+  // --- Rule-at-a-time evaluation, for DRed (vadalog/incremental.h) ---
+  //
+  // A call fires one rule on the calling thread and reports each head
+  // derivation through `emit` instead of inserting it, so the maintainer
+  // can overdelete, rederive and insert without the fixpoint driver.  It
+  // runs Run's own join/binding/emit machinery (assignments as equality
+  // constraints, condition splits, Skolem interning), which is what makes
+  // the maintained database converge to the from-scratch result.  It joins
+  // bound-first like Run (DESIGN.md §3.11), by a plan made once per (rule,
+  // delta literal) or (rule, head atom) for what it pre-binds, so its
+  // emissions come in that plan's order, not in Run's.  Each call adds its
+  // probes and firings to stats().
+  //
+  // `db` must not change during a call: like a barrier work item, a call
+  // builds the indexes its plan probes before the join and calls `emit`
+  // only after it returns, so `emit` may insert (the next call sees it).
+  // Both calls return status() when it is not ok, and FailedPrecondition
+  // for a rule with aggregates, which fold only at Run's barriers.
+
+  using EmitFn = std::function<void(const std::string& pred, Tuple t)>;
+
+  // Evaluates rule `rule_index` with its `literal_index`-th *positive* body
+  // literal restricted to the tuples of `delta_rels[pred]` (the literal's
+  // predicate; absent predicate = no matches); every other literal joins
+  // against `db` as it was when the call started.  The delta literal joins
+  // first, so each delta row is enumerated once, anonymous positions
+  // included.  Calls `emit` once per derived head atom, after the join.
+  // May build an index on the delta relation (when the literal has
+  // constants besides variables).
+  Status EvalRuleDelta(FactDb* db, size_t rule_index, size_t literal_index,
+                       std::map<std::string, Relation>& delta_rels,
+                       const EmitFn& emit);
+
+  // Evaluates rule `rule_index` against `db` with the universal variables
+  // of head atom `head_index` pre-bound from `target` (a tuple of that head
+  // predicate's arity).  Existential head positions are left free — their
+  // Skolem terms re-intern to the original values when the body matches.
+  // Calls `emit` for every derivation; the caller checks whether any
+  // emission equals `target` to decide rederivability.  A constant head
+  // position that conflicts with `target` simply produces no emissions.
+  Status EvalRuleSeeded(FactDb* db, size_t rule_index, size_t head_index,
+                        const Tuple& target, const EmitFn& emit);
+
  private:
-  friend class DeltaEvaluator;
   struct Impl;
 
   Program program_;
@@ -142,87 +174,13 @@ class Engine {
   Status init_status_;
   Stratification strat_;
   EngineStats stats_;
+  // The compiled program; null when status() is not ok.
+  std::unique_ptr<Impl> impl_;
 };
 
 // Convenience: parse, validate and run `source` against `db`.
 Status RunProgram(std::string_view source, FactDb* db,
                   EngineOptions options = {});
-
-// Rule-at-a-time evaluation over a validated engine's compiled program,
-// built for the DRed incremental maintainer (vadalog/incremental.h).
-// Instead of inserting derived facts into the database, every head
-// derivation is reported through an emit callback, so the caller can run
-// overdeletion (collect heads reachable from deleted tuples), rederivation
-// (probe whether a specific tuple is still derivable) and semi-naive insert
-// rounds without the engine's fixpoint driver.
-//
-// Evaluation runs on the calling thread and reuses the engine's own
-// join/binding/emit machinery — assignments-as-equality-constraints,
-// condition splits and Skolem interning behave exactly as in Engine::Run,
-// which is what makes the maintained database converge to the from-scratch
-// result.  Both calls join through the engine's one Join, bound-first like
-// Engine::Run: at each depth the first remaining literal, in written
-// order, whose arguments are all bound, else the first partly bound one,
-// else the first remaining one (DESIGN.md §3.11).  A delta call joins its
-// delta literal first, scanning the delta, and plans the rest as if that
-// literal's variables were bound; a seeded call plans for the head
-// variables it pre-binds.  Engine::Run plans each rule once with nothing
-// bound; an evaluator plans once per (rule, delta literal) or (rule, head
-// atom) and keeps the plans for its whole life, so a call's emissions come
-// in its plan's join order, not in Engine::Run's.
-//
-// The database must not change during a call: like a barrier work item, a
-// call builds the indexes its join order probes before the join starts and
-// calls `emit` only after the join returns.  So `emit` may insert (the DRed
-// insert phase does); the next call sees it, this one does not.  Between
-// calls the maintainer erases and inserts tuples as its phases complete.
-// Rules with aggregates fold only at the engine's barriers: both calls
-// return FailedPrecondition for them (IncrementalView never sends them).
-class DeltaEvaluator {
- public:
-  // `engine` must have ok status and outlive the evaluator; `db` is the
-  // database joins read, and must outlive it too.  Compiles the program
-  // once; every later call reuses it, however `db` changes in between.
-  DeltaEvaluator(Engine* engine, FactDb* db);
-  ~DeltaEvaluator();
-
-  DeltaEvaluator(const DeltaEvaluator&) = delete;
-  DeltaEvaluator& operator=(const DeltaEvaluator&) = delete;
-
-  // Construction-time compilation outcome.
-  const Status& status() const;
-
-  // Candidate rows examined by the joins of every call so far.
-  size_t join_probes() const;
-
-  using EmitFn = std::function<void(const std::string& pred, Tuple t)>;
-
-  // Evaluates rule `rule_index` with its `literal_index`-th *positive* body
-  // literal restricted to the tuples of `delta_rels[pred]` (the literal's
-  // predicate; absent predicate = no matches); every other literal joins
-  // against the database as it was when the call started.  The delta
-  // literal joins first, so each delta row is enumerated once, anonymous
-  // positions included.  Calls `emit` once per derived head atom, after
-  // the join.  May build an index on the delta relation (when the literal
-  // has constants besides variables).
-  Status EvalRuleDelta(size_t rule_index, size_t literal_index,
-                       std::map<std::string, Relation>& delta_rels,
-                       const EmitFn& emit);
-
-  // Evaluates rule `rule_index` with the universal variables of head atom
-  // `head_index` pre-bound from `target` (a tuple of that head predicate's
-  // arity).  Existential head positions are left free — their Skolem terms
-  // re-intern to the original values when the body matches.  Calls `emit`
-  // for every derivation; the caller checks whether any emission equals
-  // `target` to decide rederivability.  A constant head position that
-  // conflicts with `target` simply produces no emissions.
-  Status EvalRuleSeeded(size_t rule_index, size_t head_index,
-                        const Tuple& target, const EmitFn& emit);
-
- private:
-  struct State;
-  std::unique_ptr<State> state_;
-};
 
 }  // namespace kgm::vadalog
 

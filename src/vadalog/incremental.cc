@@ -92,9 +92,6 @@ struct IncrementalView::State {
 
   FactDb edb;  // extensional base, program facts included
   FactDb db;   // maintained materialization
-  // Rule-at-a-time joins over db for every DRed batch: the program is
-  // compiled, and each join planned, once per view.
-  DeltaEvaluator dev{&engine, &db};
 
   IncrementalStats last_stats;
 
@@ -109,7 +106,8 @@ struct IncrementalView::State {
   std::set<std::string> all_heads;          // IDB predicates
   std::map<std::string, size_t> pred_arity; // from the program text
   // Per rule: predicate of each positive body literal (in literal order —
-  // matching DeltaEvaluator's positive indexing) and of each head atom.
+  // matching Engine::EvalRuleDelta's positive indexing) and of each head
+  // atom.
   std::vector<std::vector<std::string>> rule_positives;
   std::vector<std::vector<std::string>> rule_heads;
 
@@ -119,6 +117,7 @@ struct IncrementalView::State {
     if (!init.ok()) return;
     const Program& p = engine.program();
     const Stratification& strat = engine.stratification();
+    pred_arity = PredicateArities(p, nullptr);
     rule_positives.resize(p.rules.size());
     rule_heads.resize(p.rules.size());
     bool has_aggregates = false;
@@ -127,7 +126,6 @@ struct IncrementalView::State {
       StratumInfo& info = strata[strat.rule_stratum[i]];
       info.rules.push_back(i);
       for (const Literal& l : r.body) {
-        pred_arity.emplace(l.atom.predicate, l.atom.args.size());
         if (l.negated) {
           info.neg_body.insert(l.atom.predicate);
         } else {
@@ -136,15 +134,11 @@ struct IncrementalView::State {
         }
       }
       for (const Atom& h : r.head) {
-        pred_arity.emplace(h.predicate, h.args.size());
         info.heads.insert(h.predicate);
         all_heads.insert(h.predicate);
         rule_heads[i].push_back(h.predicate);
       }
       if (!r.aggregates.empty()) has_aggregates = true;
-    }
-    for (const FactDecl& f : p.facts) {
-      pred_arity.emplace(f.predicate, f.values.size());
     }
     // A folded accumulator cannot un-fold a deleted contribution.
     mode = has_aggregates ? MaintenanceMode::kRerun : MaintenanceMode::kDRed;
@@ -300,8 +294,8 @@ Status IncrementalView::State::Propagate(const StratumInfo& info,
       const std::vector<std::string>& pos = rule_positives[ri];
       for (size_t li = 0; li < pos.size(); ++li) {
         if (frontier.count(pos[li]) == 0) continue;
-        KGM_RETURN_IF_ERROR(dev.EvalRuleDelta(
-            ri, li, frontier, [&](const std::string& hp, Tuple t) {
+        KGM_RETURN_IF_ERROR(engine.EvalRuleDelta(
+            &db, ri, li, frontier, [&](const std::string& hp, Tuple t) {
               if (!accept(hp, t)) return;
               next.try_emplace(hp, t.size()).first->second.Insert(std::move(t));
             }));
@@ -410,8 +404,8 @@ Status IncrementalView::State::DRedStratum(const StratumInfo& info,
         for (size_t hi = 0; hi < heads.size() && !derivable; ++hi) {
           if (heads[hi] != pred) continue;
           ++last_stats.seeded_calls;
-          KGM_RETURN_IF_ERROR(dev.EvalRuleSeeded(
-              ri, hi, t, [&](const std::string& ep, const Tuple& et) {
+          KGM_RETURN_IF_ERROR(engine.EvalRuleSeeded(
+              &db, ri, hi, t, [&](const std::string& ep, const Tuple& et) {
                 if (ep == pred && et == t) derivable = true;
               }));
         }
@@ -488,8 +482,9 @@ Status IncrementalView::State::DRedStratum(const StratumInfo& info,
 
 Status IncrementalView::State::ApplyDRed(TupleListMap& d_del,
                                          TupleListMap& d_ins) {
-  KGM_RETURN_IF_ERROR(dev.status());
-  const size_t probes_before = dev.join_probes();
+  // The engine's stats count the calls since its last run; the batch's
+  // share is taken before any rerun resets them.
+  const size_t probes_before = engine.stats().join_probes;
   auto touched = [&](const std::string& p) {
     return NonEmpty(d_del, p) || NonEmpty(d_ins, p);
   };
@@ -511,7 +506,7 @@ Status IncrementalView::State::ApplyDRed(TupleListMap& d_del,
     KGM_RETURN_IF_ERROR(DRedStratum(info, &d_del, &d_ins));
     ++last_stats.strata_processed;
   }
-  last_stats.join_probes = dev.join_probes() - probes_before;
+  last_stats.join_probes = engine.stats().join_probes - probes_before;
   return rerun ? Rerun() : OkStatus();
 }
 

@@ -25,9 +25,11 @@
 // Overdeletion, the rescue spread and insertion run one propagation loop:
 // rounds that fire the stratum's rules with one body literal restricted to
 // the last round's frontier, differing only in which emissions they accept
-// into the next one.  Every join goes through one DeltaEvaluator that the
-// view builds with its engine and keeps for its whole life, so the program
-// is compiled, and each rule's join planned, once per view, not per batch.
+// into the next one.  Every join is a rule-at-a-time call
+// (Engine::EvalRuleDelta, Engine::EvalRuleSeeded) on the engine the view
+// keeps for its whole life, the one its reruns use too: the program is
+// compiled once, when the view is built, and each rule's join planned once
+// per view, not per batch.
 //
 // DRed (Gupta, Mumick and Subrahmanian, SIGMOD 1993) cannot patch every
 // batch, so the maintainer has one fallback, a rerun: reset each IDB head
@@ -96,12 +98,12 @@ struct IncrementalStats {
   size_t rederived = 0;        // over-deleted tuples with a surviving proof
   size_t idb_deleted = 0;      // derived tuples permanently removed
   size_t idb_inserted = 0;     // derived tuples newly added
-  // Rule-at-a-time (DeltaEvaluator) work of this batch's DRed strata:
-  // candidate rows examined by every EvalRuleDelta and EvalRuleSeeded join
-  // (the view's evaluator counts across batches; this is the batch's
-  // share), and the number of EvalRuleSeeded calls rederivation made.  The DRed counters
-  // and timings of a batch that bailed out count the work done before the
-  // rerun; a rerun counts no derived tuples.
+  // Rule-at-a-time work of this batch's DRed strata: candidate rows
+  // examined by every Engine::EvalRuleDelta and EvalRuleSeeded join (the
+  // batch's share of EngineStats::join_probes), and the number of
+  // EvalRuleSeeded calls rederivation made.  The DRed counters and timings
+  // of a batch that bailed out count the work done before the rerun; a
+  // rerun counts no derived tuples.
   size_t join_probes = 0;
   size_t seeded_calls = 0;
   double apply_seconds = 0;
@@ -131,7 +133,7 @@ class IncrementalView {
   IncrementalView(const IncrementalView&) = delete;
   IncrementalView& operator=(const IncrementalView&) = delete;
 
-  // Construction-time validation outcome (program safety/stratification).
+  // Construction-time validation outcome: the engine's status().
   const Status& status() const;
 
   // Takes ownership of the extensional database and materializes the

@@ -60,20 +60,28 @@ Result<std::vector<Tuple>> RunEdbLookup(const Program& program,
                                         const QueryBinding& query, FactDb* db,
                                         PointQueryStats* stats) {
   stats->mode = PointQueryMode::kEdbLookup;
+  // Every program fact of the predicate must have the database relation's
+  // arity, else the binding's (EvalPointQuery checked it against the last
+  // fact); checked before any is inserted, as Engine::Run checks them, so a
+  // client's fact cannot abort the process in GetOrCreate.
+  const Relation* rel = db->Get(query.predicate);
+  const size_t n = rel != nullptr ? rel->arity() : query.args.size();
   for (const FactDecl& f : program.facts) {
-    if (f.predicate == query.predicate) {
-      db->GetOrCreate(f.predicate, f.values.size()).Insert(f.values);
+    if (f.predicate == query.predicate && f.values.size() != n) {
+      return FailedPrecondition("predicate " + query.predicate + " has arity " +
+                                std::to_string(n) + " but a program fact has " +
+                                std::to_string(f.values.size()) +
+                                " arguments");
     }
   }
-  const Relation* rel = db->Get(query.predicate);
+  for (const FactDecl& f : program.facts) {
+    if (f.predicate == query.predicate) {
+      db->GetOrCreate(f.predicate, n).Insert(f.values);
+    }
+  }
+  rel = db->Get(query.predicate);
   std::vector<Tuple> out;
   if (rel == nullptr) return out;
-  if (rel->arity() != query.args.size()) {
-    return InvalidArgument("binding arity " +
-                           std::to_string(query.args.size()) +
-                           " does not match " + query.predicate + "/" +
-                           std::to_string(rel->arity()));
-  }
   // The index mask holds the bound positions below 64; candidates are
   // confirmed against the whole binding, which checks the rest.
   uint64_t mask = 0;
@@ -119,7 +127,6 @@ Result<std::vector<Tuple>> EvalPointQuery(const Program& program,
   PointQueryStats local;
   if (stats == nullptr) stats = &local;
   *stats = PointQueryStats{};
-  stats->engine.point_query = true;
 
   // Binding arity is validated up front so every route rejects a
   // mismatched binding identically.  Without this the magic route masks
@@ -147,12 +154,6 @@ Result<std::vector<Tuple>> EvalPointQuery(const Program& program,
   }
 
   auto finish = [&](Result<std::vector<Tuple>> r) {
-    stats->engine.point_query = true;
-    stats->engine.magic_fallbacks =
-        (stats->mode == PointQueryMode::kMaterialize &&
-         stats->fallback != FallbackReason::kNone)
-            ? 1
-            : 0;
     if (r.ok()) stats->answers = r->size();
     return r;
   };
@@ -185,11 +186,8 @@ Result<std::vector<Tuple>> EvalPointQuery(const Program& program,
       stats->mode = PointQueryMode::kMagic;
       Status run = engine.Run(db);
       stats->engine = engine.stats();
-      stats->engine.point_query = true;
-      stats->engine.magic_rewrites = options.rewrite_lookup ? 0 : 1;
-      stats->engine.magic_subqueries = rw.adorned.size();
-      stats->engine.magic_rules =
-          rw.magic_rules + rw.guarded_rules + rw.copy_rules;
+      stats->magic_rewrites = options.rewrite_lookup ? 0 : 1;
+      stats->magic_rules = rw.magic_rules + rw.guarded_rules + rw.copy_rules;
       KGM_RETURN_IF_ERROR(run);
       // Belt and braces: the adorned output already respects the
       // binding, but filtering is one cheap pass over a small relation.

@@ -63,8 +63,8 @@ struct PointQueryOptions {
   // predicates.  Must return a RewriteForQuery result for the same
   // program, `edb` and a binding with `query`'s predicate and adornment —
   // e.g. one cached from an earlier read.  The magic route rebinds it to
-  // `query` instead of rewriting, and EngineStats::magic_rewrites stays
-  // 0: the lookup counts the rewrites it computes.
+  // `query` instead of rewriting, and PointQueryStats::magic_rewrites
+  // stays 0: the lookup counts the rewrites it computes.
   std::function<std::shared_ptr<const MagicRewrite>(
       const QueryBinding& query, const std::set<std::string>& edb)>
       rewrite_lookup;
@@ -78,9 +78,14 @@ struct PointQueryStats {
   // was attempted).
   std::vector<AdornedPredicate> adorned;
   std::vector<std::string> full_required;
-  // Engine counters with the magic_* fields filled in; for
-  // kMaterialize, join_probes additionally counts the final filter scan
-  // (that's the honest materialize-then-scan cost).
+  // Set when kMagic ran: the magic-sets rewrites computed (0 or 1; 0 when
+  // a rewrite from PointQueryOptions::rewrite_lookup was rebound), and the
+  // magic, guarded and copy rules of the rewrite.
+  size_t magic_rewrites = 0;
+  size_t magic_rules = 0;
+  // Counters of the engine that ran; for kMaterialize, join_probes
+  // additionally counts the final filter scan (that's the honest
+  // materialize-then-scan cost).
   EngineStats engine;
   size_t answers = 0;
 };

@@ -180,6 +180,35 @@ TEST(ServiceTest, VadalogFactWithConflictingArityIsRejected) {
       << result.status().ToString();
 }
 
+// The same conflict on a point read of an extensional predicate: the EDB
+// lookup refuses the client fact before inserting it, the process lives,
+// and the service answers the next request.
+TEST(ServiceTest, PointReadOfFactWithConflictingArityIsRejected) {
+  KgService svc;
+  svc.Publish(ChainGraph(4));
+  // Item is 2-ary in the encoding: Item(oid, n).
+  QueryRequest request;
+  request.program = "@fact Item(1, 2, 3).";
+  request.language = QueryLanguage::kVadalog;
+  request.output = "Item";
+  request.bound_args = {Value(int64_t{1}), std::nullopt, std::nullopt};
+  auto result = svc.Query(request);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition)
+      << result.status().ToString();
+
+  const Value source = svc.CurrentSnapshot()->facts.at("LINK")->tuple(0)[1];
+  QueryRequest next;
+  next.program = "LINK(e, x, y) -> hop(x, y).";
+  next.language = QueryLanguage::kVadalog;
+  next.output = "LINK";
+  next.bound_args = {std::nullopt, source, std::nullopt};
+  auto lookup = svc.Query(next);
+  ASSERT_TRUE(lookup.ok()) << lookup.status().ToString();
+  EXPECT_EQ(lookup->point_mode, vadalog::magic::PointQueryMode::kEdbLookup);
+  EXPECT_EQ(lookup->rows->size(), 1u);
+}
+
 TEST(ServiceTest, ZeroCapacityQueueRejectsDeterministically) {
   KgServiceOptions options;
   options.queue_capacity = 0;

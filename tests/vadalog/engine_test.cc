@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
+#include "vadalog/incremental.h"
 #include "vadalog/parser.h"
 
 namespace kgm::vadalog {
@@ -336,6 +339,13 @@ TEST(EngineTest, ArityConflictRejected) {
   FactDb db;
   Status s = RunProgram("p(x) -> q(x). p(x, y) -> r(x).", &db);
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
+  // The engine compiles at construction, so status() already says so.
+  Engine engine(ParseProgram("a(x) -> b(x). a(x, y) -> c(x).").value());
+  EXPECT_EQ(engine.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(engine.status().message().find(
+                "predicate a used with arity 2 but previously with arity 1"),
+            std::string::npos)
+      << engine.status().ToString();
 }
 
 TEST(EngineTest, MixedAggregateModesRejected) {
@@ -408,6 +418,53 @@ TEST(EngineTest, EngineStatsPopulated) {
   EXPECT_GT(engine.stats().facts_derived, 0u);
   EXPECT_GT(engine.stats().rule_firings, 0u);
   EXPECT_GE(engine.stats().strata, 1);
+}
+
+// One engine runs twice, on two fresh databases.  Run resets the stats
+// and the aggregate groups (the compiled rules outlive a run), so both runs
+// derive the same rows in the same order and report the same counters.
+TEST(EngineTest, SecondRunReportsItsOwnStats) {
+  Engine engine(ParseProgram(std::string(kControlProgram) + R"(
+    own(z, y, w), n = count(<z>) -> owners(y, n).
+  )").value());
+  ASSERT_TRUE(engine.status().ok()) << engine.status().ToString();
+  auto input = [] {
+    FactDb db;
+    for (const char* c : {"a", "b", "c", "d"}) db.Add("company", {Value(c)});
+    db.Add("own", {Value("a"), Value("b"), Value(0.6)});
+    db.Add("own", {Value("a"), Value("c"), Value(0.6)});
+    db.Add("own", {Value("b"), Value("d"), Value(0.3)});
+    db.Add("own", {Value("c"), Value("d"), Value(0.3)});
+    return db;
+  };
+  FactDb first = input();
+  ASSERT_TRUE(engine.Run(&first).ok());
+  const EngineStats one = engine.stats();
+  FactDb second = input();
+  ASSERT_TRUE(engine.Run(&second).ok());
+  const EngineStats& two = engine.stats();
+
+  std::string diff;
+  EXPECT_FALSE(DescribeFirstDifference(first, second, /*ordered=*/true, &diff))
+      << diff;
+  EXPECT_TRUE(Has(second, "controls", {Value("a"), Value("d")}));
+  EXPECT_TRUE(Has(second, "owners", {Value("d"), Value(int64_t{2})}));
+  EXPECT_EQ(two.facts_derived, one.facts_derived);
+  EXPECT_EQ(two.rule_firings, one.rule_firings);
+  EXPECT_EQ(two.join_probes, one.join_probes);
+  EXPECT_EQ(two.iterations, one.iterations);
+  EXPECT_EQ(two.strata, one.strata);
+  EXPECT_EQ(two.staged_inserts, one.staged_inserts);
+  EXPECT_EQ(two.staged_duplicates, one.staged_duplicates);
+  EXPECT_EQ(two.rule_firings_by_rule, one.rule_firings_by_rule);
+  EXPECT_EQ(two.rule_probes_by_rule, one.rule_probes_by_rule);
+  EXPECT_EQ(two.stratum_seconds.size(), one.stratum_seconds.size());
+  EXPECT_EQ(std::accumulate(two.rule_firings_by_rule.begin(),
+                            two.rule_firings_by_rule.end(), size_t{0}),
+            two.rule_firings);
+  EXPECT_EQ(std::accumulate(two.rule_probes_by_rule.begin(),
+                            two.rule_probes_by_rule.end(), size_t{0}),
+            two.join_probes);
 }
 
 // The barrier driver joins bound-first: after a(x) the plan takes the

@@ -81,6 +81,21 @@ TEST(IncrementalView, ModeSelection) {
             MaintenanceMode::kDRed);
 }
 
+// The view's engine compiles the program when the view is built, so a
+// program the engine cannot compile fails status(), before Initialize.
+TEST(IncrementalView, StatusRefusesProgramsTheEngineCannotCompile) {
+  std::string wide = "p(x0";
+  for (int i = 1; i < 61; ++i) wide += ", x" + std::to_string(i);
+  wide += ") -> q(x0).\n";
+  for (const std::string& src :
+       {std::string("a(x) -> b(x). a(x, y) -> c(x).\n"), wide}) {
+    IncrementalView view(Parse(src));
+    EXPECT_EQ(view.status().code(), StatusCode::kFailedPrecondition) << src;
+    EXPECT_EQ(view.Initialize(FactDb()).code(),
+              StatusCode::kFailedPrecondition);
+  }
+}
+
 TEST(IncrementalView, InsertExtendsClosure) {
   Program program = Parse(kClosure);
   IncrementalView view(Parse(kClosure));
@@ -277,7 +292,7 @@ TEST(IncrementalView, SkolemHeadsMaintainedByDRed) {
   ExpectMatchesRebuild(view, program, {}, "skolem delta");
 }
 
-// DRed differential test over the probe indexes a DeltaEvaluator call
+// DRed differential test over the probe indexes a rule-at-a-time call
 // builds before its join starts: an anonymous position in the literal that
 // receives the delta (edge(x, y, _) leaves the delta partly bound), a
 // constant in a body literal, one predicate used twice in a body, and a
@@ -513,8 +528,8 @@ TEST(IncrementalView, PhaseTimesAddUpToApplyTime) {
   ExpectMatchesRebuild(view, program, {}, "phase timers");
 }
 
-// The view keeps one DeltaEvaluator for its whole life, and the stats of a
-// batch count only that batch's joins: a batch applied again after its
+// The view keeps one engine for its whole life, and the stats of a batch
+// count only that batch's joins: a batch applied again after its
 // inverse restored the database repeats the first application's work.
 TEST(IncrementalView, RepeatedBatchCountsTheSameWork) {
   Program program = Parse(kClosure);
@@ -546,10 +561,10 @@ TEST(IncrementalView, RepeatedBatchCountsTheSameWork) {
   ExpectMatchesRebuild(view, program, {}, "repeated batch");
 }
 
-// DRed never sends aggregate rules to the rule-at-a-time evaluator (see
+// DRed never sends aggregate rules to the rule-at-a-time calls (see
 // ModeSelection); called on one anyway, both entry points return
 // FailedPrecondition instead of aborting.
-TEST(DeltaEvaluator, RefusesAggregateRules) {
+TEST(EngineRuleAtATime, RefusesAggregateRules) {
   FactDb db;
   db.Add("edge", Edge(1, 2));
   std::map<std::string, Relation> delta_rels;
@@ -557,11 +572,9 @@ TEST(DeltaEvaluator, RefusesAggregateRules) {
   auto emit = [](const std::string&, Tuple) {};
   Engine engine(Parse("edge(x, y), n = count(<y>) -> deg(x, n)."));
   ASSERT_TRUE(engine.status().ok()) << engine.status().ToString();
-  DeltaEvaluator eval(&engine, &db);
-  ASSERT_TRUE(eval.status().ok()) << eval.status().ToString();
-  EXPECT_EQ(eval.EvalRuleDelta(0, 0, delta_rels, emit).code(),
+  EXPECT_EQ(engine.EvalRuleDelta(&db, 0, 0, delta_rels, emit).code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(eval.EvalRuleSeeded(0, 0, T({1, 1}), emit).code(),
+  EXPECT_EQ(engine.EvalRuleSeeded(&db, 0, 0, T({1, 1}), emit).code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -572,7 +585,7 @@ TEST(DeltaEvaluator, RefusesAggregateRules) {
 // though its callback inserts.  Semi-naive rounds over the newly inserted
 // p tuples, as the insert phase's frontier loop runs them, derive the
 // whole chain.
-TEST(DeltaEvaluator, EmitCallbackMayInsertIntoProbedRelation) {
+TEST(EngineRuleAtATime, EmitCallbackMayInsertIntoProbedRelation) {
   constexpr int64_t kChain = 200;
   FactDb db;
   for (int64_t i = 0; i < kChain; ++i) db.Add("next", Edge(i, i + 1));
@@ -580,8 +593,6 @@ TEST(DeltaEvaluator, EmitCallbackMayInsertIntoProbedRelation) {
   db.Add("s", T({1}));
   Engine engine(Parse("s(x), p(x, y), next(y, z) -> p(x, z)."));
   ASSERT_TRUE(engine.status().ok()) << engine.status().ToString();
-  DeltaEvaluator eval(&engine, &db);
-  ASSERT_TRUE(eval.status().ok()) << eval.status().ToString();
   size_t emitted = 0;
   std::vector<Tuple> inserted;
   auto insert = [&](const std::string& pred, Tuple t) {
@@ -592,7 +603,7 @@ TEST(DeltaEvaluator, EmitCallbackMayInsertIntoProbedRelation) {
   };
   std::map<std::string, Relation> delta_rels;
   delta_rels.emplace("s", Relation(1)).first->second.Insert(T({1}));
-  Status status = eval.EvalRuleDelta(0, 0, delta_rels, insert);
+  Status status = engine.EvalRuleDelta(&db, 0, 0, delta_rels, insert);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(emitted, 1u);
   EXPECT_EQ(inserted, std::vector<Tuple>{Edge(1, 1)});
@@ -604,7 +615,7 @@ TEST(DeltaEvaluator, EmitCallbackMayInsertIntoProbedRelation) {
     for (Tuple& t : inserted) delta.Insert(std::move(t));
     inserted.clear();
     emitted = 0;
-    status = eval.EvalRuleDelta(0, 1, frontier, insert);
+    status = engine.EvalRuleDelta(&db, 0, 1, frontier, insert);
     ASSERT_TRUE(status.ok()) << status.ToString();
     EXPECT_LE(emitted, 1u);
     total += emitted;
@@ -616,7 +627,7 @@ TEST(DeltaEvaluator, EmitCallbackMayInsertIntoProbedRelation) {
 // The delta literal joins first, so each delta row is enumerated once: an
 // anonymous position does not make a row revisit its sibling delta rows
 // that agree on the named positions.
-TEST(DeltaEvaluator, AnonymousDeltaPositionEmitsOncePerDeltaRow) {
+TEST(EngineRuleAtATime, AnonymousDeltaPositionEmitsOncePerDeltaRow) {
   FactDb db;
   db.Add("e", Edge(1, 2));
   db.Add("e", Edge(1, 3));
@@ -627,11 +638,9 @@ TEST(DeltaEvaluator, AnonymousDeltaPositionEmitsOncePerDeltaRow) {
   delta.Insert(Edge(1, 3));
   Engine engine(Parse("e(x, _), f(x) -> g(x)."));
   ASSERT_TRUE(engine.status().ok()) << engine.status().ToString();
-  DeltaEvaluator eval(&engine, &db);
-  ASSERT_TRUE(eval.status().ok()) << eval.status().ToString();
   size_t emitted = 0;
-  Status status = eval.EvalRuleDelta(
-      0, 0, delta_rels, [&emitted](const std::string& pred, Tuple t) {
+  Status status = engine.EvalRuleDelta(
+      &db, 0, 0, delta_rels, [&emitted](const std::string& pred, Tuple t) {
         EXPECT_EQ(pred, "g");
         EXPECT_EQ(t, T({1}));
         ++emitted;
@@ -645,7 +654,7 @@ TEST(DeltaEvaluator, AnonymousDeltaPositionEmitsOncePerDeltaRow) {
 // before a(x) in written order, so a written-order seeded call scans all of
 // `a`; the bound-first order reaches b(x, y) through its y index and then
 // probes a(x) by containment.  The delta call binds x from the delta row.
-TEST(DeltaEvaluator, JoinProbesDoNotGrowWithUnboundRelation) {
+TEST(EngineRuleAtATime, JoinProbesDoNotGrowWithUnboundRelation) {
   constexpr int64_t kDelta = 10;
   struct Probes {
     size_t delta = 0;
@@ -662,18 +671,16 @@ TEST(DeltaEvaluator, JoinProbesDoNotGrowWithUnboundRelation) {
     }
     Engine engine(Parse("a(x), b(x, y) -> c(y)."));
     ASSERT_TRUE(engine.status().ok()) << engine.status().ToString();
-    DeltaEvaluator eval(&engine, &db);
-    ASSERT_TRUE(eval.status().ok()) << eval.status().ToString();
     size_t emitted = 0;
     auto emit = [&emitted](const std::string&, Tuple) { ++emitted; };
-    ASSERT_TRUE(eval.EvalRuleDelta(0, 1, delta_rels, emit).ok());
+    ASSERT_TRUE(engine.EvalRuleDelta(&db, 0, 1, delta_rels, emit).ok());
     EXPECT_EQ(emitted, static_cast<size_t>(kDelta));
-    out->delta = eval.join_probes();
+    out->delta = engine.stats().join_probes;
     for (int64_t i = 0; i < kDelta; ++i) {
-      ASSERT_TRUE(eval.EvalRuleSeeded(0, 0, T({100 + i}), emit).ok());
+      ASSERT_TRUE(engine.EvalRuleSeeded(&db, 0, 0, T({100 + i}), emit).ok());
     }
     EXPECT_EQ(emitted, static_cast<size_t>(2 * kDelta));
-    out->seeded = eval.join_probes() - out->delta;
+    out->seeded = engine.stats().join_probes - out->delta;
   };
   Probes small;
   Probes large;

@@ -231,8 +231,8 @@ TEST(PointQueryTest, RewriteLookupIsReboundNotRecomputed) {
     EXPECT_EQ(reused.mode, PointQueryMode::kMagic);
     EXPECT_EQ(Sorted(*answers), Sorted(*expected));
     EXPECT_EQ(reused.engine.join_probes, fresh.engine.join_probes);
-    EXPECT_EQ(fresh.engine.magic_rewrites, 1u);
-    EXPECT_EQ(reused.engine.magic_rewrites, 0u);
+    EXPECT_EQ(fresh.magic_rewrites, 1u);
+    EXPECT_EQ(reused.magic_rewrites, 0u);
   }
   EXPECT_EQ(lookups, 3u);
 
@@ -254,8 +254,8 @@ TEST(PointQueryTest, MagicMatchesMaterializeOnRandomGraphs) {
     PointQueryStats stats;
     QueryBinding q{"path", {Value(int64_t{7}), std::nullopt}};
     ExpectMatchesBaseline(kTc, q, db, {}, PointQueryMode::kMagic, &stats);
-    EXPECT_EQ(stats.engine.magic_rewrites, 1u);
-    EXPECT_GT(stats.engine.magic_rules, 0u);
+    EXPECT_EQ(stats.magic_rewrites, 1u);
+    EXPECT_GT(stats.magic_rules, 0u);
   }
 }
 
@@ -438,6 +438,34 @@ TEST(PointQueryTest, EdbLookupHonoursBindingsPastPosition60) {
   EXPECT_EQ(five[0][61], Value(int64_t{5}));
 }
 
+// A program fact whose arity differs from the database relation, or from
+// another fact of the predicate, comes back as FailedPrecondition before
+// anything is inserted, as Engine::Run refuses it; it must not abort the
+// process in GetOrCreate.
+TEST(PointQueryTest, EdbLookupRefusesFactsOfAnotherArity) {
+  const struct {
+    const char* src;
+    size_t bound_arity;
+  } cases[] = {
+      {"@fact edge(1, 2, 3).\n", 3},
+      {"@fact edge(1, 2, 3).\n@fact edge(4, 5).\n", 2},
+  };
+  for (const auto& c : cases) {
+    FactDb db = ChainDb(5);
+    QueryBinding query{"edge",
+                       std::vector<std::optional<Value>>(c.bound_arity)};
+    query.args[0] = Value(int64_t{1});
+    PointQueryStats stats;
+    Result<std::vector<Tuple>> rows =
+        EvalPointQuery(Parse(c.src), query, &db, {}, &stats);
+    EXPECT_EQ(rows.status().code(), StatusCode::kFailedPrecondition)
+        << c.src << rows.status().ToString();
+    EXPECT_EQ(stats.mode, PointQueryMode::kEdbLookup);
+    EXPECT_EQ(db.Get("edge")->arity(), 2u);
+    EXPECT_EQ(db.Get("edge")->size(), 4u);
+  }
+}
+
 TEST(PointQueryTest, NoBoundArgumentFallsBackToMaterialize) {
   FactDb db = ChainDb(10);
   PointQueryStats stats;
@@ -445,7 +473,7 @@ TEST(PointQueryTest, NoBoundArgumentFallsBackToMaterialize) {
                         QueryBinding{"path", {std::nullopt, std::nullopt}}, db,
                         {}, PointQueryMode::kMaterialize, &stats);
   EXPECT_EQ(stats.fallback, FallbackReason::kNoBoundArgument);
-  EXPECT_EQ(stats.engine.magic_fallbacks, 1u);
+  EXPECT_EQ(stats.mode, PointQueryMode::kMaterialize);
 }
 
 TEST(PointQueryTest, AggregatesFallBackWithReason) {
@@ -482,7 +510,7 @@ TEST(PointQueryTest, AdornmentExplosionFallsBackToMaterialize) {
       src, QueryBinding{"rpath", {Value(int64_t{1}), std::nullopt}}, db,
       options, PointQueryMode::kMaterialize, &stats);
   EXPECT_EQ(stats.fallback, FallbackReason::kAdornmentExplosion);
-  EXPECT_EQ(stats.engine.magic_fallbacks, 1u);
+  EXPECT_EQ(stats.mode, PointQueryMode::kMaterialize);
   EXPECT_FALSE(got.empty());
 }
 

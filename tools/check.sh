@@ -145,8 +145,10 @@ fi
 # materialization) at 1 and 4 threads.  metalog_ runs encode and decode:
 # DecodeGraph indexes node and edge vectors with ids read from facts and
 # starts each label at a row count, and metalog_decode_differential
-# checks that against the row-0 decode over the five components.
-SANITIZER_TESTS='vadalog_|base_thread_pool|service_|finkg_incremental|finkg_pointquery|metalog_'
+# checks that against the row-0 decode over the five components.  lint_
+# runs the linter, which checks client programs at admission through the
+# engine's own arity, width and aggregate checks.
+SANITIZER_TESTS='vadalog_|base_thread_pool|service_|finkg_incremental|finkg_pointquery|metalog_|lint_'
 
 run cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DKGM_SANITIZE=address
