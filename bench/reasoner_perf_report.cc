@@ -2,7 +2,10 @@
 // 1 and 8 engine threads and writes BENCH_reasoner.json so the perf
 // trajectory can be tracked across changes.  Each component row carries
 // its engine counters (facts_derived, join_probes, rule_firings), which
-// repeat exactly between runs, next to its timings.  Exits non-zero when
+// repeat exactly between runs, next to its timings, and splits join_probes
+// by the rules they came from: the generated input views
+// (view_in_probes), the component itself (sigma_probes) and the generated
+// output views (view_out_probes).  Exits non-zero when
 // a component derives a different number of facts at 8 threads than at 1
 // (the engine's output must not depend on the thread count).
 //
@@ -17,7 +20,10 @@
 
 #include "finkg/company_kg.h"
 #include "finkg/generator.h"
+#include "instance/loader.h"
 #include "instance/pipeline.h"
+#include "metalog/parser.h"
+#include "metalog/prepared.h"
 #include "vadalog/engine.h"
 
 namespace {
@@ -64,6 +70,55 @@ struct JsonWriter {
     std::fprintf(f, "\"%s\": \"%s\"", key, v);
   }
 };
+
+// A component's join probes by the part of its program the probing rule
+// belongs to.
+struct ProbeSplit {
+  size_t view_in = 0;
+  size_t sigma = 0;
+  size_t view_out = 0;
+};
+
+// Splits `stats`' per-rule probes by each compiled rule's originating
+// MetaLog rule, which falls in V_I, Sigma or V_O by position in the
+// program Materialize ran.  Compiles that program again against `cache`,
+// the cache Materialize compiled it with, so the compilation is a hit.
+kgm::Result<ProbeSplit> SplitProbes(
+    const kgm::core::SuperSchema& schema, const char* sigma,
+    const kgm::instance::MaterializeStats& stats,
+    const kgm::pg::PropertyGraph& data, kgm::metalog::PreparedCache* cache) {
+  using namespace kgm;
+  KGM_ASSIGN_OR_RETURN(metalog::MetaProgram in,
+                       metalog::ParseMetaProgram(stats.input_views));
+  KGM_ASSIGN_OR_RETURN(metalog::MetaProgram sig,
+                       metalog::ParseMetaProgram(sigma));
+  // The dictionary's labels do not depend on the instance data, so the
+  // flushed graph loads to the catalog the run compiled against.
+  KGM_ASSIGN_OR_RETURN(instance::LoadedInstance loaded,
+                       instance::LoadInstance(schema, data));
+  metalog::GraphCatalog catalog =
+      metalog::GraphCatalog::FromGraph(loaded.dict);
+  catalog.Merge(instance::SchemaCatalog(schema));
+  KGM_ASSIGN_OR_RETURN(
+      std::shared_ptr<const metalog::CompiledMeta> compiled,
+      cache->Compile(stats.input_views + "\n" + sigma + "\n" +
+                         stats.output_views,
+                     catalog));
+  const auto& probes = stats.engine_stats.rule_probes_by_rule;
+  if (probes.size() != compiled->rule_origin.size()) {
+    return kgm::Internal("per-rule probes do not match the compiled rules");
+  }
+  const int in_rules = static_cast<int>(in.rules.size());
+  const int sigma_rules = static_cast<int>(sig.rules.size());
+  ProbeSplit split;
+  for (size_t r = 0; r < probes.size(); ++r) {
+    const int origin = compiled->rule_origin[r];
+    (origin < in_rules                 ? split.view_in
+     : origin < in_rules + sigma_rules ? split.sigma
+                                       : split.view_out) += probes[r];
+  }
+  return split;
+}
 
 }  // namespace
 
@@ -114,8 +169,10 @@ int main(int argc, char** argv) {
     // Fresh data per configuration: components build on OWNS et al., so
     // reusing a graph would shrink later runs.
     pg::PropertyGraph data = net.ToInstanceGraph();
+    metalog::PreparedCache cache;
     instance::MaterializeOptions options;
     options.engine.num_threads = threads;
+    options.prepared = &cache;
     w.Open(nullptr, '{');
     w.Field("threads_requested", threads);
     w.Open("components", '[');
@@ -129,6 +186,13 @@ int main(int argc, char** argv) {
         return 1;
       }
       const auto& es = stats->engine_stats;
+      auto split = SplitProbes(schema, step.program, *stats, data, &cache);
+      if (!split.ok()) {
+        std::fprintf(stderr, "%s: %s\n", step.name,
+                     split.status().ToString().c_str());
+        std::fclose(f);
+        return 1;
+      }
       if (threads == thread_counts[0]) {
         first_facts.push_back(es.facts_derived);
       } else if (es.facts_derived != first_facts[si]) {
@@ -150,6 +214,9 @@ int main(int argc, char** argv) {
       w.Field("staged_duplicates", es.staged_duplicates);
       w.Field("facts_derived", es.facts_derived);
       w.Field("join_probes", es.join_probes);
+      w.Field("view_in_probes", split->view_in);
+      w.Field("sigma_probes", split->sigma);
+      w.Field("view_out_probes", split->view_out);
       w.Field("rule_firings", es.rule_firings);
       w.Field("iterations", es.iterations);
       w.Open("stratum_seconds", '[');

@@ -1,6 +1,8 @@
 #include "instance/views.h"
 
+#include <set>
 #include <sstream>
+#include <vector>
 
 #include "instance/loader.h"
 
@@ -40,6 +42,44 @@ void CollectPattern(const metalog::GraphPattern& pattern, bool in_head,
   }
 }
 
+// The variables of the labeled node atoms in `rule`'s positive body.
+std::set<std::string> LabeledVars(const metalog::MetaRule& rule) {
+  std::set<std::string> out;
+  for (const metalog::GraphPattern& p : rule.body_patterns) {
+    for (const metalog::PgAtom& n : p.nodes) {
+      if (!n.label.empty() && !n.id_var.empty()) out.insert(n.id_var);
+    }
+  }
+  return out;
+}
+
+// Adds to `out` the schema endpoint types of every labeled edge atom in
+// `path`.
+void AddEndpointTypes(const core::SuperSchema& schema,
+                      const metalog::PathExpr& path,
+                      std::set<std::string>* out) {
+  if (path.kind != metalog::PathKind::kEdge) {
+    for (const metalog::PathPtr& c : path.children) {
+      AddEndpointTypes(schema, *c, out);
+    }
+    return;
+  }
+  const core::EdgeDef* edge = schema.FindEdge(path.edge.label);
+  if (edge == nullptr) return;
+  out->insert(edge->from);
+  out->insert(edge->to);
+}
+
+// True when `labels` holds a proper ancestor of node type `type`.
+bool HasAncestorIn(const core::SuperSchema& schema,
+                   const std::set<std::string>& labels,
+                   const std::string& type) {
+  for (const std::string& a : schema.AncestorsOf(type)) {
+    if (labels.count(a) > 0) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 SigmaAnalysis AnalyzeSigma(const metalog::MetaProgram& sigma) {
@@ -58,67 +98,123 @@ SigmaAnalysis AnalyzeSigma(const metalog::MetaProgram& sigma) {
   return out;
 }
 
+std::set<std::string> InputViewNodeLabels(
+    const core::SuperSchema& schema, const metalog::MetaProgram& sigma) {
+  std::set<std::string> labels = AnalyzeSigma(sigma).body_node_labels;
+  // An edge view joins VIEW_OF on both endpoints, and VIEW_OF exists only
+  // for instances some node view covers.  A single-edge step whose
+  // endpoint carries a label in the rule body is covered by that label's
+  // view; any other endpoint needs the view of its schema type.
+  std::set<std::string> endpoints;
+  for (const metalog::MetaRule& rule : sigma.rules) {
+    const std::set<std::string> labeled = LabeledVars(rule);
+    auto is_labeled = [&labeled](const metalog::PgAtom& n) {
+      return !n.label.empty() || labeled.count(n.id_var) > 0;
+    };
+    for (const auto* patterns : {&rule.body_patterns, &rule.negated_patterns}) {
+      for (const metalog::GraphPattern& p : *patterns) {
+        for (size_t k = 0; k < p.paths.size(); ++k) {
+          const metalog::PathExpr& path = *p.paths[k];
+          if (!path.IsSingleEdge()) {
+            AddEndpointTypes(schema, path, &endpoints);
+            continue;
+          }
+          const core::EdgeDef* edge = schema.FindEdge(path.edge.label);
+          if (edge == nullptr) continue;
+          const metalog::PgAtom& from = p.nodes[path.inverse ? k + 1 : k];
+          const metalog::PgAtom& to = p.nodes[path.inverse ? k : k + 1];
+          if (!is_labeled(from)) endpoints.insert(edge->from);
+          if (!is_labeled(to)) endpoints.insert(edge->to);
+        }
+      }
+    }
+  }
+  // The view of a type, or of one of its ancestors, covers its instances.
+  const std::set<std::string> body = labels;
+  for (const std::string& type : endpoints) {
+    if (body.count(type) == 0 && !HasAncestorIn(schema, body, type) &&
+        !HasAncestorIn(schema, endpoints, type)) {
+      labels.insert(type);
+    }
+  }
+  return labels;
+}
+
 Result<std::string> GenerateInputViews(const core::SuperSchema& schema,
                                        const metalog::MetaProgram& sigma,
                                        int64_t instance_oid) {
   SigmaAnalysis analysis = AnalyzeSigma(sigma);
-  std::ostringstream os;
-  std::string oid = std::to_string(instance_oid);
-
   for (const std::string& label : analysis.body_node_labels) {
     if (schema.FindNode(label) == nullptr) {
       return InvalidArgument("Sigma uses unknown node label " + label);
     }
-    // With attributes: pack them into a record and spread it into the view
-    // atom (Example 6.2).  Membership walks the generalization hierarchy
-    // upwards, so a Business instance also populates the Person view.
-    os << "% V_I: " << label << " node view\n"
-       << "(i: I_SM_Node; instanceOID: " << oid << ")"
-       << "[: SM_REFERENCES](n: SM_Node)\n"
-       << "    ([: SM_CHILD]- / [: SM_PARENT])* (al: SM_Node)\n"
-       << "    [: SM_HAS_NODE_TYPE](: SM_Type; name: \"" << label
-       << "\"),\n"
-       << "(i)[: I_SM_HAS_NODE_ATTR](ia: I_SM_Attribute; value: v)\n"
-       << "    [: SM_REFERENCES](na: SM_Attribute; name: m),\n"
-       << "p = pack(m, v)\n"
-       << "  -> exists c = skView(i) (c: " << label
-       << "; *p), (c)[: VIEW_OF](i).\n"
-       // Attribute-less instances still appear in the view.
-       << "(i: I_SM_Node; instanceOID: " << oid << ")"
-       << "[: SM_REFERENCES](n: SM_Node)\n"
-       << "    ([: SM_CHILD]- / [: SM_PARENT])* (al: SM_Node)\n"
-       << "    [: SM_HAS_NODE_TYPE](: SM_Type; name: \"" << label
-       << "\"),\n"
-       << "not (i)[: I_SM_HAS_NODE_ATTR]()\n"
-       << "  -> exists c = skView(i) (c: " << label
-       << "), (c)[: VIEW_OF](i).\n\n";
   }
   for (const std::string& label : analysis.body_edge_labels) {
     if (schema.FindEdge(label) == nullptr) {
       return InvalidArgument("Sigma uses unknown edge label " + label);
     }
-    os << "% V_I: " << label << " edge view\n"
-       << "(ie: I_SM_Edge; instanceOID: " << oid << ")"
-       << "[: SM_REFERENCES](se: SM_Edge)\n"
-       << "    [: SM_HAS_EDGE_TYPE](: SM_Type; name: \"" << label
-       << "\"),\n"
-       << "(ie)[: I_SM_FROM](ix: I_SM_Node),\n"
-       << "(ie)[: I_SM_TO](iy: I_SM_Node),\n"
-       << "(cx)[: VIEW_OF](ix),\n"
-       << "(cy)[: VIEW_OF](iy),\n"
-       << "(ie)[: I_SM_HAS_EDGE_ATTR](ia: I_SM_Attribute; value: v)\n"
-       << "    [: SM_REFERENCES](ea: SM_Attribute; name: m),\n"
-       << "p = pack(m, v)\n"
-       << "  -> exists k = skViewE(ie) (cx)[k: " << label << "; *p](cy).\n"
-       << "(ie: I_SM_Edge; instanceOID: " << oid << ")"
-       << "[: SM_REFERENCES](se: SM_Edge)\n"
-       << "    [: SM_HAS_EDGE_TYPE](: SM_Type; name: \"" << label
-       << "\"),\n"
-       << "(ie)[: I_SM_FROM](ix: I_SM_Node),\n"
-       << "(ie)[: I_SM_TO](iy: I_SM_Node),\n"
-       << "(cx)[: VIEW_OF](ix),\n"
-       << "(cy)[: VIEW_OF](iy),\n"
-       << "not (ie)[: I_SM_HAS_EDGE_ATTR]()\n"
+  }
+  const std::set<std::string> node_labels = InputViewNodeLabels(schema, sigma);
+  std::ostringstream os;
+  std::string oid = std::to_string(instance_oid);
+
+  for (const std::string& label : node_labels) {
+    // Membership in the generalization hierarchy is resolved here: the
+    // view of L has rules for L and for each of its descendants, so a
+    // Business instance also populates the Person view.  Each body is
+    // written schema side first: the join planner ranks the SM_Type
+    // constant and the instanceOID constant alike and takes the first
+    // written, so this order walks from one SM_Type down to the instances
+    // of one SM_Node instead of scanning every instance.  Every rule of
+    // every view mints the same VIEW_OF edge per instance.
+    std::vector<std::string> types{label};
+    for (const std::string& d : schema.DescendantsOf(label)) {
+      types.push_back(d);
+    }
+    const std::string head =
+        "  -> exists c = skView(i), exists w = skViewOf(i) (c: " + label;
+    os << "% V_I: " << label << " node view\n";
+    for (const std::string& type : types) {
+      const std::string members =
+          "(: SM_Type; name: \"" + type + "\")[: SM_HAS_NODE_TYPE]-"
+          "(n: SM_Node)\n    [: SM_REFERENCES]-(i: I_SM_Node; instanceOID: " +
+          oid + "),\n";
+      // With attributes: pack them into a record and spread it into the
+      // view atom (Example 6.2).  LoadInstance attaches only declared
+      // attributes, so a type without any gets no such rule.
+      if (!schema.EffectiveAttributes(type).empty()) {
+        os << members
+           << "(i)[: I_SM_HAS_NODE_ATTR](ia: I_SM_Attribute; value: v)\n"
+           << "    [: SM_REFERENCES](na: SM_Attribute; name: m),\n"
+           << "p = pack(m, v)\n"
+           << head << "; *p), (c)[w: VIEW_OF](i).\n";
+      }
+      // Attribute-less instances still appear in the view.
+      os << members << "not (i)[: I_SM_HAS_NODE_ATTR]()\n"
+         << head << "), (c)[w: VIEW_OF](i).\n";
+    }
+    os << "\n";
+  }
+  for (const std::string& label : analysis.body_edge_labels) {
+    const core::EdgeDef* edge = schema.FindEdge(label);
+    // I_SM_FROM and I_SM_TO link only I_SM_Nodes (LoadInstance).
+    const std::string members =
+        "(: SM_Type; name: \"" + label + "\")[: SM_HAS_EDGE_TYPE]-"
+        "(se: SM_Edge)\n    [: SM_REFERENCES]-(ie: I_SM_Edge; instanceOID: " +
+        oid + "),\n"
+        "(ie)[: I_SM_FROM](ix),\n"
+        "(ie)[: I_SM_TO](iy),\n"
+        "(cx)[: VIEW_OF](ix),\n"
+        "(cy)[: VIEW_OF](iy),\n";
+    os << "% V_I: " << label << " edge view\n";
+    if (!edge->attributes.empty()) {
+      os << members
+         << "(ie)[: I_SM_HAS_EDGE_ATTR](ia: I_SM_Attribute; value: v)\n"
+         << "    [: SM_REFERENCES](ea: SM_Attribute; name: m),\n"
+         << "p = pack(m, v)\n"
+         << "  -> exists k = skViewE(ie) (cx)[k: " << label << "; *p](cy).\n";
+    }
+    os << members << "not (ie)[: I_SM_HAS_EDGE_ATTR]()\n"
        << "  -> exists k = skViewE(ie) (cx)[k: " << label << "](cy).\n\n";
   }
   return os.str();
@@ -141,7 +237,7 @@ Result<std::string> GenerateOutputViews(const core::SuperSchema& schema,
     for (const core::AttributeDef& attr :
          schema.EffectiveAttributes(label)) {
       os << "(f: " << label << "; " << attr.name
-         << ": v)[: VIEW_OF](i: I_SM_Node), !is_null(v)\n"
+         << ": v)[: VIEW_OF](i), !is_null(v)\n"
          << "  -> exists u = skOUpd_" << label << "_" << attr.name
          << "(f) (u: O_SM_PropUpdate; name: \"" << attr.name
          << "\", value: v), (u)[: O_ON](i).\n";
@@ -169,9 +265,10 @@ Result<std::string> GenerateOutputViews(const core::SuperSchema& schema,
     os << "% V_O: " << label << " edge outputs\n";
     // Four endpoint-resolution variants: each endpoint is either an
     // existing entity (VIEW_OF resolvable) or a new one.
-    const char* kFromExisting = "(cx)[: VIEW_OF](ix: I_SM_Node)";
+    // V_I derives VIEW_OF only to I_SM_Nodes.
+    const char* kFromExisting = "(cx)[: VIEW_OF](ix)";
     const char* kFromNew = "not (cx)[: VIEW_OF]()";
-    const char* kToExisting = "(cy)[: VIEW_OF](iy: I_SM_Node)";
+    const char* kToExisting = "(cy)[: VIEW_OF](iy)";
     const char* kToNew = "not (cy)[: VIEW_OF]()";
     for (int variant = 0; variant < 4; ++variant) {
       bool from_existing = (variant & 1) == 0;

@@ -4,15 +4,21 @@
 // Given the intensional component Sigma, KGModel generates by static
 // analysis:
 //
-//   * V_I: for every node/edge label in Sigma's body, a MetaLog rule that
-//     re-creates label facts from the instance super-constructs.  Per
-//     Example 6.2, the rule packs the I_SM_Attribute values of an
-//     I_SM_Node into a record and unpacks it into the view atom with the
-//     `*p` spread.  Membership respects the generalization hierarchy: an
+//   * V_I: for every node/edge label in Sigma's body, MetaLog rules that
+//     re-create label facts from the instance super-constructs.  Per
+//     Example 6.2, a rule packs the I_SM_Attribute values of an I_SM_Node
+//     into a record and unpacks it into the view atom with the `*p`
+//     spread.  The views are specialized to the schema they are generated
+//     for: membership in the generalization hierarchy is resolved here, so
+//     the view of L has rules for L and for each of its descendants (an
 //     instance referencing SM_Node Business also appears in the Person
-//     view, via the reflexive ([: SM_CHILD]- / [: SM_PARENT])* walk of the
-//     schema dictionary.  Each view node links back to its instance
-//     construct with a VIEW_OF edge.
+//     view), and each rule body starts from its SM_Type constant and walks
+//     the dictionary down to the instances.  A type or edge label without
+//     schema attributes gets no attribute-packing rule.  Each view node
+//     links back to its instance construct with one VIEW_OF edge, the same
+//     (skViewOf) in every view that covers the instance.  Endpoints of
+//     Sigma's edge steps that carry no label get the node view of their
+//     schema type, so every edge view finds VIEW_OF on both ends.
 //
 //   * V_O: for every node/edge label in Sigma's head, MetaLog rules that
 //     de-normalize the derived facts into staging constructs (O_SM_Node /
@@ -44,6 +50,14 @@ struct SigmaAnalysis {
 };
 
 SigmaAnalysis AnalyzeSigma(const metalog::MetaProgram& sigma);
+
+// The node labels V_I has a view for: Sigma's body node labels, plus the
+// schema type of each body edge endpoint that no node view would cover
+// otherwise (an endpoint without a label in its rule body, or any endpoint
+// of a step inside a longer path), unless a body label or another such
+// type is an ancestor of it.
+std::set<std::string> InputViewNodeLabels(const core::SuperSchema& schema,
+                                          const metalog::MetaProgram& sigma);
 
 // Generates V_I for `sigma` (MetaLog source).  Fails when sigma uses a
 // label unknown to the schema.

@@ -4,19 +4,26 @@
 
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "finkg/company_kg.h"
 #include "finkg/generator.h"
+#include "instance/loader.h"
 #include "instance/pipeline.h"
+#include "instance/views.h"
 #include "metalog/parser.h"
 #include "metalog/prepared.h"
 #include "metalog/runner.h"
 #include "translate/csv_io.h"
+#include "vadalog/database.h"
+#include "vadalog/engine.h"
 
 namespace kgm::instance {
 namespace {
+
+using vadalog::Tuple;
 
 pg::NodeId AddBusiness(pg::PropertyGraph* g, const std::string& code) {
   return g->AddNode(
@@ -370,6 +377,331 @@ TEST(PipelineTest, DecodesOnlyWhatFlushReads) {
     EXPECT_EQ(*got_csv, *want_csv);
   }
   EXPECT_GT(data.EdgesWithLabel("CONTROLS").size(), 0u);
+}
+
+// Runs V_I and Sigma through Materialize (staged) and Sigma alone over the
+// data graph (direct); both must add the same `label` edges.
+void ExpectStagedEqualsDirect(const std::string& sigma_source,
+                              const std::string& label, size_t* added) {
+  core::SuperSchema schema = finkg::CompanyKgSchema();
+  finkg::GeneratorConfig config;
+  config.num_companies = 60;
+  config.num_persons = 90;
+  config.seed = 2022;
+  finkg::ShareholdingNetwork net =
+      finkg::ShareholdingNetwork::Generate(config);
+  auto pairs = [&label](const pg::PropertyGraph& g) {
+    std::set<std::pair<pg::NodeId, pg::NodeId>> out;
+    for (pg::EdgeId e : g.EdgesWithLabel(label)) {
+      out.insert({g.edge(e).from, g.edge(e).to});
+    }
+    return out;
+  };
+  pg::PropertyGraph staged = net.ToInstanceGraph();
+  const size_t before = pairs(staged).size();
+  auto stats = Materialize(schema, sigma_source, &staged);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  pg::PropertyGraph direct = net.ToInstanceGraph();
+  metalog::MetaRunOptions options;
+  options.extra_catalog = SchemaCatalog(schema);
+  ASSERT_TRUE(
+      metalog::RunMetaLogSource(sigma_source, &direct, options).ok());
+  EXPECT_EQ(pairs(staged), pairs(direct));
+  EXPECT_EQ(stats->new_edges, pairs(direct).size() - before);
+  *added = stats->new_edges;
+}
+
+TEST(PipelineTest, UnlabeledEdgeEndpointsStagedEqualsDirect) {
+  // The HOLDS edge view joins VIEW_OF on both endpoints, so without a
+  // label on x and s the Person and Share views must still be generated.
+  size_t unlabeled = 0;
+  ExpectStagedEqualsDirect("(x)[: HOLDS](s) -> (x)[: RESIDES](s).",
+                           "RESIDES", &unlabeled);
+  size_t labeled = 0;
+  ExpectStagedEqualsDirect(
+      "(x: Person)[: HOLDS](s: Share) -> (x)[: RESIDES](s).", "RESIDES",
+      &labeled);
+  EXPECT_GT(unlabeled, 0u);
+  EXPECT_EQ(unlabeled, labeled);
+}
+
+TEST(ViewGenerationTest, EndpointViewsOnlyWhereNoLabelCoversThem) {
+  core::SuperSchema schema = finkg::CompanyKgSchema();
+  auto labels = [&schema](const char* source) {
+    auto sigma = metalog::ParseMetaProgram(source);
+    EXPECT_TRUE(sigma.ok()) << source;
+    return InputViewNodeLabels(schema, *sigma);
+  };
+  using Labels = std::set<std::string>;
+  EXPECT_EQ(labels("(x)[: HOLDS](s) -> (x)[: RESIDES](s)."),
+            (Labels{"Person", "Share"}));
+  // Inverted step: s is HOLDS's target.
+  EXPECT_EQ(labels("(s: Share)[: HOLDS]-(x) -> (x)[: RESIDES](s)."),
+            (Labels{"Person", "Share"}));
+  // x carries a label elsewhere in its rule.
+  EXPECT_EQ(
+      labels("(x)[: HOLDS](s: Share), (x: Business) -> (x)[: RESIDES](s)."),
+      (Labels{"Business", "Share"}));
+  // A body label that is an ancestor of the endpoint type covers it.
+  EXPECT_EQ(labels("(b: LegalPerson), (s)[: BELONGS_TO](b2) -> "
+                   "(b)[: RESIDES](s)."),
+            (Labels{"LegalPerson", "Share"}));
+  // Steps inside a longer path: every endpoint type.
+  EXPECT_EQ(labels("(x: Business)([: CONTROLS])*(y: Business) -> "
+                   "(x)[: OWNS](y)."),
+            (Labels{"Business", "Person"}));
+  for (const char* program :
+       {finkg::kOwnsProgram, finkg::kControlProgram,
+        finkg::kStakeholdersProgram, finkg::kCloseLinksProgram}) {
+    auto sigma = metalog::ParseMetaProgram(program);
+    ASSERT_TRUE(sigma.ok());
+    EXPECT_EQ(InputViewNodeLabels(schema, *sigma),
+              AnalyzeSigma(*sigma).body_node_labels);
+  }
+  EXPECT_EQ(labels(finkg::kFamilyProgram),
+            (Labels{"Business", "Family", "PhysicalPerson"}));
+}
+
+// The input views as generated before they were specialized to the
+// schema: every rule walks the generalization closure of the instance's
+// SM_Node in the dictionary, checks I_SM_Node labels the dictionary
+// implies, and mints a VIEW_OF per rule.
+std::string ClosureWalkInputViews(const core::SuperSchema& schema,
+                                  const std::set<std::string>& node_labels,
+                                  const std::set<std::string>& edge_labels) {
+  std::ostringstream os;
+  for (const std::string& label : node_labels) {
+    const std::string members =
+        "(i: I_SM_Node; instanceOID: 234)[: SM_REFERENCES](n: SM_Node)\n"
+        "    ([: SM_CHILD]- / [: SM_PARENT])* (al: SM_Node)\n"
+        "    [: SM_HAS_NODE_TYPE](: SM_Type; name: \"" + label + "\"),\n";
+    os << members
+       << "(i)[: I_SM_HAS_NODE_ATTR](ia: I_SM_Attribute; value: v)\n"
+       << "    [: SM_REFERENCES](na: SM_Attribute; name: m),\n"
+       << "p = pack(m, v)\n"
+       << "  -> exists c = skView(i) (c: " << label
+       << "; *p), (c)[: VIEW_OF](i).\n"
+       << members << "not (i)[: I_SM_HAS_NODE_ATTR]()\n"
+       << "  -> exists c = skView(i) (c: " << label
+       << "), (c)[: VIEW_OF](i).\n";
+  }
+  for (const std::string& label : edge_labels) {
+    EXPECT_NE(schema.FindEdge(label), nullptr) << label;
+    const std::string members =
+        "(ie: I_SM_Edge; instanceOID: 234)[: SM_REFERENCES](se: SM_Edge)\n"
+        "    [: SM_HAS_EDGE_TYPE](: SM_Type; name: \"" + label + "\"),\n"
+        "(ie)[: I_SM_FROM](ix: I_SM_Node),\n"
+        "(ie)[: I_SM_TO](iy: I_SM_Node),\n"
+        "(cx)[: VIEW_OF](ix),\n"
+        "(cy)[: VIEW_OF](iy),\n";
+    os << members
+       << "(ie)[: I_SM_HAS_EDGE_ATTR](ia: I_SM_Attribute; value: v)\n"
+       << "    [: SM_REFERENCES](ea: SM_Attribute; name: m),\n"
+       << "p = pack(m, v)\n"
+       << "  -> exists k = skViewE(ie) (cx)[k: " << label << "; *p](cy).\n"
+       << members << "not (ie)[: I_SM_HAS_EDGE_ATTR]()\n"
+       << "  -> exists k = skViewE(ie) (cx)[k: " << label << "](cy).\n";
+  }
+  return os.str();
+}
+
+// Runs the V_I program `views` over the loaded `data`.
+Result<vadalog::FactDb> RunViews(const core::SuperSchema& schema,
+                                 const pg::PropertyGraph& data,
+                                 const std::string& views) {
+  KGM_ASSIGN_OR_RETURN(LoadedInstance loaded, LoadInstance(schema, data));
+  KGM_ASSIGN_OR_RETURN(metalog::MetaProgram meta,
+                       metalog::ParseMetaProgram(views));
+  metalog::GraphCatalog catalog =
+      metalog::GraphCatalog::FromGraph(loaded.dict);
+  catalog.Merge(SchemaCatalog(schema));
+  KGM_ASSIGN_OR_RETURN(metalog::CompiledMeta compiled,
+                       metalog::CompileMeta(std::move(meta), catalog));
+  vadalog::FactDb db = metalog::EncodeGraph(loaded.dict, compiled.catalog);
+  vadalog::Engine engine(compiled.program);
+  KGM_RETURN_IF_ERROR(engine.Run(&db));
+  return db;
+}
+
+// What one V_I program derives over the loaded `data`: the label
+// relations it names, as sets of tuples, and its VIEW_OF (view, instance)
+// pairs.
+std::map<std::string, std::set<Tuple>> RunInputViews(
+    const core::SuperSchema& schema, const pg::PropertyGraph& data,
+    const std::string& views, const std::set<std::string>& labels) {
+  std::map<std::string, std::set<Tuple>> out;
+  auto db = RunViews(schema, data, views);
+  EXPECT_TRUE(db.ok()) << db.status().ToString();
+  if (!db.ok()) return out;
+  for (const std::string& label : labels) {
+    std::set<Tuple>& rows = out[label];
+    if (const vadalog::Relation* r = db->Get(label)) {
+      rows.insert(r->tuples().begin(), r->tuples().end());
+    }
+  }
+  std::set<Tuple>& view_of = out["VIEW_OF"];
+  if (const vadalog::Relation* r = db->Get("VIEW_OF")) {
+    for (const Tuple& t : r->tuples()) view_of.insert({t[1], t[2]});
+  }
+  return out;
+}
+
+// Checks that the schema-specialized V_I of `sigma_source` derives over
+// `data` what the closure-walking reference derives for the same labels.
+void ExpectSpecializedViewsMatchClosureWalk(
+    const core::SuperSchema& schema, const pg::PropertyGraph& data,
+    const std::string& sigma_source) {
+  auto sigma = metalog::ParseMetaProgram(sigma_source);
+  ASSERT_TRUE(sigma.ok()) << sigma.status().ToString();
+  auto views = GenerateInputViews(schema, *sigma, 234);
+  ASSERT_TRUE(views.ok()) << views.status().ToString();
+  EXPECT_EQ(views->find("SM_CHILD"), std::string::npos);
+  EXPECT_EQ(views->find("SM_PARENT"), std::string::npos);
+  const std::set<std::string> node_labels = InputViewNodeLabels(schema, *sigma);
+  const std::set<std::string> edge_labels =
+      AnalyzeSigma(*sigma).body_edge_labels;
+  std::set<std::string> labels = node_labels;
+  labels.insert(edge_labels.begin(), edge_labels.end());
+  auto got = RunInputViews(schema, data, *views, labels);
+  auto want = RunInputViews(
+      schema, data, ClosureWalkInputViews(schema, node_labels, edge_labels),
+      labels);
+  size_t facts = 0;
+  for (const auto& [label, rows] : want) {
+    EXPECT_EQ(got[label], rows) << label;
+    facts += rows.size();
+  }
+  EXPECT_EQ(got.size(), want.size());
+  EXPECT_GT(facts, 0u);
+}
+
+TEST(ViewGenerationTest, SpecializedViewsDeriveWhatTheClosureWalkDerives) {
+  core::SuperSchema schema = finkg::CompanyKgSchema();
+  finkg::GeneratorConfig config;
+  config.num_companies = 60;
+  config.num_persons = 90;
+  config.seed = 2022;
+  finkg::ShareholdingNetwork net =
+      finkg::ShareholdingNetwork::Generate(config);
+  // The five components in `kgmctl materialize all` order, each over the
+  // graph its predecessors enriched.
+  pg::PropertyGraph data = net.ToInstanceGraph();
+  for (const char* program :
+       {finkg::kOwnsProgram, finkg::kControlProgram,
+        finkg::kStakeholdersProgram, finkg::kFamilyProgram,
+        finkg::kCloseLinksProgram}) {
+    SCOPED_TRACE(program);
+    ExpectSpecializedViewsMatchClosureWalk(schema, data, program);
+    ASSERT_TRUE(Materialize(schema, program, &data).ok());
+  }
+}
+
+TEST(ViewGenerationTest, SpecializedViewsCoverEveryConcreteType) {
+  // One node of every concrete Company-KG type, some without attributes,
+  // linked by every extensional edge label; the generator makes no
+  // PublicListedCompany, StockShare or NonBusiness.
+  core::SuperSchema schema = finkg::CompanyKgSchema();
+  pg::PropertyGraph data;
+  auto node = [&data](std::vector<std::string> labels, pg::PropertyMap props) {
+    return data.AddNode(std::move(labels), std::move(props));
+  };
+  pg::NodeId pp = node({"PhysicalPerson", "Person"},
+                       {{"fiscalCode", Value("P1")},
+                        {"surname", Value("rossi")}});
+  pg::NodeId bare = node({"PhysicalPerson", "Person"}, {});
+  pg::NodeId biz = AddBusiness(&data, "B1");
+  pg::NodeId plc = node({"PublicListedCompany", "Business", "LegalPerson",
+                         "Person"},
+                        {{"fiscalCode", Value("L1")},
+                         {"stockExchange", Value("MTA")}});
+  pg::NodeId nb = node({"NonBusiness", "LegalPerson", "Person"},
+                       {{"fiscalCode", Value("N1")},
+                        {"isGovernmental", Value(true)}});
+  pg::NodeId share = node({"Share"}, {{"shareId", Value("S1")},
+                                      {"percentage", Value(0.4)}});
+  pg::NodeId stock = node({"StockShare", "Share"},
+                          {{"shareId", Value("S2")},
+                           {"numberOfStocks", Value(int64_t{100})}});
+  pg::NodeId place = node({"Place"}, {{"city", Value("Roma")}});
+  pg::NodeId family = node({"Family"}, {{"familyName", Value("rossi")}});
+  pg::NodeId event = node({"BusinessEvent"}, {{"eventId", Value("E1")}});
+  data.AddEdge(pp, share, "HOLDS",
+               {{"right", Value("ownership")}, {"percentage", Value(0.4)}});
+  data.AddEdge(plc, stock, "HOLDS");
+  data.AddEdge(share, biz, "BELONGS_TO");
+  data.AddEdge(stock, plc, "BELONGS_TO");
+  data.AddEdge(bare, place, "RESIDES");
+  data.AddEdge(pp, nb, "HAS_ROLE", {{"role", Value("director")}});
+  data.AddEdge(pp, plc, "REPRESENTS");
+  data.AddEdge(plc, event, "PARTICIPATES");
+  data.AddEdge(pp, family, "BELONGS_TO_FAMILY");
+  data.AddEdge(nb, plc, "OWNS", {{"percentage", Value(0.7)}});
+  data.AddEdge(biz, biz, "CONTROLS");
+  // A Sigma whose body names every node and edge label of the schema.
+  std::string sigma;
+  for (const core::NodeDef& n : schema.nodes()) {
+    sigma += "(x: " + n.name + ") -> (x)[: CONTROLS](x).\n";
+  }
+  for (const core::EdgeDef& e : schema.edges()) {
+    sigma += "(x)[: " + e.name + "](y) -> (x)[: CONTROLS](y).\n";
+  }
+  ExpectSpecializedViewsMatchClosureWalk(schema, data, sigma);
+}
+
+TEST(ViewGenerationTest, EveryInstanceHasOneViewOf) {
+  // Business instances are in both the Business and the Person view; the
+  // two views share one VIEW_OF edge per instance.
+  core::SuperSchema schema = finkg::CompanyKgSchema();
+  pg::PropertyGraph data;
+  for (const char* code : {"A", "B", "C"}) AddBusiness(&data, code);
+  data.AddNode(std::vector<std::string>{"PhysicalPerson", "Person"},
+               {{"fiscalCode", Value("P1")}});
+  auto sigma = metalog::ParseMetaProgram(
+      "(x: Person), (y: Business) -> (x)[: CONTROLS](y).");
+  ASSERT_TRUE(sigma.ok());
+  auto views = GenerateInputViews(schema, *sigma, 234);
+  ASSERT_TRUE(views.ok());
+  auto db = RunViews(schema, data, *views);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_NE(db->Get("VIEW_OF"), nullptr);
+  EXPECT_EQ(db->Get("VIEW_OF")->size(), 4u);
+  EXPECT_EQ(db->Get("Person")->size(), 4u);
+  EXPECT_EQ(db->Get("Business")->size(), 3u);
+}
+
+// A network of `k` Business nodes with an OWNS chain, plus `persons`
+// PhysicalPerson nodes that no component of control reads.
+pg::PropertyGraph ControlNetwork(size_t k, size_t persons) {
+  pg::PropertyGraph data;
+  std::vector<pg::NodeId> biz;
+  for (size_t i = 0; i < k; ++i) {
+    biz.push_back(AddBusiness(&data, "B" + std::to_string(i)));
+  }
+  for (size_t i = 0; i + 1 < k; ++i) AddOwns(&data, biz[i], biz[i + 1], 0.6);
+  for (size_t i = 0; i < persons; ++i) {
+    data.AddNode(std::vector<std::string>{"PhysicalPerson", "Person"},
+                 {{"fiscalCode", Value("P" + std::to_string(i))},
+                  {"surname", Value("s" + std::to_string(i))}});
+  }
+  return data;
+}
+
+TEST(PipelineTest, ControlJoinProbesDoNotGrowWithUnreadInstances) {
+  // The views start every join from the schema side, so instances of a
+  // type no view reads are never probed.
+  core::SuperSchema schema = finkg::CompanyKgSchema();
+  MaterializeOptions options;
+  options.engine.num_threads = 1;
+  auto probes = [&](size_t persons) {
+    pg::PropertyGraph data = ControlNetwork(12, persons);
+    auto stats = Materialize(schema, finkg::kControlProgram, &data, options);
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->new_edges, 12u + 11u * 12u / 2u);
+    return stats->engine_stats.join_probes;
+  };
+  const size_t few = probes(10);
+  EXPECT_GT(few, 0u);
+  EXPECT_EQ(probes(1000), few);
 }
 
 }  // namespace

@@ -147,8 +147,10 @@ fi
 # starts each label at a row count, and metalog_decode_differential
 # checks that against the row-0 decode over the five components.  lint_
 # runs the linter, which checks client programs at admission through the
-# engine's own arity, width and aggregate checks.
-SANITIZER_TESTS='vadalog_|base_thread_pool|service_|finkg_incremental|finkg_pointquery|metalog_|lint_'
+# engine's own arity, width and aggregate checks.  instance_ runs the
+# generated input and output views end to end (load, views, engine,
+# flush) in the pipeline tests.
+SANITIZER_TESTS='vadalog_|base_thread_pool|service_|finkg_incremental|finkg_pointquery|metalog_|lint_|instance_'
 
 run cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DKGM_SANITIZE=address
