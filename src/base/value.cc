@@ -40,8 +40,6 @@ bool Value::operator<(const Value& other) const {
       return AsDoubleExact() < other.AsDoubleExact();
     case ValueKind::kString:
       return AsString() < other.AsString();
-    case ValueKind::kLabeledNull:
-      return AsLabeledNull() < other.AsLabeledNull();
     case ValueKind::kSkolem:
       return AsSkolem() < other.AsSkolem();
     case ValueKind::kRecord: {
@@ -82,8 +80,6 @@ std::string Value::ToString() const {
     }
     case ValueKind::kString:
       return "\"" + AsString() + "\"";
-    case ValueKind::kLabeledNull:
-      return "_:n" + std::to_string(AsLabeledNull().id);
     case ValueKind::kSkolem: {
       const SkolemTable& table = SkolemTable::Global();
       std::string out = table.FunctorOf(AsSkolem());

@@ -1,7 +1,7 @@
 // The universal runtime value of KGModel.
 //
-// A Value is a constant of the domain C, a labeled null of N, a Skolem term
-// of the identifier set I (Section 4 of the paper, "Linker Skolem Functors"),
+// A Value is a constant of the domain C, a Skolem term of the identifier
+// set I (Section 4 of the paper, "Linker Skolem Functors"),
 // or a record produced by the pack() aggregate (Section 6, input views).
 //
 // Values are cheap to copy (strings by value, records by shared pointer) and
@@ -29,15 +29,6 @@ class Value;
 using Record = std::vector<std::pair<std::string, Value>>;
 using RecordPtr = std::shared_ptr<const Record>;
 
-// A labeled null from N.  The engine's chase names every existential with
-// a Skolem term and mints none; the relational model's conformance checks
-// and the type analysis still recognize nulls as identifier-like values.
-struct LabeledNull {
-  uint64_t id;
-  bool operator==(const LabeledNull& o) const { return id == o.id; }
-  bool operator<(const LabeledNull& o) const { return id < o.id; }
-};
-
 // A Skolem term of I: an interned (functor, arguments) pair.  Injectivity,
 // determinism and range-disjointness between functors follow from interning.
 struct SkolemRef {
@@ -52,7 +43,6 @@ enum class ValueKind {
   kInt,
   kDouble,
   kString,
-  kLabeledNull,
   kSkolem,
   kRecord,
 };
@@ -66,7 +56,6 @@ class Value {
   explicit Value(double d) : data_(d) {}
   explicit Value(std::string s) : data_(std::move(s)) {}
   explicit Value(const char* s) : data_(std::string(s)) {}
-  explicit Value(LabeledNull n) : data_(n) {}
   explicit Value(SkolemRef s) : data_(s) {}
   explicit Value(RecordPtr r) : data_(std::move(r)) {}
 
@@ -77,7 +66,6 @@ class Value {
   bool is_int() const { return kind() == ValueKind::kInt; }
   bool is_double() const { return kind() == ValueKind::kDouble; }
   bool is_string() const { return kind() == ValueKind::kString; }
-  bool is_labeled_null() const { return kind() == ValueKind::kLabeledNull; }
   bool is_skolem() const { return kind() == ValueKind::kSkolem; }
   bool is_record() const { return kind() == ValueKind::kRecord; }
   bool is_numeric() const { return is_int() || is_double(); }
@@ -86,7 +74,6 @@ class Value {
   int64_t AsInt() const { return std::get<int64_t>(data_); }
   double AsDoubleExact() const { return std::get<double>(data_); }
   const std::string& AsString() const { return std::get<std::string>(data_); }
-  LabeledNull AsLabeledNull() const { return std::get<LabeledNull>(data_); }
   SkolemRef AsSkolem() const { return std::get<SkolemRef>(data_); }
   const RecordPtr& AsRecord() const { return std::get<RecordPtr>(data_); }
 
@@ -113,9 +100,6 @@ class Value {
       case ValueKind::kString:
         return *std::get_if<std::string>(&data_) ==
                *std::get_if<std::string>(&other.data_);
-      case ValueKind::kLabeledNull:
-        return std::get_if<LabeledNull>(&data_)->id ==
-               std::get_if<LabeledNull>(&other.data_)->id;
       case ValueKind::kSkolem:
         return std::get_if<SkolemRef>(&data_)->id ==
                std::get_if<SkolemRef>(&other.data_)->id;
@@ -146,10 +130,6 @@ class Value {
         return seed ^
                (std::hash<std::string>{}(*std::get_if<std::string>(&data_)) +
                 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
-      case ValueKind::kLabeledNull:
-        return seed ^
-               (std::hash<uint64_t>{}(std::get_if<LabeledNull>(&data_)->id) +
-                0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
       case ValueKind::kSkolem:
         return seed ^
                (std::hash<uint64_t>{}(std::get_if<SkolemRef>(&data_)->id) +
@@ -160,7 +140,7 @@ class Value {
     return seed;
   }
 
-  // Debug/display rendering: strings are quoted, nulls print as _:nK,
+  // Debug/display rendering: strings are quoted, null prints as null,
   // Skolem terms as their functor applied to arguments.
   std::string ToString() const;
 
@@ -169,8 +149,8 @@ class Value {
   bool RecordEquals(const Value& other) const;
   size_t RecordHash(size_t seed) const;
 
-  std::variant<std::monostate, bool, int64_t, double, std::string, LabeledNull,
-               SkolemRef, RecordPtr>
+  std::variant<std::monostate, bool, int64_t, double, std::string, SkolemRef,
+               RecordPtr>
       data_;
 };
 

@@ -17,6 +17,7 @@ Result<CompiledMeta> CompileMeta(MetaProgram meta, const GraphCatalog& catalog,
       MtvResult mtv,
       TranslateMetaProgram(compiled.meta, compiled.catalog, options));
   compiled.program = std::move(mtv.program);
+  compiled.engine = std::make_shared<const vadalog::Engine>(compiled.program);
   compiled.helper_predicates = std::move(mtv.helper_predicates);
   compiled.rule_origin = std::move(mtv.rule_origin);
   return compiled;
@@ -72,6 +73,7 @@ Result<std::shared_ptr<const CompiledMeta>> PreparedCache::Compile(
   CompiledMeta compiled;
   if (language == QueryLanguage::kVadalog) {
     KGM_ASSIGN_OR_RETURN(compiled.program, vadalog::ParseProgram(source));
+    compiled.engine = std::make_shared<const vadalog::Engine>(compiled.program);
     compiled.language = language;
     compiled.catalog = catalog;
   } else {

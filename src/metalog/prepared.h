@@ -27,6 +27,7 @@
 #include "metalog/catalog.h"
 #include "metalog/mtv.h"
 #include "vadalog/ast.h"
+#include "vadalog/engine.h"
 
 namespace kgm::metalog {
 
@@ -37,13 +38,17 @@ enum class QueryLanguage {
 
 // One prepared program, immutable once cached.  A MetaLog entry is one
 // parse+MTV compilation.  A Vadalog entry holds only `program` (the parsed
-// source), `catalog` (the base catalog, unchanged) and `lint`; its `meta`,
-// `helper_predicates` and `rule_origin` stay empty.
+// source), `engine`, `catalog` (the base catalog, unchanged) and `lint`;
+// its `meta`, `helper_predicates` and `rule_origin` stay empty.
 struct CompiledMeta {
   QueryLanguage language = QueryLanguage::kMetaLog;
   MetaProgram meta;        // the parsed source
   GraphCatalog catalog;    // base catalog after AbsorbProgram
   vadalog::Program program;
+  // `program` compiled once, for every run of the entry (Engine::Run is
+  // const and safe to call concurrently).  A program the engine rejects
+  // is still cached, for its lint; running it returns its status().
+  std::shared_ptr<const vadalog::Engine> engine;
   std::vector<std::string> helper_predicates;
   // MTV provenance: originating MetaLog rule per compiled rule.
   std::vector<int> rule_origin;
@@ -55,7 +60,8 @@ struct CompiledMeta {
 // The compile step every MetaLog run goes through (RunMetaLog and
 // PreparedCache::Compile): copies `catalog` — which must NOT yet have the
 // program absorbed — absorbs `meta`'s labels into the copy, and
-// translates through MTV.  Leaves CompiledMeta::lint empty.
+// translates through MTV, and compiles the result into
+// CompiledMeta::engine.  Leaves CompiledMeta::lint empty.
 Result<CompiledMeta> CompileMeta(MetaProgram meta, const GraphCatalog& catalog,
                                  const MtvOptions& options = {});
 

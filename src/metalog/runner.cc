@@ -62,13 +62,9 @@ Result<MetaRunResult> RunCompiledMeta(
   const RowCounts encoded_rows = CountRows(db);
   result.encode_seconds = Seconds(t0, Clock::now());
 
-  vadalog::Program program = compiled.program;  // engine takes ownership
-  vadalog::Engine engine(std::move(program), options.engine);
-  KGM_RETURN_IF_ERROR(engine.status());
-  KGM_RETURN_IF_ERROR(engine.Run(&db));
-
-  result.engine_stats = engine.stats();
-  result.vadalog_rule_count = engine.program().rules.size();
+  KGM_RETURN_IF_ERROR(
+      compiled.engine->Run(&db, options.engine, &result.engine_stats));
+  result.vadalog_rule_count = compiled.program.rules.size();
   const Clock::time_point t1 = Clock::now();
   // DecodeGraph decodes the labels of the catalog it is given.
   GraphCatalog decoded;

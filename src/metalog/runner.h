@@ -5,7 +5,8 @@
 //      (2)-(3)) — or take that compilation from a PreparedCache,
 //   2. encode the graph relationally (MTV step (1)), noting each label
 //      relation's row count (CountRows),
-//   3. run the Vadalog engine to fixpoint (it only appends rows),
+//   3. run the compilation's engine (CompiledMeta::engine) to fixpoint
+//      (it only appends rows),
 //   4. decode the rows past those counts — the derived node/edge facts —
 //      back into the graph, of every catalog label or only of the labels
 //      the caller reads.

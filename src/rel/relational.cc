@@ -37,7 +37,7 @@ bool ValueMatchesType(const Value& v, ColumnType t) {
       // Skolem-generated identifiers are admissible wherever strings are:
       // the chase materializes OIDs from the identifier set I into key
       // columns.
-      return v.is_string() || v.is_skolem() || v.is_labeled_null();
+      return v.is_string() || v.is_skolem();
   }
   return false;
 }

@@ -464,10 +464,10 @@ Result<QueryResult> KgService::EvaluateOnSnapshot(
     out.join_probes = pq_stats.engine.join_probes;
     *rows = *std::move(answers);
   } else {
-    vadalog::Engine engine(program, engine_options);
-    KGM_RETURN_IF_ERROR(engine.status());
-    KGM_RETURN_IF_ERROR(engine.Run(&db));
-    out.join_probes = engine.stats().join_probes;
+    vadalog::EngineStats engine_stats;
+    KGM_RETURN_IF_ERROR(
+        compiled->engine->Run(&db, engine_options, &engine_stats));
+    out.join_probes = engine_stats.join_probes;
     if (const vadalog::Relation* rel = db.Get(request.output)) {
       const vadalog::Relation::LiveTuples live = rel->tuples();
       rows->assign(live.begin(), live.end());

@@ -18,12 +18,13 @@
 //      latency;
 //   2. caching — programs of both languages are prepared once per
 //      (language, source, catalog) via PreparedCache: parsed, MetaLog also
-//      MTV-compiled, and linted.  A point query's magic rewrite is cached
-//      per (prepared entry, predicate, adornment) — the bound constants
-//      enter only through its seed fact.  Whole results are cached per
-//      (request, epoch), invalidated by publication;
+//      MTV-compiled, compiled into an engine, and linted.  A point query's
+//      magic rewrite, compiled too, is cached per (prepared entry,
+//      predicate, adornment) — the bound constants enter only as the seed
+//      row each read inserts.  Whole results are cached per (request,
+//      epoch), invalidated by publication;
 //   3. evaluation — the snapshot's precomputed relational encoding is
-//      cloned, the compiled program runs to fixpoint with a per-request
+//      cloned, the compiled engine runs to fixpoint with a per-request
 //      deadline (cooperatively checked inside the engine), and the output
 //      predicate's tuples are returned.
 

@@ -19,6 +19,9 @@ namespace kgm::vadalog {
 
 namespace {
 
+// Ceiling on the fixpoint iterations of one stratum.
+constexpr size_t kMaxIterations = 10'000'000;
+
 // --- compiled rule representation -------------------------------------------
 
 struct ArgSlot {
@@ -31,15 +34,6 @@ struct CompiledLiteral {
   std::string pred;
   std::vector<ArgSlot> args;
   bool recursive = false;  // predicate in the rule's own SCC
-  // Index mask the rule's compile-time plan (CompiledRule::order) probes
-  // this literal with: constants plus the variables of the literals the
-  // plan joins before it.  Rule-at-a-time calls plan their own masks.
-  uint64_t static_mask = 0;
-  // Relation the join reads (nullptr when the predicate has none), with
-  // its probe index built before the join starts — by PrepareJoinIndexes
-  // at every barrier, by PrepareCall before every rule-at-a-time call.
-  // Read-only.
-  const Relation* rel = nullptr;
 };
 
 struct CompiledAgg {
@@ -70,6 +64,13 @@ struct GroupState {
 };
 using GroupMap = std::unordered_map<Tuple, GroupState, TupleHashFn>;
 
+// A rule's join: recursion depth d joins positive order[d]; masks holds
+// every body literal's probe mask, positives then negatives.
+struct JoinPlan {
+  std::vector<uint32_t> order;
+  std::vector<uint64_t> masks;
+};
+
 struct CompiledRule {
   const Rule* rule = nullptr;
   int index = 0;
@@ -81,10 +82,11 @@ struct CompiledRule {
 
   std::vector<CompiledLiteral> positives;
   std::vector<CompiledLiteral> negatives;
-  // The barrier driver's join order (PlanJoin with nothing pre-bound):
-  // recursion depth d joins positives[order[d]], and every work item
-  // partitions positives[order[0]].
-  std::vector<uint32_t> order;
+  // The barrier driver's plan (PlanJoin with nothing pre-bound):
+  // recursion depth d joins positives[plan.order[d]], and every work item
+  // partitions positives[plan.order[0]].  A negated literal's mask is the
+  // same in every plan: all its named arguments are bound.
+  JoinPlan plan;
   // Assignments evaluated before aggregation, and those that depend
   // (transitively) on aggregate results, evaluated after it.
   std::vector<std::pair<int, ExprPtr>> assignments;       // pre-aggregation
@@ -95,12 +97,18 @@ struct CompiledRule {
   std::vector<int> group_slots;
   std::vector<ExistSlot> existentials;
   std::vector<CompiledLiteral> head;  // reuse ArgSlot encoding
+};
 
+// One rule's share of a run's state.  A rule-at-a-time call keeps its own.
+struct RuleState {
+  // The relation each body literal reads, positives then negatives
+  // (nullptr when the predicate has none or the literal reads a delta),
+  // with the index its plan probes built before the join starts.
+  std::vector<const Relation*> rels;
   // Aggregation state, folded on the driver at the barrier.  A monotonic
   // rule's groups persist across the whole run; a stratified rule's are
   // emitted in first-seen order (group_order) and dropped after its one
-  // barrier.  Map nodes do not move, so the pointers stay valid.  Run
-  // clears both before it starts: the compiled rule outlives a run.
+  // barrier.  Map nodes do not move, so the pointers stay valid.
   GroupMap groups;
   std::vector<GroupMap::value_type*> group_order;
 };
@@ -166,13 +174,6 @@ const Relation* ProbeRelation(FactDb* db, const std::string& pred,
                               uint64_t mask, size_t n) {
   return PartlyBound(mask, n) ? db->GetIndexed(pred, mask) : db->Get(pred);
 }
-
-// A rule's join: recursion depth d joins positive order[d]; masks holds
-// every body literal's probe mask, positives then negatives.
-struct JoinPlan {
-  std::vector<uint32_t> order;
-  std::vector<uint64_t> masks;
-};
 
 // Plans the join of `cr` with the slots in `bound` bound before it starts.
 // Positive literal `first` (-1 = none) joins at depth 0; each other depth
@@ -253,7 +254,8 @@ struct ReplayOp {
 // join reads a database that does not change, through relations and
 // indexes prepared before it started.
 struct EvalContext {
-  CompiledRule* rule = nullptr;
+  const CompiledRule* rule = nullptr;
+  RuleState* state = nullptr;
   std::vector<Value> slots;
   std::vector<char> bound;
 
@@ -278,8 +280,8 @@ struct EvalContext {
   // Fact-budget baseline for recorded ops (db size at freeze time).
   size_t budget_base = 0;
 
-  // Join-probe counter driving the periodic deadline/cancellation poll
-  // (checked every few tens of thousands of candidate rows).
+  // Join-probe counter driving the periodic deadline poll (checked every
+  // few tens of thousands of candidate rows).
   size_t checkpoint_tick = 0;
 
   // Per-literal scratch probes for Join, indexed by literal position (the
@@ -288,8 +290,8 @@ struct EvalContext {
 
   // Join order for this evaluation: recursion depth d evaluates positive
   // literal (*order)[d].  Barrier work items join by the rule's
-  // compile-time plan (EvalRule sets CompiledRule::order); a rule-at-a-time
-  // call joins by a plan made for what it pre-binds.
+  // compile-time plan (CompiledRule::plan); a rule-at-a-time call joins by
+  // a plan made for what it pre-binds.
   const std::vector<uint32_t>* order = nullptr;
 
   // Counters, flushed into EngineStats by the driver.
@@ -297,47 +299,76 @@ struct EvalContext {
   size_t probes = 0;
 };
 
+void ResetStats(EngineStats* stats, size_t rules) {
+  *stats = EngineStats{};
+  stats->rule_firings_by_rule.assign(rules, 0);
+  stats->rule_probes_by_rule.assign(rules, 0);
+}
+
+Result<Value> Eval(const EvalContext& ctx, const ExprPtr& e) {
+  return EvalExpr(*e, [&ctx](const std::string& name) -> const Value* {
+    auto it = ctx.rule->varmap.find(name);
+    if (it == ctx.rule->varmap.end()) return nullptr;
+    if (!ctx.bound[it->second]) return nullptr;
+    return &ctx.slots[it->second];
+  });
+}
+
+// Greedy batching in program order: a rule joins the current batch unless
+// it reads a predicate some batch member writes.  Within a batch no rule
+// observes another's output — exactly the sequential semantics, since
+// earlier rules never see later rules' facts and recorded evaluation hides
+// same-batch outputs.  Head relations also keep their sequential row
+// order: recorded facts and aggregate emissions replay in work-item order.
+std::vector<std::vector<const CompiledRule*>> IndependentBatches(
+    const std::vector<const CompiledRule*>& rules) {
+  std::vector<std::vector<const CompiledRule*>> out;
+  std::vector<const CompiledRule*> current;
+  std::set<std::string> current_writes;
+  for (const CompiledRule* cr : rules) {
+    bool conflict = false;
+    for (const CompiledLiteral& l : cr->positives) {
+      if (current_writes.count(l.pred) > 0) conflict = true;
+    }
+    for (const CompiledLiteral& l : cr->negatives) {
+      if (current_writes.count(l.pred) > 0) conflict = true;
+    }
+    if (conflict && !current.empty()) {
+      out.push_back(std::move(current));
+      current.clear();
+      current_writes.clear();
+    }
+    current.push_back(cr);
+    for (const CompiledLiteral& h : cr->head) current_writes.insert(h.pred);
+  }
+  if (!current.empty()) out.push_back(std::move(current));
+  return out;
+}
+
 }  // namespace
 
-// --- engine implementation ---------------------------------------------------
+// --- the compiled program ----------------------------------------------------
 
+// What compilation produces: the compiled rules with their plans, and each
+// stratum's batches and recursive literals.  Run only reads it; the
+// rule-at-a-time calls add their plans as they first need them.
 struct Engine::Impl {
-  Engine* engine;
-  FactDb* db = nullptr;
-  const EngineOptions& options;
-  EngineStats* stats;
-
   std::vector<CompiledRule> compiled;
   std::map<std::string, size_t> arity;
+  // Head predicates: a run takes write access to these up front.
+  std::set<std::string> derived;
 
-  // Helper pool (num_workers - 1 threads; the driver is the last worker);
-  // null at one thread, where the driver runs every work item inline.
-  std::unique_ptr<ThreadPool> pool;
-  size_t num_workers = 1;
-
-  // True when the run has a deadline or a cancellation flag to poll.
-  bool checkpoints_armed = false;
-
-  // Cooperative deadline/cancellation poll.  Called at stratum and batch
-  // boundaries, at every fixpoint iteration, and (rate-limited) from the
-  // join loops; safe on pool threads.
-  Status Checkpoint() const {
-    if (!checkpoints_armed) return OkStatus();
-    if (options.cancel != nullptr &&
-        options.cancel->load(std::memory_order_relaxed)) {
-      return DeadlineExceeded("evaluation cancelled");
-    }
-    if (options.deadline != std::chrono::steady_clock::time_point{} &&
-        std::chrono::steady_clock::now() >= options.deadline) {
-      return DeadlineExceeded("engine deadline exceeded");
-    }
-    return OkStatus();
-  }
-
-  // Per-stratum evaluation state.
-  const std::set<std::string>* recursive_preds = nullptr;
-  std::map<std::string, Relation>* next_delta = nullptr;
-  std::map<std::string, Relation>* cur_delta = nullptr;
+  // One stratum's evaluation, in ascending stratum order.
+  struct Stratum {
+    // Phase A: the stratum's rules in independent batches.
+    std::vector<std::vector<const CompiledRule*>> batches;
+    // Predicates of its recursive literals: a new row of one is mirrored
+    // into the next delta.
+    std::set<std::string> recursive_preds;
+    // Phase B: every (rule, recursive positive literal) pair.
+    std::vector<std::pair<const CompiledRule*, int>> rec_slots;
+  };
+  std::vector<Stratum> strata;
 
   // Rule-at-a-time plans, made on first use: every call of one (rule,
   // literal) or (rule, head atom) binds the same slots, so it joins by the
@@ -350,16 +381,8 @@ struct Engine::Impl {
   std::map<std::pair<size_t, size_t>, JoinPlan> delta_plans;
   std::map<std::pair<size_t, size_t>, SeededPlan> seeded_plans;
 
-  explicit Impl(Engine* e) : engine(e), options(e->options_),
-                             stats(&e->stats_) {}
-
-  Status CompileAll();
-  void CompileRule(const Rule& rule, int index);
-  // Zeroes the stats, with the per-rule vectors sized.
-  void ResetStats();
-  Status Run(FactDb* target);
-
-  // --- rule-at-a-time calls ---
+  Status Compile(const Program& program, const Stratification& strat);
+  void CompileRule(const Rule& rule, int index, const Stratification& strat);
 
   // A delta call joins the delta literal first, with nothing bound: each
   // delta row is enumerated once and binds the literal's variables for the
@@ -398,9 +421,9 @@ struct Engine::Impl {
   // The compiled rule a call evaluates.  Aggregates fold only at Run's
   // barriers, which calls never reach; incremental maintenance reruns such
   // programs instead.
-  Result<CompiledRule*> CallRule(size_t rule_index) {
+  Result<const CompiledRule*> CallRule(size_t rule_index) const {
     KGM_CHECK(rule_index < compiled.size());
-    CompiledRule& cr = compiled[rule_index];
+    const CompiledRule& cr = compiled[rule_index];
     if (!cr.aggregates.empty()) {
       return FailedPrecondition(
           "rule-at-a-time evaluation does not support aggregates: " +
@@ -408,32 +431,125 @@ struct Engine::Impl {
     }
     return &cr;
   }
+};
 
-  // Readies `ctx` for a call that joins `cr` by `plan` against `target`:
-  // resolves every body relation and builds each index the plan probes.
-  // The delta literal (-1 = none) reads `delta`, indexed when its
-  // constants leave it partly bound.  Emissions are recorded as ops, at
-  // most max_facts.
-  void PrepareCall(FactDb* target, CompiledRule& cr, const JoinPlan& plan,
-                   int delta_literal, Relation* delta, EvalContext* ctx) {
-    db = target;
-    const size_t np = cr.positives.size();
-    for (size_t i = 0; i < np; ++i) {
-      CompiledLiteral& lit = cr.positives[i];
-      if (static_cast<int>(i) != delta_literal) {
-        lit.rel = ProbeRelation(db, lit.pred, plan.masks[i], lit.args.size());
-      } else if (PartlyBound(plan.masks[i], lit.args.size())) {
-        delta->EnsureIndex(plan.masks[i]);
+Status Engine::Impl::Compile(const Program& program,
+                             const Stratification& strat) {
+  std::vector<ArityConflict> conflicts;
+  arity = PredicateArities(program, &conflicts);
+  if (!conflicts.empty()) {
+    return FailedPrecondition(conflicts.front().Message());
+  }
+  compiled.reserve(program.rules.size());
+  for (size_t i = 0; i < program.rules.size(); ++i) {
+    KGM_RETURN_IF_ERROR(ValidateRuleWidth(program.rules[i], i));
+    CompileRule(program.rules[i], static_cast<int>(i), strat);
+  }
+  std::map<int, std::vector<const CompiledRule*>> by_stratum;
+  for (const CompiledRule& cr : compiled) {
+    by_stratum[cr.stratum].push_back(&cr);
+    for (const CompiledLiteral& h : cr.head) derived.insert(h.pred);
+  }
+  for (const auto& [index, rules] : by_stratum) {
+    Stratum& stratum = strata.emplace_back();
+    stratum.batches = IndependentBatches(rules);
+    for (const CompiledRule* cr : rules) {
+      for (size_t li = 0; li < cr->positives.size(); ++li) {
+        if (!cr->positives[li].recursive) continue;
+        stratum.recursive_preds.insert(cr->positives[li].pred);
+        stratum.rec_slots.emplace_back(cr, static_cast<int>(li));
       }
     }
-    for (size_t j = 0; j < cr.negatives.size(); ++j) {
-      CompiledLiteral& lit = cr.negatives[j];
-      lit.rel = ProbeRelation(db, lit.pred, plan.masks[np + j],
-                              lit.args.size());
+  }
+  return OkStatus();
+}
+
+// --- one run's state ---------------------------------------------------------
+
+// Everything a run, or a rule-at-a-time call, changes: the database, the
+// pool, the deltas, the fact-budget count and the deadline poll, and each
+// rule's relations and aggregate groups.  It lives on its caller's stack,
+// so runs on one engine share nothing but the compiled program.
+struct Engine::RunState {
+  RunState(const Impl& impl, FactDb* db, const EngineOptions& options,
+           EngineStats* stats)
+      : impl(impl), db(db), options(options), stats(stats),
+        checkpoints_armed(options.deadline !=
+                          std::chrono::steady_clock::time_point{}) {}
+
+  const Impl& impl;
+  FactDb* const db;
+  const EngineOptions& options;
+  EngineStats* const stats;
+  // True when the run has a deadline to poll.
+  const bool checkpoints_armed;
+
+  // Helper pool (num_workers - 1 threads; the driver is the last worker);
+  // null at one thread, where the driver runs every work item inline.
+  std::unique_ptr<ThreadPool> pool;
+  size_t num_workers = 1;
+
+  // Run only, one per compiled rule; a call keeps its rule's own.
+  std::vector<RuleState> rules;
+
+  // The stratum under evaluation.
+  const std::set<std::string>* recursive_preds = nullptr;
+  std::map<std::string, Relation>* next_delta = nullptr;
+  std::map<std::string, Relation>* cur_delta = nullptr;
+
+  // Count of ops recorded since the last barrier (fact budget).
+  std::atomic<size_t> recorded_total{0};
+
+  // Cooperative deadline poll.  Called at stratum and batch boundaries, at
+  // every fixpoint iteration, and (rate-limited) from the join loops; safe
+  // on pool threads.
+  Status Checkpoint() const {
+    if (checkpoints_armed &&
+        std::chrono::steady_clock::now() >= options.deadline) {
+      return DeadlineExceeded("engine deadline exceeded");
+    }
+    return OkStatus();
+  }
+
+  Status Run(const std::vector<FactDecl>& facts);
+
+  // Resolves the relation each body literal of `cr` reads under `plan`,
+  // with the index its mask probes built, into `rs->rels`.  Positive
+  // `delta_literal` (-1 = none) reads a delta and gets none.  A shared
+  // relation is copied only when it lacks the mask — on the driver, never
+  // inside a parallel phase.
+  void BindRelations(const CompiledRule& cr, const JoinPlan& plan,
+                     int delta_literal, RuleState* rs) const {
+    const size_t np = cr.positives.size();
+    rs->rels.assign(plan.masks.size(), nullptr);
+    for (size_t i = 0; i < plan.masks.size(); ++i) {
+      if (static_cast<int>(i) == delta_literal) continue;
+      const CompiledLiteral& lit =
+          i < np ? cr.positives[i] : cr.negatives[i - np];
+      rs->rels[i] = ProbeRelation(db, lit.pred, plan.masks[i],
+                                  lit.args.size());
+    }
+  }
+
+  // --- rule-at-a-time calls ---
+
+  // Readies `ctx` for a call that joins `cr` by `plan`: resolves every body
+  // relation into `rs` and builds each index the plan probes.  The delta
+  // literal (-1 = none) reads `delta`, indexed when its constants leave it
+  // partly bound.  Emissions are recorded as ops, at most max_facts.
+  void PrepareCall(const CompiledRule& cr, const JoinPlan& plan,
+                   int delta_literal, Relation* delta, RuleState* rs,
+                   EvalContext* ctx) const {
+    BindRelations(cr, plan, delta_literal, rs);
+    if (delta_literal >= 0) {
+      const size_t n = cr.positives[delta_literal].args.size();
+      if (PartlyBound(plan.masks[delta_literal], n)) {
+        delta->EnsureIndex(plan.masks[delta_literal]);
+      }
     }
     ctx->rule = &cr;
+    ctx->state = rs;
     ctx->order = &plan.order;
-    recorded_total_.store(0, std::memory_order_relaxed);
   }
 
   // Adds the call's counters to the stats and hands its recorded emissions
@@ -441,24 +557,24 @@ struct Engine::Impl {
   // reach it.
   Status FinishCall(EvalContext& ctx, Status status, const EmitFn& emit) {
     FlushCtxStats(ctx, *ctx.rule);
-    db = nullptr;
     for (ReplayOp& op : ctx.replay_ops) emit(*op.pred, std::move(op.tuple));
     return status;
   }
 
-  Status EvalStratum(int stratum, const std::vector<CompiledRule*>& rules);
-  Status EvalRule(EvalContext& ctx, CompiledRule& cr, int delta_literal);
-  Status Join(EvalContext& ctx, CompiledRule& cr, size_t literal_index,
+  Status EvalStratum(size_t stratum_index);
+  Status EvalRule(EvalContext& ctx, const CompiledRule& cr,
+                  int delta_literal);
+  Status Join(EvalContext& ctx, const CompiledRule& cr, size_t literal_index,
               int delta_literal);
-  Status FinishBinding(EvalContext& ctx, CompiledRule& cr);
-  Status ProcessAggregates(EvalContext& ctx, CompiledRule& cr);
+  Status FinishBinding(EvalContext& ctx, const CompiledRule& cr);
+  Status ProcessAggregates(EvalContext& ctx, const CompiledRule& cr);
   Status ApplyContribution(const CompiledAgg& agg, GroupState& state,
                            size_t ai, const Tuple& contribution,
                            bool* any_update);
-  Status EmitWithAggregates(EvalContext& ctx, CompiledRule& cr,
+  Status EmitWithAggregates(EvalContext& ctx, const CompiledRule& cr,
                             const Tuple& group_key, const GroupState& state);
-  Status EmitHeadWithPostConditions(EvalContext& ctx, CompiledRule& cr);
-  Status MintAndEmitHead(EvalContext& ctx, CompiledRule& cr);
+  Status EmitHeadWithPostConditions(EvalContext& ctx, const CompiledRule& cr);
+  Status MintAndEmitHead(EvalContext& ctx, const CompiledRule& cr);
   // Appends `t` to ctx.replay_ops (see EvalContext::drop_present).
   Status RecordFact(EvalContext& ctx, const std::string& pred, Tuple t);
   // Inserts one fact on the driver (mirroring a new row of a recursive
@@ -467,21 +583,19 @@ struct Engine::Impl {
 
   // --- stratum driver ---
   struct WorkItem {
-    CompiledRule* rule = nullptr;
+    const CompiledRule* rule = nullptr;
     int delta_literal = -1;
     EvalContext ctx;
     Status status;
   };
-  std::vector<std::vector<CompiledRule*>> IndependentBatches(
-      const std::vector<CompiledRule*>& rules) const;
-  void PrepareJoinIndexes(CompiledRule& cr);
   size_t PartitionCount(size_t rows) const;
   // Appends the items of `cr` (delta literal `delta_literal`, -1 = none)
   // that split the row ids of `scan`, the relation its plan joins
   // outermost, into PartitionCount ascending ranges; none when `scan` is
   // empty, as the rule cannot fire.
-  void AddPartitionedItems(std::deque<WorkItem>& items, CompiledRule* cr,
-                           int delta_literal, const Relation* scan) const;
+  void AddPartitionedItems(std::deque<WorkItem>& items,
+                           const CompiledRule* cr, int delta_literal,
+                           const Relation* scan) const;
   // Runs fn(0) .. fn(n - 1): on the driver and the pool's helpers when
   // there is a pool, inline in index order otherwise.
   void ForEachIndex(size_t n, const std::function<void(size_t)>& fn) {
@@ -503,12 +617,9 @@ struct Engine::Impl {
   // folding item's log: a monotonic rule re-emits a group when it
   // improves, a stratified rule emits each group once after its last item.
   Status FoldItemContributions(std::deque<WorkItem>& items);
-  Status FoldPending(CompiledRule& cr, EvalContext& scratch,
-                     const PendingContribution& pc);
+  Status FoldPending(const CompiledRule& cr, RuleState& rs,
+                     EvalContext& scratch, const PendingContribution& pc);
   void FlushCtxStats(EvalContext& ctx, const CompiledRule& cr);
-
-  // Count of ops recorded since the last barrier (fact budget).
-  std::atomic<size_t> recorded_total_{0};
 
   Status FactBudgetExceeded() const {
     return ResourceExhausted(
@@ -520,45 +631,15 @@ struct Engine::Impl {
   // chase fails inside the barrier, not only at the replay.
   Status CountRecorded(const EvalContext& ctx) {
     size_t recorded =
-        recorded_total_.fetch_add(1, std::memory_order_relaxed) + 1;
+        recorded_total.fetch_add(1, std::memory_order_relaxed) + 1;
     return ctx.budget_base + recorded > options.max_facts
                ? FactBudgetExceeded()
                : OkStatus();
   }
-
-  Result<Value> Eval(EvalContext& ctx, const ExprPtr& e) {
-    return EvalExpr(*e, [&ctx](const std::string& name) -> const Value* {
-      auto it = ctx.rule->varmap.find(name);
-      if (it == ctx.rule->varmap.end()) return nullptr;
-      if (!ctx.bound[it->second]) return nullptr;
-      return &ctx.slots[it->second];
-    });
-  }
 };
 
-Status Engine::Impl::CompileAll() {
-  const Program& program = engine->program_;
-  std::vector<ArityConflict> conflicts;
-  arity = PredicateArities(program, &conflicts);
-  if (!conflicts.empty()) {
-    return FailedPrecondition(conflicts.front().Message());
-  }
-  compiled.reserve(program.rules.size());
-  for (size_t i = 0; i < program.rules.size(); ++i) {
-    KGM_RETURN_IF_ERROR(ValidateRuleWidth(program.rules[i], i));
-    CompileRule(program.rules[i], static_cast<int>(i));
-  }
-  return OkStatus();
-}
-
-void Engine::Impl::ResetStats() {
-  *stats = EngineStats{};
-  stats->rule_firings_by_rule.assign(compiled.size(), 0);
-  stats->rule_probes_by_rule.assign(compiled.size(), 0);
-}
-
-void Engine::Impl::CompileRule(const Rule& rule, int index) {
-  const Stratification& strat = engine->strat_;
+void Engine::Impl::CompileRule(const Rule& rule, int index,
+                               const Stratification& strat) {
   CompiledRule cr;
   cr.rule = &rule;
   cr.index = index;
@@ -603,13 +684,8 @@ void Engine::Impl::CompileRule(const Rule& rule, int index) {
   }
 
   // The barrier driver's plan, with nothing bound up front (assignments
-  // run after all positives): its order and every literal's probe mask.
-  JoinPlan plan = PlanJoin(cr, std::vector<char>(cr.slot_names.size(), 0));
-  for (size_t i = 0, np = cr.positives.size(); i < plan.masks.size(); ++i) {
-    (i < np ? cr.positives[i] : cr.negatives[i - np]).static_mask =
-        plan.masks[i];
-  }
-  cr.order = std::move(plan.order);
+  // run after all positives).
+  cr.plan = PlanJoin(cr, std::vector<char>(cr.slot_names.size(), 0));
 
   std::unordered_set<std::string> result_names;
   for (const Aggregate& a : rule.aggregates) {
@@ -742,12 +818,11 @@ void Engine::Impl::CompileRule(const Rule& rule, int index) {
   compiled.push_back(std::move(cr));
 }
 
-bool Engine::Impl::InsertShared(const std::string& pred, Tuple t) {
+bool Engine::RunState::InsertShared(const std::string& pred, Tuple t) {
   Relation& rel = db->GetOrCreate(pred, t.size());
   if (!rel.Insert(t)) return false;
   ++stats->facts_derived;
-  if (recursive_preds != nullptr && next_delta != nullptr &&
-      recursive_preds->count(pred) > 0) {
+  if (recursive_preds->count(pred) > 0) {
     auto it = next_delta->find(pred);
     if (it == next_delta->end()) {
       it = next_delta->emplace(pred, Relation(t.size())).first;
@@ -757,7 +832,7 @@ bool Engine::Impl::InsertShared(const std::string& pred, Tuple t) {
   return true;
 }
 
-Status Engine::Impl::RecordFact(EvalContext& ctx, const std::string& pred,
+Status Engine::RunState::RecordFact(EvalContext& ctx, const std::string& pred,
                                 Tuple t) {
   // A work item drops a fact the frozen database already holds: the
   // replay's insert would be a no-op, and Contains is read-only, so the
@@ -777,27 +852,16 @@ Status Engine::Impl::RecordFact(EvalContext& ctx, const std::string& pred,
   return CountRecorded(ctx);
 }
 
-Status Engine::Impl::Run(FactDb* target) {
-  db = target;
-  checkpoints_armed =
-      options.cancel != nullptr ||
-      options.deadline != std::chrono::steady_clock::time_point{};
-  ResetStats();
-  for (CompiledRule& cr : compiled) {
-    cr.groups.clear();
-    cr.group_order.clear();
-  }
+Status Engine::RunState::Run(const std::vector<FactDecl>& facts) {
+  ResetStats(stats, impl.compiled.size());
+  rules.resize(impl.compiled.size());
   // Check arities, pre-create relations and materialize program facts.
   // Arities are checked first, so a program fact that conflicts with a
   // database relation fails here instead of aborting in GetOrCreate.
   // Write access is taken here, once, before the first barrier, and only
   // to the predicates the program derives or declares facts for: a shared
   // relation the program only reads is never copied for a write.
-  std::set<std::string> derived;
-  for (const CompiledRule& cr : compiled) {
-    for (const CompiledLiteral& h : cr.head) derived.insert(h.pred);
-  }
-  for (const auto& [pred, n] : arity) {
+  for (const auto& [pred, n] : impl.arity) {
     const Relation* existing = db->Get(pred);
     if (existing != nullptr && existing->arity() != n) {
       return FailedPrecondition("database relation " + pred + " has arity " +
@@ -805,11 +869,11 @@ Status Engine::Impl::Run(FactDb* target) {
                                 " but the program expects " +
                                 std::to_string(n));
     }
-    if (existing == nullptr || derived.count(pred) > 0) {
+    if (existing == nullptr || impl.derived.count(pred) > 0) {
       db->GetOrCreate(pred, n);
     }
   }
-  for (const FactDecl& f : engine->program_.facts) {
+  for (const FactDecl& f : facts) {
     Relation& rel = db->GetOrCreate(f.predicate, f.values.size());
     rel.Insert(Tuple(f.values.begin(), f.values.end()));
   }
@@ -823,16 +887,10 @@ Status Engine::Impl::Run(FactDb* target) {
   // helper fewer than the threads that run.
   if (num_workers > 1) pool = std::make_unique<ThreadPool>(num_workers - 1);
   stats->threads_used = num_workers;
-
-  // Group rules by stratum.
-  std::map<int, std::vector<CompiledRule*>> by_stratum;
-  for (CompiledRule& cr : compiled) {
-    by_stratum[cr.stratum].push_back(&cr);
-  }
-  stats->strata = static_cast<int>(by_stratum.size());
-  for (auto& [stratum, rules] : by_stratum) {
+  stats->strata = static_cast<int>(impl.strata.size());
+  for (size_t i = 0; i < impl.strata.size(); ++i) {
     auto t0 = std::chrono::steady_clock::now();
-    Status status = EvalStratum(stratum, rules);
+    Status status = EvalStratum(i);
     stats->stratum_seconds.push_back(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count());
@@ -843,7 +901,7 @@ Status Engine::Impl::Run(FactDb* target) {
 
 // --- stratum driver ----------------------------------------------------------
 
-void Engine::Impl::FlushCtxStats(EvalContext& ctx, const CompiledRule& cr) {
+void Engine::RunState::FlushCtxStats(EvalContext& ctx, const CompiledRule& cr) {
   stats->rule_firings += ctx.firings;
   stats->join_probes += ctx.probes;
   stats->rule_firings_by_rule[cr.index] += ctx.firings;
@@ -854,49 +912,7 @@ void Engine::Impl::FlushCtxStats(EvalContext& ctx, const CompiledRule& cr) {
   ctx.present_dropped = 0;
 }
 
-// Greedy batching in program order: a rule joins the current batch unless
-// it reads a predicate some batch member writes.  Within a batch no rule
-// observes another's output — exactly the sequential semantics, since
-// earlier rules never see later rules' facts and recorded evaluation hides
-// same-batch outputs.  Head relations also keep their sequential row
-// order: recorded facts and aggregate emissions replay in work-item order.
-std::vector<std::vector<CompiledRule*>> Engine::Impl::IndependentBatches(
-    const std::vector<CompiledRule*>& rules) const {
-  std::vector<std::vector<CompiledRule*>> out;
-  std::vector<CompiledRule*> current;
-  std::set<std::string> current_writes;
-  for (CompiledRule* cr : rules) {
-    bool conflict = false;
-    for (const CompiledLiteral& l : cr->positives) {
-      if (current_writes.count(l.pred) > 0) conflict = true;
-    }
-    for (const CompiledLiteral& l : cr->negatives) {
-      if (current_writes.count(l.pred) > 0) conflict = true;
-    }
-    if (conflict && !current.empty()) {
-      out.push_back(std::move(current));
-      current.clear();
-      current_writes.clear();
-    }
-    current.push_back(cr);
-    for (const CompiledLiteral& h : cr->head) current_writes.insert(h.pred);
-  }
-  if (!current.empty()) out.push_back(std::move(current));
-  return out;
-}
-
-void Engine::Impl::PrepareJoinIndexes(CompiledRule& cr) {
-  // A shared relation is copied here only when it lacks the mask — on the
-  // driver, never inside a parallel phase.
-  for (CompiledLiteral& lit : cr.positives) {
-    lit.rel = ProbeRelation(db, lit.pred, lit.static_mask, lit.args.size());
-  }
-  for (CompiledLiteral& lit : cr.negatives) {
-    lit.rel = ProbeRelation(db, lit.pred, lit.static_mask, lit.args.size());
-  }
-}
-
-size_t Engine::Impl::PartitionCount(size_t rows) const {
+size_t Engine::RunState::PartitionCount(size_t rows) const {
   // Small deltas are not worth splitting; large ones are over-partitioned
   // a little so a slow chunk cannot straggle the whole iteration.
   constexpr size_t kMinChunkRows = 64;
@@ -906,9 +922,10 @@ size_t Engine::Impl::PartitionCount(size_t rows) const {
   return std::max<size_t>(parts, 1);
 }
 
-void Engine::Impl::AddPartitionedItems(std::deque<WorkItem>& items,
-                                       CompiledRule* cr, int delta_literal,
-                                       const Relation* scan) const {
+void Engine::RunState::AddPartitionedItems(std::deque<WorkItem>& items,
+                                           const CompiledRule* cr,
+                                           int delta_literal,
+                                           const Relation* scan) const {
   // The partitions split the row ids, dead rows included.
   if (scan == nullptr || scan->size() == 0) return;
   const size_t rows = scan->row_bound();
@@ -918,16 +935,17 @@ void Engine::Impl::AddPartitionedItems(std::deque<WorkItem>& items,
     WorkItem& item = items.emplace_back();
     item.rule = cr;
     item.delta_literal = delta_literal;
-    item.ctx.range_literal = static_cast<int>(cr->order[0]);
+    item.ctx.range_literal = static_cast<int>(cr->plan.order[0]);
     item.ctx.row_begin = begin;
     item.ctx.row_end = std::min(rows, begin + chunk);
   }
 }
 
-Status Engine::Impl::RunItems(std::deque<WorkItem>& items) {
-  recorded_total_.store(0, std::memory_order_relaxed);
+Status Engine::RunState::RunItems(std::deque<WorkItem>& items) {
+  recorded_total.store(0, std::memory_order_relaxed);
   size_t budget_base = db->TotalFacts();
   for (WorkItem& item : items) {
+    item.ctx.state = &rules[item.rule->index];
     item.ctx.drop_present = true;
     item.ctx.budget_base = budget_base;
   }
@@ -958,7 +976,7 @@ Status Engine::Impl::RunItems(std::deque<WorkItem>& items) {
   return ReplayOrderedOps(items);
 }
 
-Status Engine::Impl::ReplayOrderedOps(std::deque<WorkItem>& items) {
+Status Engine::RunState::ReplayOrderedOps(std::deque<WorkItem>& items) {
   auto t0 = std::chrono::steady_clock::now();
   // Replay in ascending (item, seq) order: item creation order is rule /
   // partition order, with partitions covering ascending ranges, so the
@@ -970,7 +988,7 @@ Status Engine::Impl::ReplayOrderedOps(std::deque<WorkItem>& items) {
   for (WorkItem& item : items) {
     for (ReplayOp& op : item.ctx.replay_ops) {
       // Replays can insert millions of rows between barriers; poll the
-      // deadline/cancel flag like the join loops do.
+      // deadline like the join loops do.
       if (checkpoints_armed && (++tick & 0x3FFF) == 0) {
         status = Checkpoint();
         if (!status.ok()) break;
@@ -993,27 +1011,28 @@ Status Engine::Impl::ReplayOrderedOps(std::deque<WorkItem>& items) {
   return status;
 }
 
-Status Engine::Impl::FoldItemContributions(std::deque<WorkItem>& items) {
+Status Engine::RunState::FoldItemContributions(std::deque<WorkItem>& items) {
   auto t0 = std::chrono::steady_clock::now();
   EvalContext scratch;
   scratch.drop_present = true;
   size_t tick = 0;
   // Folds and emissions between barriers can run long; poll the
-  // deadline/cancel flag every ~16k of them like the join loops do.
+  // deadline every ~16k of them like the join loops do.
   auto poll = [this, &tick]() {
     return checkpoints_armed && (++tick & 0x3FFF) == 0 ? Checkpoint()
                                                         : OkStatus();
   };
   for (size_t i = 0; i < items.size(); ++i) {
     WorkItem& item = items[i];
-    CompiledRule& cr = *item.rule;
+    const CompiledRule& cr = *item.rule;
     if (cr.aggregates.empty()) continue;
+    RuleState& rs = *item.ctx.state;
     scratch.rule = &cr;
     scratch.slots.assign(cr.slot_names.size(), Value());
     scratch.budget_base = item.ctx.budget_base;
     for (const PendingContribution& pc : item.ctx.contributions) {
       KGM_RETURN_IF_ERROR(poll());
-      KGM_RETURN_IF_ERROR(FoldPending(cr, scratch, pc));
+      KGM_RETURN_IF_ERROR(FoldPending(cr, rs, scratch, pc));
     }
     item.ctx.contributions.clear();
     // A stratified rule is not recursive, so all its items run in this
@@ -1021,14 +1040,14 @@ Status Engine::Impl::FoldItemContributions(std::deque<WorkItem>& items) {
     // are final.  Their rows follow that item's, in first-seen order.
     const bool last = i + 1 == items.size() || items[i + 1].rule != &cr;
     if (last && !AllMonotonic(cr)) {
-      for (GroupMap::value_type* group : cr.group_order) {
+      for (GroupMap::value_type* group : rs.group_order) {
         KGM_RETURN_IF_ERROR(poll());
         scratch.bound.assign(cr.slot_names.size(), 0);
         KGM_RETURN_IF_ERROR(
             EmitWithAggregates(scratch, cr, group->first, group->second));
       }
-      cr.group_order.clear();
-      cr.groups.clear();
+      rs.group_order.clear();
+      rs.groups.clear();
     }
     // Splice the fold's emissions into the owning item's log, after the
     // item's own facts.
@@ -1046,10 +1065,11 @@ Status Engine::Impl::FoldItemContributions(std::deque<WorkItem>& items) {
 // Folds one recorded firing into the rule's group state.  A monotonic
 // rule re-emits the head when an accumulator improves; a stratified rule
 // records a new group's first-seen position and emits later.
-Status Engine::Impl::FoldPending(CompiledRule& cr, EvalContext& scratch,
-                                 const PendingContribution& pc) {
+Status Engine::RunState::FoldPending(const CompiledRule& cr, RuleState& rs,
+                                     EvalContext& scratch,
+                                     const PendingContribution& pc) {
   auto [it, inserted] =
-      cr.groups.try_emplace(pc.group_key, cr.aggregates.size());
+      rs.groups.try_emplace(pc.group_key, cr.aggregates.size());
   GroupState& state = it->second;
   bool any_update = false;
   for (size_t ai = 0; ai < cr.aggregates.size(); ++ai) {
@@ -1057,7 +1077,7 @@ Status Engine::Impl::FoldPending(CompiledRule& cr, EvalContext& scratch,
                                           pc.per_agg[ai], &any_update));
   }
   if (!AllMonotonic(cr)) {
-    if (inserted) cr.group_order.push_back(&*it);
+    if (inserted) rs.group_order.push_back(&*it);
     return OkStatus();
   }
   if (!any_update && !inserted) return OkStatus();
@@ -1065,16 +1085,10 @@ Status Engine::Impl::FoldPending(CompiledRule& cr, EvalContext& scratch,
   return EmitWithAggregates(scratch, cr, pc.group_key, state);
 }
 
-Status Engine::Impl::EvalStratum(int stratum,
-                                 const std::vector<CompiledRule*>& rules) {
-  std::set<std::string> rec_preds;
-  for (CompiledRule* cr : rules) {
-    for (const CompiledLiteral& l : cr->positives) {
-      if (l.recursive) rec_preds.insert(l.pred);
-    }
-  }
+Status Engine::RunState::EvalStratum(size_t stratum_index) {
+  const Impl::Stratum& stratum = impl.strata[stratum_index];
   std::map<std::string, Relation> delta_a, delta_b;
-  recursive_preds = &rec_preds;
+  recursive_preds = &stratum.recursive_preds;
   next_delta = &delta_a;
   cur_delta = nullptr;
 
@@ -1083,15 +1097,18 @@ Status Engine::Impl::EvalStratum(int stratum,
   // range-restricted, so large scans split across the pool while the
   // concatenation of the partitions preserves the unpartitioned
   // enumeration order.
-  for (std::vector<CompiledRule*>& batch : IndependentBatches(rules)) {
+  for (const std::vector<const CompiledRule*>& batch : stratum.batches) {
     KGM_RETURN_IF_ERROR(Checkpoint());
-    for (CompiledRule* cr : batch) PrepareJoinIndexes(*cr);
+    for (const CompiledRule* cr : batch) {
+      BindRelations(*cr, cr->plan, -1, &rules[cr->index]);
+    }
     std::deque<WorkItem> items;
-    for (CompiledRule* cr : batch) {
+    for (const CompiledRule* cr : batch) {
       if (cr->positives.empty()) {
         items.emplace_back().rule = cr;
       } else {
-        AddPartitionedItems(items, cr, -1, cr->positives[cr->order[0]].rel);
+        AddPartitionedItems(items, cr, -1,
+                            rules[cr->index].rels[cr->plan.order[0]]);
       }
     }
     KGM_RETURN_IF_ERROR(RunItems(items));
@@ -1101,81 +1118,58 @@ Status Engine::Impl::EvalStratum(int stratum,
   // literal x partition of the plan's outermost literal), all joining
   // against the frozen database and the current delta, merged at the
   // iteration barrier.
-  std::vector<std::pair<CompiledRule*, int>> rec_slots;
-  for (CompiledRule* cr : rules) {
-    for (size_t li = 0; li < cr->positives.size(); ++li) {
-      if (cr->positives[li].recursive) {
-        rec_slots.emplace_back(cr, static_cast<int>(li));
-      }
-    }
-  }
   size_t iterations = 0;
   while (!next_delta->empty()) {
-    if (++iterations > options.max_iterations) {
-      recursive_preds = nullptr;
-      next_delta = nullptr;
+    if (++iterations > kMaxIterations) {
       return ResourceExhausted("iteration budget exceeded in stratum " +
-                               std::to_string(stratum));
+                               std::to_string(stratum_index));
     }
-    if (Status s = Checkpoint(); !s.ok()) {
-      recursive_preds = nullptr;
-      next_delta = nullptr;
-      return s;
-    }
+    KGM_RETURN_IF_ERROR(Checkpoint());
     ++stats->iterations;
     cur_delta = next_delta;
     next_delta = (cur_delta == &delta_a) ? &delta_b : &delta_a;
     next_delta->clear();
 
     std::deque<WorkItem> items;
-    for (auto& [cr, li] : rec_slots) {
+    for (const auto& [cr, li] : stratum.rec_slots) {
       const CompiledLiteral& lit = cr->positives[li];
       auto dit = cur_delta->find(lit.pred);
       if (dit == cur_delta->end()) continue;
       // Indexes on the database relations this rule probes (no-ops after
       // the first iteration: Insert maintains built indexes), and on the
       // fresh delta relation when the delta literal itself is probed.
-      PrepareJoinIndexes(*cr);
-      size_t n = lit.args.size();
-      if (lit.static_mask != 0 && !FullyBoundMask(lit.static_mask, n)) {
-        dit->second.EnsureIndex(lit.static_mask);
-      }
+      RuleState& rs = rules[cr->index];
+      BindRelations(*cr, cr->plan, -1, &rs);
+      const uint64_t mask = cr->plan.masks[li];
+      if (PartlyBound(mask, lit.args.size())) dit->second.EnsureIndex(mask);
       // Partition only the literal the plan joins outermost — the delta
       // when it is the delta literal, its database relation otherwise: the
       // partitions then enumerate consecutive slices of the one-item
       // firing order, so the output does not depend on how many
       // partitions the worker count allows.
-      const uint32_t outer = cr->order[0];
-      AddPartitionedItems(items, cr, li,
-                          static_cast<int>(outer) == li
-                              ? &dit->second
-                              : cr->positives[outer].rel);
+      const uint32_t outer = cr->plan.order[0];
+      AddPartitionedItems(
+          items, cr, li,
+          static_cast<int>(outer) == li ? &dit->second : rs.rels[outer]);
     }
-    Status status = RunItems(items);
+    KGM_RETURN_IF_ERROR(RunItems(items));
     cur_delta = nullptr;
-    if (!status.ok()) {
-      recursive_preds = nullptr;
-      next_delta = nullptr;
-      return status;
-    }
   }
-  recursive_preds = nullptr;
-  next_delta = nullptr;
   return OkStatus();
 }
 
 // --- rule evaluation ---------------------------------------------------------
 
-Status Engine::Impl::EvalRule(EvalContext& ctx, CompiledRule& cr,
+Status Engine::RunState::EvalRule(EvalContext& ctx, const CompiledRule& cr,
                               int delta_literal) {
   ctx.rule = &cr;
-  ctx.order = &cr.order;
+  ctx.order = &cr.plan.order;
   ctx.slots.assign(cr.slot_names.size(), Value());
   ctx.bound.assign(cr.slot_names.size(), 0);
   return Join(ctx, cr, 0, delta_literal);
 }
 
-Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
+Status Engine::RunState::Join(EvalContext& ctx, const CompiledRule& cr,
                           size_t literal_index, int delta_literal) {
   if (literal_index == cr.positives.size()) return FinishBinding(ctx, cr);
   // Recursion depth d evaluates literal (*order)[d]; everything below keys
@@ -1210,8 +1204,8 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
   }
   const bool indexed = PartlyBound(mask, n);
   // Relations and probe indexes were prepared before the join started: the
-  // delta's by EvalStratum or PrepareCall, the database's in lit.rel
-  // (no string-map lookup per recursive Join call).
+  // delta's by EvalStratum or PrepareCall, the database's in the rule
+  // state's rels (no string-map lookup per recursive Join call).
   const Relation* source = nullptr;
   if (is_delta) {
     KGM_CHECK(cur_delta != nullptr);
@@ -1219,7 +1213,7 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
     if (it == cur_delta->end()) return OkStatus();
     source = &it->second;
   } else {
-    source = lit.rel;
+    source = ctx.state->rels[actual];
   }
   if (source == nullptr) return OkStatus();
 
@@ -1231,8 +1225,8 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
   // so `source` is stable for the whole recursion.
   auto try_row = [&](const Tuple& row) -> Status {
     // A single fixpoint iteration can run for minutes on a bad join order;
-    // poll the deadline/cancel flag every ~16k candidate rows so such
-    // iterations stay cancellable.
+    // poll the deadline every ~16k candidate rows so such iterations stay
+    // cancellable.
     if (checkpoints_armed && (++ctx.checkpoint_tick & 0x3FFF) == 0) {
       KGM_RETURN_IF_ERROR(Checkpoint());
     }
@@ -1298,15 +1292,16 @@ Status Engine::Impl::Join(EvalContext& ctx, CompiledRule& cr,
   return OkStatus();
 }
 
-Status Engine::Impl::FinishBinding(EvalContext& ctx, CompiledRule& cr) {
-  ++ctx.firings;
+Status Engine::RunState::FinishBinding(EvalContext& ctx, const CompiledRule& cr) {
   // Negated literals: named arguments are bound (safety-validated);
   // anonymous positions act as wildcards, so the check is a masked
-  // existence test against lit.rel, whose index for the static mask was
-  // built before the join started.
-  for (const CompiledLiteral& lit : cr.negatives) {
+  // existence test against the literal's relation, whose index for the
+  // plan's mask was built before the join started.
+  const size_t np = cr.positives.size();
+  for (size_t j = 0; j < cr.negatives.size(); ++j) {
+    const CompiledLiteral& lit = cr.negatives[j];
     size_t n = lit.args.size();
-    const uint64_t mask = lit.static_mask;
+    const uint64_t mask = cr.plan.masks[np + j];
     Tuple probe(n);
     for (size_t i = 0; i < n; ++i) {
       const ArgSlot& a = lit.args[i];
@@ -1317,7 +1312,7 @@ Status Engine::Impl::FinishBinding(EvalContext& ctx, CompiledRule& cr) {
         probe[i] = ctx.slots[a.slot];
       }
     }
-    const Relation* rel = lit.rel;
+    const Relation* rel = ctx.state->rels[np + j];
     if (rel == nullptr) continue;  // empty relation: negation holds
     if (FullyBoundMask(mask, n)) {
       if (rel->Contains(probe)) return OkStatus();
@@ -1371,6 +1366,8 @@ Status Engine::Impl::FinishBinding(EvalContext& ctx, CompiledRule& cr) {
     }
   }
 
+  // The whole body holds: the rule fires.
+  ++ctx.firings;
   Status status = cr.aggregates.empty() ? EmitHeadWithPostConditions(ctx, cr)
                                         : ProcessAggregates(ctx, cr);
   cleanup();
@@ -1379,7 +1376,7 @@ Status Engine::Impl::FinishBinding(EvalContext& ctx, CompiledRule& cr) {
 
 // Dedups `contribution` against the group's seen-set and folds it into
 // accumulator `ai`.
-Status Engine::Impl::ApplyContribution(const CompiledAgg& agg,
+Status Engine::RunState::ApplyContribution(const CompiledAgg& agg,
                                        GroupState& state, size_t ai,
                                        const Tuple& contribution,
                                        bool* any_update) {
@@ -1415,7 +1412,7 @@ Status Engine::Impl::ApplyContribution(const CompiledAgg& agg,
   return OkStatus();
 }
 
-Status Engine::Impl::ProcessAggregates(EvalContext& ctx, CompiledRule& cr) {
+Status Engine::RunState::ProcessAggregates(EvalContext& ctx, const CompiledRule& cr) {
   // Record the contribution; the driver folds it into the group state at
   // the barrier (FoldItemContributions).
   PendingContribution pc;
@@ -1441,8 +1438,8 @@ Status Engine::Impl::ProcessAggregates(EvalContext& ctx, CompiledRule& cr) {
   // Skip contributions the (frozen) group state has already folded in a
   // previous iteration; the fold dedups same-barrier duplicates.  A
   // stratified rule's groups are empty while it joins.
-  auto git = cr.groups.find(pc.group_key);
-  if (git != cr.groups.end()) {
+  auto git = ctx.state->groups.find(pc.group_key);
+  if (git != ctx.state->groups.end()) {
     bool all_seen = true;
     for (size_t ai = 0; ai < cr.aggregates.size(); ++ai) {
       if (git->second.seen[ai].count(pc.per_agg[ai]) == 0) {
@@ -1455,7 +1452,7 @@ Status Engine::Impl::ProcessAggregates(EvalContext& ctx, CompiledRule& cr) {
   return OkStatus();
 }
 
-Status Engine::Impl::EmitWithAggregates(EvalContext& ctx, CompiledRule& cr,
+Status Engine::RunState::EmitWithAggregates(EvalContext& ctx, const CompiledRule& cr,
                                         const Tuple& group_key,
                                         const GroupState& state) {
   // Rebind the binding from the group key: the fold's scratch slots hold
@@ -1505,8 +1502,8 @@ Status Engine::Impl::EmitWithAggregates(EvalContext& ctx, CompiledRule& cr,
   return status;
 }
 
-Status Engine::Impl::EmitHeadWithPostConditions(EvalContext& ctx,
-                                                CompiledRule& cr) {
+Status Engine::RunState::EmitHeadWithPostConditions(EvalContext& ctx,
+                                                const CompiledRule& cr) {
   for (const ExprPtr& c : cr.post_conditions) {
     KGM_ASSIGN_OR_RETURN(Value v, Eval(ctx, c));
     if (!v.is_bool()) {
@@ -1521,7 +1518,7 @@ Status Engine::Impl::EmitHeadWithPostConditions(EvalContext& ctx,
 // over its frontier arguments, and records the head atoms.  Skolem terms
 // are content-addressed, so a firing yields the same term whichever work
 // item, thread or call makes it.
-Status Engine::Impl::MintAndEmitHead(EvalContext& ctx, CompiledRule& cr) {
+Status Engine::RunState::MintAndEmitHead(EvalContext& ctx, const CompiledRule& cr) {
   std::vector<int> bound_here;
   auto cleanup = [&]() {
     for (int s : bound_here) ctx.bound[s] = 0;
@@ -1579,31 +1576,31 @@ Engine::Engine(Program program, EngineOptions options)
                                           strat_.rule_recursive[i]);
     if (!init_status_.ok()) return;
   }
-  auto impl = std::make_unique<Impl>(this);
-  init_status_ = impl->CompileAll();
+  auto impl = std::make_unique<Impl>();
+  init_status_ = impl->Compile(program_, strat_);
   if (!init_status_.ok()) return;
-  impl->ResetStats();
+  ResetStats(&stats_, program_.rules.size());
   impl_ = std::move(impl);
 }
 
 Engine::~Engine() = default;
 
-Status Engine::Run(FactDb* db) {
+Status Engine::Run(FactDb* db, const EngineOptions& options,
+                   EngineStats* stats) const {
   KGM_RETURN_IF_ERROR(init_status_);
-  Status status = impl_->Run(db);
-  // No helper threads, deadline polls or database outlive the run.
-  impl_->pool.reset();
-  impl_->checkpoints_armed = false;
-  impl_->db = nullptr;
-  return status;
+  EngineStats local;
+  RunState run(*impl_, db, options, stats != nullptr ? stats : &local);
+  return run.Run(program_.facts);
 }
+
+Status Engine::Run(FactDb* db) { return Run(db, options_, &stats_); }
 
 Status Engine::EvalRuleDelta(FactDb* db, size_t rule_index,
                              size_t literal_index,
                              std::map<std::string, Relation>& delta_rels,
                              const EmitFn& emit) {
   KGM_RETURN_IF_ERROR(init_status_);
-  KGM_ASSIGN_OR_RETURN(CompiledRule* cr, impl_->CallRule(rule_index));
+  KGM_ASSIGN_OR_RETURN(const CompiledRule* cr, impl_->CallRule(rule_index));
   KGM_CHECK(literal_index < cr->positives.size());
   auto it = delta_rels.find(cr->positives[literal_index].pred);
   if (it == delta_rels.end()) return OkStatus();
@@ -1612,21 +1609,22 @@ Status Engine::EvalRuleDelta(FactDb* db, size_t rule_index,
   // indexes on the variables it binds, so with a small delta the cost
   // follows the delta's join partners, not the database.
   const JoinPlan& plan = impl_->DeltaPlan(*cr, literal_index);
+  RunState run(*impl_, db, options_, &stats_);
+  RuleState rule_state;
   EvalContext ctx;
   ctx.slots.assign(cr->slot_names.size(), Value());
   ctx.bound.assign(cr->slot_names.size(), 0);
-  impl_->PrepareCall(db, *cr, plan, delta_literal, &it->second, &ctx);
-  impl_->cur_delta = &delta_rels;
-  Status status = impl_->Join(ctx, *cr, 0, delta_literal);
-  impl_->cur_delta = nullptr;
-  return impl_->FinishCall(ctx, std::move(status), emit);
+  run.PrepareCall(*cr, plan, delta_literal, &it->second, &rule_state, &ctx);
+  run.cur_delta = &delta_rels;
+  Status status = run.Join(ctx, *cr, 0, delta_literal);
+  return run.FinishCall(ctx, std::move(status), emit);
 }
 
 Status Engine::EvalRuleSeeded(FactDb* db, size_t rule_index,
                               size_t head_index, const Tuple& target,
                               const EmitFn& emit) {
   KGM_RETURN_IF_ERROR(init_status_);
-  KGM_ASSIGN_OR_RETURN(CompiledRule* cr, impl_->CallRule(rule_index));
+  KGM_ASSIGN_OR_RETURN(const CompiledRule* cr, impl_->CallRule(rule_index));
   KGM_CHECK(head_index < cr->head.size());
   const CompiledLiteral& head = cr->head[head_index];
   KGM_CHECK(target.size() == head.args.size());
@@ -1654,10 +1652,12 @@ Status Engine::EvalRuleSeeded(FactDb* db, size_t rule_index,
   // The pre-bound head variables restrict every literal they appear in,
   // and the bound-first order starts from the literals they bind — this is
   // a targeted derivability probe, not a full rule evaluation.
-  impl_->PrepareCall(db, *cr, sp.plan, /*delta_literal=*/-1, nullptr,
-                     &ctx);
-  Status status = impl_->Join(ctx, *cr, 0, /*delta_literal=*/-1);
-  return impl_->FinishCall(ctx, std::move(status), emit);
+  RunState run(*impl_, db, options_, &stats_);
+  RuleState rule_state;
+  run.PrepareCall(*cr, sp.plan, /*delta_literal=*/-1, nullptr, &rule_state,
+                  &ctx);
+  Status status = run.Join(ctx, *cr, 0, /*delta_literal=*/-1);
+  return run.FinishCall(ctx, std::move(status), emit);
 }
 
 Status RunProgram(std::string_view source, FactDb* db,

@@ -15,13 +15,18 @@
 //
 // Usage:
 //   KGM_ASSIGN_OR_RETURN(Program p, ParseProgram(src));
-//   Engine engine(std::move(p));
+//   Engine engine(std::move(p));            // validate and compile once
 //   KGM_RETURN_IF_ERROR(engine.Run(&db));   // db: EDB in, EDB+IDB out
+//
+// Compilation and evaluation are split: the Engine holds the immutable
+// compiled program, and each Run keeps its per-run state on its own stack.
+// Run(db, options, stats) is const, so one engine serves many runs at
+// once, each with its own database, options and stats.  The forwarding
+// Run(db), stats() and the DRed rule-at-a-time calls are not const.
 
 #ifndef KGM_VADALOG_ENGINE_H_
 #define KGM_VADALOG_ENGINE_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -37,11 +42,12 @@
 
 namespace kgm::vadalog {
 
+// What one run uses: the fact budget, the thread count and the deadline.
+// A run takes its options as an argument (Engine::Run), so one compiled
+// engine serves runs with different options.
 struct EngineOptions {
   // Hard ceiling on the total number of facts in the database.
   size_t max_facts = 50'000'000;
-  // Hard ceiling on fixpoint iterations per stratum.
-  size_t max_iterations = 10'000'000;
   // Threads that evaluate rules, the calling (driver) thread included:
   // the engine's pool holds num_threads - 1 helpers, and the driver runs
   // work items beside them at every barrier.  0 = hardware_concurrency;
@@ -64,16 +70,14 @@ struct EngineOptions {
   // callers that need isolation evaluate against a FactDb that shares its
   // inputs copy-on-write (the serving layer's Snapshot::CloneFacts).
   std::chrono::steady_clock::time_point deadline{};
-  // Cooperative cancellation: polled at the same checkpoints as
-  // `deadline`; setting the flag makes Run return DeadlineExceeded.  The
-  // flag is read with relaxed ordering, so it may take one checkpoint for
-  // a store from another thread to be observed.
-  std::shared_ptr<const std::atomic<bool>> cancel;
 };
 
 struct EngineStats {
   size_t facts_derived = 0;    // new facts added by rules
-  size_t rule_firings = 0;     // satisfied body matches
+  // Bindings under which the whole body holds (positive matches that pass
+  // the negated literals, assignments and conditions): each emits the
+  // head or contributes to an aggregate.
+  size_t rule_firings = 0;
   size_t iterations = 0;       // fixpoint rounds across all strata
   int strata = 0;
   size_t join_probes = 0;      // candidate rows examined by joins
@@ -99,7 +103,9 @@ struct EngineStats {
 class Engine {
  public:
   // Validates, stratifies and compiles `program`; check status() before
-  // Run.  The compiled program serves every later call.
+  // Run.  The compiled program — checks, strata, rule plans — is immutable
+  // and serves every later run.  `options` are the ones the forwarding
+  // Run(FactDb*) and the rule-at-a-time calls use.
   explicit Engine(Program program, EngineOptions options = {});
   ~Engine();
 
@@ -113,14 +119,20 @@ class Engine {
   const Program& program() const { return program_; }
   const Stratification& stratification() const { return strat_; }
 
-  // Evaluates the program to fixpoint against `db`.  Facts declared in the
-  // program text are inserted first.  Derived facts are added in place.
-  // Run resets stats() and the aggregate groups, so one engine may run
-  // again, on the same or another database.  Not safe to call
-  // concurrently: a run mutates the engine's per-run state.
+  // Evaluates the program to fixpoint against `db` with `options`, and
+  // writes the run's counters to `stats` (may be null).  Facts declared in
+  // the program text are inserted first.  Derived facts are added in
+  // place.  Every per-run structure — pool, deltas, aggregate groups, the
+  // relations the joins read — lives on this call's stack, so Run is safe
+  // to call concurrently on one engine, each call on its own database.
+  Status Run(FactDb* db, const EngineOptions& options,
+             EngineStats* stats) const;
+
+  // Run(db, options, &stats()) with the constructor's options.  Not safe
+  // to call concurrently: it overwrites stats().
   Status Run(FactDb* db);
 
-  // The last Run, plus the rule-at-a-time calls made since it.
+  // The last Run(FactDb*), plus the rule-at-a-time calls made since it.
   const EngineStats& stats() const { return stats_; }
 
   // --- Rule-at-a-time evaluation, for DRed (vadalog/incremental.h) ---
@@ -134,7 +146,8 @@ class Engine {
   // bound-first like Run (DESIGN.md §3.11), by a plan made once per (rule,
   // delta literal) or (rule, head atom) for what it pre-binds, so its
   // emissions come in that plan's order, not in Run's.  Each call adds its
-  // probes and firings to stats().
+  // probes and firings to stats().  The calls are not const: they keep
+  // those plans and stats(), so one engine serves one maintainer.
   //
   // `db` must not change during a call: like a barrier work item, a call
   // builds the indexes its plan probes before the join and calls `emit`
@@ -167,14 +180,16 @@ class Engine {
                         const Tuple& target, const EmitFn& emit);
 
  private:
+  // The compiled program, and the state of one run or one call.
   struct Impl;
+  struct RunState;
 
   Program program_;
   EngineOptions options_;
   Status init_status_;
   Stratification strat_;
   EngineStats stats_;
-  // The compiled program; null when status() is not ok.
+  // Null when status() is not ok.
   std::unique_ptr<Impl> impl_;
 };
 

@@ -93,10 +93,6 @@ void AppendKeyValue(const Value& v, std::string* out) {
       out->push_back(':');
       *out += v.AsString();
       return;
-    case ValueKind::kLabeledNull:
-      out->push_back('l');
-      *out += std::to_string(v.AsLabeledNull().id);
-      return;
     case ValueKind::kSkolem: {
       const SkolemTable& table = SkolemTable::Global();
       const std::string& functor = table.FunctorOf(v.AsSkolem());
@@ -146,6 +142,14 @@ std::string QueryBinding::CacheKey() const {
   }
   s.push_back(')');
   return s;
+}
+
+std::vector<Value> QueryBinding::BoundValues() const {
+  std::vector<Value> values;
+  for (const auto& a : args) {
+    if (a.has_value()) values.push_back(*a);
+  }
+  return values;
 }
 
 bool QueryBinding::Matches(const std::vector<Value>& t) const {
@@ -317,7 +321,6 @@ namespace {
 // the same adornment propagation without materializing rules).
 struct RewriteState {
   const Program* program = nullptr;
-  RewriteOptions options;
   // Head predicate -> indices of rules defining it.
   std::map<std::string, std::vector<size_t>> defs;
   std::set<std::string> edb;
@@ -349,7 +352,7 @@ struct RewriteState {
   void Enqueue(const std::string& pred, uint64_t mask, size_t arity) {
     auto key = std::make_pair(pred, mask);
     if (adorned.count(key) > 0) return;
-    if (adorned.size() >= options.max_adorned_predicates) {
+    if (adorned.size() >= kMaxAdornedPredicates) {
       exploded = true;
       return;
     }
@@ -683,21 +686,12 @@ FallbackReason CheckCone(const RewriteState& st,
   return FallbackReason::kNone;
 }
 
-// The seed fact's values: the bound constants in position order.
-std::vector<Value> SeedValues(const QueryBinding& query) {
-  std::vector<Value> values;
-  for (const auto& a : query.args) {
-    if (a.has_value()) values.push_back(*a);
-  }
-  return values;
-}
 
 }  // namespace
 
 MagicRewrite RewriteForQuery(const Program& program,
                              const QueryBinding& query,
-                             const std::set<std::string>& edb_preds,
-                             const RewriteOptions& options) {
+                             const std::set<std::string>& edb_preds) {
   MagicRewrite out;
   if (query.BoundCount() == 0) {
     out.fallback = FallbackReason::kNoBoundArgument;
@@ -707,7 +701,6 @@ MagicRewrite RewriteForQuery(const Program& program,
 
   RewriteState st;
   st.program = &program;
-  st.options = options;
   st.edb = edb_preds;
   for (const std::string& p : program.inputs) st.edb.insert(p);
   for (const FactDecl& f : program.facts) st.edb.insert(f.predicate);
@@ -732,38 +725,35 @@ MagicRewrite RewriteForQuery(const Program& program,
     if (st.exploded) {
       out.fallback = FallbackReason::kAdornmentExplosion;
       out.detail = "more than " +
-                   std::to_string(options.max_adorned_predicates) +
+                   std::to_string(kMaxAdornedPredicates) +
                    " adorned predicates";
       return out;
     }
   }
   st.ProcessFullRequired();
 
-  out.program.rules.reserve(st.magic_rules.size() + st.copy_rules.size() +
-                            st.guarded_rules.size());
-  for (Rule& r : st.magic_rules) out.program.rules.push_back(std::move(r));
-  for (Rule& r : st.copy_rules) out.program.rules.push_back(std::move(r));
-  for (Rule& r : st.guarded_rules) out.program.rules.push_back(std::move(r));
-  out.program.facts = program.facts;
-  FactDecl seed;
-  seed.predicate = MagicName(query.predicate, query.Adornment());
-  seed.values = SeedValues(query);
-  out.program.facts.push_back(std::move(seed));
-  out.program.inputs = program.inputs;
+  Program rewritten;
+  rewritten.rules.reserve(st.magic_rules.size() + st.copy_rules.size() +
+                          st.guarded_rules.size());
+  for (Rule& r : st.magic_rules) rewritten.rules.push_back(std::move(r));
+  for (Rule& r : st.copy_rules) rewritten.rules.push_back(std::move(r));
+  for (Rule& r : st.guarded_rules) rewritten.rules.push_back(std::move(r));
+  rewritten.facts = program.facts;
+  rewritten.inputs = program.inputs;
   out.query_pred = AdornedName(query.predicate, query.Adornment());
-  out.program.outputs = {out.query_pred};
+  out.seed_pred = MagicName(query.predicate, query.Adornment());
+  rewritten.outputs = {out.query_pred};
   out.adorned = std::move(st.adorned_order);
   out.full_required.assign(st.full_required.begin(), st.full_required.end());
   out.magic_rules = st.magic_rules.size();
   out.guarded_rules = st.guarded_rules.size();
   out.copy_rules = st.copy_rules.size();
-  return out;
-}
-
-MagicRewrite RebindRewrite(const MagicRewrite& rewrite,
-                           const QueryBinding& query) {
-  MagicRewrite out = rewrite;
-  if (out.ok()) out.program.facts.back().values = SeedValues(query);
+  out.engine = std::make_shared<const Engine>(std::move(rewritten));
+  if (!out.engine->status().ok()) {
+    out.fallback = FallbackReason::kRewriteRejected;
+    out.detail = out.engine->status().message();
+    out.engine.reset();
+  }
   return out;
 }
 

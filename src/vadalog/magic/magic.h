@@ -18,7 +18,11 @@
 // Bottom-up (semi-naive) evaluation of the rewritten program then
 // touches only the query-relevant slice of the database, with the
 // existing engine — parallelism, deadline polls and all —
-// unchanged.  Answers equal the full materialization filtered by the
+// unchanged.  The rewrite does not depend on the bound constants: they
+// reach the rewritten program only as the row of its seed fact, which is
+// a run input (EvalPointQuery inserts it into the database), so one
+// compiled rewrite serves every binding with its predicate and
+// adornment.  Answers equal the full materialization filtered by the
 // binding (the classic magic-sets theorem; the differential tests in
 // tests/finkg/pointquery_differential_test.cc assert set-identity).
 //
@@ -28,8 +32,9 @@
 // FallbackReason instead of a program, after which the point-query
 // dispatcher (point_query.h) answers by full materialization — for
 // aggregates (monotonic aggregation is not magic-preserving), when the
-// query has no bound argument, or when the adornment worklist explodes
-// past RewriteOptions::max_adorned_predicates.  Negated or all-free
+// query has no bound argument, when the adornment worklist explodes
+// past kMaxAdornedPredicates, or when the rewritten program fails the
+// engine's checks.  Negated or all-free
 // intensional subgoals are handled by marking their cones
 // "full-required": those predicates keep their original rules unguarded
 // (complete evaluation), which preserves stratification because magic
@@ -46,6 +51,7 @@
 #ifndef KGM_VADALOG_MAGIC_MAGIC_H_
 #define KGM_VADALOG_MAGIC_MAGIC_H_
 
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -54,8 +60,14 @@
 #include "base/status.h"
 #include "base/value.h"
 #include "vadalog/ast.h"
+#include "vadalog/engine.h"
 
 namespace kgm::vadalog::magic {
+
+// Cap on the distinct (predicate, adornment) pairs of one rewrite: past
+// it the rewrite gives up (kAdornmentExplosion), which bounds the work an
+// untrusted program can cause.
+inline constexpr size_t kMaxAdornedPredicates = 128;
 
 // A point query: an output predicate with a constant pinned at each
 // bound position.  `args` has one entry per argument position; engaged
@@ -81,6 +93,9 @@ struct QueryBinding {
   std::string CacheKey() const;
   // True when `t` (of matching arity) agrees with every bound position.
   bool Matches(const std::vector<Value>& t) const;
+  // The bound constants in position order: the row of the magic seed
+  // fact.
+  std::vector<Value> BoundValues() const;
 };
 
 // Parses a comma-separated binding list: `_` marks a free position,
@@ -96,16 +111,11 @@ enum class FallbackReason {
   kNone = 0,
   kNoBoundArgument,         // every query position is free
   kAggregates,              // an aggregate rule is in the query's cone
-  kAdornmentExplosion,      // > max_adorned_predicates distinct adornments
+  kAdornmentExplosion,      // > kMaxAdornedPredicates distinct adornments
   kRewriteRejected,         // rewritten program failed engine validation
 };
 
 const char* FallbackReasonName(FallbackReason r);
-
-struct RewriteOptions {
-  // Cap on distinct (predicate, adornment) pairs before giving up.
-  size_t max_adorned_predicates = 128;
-};
 
 // One adorned predicate, for explain output.
 struct AdornedPredicate {
@@ -115,13 +125,19 @@ struct AdornedPredicate {
 };
 
 struct MagicRewrite {
-  // kNone: `program` is valid.  Anything else: fallback; `program` is
-  // untouched and `detail` says what triggered it.
+  // kNone: `engine` is set.  Anything else: fallback; `engine` is null and
+  // `detail` says what triggered it.
   FallbackReason fallback = FallbackReason::kNone;
   std::string detail;
 
-  Program program;            // the rewritten program
+  // The rewritten program, compiled once (its text is engine->program()).
+  // Its facts are the original program's: the seed is not among them.
+  // Engine::Run is const, so concurrent reads share one engine.
+  std::shared_ptr<const Engine> engine;
   std::string query_pred;     // adorned name of the query predicate
+  // Magic predicate of the query's adornment: a run seeds it with one
+  // row, the binding's BoundValues().
+  std::string seed_pred;
   std::vector<AdornedPredicate> adorned;  // worklist-order summary
   // Predicates whose cones are evaluated unguarded (negated or
   // all-free intensional occurrences).
@@ -139,22 +155,14 @@ struct MagicRewrite {
 // and an extensional base gets a guarded copy rule).  Never fails hard:
 // out-of-fragment programs come back with `fallback` set.
 //
-// The output depends on the bound constants only through the seed fact —
-// the magic predicate's fact holding them, appended last to
-// `program.facts`.  Every binding with the same predicate and adornment
-// gets the same rules, `query_pred`, `adorned` and `full_required`, so a
-// rewrite can be computed once and rebound (RebindRewrite).
+// The output does not depend on the bound constants: every binding with
+// the same predicate and adornment gets the same compiled program,
+// `query_pred`, `seed_pred`, `adorned` and `full_required`, so one rewrite
+// serves them all.  The rewritten program is compiled here, once; a
+// program the engine rejects comes back as kRewriteRejected.
 MagicRewrite RewriteForQuery(const Program& program,
                              const QueryBinding& query,
-                             const std::set<std::string>& edb_preds,
-                             const RewriteOptions& options = {});
-
-// The rewrite RewriteForQuery would return for `query`, made from
-// `rewrite`, which was computed for a binding with the same predicate and
-// adornment over the same program and EDB set: a copy whose seed fact
-// carries `query`'s constants.  A fallback is returned unchanged.
-MagicRewrite RebindRewrite(const MagicRewrite& rewrite,
-                           const QueryBinding& query);
+                             const std::set<std::string>& edb_preds);
 
 // Rewrites the existential specs of `rule` (the rule at `rule_index` of
 // its program) so that auto-Skolemized existentials carry the explicit

@@ -46,11 +46,8 @@ Result<std::vector<Tuple>> RunMaterialize(const Program& program,
                                           const PointQueryOptions& options,
                                           PointQueryStats* stats) {
   stats->mode = PointQueryMode::kMaterialize;
-  Engine engine(program, options.engine);
-  KGM_RETURN_IF_ERROR(engine.status());
-  Status run = engine.Run(db);
-  stats->engine = engine.stats();
-  KGM_RETURN_IF_ERROR(run);
+  Engine engine(program);
+  KGM_RETURN_IF_ERROR(engine.Run(db, options.engine, &stats->engine));
   // The scan over the full output relation is part of this route's cost.
   return FilterRelation(db->Get(query.predicate), query,
                         &stats->engine.join_probes);
@@ -172,32 +169,39 @@ Result<std::vector<Tuple>> EvalPointQuery(const Program& program,
   }
   std::set<std::string> edb;
   for (const std::string& p : db->Predicates()) edb.insert(p);
-  MagicRewrite rw =
+  const std::shared_ptr<const MagicRewrite> rw =
       options.rewrite_lookup
-          ? RebindRewrite(*options.rewrite_lookup(query, edb), query)
-          : RewriteForQuery(program, query, edb, options.rewrite);
-  stats->fallback = rw.fallback;
-  stats->fallback_detail = rw.detail;
-  if (rw.ok()) {
-    stats->adorned = rw.adorned;
-    stats->full_required = rw.full_required;
-    Engine engine(std::move(rw.program), options.engine);
-    if (engine.status().ok()) {
-      stats->mode = PointQueryMode::kMagic;
-      Status run = engine.Run(db);
-      stats->engine = engine.stats();
-      stats->magic_rewrites = options.rewrite_lookup ? 0 : 1;
-      stats->magic_rules = rw.magic_rules + rw.guarded_rules + rw.copy_rules;
-      KGM_RETURN_IF_ERROR(run);
-      // Belt and braces: the adorned output already respects the
-      // binding, but filtering is one cheap pass over a small relation.
-      return finish(FilterRelation(db->Get(rw.query_pred), query,
-                                   &stats->engine.join_probes));
-    }
-    stats->fallback = FallbackReason::kRewriteRejected;
-    stats->fallback_detail = engine.status().message();
+          ? options.rewrite_lookup(query, edb)
+          : std::make_shared<const MagicRewrite>(
+                RewriteForQuery(program, query, edb));
+  stats->fallback = rw->fallback;
+  stats->fallback_detail = rw->detail;
+  stats->adorned = rw->adorned;
+  stats->full_required = rw->full_required;
+  if (!rw->ok()) {
+    return finish(RunMaterialize(program, query, db, options, stats));
   }
-  return finish(RunMaterialize(program, query, db, options, stats));
+  stats->mode = PointQueryMode::kMagic;
+  stats->magic_rewrites = options.rewrite_lookup ? 0 : 1;
+  stats->magic_rules = rw->magic_rules + rw->guarded_rules + rw->copy_rules;
+  // The seed is this read's one input to the shared rewrite.  A relation
+  // of its name with another arity is refused here, before GetOrCreate
+  // would abort on it.
+  std::vector<Value> seed = query.BoundValues();
+  if (const Relation* existing = db->Get(rw->seed_pred);
+      existing != nullptr && existing->arity() != seed.size()) {
+    return FailedPrecondition("database relation " + rw->seed_pred +
+                              " has arity " +
+                              std::to_string(existing->arity()) +
+                              " but the magic seed has " +
+                              std::to_string(seed.size()));
+  }
+  db->GetOrCreate(rw->seed_pred, seed.size()).Insert(std::move(seed));
+  KGM_RETURN_IF_ERROR(rw->engine->Run(db, options.engine, &stats->engine));
+  // Belt and braces: the adorned output already respects the binding, but
+  // filtering is one cheap pass over a small relation.
+  return finish(FilterRelation(db->Get(rw->query_pred), query,
+                               &stats->engine.join_probes));
 }
 
 }  // namespace kgm::vadalog::magic

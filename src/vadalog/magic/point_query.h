@@ -4,7 +4,8 @@
 //   kEdbLookup    the query predicate has no defining rules — answer with
 //                 one (indexed) relation probe, no reasoning at all;
 //   kMagic        magic-sets rewrite (magic.h) + the ordinary bottom-up
-//                 engine over the rewritten program;
+//                 engine over the rewritten program, seeded with the
+//                 binding's constants;
 //   kMaterialize  full bottom-up evaluation, then filter the output
 //                 relation by the binding — the always-correct fallback
 //                 whenever the rewrite gives up (see FallbackReason), and
@@ -19,11 +20,12 @@
 // Skolem terms, which the rewrite pins to the original program's functors
 // (see magic::PinSkolemSpecs).
 //
-// Reusing rewrites.  A magic rewrite depends on the binding only through
-// its seed fact, so a caller answering many bindings of one program can
-// compute it once per (predicate, adornment) and supply it through
-// PointQueryOptions::rewrite_lookup; the magic route then copies it and
-// rebinds the seed (magic::RebindRewrite) instead of rewriting.  The
+// Reusing rewrites.  A magic rewrite does not depend on the binding's
+// constants: the magic route inserts the seed row (QueryBinding::
+// BoundValues into MagicRewrite::seed_pred) into the caller's database and
+// runs the rewrite's compiled engine as it is.  So a caller answering many
+// bindings of one program can compute the rewrite once per (predicate,
+// adornment) and supply it through PointQueryOptions::rewrite_lookup.  The
 // serving layer's lookup keeps such rewrites in an LRU keyed on its
 // prepared program entry.
 
@@ -53,17 +55,16 @@ enum class PointQueryMode {
 const char* PointQueryModeName(PointQueryMode m);
 
 struct PointQueryOptions {
-  // Engine options for whichever evaluation runs (deadline, cancel,
-  // threads, chase mode all honored).
+  // Engine options for whichever evaluation runs (fact budget, threads
+  // and deadline all honored).
   EngineOptions engine;
-  RewriteOptions rewrite;
   // Diagnostics/benchmarks: skip straight to the materialize baseline.
   bool force_materialize = false;
   // Called only once the magic route is chosen, with `edb` = `db`'s
   // predicates.  Must return a RewriteForQuery result for the same
   // program, `edb` and a binding with `query`'s predicate and adornment —
-  // e.g. one cached from an earlier read.  The magic route rebinds it to
-  // `query` instead of rewriting, and PointQueryStats::magic_rewrites
+  // e.g. one cached from an earlier read.  The magic route runs it seeded
+  // with `query` instead of rewriting, and PointQueryStats::magic_rewrites
   // stays 0: the lookup counts the rewrites it computes.
   std::function<std::shared_ptr<const MagicRewrite>(
       const QueryBinding& query, const std::set<std::string>& edb)>
@@ -79,7 +80,7 @@ struct PointQueryStats {
   std::vector<AdornedPredicate> adorned;
   std::vector<std::string> full_required;
   // Set when kMagic ran: the magic-sets rewrites computed (0 or 1; 0 when
-  // a rewrite from PointQueryOptions::rewrite_lookup was rebound), and the
+  // the rewrite came from PointQueryOptions::rewrite_lookup), and the
   // magic, guarded and copy rules of the rewrite.
   size_t magic_rewrites = 0;
   size_t magic_rules = 0;
@@ -91,8 +92,9 @@ struct PointQueryStats {
 };
 
 // Evaluates `query` over `program` against `db` (mutated: derived facts,
-// memo tables and program facts land in it — pass a database that shares
-// the inputs copy-on-write, e.g. Snapshot::CloneFacts, for isolation).
+// the magic seed and program facts land in it — pass a database that
+// shares the inputs copy-on-write, e.g. Snapshot::CloneFacts, for
+// isolation).
 // Answer tuples agree with every bound position of the binding; their
 // order is deterministic for a given (program, db, options) but differs
 // between modes.

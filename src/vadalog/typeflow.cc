@@ -74,7 +74,6 @@ AbstractValue AbstractValue::OfValue(const Value& v) {
       a.kinds = kKindRecord;
       break;
     case ValueKind::kNull:
-    case ValueKind::kLabeledNull:
     case ValueKind::kSkolem:
       a.kinds = kKindNull;
       break;

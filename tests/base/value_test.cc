@@ -61,7 +61,6 @@ TEST(ValueTest, ToStringRendering) {
   EXPECT_EQ(Value(true).ToString(), "true");
   EXPECT_EQ(Value(int64_t{-3}).ToString(), "-3");
   EXPECT_EQ(Value("x").ToString(), "\"x\"");
-  EXPECT_EQ(Value(LabeledNull{7}).ToString(), "_:n7");
 }
 
 TEST(SkolemTableTest, InterningIsDeterministicAndInjective) {

@@ -5,15 +5,12 @@
 // oracle's output filtered by the binding.  Bindings cover bound-first,
 // all-bound boolean (both a hit and a miss), and a constant absent from
 // the data (empty answer), at 1 and 4 engine threads.  Deadline expiry
-// and cooperative cancellation must surface as DeadlineExceeded from the
-// point-query entry too.
+// must surface as DeadlineExceeded from the point-query entry too.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -264,23 +261,6 @@ TEST(PointQueryDeadlineTest, ExpiredDeadlineSurfaces) {
   // deadline-expired engine must fail before it could matter.
   q.args.assign(3, std::nullopt);
   q.args[1] = Value("c1");
-  vadalog::FactDb scratch = edb.Clone();
-  magic::PointQueryStats stats;
-  auto r = magic::EvalPointQuery(put.program, q, &scratch, options, &stats);
-  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
-      << r.status().ToString();
-}
-
-TEST(PointQueryDeadlineTest, CancelFlagSurfaces) {
-  ProgramUnderTest put =
-      CompileVadalog("reach.vlog",
-                     ReadFileOrDie(std::string(KGM_EXAMPLES_DIR) +
-                                   "/reach.vlog"));
-  vadalog::FactDb edb = MakeEdb(put.catalog);
-  magic::PointQueryOptions options;
-  auto flag = std::make_shared<std::atomic<bool>>(true);
-  options.engine.cancel = flag;
-  magic::QueryBinding q{"reach", {Value("c1"), std::nullopt}};
   vadalog::FactDb scratch = edb.Clone();
   magic::PointQueryStats stats;
   auto r = magic::EvalPointQuery(put.program, q, &scratch, options, &stats);

@@ -1,10 +1,7 @@
-// Per-run deadline and cooperative cancellation (EngineOptions::deadline /
-// EngineOptions::cancel), the serving layer's defense against runaway
-// recursive queries.
+// Per-run deadline (EngineOptions::deadline), the serving layer's defense
+// against runaway recursive queries.
 
-#include <atomic>
 #include <chrono>
-#include <memory>
 #include <sstream>
 #include <string>
 
@@ -68,20 +65,6 @@ TEST(EngineDeadlineTest, ShortDeadlineStopsParallelRun) {
   EngineOptions options;
   options.num_threads = 4;
   options.deadline = Clock::now() + std::chrono::milliseconds(1);
-  Engine engine(std::move(*program), options);
-  ASSERT_TRUE(engine.status().ok());
-  FactDb db;
-  Status s = engine.Run(&db);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded) << s.ToString();
-}
-
-TEST(EngineDeadlineTest, CancelFlagStopsRun) {
-  auto program = ParseProgram(CycleClosure(10));
-  ASSERT_TRUE(program.ok()) << program.status().ToString();
-  EngineOptions options;
-  auto cancel = std::make_shared<std::atomic<bool>>(true);
-  options.cancel = cancel;
   Engine engine(std::move(*program), options);
   ASSERT_TRUE(engine.status().ok());
   FactDb db;

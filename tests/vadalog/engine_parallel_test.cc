@@ -10,12 +10,18 @@
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/rng.h"
 #include "finkg/company_kg.h"
 #include "finkg/generator.h"
+#include "instance/loader.h"
 #include "instance/pipeline.h"
+#include "instance/views.h"
+#include "metalog/catalog.h"
+#include "metalog/parser.h"
+#include "metalog/prepared.h"
 #include "translate/csv_io.h"
 #include "vadalog/engine.h"
 #include "vadalog/parser.h"
@@ -633,6 +639,80 @@ TEST_F(IntensionalParallelTest, ControlProgramIsDeterministic) {
 TEST_F(IntensionalParallelTest, CloseLinksProgramIsDeterministic) {
   CheckProgram(finkg::kCloseLinksProgram, {"IO", "CLOSE_LINK"},
                {finkg::kOwnsProgram}, {4, 8});
+}
+
+// One compiled engine serves concurrent runs: four threads run it at once,
+// each on its own copy of the input, and every run derives the rows of a
+// sequential run, in the same order, with the same counters.  The engine
+// and its input are built as Materialize builds them: the generated views
+// around the component, compiled against the loaded dictionary.
+TEST_F(IntensionalParallelTest, OneEngineRunsConcurrently) {
+  constexpr size_t kRunners = 4;
+  core::SuperSchema schema = finkg::CompanyKgSchema();
+  pg::PropertyGraph data = MakeData();
+  // Close links reads the OWNS edges the owns component derives.
+  ASSERT_TRUE(instance::Materialize(schema, finkg::kOwnsProgram, &data, {})
+                  .ok());
+  for (const char* sigma :
+       {finkg::kControlProgram, finkg::kCloseLinksProgram}) {
+    auto parsed = metalog::ParseMetaProgram(sigma);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    auto loaded = instance::LoadInstance(schema, data);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    auto in = instance::GenerateInputViews(schema, *parsed, 234);
+    auto out = instance::GenerateOutputViews(schema, *parsed, 234);
+    ASSERT_TRUE(in.ok() && out.ok());
+    auto program =
+        metalog::ParseMetaProgram(*in + "\n" + sigma + "\n" + *out);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    metalog::GraphCatalog catalog =
+        metalog::GraphCatalog::FromGraph(loaded->dict);
+    catalog.Merge(instance::SchemaCatalog(schema));
+    auto compiled = metalog::CompileMeta(*std::move(program), catalog);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    const Engine& engine = *compiled->engine;
+    ASSERT_TRUE(engine.status().ok()) << engine.status().ToString();
+    const FactDb input = metalog::EncodeGraph(loaded->dict, compiled->catalog);
+
+    for (size_t threads : {1u, 2u}) {
+      EngineOptions options;
+      options.num_threads = threads;
+      FactDb want = input.Clone();
+      EngineStats want_stats;
+      ASSERT_TRUE(engine.Run(&want, options, &want_stats).ok());
+      ASSERT_GT(want_stats.facts_derived, 0u);
+
+      std::vector<FactDb> dbs;
+      for (size_t i = 0; i < kRunners; ++i) dbs.push_back(input.Clone());
+      std::vector<EngineStats> stats(kRunners);
+      std::vector<Status> status(kRunners);
+      std::vector<std::thread> runners;
+      for (size_t i = 0; i < kRunners; ++i) {
+        runners.emplace_back([&, i] {
+          status[i] = engine.Run(&dbs[i], options, &stats[i]);
+        });
+      }
+      for (std::thread& t : runners) t.join();
+      for (size_t i = 0; i < kRunners; ++i) {
+        ASSERT_TRUE(status[i].ok()) << status[i].ToString();
+        ExpectSameRows(want, dbs[i]);
+        const EngineStats& got = stats[i];
+        EXPECT_EQ(got.facts_derived, want_stats.facts_derived) << threads;
+        EXPECT_EQ(got.rule_firings, want_stats.rule_firings) << threads;
+        EXPECT_EQ(got.join_probes, want_stats.join_probes) << threads;
+        EXPECT_EQ(got.iterations, want_stats.iterations) << threads;
+        EXPECT_EQ(got.strata, want_stats.strata) << threads;
+        EXPECT_EQ(got.threads_used, want_stats.threads_used) << threads;
+        EXPECT_EQ(got.staged_inserts, want_stats.staged_inserts) << threads;
+        EXPECT_EQ(got.staged_duplicates, want_stats.staged_duplicates)
+            << threads;
+        EXPECT_EQ(got.rule_firings_by_rule, want_stats.rule_firings_by_rule)
+            << threads;
+        EXPECT_EQ(got.rule_probes_by_rule, want_stats.rule_probes_by_rule)
+            << threads;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -420,9 +420,32 @@ TEST(EngineTest, EngineStatsPopulated) {
   EXPECT_GE(engine.stats().strata, 1);
 }
 
-// One engine runs twice, on two fresh databases.  Run resets the stats
-// and the aggregate groups (the compiled rules outlive a run), so both runs
-// derive the same rows in the same order and report the same counters.
+// A firing is a binding under which the whole body holds: positive
+// matches that a negated literal or a condition blocks do not count.
+TEST(EngineTest, FiringsCountOnlyBindingsWhoseWholeBodyHolds) {
+  Engine engine(ParseProgram(R"(
+    @fact a(1).
+    @fact a(2).
+    @fact b(1).
+    @fact b(2).
+    a(x), not b(x) -> c(x).
+    a(x), x > 5 -> d(x).
+    a(x), x < 2 -> e(x).
+  )").value());
+  ASSERT_TRUE(engine.status().ok()) << engine.status().ToString();
+  FactDb db;
+  ASSERT_TRUE(engine.Run(&db).ok());
+  const EngineStats& stats = engine.stats();
+  EXPECT_EQ(stats.rule_firings_by_rule, (std::vector<size_t>{0, 0, 1}));
+  EXPECT_EQ(stats.rule_firings, 1u);
+  EXPECT_EQ(stats.facts_derived, 1u);
+  EXPECT_EQ(stats.rule_probes_by_rule, (std::vector<size_t>{2, 2, 2}));
+}
+
+// One engine runs twice, on two fresh databases.  Each run keeps its
+// aggregate groups on its own stack (the compiled rules outlive a run), so
+// both runs derive the same rows in the same order and report the same
+// counters.
 TEST(EngineTest, SecondRunReportsItsOwnStats) {
   Engine engine(ParseProgram(std::string(kControlProgram) + R"(
     own(z, y, w), n = count(<z>) -> owners(y, n).

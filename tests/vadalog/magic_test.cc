@@ -148,38 +148,33 @@ TEST(MagicRewriteTest, TransitiveClosureBoundSource) {
   EXPECT_EQ(rw.adorned[0].pred, "path");
   EXPECT_EQ(rw.adorned[0].adornment, "bf");
   EXPECT_EQ(rw.adorned[0].magic_pred, "m@path@bf");
-  // Seed fact for the query constant.
-  bool seeded = false;
-  for (const FactDecl& f : rw.program.facts) {
-    if (f.predicate == "m@path@bf") {
-      seeded = true;
-      ASSERT_EQ(f.values.size(), 1u);
-      EXPECT_EQ(f.values[0], Value(int64_t{0}));
-    }
-  }
-  EXPECT_TRUE(seeded);
-  // The rewritten program passes full engine validation.
-  Engine engine(rw.program);
-  EXPECT_TRUE(engine.status().ok()) << engine.status().message();
+  // The seed is a run input: the magic predicate is named, and the
+  // rewritten program carries no fact of it.
+  EXPECT_EQ(rw.seed_pred, "m@path@bf");
+  // The rewritten program passes full engine validation, at rewrite time.
+  ASSERT_NE(rw.engine, nullptr);
+  EXPECT_TRUE(rw.engine->status().ok()) << rw.engine->status().message();
+  EXPECT_TRUE(rw.engine->program().facts.empty());
 }
 
-// Bindings with one adornment share every part of the rewrite but the
-// seed's values, so a rewrite computed for one binding can be rebound to
-// another.
-TEST(MagicRewriteTest, SameAdornmentDiffersOnlyInSeed) {
+// Bindings with one adornment share the whole rewrite, so one compiled
+// rewrite answers every binding: seeded with the second binding, the
+// rewrite of the first gives the second's fresh answers and probes.
+TEST(MagicRewriteTest, SameAdornmentSharesOneProgram) {
+  FactDb db = RandomGraph(40, 120, 6);
+  std::set<std::string> edb;
+  for (const std::string& p : db.Predicates()) edb.insert(p);
   Program program = Parse(kTc);
   QueryBinding first{"path", {Value(int64_t{0}), std::nullopt}};
   QueryBinding second{"path", {Value(int64_t{5}), std::nullopt}};
-  MagicRewrite a = RewriteForQuery(program, first, {"edge"});
-  MagicRewrite b = RewriteForQuery(program, second, {"edge"});
+  MagicRewrite a = RewriteForQuery(program, first, edb);
+  MagicRewrite b = RewriteForQuery(program, second, edb);
   ASSERT_TRUE(a.ok()) << a.detail;
   ASSERT_TRUE(b.ok()) << b.detail;
 
-  ASSERT_EQ(a.program.rules.size(), b.program.rules.size());
-  for (size_t i = 0; i < a.program.rules.size(); ++i) {
-    EXPECT_EQ(a.program.rules[i].ToString(), b.program.rules[i].ToString());
-  }
+  EXPECT_EQ(a.engine->program().ToString(), b.engine->program().ToString());
   EXPECT_EQ(a.query_pred, b.query_pred);
+  EXPECT_EQ(a.seed_pred, b.seed_pred);
   ASSERT_EQ(a.adorned.size(), b.adorned.size());
   for (size_t i = 0; i < a.adorned.size(); ++i) {
     EXPECT_EQ(a.adorned[i].pred, b.adorned[i].pred);
@@ -187,21 +182,40 @@ TEST(MagicRewriteTest, SameAdornmentDiffersOnlyInSeed) {
     EXPECT_EQ(a.adorned[i].magic_pred, b.adorned[i].magic_pred);
   }
   EXPECT_EQ(a.full_required, b.full_required);
-  // Only the seed, the last fact, differs — and only in its values.
-  ASSERT_EQ(a.program.facts.size(), b.program.facts.size());
-  ASSERT_FALSE(a.program.facts.empty());
-  EXPECT_EQ(a.program.facts.back().predicate, b.program.facts.back().predicate);
-  EXPECT_EQ(a.program.facts.back().values,
-            std::vector<Value>{Value(int64_t{0})});
-  EXPECT_EQ(b.program.facts.back().values,
-            std::vector<Value>{Value(int64_t{5})});
 
-  // Rebinding `a` to the second binding gives `b`.
-  EXPECT_EQ(RebindRewrite(a, second).program.ToString(),
-            b.program.ToString());
+  FactDb fresh_db = db.Clone();
+  PointQueryStats fresh;
+  auto expected = EvalPointQuery(program, second, &fresh_db, {}, &fresh);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  PointQueryOptions options;
+  const auto shared = std::make_shared<const MagicRewrite>(std::move(a));
+  options.rewrite_lookup = [&](const QueryBinding&,
+                               const std::set<std::string>&) {
+    return shared;
+  };
+  FactDb reused_db = db.Clone();
+  PointQueryStats reused;
+  auto answers = EvalPointQuery(program, second, &reused_db, options, &reused);
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_EQ(reused.mode, PointQueryMode::kMagic);
+  EXPECT_FALSE(answers->empty());
+  EXPECT_EQ(Sorted(*answers), Sorted(*expected));
+  EXPECT_EQ(reused.engine.join_probes, fresh.engine.join_probes);
 }
 
-TEST(PointQueryTest, RewriteLookupIsReboundNotRecomputed) {
+TEST(PointQueryTest, SeedOfAnotherArityIsRefused) {
+  Program program = Parse(kTc);
+  FactDb db = RandomGraph(20, 40, 9);
+  db.Add("m@path@bf", {Value(int64_t{1}), Value(int64_t{2})});
+  PointQueryStats stats;
+  auto r = EvalPointQuery(
+      program, QueryBinding{"path", {Value(int64_t{1}), std::nullopt}}, &db,
+      {}, &stats);
+  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition)
+      << r.status().ToString();
+}
+
+TEST(PointQueryTest, RewriteLookupIsReusedNotRecomputed) {
   FactDb db = RandomGraph(40, 120, 5);
   Program program = Parse(kTc);
   std::set<std::string> edb;
@@ -495,26 +509,25 @@ TEST(PointQueryTest, AggregatesFallBackWithReason) {
 }
 
 TEST(PointQueryTest, AdornmentExplosionFallsBackToMaterialize) {
-  // Querying `rpath` adorns both rpath@bf and path@fb; capping the
-  // adorned set at one predicate forces the explosion fallback.
-  const char* src = R"(
-    edge(x, y) -> path(x, y).
-    path(x, y), edge(y, z) -> path(x, z).
-    path(y, x) -> rpath(x, y).
-  )";
-  PointQueryOptions options;
-  options.rewrite.max_adorned_predicates = 1;  // force the explosion
+  // Querying p0 adorns each of p0 .. pN of a chain of copy rules once:
+  // one predicate past the cap forces the explosion fallback.
+  std::string src = "edge(x, y) -> p" +
+                    std::to_string(kMaxAdornedPredicates) + "(x, y).\n";
+  for (size_t i = 0; i < kMaxAdornedPredicates; ++i) {
+    src += "p" + std::to_string(i + 1) + "(x, y) -> p" + std::to_string(i) +
+           "(x, y).\n";
+  }
   FactDb db = RandomGraph(25, 60, 8);
   PointQueryStats stats;
   std::vector<Tuple> got = ExpectMatchesBaseline(
-      src, QueryBinding{"rpath", {Value(int64_t{1}), std::nullopt}}, db,
-      options, PointQueryMode::kMaterialize, &stats);
+      src, QueryBinding{"p0", {Value(int64_t{1}), std::nullopt}}, db, {},
+      PointQueryMode::kMaterialize, &stats);
   EXPECT_EQ(stats.fallback, FallbackReason::kAdornmentExplosion);
   EXPECT_EQ(stats.mode, PointQueryMode::kMaterialize);
   EXPECT_FALSE(got.empty());
 }
 
-TEST(PointQueryDeadlineTest, ExpiredDeadlineAndCancelPropagate) {
+TEST(PointQueryDeadlineTest, ExpiredDeadlinePropagates) {
   FactDb db = RandomGraph(60, 150, 3);
   Program program = Parse(kTc);
   QueryBinding q{"path", {Value(int64_t{0}), std::nullopt}};
@@ -526,15 +539,7 @@ TEST(PointQueryDeadlineTest, ExpiredDeadlineAndCancelPropagate) {
   PointQueryStats s1;
   auto r1 = EvalPointQuery(program, q, &db1, expired, &s1);
   EXPECT_EQ(r1.status().code(), StatusCode::kDeadlineExceeded);
-
-  PointQueryOptions cancelled;
-  auto flag = std::make_shared<std::atomic<bool>>(true);
-  cancelled.engine.cancel = flag;
-  FactDb db2 = db.Clone();
-  PointQueryStats s2;
-  auto r2 = EvalPointQuery(program, q, &db2, cancelled, &s2);
-  EXPECT_EQ(r2.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(s2.mode, PointQueryMode::kMagic);
+  EXPECT_EQ(s1.mode, PointQueryMode::kMagic);
 }
 
 TEST(PointQueryTest, MultiThreadedMagicMatchesSingleThreaded) {

@@ -136,7 +136,10 @@ fi
 # (vadalog_engine_chase_parallel_test and the engine parallel tests),
 # whose work items join a frozen database beside each other and record
 # facts for the driver's ordered replay — the main thing TSan needs to
-# see, with Skolem terms interned from every worker.  finkg_incremental
+# see, with Skolem terms interned from every worker — and
+# IntensionalParallelTest.OneEngineRunsConcurrently, where four threads
+# run one compiled engine at once, each on its own database (the sharing
+# the serving layer's cached engines rely on).  finkg_incremental
 # runs the incremental-vs-rebuild differential at 1 and 4 engine threads,
 # which exercises delta maintenance (DRed + rerun) under both
 # sanitizers.  vadalog_ also matches vadalog_database_test (relations,
