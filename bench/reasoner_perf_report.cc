@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <iterator>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "finkg/company_kg.h"
@@ -92,12 +93,11 @@ kgm::Result<ProbeSplit> SplitProbes(
                        metalog::ParseMetaProgram(stats.input_views));
   KGM_ASSIGN_OR_RETURN(metalog::MetaProgram sig,
                        metalog::ParseMetaProgram(sigma));
-  // The dictionary's labels do not depend on the instance data, so the
+  // The instance's labels do not depend on the instance data, so the
   // flushed graph loads to the catalog the run compiled against.
-  KGM_ASSIGN_OR_RETURN(instance::LoadedInstance loaded,
-                       instance::LoadInstance(schema, data));
-  metalog::GraphCatalog catalog =
-      metalog::GraphCatalog::FromGraph(loaded.dict);
+  KGM_ASSIGN_OR_RETURN(instance::InstanceFacts loaded,
+                       instance::LoadInstanceFacts(schema, data));
+  metalog::GraphCatalog catalog = std::move(loaded.catalog);
   catalog.Merge(instance::SchemaCatalog(schema));
   KGM_ASSIGN_OR_RETURN(
       std::shared_ptr<const metalog::CompiledMeta> compiled,

@@ -1,5 +1,8 @@
 #include "instance/loader.h"
 
+#include <map>
+#include <utility>
+
 #include "base/check.h"
 #include "core/dictionary.h"
 
@@ -7,14 +10,23 @@ namespace kgm::instance {
 
 namespace {
 
-// Index of the super-schema dictionary: node-type name -> SM_Node id, and
-// (node-type name, attribute name) -> SM_Attribute id (searching the
-// generalization hierarchy upwards for inherited attributes).
+// Properties of the instance constructs.
+constexpr char kInstanceOidProp[] = "instanceOID";
+constexpr char kValueProp[] = "value";
+
+// A schema type's construct in the super-schema dictionary (its SM_Node or
+// SM_Edge) and its attributes' SM_Attributes by attribute name.
+struct TypeConstructs {
+  pg::NodeId construct = pg::kInvalidNode;
+  std::map<std::string, pg::NodeId, std::less<>> attrs;
+};
+
+// Index of the super-schema dictionary by type name.  A node type's
+// attributes include the ones it inherits, resolved up the
+// generalization hierarchy.
 struct SchemaIndex {
-  std::map<std::string, pg::NodeId> sm_node_of;
-  std::map<std::string, pg::NodeId> sm_edge_of;
-  std::map<std::pair<std::string, std::string>, pg::NodeId> node_attr_of;
-  std::map<std::pair<std::string, std::string>, pg::NodeId> edge_attr_of;
+  std::map<std::string, TypeConstructs, std::less<>> nodes;
+  std::map<std::string, TypeConstructs, std::less<>> edges;
 };
 
 SchemaIndex BuildSchemaIndex(const core::SuperSchema& schema,
@@ -30,48 +42,41 @@ SchemaIndex BuildSchemaIndex(const core::SuperSchema& schema,
     }
     return "";
   };
-  for (pg::NodeId id : dict.NodesWithLabel(core::kSmNode)) {
-    std::string name = type_name(id, core::kSmHasNodeType);
-    if (name.empty()) continue;
-    index.sm_node_of[name] = id;
-    for (pg::EdgeId e : dict.OutEdges(id)) {
-      if (!dict.HasEdge(e) ||
-          dict.edge(e).label != core::kSmHasNodeProperty) {
-        continue;
-      }
-      const Value* attr_name = dict.NodeProperty(dict.edge(e).to, "name");
-      if (attr_name != nullptr) {
-        index.node_attr_of[{name, attr_name->AsString()}] = dict.edge(e).to;
-      }
-    }
-  }
-  for (pg::NodeId id : dict.NodesWithLabel(core::kSmEdge)) {
-    std::string name = type_name(id, core::kSmHasEdgeType);
-    if (name.empty()) continue;
-    index.sm_edge_of[name] = id;
-    for (pg::EdgeId e : dict.OutEdges(id)) {
-      if (!dict.HasEdge(e) ||
-          dict.edge(e).label != core::kSmHasEdgeProperty) {
-        continue;
-      }
-      const Value* attr_name = dict.NodeProperty(dict.edge(e).to, "name");
-      if (attr_name != nullptr) {
-        index.edge_attr_of[{name, attr_name->AsString()}] = dict.edge(e).to;
+  auto add_types = [&](const char* label, const char* type_link,
+                       const char* attr_link,
+                       std::map<std::string, TypeConstructs, std::less<>>*
+                           types) {
+    for (pg::NodeId id : dict.NodesWithLabel(label)) {
+      std::string name = type_name(id, type_link);
+      if (name.empty()) continue;
+      TypeConstructs& type = (*types)[name];
+      type.construct = id;
+      for (pg::EdgeId e : dict.OutEdges(id)) {
+        if (!dict.HasEdge(e) || dict.edge(e).label != attr_link) continue;
+        const Value* attr_name = dict.NodeProperty(dict.edge(e).to, "name");
+        if (attr_name != nullptr) {
+          type.attrs[attr_name->AsString()] = dict.edge(e).to;
+        }
       }
     }
-  }
+  };
+  add_types(core::kSmNode, core::kSmHasNodeType, core::kSmHasNodeProperty,
+            &index.nodes);
+  add_types(core::kSmEdge, core::kSmHasEdgeType, core::kSmHasEdgeProperty,
+            &index.edges);
   // Resolve inherited attributes: for each node type, fall back to its
   // ancestors' attribute entries.
   for (const core::NodeDef& node : schema.nodes()) {
+    auto self = index.nodes.find(node.name);
+    if (self == index.nodes.end()) continue;
     for (const std::string& ancestor : schema.AncestorsOf(node.name)) {
       const core::NodeDef* a = schema.FindNode(ancestor);
-      if (a == nullptr) continue;
+      auto from = index.nodes.find(ancestor);
+      if (a == nullptr || from == index.nodes.end()) continue;
       for (const core::AttributeDef& attr : a->attributes) {
-        auto key = std::make_pair(node.name, attr.name);
-        auto inherited = index.node_attr_of.find({ancestor, attr.name});
-        if (index.node_attr_of.count(key) == 0 &&
-            inherited != index.node_attr_of.end()) {
-          index.node_attr_of[key] = inherited->second;
+        auto inherited = from->second.attrs.find(attr.name);
+        if (inherited != from->second.attrs.end()) {
+          self->second.attrs.emplace(attr.name, inherited->second);
         }
       }
     }
@@ -79,7 +84,213 @@ SchemaIndex BuildSchemaIndex(const core::SuperSchema& schema,
   return index;
 }
 
+// The constructs the walk emits, by kind.
+enum NodeKind { kInstNode, kInstEdge, kInstAttribute, kNumNodeKinds };
+enum EdgeKind {
+  kReferences,
+  kHasNodeAttr,
+  kHasEdgeAttr,
+  kFrom,
+  kTo,
+  kNumEdgeKinds
+};
+constexpr const char* kNodeLabel[kNumNodeKinds] = {kISmNode, kISmEdge,
+                                                   kISmAttribute};
+constexpr const char* kEdgeLabel[kNumEdgeKinds] = {
+    kSmReferences, kISmHasNodeAttr, kISmHasEdgeAttr, kISmFrom, kISmTo};
+
+// The instance walk of Figure 9, the one both loaders share: classifies
+// each data node by its primary label, resolves its declared and inherited
+// attributes, then does the same for the edges, and numbers what it emits
+// as a dictionary holding `schema_dict` would: nodes and edges each in
+// emission order, after the super-schema's.  `sink` receives every
+// construct through Node(kind, id, value) — `value` is the attribute value
+// of an I_SM_Attribute and null otherwise — and Edge(kind, id, from, to).
+template <typename Sink>
+void WalkInstance(const SchemaIndex& index,
+                  const pg::PropertyGraph& schema_dict,
+                  const pg::PropertyGraph& data, InstanceMap* out,
+                  Sink* sink) {
+  pg::NodeId next_node = schema_dict.node_capacity();
+  pg::EdgeId next_edge = schema_dict.edge_capacity();
+  auto node = [&](NodeKind kind, const Value* value) {
+    sink->Node(kind, next_node, value);
+    return next_node++;
+  };
+  auto edge = [&](EdgeKind kind, pg::NodeId from, pg::NodeId to) {
+    sink->Edge(kind, next_edge++, from, to);
+  };
+  out->inode_of_data.assign(data.node_capacity(), pg::kInvalidNode);
+
+  // Pass 1: nodes with their attributes.
+  for (pg::NodeId id = 0; id < data.node_capacity(); ++id) {
+    if (!data.HasNode(id)) continue;
+    const pg::Node& n = data.node(id);
+    // Primary label: the first label that names a schema node type.
+    const TypeConstructs* type = nullptr;
+    for (const std::string& label : n.labels) {
+      auto it = index.nodes.find(label);
+      if (it != index.nodes.end()) {
+        type = &it->second;
+        break;
+      }
+    }
+    if (type == nullptr) continue;
+    const pg::NodeId inode = node(kInstNode, nullptr);
+    edge(kReferences, inode, type->construct);
+    out->inode_of_data[id] = inode;
+    out->data_of_inode.resize(inode + 1, pg::kInvalidNode);
+    out->data_of_inode[inode] = id;
+    ++out->loaded_nodes;
+    for (const auto& [key, value] : n.props) {
+      auto attr = type->attrs.find(key);
+      if (attr == type->attrs.end()) continue;  // undeclared
+      const pg::NodeId ia = node(kInstAttribute, &value);
+      edge(kHasNodeAttr, inode, ia);
+      edge(kReferences, ia, attr->second);
+      ++out->loaded_attributes;
+    }
+  }
+  // Pass 2: edges.
+  for (pg::EdgeId id = 0; id < data.edge_capacity(); ++id) {
+    if (!data.HasEdge(id)) continue;
+    const pg::Edge& e = data.edge(id);
+    auto type = index.edges.find(e.label);
+    if (type == index.edges.end()) continue;
+    const pg::NodeId from = out->inode_of_data[e.from];
+    const pg::NodeId to = out->inode_of_data[e.to];
+    if (from == pg::kInvalidNode || to == pg::kInvalidNode) continue;
+    const pg::NodeId iedge = node(kInstEdge, nullptr);
+    edge(kReferences, iedge, type->second.construct);
+    edge(kFrom, iedge, from);
+    edge(kTo, iedge, to);
+    ++out->loaded_edges;
+    for (const auto& [key, value] : e.props) {
+      auto attr = type->second.attrs.find(key);
+      if (attr == type->second.attrs.end()) continue;
+      const pg::NodeId ia = node(kInstAttribute, &value);
+      edge(kHasEdgeAttr, iedge, ia);
+      edge(kReferences, ia, attr->second);
+      ++out->loaded_attributes;
+    }
+  }
+}
+
+// Adds each construct to the dictionary, which must number it as the walk
+// did.
+class DictSink {
+ public:
+  DictSink(pg::PropertyGraph* dict, int64_t instance_oid)
+      : dict_(dict), oid_(instance_oid) {}
+
+  void Node(NodeKind kind, pg::NodeId id, const Value* value) {
+    pg::PropertyMap props{{kInstanceOidProp, oid_}};
+    if (value != nullptr) props.emplace(kValueProp, *value);
+    KGM_CHECK(dict_->AddNode(kNodeLabel[kind], std::move(props)) == id);
+  }
+  void Edge(EdgeKind kind, pg::EdgeId id, pg::NodeId from, pg::NodeId to) {
+    KGM_CHECK(dict_->AddEdge(from, to, kEdgeLabel[kind]) == id);
+  }
+
+ private:
+  pg::PropertyGraph* dict_;
+  Value oid_;
+};
+
+// The instance labels as GraphCatalog::FromGraph finds them on a
+// dictionary that holds each of them.
+const metalog::GraphCatalog& InstanceCatalog() {
+  static const metalog::GraphCatalog catalog = [] {
+    metalog::GraphCatalog c;
+    c.AddNodeLabel(kISmNode, {kInstanceOidProp});
+    c.AddNodeLabel(kISmEdge, {kInstanceOidProp});
+    c.AddNodeLabel(kISmAttribute, {kInstanceOidProp, kValueProp});
+    for (const char* label : kEdgeLabel) c.AddEdgeLabel(label);
+    return c;
+  }();
+  return catalog;
+}
+
+// Appends each construct as the row EncodeGraph would give it under
+// `layout`: the OID (its dictionary id), then one column per property of
+// the label, null where the construct lacks it.  A label's relation is
+// created by its first row, as EncodeGraph creates only non-empty ones.
+class FactSink {
+ public:
+  FactSink(vadalog::FactDb* db, const metalog::GraphCatalog& layout,
+           int64_t instance_oid)
+      : db_(db), oid_(instance_oid) {
+    for (int k = 0; k < kNumNodeKinds; ++k) {
+      NodeRows& rows = nodes_[k];
+      rows.arity = layout.NodeArity(kNodeLabel[k]);
+      rows.oid_col = layout.NodePropColumn(kNodeLabel[k], kInstanceOidProp);
+      rows.value_col = layout.NodePropColumn(kNodeLabel[k], kValueProp);
+    }
+    for (int k = 0; k < kNumEdgeKinds; ++k) {
+      edges_[k].arity = layout.EdgeArity(kEdgeLabel[k]);
+    }
+  }
+
+  void Node(NodeKind kind, pg::NodeId id, const Value* value) {
+    NodeRows& rows = nodes_[kind];
+    if (rows.rel == nullptr) {
+      rows.rel = &db_->GetOrCreate(kNodeLabel[kind], rows.arity);
+    }
+    vadalog::Tuple t(rows.arity);
+    t[0] = Value(static_cast<int64_t>(id));
+    if (rows.oid_col > 0) t[rows.oid_col] = oid_;
+    if (rows.value_col > 0 && value != nullptr) t[rows.value_col] = *value;
+    rows.rel->Insert(std::move(t));
+  }
+  void Edge(EdgeKind kind, pg::EdgeId id, pg::NodeId from, pg::NodeId to) {
+    EdgeRows& rows = edges_[kind];
+    if (rows.rel == nullptr) {
+      rows.rel = &db_->GetOrCreate(kEdgeLabel[kind], rows.arity);
+    }
+    vadalog::Tuple t(rows.arity);
+    t[0] = Value(static_cast<int64_t>(id));
+    t[1] = Value(static_cast<int64_t>(from));
+    t[2] = Value(static_cast<int64_t>(to));
+    rows.rel->Insert(std::move(t));
+  }
+
+  // Registers in `catalog` the instance labels that received rows.
+  void AddWrittenLabels(metalog::GraphCatalog* catalog) const {
+    const metalog::GraphCatalog& own = InstanceCatalog();
+    for (int k = 0; k < kNumNodeKinds; ++k) {
+      if (nodes_[k].rel == nullptr) continue;
+      catalog->AddNodeLabel(kNodeLabel[k], own.NodeProps(kNodeLabel[k]));
+    }
+    for (int k = 0; k < kNumEdgeKinds; ++k) {
+      if (edges_[k].rel != nullptr) catalog->AddEdgeLabel(kEdgeLabel[k]);
+    }
+  }
+
+ private:
+  struct NodeRows {
+    vadalog::Relation* rel = nullptr;
+    size_t arity = 0;
+    int oid_col = -1;
+    int value_col = -1;
+  };
+  struct EdgeRows {
+    vadalog::Relation* rel = nullptr;
+    size_t arity = 0;
+  };
+
+  vadalog::FactDb* db_;
+  Value oid_;
+  NodeRows nodes_[kNumNodeKinds];
+  EdgeRows edges_[kNumEdgeKinds];
+};
+
 }  // namespace
+
+pg::NodeId InstanceMap::DataNodeOf(const Value& oid) const {
+  if (!oid.is_int() || oid.AsInt() < 0) return pg::kInvalidNode;
+  const auto id = static_cast<uint64_t>(oid.AsInt());
+  return id < data_of_inode.size() ? data_of_inode[id] : pg::kInvalidNode;
+}
 
 Result<LoadedInstance> LoadInstance(const core::SuperSchema& schema,
                                     const pg::PropertyGraph& data,
@@ -87,65 +298,28 @@ Result<LoadedInstance> LoadInstance(const core::SuperSchema& schema,
   LoadedInstance out;
   out.instance_oid = instance_oid;
   KGM_RETURN_IF_ERROR(core::StoreSuperSchema(schema, &out.dict));
-  SchemaIndex index = BuildSchemaIndex(schema, out.dict);
+  const SchemaIndex index = BuildSchemaIndex(schema, out.dict);
+  DictSink sink(&out.dict, instance_oid);
+  WalkInstance(index, out.dict, data, &out, &sink);
+  return out;
+}
 
-  Value oid_value(instance_oid);
-  out.inode_of_data.assign(data.node_capacity(), pg::kInvalidNode);
-
-  // Pass 1: nodes with their attributes.
-  for (pg::NodeId id = 0; id < data.node_capacity(); ++id) {
-    if (!data.HasNode(id)) continue;
-    const pg::Node& node = data.node(id);
-    // Primary label: the first label that names a schema node type.
-    std::string type_name;
-    for (const std::string& label : node.labels) {
-      if (index.sm_node_of.count(label) > 0) {
-        type_name = label;
-        break;
-      }
-    }
-    if (type_name.empty()) continue;
-    pg::NodeId inode = out.dict.AddNode(
-        kISmNode, {{"instanceOID", oid_value}});
-    out.dict.AddEdge(inode, index.sm_node_of.at(type_name), kSmReferences);
-    out.inode_of_data[id] = inode;
-    out.data_of_inode[inode] = id;
-    ++out.loaded_nodes;
-    for (const auto& [key, value] : node.props) {
-      auto attr = index.node_attr_of.find({type_name, key});
-      if (attr == index.node_attr_of.end()) continue;  // undeclared
-      pg::NodeId ia = out.dict.AddNode(
-          kISmAttribute, {{"instanceOID", oid_value}, {"value", value}});
-      out.dict.AddEdge(inode, ia, kISmHasNodeAttr);
-      out.dict.AddEdge(ia, attr->second, kSmReferences);
-      ++out.loaded_attributes;
-    }
-  }
-  // Pass 2: edges.
-  for (pg::EdgeId id = 0; id < data.edge_capacity(); ++id) {
-    if (!data.HasEdge(id)) continue;
-    const pg::Edge& edge = data.edge(id);
-    auto sm_edge = index.sm_edge_of.find(edge.label);
-    if (sm_edge == index.sm_edge_of.end()) continue;
-    pg::NodeId from = out.inode_of_data[edge.from];
-    pg::NodeId to = out.inode_of_data[edge.to];
-    if (from == pg::kInvalidNode || to == pg::kInvalidNode) continue;
-    pg::NodeId iedge = out.dict.AddNode(
-        kISmEdge, {{"instanceOID", oid_value}});
-    out.dict.AddEdge(iedge, sm_edge->second, kSmReferences);
-    out.dict.AddEdge(iedge, from, kISmFrom);
-    out.dict.AddEdge(iedge, to, kISmTo);
-    ++out.loaded_edges;
-    for (const auto& [key, value] : edge.props) {
-      auto attr = index.edge_attr_of.find({edge.label, key});
-      if (attr == index.edge_attr_of.end()) continue;
-      pg::NodeId ia = out.dict.AddNode(
-          kISmAttribute, {{"instanceOID", oid_value}, {"value", value}});
-      out.dict.AddEdge(iedge, ia, kISmHasEdgeAttr);
-      out.dict.AddEdge(ia, attr->second, kSmReferences);
-      ++out.loaded_attributes;
-    }
-  }
+Result<InstanceFacts> LoadInstanceFacts(const core::SuperSchema& schema,
+                                        const pg::PropertyGraph& data,
+                                        int64_t instance_oid,
+                                        const metalog::GraphCatalog* layout) {
+  InstanceFacts out;
+  out.instance_oid = instance_oid;
+  pg::PropertyGraph schema_dict;
+  KGM_RETURN_IF_ERROR(core::StoreSuperSchema(schema, &schema_dict));
+  const SchemaIndex index = BuildSchemaIndex(schema, schema_dict);
+  out.catalog = metalog::GraphCatalog::FromGraph(schema_dict);
+  out.db = metalog::EncodeGraph(schema_dict,
+                                layout != nullptr ? *layout : out.catalog);
+  FactSink sink(&out.db, layout != nullptr ? *layout : InstanceCatalog(),
+                instance_oid);
+  WalkInstance(index, schema_dict, data, &out, &sink);
+  sink.AddWrittenLabels(&out.catalog);
   return out;
 }
 

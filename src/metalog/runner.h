@@ -2,16 +2,19 @@
 //
 //   1. build a catalog from the graph, absorb the program's labels, and
 //      compile the MetaLog program to Vadalog (CompileMeta, MTV steps
-//      (2)-(3)) — or take that compilation from a PreparedCache,
+//      (2)-(3)) — or take that compilation from a PreparedCache
+//      (CompileMetaLogSource),
 //   2. encode the graph relationally (MTV step (1)), noting each label
 //      relation's row count (CountRows),
 //   3. run the compilation's engine (CompiledMeta::engine) to fixpoint
 //      (it only appends rows),
-//   4. decode the rows past those counts — the derived node/edge facts —
-//      back into the graph, of every catalog label or only of the labels
-//      the caller reads.
+//   4. decode the rows past those counts — the derived node/edge facts of
+//      every catalog label — back into the graph.
 //
-// Steps 2-4 live in RunCompiledMeta alone; every entry point ends there.
+// Steps 2-4 live in RunCompiledMeta alone; every graph entry point ends
+// there.  instance::Materialize compiles through CompileMetaLogSource too,
+// but runs the engine on facts it loads itself and reads the staged
+// relations without decoding them.
 //
 // This mirrors how KGModel executes intensional components and schema
 // mappings via the Vadalog System (Sections 4-6 of the paper).
@@ -19,8 +22,9 @@
 #ifndef KGM_METALOG_RUNNER_H_
 #define KGM_METALOG_RUNNER_H_
 
+#include <memory>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "base/status.h"
 #include "metalog/ast.h"
@@ -49,9 +53,6 @@ struct MetaRunResult {
   DecodeStats decode;
   vadalog::EngineStats engine_stats;
   size_t vadalog_rule_count = 0;
-  // Wall time of step 2 (encode) and of step 4 (decode).
-  double encode_seconds = 0;
-  double decode_seconds = 0;
 };
 
 // Runs a parsed MetaLog program against `graph`, materializing derived
@@ -61,24 +62,26 @@ Result<MetaRunResult> RunMetaLog(const MetaProgram& program,
                                  pg::PropertyGraph* graph,
                                  const MetaRunOptions& options = {});
 
+// The compilation of MetaLog source text against `catalog` (which must NOT
+// yet have the program absorbed): from options.prepared when set, parsed
+// and compiled afresh otherwise.
+Result<std::shared_ptr<const CompiledMeta>> CompileMetaLogSource(
+    std::string_view source, const GraphCatalog& catalog,
+    const MetaRunOptions& options = {});
+
 // Parses and runs MetaLog source text.  With options.prepared set, the
 // parse+MTV compilation is served from the cache when possible.
-// `decode_labels` as in RunCompiledMeta.
-Result<MetaRunResult> RunMetaLogSource(
-    std::string_view source, pg::PropertyGraph* graph,
-    const MetaRunOptions& options = {},
-    const std::vector<std::string>& decode_labels = {});
+Result<MetaRunResult> RunMetaLogSource(std::string_view source,
+                                       pg::PropertyGraph* graph,
+                                       const MetaRunOptions& options = {});
 
 // Runs an already-compiled MetaLog program (from PreparedCache::Compile)
 // against `graph`.  The compilation's catalog must cover the graph's
 // labels; labels absent from it are skipped during encoding.  The derived
-// facts of every catalog label are decoded into `graph`, or only those of
-// the labels `decode_labels` names when it is not empty; a caller that
-// reads only some labels back (instance::Materialize) skips the rest.
-Result<MetaRunResult> RunCompiledMeta(
-    const CompiledMeta& compiled, pg::PropertyGraph* graph,
-    const MetaRunOptions& options = {},
-    const std::vector<std::string>& decode_labels = {});
+// facts of every catalog label are decoded into `graph`.
+Result<MetaRunResult> RunCompiledMeta(const CompiledMeta& compiled,
+                                      pg::PropertyGraph* graph,
+                                      const MetaRunOptions& options = {});
 
 }  // namespace kgm::metalog
 
