@@ -819,21 +819,6 @@ std::string HashHex(uint64_t hash) {
   return buf;
 }
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 // One evaluation of a program: the engine counters plus two fingerprints
 // of the materialized result (CSV export for MetaLog, FactDb dump for
 // Vadalog).  Equal `fingerprint`s mean bit-identical output; equal
@@ -927,7 +912,7 @@ void AppendExplainJson(std::ostringstream& out, const std::string& path,
                        const char* language, size_t threads,
                        const ExplainRun& run) {
   const vadalog::EngineStats& st = run.stats;
-  out << "{\"file\":\"" << JsonEscape(path) << "\"";
+  out << "{\"file\":\"" << lint::JsonEscape(path) << "\"";
   out << ",\"language\":\"" << language << "\"";
   out << ",\"threads\":" << threads;
   out << ",\"fingerprint\":\"" << run.fingerprint << "\"";
@@ -1179,30 +1164,30 @@ int CmdQuery(int argc, char** argv) {
 
   if (json) {
     std::ostringstream out;
-    out << "{\"file\":\"" << JsonEscape(path) << "\"";
-    out << ",\"query\":\"" << JsonEscape(query.Render()) << "\"";
+    out << "{\"file\":\"" << lint::JsonEscape(path) << "\"";
+    out << ",\"query\":\"" << lint::JsonEscape(query.Render()) << "\"";
     out << ",\"mode\":\""
         << vadalog::magic::PointQueryModeName(stats.mode) << "\"";
     out << ",\"fallback\":\""
         << vadalog::magic::FallbackReasonName(stats.fallback) << "\"";
     if (!stats.fallback_detail.empty()) {
-      out << ",\"fallback_detail\":\"" << JsonEscape(stats.fallback_detail)
-          << "\"";
+      out << ",\"fallback_detail\":\""
+          << lint::JsonEscape(stats.fallback_detail) << "\"";
     }
     out << ",\"answers\":" << stats.answers;
     out << ",\"adorned\":[";
     for (size_t i = 0; i < stats.adorned.size(); ++i) {
       if (i > 0) out << ",";
-      out << "{\"pred\":\"" << JsonEscape(stats.adorned[i].pred)
+      out << "{\"pred\":\"" << lint::JsonEscape(stats.adorned[i].pred)
           << "\",\"adornment\":\"" << stats.adorned[i].adornment
-          << "\",\"magic\":\"" << JsonEscape(stats.adorned[i].magic_pred)
+          << "\",\"magic\":\"" << lint::JsonEscape(stats.adorned[i].magic_pred)
           << "\"}";
     }
     out << "]";
     out << ",\"full_required\":[";
     for (size_t i = 0; i < stats.full_required.size(); ++i) {
       if (i > 0) out << ",";
-      out << "\"" << JsonEscape(stats.full_required[i]) << "\"";
+      out << "\"" << lint::JsonEscape(stats.full_required[i]) << "\"";
     }
     out << "]";
     out << ",\"rewrites\":" << stats.magic_rewrites;

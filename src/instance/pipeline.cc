@@ -17,35 +17,6 @@ double Seconds(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
-// True when `compiled` gives every label of `loaded` the properties it has
-// there, so facts laid out by `loaded` have the compilation's columns.
-bool SameColumns(const metalog::GraphCatalog& loaded,
-                 const metalog::GraphCatalog& compiled) {
-  for (const std::string& label : loaded.NodeLabels()) {
-    if (loaded.NodeProps(label) != compiled.NodeProps(label)) return false;
-  }
-  for (const std::string& label : loaded.EdgeLabels()) {
-    if (loaded.EdgeProps(label) != compiled.EdgeProps(label)) return false;
-  }
-  return true;
-}
-
-// A staged relation with `label`'s catalog width, or null when it has no
-// rows or the catalog does not know the label (DecodeGraph ignores those).
-Result<const vadalog::Relation*> StagedRelation(
-    const vadalog::FactDb& db, const std::string& label, bool known,
-    size_t width) {
-  const vadalog::Relation* rel = db.Get(label);
-  if (!known || rel == nullptr || rel->size() == 0) return nullptr;
-  if (rel->arity() != width) {
-    return FailedPrecondition("staged relation " + label + " has width " +
-                              std::to_string(rel->arity()) +
-                              " but its catalog label has " +
-                              std::to_string(width) + " columns");
-  }
-  return rel;
-}
-
 // The entities of one staged node label: one merged row per distinct OID,
 // in the order of each OID's first row, holding in every column the last
 // non-null value of that OID's rows.
@@ -55,10 +26,8 @@ class StagedEntities {
                                      const metalog::GraphCatalog& catalog,
                                      const std::string& label) {
     StagedEntities out;
-    KGM_ASSIGN_OR_RETURN(
-        const vadalog::Relation* rel,
-        StagedRelation(db, label, catalog.HasNodeLabel(label),
-                       catalog.NodeArity(label)));
+    KGM_ASSIGN_OR_RETURN(const vadalog::Relation* rel,
+                         catalog.LabelRelation(db, label, /*is_edge=*/false));
     if (rel == nullptr) return out;
     for (const vadalog::Tuple& t : rel->tuples()) {
       auto [it, added] = out.index_.emplace(t[0], out.rows_.size());
@@ -108,10 +77,8 @@ Result<StagedLinks> ReadLinks(const vadalog::FactDb& db,
                               const metalog::GraphCatalog& catalog,
                               const std::string& label) {
   StagedLinks out;
-  KGM_ASSIGN_OR_RETURN(
-      const vadalog::Relation* rel,
-      StagedRelation(db, label, catalog.HasEdgeLabel(label),
-                     catalog.EdgeArity(label)));
+  KGM_ASSIGN_OR_RETURN(const vadalog::Relation* rel,
+                       catalog.LabelRelation(db, label, /*is_edge=*/true));
   if (rel == nullptr) return out;
   for (const vadalog::Tuple& t : rel->tuples()) out[t[1]].push_back(t[2]);
   return out;
@@ -182,7 +149,7 @@ Result<MaterializeStats> Materialize(const core::SuperSchema& schema,
       metalog::CompileMetaLogSource(
           stats.input_views + "\n" + sigma_source + "\n" + stats.output_views,
           catalog, run_options));
-  if (!SameColumns(facts.catalog, compiled->catalog)) {
+  if (!facts.catalog.SameColumnsIn(compiled->catalog)) {
     // The compilation added properties to a dictionary label (a schema
     // type named like one): load again with its columns.
     KGM_ASSIGN_OR_RETURN(facts,

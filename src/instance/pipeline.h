@@ -101,8 +101,8 @@ Result<MaterializeStats> Materialize(const core::SuperSchema& schema,
 //  * an endpoint resolves to the data node of an I_SM_Node of `loaded` or
 //    to the node flushed for a staged O_SM_Node.
 // A staged edge whose endpoint resolves to neither, or a staged relation
-// whose width is not its catalog width, returns an error Status; `data`
-// may then hold part of the flush.
+// whose width is not its catalog width (GraphCatalog::LabelRelation),
+// returns an error Status; `data` may then hold part of the flush.
 Status FlushStaging(const core::SuperSchema& schema,
                     const metalog::GraphCatalog& catalog,
                     const vadalog::FactDb& staged, const InstanceMap& loaded,

@@ -10,38 +10,6 @@ namespace kgm::instance {
 
 namespace {
 
-void CollectAtom(const metalog::PgAtom& atom, bool in_head,
-                 SigmaAnalysis* out) {
-  if (atom.label.empty()) return;
-  auto& target = atom.is_edge
-                     ? (in_head ? out->head_edge_labels
-                                : out->body_edge_labels)
-                     : (in_head ? out->head_node_labels
-                                : out->body_node_labels);
-  target.insert(atom.label);
-}
-
-void CollectPath(const metalog::PathPtr& path, bool in_head,
-                 SigmaAnalysis* out) {
-  if (path->kind == metalog::PathKind::kEdge) {
-    CollectAtom(path->edge, in_head, out);
-    return;
-  }
-  for (const metalog::PathPtr& c : path->children) {
-    CollectPath(c, in_head, out);
-  }
-}
-
-void CollectPattern(const metalog::GraphPattern& pattern, bool in_head,
-                    SigmaAnalysis* out) {
-  for (const metalog::PgAtom& n : pattern.nodes) {
-    CollectAtom(n, in_head, out);
-  }
-  for (const metalog::PathPtr& p : pattern.paths) {
-    CollectPath(p, in_head, out);
-  }
-}
-
 // The variables of the labeled node atoms in `rule`'s positive body.
 std::set<std::string> LabeledVars(const metalog::MetaRule& rule) {
   std::set<std::string> out;
@@ -51,23 +19,6 @@ std::set<std::string> LabeledVars(const metalog::MetaRule& rule) {
     }
   }
   return out;
-}
-
-// Adds to `out` the schema endpoint types of every labeled edge atom in
-// `path`.
-void AddEndpointTypes(const core::SuperSchema& schema,
-                      const metalog::PathExpr& path,
-                      std::set<std::string>* out) {
-  if (path.kind != metalog::PathKind::kEdge) {
-    for (const metalog::PathPtr& c : path.children) {
-      AddEndpointTypes(schema, *c, out);
-    }
-    return;
-  }
-  const core::EdgeDef* edge = schema.FindEdge(path.edge.label);
-  if (edge == nullptr) return;
-  out->insert(edge->from);
-  out->insert(edge->to);
 }
 
 // True when `labels` holds a proper ancestor of node type `type`.
@@ -85,15 +36,17 @@ bool HasAncestorIn(const core::SuperSchema& schema,
 SigmaAnalysis AnalyzeSigma(const metalog::MetaProgram& sigma) {
   SigmaAnalysis out;
   for (const metalog::MetaRule& rule : sigma.rules) {
-    for (const metalog::GraphPattern& p : rule.body_patterns) {
-      CollectPattern(p, /*in_head=*/false, &out);
-    }
-    for (const metalog::GraphPattern& p : rule.negated_patterns) {
-      CollectPattern(p, /*in_head=*/false, &out);
-    }
-    for (const metalog::GraphPattern& p : rule.head_patterns) {
-      CollectPattern(p, /*in_head=*/true, &out);
-    }
+    metalog::ForEachRuleAtom(rule, [&out](const metalog::PgAtom& atom,
+                                          metalog::PatternRole role, bool) {
+      if (atom.label.empty()) return;
+      const bool in_head = role == metalog::PatternRole::kHead;
+      auto& target = atom.is_edge
+                         ? (in_head ? out.head_edge_labels
+                                    : out.body_edge_labels)
+                         : (in_head ? out.head_node_labels
+                                    : out.body_node_labels);
+      target.insert(atom.label);
+    });
   }
   return out;
 }
@@ -116,7 +69,14 @@ std::set<std::string> InputViewNodeLabels(
         for (size_t k = 0; k < p.paths.size(); ++k) {
           const metalog::PathExpr& path = *p.paths[k];
           if (!path.IsSingleEdge()) {
-            AddEndpointTypes(schema, path, &endpoints);
+            // Every edge of a longer path adds its schema endpoint types.
+            metalog::ForEachPathAtom(
+                path, [&](const metalog::PgAtom& edge_atom, bool) {
+                  const core::EdgeDef* edge = schema.FindEdge(edge_atom.label);
+                  if (edge == nullptr) return;
+                  endpoints.insert(edge->from);
+                  endpoints.insert(edge->to);
+                });
             continue;
           }
           const core::EdgeDef* edge = schema.FindEdge(path.edge.label);

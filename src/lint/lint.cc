@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <functional>
 #include <map>
 #include <set>
 #include <tuple>
@@ -352,31 +351,13 @@ void TypeflowPasses(const Program& program, const LintOptions& options,
 
 // --- MetaLog-level passes ----------------------------------------------------
 
+using metalog::ForEachRuleAtom;
 using metalog::GraphCatalog;
-using metalog::GraphPattern;
 using metalog::MetaProgram;
 using metalog::MetaRule;
-using metalog::PathExpr;
-using metalog::PathKind;
-using metalog::PathPtr;
+using metalog::PatternRole;
 using metalog::PgAtom;
 using metalog::PgProperty;
-
-void ForEachPatternAtom(
-    const GraphPattern& pattern,
-    const std::function<void(const PgAtom&, bool inside_star)>& fn) {
-  for (const PgAtom& n : pattern.nodes) fn(n, false);
-  std::function<void(const PathPtr&, bool)> walk = [&](const PathPtr& p,
-                                                       bool in_star) {
-    if (p->kind == PathKind::kEdge) {
-      fn(p->edge, in_star);
-      return;
-    }
-    bool star = in_star || p->kind == PathKind::kStar;
-    for (const PathPtr& c : p->children) walk(c, star);
-  };
-  for (const PathPtr& p : pattern.paths) walk(p, false);
-}
 
 // Bounded Levenshtein distance for nearest-catalog-label suggestions.
 size_t EditDistance(const std::string& a, const std::string& b) {
@@ -417,16 +398,16 @@ void CatalogPass(const MetaProgram& meta, const GraphCatalog& base,
   // base catalog by design.
   std::set<std::string> derived;
   for (const MetaRule& rule : meta.rules) {
-    for (const GraphPattern& p : rule.head_patterns) {
-      ForEachPatternAtom(p, [&](const PgAtom& a, bool) {
-        if (!a.label.empty()) derived.insert(a.label);
-      });
-    }
+    ForEachRuleAtom(rule, [&](const PgAtom& a, PatternRole role, bool) {
+      if (role == PatternRole::kHead && !a.label.empty()) {
+        derived.insert(a.label);
+      }
+    });
   }
   std::set<std::pair<std::string, std::string>> reported;
   for (size_t ri = 0; ri < meta.rules.size(); ++ri) {
     const MetaRule& rule = meta.rules[ri];
-    auto check_atom = [&](const PgAtom& a, bool) {
+    ForEachRuleAtom(rule, [&](const PgAtom& a, PatternRole, bool) {
       if (a.label.empty()) return;
       const char* kind = a.is_edge ? "edge" : "node";
       bool known = a.is_edge ? base.HasEdgeLabel(a.label)
@@ -470,16 +451,7 @@ void CatalogPass(const MetaProgram& meta, const GraphCatalog& base,
                  "property " + p.name + " is not in the graph catalog for " +
                      kind + " label " + a.label);
       }
-    };
-    for (const GraphPattern& p : rule.body_patterns) {
-      ForEachPatternAtom(p, check_atom);
-    }
-    for (const GraphPattern& p : rule.negated_patterns) {
-      ForEachPatternAtom(p, check_atom);
-    }
-    for (const GraphPattern& p : rule.head_patterns) {
-      ForEachPatternAtom(p, check_atom);
-    }
+    });
   }
 }
 
@@ -499,37 +471,24 @@ void PathUnboundPass(const MetaProgram& meta, const LintOptions& options,
     const MetaRule& rule = meta.rules[ri];
 
     // Variables bound outside any '*' sub-path: node atoms, non-star path
-    // parts, negated patterns, assignment targets and aggregate results.
-    std::set<std::string> star_vars, bound_outside;
-    SourceLoc star_loc;
-    auto scan_pattern = [&](const GraphPattern& p) {
-      ForEachPatternAtom(p, [&](const PgAtom& a, bool inside_star) {
-        std::set<std::string> vars;
-        CollectAtomVars(a, &vars);
-        if (inside_star) {
-          if (!star_loc.valid()) star_loc = a.loc;
-          for (const std::string& v : vars) star_vars.insert(v);
-        } else {
-          for (const std::string& v : vars) bound_outside.insert(v);
-        }
-      });
-    };
-    for (const GraphPattern& p : rule.body_patterns) scan_pattern(p);
-    for (const GraphPattern& p : rule.negated_patterns) scan_pattern(p);
+    // parts, negated patterns, assignment targets and aggregate results;
+    // and the variables the head consumes.
+    std::set<std::string> star_vars, bound_outside, used;
+    ForEachRuleAtom(rule, [&](const PgAtom& a, PatternRole role,
+                              bool inside_star) {
+      CollectAtomVars(a, role == PatternRole::kHead ? &used
+                         : inside_star              ? &star_vars
+                                                    : &bound_outside);
+    });
+    if (star_vars.empty()) continue;
     for (const vadalog::Assignment& a : rule.assignments) {
       bound_outside.insert(a.var);
     }
     for (const vadalog::Aggregate& a : rule.aggregates) {
       bound_outside.insert(a.result_var);
     }
-    if (star_vars.empty()) continue;
 
     // Variables the rest of the rule consumes.
-    std::set<std::string> used;
-    for (const GraphPattern& p : rule.head_patterns) {
-      ForEachPatternAtom(p,
-                         [&](const PgAtom& a, bool) { CollectAtomVars(a, &used); });
-    }
     auto use_expr = [&](const vadalog::ExprPtr& e) {
       std::vector<std::string> vars;
       e->CollectVars(&vars);

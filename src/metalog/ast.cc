@@ -1,5 +1,7 @@
 #include "metalog/ast.h"
 
+#include <utility>
+
 namespace kgm::metalog {
 
 std::string PgAtom::ToString() const {
@@ -96,7 +98,7 @@ std::string PathExpr::ToString() const {
 }
 
 void PathExpr::CollectVars(std::vector<std::string>* out) const {
-  if (kind == PathKind::kEdge) {
+  ForEachPathAtom(*this, [out](const PgAtom& edge, bool) {
     if (!edge.id_var.empty() && edge.id_var != "_") {
       out->push_back(edge.id_var);
     }
@@ -105,9 +107,7 @@ void PathExpr::CollectVars(std::vector<std::string>* out) const {
         out->push_back(p.value.var);
       }
     }
-    return;
-  }
-  for (const PathPtr& c : children) c->CollectVars(out);
+  });
 }
 
 std::string GraphPattern::ToString() const {
@@ -147,6 +147,36 @@ std::string MetaRule::ToString() const {
   }
   out += ".";
   return out;
+}
+
+void ForEachPathAtom(const PathExpr& path, const AtomVisitor& fn,
+                     bool inside_star) {
+  if (path.kind == PathKind::kEdge) {
+    fn(path.edge, inside_star);
+    return;
+  }
+  inside_star = inside_star || path.kind == PathKind::kStar;
+  for (const PathPtr& c : path.children) ForEachPathAtom(*c, fn, inside_star);
+}
+
+void ForEachPatternAtom(const GraphPattern& pattern, const AtomVisitor& fn) {
+  for (const PgAtom& n : pattern.nodes) fn(n, false);
+  for (const PathPtr& p : pattern.paths) ForEachPathAtom(*p, fn);
+}
+
+void ForEachRuleAtom(
+    const MetaRule& rule,
+    const std::function<void(const PgAtom& atom, PatternRole role,
+                             bool inside_star)>& fn) {
+  for (const auto& [patterns, role] :
+       {std::pair{&rule.body_patterns, PatternRole::kBody},
+        std::pair{&rule.negated_patterns, PatternRole::kNegated},
+        std::pair{&rule.head_patterns, PatternRole::kHead}}) {
+    const AtomVisitor visit = [&fn, role](const PgAtom& atom, bool in_star) {
+      fn(atom, role, in_star);
+    };
+    for (const GraphPattern& p : *patterns) ForEachPatternAtom(p, visit);
+  }
 }
 
 std::string MetaProgram::ToString() const {

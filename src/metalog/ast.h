@@ -20,6 +20,7 @@
 #ifndef KGM_METALOG_AST_H_
 #define KGM_METALOG_AST_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -109,6 +110,28 @@ struct MetaProgram {
 
   std::string ToString() const;
 };
+
+// The one walk over the atoms of MetaLog patterns.  `inside_star` is true
+// for an edge atom under a Kleene star.
+using AtomVisitor = std::function<void(const PgAtom& atom, bool inside_star)>;
+
+// Visits the edge atoms of `path` depth-first.
+void ForEachPathAtom(const PathExpr& path, const AtomVisitor& fn,
+                     bool inside_star = false);
+
+// Visits the node atoms of `pattern` in order, then the edge atoms of each
+// of its paths (ForEachPathAtom).
+void ForEachPatternAtom(const GraphPattern& pattern, const AtomVisitor& fn);
+
+// The part of a rule a pattern belongs to.
+enum class PatternRole { kBody, kNegated, kHead };
+
+// Visits the atoms of `rule`'s body, negated and head patterns, in that
+// order (ForEachPatternAtom).
+void ForEachRuleAtom(
+    const MetaRule& rule,
+    const std::function<void(const PgAtom& atom, PatternRole role,
+                             bool inside_star)>& fn);
 
 }  // namespace kgm::metalog
 

@@ -66,32 +66,14 @@ void GraphCatalog::AddEdgeLabel(const std::string& label,
 }
 
 Status GraphCatalog::AbsorbProgram(const MetaProgram& program) {
-  auto absorb_atom = [this](const PgAtom& atom) {
-    if (atom.label.empty()) return;
-    std::vector<std::string> props;
-    for (const PgProperty& p : atom.properties) props.push_back(p.name);
-    if (atom.is_edge) {
-      MergeProps(&edge_labels_, atom.label, props);
-    } else {
-      MergeProps(&node_labels_, atom.label, props);
-    }
-  };
-  std::function<void(const PathPtr&)> absorb_path =
-      [&](const PathPtr& path) {
-        if (path->kind == PathKind::kEdge) {
-          absorb_atom(path->edge);
-          return;
-        }
-        for (const PathPtr& c : path->children) absorb_path(c);
-      };
-  auto absorb_pattern = [&](const GraphPattern& pattern) {
-    for (const PgAtom& n : pattern.nodes) absorb_atom(n);
-    for (const PathPtr& p : pattern.paths) absorb_path(p);
-  };
   for (const MetaRule& rule : program.rules) {
-    for (const GraphPattern& p : rule.body_patterns) absorb_pattern(p);
-    for (const GraphPattern& p : rule.negated_patterns) absorb_pattern(p);
-    for (const GraphPattern& p : rule.head_patterns) absorb_pattern(p);
+    ForEachRuleAtom(rule, [this](const PgAtom& atom, PatternRole, bool) {
+      if (atom.label.empty()) return;
+      std::vector<std::string> props;
+      for (const PgProperty& p : atom.properties) props.push_back(p.name);
+      MergeProps(atom.is_edge ? &edge_labels_ : &node_labels_, atom.label,
+                 props);
+    });
   }
   for (const auto& [label, props] : node_labels_) {
     if (edge_labels_.count(label) > 0) {
@@ -175,6 +157,32 @@ size_t GraphCatalog::NodeArity(const std::string& label) const {
 
 size_t GraphCatalog::EdgeArity(const std::string& label) const {
   return 3 + EdgeProps(label).size();
+}
+
+bool GraphCatalog::SameColumnsIn(const GraphCatalog& other) const {
+  for (const auto& [label, props] : node_labels_) {
+    if (other.NodeProps(label) != props) return false;
+  }
+  for (const auto& [label, props] : edge_labels_) {
+    if (other.EdgeProps(label) != props) return false;
+  }
+  return true;
+}
+
+Result<const vadalog::Relation*> GraphCatalog::LabelRelation(
+    const vadalog::FactDb& db, const std::string& label, bool is_edge) const {
+  const auto& labels = is_edge ? edge_labels_ : node_labels_;
+  auto it = labels.find(label);
+  const vadalog::Relation* rel = db.Get(label);
+  if (it == labels.end() || rel == nullptr || rel->size() == 0) return nullptr;
+  const size_t width = (is_edge ? 3 : 1) + it->second.size();
+  if (rel->arity() != width) {
+    return FailedPrecondition("relation " + label + " has width " +
+                              std::to_string(rel->arity()) +
+                              " but its catalog label decodes " +
+                              std::to_string(width) + " columns");
+  }
+  return rel;
 }
 
 std::vector<std::string> GraphCatalog::NodeLabels() const {
@@ -381,22 +389,13 @@ Result<DecodeStats> DecodeGraph(const vadalog::FactDb& db,
                                 pg::PropertyGraph* graph,
                                 const RowCounts& encoded_rows) {
   // Validate every label relation's width before touching the graph.
-  auto check_width = [&db](const std::string& label,
-                           size_t expected) -> Status {
-    const vadalog::Relation* rel = db.Get(label);
-    if (rel == nullptr || rel->size() == 0 || rel->arity() == expected) {
-      return OkStatus();
-    }
-    return FailedPrecondition("relation " + label + " has width " +
-                              std::to_string(rel->arity()) +
-                              " but its catalog label decodes " +
-                              std::to_string(expected) + " columns");
-  };
   for (const std::string& label : catalog.NodeLabels()) {
-    KGM_RETURN_IF_ERROR(check_width(label, catalog.NodeArity(label)));
+    KGM_RETURN_IF_ERROR(
+        catalog.LabelRelation(db, label, /*is_edge=*/false).status());
   }
   for (const std::string& label : catalog.EdgeLabels()) {
-    KGM_RETURN_IF_ERROR(check_width(label, catalog.EdgeArity(label)));
+    KGM_RETURN_IF_ERROR(
+        catalog.LabelRelation(db, label, /*is_edge=*/true).status());
   }
   auto first_row = [&encoded_rows](const std::string& label,
                                    const vadalog::Relation& rel) {

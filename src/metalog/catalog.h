@@ -66,6 +66,20 @@ class GraphCatalog {
   size_t NodeArity(const std::string& label) const;
   size_t EdgeArity(const std::string& label) const;
 
+  // True when every label of this catalog has the same property list in
+  // `other`, so facts laid out by this catalog have the columns a program
+  // compiled against `other` reads.  AbsorbProgram only widens a catalog;
+  // a program naming an unseen property of a label changes its width.
+  bool SameColumnsIn(const GraphCatalog& other) const;
+
+  // The relation of `label` in `db` when this catalog has `label` as a
+  // node label (an edge label when `is_edge`) and the relation has rows,
+  // null otherwise.  A relation whose width is not the label's arity
+  // returns FailedPrecondition.
+  Result<const vadalog::Relation*> LabelRelation(const vadalog::FactDb& db,
+                                                 const std::string& label,
+                                                 bool is_edge) const;
+
   std::vector<std::string> NodeLabels() const;
   std::vector<std::string> EdgeLabels() const;
 
@@ -120,10 +134,9 @@ struct DecodeStats {
 // keeps its OID in __oid unless the OID is its own integer id, so a rerun
 // re-encodes and finds it under the same OID.
 //
-// Facts whose predicates are not catalog labels are ignored.  A non-empty
-// label relation whose width differs from the catalog's (OID, endpoints for
-// an edge, one column per property) returns FailedPrecondition before the
-// graph changes.
+// Facts whose predicates are not catalog labels are ignored.  A label
+// relation of the wrong width (GraphCatalog::LabelRelation) returns
+// FailedPrecondition before the graph changes.
 Result<DecodeStats> DecodeGraph(const vadalog::FactDb& db,
                                 const GraphCatalog& catalog,
                                 pg::PropertyGraph* graph,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <unordered_map>
 
 #include "base/check.h"
 
@@ -114,20 +113,27 @@ class Translator {
   static void CountPatternVars(const GraphPattern& pattern,
                                std::map<std::string, int>* counts);
 
-  // Appends the literal for a node atom to `rule`, with the endpoint
-  // variable already chosen.
-  Status EmitNodeLiteral(const PgAtom& atom, const std::string& var,
-                         Rule* rule);
+  // The variables an edge atom joins, in path order.
+  struct Ends {
+    const std::string& left;
+    const std::string& right;
+    bool inverse;  // the edge runs from right to left
+  };
+
+  // Appends the relation atom of a PG atom (step (1) of the translation):
+  // L(id, f1..fn) for a node atom, L(id, from, to, f1..fm) for an edge
+  // atom between `ends`, one column per catalog property of L.  A
+  // property the atom leaves out is `_` in a body literal; in a head atom
+  // it is get(p, "f") of the atom's `*p` spread, or null.  An unlabeled
+  // node atom without properties is a bare endpoint and appends nothing.
+  Status EmitAtom(const PgAtom& atom, const std::string& id,
+                  const Ends* ends, bool head, Rule* rule);
 
   // Appends literal(s) realizing `path` between lv and rv to `rule`.
   // Stars are recorded into stars_ instead of emitting literals directly
   // (they are expanded into rule variants later) unless inside a helper.
   Status EmitPath(const PathPtr& path, const std::string& lv,
                   const std::string& rv, Rule* rule, bool allow_star_marker);
-
-  // Single edge atom -> body literal.
-  Result<Literal> EdgeLiteral(const PgAtom& atom, bool inverse,
-                              const std::string& lv, const std::string& rv);
 
   // Parameters of a closure/alternation: variables occurring both inside the
   // sub-pattern and elsewhere in the rule.
@@ -145,11 +151,6 @@ class Translator {
   Status EmitHeadPattern(const GraphPattern& pattern, Rule* rule,
                          std::set<std::string>* existing_existentials,
                          std::set<std::string>* body_vars);
-  Result<Atom> HeadNodeAtom(const PgAtom& atom, const std::string& var,
-                            Rule* rule);
-  Result<Atom> HeadEdgeAtom(const PgAtom& atom, bool inverse,
-                            const std::string& id_var, const std::string& lv,
-                            const std::string& rv, Rule* rule);
 
   const GraphCatalog& catalog_;
   const MtvOptions& options_;
@@ -214,77 +215,74 @@ void Translator::CountRuleVars(const MetaRule& rule) {
   }
 }
 
-Status Translator::EmitNodeLiteral(const PgAtom& atom, const std::string& var,
-                                   Rule* rule) {
+Status Translator::EmitAtom(const PgAtom& atom, const std::string& id,
+                            const Ends* ends, bool head, Rule* rule) {
+  const bool edge = ends != nullptr;
   if (atom.label.empty()) {
+    if (edge) {
+      return InvalidArgument(rule_label_ +
+                             (head ? ": head edge atoms must be labeled"
+                                   : ": edge atoms must carry a label"));
+    }
     if (!atom.properties.empty() || !atom.spread_var.empty()) {
       return InvalidArgument(rule_label_ +
                              ": node atom with properties needs a label");
     }
     return OkStatus();  // pure endpoint reference
   }
-  if (!catalog_.HasNodeLabel(atom.label)) {
-    return InvalidArgument(rule_label_ + ": unknown node label " +
+  if (edge ? !catalog_.HasEdgeLabel(atom.label)
+           : !catalog_.HasNodeLabel(atom.label)) {
+    return InvalidArgument(rule_label_ +
+                           (edge ? ": unknown edge label "
+                                 : ": unknown node label ") +
                            atom.label);
   }
-  if (!atom.spread_var.empty()) {
+  if (!head && !atom.spread_var.empty()) {
     return InvalidArgument(rule_label_ +
                            ": '*' spread is only allowed in rule heads");
   }
-  const std::vector<std::string>& props = catalog_.NodeProps(atom.label);
-  Atom out;
-  out.predicate = atom.label;
-  out.args.push_back(Term::Var(var));
-  std::map<std::string, Term> named;
+  const std::vector<std::string>& props =
+      edge ? catalog_.EdgeProps(atom.label) : catalog_.NodeProps(atom.label);
   for (const PgProperty& p : atom.properties) {
     if (std::find(props.begin(), props.end(), p.name) == props.end()) {
       return InvalidArgument(rule_label_ + ": unknown property " + p.name +
-                             " on label " + atom.label);
+                             (edge ? " on edge label " : " on label ") +
+                             atom.label);
     }
-    named.emplace(p.name, p.value);
+  }
+  Atom out;
+  out.predicate = atom.label;
+  out.args.push_back(Term::Var(id));
+  if (edge) {
+    out.args.push_back(Term::Var(ends->inverse ? ends->right : ends->left));
+    out.args.push_back(Term::Var(ends->inverse ? ends->left : ends->right));
   }
   for (const std::string& prop : props) {
-    auto it = named.find(prop);
-    out.args.push_back(it == named.end() ? Term::Var("_") : it->second);
+    // The first value the atom gives the property, if any.
+    auto given = std::find_if(
+        atom.properties.begin(), atom.properties.end(),
+        [&prop](const PgProperty& p) { return p.name == prop; });
+    if (given != atom.properties.end()) {
+      out.args.push_back(given->value);
+    } else if (!head) {
+      out.args.push_back(Term::Var("_"));
+    } else if (!atom.spread_var.empty()) {
+      // *p expansion: fresh var assigned get(p, "prop").
+      std::string v = FreshVar();
+      rule->assignments.push_back(vadalog::Assignment{
+          v, Expr::Call("get", {Expr::Var(atom.spread_var),
+                                Expr::Const(Value(prop))})});
+      out.args.push_back(Term::Var(v));
+    } else {
+      out.args.push_back(Term::Const(Value()));
+    }
   }
-  rule->body.push_back(Literal{std::move(out), /*negated=*/false});
+  if (head) {
+    rule->head.push_back(std::move(out));
+  } else {
+    rule->body.push_back(Literal{std::move(out), /*negated=*/false});
+  }
   return OkStatus();
-}
-
-Result<Literal> Translator::EdgeLiteral(const PgAtom& atom, bool inverse,
-                                        const std::string& lv,
-                                        const std::string& rv) {
-  if (atom.label.empty()) {
-    return InvalidArgument(rule_label_ + ": edge atoms must carry a label");
-  }
-  if (!catalog_.HasEdgeLabel(atom.label)) {
-    return InvalidArgument(rule_label_ + ": unknown edge label " +
-                           atom.label);
-  }
-  if (!atom.spread_var.empty()) {
-    return InvalidArgument(rule_label_ +
-                           ": '*' spread is only allowed in rule heads");
-  }
-  const std::vector<std::string>& props = catalog_.EdgeProps(atom.label);
-  Atom out;
-  out.predicate = atom.label;
-  std::string id = atom.id_var.empty() ? "_" : atom.id_var;
-  out.args.push_back(id == "_" ? Term::Var("_") : Term::Var(id));
-  out.args.push_back(Term::Var(inverse ? rv : lv));
-  out.args.push_back(Term::Var(inverse ? lv : rv));
-  std::map<std::string, Term> named;
-  for (const PgProperty& p : atom.properties) {
-    if (std::find(props.begin(), props.end(), p.name) == props.end()) {
-      return InvalidArgument(rule_label_ + ": unknown property " + p.name +
-                             " on edge label " + atom.label);
-    }
-    named.emplace(p.name, p.value);
-  }
-  for (const std::string& prop : props) {
-    auto it = named.find(prop);
-    out.args.push_back(it == named.end() ? Term::Var("_") : it->second);
-  }
-  return Literal{std::move(out), /*negated=*/false};
 }
 
 std::vector<std::string> Translator::ParamsOf(const PathPtr& sub) {
@@ -389,10 +387,10 @@ Status Translator::EmitPath(const PathPtr& path, const std::string& lv,
                             bool allow_star_marker) {
   switch (path->kind) {
     case PathKind::kEdge: {
-      KGM_ASSIGN_OR_RETURN(Literal lit,
-                           EdgeLiteral(path->edge, path->inverse, lv, rv));
-      rule->body.push_back(std::move(lit));
-      return OkStatus();
+      const Ends ends{lv, rv, path->inverse};
+      return EmitAtom(path->edge,
+                      path->edge.id_var.empty() ? "_" : path->edge.id_var,
+                      &ends, /*head=*/false, rule);
     }
     case PathKind::kConcat: {
       std::string prev = lv;
@@ -439,85 +437,6 @@ Status Translator::EmitPath(const PathPtr& path, const std::string& lv,
   return Internal("unhandled path kind");
 }
 
-Result<Atom> Translator::HeadNodeAtom(const PgAtom& atom,
-                                      const std::string& var, Rule* rule) {
-  KGM_CHECK(!atom.label.empty());
-  if (!catalog_.HasNodeLabel(atom.label)) {
-    return InvalidArgument(rule_label_ + ": unknown node label " +
-                           atom.label);
-  }
-  const std::vector<std::string>& props = catalog_.NodeProps(atom.label);
-  Atom out;
-  out.predicate = atom.label;
-  out.args.push_back(Term::Var(var));
-  std::map<std::string, Term> named;
-  for (const PgProperty& p : atom.properties) {
-    if (std::find(props.begin(), props.end(), p.name) == props.end()) {
-      return InvalidArgument(rule_label_ + ": unknown property " + p.name +
-                             " on label " + atom.label);
-    }
-    named.emplace(p.name, p.value);
-  }
-  for (const std::string& prop : props) {
-    auto it = named.find(prop);
-    if (it != named.end()) {
-      out.args.push_back(it->second);
-    } else if (!atom.spread_var.empty()) {
-      // *p expansion: fresh var assigned get(p, "prop").
-      std::string v = FreshVar();
-      rule->assignments.push_back(vadalog::Assignment{
-          v, Expr::Call("get", {Expr::Var(atom.spread_var),
-                                Expr::Const(Value(prop))})});
-      out.args.push_back(Term::Var(v));
-    } else {
-      out.args.push_back(Term::Const(Value()));
-    }
-  }
-  return out;
-}
-
-Result<Atom> Translator::HeadEdgeAtom(const PgAtom& atom, bool inverse,
-                                      const std::string& id_var,
-                                      const std::string& lv,
-                                      const std::string& rv, Rule* rule) {
-  if (atom.label.empty()) {
-    return InvalidArgument(rule_label_ + ": head edge atoms must be labeled");
-  }
-  if (!catalog_.HasEdgeLabel(atom.label)) {
-    return InvalidArgument(rule_label_ + ": unknown edge label " +
-                           atom.label);
-  }
-  const std::vector<std::string>& props = catalog_.EdgeProps(atom.label);
-  Atom out;
-  out.predicate = atom.label;
-  out.args.push_back(Term::Var(id_var));
-  out.args.push_back(Term::Var(inverse ? rv : lv));
-  out.args.push_back(Term::Var(inverse ? lv : rv));
-  std::map<std::string, Term> named;
-  for (const PgProperty& p : atom.properties) {
-    if (std::find(props.begin(), props.end(), p.name) == props.end()) {
-      return InvalidArgument(rule_label_ + ": unknown property " + p.name +
-                             " on edge label " + atom.label);
-    }
-    named.emplace(p.name, p.value);
-  }
-  for (const std::string& prop : props) {
-    auto it = named.find(prop);
-    if (it != named.end()) {
-      out.args.push_back(it->second);
-    } else if (!atom.spread_var.empty()) {
-      std::string v = FreshVar();
-      rule->assignments.push_back(vadalog::Assignment{
-          v, Expr::Call("get", {Expr::Var(atom.spread_var),
-                                Expr::Const(Value(prop))})});
-      out.args.push_back(Term::Var(v));
-    } else {
-      out.args.push_back(Term::Const(Value()));
-    }
-  }
-  return out;
-}
-
 Status Translator::EmitHeadPattern(
     const GraphPattern& pattern, Rule* rule,
     std::set<std::string>* existing_existentials,
@@ -540,10 +459,8 @@ Status Translator::EmitHeadPattern(
       existing_existentials->insert(var);
     }
     node_vars.push_back(var);
-    if (!node.label.empty()) {
-      KGM_ASSIGN_OR_RETURN(Atom atom, HeadNodeAtom(node, var, rule));
-      rule->head.push_back(std::move(atom));
-    }
+    KGM_RETURN_IF_ERROR(EmitAtom(node, var, /*ends=*/nullptr, /*head=*/true,
+                                 rule));
   }
   for (size_t i = 0; i < pattern.paths.size(); ++i) {
     const PathPtr& path = pattern.paths[i];
@@ -559,10 +476,9 @@ Status Translator::EmitHeadPattern(
       rule->existentials.push_back(vadalog::ExistentialSpec{id_var, "", {}});
       existing_existentials->insert(id_var);
     }
-    KGM_ASSIGN_OR_RETURN(
-        Atom atom, HeadEdgeAtom(path->edge, path->inverse, id_var,
-                                node_vars[i], node_vars[i + 1], rule));
-    rule->head.push_back(std::move(atom));
+    const Ends ends{node_vars[i], node_vars[i + 1], path->inverse};
+    KGM_RETURN_IF_ERROR(
+        EmitAtom(path->edge, id_var, &ends, /*head=*/true, rule));
   }
   return OkStatus();
 }
@@ -586,14 +502,14 @@ Status Translator::TranslateRule(const MetaRule& rule, int rule_index) {
                               ? FreshVar()
                               : node.id_var);
     }
-    KGM_RETURN_IF_ERROR(EmitNodeLiteral(pattern.nodes[0], node_vars[0],
-                                        &main));
+    KGM_RETURN_IF_ERROR(EmitAtom(pattern.nodes[0], node_vars[0],
+                                 /*ends=*/nullptr, /*head=*/false, &main));
     for (size_t i = 0; i < pattern.paths.size(); ++i) {
       KGM_RETURN_IF_ERROR(EmitPath(pattern.paths[i], node_vars[i],
                                    node_vars[i + 1], &main,
                                    /*allow_star_marker=*/true));
-      KGM_RETURN_IF_ERROR(EmitNodeLiteral(pattern.nodes[i + 1],
-                                          node_vars[i + 1], &main));
+      KGM_RETURN_IF_ERROR(EmitAtom(pattern.nodes[i + 1], node_vars[i + 1],
+                                   /*ends=*/nullptr, /*head=*/false, &main));
     }
   }
   // Negated patterns: one negated literal each.
@@ -609,7 +525,8 @@ Status Translator::TranslateRule(const MetaRule& rule, int rule_index) {
                                ": negated node atoms must carry a label");
       }
       size_t before = main.body.size();
-      KGM_RETURN_IF_ERROR(EmitNodeLiteral(node, endpoint(node), &main));
+      KGM_RETURN_IF_ERROR(EmitAtom(node, endpoint(node), /*ends=*/nullptr,
+                                   /*head=*/false, &main));
       KGM_CHECK(main.body.size() == before + 1);
       main.body.back().negated = true;
       continue;
@@ -623,12 +540,14 @@ Status Translator::TranslateRule(const MetaRule& rule, int rule_index) {
       }
     }
     const PathPtr& path = pattern.paths[0];
-    KGM_ASSIGN_OR_RETURN(
-        Literal lit,
-        EdgeLiteral(path->edge, path->inverse, endpoint(pattern.nodes[0]),
-                    endpoint(pattern.nodes[1])));
-    lit.negated = true;
-    main.body.push_back(std::move(lit));
+    const std::string from = endpoint(pattern.nodes[0]);
+    const std::string to = endpoint(pattern.nodes[1]);
+    const Ends ends{from, to, path->inverse};
+    KGM_RETURN_IF_ERROR(
+        EmitAtom(path->edge,
+                 path->edge.id_var.empty() ? "_" : path->edge.id_var, &ends,
+                 /*head=*/false, &main));
+    main.body.back().negated = true;
   }
 
   main.assignments = rule.assignments;
@@ -709,32 +628,16 @@ Result<MtvResult> TranslateMetaRule(const MetaRule& rule,
   return translator.TakeResult();
 }
 
-namespace {
-
-void CollectBodyLabels(const PathPtr& path, std::set<std::string>* edges) {
-  if (path->kind == PathKind::kEdge) {
-    if (!path->edge.label.empty()) edges->insert(path->edge.label);
-    return;
-  }
-  for (const PathPtr& c : path->children) CollectBodyLabels(c, edges);
-}
-
-}  // namespace
-
 std::string GenerateInputBindings(const MetaProgram& program,
                                   const GraphCatalog& catalog,
                                   BindingLanguage language) {
   std::set<std::string> node_labels;
   std::set<std::string> edge_labels;
-  auto collect_pattern = [&](const GraphPattern& pattern) {
-    for (const PgAtom& n : pattern.nodes) {
-      if (!n.label.empty()) node_labels.insert(n.label);
-    }
-    for (const PathPtr& p : pattern.paths) CollectBodyLabels(p, &edge_labels);
-  };
   for (const MetaRule& rule : program.rules) {
-    for (const GraphPattern& p : rule.body_patterns) collect_pattern(p);
-    for (const GraphPattern& p : rule.negated_patterns) collect_pattern(p);
+    ForEachRuleAtom(rule, [&](const PgAtom& atom, PatternRole role, bool) {
+      if (role == PatternRole::kHead || atom.label.empty()) return;
+      (atom.is_edge ? edge_labels : node_labels).insert(atom.label);
+    });
   }
   std::string out;
   for (const std::string& label : node_labels) {

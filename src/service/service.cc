@@ -410,7 +410,7 @@ Result<QueryResult> KgService::EvaluateOnSnapshot(
                            compiled->lint.FirstError());
   }
   vadalog::FactDb db;
-  if (EncodingCompatible(snap.catalog, compiled->catalog)) {
+  if (snap.catalog.SameColumnsIn(compiled->catalog)) {
     db = snap.CloneFacts();
   } else if (snap.is_delta) {
     // The delta lives only in the encoding; re-encoding the (stale)

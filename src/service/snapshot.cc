@@ -39,15 +39,4 @@ std::shared_ptr<const Snapshot> BuildSnapshot(pg::PropertyGraph graph,
   return snap;
 }
 
-bool EncodingCompatible(const metalog::GraphCatalog& base,
-                        const metalog::GraphCatalog& extended) {
-  for (const std::string& label : base.NodeLabels()) {
-    if (extended.NodeProps(label) != base.NodeProps(label)) return false;
-  }
-  for (const std::string& label : base.EdgeLabels()) {
-    if (extended.EdgeProps(label) != base.EdgeProps(label)) return false;
-  }
-  return true;
-}
-
 }  // namespace kgm::service

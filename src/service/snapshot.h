@@ -73,16 +73,6 @@ struct Snapshot {
 std::shared_ptr<const Snapshot> BuildSnapshot(pg::PropertyGraph graph,
                                               uint64_t epoch);
 
-// True when every label of `base` has the same property list in `extended`
-// — i.e. the relational encoding produced under `base` is byte-identical
-// to the one `extended` would produce for those labels, so facts encoded
-// under `base` can be evaluated by a program compiled against `extended`.
-// (AbsorbProgram only ever widens the catalog; this detects the rare case
-// where a query mentions an unseen property of an extensional label, which
-// changes that label's fact arity and forces a fresh encoding.)
-bool EncodingCompatible(const metalog::GraphCatalog& base,
-                        const metalog::GraphCatalog& extended);
-
 }  // namespace kgm::service
 
 #endif  // KGM_SERVICE_SNAPSHOT_H_

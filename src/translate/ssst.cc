@@ -3,17 +3,12 @@
 namespace kgm::translate {
 
 Result<core::PgSchema> TranslateToPropertyGraph(
-    const core::SuperSchema& schema, const SsstOptions& options) {
-  if (options.path == TranslationPath::kDeclarative &&
-      options.pg_strategy == PgGeneralizationStrategy::kTypeAccumulation) {
-    return TranslateToPgDeclarative(schema);
-  }
-  return TranslateToPgNative(schema, options.pg_strategy);
+    const core::SuperSchema& schema) {
+  return TranslateToPgDeclarative(schema);
 }
 
 Result<std::vector<rel::TableSchema>> TranslateToRelational(
-    const core::SuperSchema& schema, const SsstOptions& options) {
-  (void)options;  // single strategy implemented; see header
+    const core::SuperSchema& schema) {
   return TranslateToRelationalNative(schema);
 }
 

@@ -5,10 +5,10 @@
 // compiles the MetaLog mapping to Vadalog through MTV, and produces the
 // schema S' of M (plus, for relational targets, enforceable DDL).
 //
-// Two execution paths are provided: kDeclarative runs the published
-// MetaLog Eliminate/Copy programs on the dictionary graph (the paper's
-// mechanism); kNative runs the equivalent procedural translator.  The two
-// must agree — tests and the E10 ablation bench rely on it.
+// The PG translation runs the published MetaLog Eliminate/Copy programs on
+// the dictionary graph (the paper's mechanism); native.h holds the
+// equivalent procedural translator.  The two must agree — tests and the
+// E10 ablation bench rely on it.
 
 #ifndef KGM_TRANSLATE_SSST_H_
 #define KGM_TRANSLATE_SSST_H_
@@ -25,28 +25,16 @@
 
 namespace kgm::translate {
 
-enum class TranslationPath {
-  kDeclarative,  // MetaLog mappings over the dictionary (Section 5)
-  kNative,       // procedural oracle
-};
-
-struct SsstOptions {
-  TranslationPath path = TranslationPath::kDeclarative;
-  PgGeneralizationStrategy pg_strategy =
-      PgGeneralizationStrategy::kTypeAccumulation;
-};
-
-// Super-schema -> PG model schema (Figure 6).  The declarative path only
-// implements the type-accumulation strategy; the child-parent-edges
-// strategy falls back to the native translator.
+// Super-schema -> PG model schema (Figure 6), through the declarative
+// type-accumulation mapping.
 Result<core::PgSchema> TranslateToPropertyGraph(
-    const core::SuperSchema& schema, const SsstOptions& options = {});
+    const core::SuperSchema& schema);
 
 // Super-schema -> relational schema (Figure 8).  Currently native-only;
 // the declarative relational mapping is listed as an extension in
 // DESIGN.md.
 Result<std::vector<rel::TableSchema>> TranslateToRelational(
-    const core::SuperSchema& schema, const SsstOptions& options = {});
+    const core::SuperSchema& schema);
 
 // Super-schema -> CSV files.
 std::vector<CsvFileSchema> TranslateToCsv(const core::SuperSchema& schema);

@@ -349,6 +349,18 @@ TEST(LintMetaLogTest, UnknownLabelIsCatalogWarning) {
   EXPECT_NE(d->message.find("Wat"), std::string::npos);
 }
 
+TEST(LintMetaLogTest, UnlabeledHeadNodeWithPropertiesIsError) {
+  // The unlabeled head atom names no relation that could hold `nick`.
+  LintResult result = LintMetaLogSource(
+      "(x: Person)[: KNOWS](y) -> (x; nick: \"a\")[: LIKES](y).\n", nullptr);
+  const Diagnostic* d = FindPass(result, "translate");
+  ASSERT_NE(d, nullptr) << RenderText(result);
+  EXPECT_EQ(d->severity, Severity::kError);
+  EXPECT_NE(d->message.find("node atom with properties needs a label"),
+            std::string::npos)
+      << d->message;
+}
+
 TEST(LintMetaLogTest, ParseErrorBecomesDiagnostic) {
   LintResult result = LintMetaLogSource("this is not metalog\n", nullptr);
   ASSERT_FALSE(result.diagnostics.empty());

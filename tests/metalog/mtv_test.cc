@@ -209,6 +209,29 @@ TEST(MtvTest, UnlabeledEdgeRejected) {
   EXPECT_FALSE(TranslateMetaProgram(*program, CompanyCatalog()).ok());
 }
 
+// An unlabeled node atom names no relation to carry its properties, so
+// one with properties or a spread is an error in the head as in the body.
+TEST(MtvTest, UnlabeledHeadNodeWithPropertiesRejected) {
+  GraphCatalog catalog;
+  catalog.AddNodeLabel("Person", {"name"});
+  catalog.AddEdgeLabel("KNOWS", {"since"});
+  catalog.AddEdgeLabel("LIKES");
+  for (const char* source :
+       {"(x: Person)[: KNOWS](y) -> (x; nick: \"a\")[: LIKES](y).",
+        "(x: Person) -> (x; nick: \"a\").", "(x: Person) -> (x; *p)."}) {
+    SCOPED_TRACE(source);
+    auto program = ParseMetaProgram(source);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    auto result = TranslateMetaProgram(*program, catalog);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find(
+                  ": node atom with properties needs a label"),
+              std::string::npos)
+        << result.status().message();
+  }
+}
+
 TEST(MtvTest, InputBindingsFollowExample44) {
   GraphCatalog catalog;
   catalog.AddNodeLabel("SM_Node", {"name"});

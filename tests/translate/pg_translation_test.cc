@@ -180,12 +180,8 @@ TEST(PgDeclarativeTest, MatchesNativeOnSyntheticSchemas) {
 
 TEST(SsstFacadeTest, PathsAgree) {
   SuperSchema s = finkg::CompanyKgSchema();
-  SsstOptions declarative;
-  declarative.path = TranslationPath::kDeclarative;
-  SsstOptions native;
-  native.path = TranslationPath::kNative;
-  auto a = TranslateToPropertyGraph(s, declarative);
-  auto b = TranslateToPropertyGraph(s, native);
+  auto a = TranslateToPropertyGraph(s);
+  auto b = TranslateToPgNative(s);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_EQ(a->ToString(), b->ToString());
