@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <string>
 
 #include "finkg/company_kg.h"
 #include "finkg/generator.h"
@@ -34,6 +35,8 @@ int main() {
               "owns-edges", "load(s)", "reason(s)", "flush(s)", "ratio",
               "direct(s)");
 
+  // Scales where reasoning took no longer than load+flush.
+  std::string reason_not_dominant;
   for (size_t companies : company_scales) {
     finkg::GeneratorConfig config;
     config.num_companies = companies;
@@ -54,6 +57,9 @@ int main() {
     }
     double load_flush = staged->load_seconds + staged->flush_seconds;
     double ratio = load_flush > 0 ? staged->reason_seconds / load_flush : 0;
+    if (staged->reason_seconds <= load_flush) {
+      reason_not_dominant += " " + std::to_string(companies);
+    }
 
     // Direct execution: the same MetaLog program straight on the data
     // graph, without instance constructs or views.
@@ -80,9 +86,16 @@ int main() {
       return 1;
     }
   }
+  if (reason_not_dominant.empty()) {
+    std::printf("\nshape check: reasoning exceeds load+flush at every scale");
+  } else {
+    std::printf(
+        "\nshape check FAILED: reasoning does not exceed load+flush at "
+        "companies =%s",
+        reason_not_dominant.c_str());
+  }
   std::printf(
-      "\nshape check: reasoning dominates load+flush at every scale and "
-      "the gap widens with size; the direct path shows the overhead the "
-      "staging area trades for model independence.\n");
+      "; staged and direct derive the same number of CONTROLS edges at "
+      "every scale.\n");
   return 0;
 }

@@ -1,5 +1,6 @@
 #include "instance/views.h"
 
+#include <map>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -31,6 +32,34 @@ bool HasAncestorIn(const core::SuperSchema& schema,
   return false;
 }
 
+// True when a head node atom of `rule` is anonymous, existential, or bound
+// by no node atom of the rule's positive body.
+bool MintsNode(const metalog::MetaRule& rule) {
+  std::set<std::string> bound;
+  for (const metalog::GraphPattern& p : rule.body_patterns) {
+    for (const metalog::PgAtom& n : p.nodes) bound.insert(n.id_var);
+  }
+  for (const vadalog::ExistentialSpec& e : rule.existentials) {
+    bound.erase(e.var);
+  }
+  for (const metalog::GraphPattern& p : rule.head_patterns) {
+    for (const metalog::PgAtom& n : p.nodes) {
+      if (n.id_var.empty() || n.id_var == "_" || bound.count(n.id_var) == 0) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+// True when a head atom sets `property` of `label`, per `set_props`.
+bool Sets(const std::map<std::string, std::set<std::string>>& set_props,
+          const std::string& label, const std::string& property) {
+  auto it = set_props.find(label);
+  return it != set_props.end() &&
+         (it->second.count(property) > 0 || it->second.count("*") > 0);
+}
+
 }  // namespace
 
 SigmaAnalysis AnalyzeSigma(const metalog::MetaProgram& sigma) {
@@ -46,7 +75,19 @@ SigmaAnalysis AnalyzeSigma(const metalog::MetaProgram& sigma) {
                          : (in_head ? out.head_node_labels
                                     : out.body_node_labels);
       target.insert(atom.label);
+      if (!in_head) {
+        if (!atom.properties.empty()) {
+          (atom.is_edge ? out.read_edge_labels : out.read_node_labels)
+              .insert(atom.label);
+        }
+        return;
+      }
+      std::set<std::string>& set =
+          (atom.is_edge ? out.set_edge_props : out.set_node_props)[atom.label];
+      for (const metalog::PgProperty& p : atom.properties) set.insert(p.name);
+      if (!atom.spread_var.empty()) set.insert("*");
     });
+    out.mints_nodes = out.mints_nodes || MintsNode(rule);
   }
   return out;
 }
@@ -131,6 +172,7 @@ Result<std::string> GenerateInputViews(const core::SuperSchema& schema,
     for (const std::string& d : schema.DescendantsOf(label)) {
       types.push_back(d);
     }
+    const bool read = analysis.read_node_labels.count(label) > 0;
     const std::string head =
         "  -> exists c = skView(i), exists w = skViewOf(i) (c: " + label;
     os << "% V_I: " << label << " node view\n";
@@ -138,19 +180,25 @@ Result<std::string> GenerateInputViews(const core::SuperSchema& schema,
       const std::string members =
           "(: SM_Type; name: \"" + type + "\")[: SM_HAS_NODE_TYPE]-"
           "(n: SM_Node)\n    [: SM_REFERENCES]-(i: I_SM_Node; instanceOID: " +
-          oid + "),\n";
+          oid + ")";
+      if (!read) {
+        // Sigma reads no property of L: no attribute join, and the view
+        // rows carry null properties.
+        os << members << "\n" << head << "), (c)[w: VIEW_OF](i).\n";
+        continue;
+      }
       // With attributes: pack them into a record and spread it into the
       // view atom (Example 6.2).  LoadInstance attaches only declared
       // attributes, so a type without any gets no such rule.
       if (!schema.EffectiveAttributes(type).empty()) {
-        os << members
+        os << members << ",\n"
            << "(i)[: I_SM_HAS_NODE_ATTR](ia: I_SM_Attribute; value: v)\n"
            << "    [: SM_REFERENCES](na: SM_Attribute; name: m),\n"
            << "p = pack(m, v)\n"
            << head << "; *p), (c)[w: VIEW_OF](i).\n";
       }
       // Attribute-less instances still appear in the view.
-      os << members << "not (i)[: I_SM_HAS_NODE_ATTR]()\n"
+      os << members << ",\nnot (i)[: I_SM_HAS_NODE_ATTR]()\n"
          << head << "), (c)[w: VIEW_OF](i).\n";
     }
     os << "\n";
@@ -165,17 +213,24 @@ Result<std::string> GenerateInputViews(const core::SuperSchema& schema,
         "(ie)[: I_SM_FROM](ix),\n"
         "(ie)[: I_SM_TO](iy),\n"
         "(cx)[: VIEW_OF](ix),\n"
-        "(cy)[: VIEW_OF](iy),\n";
+        "(cy)[: VIEW_OF](iy)";
+    const std::string head =
+        "  -> exists k = skViewE(ie) (cx)[k: " + label;
     os << "% V_I: " << label << " edge view\n";
+    // As for node views: attributes only for a label Sigma reads them of.
+    if (analysis.read_edge_labels.count(label) == 0) {
+      os << members << "\n" << head << "](cy).\n\n";
+      continue;
+    }
     if (!edge->attributes.empty()) {
-      os << members
+      os << members << ",\n"
          << "(ie)[: I_SM_HAS_EDGE_ATTR](ia: I_SM_Attribute; value: v)\n"
          << "    [: SM_REFERENCES](ea: SM_Attribute; name: m),\n"
          << "p = pack(m, v)\n"
-         << "  -> exists k = skViewE(ie) (cx)[k: " << label << "; *p](cy).\n";
+         << head << "; *p](cy).\n";
     }
-    os << members << "not (ie)[: I_SM_HAS_EDGE_ATTR]()\n"
-       << "  -> exists k = skViewE(ie) (cx)[k: " << label << "](cy).\n\n";
+    os << members << ",\nnot (ie)[: I_SM_HAS_EDGE_ATTR]()\n"
+       << head << "](cy).\n\n";
   }
   return os.str();
 }
@@ -192,28 +247,35 @@ Result<std::string> GenerateOutputViews(const core::SuperSchema& schema,
     if (node == nullptr) {
       return InvalidArgument("Sigma derives unknown node label " + label);
     }
-    os << "% V_O: " << label << " node outputs\n";
-    // Property updates on existing entities.
+    std::vector<std::string> written;
     for (const core::AttributeDef& attr :
          schema.EffectiveAttributes(label)) {
-      os << "(f: " << label << "; " << attr.name
+      if (Sets(analysis.set_node_props, label, attr.name)) {
+        written.push_back(attr.name);
+      }
+    }
+    os << "% V_O: " << label << " node outputs\n";
+    // Property updates on existing entities.
+    for (const std::string& attr : written) {
+      os << "(f: " << label << "; " << attr
          << ": v)[: VIEW_OF](i), !is_null(v)\n"
-         << "  -> exists u = skOUpd_" << label << "_" << attr.name
-         << "(f) (u: O_SM_PropUpdate; name: \"" << attr.name
+         << "  -> exists u = skOUpd_" << label << "_" << attr
+         << "(f) (u: O_SM_PropUpdate; name: \"" << attr
          << "\", value: v), (u)[: O_ON](i).\n";
     }
     // Newly created entities.
-    os << "(f: " << label << "), not (f)[: VIEW_OF]()\n"
-       << "  -> exists o = skONew(f) (o: O_SM_Node; nodeType: \"" << label
-       << "\").\n";
-    for (const core::AttributeDef& attr :
-         schema.EffectiveAttributes(label)) {
-      os << "(f: " << label << "; " << attr.name
-         << ": v), not (f)[: VIEW_OF](), !is_null(v)\n"
-         << "  -> exists o = skONew(f), exists a = skONewA_" << label << "_"
-         << attr.name << "(f)\n"
-         << "     (o: O_SM_Node)[: O_SM_HAS_ATTR](a: O_SM_Attribute; "
-         << "name: \"" << attr.name << "\", value: v).\n";
+    if (analysis.mints_nodes) {
+      os << "(f: " << label << "), not (f)[: VIEW_OF]()\n"
+         << "  -> exists o = skONew(f) (o: O_SM_Node; nodeType: \"" << label
+         << "\").\n";
+      for (const std::string& attr : written) {
+        os << "(f: " << label << "; " << attr
+           << ": v), not (f)[: VIEW_OF](), !is_null(v)\n"
+           << "  -> exists o = skONew(f), exists a = skONewA_" << label
+           << "_" << attr << "(f)\n"
+           << "     (o: O_SM_Node)[: O_SM_HAS_ATTR](a: O_SM_Attribute; "
+           << "name: \"" << attr << "\", value: v).\n";
+      }
     }
     os << "\n";
   }
@@ -223,14 +285,15 @@ Result<std::string> GenerateOutputViews(const core::SuperSchema& schema,
       return InvalidArgument("Sigma derives unknown edge label " + label);
     }
     os << "% V_O: " << label << " edge outputs\n";
-    // Four endpoint-resolution variants: each endpoint is either an
-    // existing entity (VIEW_OF resolvable) or a new one.
+    // Endpoint-resolution variants: each endpoint is either an existing
+    // entity (VIEW_OF resolvable) or, when Sigma mints nodes, a new one.
     // V_I derives VIEW_OF only to I_SM_Nodes.
     const char* kFromExisting = "(cx)[: VIEW_OF](ix)";
     const char* kFromNew = "not (cx)[: VIEW_OF]()";
     const char* kToExisting = "(cy)[: VIEW_OF](iy)";
     const char* kToNew = "not (cy)[: VIEW_OF]()";
-    for (int variant = 0; variant < 4; ++variant) {
+    const int variants = analysis.mints_nodes ? 4 : 1;
+    for (int variant = 0; variant < variants; ++variant) {
       bool from_existing = (variant & 1) == 0;
       bool to_existing = (variant & 2) == 0;
       os << "(cx)[k: " << label << "](cy),\n"
@@ -246,6 +309,7 @@ Result<std::string> GenerateOutputViews(const core::SuperSchema& schema,
          << (to_existing ? "iy" : "oy: O_SM_Node") << ").\n";
     }
     for (const core::AttributeDef& attr : edge->attributes) {
+      if (!Sets(analysis.set_edge_props, label, attr.name)) continue;
       os << "(cx)[k: " << label << "; " << attr.name
          << ": v](cy), !is_null(v)\n"
          << "  -> exists e = skOE(k), exists a = skOEA_" << label << "_"

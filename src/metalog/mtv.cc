@@ -533,7 +533,8 @@ Status Translator::TranslateRule(const MetaRule& rule, int rule_index) {
     }
     // Negated single-edge pattern: endpoints must be plain references.
     for (const PgAtom& node : pattern.nodes) {
-      if (!node.label.empty() || !node.properties.empty()) {
+      if (!node.label.empty() || !node.properties.empty() ||
+          !node.spread_var.empty()) {
         return InvalidArgument(
             rule_label_ +
             ": endpoints of a negated edge pattern must be bare references");

@@ -56,14 +56,126 @@ TEST(ViewGenerationTest, InputViewsCoverSigmaBodyLabels) {
   EXPECT_TRUE(analysis.head_edge_labels.count("CONTROLS") > 0);
   auto views = GenerateInputViews(schema, *sigma, 234);
   ASSERT_TRUE(views.ok()) << views.status().ToString();
-  EXPECT_NE(views->find("pack(m, v)"), std::string::npos);
-  EXPECT_NE(views->find("(c: Business; *p)"), std::string::npos);
+  // Control reads OWNS's percentage and no Business property.
+  EXPECT_NE(views->find("[k: OWNS; *p]"), std::string::npos);
+  EXPECT_EQ(views->find("(c: Business; *p)"), std::string::npos);
+  EXPECT_NE(views->find("(c: Business)"), std::string::npos);
   // The generated views must themselves parse.
   EXPECT_TRUE(metalog::ParseMetaProgram(*views).ok());
   auto out_views = GenerateOutputViews(schema, *sigma, 234);
   ASSERT_TRUE(out_views.ok()) << out_views.status().ToString();
   EXPECT_TRUE(metalog::ParseMetaProgram(*out_views).ok());
   EXPECT_NE(out_views->find("O_SM_Edge"), std::string::npos);
+}
+
+// The number of times `needle` occurs in `text`.
+size_t Occurrences(const std::string& text, const std::string& needle) {
+  size_t count = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(ViewGenerationTest, InputViewsPackOnlyLabelsSigmaReads) {
+  // Sigma reads one PhysicalPerson property: that view keeps its pack rule
+  // and twin; the Business view and the unread OWNS view get one bare rule
+  // per member type.
+  core::SuperSchema schema = finkg::CompanyKgSchema();
+  auto sigma = metalog::ParseMetaProgram(
+      "(p: PhysicalPerson; surname: s)[: OWNS](b: Business)\n"
+      "  -> (p)[: CONTROLS](b).");
+  ASSERT_TRUE(sigma.ok()) << sigma.status().ToString();
+  const SigmaAnalysis analysis = AnalyzeSigma(*sigma);
+  EXPECT_EQ(analysis.read_node_labels,
+            (std::set<std::string>{"PhysicalPerson"}));
+  EXPECT_TRUE(analysis.read_edge_labels.empty());
+  auto views = GenerateInputViews(schema, *sigma, 234);
+  ASSERT_TRUE(views.ok()) << views.status().ToString();
+  EXPECT_EQ(Occurrences(*views, "pack(m, v)"), 1u);
+  EXPECT_EQ(Occurrences(*views, "(c: PhysicalPerson; *p)"), 1u);
+  EXPECT_EQ(Occurrences(*views, "not (i)[: I_SM_HAS_NODE_ATTR]()"), 1u);
+  EXPECT_EQ(Occurrences(*views, "(c: Business)"),
+            1 + schema.DescendantsOf("Business").size());
+  EXPECT_EQ(Occurrences(*views, "I_SM_HAS_EDGE_ATTR"), 0u);
+  EXPECT_EQ(Occurrences(*views, "(cx)[k: OWNS](cy)."), 1u);
+  EXPECT_TRUE(metalog::ParseMetaProgram(*views).ok());
+}
+
+TEST(ViewGenerationTest, OutputViewsUpdateOnlyPropertiesSigmaSets) {
+  core::SuperSchema schema = finkg::CompanyKgSchema();
+  auto updates = [&schema](const char* source) {
+    auto sigma = metalog::ParseMetaProgram(source);
+    EXPECT_TRUE(sigma.ok()) << source;
+    auto views = GenerateOutputViews(schema, *sigma, 234);
+    EXPECT_TRUE(views.ok()) << views.status().ToString();
+    EXPECT_TRUE(metalog::ParseMetaProgram(*views).ok()) << *views;
+    return Occurrences(*views, "O_SM_PropUpdate");
+  };
+  auto sigma = metalog::ParseMetaProgram(finkg::kStakeholdersProgram);
+  ASSERT_TRUE(sigma.ok());
+  auto views = GenerateOutputViews(schema, *sigma, 234);
+  ASSERT_TRUE(views.ok()) << views.status().ToString();
+  EXPECT_EQ(Occurrences(*views, "O_SM_PropUpdate"), 1u);
+  EXPECT_NE(views->find("name: \"numberOfStakeholders\""), std::string::npos);
+  // Two properties set by two rules.
+  EXPECT_EQ(updates("(b: Business) -> (b: Business; businessName: \"x\").\n"
+                    "(b: Business) -> (b: Business; fiscalCode: \"y\")."),
+            2u);
+  // A head `*` spread sets every attribute of the label.
+  EXPECT_EQ(updates("(b: Business), p = pack(\"fiscalCode\", \"z\")\n"
+                    "  -> (b: Business; *p)."),
+            schema.EffectiveAttributes("Business").size());
+  // A head label without properties updates nothing.
+  EXPECT_EQ(updates("(b: Business) -> (b: Person)."), 0u);
+}
+
+TEST(ViewGenerationTest, OutputViewsWithoutMintedNodesStageNoNewNodes) {
+  core::SuperSchema schema = finkg::CompanyKgSchema();
+  auto mints = [](const char* source) {
+    auto sigma = metalog::ParseMetaProgram(source);
+    EXPECT_TRUE(sigma.ok()) << source;
+    return AnalyzeSigma(*sigma).mints_nodes;
+  };
+  EXPECT_FALSE(mints("(x: Business)[: OWNS](y) -> (x)[: CONTROLS](y)."));
+  EXPECT_TRUE(mints("(x: Business) -> exists f (x)[: CONTROLS](f)."));
+  EXPECT_TRUE(mints("(x: Business) -> (x)[: CONTROLS](y)."));
+  EXPECT_TRUE(mints("(x: Business) -> (x)[: CONTROLS](: Business)."));
+  EXPECT_TRUE(mints(finkg::kFamilyProgram));
+  for (const char* program :
+       {finkg::kOwnsProgram, finkg::kControlProgram,
+        finkg::kStakeholdersProgram, finkg::kCloseLinksProgram}) {
+    EXPECT_FALSE(mints(program)) << program;
+  }
+  // Control mints no node: no creation rule and one endpoint variant.
+  auto control = metalog::ParseMetaProgram(finkg::kControlProgram);
+  ASSERT_TRUE(control.ok());
+  auto views = GenerateOutputViews(schema, *control, 234);
+  ASSERT_TRUE(views.ok()) << views.status().ToString();
+  EXPECT_EQ(Occurrences(*views, "skONew"), 0u);
+  EXPECT_EQ(Occurrences(*views, "O_SM_Node"), 0u);
+  EXPECT_EQ(Occurrences(*views, "edgeType: \"CONTROLS\""), 1u);
+  EXPECT_EQ(Occurrences(*views, "not (c"), 0u);
+}
+
+TEST(ViewGenerationTest, FamiliesKeepsEveryEndpointVariant) {
+  // The family component mints Family nodes: each head edge label keeps
+  // its four endpoint variants and each head node label its creation rule.
+  core::SuperSchema schema = finkg::CompanyKgSchema();
+  auto sigma = metalog::ParseMetaProgram(finkg::kFamilyProgram);
+  ASSERT_TRUE(sigma.ok());
+  const SigmaAnalysis analysis = AnalyzeSigma(*sigma);
+  auto views = GenerateOutputViews(schema, *sigma, 234);
+  ASSERT_TRUE(views.ok()) << views.status().ToString();
+  ASSERT_EQ(analysis.head_edge_labels.size(), 3u);
+  for (const std::string& label : analysis.head_edge_labels) {
+    EXPECT_EQ(Occurrences(*views, "edgeType: \"" + label + "\""), 4u)
+        << label;
+  }
+  EXPECT_EQ(Occurrences(*views, "nodeType: \"Family\""), 1u);
+  EXPECT_EQ(Occurrences(*views, "skONewA_Family_familyName"), 1u);
+  EXPECT_EQ(Occurrences(*views, "skOUpd_Family_familyName"), 1u);
 }
 
 TEST(ViewGenerationTest, UnknownLabelRejected) {
@@ -529,6 +641,37 @@ TEST(PipelineTest, RematerializingStakeholdersChangesNothing) {
   EXPECT_EQ(data.DebugString(), before);
 }
 
+TEST(PipelineTest, RematerializingStakeholdersKeepsEveryCount) {
+  // On the generated network, a second run re-derives every count through
+  // intermediate mcount values.  The input views carry no Business
+  // property, so no stored count is staged back and the final counts stay.
+  core::SuperSchema schema = finkg::CompanyKgSchema();
+  finkg::GeneratorConfig config;
+  config.num_companies = 60;
+  config.num_persons = 90;
+  config.seed = 2022;
+  pg::PropertyGraph data =
+      finkg::ShareholdingNetwork::Generate(config).ToInstanceGraph();
+  ASSERT_TRUE(Materialize(schema, finkg::kOwnsProgram, &data).ok());
+  auto counts = [&data] {
+    std::map<pg::NodeId, std::string> out;
+    for (pg::NodeId b : data.NodesWithLabel("Business")) {
+      if (const Value* v = data.NodeProperty(b, "numberOfStakeholders")) {
+        out[b] = v->ToString();
+      }
+    }
+    return out;
+  };
+  auto first = Materialize(schema, finkg::kStakeholdersProgram, &data);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const std::map<pg::NodeId, std::string> before = counts();
+  EXPECT_EQ(before.size(), 60u);
+  auto again = Materialize(schema, finkg::kStakeholdersProgram, &data);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->updated_properties, 0u);
+  EXPECT_EQ(counts(), before);
+}
+
 // A catalog of the staged labels as the output views lay them out.
 metalog::GraphCatalog StagingCatalog() {
   metalog::GraphCatalog catalog;
@@ -813,7 +956,9 @@ std::map<std::string, std::set<Tuple>> RunInputViews(
 }
 
 // Checks that the schema-specialized V_I of `sigma_source` derives over
-// `data` what the closure-walking reference derives for the same labels.
+// `data` what the closure-walking reference derives for the same labels:
+// the same rows for a label Sigma reads a property of, the same rows with
+// null properties for any other label, and the same VIEW_OF.
 void ExpectSpecializedViewsMatchClosureWalk(
     const core::SuperSchema& schema, const pg::PropertyGraph& data,
     const std::string& sigma_source) {
@@ -823,17 +968,37 @@ void ExpectSpecializedViewsMatchClosureWalk(
   ASSERT_TRUE(views.ok()) << views.status().ToString();
   EXPECT_EQ(views->find("SM_CHILD"), std::string::npos);
   EXPECT_EQ(views->find("SM_PARENT"), std::string::npos);
+  const SigmaAnalysis analysis = AnalyzeSigma(*sigma);
   const std::set<std::string> node_labels = InputViewNodeLabels(schema, *sigma);
-  const std::set<std::string> edge_labels =
-      AnalyzeSigma(*sigma).body_edge_labels;
+  const std::set<std::string>& edge_labels = analysis.body_edge_labels;
   std::set<std::string> labels = node_labels;
   labels.insert(edge_labels.begin(), edge_labels.end());
   auto got = RunInputViews(schema, data, *views, labels);
   auto want = RunInputViews(
       schema, data, ClosureWalkInputViews(schema, node_labels, edge_labels),
       labels);
+  // The first property column of a label's rows, or 0 when Sigma reads its
+  // properties.
+  auto unread_from = [&](const std::string& label) -> size_t {
+    if (node_labels.count(label) > 0) {
+      return analysis.read_node_labels.count(label) > 0 ? 0 : 1;
+    }
+    if (edge_labels.count(label) > 0) {
+      return analysis.read_edge_labels.count(label) > 0 ? 0 : 3;
+    }
+    return 0;  // VIEW_OF
+  };
   size_t facts = 0;
-  for (const auto& [label, rows] : want) {
+  for (auto& [label, rows] : want) {
+    if (const size_t from = unread_from(label); from > 0) {
+      std::set<Tuple> nulled;
+      for (Tuple row : rows) {
+        std::fill(row.begin() + from, row.end(), Value());
+        nulled.insert(std::move(row));
+      }
+      EXPECT_EQ(nulled.size(), rows.size()) << label;
+      rows = std::move(nulled);
+    }
     EXPECT_EQ(got[label], rows) << label;
     facts += rows.size();
   }
@@ -903,15 +1068,30 @@ TEST(ViewGenerationTest, SpecializedViewsCoverEveryConcreteType) {
   data.AddEdge(pp, family, "BELONGS_TO_FAMILY");
   data.AddEdge(nb, plc, "OWNS", {{"percentage", Value(0.7)}});
   data.AddEdge(biz, biz, "CONTROLS");
-  // A Sigma whose body names every node and edge label of the schema.
-  std::string sigma;
+  // A Sigma whose body names every node and edge label of the schema, and
+  // one that also reads a property of each label with attributes.
+  std::string names;
+  std::string reads;
   for (const core::NodeDef& n : schema.nodes()) {
-    sigma += "(x: " + n.name + ") -> (x)[: CONTROLS](x).\n";
+    names += "(x: " + n.name + ") -> (x)[: CONTROLS](x).\n";
+    const auto attributes = schema.EffectiveAttributes(n.name);
+    const std::string read =
+        attributes.empty() ? "" : "; " + attributes[0].name + ": _";
+    reads += "(x: " + n.name + read + ") -> (x)[: CONTROLS](x).\n";
   }
   for (const core::EdgeDef& e : schema.edges()) {
-    sigma += "(x)[: " + e.name + "](y) -> (x)[: CONTROLS](y).\n";
+    names += "(x)[: " + e.name + "](y) -> (x)[: CONTROLS](y).\n";
+    const std::string read =
+        e.attributes.empty() ? "" : "; " + e.attributes[0].name + ": _";
+    reads += "(x)[: " + e.name + read + "](y) -> (x)[: CONTROLS](y).\n";
   }
-  ExpectSpecializedViewsMatchClosureWalk(schema, data, sigma);
+  auto read_sigma = metalog::ParseMetaProgram(reads);
+  ASSERT_TRUE(read_sigma.ok()) << read_sigma.status().ToString();
+  EXPECT_EQ(AnalyzeSigma(*read_sigma).read_node_labels.size(),
+            schema.nodes().size());
+  EXPECT_TRUE(AnalyzeSigma(*read_sigma).read_edge_labels.count("OWNS") > 0);
+  ExpectSpecializedViewsMatchClosureWalk(schema, data, names);
+  ExpectSpecializedViewsMatchClosureWalk(schema, data, reads);
 }
 
 TEST(ViewGenerationTest, EveryInstanceHasOneViewOf) {

@@ -361,6 +361,18 @@ TEST(LintMetaLogTest, UnlabeledHeadNodeWithPropertiesIsError) {
       << d->message;
 }
 
+TEST(LintMetaLogTest, SpreadOnNegatedEdgeEndpointIsError) {
+  LintResult result = LintMetaLogSource(
+      "(x: Person)[: KNOWS](y), p = pack(\"k\", 1),\n"
+      "not (x; *p)[: LIKES](y) -> (x)[: FOO](y).\n",
+      nullptr);
+  const Diagnostic* d = FindPass(result, "translate");
+  ASSERT_NE(d, nullptr) << RenderText(result);
+  EXPECT_EQ(d->severity, Severity::kError);
+  EXPECT_NE(d->message.find("must be bare references"), std::string::npos)
+      << d->message;
+}
+
 TEST(LintMetaLogTest, ParseErrorBecomesDiagnostic) {
   LintResult result = LintMetaLogSource("this is not metalog\n", nullptr);
   ASSERT_FALSE(result.diagnostics.empty());

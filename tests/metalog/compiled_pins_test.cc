@@ -156,11 +156,11 @@ const std::map<std::string, std::string>& Pinned() {
       {"examples/family.mlog", "7a51e4256ea58175"},
       {"examples/owns.mlog", "e032a1b2dfaa1f41"},
       {"examples/stakeholders.mlog", "cdd6d2913c6ae3b9"},
-      {"finkg/close_links", "e1d52c8ff1f0a59c"},
-      {"finkg/control", "d4144eb9cec23b1a"},
-      {"finkg/family", "b1c85143a677b371"},
-      {"finkg/owns", "8a190db0c141eb75"},
-      {"finkg/stakeholders", "901a1cff416032bc"},
+      {"finkg/close_links", "ffafaabe6df53cc6"},
+      {"finkg/control", "d9fb299cb81924a3"},
+      {"finkg/family", "2f7ea3bce6e162f7"},
+      {"finkg/owns", "c5f56f5e81c6ff81"},
+      {"finkg/stakeholders", "af7302518088858a"},
       {"ssst/property_graph/type_accumulation/copy", "fe4f1140461c0171"},
       {"ssst/property_graph/type_accumulation/eliminate", "f2778dfc80d3a750"},
       {"ssst/relational/relation_per_member/eliminate", "66daae3707f605a0"},

@@ -232,6 +232,33 @@ TEST(MtvTest, UnlabeledHeadNodeWithPropertiesRejected) {
   }
 }
 
+TEST(MtvTest, SpreadOnNegatedEdgeEndpointRejected) {
+  // A negated edge pattern's endpoints are plain references: a `*p`
+  // spread there is rejected, not dropped.
+  GraphCatalog catalog;
+  catalog.AddNodeLabel("Person", {"name"});
+  catalog.AddEdgeLabel("KNOWS");
+  catalog.AddEdgeLabel("LIKES");
+  catalog.AddEdgeLabel("FOO");
+  for (const char* source :
+       {"(x: Person)[: KNOWS](y), p = pack(\"k\", 1),\n"
+        "not (x; *p)[: LIKES](y) -> (x)[: FOO](y).",
+        "(x: Person)[: KNOWS](y), p = pack(\"k\", 1),\n"
+        "not (x)[: LIKES](y; *p) -> (x)[: FOO](y)."}) {
+    SCOPED_TRACE(source);
+    auto program = ParseMetaProgram(source);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    auto result = TranslateMetaProgram(*program, catalog);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find(
+                  "endpoints of a negated edge pattern must be bare "
+                  "references"),
+              std::string::npos)
+        << result.status().message();
+  }
+}
+
 TEST(MtvTest, InputBindingsFollowExample44) {
   GraphCatalog catalog;
   catalog.AddNodeLabel("SM_Node", {"name"});
