@@ -97,7 +97,8 @@ BENCHMARK(BM_DescFromChain)->Arg(8)->Arg(32)->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
 // Reflexive vs the paper's published non-reflexive beta translation
-// (ablation for DESIGN.md decision 3).
+// (ablation for DESIGN.md decision 3): the one caller that compiles with
+// non-default MtvOptions, through CompileMeta, then runs the compilation.
 void BM_DescFromNonReflexive(benchmark::State& state) {
   const int64_t depth = state.range(0);
   auto program = metalog::ParseMetaProgram(kDescFromSource).value();
@@ -113,9 +114,11 @@ void BM_DescFromNonReflexive(benchmark::State& state) {
       prev = next;
     }
     state.ResumeTiming();
-    metalog::MetaRunOptions options;
-    options.mtv.reflexive_star = false;
-    auto result = metalog::RunMetaLog(program, &g, options);
+    auto compiled =
+        metalog::CompileMeta(program, metalog::GraphCatalog::FromGraph(g),
+                             {.reflexive_star = false});
+    KGM_CHECK(compiled.ok());
+    auto result = metalog::RunCompiledMeta(*compiled, &g);
     KGM_CHECK(result.ok());
   }
 }

@@ -11,14 +11,41 @@
 // reason is views, compile and the engine run, and flush reads the staged
 // relations back into the graph.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "finkg/company_kg.h"
 #include "finkg/generator.h"
 #include "instance/pipeline.h"
 #include "metalog/runner.h"
+
+namespace {
+
+using EndpointPairs = std::vector<std::pair<kgm::pg::NodeId, kgm::pg::NodeId>>;
+
+// The (from, to) node ids of `g`'s CONTROLS edges, sorted, one entry per
+// edge.  The staged and the direct run start from the same
+// ToOwnershipGraph(), so their node ids agree.
+EndpointPairs ControlsEndpoints(const kgm::pg::PropertyGraph& g) {
+  EndpointPairs pairs;
+  for (kgm::pg::EdgeId e : g.EdgesWithLabel("CONTROLS")) {
+    pairs.emplace_back(g.edge(e).from, g.edge(e).to);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
+std::string Describe(const EndpointPairs& pairs,
+                     EndpointPairs::const_iterator it) {
+  if (it == pairs.end()) return "nothing";
+  return std::to_string(it->first) + " -> " + std::to_string(it->second);
+}
+
+}  // namespace
 
 int main() {
   using namespace kgm;
@@ -77,12 +104,18 @@ int main() {
                 companies, owns_edges, staged->load_seconds,
                 staged->reason_seconds, staged->flush_seconds, ratio,
                 std::chrono::duration<double>(t1 - t0).count());
-    // Sanity: both paths derive the same number of control edges.
-    if (data.EdgesWithLabel("CONTROLS").size() !=
-        direct_data.EdgesWithLabel("CONTROLS").size()) {
-      std::printf("MISMATCH: staged %zu vs direct %zu CONTROLS edges\n",
-                  data.EdgesWithLabel("CONTROLS").size(),
-                  direct_data.EdgesWithLabel("CONTROLS").size());
+    // Sanity: both paths derive the same CONTROLS edges.
+    const EndpointPairs staged_pairs = ControlsEndpoints(data);
+    const EndpointPairs direct_pairs = ControlsEndpoints(direct_data);
+    if (staged_pairs != direct_pairs) {
+      auto [s, d] = std::mismatch(staged_pairs.begin(), staged_pairs.end(),
+                                  direct_pairs.begin(), direct_pairs.end());
+      std::printf(
+          "MISMATCH: staged %zu vs direct %zu CONTROLS edges; first "
+          "difference (sorted by endpoints): staged %s, direct %s\n",
+          staged_pairs.size(), direct_pairs.size(),
+          Describe(staged_pairs, s).c_str(),
+          Describe(direct_pairs, d).c_str());
       return 1;
     }
   }
@@ -95,7 +128,7 @@ int main() {
         reason_not_dominant.c_str());
   }
   std::printf(
-      "; staged and direct derive the same number of CONTROLS edges at "
+      "; staged and direct derive the same CONTROLS edges (from, to) at "
       "every scale.\n");
   return 0;
 }

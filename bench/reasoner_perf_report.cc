@@ -1,17 +1,19 @@
-// Machine-readable reasoner benchmark: runs the finkg intensional suite at
-// 1 and 8 engine threads and writes BENCH_reasoner.json so the perf
-// trajectory can be tracked across changes.  Each component row carries
+// Machine-readable reasoner benchmark: runs the five finkg intensional
+// components, in `kgmctl materialize all` order, at 1 engine thread and at
+// the host's hardware concurrency, and writes BENCH_reasoner.json so the
+// perf trajectory can be tracked across changes.  Each component row carries
 // its engine counters (facts_derived, join_probes, rule_firings), which
 // repeat exactly between runs, next to its timings, and splits join_probes
 // by the rules they came from: the generated input views
 // (view_in_probes), the component itself (sigma_probes) and the generated
-// output views (view_out_probes).  Exits non-zero when
-// a component derives a different number of facts at 8 threads than at 1
-// (the engine's output must not depend on the thread count).
+// output views (view_out_probes).  Exits non-zero when a component derives
+// a different number of facts at the second thread count than at 1 (the
+// engine's output must not depend on the thread count).
 //
 // Usage: reasoner_perf_report [output.json] [companies] [persons]
 // Default output file: BENCH_reasoner.json in the working directory.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
@@ -142,9 +144,11 @@ int main(int argc, char** argv) {
       {"owns", finkg::kOwnsProgram},
       {"controls", finkg::kControlProgram},
       {"stakeholders", finkg::kStakeholdersProgram},
+      {"family", finkg::kFamilyProgram},
       {"close_links", finkg::kCloseLinksProgram},
   };
-  const size_t thread_counts[] = {1, 8};
+  const size_t thread_counts[] = {
+      1, std::max<size_t>(std::thread::hardware_concurrency(), 1)};
 
   FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {

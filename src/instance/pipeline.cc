@@ -122,9 +122,7 @@ Result<MaterializeStats> Materialize(const core::SuperSchema& schema,
 
   // --- load -------------------------------------------------------------------
   auto t0 = Clock::now();
-  KGM_ASSIGN_OR_RETURN(
-      InstanceFacts facts,
-      LoadInstanceFacts(schema, *data, options.instance_oid));
+  KGM_ASSIGN_OR_RETURN(InstanceFacts facts, LoadInstanceFacts(schema, *data));
   auto t1 = Clock::now();
   stats.load_seconds = Seconds(t0, t1);
   stats.loaded_nodes = facts.loaded_nodes;
@@ -132,12 +130,11 @@ Result<MaterializeStats> Materialize(const core::SuperSchema& schema,
   stats.loaded_attributes = facts.loaded_attributes;
 
   // --- reason: V_I + Sigma + V_O over the instance facts ----------------------
-  KGM_ASSIGN_OR_RETURN(
-      stats.input_views,
-      GenerateInputViews(schema, sigma, options.instance_oid));
-  KGM_ASSIGN_OR_RETURN(
-      stats.output_views,
-      GenerateOutputViews(schema, sigma, options.instance_oid));
+  const int64_t instance_oid = facts.instance_oid;
+  KGM_ASSIGN_OR_RETURN(stats.input_views,
+                       GenerateInputViews(schema, sigma, instance_oid));
+  KGM_ASSIGN_OR_RETURN(stats.output_views,
+                       GenerateOutputViews(schema, sigma, instance_oid));
   metalog::GraphCatalog catalog = facts.catalog;
   catalog.Merge(SchemaCatalog(schema));
   metalog::MetaRunOptions run_options;
@@ -152,9 +149,8 @@ Result<MaterializeStats> Materialize(const core::SuperSchema& schema,
   if (!facts.catalog.SameColumnsIn(compiled->catalog)) {
     // The compilation added properties to a dictionary label (a schema
     // type named like one): load again with its columns.
-    KGM_ASSIGN_OR_RETURN(facts,
-                         LoadInstanceFacts(schema, *data, options.instance_oid,
-                                           &compiled->catalog));
+    KGM_ASSIGN_OR_RETURN(facts, LoadInstanceFacts(schema, *data, instance_oid,
+                                                  &compiled->catalog));
   }
   KGM_RETURN_IF_ERROR(
       compiled->engine->Run(&facts.db, options.engine, &stats.engine_stats));

@@ -33,7 +33,6 @@ namespace kgm::instance {
 
 struct MaterializeOptions {
   vadalog::EngineOptions engine;
-  int64_t instance_oid = 234;
   // Optional prepared-program cache: repeated materializations of the same
   // component skip the MetaLog parse and MTV translation of V_I + Sigma +
   // V_O when the loaded instance's catalog is unchanged.

@@ -139,29 +139,27 @@ void DefinedUsePasses(const Program& program, const LintOptions& options,
   for (const vadalog::FactDecl& f : program.facts) defined.insert(f.predicate);
   for (const std::string& p : program.inputs) defined.insert(p);
 
-  if (options.undefined_predicates) {
-    std::set<std::string> reported;
-    for (size_t ri = 0; ri < program.rules.size(); ++ri) {
-      const Rule& r = program.rules[ri];
-      for (const Literal& l : r.body) {
-        const std::string& p = l.atom.predicate;
-        if (defined.count(p) > 0 || external.count(p) > 0) continue;
-        if (!reported.insert(p).second) continue;
-        out->Add(Severity::kWarning, "undefined-predicate",
-                 AtomAnchor(l.atom, r), static_cast<int>(ri),
-                 "predicate " + p +
-                     " is never defined: no rule derives it and it is not "
-                     "declared @input or @fact");
-      }
-    }
-    for (size_t i = 0; i < program.outputs.size(); ++i) {
-      const std::string& p = program.outputs[i];
+  std::set<std::string> reported_undefined;
+  for (size_t ri = 0; ri < program.rules.size(); ++ri) {
+    const Rule& r = program.rules[ri];
+    for (const Literal& l : r.body) {
+      const std::string& p = l.atom.predicate;
       if (defined.count(p) > 0 || external.count(p) > 0) continue;
-      SourceLoc loc =
-          i < program.output_locs.size() ? program.output_locs[i] : SourceLoc{};
-      out->Add(Severity::kError, "undefined-predicate", loc, -1,
-               "output predicate " + p + " is never defined");
+      if (!reported_undefined.insert(p).second) continue;
+      out->Add(Severity::kWarning, "undefined-predicate",
+               AtomAnchor(l.atom, r), static_cast<int>(ri),
+               "predicate " + p +
+                   " is never defined: no rule derives it and it is not "
+                   "declared @input or @fact");
     }
+  }
+  for (size_t i = 0; i < program.outputs.size(); ++i) {
+    const std::string& p = program.outputs[i];
+    if (defined.count(p) > 0 || external.count(p) > 0) continue;
+    SourceLoc loc =
+        i < program.output_locs.size() ? program.output_locs[i] : SourceLoc{};
+    out->Add(Severity::kError, "undefined-predicate", loc, -1,
+             "output predicate " + p + " is never defined");
   }
 
   // The unused/unreachable passes only make sense against declared outputs:
@@ -170,61 +168,56 @@ void DefinedUsePasses(const Program& program, const LintOptions& options,
   std::set<std::string> outputs(program.outputs.begin(),
                                 program.outputs.end());
 
-  if (options.unused_predicates) {
-    std::set<std::string> used;
-    for (const Rule& r : program.rules) {
-      for (const Literal& l : r.body) used.insert(l.atom.predicate);
-    }
-    std::set<std::string> reported;
-    for (size_t ri = 0; ri < program.rules.size(); ++ri) {
-      const Rule& r = program.rules[ri];
-      for (const Atom& h : r.head) {
-        const std::string& p = h.predicate;
-        if (used.count(p) > 0 || outputs.count(p) > 0 ||
-            external.count(p) > 0) {
-          continue;
-        }
-        if (!reported.insert(p).second) continue;
-        out->Add(Severity::kWarning, "unused-predicate", AtomAnchor(h, r),
-                 static_cast<int>(ri),
-                 "predicate " + p +
-                     " is derived but never used and is not an @output");
+  std::set<std::string> used;
+  for (const Rule& r : program.rules) {
+    for (const Literal& l : r.body) used.insert(l.atom.predicate);
+  }
+  std::set<std::string> reported;
+  for (size_t ri = 0; ri < program.rules.size(); ++ri) {
+    const Rule& r = program.rules[ri];
+    for (const Atom& h : r.head) {
+      const std::string& p = h.predicate;
+      if (used.count(p) > 0 || outputs.count(p) > 0 || external.count(p) > 0) {
+        continue;
       }
+      if (!reported.insert(p).second) continue;
+      out->Add(Severity::kWarning, "unused-predicate", AtomAnchor(h, r),
+               static_cast<int>(ri),
+               "predicate " + p +
+                   " is derived but never used and is not an @output");
     }
   }
 
-  if (options.unreachable_rules) {
-    // Reverse reachability from the outputs over head -> body edges.
-    std::set<std::string> reachable = outputs;
-    bool changed = true;
-    std::vector<bool> rule_reachable(program.rules.size(), false);
-    while (changed) {
-      changed = false;
-      for (size_t ri = 0; ri < program.rules.size(); ++ri) {
-        if (rule_reachable[ri]) continue;
-        const Rule& r = program.rules[ri];
-        bool hit = false;
-        for (const Atom& h : r.head) {
-          if (reachable.count(h.predicate) > 0) {
-            hit = true;
-            break;
-          }
-        }
-        if (!hit) continue;
-        rule_reachable[ri] = true;
-        changed = true;
-        for (const Literal& l : r.body) reachable.insert(l.atom.predicate);
-      }
-    }
+  // Reverse reachability from the outputs over head -> body edges.
+  std::set<std::string> reachable = outputs;
+  bool changed = true;
+  std::vector<bool> rule_reachable(program.rules.size(), false);
+  while (changed) {
+    changed = false;
     for (size_t ri = 0; ri < program.rules.size(); ++ri) {
       if (rule_reachable[ri]) continue;
       const Rule& r = program.rules[ri];
-      std::string head = r.head.empty() ? "?" : r.head[0].predicate;
-      out->Add(Severity::kWarning, "unreachable-rule", RuleAnchor(r),
-               static_cast<int>(ri),
-               "rule deriving " + head +
-                   " is unreachable from the declared outputs");
+      bool hit = false;
+      for (const Atom& h : r.head) {
+        if (reachable.count(h.predicate) > 0) {
+          hit = true;
+          break;
+        }
+      }
+      if (!hit) continue;
+      rule_reachable[ri] = true;
+      changed = true;
+      for (const Literal& l : r.body) reachable.insert(l.atom.predicate);
     }
+  }
+  for (size_t ri = 0; ri < program.rules.size(); ++ri) {
+    if (rule_reachable[ri]) continue;
+    const Rule& r = program.rules[ri];
+    std::string head = r.head.empty() ? "?" : r.head[0].predicate;
+    out->Add(Severity::kWarning, "unreachable-rule", RuleAnchor(r),
+             static_cast<int>(ri),
+             "rule deriving " + head +
+                 " is unreachable from the declared outputs");
   }
 }
 
@@ -314,7 +307,6 @@ void TypeflowPasses(const Program& program, const LintOptions& options,
   for (const vadalog::TypeflowFinding& f : flow.findings) {
     switch (f.kind) {
       case vadalog::TypeflowFindingKind::kTypeConflict: {
-        if (!options.type_conflict) break;
         SourceLoc loc;
         if (f.rule_index >= 0 &&
             f.rule_index < static_cast<int>(program.rules.size())) {
@@ -325,7 +317,6 @@ void TypeflowPasses(const Program& program, const LintOptions& options,
         break;
       }
       case vadalog::TypeflowFindingKind::kUnsatRule: {
-        if (!options.unsat_rule) break;
         SourceLoc loc;
         if (f.rule_index >= 0 &&
             f.rule_index < static_cast<int>(program.rules.size())) {
@@ -336,7 +327,6 @@ void TypeflowPasses(const Program& program, const LintOptions& options,
         break;
       }
       case vadalog::TypeflowFindingKind::kNullFlow: {
-        if (!options.null_flow) break;
         SourceLoc loc;
         if (f.output_index >= 0 &&
             f.output_index < static_cast<int>(program.output_locs.size())) {
@@ -465,8 +455,7 @@ void CollectAtomVars(const PgAtom& a, std::set<std::string>* vars) {
   if (!a.spread_var.empty()) vars->insert(a.spread_var);
 }
 
-void PathUnboundPass(const MetaProgram& meta, const LintOptions& options,
-                     LintResult* out) {
+void PathUnboundPass(const MetaProgram& meta, LintResult* out) {
   for (size_t ri = 0; ri < meta.rules.size(); ++ri) {
     const MetaRule& rule = meta.rules[ri];
 
@@ -506,52 +495,34 @@ void PathUnboundPass(const MetaProgram& meta, const LintOptions& options,
 
     for (const std::string& v : used) {
       if (star_vars.count(v) == 0 || bound_outside.count(v) > 0) continue;
-      if (options.mtv.reflexive_star) {
-        out->Add(Severity::kError, "path-unbound-variable",
-                 rule.loc, static_cast<int>(ri),
-                 "variable " + v +
-                     " is bound only inside a '*' path; the empty-path "
-                     "variant leaves it unbound");
-      }
+      out->Add(Severity::kError, "path-unbound-variable", rule.loc,
+               static_cast<int>(ri),
+               "variable " + v +
+                   " is bound only inside a '*' path; the empty-path "
+                   "variant leaves it unbound");
     }
   }
 }
 
 LintResult RunLintsImpl(const Program& program, const LintOptions& options) {
   LintResult result;
-  if (options.safety) SafetyPass(program, &result);
-  if (options.stratification) StratificationPass(program, &result);
-  if (options.wardedness) WardednessPass(program, &result);
-  if (options.arity) ArityPass(program, &result);
-  if (options.undefined_predicates || options.unused_predicates ||
-      options.unreachable_rules) {
-    DefinedUsePasses(program, options, &result);
-  }
-  if (options.singleton_variables) SingletonPass(program, &result);
+  SafetyPass(program, &result);
+  StratificationPass(program, &result);
+  WardednessPass(program, &result);
+  ArityPass(program, &result);
+  DefinedUsePasses(program, options, &result);
+  SingletonPass(program, &result);
   // Futility analysis runs the adornment machinery and the typeflow
   // passes run a whole-program abstract interpretation; both are only
   // meaningful over a program the error passes accepted.  Skips are
   // recorded so renderers can say why a pass produced no findings.
-  const bool gated = result.has_errors();
-  if (options.magic_futility) {
-    if (gated) {
-      result.skipped_passes.push_back("magic-futility");
-    } else {
-      MagicFutilityPass(program, &result);
-    }
-  }
-  const bool typeflow_wanted =
-      options.type_conflict || options.unsat_rule || options.null_flow;
-  if (typeflow_wanted) {
-    if (gated) {
-      if (options.type_conflict) {
-        result.skipped_passes.push_back("type-conflict");
-      }
-      if (options.unsat_rule) result.skipped_passes.push_back("unsat-rule");
-      if (options.null_flow) result.skipped_passes.push_back("null-flow");
-    } else {
-      TypeflowPasses(program, options, &result);
-    }
+  if (result.has_errors()) {
+    result.skipped_passes.insert(
+        result.skipped_passes.end(),
+        {"magic-futility", "type-conflict", "unsat-rule", "null-flow"});
+  } else {
+    MagicFutilityPass(program, &result);
+    TypeflowPasses(program, options, &result);
   }
   return result;
 }
@@ -591,10 +562,8 @@ LintResult LintCompiledMeta(const MetaProgram& meta,
       d.rule_index = rule_origin[d.rule_index];
     }
   }
-  if (options.catalog && base_catalog != nullptr) {
-    CatalogPass(meta, *base_catalog, &result);
-  }
-  if (options.path_unbound) PathUnboundPass(meta, options, &result);
+  if (base_catalog != nullptr) CatalogPass(meta, *base_catalog, &result);
+  PathUnboundPass(meta, &result);
   // Star-expansion variants and helper rules can repeat one source-level
   // finding; keep the first occurrence of each.
   Dedup(&result);
@@ -652,17 +621,15 @@ LintResult LintMetaLogSource(std::string_view source,
     effective.external_predicates.push_back(l);
   }
   Result<metalog::MtvResult> mtv =
-      metalog::TranslateMetaProgram(*meta, catalog, options.mtv);
+      metalog::TranslateMetaProgram(*meta, catalog);
   if (!mtv.ok()) {
     LintResult result;
     result.Add(Severity::kError, "translate", SourceLoc{}, -1,
                mtv.status().message());
     // The MetaLog-level passes still run: they often explain the failure
     // with a better anchor.
-    if (options.catalog && base_catalog != nullptr) {
-      CatalogPass(*meta, *base_catalog, &result);
-    }
-    if (options.path_unbound) PathUnboundPass(*meta, effective, &result);
+    if (base_catalog != nullptr) CatalogPass(*meta, *base_catalog, &result);
+    PathUnboundPass(*meta, &result);
     result.Sort();
     return result;
   }

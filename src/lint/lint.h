@@ -65,30 +65,15 @@
 
 namespace kgm::lint {
 
+// Every pass always runs; magic-futility and the typeflow passes skip —
+// recorded in LintResult::skipped_passes — when error-grade passes already
+// fired, since they are only meaningful over a well-formed program.  A pass
+// is switched off only through LintConfig (lint/config.h), which drops its
+// findings.
 struct LintOptions {
-  bool safety = true;
-  bool stratification = true;
-  bool wardedness = true;
-  bool arity = true;
-  bool undefined_predicates = true;
-  bool unused_predicates = true;
-  bool unreachable_rules = true;
-  bool singleton_variables = true;
-  bool magic_futility = true;
-  // Typeflow passes (vadalog/typeflow.h): like magic-futility they skip —
-  // recorded in LintResult::skipped_passes — when error-grade passes
-  // already fired, since the abstract interpretation is only meaningful
-  // over a well-formed program.
-  bool type_conflict = true;
-  bool unsat_rule = true;
-  bool null_flow = true;
-  // MetaLog-only passes.
-  bool catalog = true;
-  bool path_unbound = true;
   // Predicates defined outside the program (e.g. graph-catalog labels):
   // exempt from the undefined/unused passes.
   std::vector<std::string> external_predicates;
-  metalog::MtvOptions mtv;  // used when compiling MetaLog sources
 };
 
 // Runs the Vadalog passes over `program`.  Diagnostics are sorted.

@@ -85,9 +85,10 @@ class GraphCatalog {
 
   // Order-independent digest of the catalog contents (labels and their
   // canonical property lists).  Two catalogs with equal fingerprints
-  // produce identical relational encodings, so a MetaLog program compiled
-  // against one is valid against the other — the prepared-query cache
-  // keys compiled programs by (source, fingerprint).
+  // produce identical relational encodings.  The service reads it
+  // (Snapshot::catalog_fingerprint), to tell whether a publication changed
+  // the catalog; the prepared-query cache keys by the full catalog
+  // contents (PreparedCache::CanonicalKey), not by this digest.
   uint64_t Fingerprint() const;
 
  private:

@@ -621,14 +621,6 @@ Result<MtvResult> TranslateMetaProgram(const MetaProgram& program,
   return translator.TakeResult();
 }
 
-Result<MtvResult> TranslateMetaRule(const MetaRule& rule,
-                                    const GraphCatalog& catalog,
-                                    const MtvOptions& options) {
-  Translator translator(catalog, options);
-  KGM_RETURN_IF_ERROR(translator.TranslateRule(rule, 0));
-  return translator.TakeResult();
-}
-
 std::string GenerateInputBindings(const MetaProgram& program,
                                   const GraphCatalog& catalog,
                                   BindingLanguage language) {

@@ -39,6 +39,9 @@
 
 namespace kgm::metalog {
 
+// Taken only by TranslateMetaProgram and CompileMeta (metalog/prepared.h).
+// Every other layer — the prepared cache, the runner, Materialize, lint and
+// the service — compiles with these defaults.
 struct MtvOptions {
   // Kleene star includes the empty path (paper semantics).  When false, the
   // star is translated exactly as published in Example 4.4 (one or more
@@ -65,11 +68,6 @@ struct MtvResult {
 Result<MtvResult> TranslateMetaProgram(const MetaProgram& program,
                                        const GraphCatalog& catalog,
                                        const MtvOptions& options = {});
-
-// Translates a single rule (helper rules are appended to the result).
-Result<MtvResult> TranslateMetaRule(const MetaRule& rule,
-                                    const GraphCatalog& catalog,
-                                    const MtvOptions& options = {});
 
 // Target query language for the generated @input annotations.
 enum class BindingLanguage {

@@ -27,7 +27,6 @@ PreparedCache::PreparedCache(size_t capacity) : cache_(capacity) {}
 
 std::string PreparedCache::CanonicalKey(std::string_view source,
                                         const GraphCatalog& catalog,
-                                        const MtvOptions& options,
                                         QueryLanguage language) {
   // '\x1f' (unit separator) cannot appear in label/property identifiers or
   // meaningfully in program text, so the concatenation is unambiguous.
@@ -52,18 +51,14 @@ std::string PreparedCache::CanonicalKey(std::string_view source,
       key += p;
     }
   }
-  key += '\x1f';
-  key += options.reflexive_star ? '1' : '0';
-  key += '\x1f';
-  key += std::to_string(options.max_stars_per_rule);
   return key;
 }
 
 Result<std::shared_ptr<const CompiledMeta>> PreparedCache::Compile(
     std::string_view source, const GraphCatalog& catalog,
-    const MtvOptions& options, QueryLanguage language) {
+    QueryLanguage language) {
   Key key;
-  key.material = CanonicalKey(source, catalog, options, language);
+  key.material = CanonicalKey(source, catalog, language);
   key.hash = std::hash<std::string>{}(key.material);
   if (std::shared_ptr<const CompiledMeta> hit = cache_.Get(key)) return hit;
 
@@ -78,8 +73,7 @@ Result<std::shared_ptr<const CompiledMeta>> PreparedCache::Compile(
     compiled.catalog = catalog;
   } else {
     KGM_ASSIGN_OR_RETURN(MetaProgram meta, ParseMetaProgram(source));
-    KGM_ASSIGN_OR_RETURN(compiled,
-                         CompileMeta(std::move(meta), catalog, options));
+    KGM_ASSIGN_OR_RETURN(compiled, CompileMeta(std::move(meta), catalog));
   }
   if (lint_hook_) compiled.lint = lint_hook_(compiled, catalog);
 

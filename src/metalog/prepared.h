@@ -3,10 +3,10 @@
 // against a compatible catalog.
 //
 // Compilation output depends only on (language, source text, catalog
-// contents, MTV options), so entries are keyed by that full key material —
-// a program prepared for one epoch of a served knowledge graph stays valid
-// across publications as long as the label catalog is unchanged, while a
-// schema change naturally misses and recompiles.  The cache is one bounded
+// contents), so entries are keyed by that full key material — a program
+// prepared for one epoch of a served knowledge graph stays valid across
+// publications as long as the label catalog is unchanged, while a schema
+// change naturally misses and recompiles.  The cache is one bounded
 // LruCache and thread-safe; concurrent misses for the same key may compile
 // twice, but every caller gets the first result stored.
 
@@ -61,7 +61,9 @@ struct CompiledMeta {
 // PreparedCache::Compile): copies `catalog` — which must NOT yet have the
 // program absorbed — absorbs `meta`'s labels into the copy, and
 // translates through MTV, and compiles the result into
-// CompiledMeta::engine.  Leaves CompiledMeta::lint empty.
+// CompiledMeta::engine.  Leaves CompiledMeta::lint empty.  `options` is for
+// callers that compile outside the cache (the non-reflexive star ablation);
+// the cache and the runner always use the defaults.
 Result<CompiledMeta> CompileMeta(MetaProgram meta, const GraphCatalog& catalog,
                                  const MtvOptions& options = {});
 
@@ -84,7 +86,6 @@ class PreparedCache {
   // translation failures are returned as-is and are not cached.
   Result<std::shared_ptr<const CompiledMeta>> Compile(
       std::string_view source, const GraphCatalog& catalog,
-      const MtvOptions& options = {},
       QueryLanguage language = QueryLanguage::kMetaLog);
 
   using Counters = LruCounters;
@@ -93,14 +94,13 @@ class PreparedCache {
   void Clear() { cache_.Clear(); }
 
   // The full key material of an entry: a canonical string of the language,
-  // the source text, the catalog's labels with their property lists, and
-  // the options.  Entries store it and verify it on every hit, so a 64-bit
-  // hash collision between two distinct key materials is counted in
+  // the source text and the catalog's labels with their property lists.
+  // Entries store it and verify it on every hit, so a 64-bit hash
+  // collision between two distinct key materials is counted in
   // `key_collisions` and served as a miss — never as the wrong compiled
   // program.
   static std::string CanonicalKey(
       std::string_view source, const GraphCatalog& catalog,
-      const MtvOptions& options,
       QueryLanguage language = QueryLanguage::kMetaLog);
 
  private:

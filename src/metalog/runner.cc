@@ -20,9 +20,8 @@ GraphCatalog BaseCatalog(const pg::PropertyGraph& graph,
 Result<MetaRunResult> RunMetaLog(const MetaProgram& program,
                                  pg::PropertyGraph* graph,
                                  const MetaRunOptions& options) {
-  KGM_ASSIGN_OR_RETURN(
-      CompiledMeta compiled,
-      CompileMeta(program, BaseCatalog(*graph, options), options.mtv));
+  KGM_ASSIGN_OR_RETURN(CompiledMeta compiled,
+                       CompileMeta(program, BaseCatalog(*graph, options)));
   return RunCompiledMeta(compiled, graph, options);
 }
 
@@ -30,11 +29,11 @@ Result<std::shared_ptr<const CompiledMeta>> CompileMetaLogSource(
     std::string_view source, const GraphCatalog& catalog,
     const MetaRunOptions& options) {
   if (options.prepared != nullptr) {
-    return options.prepared->Compile(source, catalog, options.mtv);
+    return options.prepared->Compile(source, catalog);
   }
   KGM_ASSIGN_OR_RETURN(MetaProgram program, ParseMetaProgram(source));
   KGM_ASSIGN_OR_RETURN(CompiledMeta compiled,
-                       CompileMeta(std::move(program), catalog, options.mtv));
+                       CompileMeta(std::move(program), catalog));
   return std::make_shared<const CompiledMeta>(std::move(compiled));
 }
 

@@ -29,7 +29,6 @@
 #include "base/status.h"
 #include "metalog/ast.h"
 #include "metalog/catalog.h"
-#include "metalog/mtv.h"
 #include "metalog/prepared.h"
 #include "pg/property_graph.h"
 #include "vadalog/engine.h"
@@ -38,14 +37,13 @@ namespace kgm::metalog {
 
 struct MetaRunOptions {
   vadalog::EngineOptions engine;
-  MtvOptions mtv;
   // Extra labels to register before translation (for intensional labels
   // whose properties are not mentioned in the program).
   GraphCatalog extra_catalog;
   // Optional prepared-program cache.  When set, RunMetaLogSource reuses
   // cached parse+MTV compilations instead of recompiling per run (valid as
   // long as the graph's label catalog is unchanged; a changed catalog
-  // fingerprint misses and recompiles).
+  // misses and recompiles).
   PreparedCache* prepared = nullptr;
 };
 

@@ -222,8 +222,6 @@ bool KgService::ResultKeyMaterial::operator==(
     const ResultKeyMaterial& other) const {
   return program == other.program && output == other.output &&
          language == other.language && epoch == other.epoch &&
-         reflexive_star == other.reflexive_star &&
-         max_stars_per_rule == other.max_stars_per_rule &&
          binding == other.binding && point_query == other.point_query;
 }
 
@@ -232,23 +230,18 @@ uint64_t KgService::ResultKeyMaterial::Hash() const {
   key = HashCombine(key, std::hash<std::string>{}(output));
   key = HashCombine(key, static_cast<uint64_t>(language));
   key = HashCombine(key, epoch);
-  key = HashCombine(key, reflexive_star ? 1u : 0u);
-  key = HashCombine(key, static_cast<uint64_t>(max_stars_per_rule));
   key = HashCombine(key, std::hash<std::string>{}(binding));
   key = HashCombine(key, point_query ? 1u : 0u);
   return key;
 }
 
 KgService::ResultKeyMaterial KgService::ResultKey(
-    const QueryRequest& request, uint64_t epoch,
-    const metalog::MtvOptions& mtv) {
+    const QueryRequest& request, uint64_t epoch) {
   ResultKeyMaterial key;
   key.program = request.program;
   key.output = request.output;
   key.language = request.language;
   key.epoch = epoch;
-  key.reflexive_star = mtv.reflexive_star;
-  key.max_stars_per_rule = mtv.max_stars_per_rule;
   if (!request.bound_args.empty()) {
     key.binding =
         vadalog::magic::QueryBinding{request.output, request.bound_args}
@@ -289,9 +282,9 @@ Status KgService::LintAdmission(const QueryRequest& request,
                                 AdmittedCompile* admitted) {
   std::shared_ptr<const Snapshot> snap = CurrentSnapshot();
   if (snap == nullptr) return OkStatus();  // Evaluate reports the real error
-  KGM_ASSIGN_OR_RETURN(admitted->compiled,
-                       prepared_.Compile(request.program, snap->catalog,
-                                         options_.mtv, request.language));
+  KGM_ASSIGN_OR_RETURN(
+      admitted->compiled,
+      prepared_.Compile(request.program, snap->catalog, request.language));
   admitted->epoch = snap->epoch;
   if (admitted->compiled->lint.has_errors()) {
     return InvalidArgument("program rejected by lint: " +
@@ -374,7 +367,7 @@ Result<QueryResult> KgService::Evaluate(const QueryRequest& request,
 Result<QueryResult> KgService::EvaluateOnSnapshot(
     const QueryRequest& request, const Snapshot& snap,
     Clock::time_point deadline, const AdmittedCompile& admitted) {
-  const ResultKeyMaterial key = ResultKey(request, snap.epoch, options_.mtv);
+  const ResultKeyMaterial key = ResultKey(request, snap.epoch);
   if (request.use_result_cache) {
     if (std::shared_ptr<const CachedResult> hit = results_.Get(key)) {
       stats_.RecordResultCache(true);
@@ -399,9 +392,9 @@ Result<QueryResult> KgService::EvaluateOnSnapshot(
   std::shared_ptr<const metalog::CompiledMeta> compiled =
       admitted.epoch == snap.epoch ? admitted.compiled : nullptr;
   if (compiled == nullptr) {
-    KGM_ASSIGN_OR_RETURN(compiled,
-                         prepared_.Compile(request.program, snap.catalog,
-                                           options_.mtv, request.language));
+    KGM_ASSIGN_OR_RETURN(compiled, prepared_.Compile(request.program,
+                                                     snap.catalog,
+                                                     request.language));
   }
   // Execute() bypasses Query()'s pre-queue check; the lint result is
   // cached with the compilation, so this re-check costs a flag read.

@@ -45,7 +45,6 @@
 #include "base/status.h"
 #include "base/thread_pool.h"
 #include "lint/config.h"
-#include "metalog/mtv.h"
 #include "metalog/prepared.h"
 #include "pg/property_graph.h"
 #include "service/snapshot.h"
@@ -108,7 +107,6 @@ struct KgServiceOptions {
   // Per-query engine configuration.  Queries default to single-threaded
   // evaluation — the pool provides cross-request parallelism.
   vadalog::EngineOptions engine;
-  metalog::MtvOptions mtv;
   // Every program runs the lint pipeline, and one with error-severity
   // diagnostics is rejected with InvalidArgument before the request is
   // even queued, for both languages (diagnostics are cached with the
@@ -195,8 +193,6 @@ class KgService {
     std::string output;
     QueryLanguage language = QueryLanguage::kMetaLog;
     uint64_t epoch = 0;
-    bool reflexive_star = false;
-    int max_stars_per_rule = 0;
     // Point-query key material: the collision-free serialization of the
     // binding (QueryBinding::CacheKey — constants are kind-tagged and
     // doubles print round-trip exactly, so 1, 1.0 and "1" key
@@ -212,8 +208,7 @@ class KgService {
   };
 
   static ResultKeyMaterial ResultKey(const QueryRequest& request,
-                                     uint64_t epoch,
-                                     const metalog::MtvOptions& mtv);
+                                     uint64_t epoch);
 
   // Compilation carried from pre-queue admission into evaluation so each
   // request is compiled (and cache-counted) at most once.  `epoch` is the

@@ -578,10 +578,11 @@ TEST(PipelineTest, FlushFromFactsMatchesDictionaryFlush) {
 }
 
 TEST(PipelineTest, RestatedPropertiesAreNotUpdates) {
-  // V_O stages every attribute of each entity of a head label, its stored
-  // values included.  Only the staged values that change a stored one are
-  // updates: numberOfStakeholders sets one property per Business, and a
-  // second family run restates every familyName.
+  // V_O stages each property Sigma's heads set, for every entity of the
+  // head label, its stored value included.  Only the staged values that
+  // change a stored one are updates: numberOfStakeholders sets one property
+  // per Business, and a second family run restates every stored
+  // familyName.
   core::SuperSchema schema = finkg::CompanyKgSchema();
   finkg::GeneratorConfig config;
   config.num_companies = 60;

@@ -11,6 +11,7 @@
 
 #include "finkg/company_kg.h"
 #include "instance/pipeline.h"
+#include "lint/config.h"
 #include "service/service.h"
 #include "vadalog/engine.h"
 #include "vadalog/parser.h"
@@ -245,18 +246,11 @@ TEST(LintVadalogTest, MagicFutilityWarnsWhenBindingNeverReachesRecursion) {
       << d->message;
   EXPECT_FALSE(result.has_errors());
 
-  LintOptions off;
-  off.magic_futility = false;
-  vadalog::Program program;
-  auto parsed = vadalog::ParseProgram(
-      "@input(\"edge\").\n"
-      "@input(\"flag\").\n"
-      "edge(x, y) -> tc(x, y).\n"
-      "tc(x, y), edge(y, z) -> tc(x, z).\n"
-      "flag(c), tc(_x, _y) -> out(c).\n"
-      "@output(\"out\").\n");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(FindPass(RunLints(*parsed, off), "magic-futility"), nullptr);
+  // The pass is switched off through the config, like any other.
+  LintConfig off;
+  off.overrides["magic-futility"] = std::nullopt;
+  off.Apply(&result);
+  EXPECT_EQ(FindPass(result, "magic-futility"), nullptr);
 }
 
 TEST(LintVadalogTest, MagicFutilityWarnsOnAggregateFallback) {
@@ -370,6 +364,21 @@ TEST(LintMetaLogTest, SpreadOnNegatedEdgeEndpointIsError) {
   ASSERT_NE(d, nullptr) << RenderText(result);
   EXPECT_EQ(d->severity, Severity::kError);
   EXPECT_NE(d->message.find("must be bare references"), std::string::npos)
+      << d->message;
+}
+
+TEST(LintMetaLogTest, VariableBoundOnlyInsideStarIsError) {
+  // `w` is bound only on the starred LINK step; the empty-path variant of
+  // the reflexive star leaves it unbound in the head.
+  LintResult result = LintMetaLogSource(
+      "(x: Item) [k: LINK; w: v]* (y: Item) -> (x)[: OUT; w: v](y).\n",
+      nullptr);
+  const Diagnostic* d = FindPass(result, "path-unbound-variable");
+  ASSERT_NE(d, nullptr) << RenderText(result);
+  EXPECT_EQ(d->severity, Severity::kError);
+  EXPECT_EQ(d->rule_index, 0);
+  EXPECT_NE(d->message.find("variable v is bound only inside a '*' path"),
+            std::string::npos)
       << d->message;
 }
 

@@ -107,14 +107,11 @@ void CompileComponents(Compilations* out) {
            {"close_links", finkg::kCloseLinksProgram}}) {
     auto sigma = ParseMetaProgram(source);
     ASSERT_TRUE(sigma.ok()) << sigma.status().ToString();
-    auto input_views =
-        instance::GenerateInputViews(schema, *sigma, options.instance_oid);
+    auto input_views = instance::GenerateInputViews(schema, *sigma, 234);
     ASSERT_TRUE(input_views.ok()) << input_views.status().ToString();
-    auto output_views =
-        instance::GenerateOutputViews(schema, *sigma, options.instance_oid);
+    auto output_views = instance::GenerateOutputViews(schema, *sigma, 234);
     ASSERT_TRUE(output_views.ok()) << output_views.status().ToString();
-    auto facts =
-        instance::LoadInstanceFacts(schema, data, options.instance_oid);
+    auto facts = instance::LoadInstanceFacts(schema, data);
     ASSERT_TRUE(facts.ok()) << facts.status().ToString();
     GraphCatalog catalog = facts->catalog;
     catalog.Merge(instance::SchemaCatalog(schema));

@@ -135,29 +135,21 @@ TEST(LruCacheTest, ForEachVisitsEntriesForCarryForward) {
 }
 
 // PreparedCache canonical keys: the full key material covers the source
-// text, the catalog's labels/properties, and the translation options, so
-// two compilations that differ in any of them can never verify as equal —
-// regardless of what their fingerprints hash to.
-TEST(PreparedCacheTest, CanonicalKeySeparatesSourceCatalogAndOptions) {
+// text and the catalog's labels/properties, so two compilations that differ
+// in either can never verify as equal — regardless of what their
+// fingerprints hash to.
+TEST(PreparedCacheTest, CanonicalKeySeparatesSourceAndCatalog) {
   metalog::GraphCatalog catalog;
   catalog.AddNodeLabel("Item", {"n"});
   catalog.AddEdgeLabel("LINK", {});
   metalog::GraphCatalog wider = catalog;
   wider.AddNodeLabel("Other", {});
 
-  metalog::MtvOptions options;
   const std::string base =
-      metalog::PreparedCache::CanonicalKey("src", catalog, options);
-  EXPECT_NE(base,
-            metalog::PreparedCache::CanonicalKey("src2", catalog, options));
-  EXPECT_NE(base,
-            metalog::PreparedCache::CanonicalKey("src", wider, options));
-  metalog::MtvOptions other_options;
-  other_options.max_stars_per_rule = 7;
-  EXPECT_NE(base, metalog::PreparedCache::CanonicalKey("src", catalog,
-                                                       other_options));
-  EXPECT_EQ(base,
-            metalog::PreparedCache::CanonicalKey("src", catalog, options));
+      metalog::PreparedCache::CanonicalKey("src", catalog);
+  EXPECT_NE(base, metalog::PreparedCache::CanonicalKey("src2", catalog));
+  EXPECT_NE(base, metalog::PreparedCache::CanonicalKey("src", wider));
+  EXPECT_EQ(base, metalog::PreparedCache::CanonicalKey("src", catalog));
 }
 
 TEST(PreparedCacheTest, HitsVerifyFullKeyAndCountCollisions) {
@@ -167,9 +159,9 @@ TEST(PreparedCacheTest, HitsVerifyFullKeyAndCountCollisions) {
   metalog::PreparedCache cache(8);
   const char* program =
       "(x: Item)[: LINK](y: Item) -> exists e (x)[e: LINK2](y).";
-  auto first = cache.Compile(program, catalog, {});
+  auto first = cache.Compile(program, catalog);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  auto second = cache.Compile(program, catalog, {});
+  auto second = cache.Compile(program, catalog);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first->get(), second->get());  // same shared entry
   EXPECT_EQ(cache.counters().hits, 1u);
@@ -192,10 +184,10 @@ TEST(PreparedCacheTest, ZeroCapacityKeepsNothing) {
   for (int i = 0; i < 3; ++i) {
     const std::string program = "LINK(e, x, y) -> hop" + std::to_string(i) +
                                 "(x, y).";
-    auto compiled = cache.Compile(program, catalog, {},
+    auto compiled = cache.Compile(program, catalog,
                                   metalog::QueryLanguage::kVadalog);
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    ASSERT_TRUE(cache.Compile(program, catalog, {},
+    ASSERT_TRUE(cache.Compile(program, catalog,
                               metalog::QueryLanguage::kVadalog)
                     .ok());
   }
@@ -209,16 +201,16 @@ TEST(PreparedCacheTest, CapacityOneEvicts) {
   metalog::PreparedCache cache(1);
   const char* first = "LINK(e, x, y) -> hop(x, y).";
   const char* second = "LINK(e, x, y) -> pair(x, y).";
-  ASSERT_TRUE(cache.Compile(first, catalog, {},
+  ASSERT_TRUE(cache.Compile(first, catalog,
                             metalog::QueryLanguage::kVadalog).ok());
-  ASSERT_TRUE(cache.Compile(second, catalog, {},
+  ASSERT_TRUE(cache.Compile(second, catalog,
                             metalog::QueryLanguage::kVadalog).ok());
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.counters().evictions, 1u);
   // `first` was evicted; `second` is still resident.
-  ASSERT_TRUE(cache.Compile(second, catalog, {},
+  ASSERT_TRUE(cache.Compile(second, catalog,
                             metalog::QueryLanguage::kVadalog).ok());
-  ASSERT_TRUE(cache.Compile(first, catalog, {},
+  ASSERT_TRUE(cache.Compile(first, catalog,
                             metalog::QueryLanguage::kVadalog).ok());
   EXPECT_EQ(cache.counters().hits, 1u);
   EXPECT_EQ(cache.counters().misses, 3u);
@@ -238,7 +230,7 @@ TEST(PreparedCacheTest, ConcurrentColdCompilesShareOneEntry) {
     threads.emplace_back([&, i] {
       while (!go.load()) std::this_thread::yield();
       auto compiled = cache.Compile("LINK(e, x, y) -> hop(x, y).", catalog,
-                                    {}, metalog::QueryLanguage::kVadalog);
+                                    metalog::QueryLanguage::kVadalog);
       if (compiled.ok()) entries[i] = compiled->get();
     });
   }
@@ -249,7 +241,7 @@ TEST(PreparedCacheTest, ConcurrentColdCompilesShareOneEntry) {
     EXPECT_EQ(entry, entries[0]);
   }
   EXPECT_EQ(cache.size(), 1u);
-  auto again = cache.Compile("LINK(e, x, y) -> hop(x, y).", catalog, {},
+  auto again = cache.Compile("LINK(e, x, y) -> hop(x, y).", catalog,
                              metalog::QueryLanguage::kVadalog);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->get(), entries[0]);
@@ -257,16 +249,15 @@ TEST(PreparedCacheTest, ConcurrentColdCompilesShareOneEntry) {
 
 TEST(PreparedCacheTest, LanguageIsPartOfTheKey) {
   const metalog::GraphCatalog catalog = ItemLinkCatalog();
-  metalog::MtvOptions options;
   EXPECT_NE(metalog::PreparedCache::CanonicalKey(
-                "src", catalog, options, metalog::QueryLanguage::kMetaLog),
+                "src", catalog, metalog::QueryLanguage::kMetaLog),
             metalog::PreparedCache::CanonicalKey(
-                "src", catalog, options, metalog::QueryLanguage::kVadalog));
+                "src", catalog, metalog::QueryLanguage::kVadalog));
 
   // A Vadalog entry holds the parsed program and the base catalog; MTV
   // leaves nothing in it.
   metalog::PreparedCache cache(8);
-  auto compiled = cache.Compile("LINK(e, x, y) -> hop(x, y).", catalog, {},
+  auto compiled = cache.Compile("LINK(e, x, y) -> hop(x, y).", catalog,
                                 metalog::QueryLanguage::kVadalog);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   EXPECT_EQ((*compiled)->language, metalog::QueryLanguage::kVadalog);
@@ -277,7 +268,7 @@ TEST(PreparedCacheTest, LanguageIsPartOfTheKey) {
 
   // Vadalog text is not MetaLog: the MetaLog compile of it is its own
   // (failing, uncached) key.
-  EXPECT_FALSE(cache.Compile("LINK(e, x, y) -> hop(x, y).", catalog, {})
+  EXPECT_FALSE(cache.Compile("LINK(e, x, y) -> hop(x, y).", catalog)
                    .ok());
   EXPECT_EQ(cache.size(), 1u);
 }
