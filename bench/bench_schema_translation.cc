@@ -95,7 +95,7 @@ BENCHMARK(BM_PgNativeSynthetic)
 void BM_RelationalCompanyKg(benchmark::State& state) {
   core::SuperSchema schema = finkg::CompanyKgSchema();
   for (auto _ : state) {
-    auto result = translate::TranslateToRelationalNative(schema);
+    auto result = translate::TranslateToRelational(schema);
     KGM_CHECK(result.ok());
     benchmark::DoNotOptimize(result->size());
   }
@@ -105,7 +105,7 @@ BENCHMARK(BM_RelationalCompanyKg)->Unit(benchmark::kMicrosecond);
 void BM_CsvCompanyKg(benchmark::State& state) {
   core::SuperSchema schema = finkg::CompanyKgSchema();
   for (auto _ : state) {
-    auto files = translate::TranslateToCsvNative(schema);
+    auto files = translate::TranslateToCsv(schema);
     benchmark::DoNotOptimize(files.size());
   }
 }

@@ -190,6 +190,15 @@ std::vector<std::string> SuperSchema::AncestorsOf(
   return out;
 }
 
+std::vector<std::string> SuperSchema::AccumulatedLabels(
+    std::string_view node_name) const {
+  std::vector<std::string> out{std::string(node_name)};
+  for (std::string& ancestor : AncestorsOf(node_name)) {
+    out.push_back(std::move(ancestor));
+  }
+  return out;
+}
+
 std::vector<std::string> SuperSchema::DescendantsOf(
     std::string_view node_name) const {
   std::vector<std::string> out;
@@ -366,6 +375,32 @@ std::string SuperSchema::Summary() const {
      << edges_.size() << " edges, " << generalizations_.size()
      << " generalizations";
   return os.str();
+}
+
+NodeTypeIndex::NodeTypeIndex(const SuperSchema& schema) {
+  types_.reserve(schema.nodes().size());
+  for (const NodeDef& node : schema.nodes()) {
+    position_of_.emplace(node.name, types_.size());
+    types_.push_back(
+        {&node, types_.size(), schema.AccumulatedLabels(node.name)});
+  }
+}
+
+const NodeTypeIndex::Type* NodeTypeIndex::Find(std::string_view name) const {
+  auto it = position_of_.find(name);
+  return it == position_of_.end() ? nullptr : &types_[it->second];
+}
+
+const NodeTypeIndex::Type* NodeTypeIndex::PrimaryOf(
+    const std::vector<std::string>& labels) const {
+  const Type* best = nullptr;
+  for (const std::string& label : labels) {
+    const Type* type = Find(label);
+    if (type != nullptr && (best == nullptr || type->depth() > best->depth())) {
+      best = type;
+    }
+  }
+  return best;
 }
 
 }  // namespace kgm::core

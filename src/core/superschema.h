@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "base/status.h"
@@ -164,6 +166,10 @@ class SuperSchema {
   // Proper ancestors of `node_name` through the generalization hierarchy,
   // nearest first.
   std::vector<std::string> AncestorsOf(std::string_view node_name) const;
+  // Type accumulation (Section 5.2): `node_name`, then its ancestors
+  // nearest first.  A data node of that type carries these labels.
+  std::vector<std::string> AccumulatedLabels(
+      std::string_view node_name) const;
   // Proper descendants (children at any depth).
   std::vector<std::string> DescendantsOf(std::string_view node_name) const;
   // Leaf descendants (nodes with no children); a leaf returns itself.
@@ -193,6 +199,39 @@ class SuperSchema {
   std::vector<NodeDef> nodes_;
   std::vector<EdgeDef> edges_;
   std::vector<GeneralizationDef> generalizations_;
+};
+
+// A super-schema's node types, indexed once per pass over an instance.  It
+// holds the two rules every instance path follows (the loader, the flush,
+// the CSV and relational bridges, validation): a node of a type carries
+// the type's accumulated labels, and a data node's primary type is the
+// deepest schema node type among its labels, the earlier label winning a
+// tie.  The schema must outlive the index.
+class NodeTypeIndex {
+ public:
+  struct Type {
+    const NodeDef* def = nullptr;
+    size_t position = 0;              // in SuperSchema::nodes()
+    std::vector<std::string> labels;  // AccumulatedLabels(def->name)
+
+    size_t depth() const { return labels.size() - 1; }
+    // The root of the type's hierarchy, whose key the type shares.
+    const std::string& root() const { return labels.back(); }
+  };
+
+  explicit NodeTypeIndex(const SuperSchema& schema);
+
+  // In SuperSchema::nodes() order.
+  const std::vector<Type>& types() const { return types_; }
+  // The node type named `name`, or null.
+  const Type* Find(std::string_view name) const;
+  // The primary type of a node with `labels`, or null when none names a
+  // schema node type.  One hash lookup per label; allocates nothing.
+  const Type* PrimaryOf(const std::vector<std::string>& labels) const;
+
+ private:
+  std::vector<Type> types_;
+  std::unordered_map<std::string_view, size_t> position_of_;
 };
 
 }  // namespace kgm::core

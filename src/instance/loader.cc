@@ -21,17 +21,22 @@ struct TypeConstructs {
   std::map<std::string, pg::NodeId, std::less<>> attrs;
 };
 
-// Index of the super-schema dictionary by type name.  A node type's
-// attributes include the ones it inherits, resolved up the
-// generalization hierarchy.
+// Index of the super-schema dictionary: a node type's constructs by its
+// position in the schema (NodeTypeIndex::Type::position), an edge type's
+// by name.  A node type's attributes include the ones it inherits,
+// resolved up the generalization hierarchy.
 struct SchemaIndex {
-  std::map<std::string, TypeConstructs, std::less<>> nodes;
+  explicit SchemaIndex(const core::SuperSchema& schema)
+      : types(schema), nodes(schema.nodes().size()) {}
+
+  core::NodeTypeIndex types;
+  std::vector<TypeConstructs> nodes;
   std::map<std::string, TypeConstructs, std::less<>> edges;
 };
 
 SchemaIndex BuildSchemaIndex(const core::SuperSchema& schema,
                              const pg::PropertyGraph& dict) {
-  SchemaIndex index;
+  SchemaIndex index(schema);
   auto type_name = [&dict](pg::NodeId construct,
                            const char* link) -> std::string {
     for (pg::EdgeId e : dict.OutEdges(construct)) {
@@ -60,25 +65,20 @@ SchemaIndex BuildSchemaIndex(const core::SuperSchema& schema,
       }
     }
   };
+  std::map<std::string, TypeConstructs, std::less<>> nodes;
   add_types(core::kSmNode, core::kSmHasNodeType, core::kSmHasNodeProperty,
-            &index.nodes);
+            &nodes);
   add_types(core::kSmEdge, core::kSmHasEdgeType, core::kSmHasEdgeProperty,
             &index.edges);
-  // Resolve inherited attributes: for each node type, fall back to its
-  // ancestors' attribute entries.
-  for (const core::NodeDef& node : schema.nodes()) {
-    auto self = index.nodes.find(node.name);
-    if (self == index.nodes.end()) continue;
-    for (const std::string& ancestor : schema.AncestorsOf(node.name)) {
-      const core::NodeDef* a = schema.FindNode(ancestor);
-      auto from = index.nodes.find(ancestor);
-      if (a == nullptr || from == index.nodes.end()) continue;
-      for (const core::AttributeDef& attr : a->attributes) {
-        auto inherited = from->second.attrs.find(attr.name);
-        if (inherited != from->second.attrs.end()) {
-          self->second.attrs.emplace(attr.name, inherited->second);
-        }
-      }
+  // A node type's own construct and attributes, then the attributes of its
+  // ancestors, nearest first.
+  for (const core::NodeTypeIndex::Type& type : index.types.types()) {
+    TypeConstructs& self = index.nodes[type.position];
+    for (const std::string& label : type.labels) {
+      auto it = nodes.find(label);
+      if (it == nodes.end()) continue;
+      if (label == type.def->name) self.construct = it->second.construct;
+      self.attrs.insert(it->second.attrs.begin(), it->second.attrs.end());
     }
   }
   return index;
@@ -100,12 +100,13 @@ constexpr const char* kEdgeLabel[kNumEdgeKinds] = {
     kSmReferences, kISmHasNodeAttr, kISmHasEdgeAttr, kISmFrom, kISmTo};
 
 // The instance walk of Figure 9, the one both loaders share: classifies
-// each data node by its primary label, resolves its declared and inherited
-// attributes, then does the same for the edges, and numbers what it emits
-// as a dictionary holding `schema_dict` would: nodes and edges each in
-// emission order, after the super-schema's.  `sink` receives every
-// construct through Node(kind, id, value) — `value` is the attribute value
-// of an I_SM_Attribute and null otherwise — and Edge(kind, id, from, to).
+// each data node by its primary type (core::NodeTypeIndex), resolves its
+// declared and inherited attributes, then does the same for the edges,
+// and numbers what it emits as a dictionary holding `schema_dict` would:
+// nodes and edges each in emission order, after the super-schema's.
+// `sink` receives every construct through Node(kind, id, value) — `value`
+// is the attribute value of an I_SM_Attribute and null otherwise — and
+// Edge(kind, id, from, to).
 template <typename Sink>
 void WalkInstance(const SchemaIndex& index,
                   const pg::PropertyGraph& schema_dict,
@@ -126,16 +127,11 @@ void WalkInstance(const SchemaIndex& index,
   for (pg::NodeId id = 0; id < data.node_capacity(); ++id) {
     if (!data.HasNode(id)) continue;
     const pg::Node& n = data.node(id);
-    // Primary label: the first label that names a schema node type.
-    const TypeConstructs* type = nullptr;
-    for (const std::string& label : n.labels) {
-      auto it = index.nodes.find(label);
-      if (it != index.nodes.end()) {
-        type = &it->second;
-        break;
-      }
-    }
-    if (type == nullptr) continue;
+    const core::NodeTypeIndex::Type* primary =
+        index.types.PrimaryOf(n.labels);
+    if (primary == nullptr) continue;
+    const TypeConstructs* type = &index.nodes[primary->position];
+    if (type->construct == pg::kInvalidNode) continue;
     const pg::NodeId inode = node(kInstNode, nullptr);
     edge(kReferences, inode, type->construct);
     out->inode_of_data[id] = inode;

@@ -86,10 +86,11 @@ struct InstanceFacts : InstanceMap {
 };
 
 // Loads `data` into instance super-constructs.  Data nodes are classified
-// by their *primary* label (the first label that names a schema node
-// type); nodes without one are skipped.  Properties not declared (directly
-// or by inheritance) on the node's type are skipped, and so are edges
-// whose label is not a schema edge type or whose endpoint was skipped.
+// by their *primary* type, the deepest schema node type among their labels
+// (core::NodeTypeIndex); nodes without one are skipped.  Properties not
+// declared (directly or by inheritance) on the node's type are skipped, and
+// so are edges whose label is not a schema edge type or whose endpoint was
+// skipped.
 Result<LoadedInstance> LoadInstance(const core::SuperSchema& schema,
                                     const pg::PropertyGraph& data,
                                     int64_t instance_oid = 234);

@@ -232,10 +232,7 @@ Status FlushStaging(const core::SuperSchema& schema,
   for (const vadalog::Tuple& o : nodes.rows()) {
     const std::string* type = StringProp(o, node_type);
     if (type == nullptr) continue;
-    std::vector<std::string> labels{*type};
-    for (const std::string& ancestor : schema.AncestorsOf(*type)) {
-      labels.push_back(ancestor);
-    }
+    std::vector<std::string> labels = schema.AccumulatedLabels(*type);
     for (const std::string& l : labels) changed_labels.insert(l);
     data_of_onode.emplace(o[0],
                           data->AddNode(labels, staged_attributes(o[0])));

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
-#include <set>
 
-#include "base/strings.h"
-#include "metalog/catalog.h"  // kOidProperty
+#include "base/check.h"
 #include "translate/native.h"
 
 namespace kgm::instance {
@@ -15,40 +12,52 @@ namespace {
 
 using core::AttributeDef;
 using core::EdgeDef;
-using core::NodeDef;
+using core::NodeTypeIndex;
 using core::SuperSchema;
+using translate::NodeKey;
+using translate::RelEdgeLayout;
 
-// Encoded entity identity: root type name + key values.
-std::string EntityKey(const std::string& root, const rel::Tuple& key) {
-  std::string out = root;
-  for (const Value& v : key) {
-    out += '\x1f';
-    out += v.ToString();
+// The positions of `columns` in `table`, each of which it must have.
+Result<std::vector<int>> ColumnPositions(
+    const rel::TableSchema& table, const std::vector<std::string>& columns) {
+  std::vector<int> out;
+  for (const std::string& col : columns) {
+    int idx = table.ColumnIndex(col);
+    if (idx < 0) {
+      return FailedPrecondition("table " + table.name + " lacks column " +
+                                col);
+    }
+    out.push_back(idx);
   }
   return out;
 }
 
-size_t Depth(const SuperSchema& schema, const std::string& node) {
-  return schema.AncestorsOf(node).size();
+rel::Tuple Project(const rel::Tuple& row, const std::vector<int>& positions) {
+  rel::Tuple out;
+  for (int p : positions) out.push_back(row[p]);
+  return out;
 }
 
-// Node types sorted deepest-first, so the most specific member relation
-// claims the entity's primary label.
-std::vector<const NodeDef*> NodesByDepth(const SuperSchema& schema) {
-  std::vector<const NodeDef*> nodes;
-  for (const NodeDef& n : schema.nodes()) nodes.push_back(&n);
-  std::sort(nodes.begin(), nodes.end(),
-            [&schema](const NodeDef* a, const NodeDef* b) {
-              size_t da = Depth(schema, a->name);
-              size_t db = Depth(schema, b->name);
-              if (da != db) return da > db;
-              return a->name < b->name;
-            });
-  return nodes;
+// Writes `values` into `row` at `table`'s `columns`.  GraphToRelational
+// made `table` from the same layout, so it has all of them.
+void SetColumns(const rel::TableSchema& table,
+                const std::vector<std::string>& columns,
+                const rel::Tuple& values, rel::Tuple* row) {
+  for (size_t i = 0; i < columns.size(); ++i) {
+    (*row)[table.ColumnIndex(columns[i])] = values[i];
+  }
 }
 
-bool IsSurrogateKey(const SuperSchema& schema, const std::string& node) {
-  return schema.EffectiveIdAttributes(node).empty();
+// Writes the attributes of edge instance `e` into `row`.
+void SetEdgeAttributes(const rel::TableSchema& table, const EdgeDef& edge,
+                       const RelEdgeLayout& layout, const pg::Edge& e,
+                       rel::Tuple* row) {
+  for (size_t i = 0; i < edge.attributes.size(); ++i) {
+    auto it = e.props.find(edge.attributes[i].name);
+    if (it != e.props.end()) {
+      (*row)[table.ColumnIndex(layout.attribute_columns[i])] = it->second;
+    }
+  }
 }
 
 }  // namespace
@@ -56,151 +65,89 @@ bool IsSurrogateKey(const SuperSchema& schema, const std::string& node) {
 Result<pg::PropertyGraph> RelationalToGraph(const SuperSchema& schema,
                                             const rel::Database& db) {
   KGM_RETURN_IF_ERROR(schema.Validate());
+  const NodeTypeIndex types(schema);
   pg::PropertyGraph graph;
-  std::map<std::string, pg::NodeId> entity_of;
+  translate::EntityMap entity_of;
 
-  // --- entities: deepest member relation wins the primary label ---------------
-  for (const NodeDef* node : NodesByDepth(schema)) {
-    const rel::Table* table = db.GetTable(ToSnakeCase(node->name));
+  // --- entities --------------------------------------------------------------
+  // Member relations deepest first, ties by name: the first to hold an
+  // entity is its primary type (the deepest of the entity's member
+  // types, the earlier name on a tie), which creates its node.
+  std::vector<const NodeTypeIndex::Type*> members;
+  for (const NodeTypeIndex::Type& type : types.types()) {
+    members.push_back(&type);
+  }
+  std::sort(members.begin(), members.end(),
+            [](const NodeTypeIndex::Type* a, const NodeTypeIndex::Type* b) {
+              if (a->depth() != b->depth()) return a->depth() > b->depth();
+              return a->def->name < b->def->name;
+            });
+  for (const NodeTypeIndex::Type* type : members) {
+    const rel::Table* table =
+        db.GetTable(translate::TableName(type->def->name));
     if (table == nullptr) continue;
-    auto key_cols = translate::RelationalKeyColumns(schema, node->name);
-    std::vector<int> key_pos;
-    for (const auto& [col, type] : key_cols) {
-      int idx = table->schema().ColumnIndex(col);
-      if (idx < 0) {
-        return FailedPrecondition("table " + table->schema().name +
-                                  " lacks key column " + col);
-      }
-      key_pos.push_back(idx);
+    const NodeKey key = translate::KeyOf(schema, type->def->name);
+    KGM_ASSIGN_OR_RETURN(std::vector<int> key_pos,
+                         ColumnPositions(table->schema(), key.columns));
+    // Own attributes of this member relation.
+    std::vector<std::string> attribute_columns;
+    for (const AttributeDef& attr : type->def->attributes) {
+      attribute_columns.push_back(translate::ColumnName(attr.name));
     }
-    std::string root = schema.RootOf(node->name);
-    bool surrogate = IsSurrogateKey(schema, node->name);
+    KGM_ASSIGN_OR_RETURN(std::vector<int> attribute_pos,
+                         ColumnPositions(table->schema(), attribute_columns));
     for (const rel::Tuple& row : table->rows()) {
-      rel::Tuple key;
-      for (int p : key_pos) key.push_back(row[p]);
-      std::string ek = EntityKey(root, key);
-      auto it = entity_of.find(ek);
-      pg::NodeId id;
-      if (it == entity_of.end()) {
-        std::vector<std::string> labels{node->name};
-        for (const std::string& a : schema.AncestorsOf(node->name)) {
-          labels.push_back(a);
-        }
-        id = graph.AddNode(labels);
-        entity_of.emplace(ek, id);
-        // Identifying attributes (or the surrogate OID) from the key.
-        if (surrogate) {
-          graph.SetNodeProperty(id, metalog::kOidProperty, key[0]);
-        } else {
-          auto ids = schema.EffectiveIdAttributes(node->name);
-          for (size_t i = 0; i < ids.size(); ++i) {
-            graph.SetNodeProperty(id, ids[i].name, key[i]);
-          }
-        }
-      } else {
-        id = it->second;
+      auto [it, inserted] = entity_of.try_emplace(
+          std::pair(type->root(), Project(row, key_pos)), pg::kInvalidNode);
+      if (inserted) {
+        it->second = graph.AddNode(type->labels);
+        translate::SetKeyProperties(key, it->first.second, it->second, &graph);
       }
-      // Own (non-key) attributes of this member relation.
-      for (const AttributeDef& attr : node->attributes) {
-        int idx = table->schema().ColumnIndex(ToSnakeCase(attr.name));
-        if (idx < 0) continue;
-        if (!row[idx].is_null()) {
-          graph.SetNodeProperty(id, attr.name, row[idx]);
+      for (size_t i = 0; i < attribute_pos.size(); ++i) {
+        const Value& v = row[attribute_pos[i]];
+        if (!v.is_null()) {
+          graph.SetNodeProperty(it->second, type->def->attributes[i].name, v);
         }
       }
     }
   }
 
-  // --- edges -------------------------------------------------------------------
-  auto resolve = [&](const std::string& node_type,
-                     const rel::Tuple& key) -> pg::NodeId {
-    auto it = entity_of.find(EntityKey(schema.RootOf(node_type), key));
-    return it == entity_of.end() ? pg::kInvalidNode : it->second;
-  };
+  // --- edges: FK columns on the owner's relation, or junction relations ------
   for (const EdgeDef& edge : schema.edges()) {
-    bool from_functional = edge.source.functional;
-    bool to_functional = edge.target.functional;
-    std::string edge_prefix = ToSnakeCase(edge.name) + "_";
-    if (from_functional || to_functional) {
-      // FK columns on the owning relation.
-      const std::string& owner = from_functional ? edge.from : edge.to;
-      const std::string& target = from_functional ? edge.to : edge.from;
-      const rel::Table* table = db.GetTable(ToSnakeCase(owner));
-      if (table == nullptr) continue;
-      auto owner_keys = translate::RelationalKeyColumns(schema, owner);
-      auto target_keys = translate::RelationalKeyColumns(schema, target);
-      for (const rel::Tuple& row : table->rows()) {
-        rel::Tuple owner_key;
-        for (const auto& [col, type] : owner_keys) {
-          owner_key.push_back(row[table->schema().ColumnIndex(col)]);
-        }
-        rel::Tuple target_key;
-        bool has_null = false;
-        for (const auto& [col, type] : target_keys) {
-          int idx = table->schema().ColumnIndex(edge_prefix + col);
-          if (idx < 0 || row[idx].is_null()) {
-            has_null = true;
-            break;
-          }
-          target_key.push_back(row[idx]);
-        }
-        if (has_null) continue;  // edge absent for this row
-        pg::NodeId owner_id = resolve(owner, owner_key);
-        pg::NodeId target_id = resolve(target, target_key);
-        if (owner_id == pg::kInvalidNode || target_id == pg::kInvalidNode) {
-          return FailedPrecondition("dangling " + edge.name +
-                                    " foreign key in " +
-                                    table->schema().name);
-        }
-        pg::PropertyMap props;
-        for (const AttributeDef& attr : edge.attributes) {
-          int idx = table->schema().ColumnIndex(
-              edge_prefix + ToSnakeCase(attr.name));
-          if (idx >= 0 && !row[idx].is_null()) {
-            props[attr.name] = row[idx];
-          }
-        }
-        pg::NodeId from = from_functional ? owner_id : target_id;
-        pg::NodeId to = from_functional ? target_id : owner_id;
-        graph.AddEdge(from, to, edge.name, std::move(props));
+    const RelEdgeLayout layout = translate::RelationalEdgeLayout(schema, edge);
+    const rel::Table* table = db.GetTable(layout.table);
+    if (table == nullptr) continue;
+    const rel::TableSchema& ts = table->schema();
+    KGM_ASSIGN_OR_RETURN(std::vector<int> from_pos,
+                         ColumnPositions(ts, layout.from_columns));
+    KGM_ASSIGN_OR_RETURN(std::vector<int> to_pos,
+                         ColumnPositions(ts, layout.to_columns));
+    KGM_ASSIGN_OR_RETURN(std::vector<int> attribute_pos,
+                         ColumnPositions(ts, layout.attribute_columns));
+    const std::string& from_root = types.Find(edge.from)->root();
+    const std::string& to_root = types.Find(edge.to)->root();
+    for (const rel::Tuple& row : table->rows()) {
+      rel::Tuple from_key = Project(row, from_pos);
+      rel::Tuple to_key = Project(row, to_pos);
+      // A null foreign key: this owner has no such edge.
+      const rel::Tuple& fk = layout.owner_is_source ? to_key : from_key;
+      if (!layout.junction() &&
+          std::any_of(fk.begin(), fk.end(),
+                      [](const Value& v) { return v.is_null(); })) {
+        continue;
       }
-    } else {
-      // Junction relation.
-      const rel::Table* table = db.GetTable(ToSnakeCase(edge.name));
-      if (table == nullptr) continue;
-      bool self_edge = edge.from == edge.to;
-      std::string from_prefix =
-          (self_edge ? "from_" : "") + ToSnakeCase(edge.from) + "_";
-      std::string to_prefix =
-          (self_edge ? "to_" : "") + ToSnakeCase(edge.to) + "_";
-      auto from_keys = translate::RelationalKeyColumns(schema, edge.from);
-      auto to_keys = translate::RelationalKeyColumns(schema, edge.to);
-      for (const rel::Tuple& row : table->rows()) {
-        rel::Tuple from_key;
-        for (const auto& [col, type] : from_keys) {
-          from_key.push_back(
-              row[table->schema().ColumnIndex(from_prefix + col)]);
-        }
-        rel::Tuple to_key;
-        for (const auto& [col, type] : to_keys) {
-          to_key.push_back(
-              row[table->schema().ColumnIndex(to_prefix + col)]);
-        }
-        pg::NodeId from = resolve(edge.from, from_key);
-        pg::NodeId to = resolve(edge.to, to_key);
-        if (from == pg::kInvalidNode || to == pg::kInvalidNode) {
-          return FailedPrecondition("dangling junction row in " +
-                                    table->schema().name);
-        }
-        pg::PropertyMap props;
-        for (const AttributeDef& attr : edge.attributes) {
-          int idx = table->schema().ColumnIndex(ToSnakeCase(attr.name));
-          if (idx >= 0 && !row[idx].is_null()) {
-            props[attr.name] = row[idx];
-          }
-        }
-        graph.AddEdge(from, to, edge.name, std::move(props));
+      auto from = entity_of.find({from_root, std::move(from_key)});
+      auto to = entity_of.find({to_root, std::move(to_key)});
+      if (from == entity_of.end() || to == entity_of.end()) {
+        return FailedPrecondition("dangling " + edge.name + " row in " +
+                                  ts.name);
       }
+      pg::PropertyMap props;
+      for (size_t i = 0; i < attribute_pos.size(); ++i) {
+        const Value& v = row[attribute_pos[i]];
+        if (!v.is_null()) props[edge.attributes[i].name] = v;
+      }
+      graph.AddEdge(from->second, to->second, edge.name, std::move(props));
     }
   }
   return graph;
@@ -209,146 +156,93 @@ Result<pg::PropertyGraph> RelationalToGraph(const SuperSchema& schema,
 Result<rel::Database> GraphToRelational(const SuperSchema& schema,
                                         const pg::PropertyGraph& data) {
   KGM_ASSIGN_OR_RETURN(std::vector<rel::TableSchema> tables,
-                       translate::TranslateToRelationalNative(schema));
+                       translate::TranslateToRelational(schema));
   rel::Database db;
   for (rel::TableSchema& t : tables) {
     KGM_RETURN_IF_ERROR(db.CreateTable(std::move(t)));
   }
-
-  // Primary node type of each data node (deepest schema label).
-  auto primary_type = [&schema](const pg::Node& node) -> const NodeDef* {
-    const NodeDef* best = nullptr;
-    for (const std::string& label : node.labels) {
-      const NodeDef* def = schema.FindNode(label);
-      if (def != nullptr &&
-          (best == nullptr ||
-           Depth(schema, def->name) > Depth(schema, best->name))) {
-        best = def;
-      }
-    }
-    return best;
+  const NodeTypeIndex types(schema);
+  std::vector<NodeKey> keys;
+  for (const core::NodeDef& node : schema.nodes()) {
+    keys.push_back(translate::KeyOf(schema, node.name));
+  }
+  auto key_of = [&](const std::string& type) -> const NodeKey& {
+    return keys[types.Find(type)->position];
   };
-
-  // The key tuple of a data node.
-  auto node_key = [&schema, &data](pg::NodeId id,
-                                   const std::string& type) -> rel::Tuple {
-    rel::Tuple key;
-    if (IsSurrogateKey(schema, type)) {
-      const Value* oid = data.NodeProperty(id, metalog::kOidProperty);
-      key.push_back(oid != nullptr
-                        ? (oid->is_string() ? *oid : Value(oid->ToString()))
-                        : Value("n" + std::to_string(id)));
-      return key;
-    }
-    for (const AttributeDef& attr : schema.EffectiveIdAttributes(type)) {
-      const Value* v = data.NodeProperty(id, attr.name);
-      key.push_back(v == nullptr ? Value() : *v);
-    }
-    return key;
-  };
+  std::vector<RelEdgeLayout> layouts;
+  for (const EdgeDef& edge : schema.edges()) {
+    layouts.push_back(translate::RelationalEdgeLayout(schema, edge));
+  }
 
   // FK values owned by a member relation: for each functional edge whose
   // owner is `type`, the key of the single neighbour (if present).
   auto fill_fk_columns = [&](pg::NodeId id, const std::string& type,
                              const rel::TableSchema& table,
-                             rel::Tuple* row) -> Status {
-    for (const EdgeDef& edge : schema.edges()) {
-      bool from_functional = edge.source.functional;
-      bool to_functional = edge.target.functional;
-      if (!from_functional && !to_functional) continue;
-      const std::string& owner = from_functional ? edge.from : edge.to;
-      if (owner != type) continue;
-      const std::string& target = from_functional ? edge.to : edge.from;
-      std::string prefix = ToSnakeCase(edge.name) + "_";
+                             rel::Tuple* row) {
+    for (size_t e = 0; e < layouts.size(); ++e) {
+      const RelEdgeLayout& layout = layouts[e];
+      if (layout.owner != type) continue;
+      const EdgeDef& edge = schema.edges()[e];
+      const bool source = layout.owner_is_source;
       // The single incident edge, if any.
-      pg::NodeId neighbour = pg::kInvalidNode;
       const pg::Edge* incident = nullptr;
-      const auto& edges =
-          from_functional ? data.OutEdges(id) : data.InEdges(id);
-      for (pg::EdgeId e : edges) {
-        if (!data.HasEdge(e) || data.edge(e).label != edge.name) continue;
-        neighbour = from_functional ? data.edge(e).to : data.edge(e).from;
-        incident = &data.edge(e);
-        break;
-      }
-      if (neighbour == pg::kInvalidNode) continue;
-      rel::Tuple target_key = node_key(neighbour, target);
-      auto target_cols = translate::RelationalKeyColumns(schema, target);
-      for (size_t i = 0; i < target_cols.size(); ++i) {
-        int idx = table.ColumnIndex(prefix + target_cols[i].first);
-        if (idx >= 0) (*row)[idx] = target_key[i];
-      }
-      for (const AttributeDef& attr : edge.attributes) {
-        int idx = table.ColumnIndex(prefix + ToSnakeCase(attr.name));
-        auto it = incident->props.find(attr.name);
-        if (idx >= 0 && it != incident->props.end()) {
-          (*row)[idx] = it->second;
+      for (pg::EdgeId eid : source ? data.OutEdges(id) : data.InEdges(id)) {
+        if (data.HasEdge(eid) && data.edge(eid).label == edge.name) {
+          incident = &data.edge(eid);
+          break;
         }
       }
+      if (incident == nullptr) continue;
+      const std::string& target = source ? edge.to : edge.from;
+      SetColumns(table, source ? layout.to_columns : layout.from_columns,
+                 translate::KeyValues(key_of(target), data,
+                                      source ? incident->to : incident->from),
+                 row);
+      SetEdgeAttributes(table, edge, layout, *incident, row);
     }
-    return OkStatus();
   };
 
   // --- nodes: one row per member relation of the hierarchy --------------------
   for (pg::NodeId id = 0; id < data.node_capacity(); ++id) {
     if (!data.HasNode(id)) continue;
-    const NodeDef* type = primary_type(data.node(id));
+    const NodeTypeIndex::Type* type = types.PrimaryOf(data.node(id).labels);
     if (type == nullptr) continue;
-    std::vector<std::string> members{type->name};
-    for (const std::string& a : schema.AncestorsOf(type->name)) {
-      members.push_back(a);
-    }
-    rel::Tuple key = node_key(id, type->name);
-    for (const std::string& member : members) {
-      rel::Table* table = db.GetTable(ToSnakeCase(member));
+    for (const std::string& member : type->labels) {
+      rel::Table* table = db.GetTable(translate::TableName(member));
       KGM_CHECK(table != nullptr);
-      rel::Tuple row(table->schema().arity());
-      auto key_cols = translate::RelationalKeyColumns(schema, member);
-      for (size_t i = 0; i < key_cols.size(); ++i) {
-        row[table->schema().ColumnIndex(key_cols[i].first)] = key[i];
-      }
-      const NodeDef* member_def = schema.FindNode(member);
-      for (const AttributeDef& attr : member_def->attributes) {
-        int idx = table->schema().ColumnIndex(ToSnakeCase(attr.name));
+      const rel::TableSchema& ts = table->schema();
+      rel::Tuple row(ts.arity());
+      const NodeKey& key = key_of(member);
+      SetColumns(ts, key.columns, translate::KeyValues(key, data, id), &row);
+      for (const AttributeDef& attr : types.Find(member)->def->attributes) {
         const Value* v = data.NodeProperty(id, attr.name);
-        if (idx >= 0 && v != nullptr) row[idx] = *v;
+        if (v != nullptr) {
+          row[ts.ColumnIndex(translate::ColumnName(attr.name))] = *v;
+        }
       }
-      KGM_RETURN_IF_ERROR(
-          fill_fk_columns(id, member, table->schema(), &row));
+      fill_fk_columns(id, member, ts, &row);
       KGM_RETURN_IF_ERROR(table->Insert(std::move(row)));
     }
   }
 
   // --- junction rows for many-to-many edges -----------------------------------
-  for (const EdgeDef& edge : schema.edges()) {
-    if (edge.source.functional || edge.target.functional) continue;
-    rel::Table* table = db.GetTable(ToSnakeCase(edge.name));
+  for (size_t e = 0; e < layouts.size(); ++e) {
+    const RelEdgeLayout& layout = layouts[e];
+    if (!layout.junction()) continue;
+    const EdgeDef& edge = schema.edges()[e];
+    rel::Table* table = db.GetTable(layout.table);
     KGM_CHECK(table != nullptr);
-    bool self_edge = edge.from == edge.to;
-    std::string from_prefix =
-        (self_edge ? "from_" : "") + ToSnakeCase(edge.from) + "_";
-    std::string to_prefix =
-        (self_edge ? "to_" : "") + ToSnakeCase(edge.to) + "_";
-    auto from_cols = translate::RelationalKeyColumns(schema, edge.from);
-    auto to_cols = translate::RelationalKeyColumns(schema, edge.to);
-    for (pg::EdgeId e : data.EdgesWithLabel(edge.name)) {
-      const pg::Edge& instance = data.edge(e);
-      rel::Tuple row(table->schema().arity());
-      rel::Tuple from_key = node_key(instance.from, edge.from);
-      rel::Tuple to_key = node_key(instance.to, edge.to);
-      for (size_t i = 0; i < from_cols.size(); ++i) {
-        row[table->schema().ColumnIndex(from_prefix + from_cols[i].first)] =
-            from_key[i];
-      }
-      for (size_t i = 0; i < to_cols.size(); ++i) {
-        row[table->schema().ColumnIndex(to_prefix + to_cols[i].first)] =
-            to_key[i];
-      }
-      for (const AttributeDef& attr : edge.attributes) {
-        int idx = table->schema().ColumnIndex(ToSnakeCase(attr.name));
-        auto it = instance.props.find(attr.name);
-        if (idx >= 0 && it != instance.props.end()) row[idx] = it->second;
-      }
+    const rel::TableSchema& ts = table->schema();
+    for (pg::EdgeId eid : data.EdgesWithLabel(edge.name)) {
+      const pg::Edge& instance = data.edge(eid);
+      rel::Tuple row(ts.arity());
+      SetColumns(ts, layout.from_columns,
+                 translate::KeyValues(key_of(edge.from), data, instance.from),
+                 &row);
+      SetColumns(ts, layout.to_columns,
+                 translate::KeyValues(key_of(edge.to), data, instance.to),
+                 &row);
+      SetEdgeAttributes(ts, edge, layout, instance, &row);
       Status inserted = table->Insert(std::move(row));
       // Parallel edges collapse onto one junction row.
       if (!inserted.ok() &&

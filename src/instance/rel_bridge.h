@@ -25,9 +25,12 @@
 namespace kgm::instance {
 
 // Reconstructs the property-graph instance from a relational database laid
-// out per TranslateToRelationalNative: entities are identified by their
-// root key across member relations (most specific member wins the primary
-// label), functional-edge FK columns and junction relations become edges.
+// out per TranslateToRelational (the layout of translate/native.h):
+// entities are identified by their root key across member relations (the
+// deepest member is the primary type and gives the node its accumulated
+// labels), functional-edge FK columns and junction relations become edges.
+// A table missing a layout column or a row naming an absent entity is a
+// FailedPrecondition.
 Result<pg::PropertyGraph> RelationalToGraph(const core::SuperSchema& schema,
                                             const rel::Database& db);
 

@@ -47,7 +47,7 @@ void LintConfig::Apply(LintResult* result) const {
   kept.reserve(result->diagnostics.size());
   for (Diagnostic& d : result->diagnostics) {
     auto it = overrides.find(d.pass);
-    if (it == overrides.end()) {
+    if (it == overrides.end() || IsEnforcedPass(d.pass)) {
       kept.push_back(std::move(d));
       continue;
     }
@@ -92,6 +92,11 @@ LintConfig ParseLintConfig(const std::string& content, std::string* error) {
     std::string value = Trim(line.substr(eq + 1));
     if (pass.empty()) {
       report("missing pass name before '='");
+      continue;
+    }
+    if (IsEnforcedPass(pass)) {
+      report("pass '" + pass +
+             "' cannot be configured: the engine rejects its findings");
       continue;
     }
     if (value == "off") {

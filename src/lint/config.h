@@ -7,7 +7,8 @@
 // their severity.  Both `kgmctl lint` exit codes and `KgService`
 // admission apply the overrides, so teams can promote a warning-grade
 // pass to an admission blocker (or silence a pass) without touching the
-// binaries.
+// binaries.  The enforced passes (IsEnforcedPass: those whose findings the
+// engine rejects anyway) cannot be configured.
 
 #ifndef KGM_LINT_CONFIG_H_
 #define KGM_LINT_CONFIG_H_
@@ -27,16 +28,17 @@ struct LintConfig {
   bool empty() const { return overrides.empty(); }
 
   // Applies the overrides to `result` in place: drops findings of passes
-  // configured off, remaps the severity of the rest, and re-sorts.
+  // configured off, remaps the severity of the rest, and re-sorts.  An
+  // override of an enforced pass is ignored.
   // skipped_passes entries of passes configured off are dropped too (a
   // disabled pass not running is not worth a note).
   void Apply(LintResult* result) const;
 };
 
-// Parses `.kgmlint` content.  Unknown severities and malformed lines are
-// reported through `error` (first problem only) and skipped; the valid
-// lines still take effect, so one typo does not silently disable the
-// whole file.
+// Parses `.kgmlint` content.  Unknown severities, lines naming an enforced
+// pass and malformed lines are reported through `error` (first problem
+// only) and skipped; the valid lines still take effect, so one typo does
+// not silently disable the whole file.
 LintConfig ParseLintConfig(const std::string& content, std::string* error);
 
 // Walks upward from `start_dir` (a directory; "." for relative paths)

@@ -17,6 +17,11 @@ const char* SeverityName(Severity s) {
   return "unknown";
 }
 
+bool IsEnforcedPass(std::string_view pass) {
+  return pass == "parse" || pass == "translate" || pass == "safety" ||
+         pass == "stratification" || pass == "aggregate" || pass == "arity";
+}
+
 std::string Diagnostic::ToString() const {
   return loc.ToString() + ": " + SeverityName(severity) + " [" + pass + "] " +
          message;

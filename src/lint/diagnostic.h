@@ -32,6 +32,13 @@ enum class Severity {
 // "note", "warning" or "error".
 const char* SeverityName(Severity s);
 
+// True for the passes whose findings the engine or the MetaLog compiler
+// rejects anyway: parse, translate, safety, stratification, aggregate and
+// arity.  A LintConfig cannot switch them off or demote them, and only
+// their findings gate the analysis passes, so lint and the engine agree
+// on which programs run.
+bool IsEnforcedPass(std::string_view pass);
+
 struct Diagnostic {
   Severity severity = Severity::kWarning;
   // Pass identifier, e.g. "safety", "wardedness", "unused-predicate".
@@ -58,7 +65,7 @@ struct Diagnostic {
 
 struct LintResult {
   std::vector<Diagnostic> diagnostics;
-  // Passes that did not run because earlier error-grade findings make
+  // Passes that did not run because findings of an enforced pass make
   // their preconditions unreliable (e.g. magic-futility and the typeflow
   // passes skip on a program that failed safety).  Recorded so CI
   // artifacts show why a pass produced no findings.

@@ -514,9 +514,11 @@ LintResult RunLintsImpl(const Program& program, const LintOptions& options) {
   SingletonPass(program, &result);
   // Futility analysis runs the adornment machinery and the typeflow
   // passes run a whole-program abstract interpretation; both are only
-  // meaningful over a program the error passes accepted.  Skips are
-  // recorded so renderers can say why a pass produced no findings.
-  if (result.has_errors()) {
+  // meaningful over a program the engine accepts, so only the enforced
+  // passes' findings gate them.  Skips are recorded so renderers can say
+  // why a pass produced no findings.
+  if (std::any_of(result.diagnostics.begin(), result.diagnostics.end(),
+                  [](const Diagnostic& d) { return IsEnforcedPass(d.pass); })) {
     result.skipped_passes.insert(
         result.skipped_passes.end(),
         {"magic-futility", "type-conflict", "unsat-rule", "null-flow"});

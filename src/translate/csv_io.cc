@@ -1,11 +1,11 @@
 #include "translate/csv_io.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <map>
 
 #include "base/strings.h"
-#include "metalog/catalog.h"  // kOidProperty
 #include "translate/native.h"
 
 namespace kgm::translate {
@@ -74,55 +74,27 @@ Result<Value> ParseCsvValue(const std::string& field, AttrType type) {
   return Value(field);
 }
 
-size_t Depth(const SuperSchema& schema, const std::string& node) {
-  return schema.AncestorsOf(node).size();
-}
-
-const core::NodeDef* PrimaryType(const SuperSchema& schema,
-                                 const pg::Node& node) {
-  const core::NodeDef* best = nullptr;
-  for (const std::string& label : node.labels) {
-    const core::NodeDef* def = schema.FindNode(label);
-    if (def != nullptr &&
-        (best == nullptr ||
-         Depth(schema, def->name) > Depth(schema, best->name))) {
-      best = def;
-    }
+// Appends `row` to `doc` as one CSV line.
+void AppendRow(const std::vector<Value>& row, std::string* doc) {
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (i > 0) *doc += ',';
+    *doc += CsvEscape(CsvValue(row[i]));
   }
-  return best;
+  *doc += '\n';
 }
 
-// The node's identity fields: effective id values, or the surrogate OID.
-std::vector<std::string> NodeKeyFields(const SuperSchema& schema,
-                                       const pg::PropertyGraph& data,
-                                       pg::NodeId id,
-                                       const std::string& type) {
-  std::vector<std::string> out;
-  auto ids = schema.EffectiveIdAttributes(type);
-  if (ids.empty()) {
-    const Value* oid = data.NodeProperty(id, metalog::kOidProperty);
-    out.push_back(oid != nullptr ? CsvValue(*oid)
-                                 : "n" + std::to_string(id));
+// Parses the key `key` from `fields` at `*col`, advancing it.
+Result<std::vector<Value>> ParseKey(const NodeKey& key,
+                                    const std::vector<std::string>& fields,
+                                    size_t* col) {
+  std::vector<Value> out;
+  if (key.ids.empty()) {
+    out.emplace_back(fields[(*col)++]);
     return out;
   }
-  for (const AttributeDef& attr : ids) {
-    const Value* v = data.NodeProperty(id, attr.name);
-    out.push_back(v == nullptr ? "" : CsvValue(*v));
-  }
-  return out;
-}
-
-std::vector<std::string> KeyColumnNames(const SuperSchema& schema,
-                                        const std::string& type,
-                                        const std::string& prefix) {
-  std::vector<std::string> out;
-  auto ids = schema.EffectiveIdAttributes(type);
-  if (ids.empty()) {
-    out.push_back(prefix + ToSnakeCase(type) + "_oid");
-    return out;
-  }
-  for (const AttributeDef& attr : ids) {
-    out.push_back(prefix + ToSnakeCase(attr.name));
+  for (const AttributeDef& id : key.ids) {
+    KGM_ASSIGN_OR_RETURN(Value v, ParseCsvValue(fields[(*col)++], id.type));
+    out.push_back(std::move(v));
   }
   return out;
 }
@@ -213,66 +185,56 @@ Result<std::vector<std::string>> CsvSplitRecords(const std::string& doc) {
 Result<std::map<std::string, std::string>> ExportCsv(
     const SuperSchema& schema, const pg::PropertyGraph& data) {
   KGM_RETURN_IF_ERROR(schema.Validate());
-  std::map<std::string, std::string> files;
-
-  // Node files: rows are the nodes whose primary (deepest) type matches.
+  const std::vector<CsvFileSchema> layout = TranslateToCsv(schema);
+  std::vector<std::string> docs;
+  for (const CsvFileSchema& file : layout) {
+    docs.push_back(Join(file.columns, ",") + "\n");
+  }
+  const core::NodeTypeIndex types(schema);
+  std::vector<NodeKey> keys;
   for (const core::NodeDef& node : schema.nodes()) {
-    std::vector<std::string> header =
-        KeyColumnNames(schema, node.name, "");
-    auto effective = schema.EffectiveAttributes(node.name);
-    std::vector<const AttributeDef*> non_id;
-    for (const AttributeDef& a : effective) {
-      if (!a.is_id) non_id.push_back(&a);
+    keys.push_back(KeyOf(schema, node.name));
+  }
+  auto key_of = [&](const std::string& type) -> const NodeKey& {
+    return keys[types.Find(type)->position];
+  };
+
+  // Node files: each node is a row of its primary type's file.
+  for (pg::NodeId id = 0; id < data.node_capacity(); ++id) {
+    if (!data.HasNode(id)) continue;
+    const core::NodeTypeIndex::Type* type =
+        types.PrimaryOf(data.node(id).labels);
+    if (type == nullptr) continue;
+    std::vector<Value> row = KeyValues(keys[type->position], data, id);
+    for (const AttributeDef& a : layout[type->position].attributes) {
+      const Value* v = data.NodeProperty(id, a.name);
+      row.push_back(v == nullptr ? Value() : *v);
     }
-    for (const AttributeDef* a : non_id) {
-      header.push_back(ToSnakeCase(a->name));
-    }
-    std::string doc = Join(header, ",") + "\n";
-    for (pg::NodeId id = 0; id < data.node_capacity(); ++id) {
-      if (!data.HasNode(id)) continue;
-      const core::NodeDef* primary = PrimaryType(schema, data.node(id));
-      if (primary == nullptr || primary->name != node.name) continue;
-      std::vector<std::string> row =
-          NodeKeyFields(schema, data, id, node.name);
-      for (const AttributeDef* a : non_id) {
-        const Value* v = data.NodeProperty(id, a->name);
-        row.push_back(v == nullptr ? "" : CsvValue(*v));
-      }
-      for (std::string& field : row) field = CsvEscape(field);
-      doc += Join(row, ",") + "\n";
-    }
-    files[ToSnakeCase(node.name) + ".csv"] = std::move(doc);
+    AppendRow(row, &docs[type->position]);
   }
 
   // Edge files: endpoint keys plus attributes.
-  for (const core::EdgeDef& edge : schema.edges()) {
-    std::vector<std::string> header =
-        KeyColumnNames(schema, edge.from, "from_");
-    for (std::string& col :
-         KeyColumnNames(schema, edge.to, "to_")) {
-      header.push_back(std::move(col));
-    }
-    for (const AttributeDef& a : edge.attributes) {
-      header.push_back(ToSnakeCase(a.name));
-    }
-    std::string doc = Join(header, ",") + "\n";
-    for (pg::EdgeId e : data.EdgesWithLabel(edge.name)) {
-      const pg::Edge& instance = data.edge(e);
-      std::vector<std::string> row =
-          NodeKeyFields(schema, data, instance.from, edge.from);
-      for (std::string& field :
-           NodeKeyFields(schema, data, instance.to, edge.to)) {
-        row.push_back(std::move(field));
+  const size_t num_nodes = schema.nodes().size();
+  for (size_t e = 0; e < schema.edges().size(); ++e) {
+    const core::EdgeDef& edge = schema.edges()[e];
+    for (pg::EdgeId id : data.EdgesWithLabel(edge.name)) {
+      const pg::Edge& instance = data.edge(id);
+      std::vector<Value> row =
+          KeyValues(key_of(edge.from), data, instance.from);
+      for (Value& v : KeyValues(key_of(edge.to), data, instance.to)) {
+        row.push_back(std::move(v));
       }
-      for (const AttributeDef& a : edge.attributes) {
+      for (const AttributeDef& a : layout[num_nodes + e].attributes) {
         auto it = instance.props.find(a.name);
-        row.push_back(it == instance.props.end() ? ""
-                                                 : CsvValue(it->second));
+        row.push_back(it == instance.props.end() ? Value() : it->second);
       }
-      for (std::string& field : row) field = CsvEscape(field);
-      doc += Join(row, ",") + "\n";
+      AppendRow(row, &docs[num_nodes + e]);
     }
-    files[ToSnakeCase(edge.name) + ".csv"] = std::move(doc);
+  }
+
+  std::map<std::string, std::string> files;
+  for (size_t i = 0; i < layout.size(); ++i) {
+    files[layout[i].file_name] = std::move(docs[i]);
   }
   return files;
 }
@@ -281,113 +243,90 @@ Result<pg::PropertyGraph> ImportCsv(
     const SuperSchema& schema,
     const std::map<std::string, std::string>& files) {
   KGM_RETURN_IF_ERROR(schema.Validate());
+  const std::vector<CsvFileSchema> layout = TranslateToCsv(schema);
+  const core::NodeTypeIndex types(schema);
+  const size_t num_nodes = schema.nodes().size();
   pg::PropertyGraph graph;
-  std::map<std::string, pg::NodeId> entity_of;  // root + keys -> node
+  EntityMap entity_of;
 
-  auto entity_key = [&schema](const std::string& type,
-                              const std::vector<std::string>& key) {
-    std::string out = schema.RootOf(type);
-    for (const std::string& k : key) {
-      out += '\x1f';
-      out += k;
-    }
-    return out;
-  };
-
-  // Nodes.
-  for (const core::NodeDef& node : schema.nodes()) {
-    auto it = files.find(ToSnakeCase(node.name) + ".csv");
+  // Node files first, then edge files: the layout's order.
+  for (size_t f = 0; f < layout.size(); ++f) {
+    const CsvFileSchema& file = layout[f];
+    auto it = files.find(file.file_name);
     if (it == files.end()) continue;
     KGM_ASSIGN_OR_RETURN(std::vector<std::string> lines,
                          CsvSplitRecords(it->second));
     if (lines.empty()) continue;
     KGM_ASSIGN_OR_RETURN(std::vector<std::string> header,
                          CsvSplitLine(lines[0]));
-    auto ids = schema.EffectiveIdAttributes(node.name);
-    size_t key_width = ids.empty() ? 1 : ids.size();
-    auto effective = schema.EffectiveAttributes(node.name);
-    std::vector<std::string> labels{node.name};
-    for (const std::string& a : schema.AncestorsOf(node.name)) {
-      labels.push_back(a);
+    const std::vector<std::string> key_columns(
+        file.columns.begin(), file.columns.end() - file.attributes.size());
+    if (header.size() < key_columns.size() ||
+        !std::equal(key_columns.begin(), key_columns.end(), header.begin())) {
+      return InvalidArgument(file.file_name +
+                             ": header does not start with the key columns " +
+                             Join(key_columns, ","));
     }
+    // The attribute of each later header column; null for a column the
+    // layout lacks, which is skipped.
+    std::vector<const AttributeDef*> attribute_of(header.size(), nullptr);
+    for (size_t col = key_columns.size(); col < header.size(); ++col) {
+      for (size_t a = 0; a < file.attributes.size(); ++a) {
+        if (file.columns[key_columns.size() + a] == header[col]) {
+          attribute_of[col] = &file.attributes[a];
+        }
+      }
+    }
+    // The node types whose keys lead each row: the file's own, or the
+    // edge's endpoints.
+    const core::EdgeDef* edge =
+        f < num_nodes ? nullptr : &schema.edges()[f - num_nodes];
+    const std::vector<const core::NodeTypeIndex::Type*> ends =
+        edge == nullptr ? std::vector{&types.types()[f]}
+                        : std::vector{types.Find(edge->from),
+                                      types.Find(edge->to)};
+    std::vector<NodeKey> keys;
+    for (const auto* end : ends) keys.push_back(KeyOf(schema, end->def->name));
+
     for (size_t li = 1; li < lines.size(); ++li) {
       KGM_ASSIGN_OR_RETURN(std::vector<std::string> fields,
                            CsvSplitLine(lines[li]));
       if (fields.size() != header.size()) {
-        return InvalidArgument(it->first + " line " + std::to_string(li) +
-                               ": field count mismatch");
+        return InvalidArgument(file.file_name + " line " +
+                               std::to_string(li) + ": field count mismatch");
       }
-      pg::NodeId id = graph.AddNode(labels);
-      std::vector<std::string> key(fields.begin(),
-                                   fields.begin() + key_width);
-      if (ids.empty()) {
-        graph.SetNodeProperty(id, metalog::kOidProperty,
-                              Value(fields[0]));
-      } else {
-        for (size_t i = 0; i < ids.size(); ++i) {
-          KGM_ASSIGN_OR_RETURN(Value v,
-                               ParseCsvValue(fields[i], ids[i].type));
-          if (!v.is_null()) graph.SetNodeProperty(id, ids[i].name, v);
+      size_t col = 0;
+      std::vector<std::vector<Value>> key_values;
+      for (const NodeKey& key : keys) {
+        KGM_ASSIGN_OR_RETURN(std::vector<Value> values,
+                             ParseKey(key, fields, &col));
+        key_values.push_back(std::move(values));
+      }
+      pg::PropertyMap props;
+      for (; col < fields.size(); ++col) {
+        if (attribute_of[col] == nullptr) continue;
+        KGM_ASSIGN_OR_RETURN(
+            Value v, ParseCsvValue(fields[col], attribute_of[col]->type));
+        if (!v.is_null()) props[attribute_of[col]->name] = std::move(v);
+      }
+      if (edge == nullptr) {
+        const pg::NodeId id = graph.AddNode(ends[0]->labels, std::move(props));
+        SetKeyProperties(keys[0], key_values[0], id, &graph);
+        if (!entity_of.emplace(std::pair(ends[0]->root(), key_values[0]), id)
+                 .second) {
+          return InvalidArgument(file.file_name + ": duplicate key at line " +
+                                 std::to_string(li));
         }
+        continue;
       }
-      // Remaining columns by header name.
-      for (size_t col = key_width; col < header.size(); ++col) {
-        for (const AttributeDef& a : effective) {
-          if (ToSnakeCase(a.name) != header[col]) continue;
-          KGM_ASSIGN_OR_RETURN(Value v, ParseCsvValue(fields[col], a.type));
-          if (!v.is_null()) graph.SetNodeProperty(id, a.name, v);
-          break;
-        }
-      }
-      auto [pos, inserted] =
-          entity_of.emplace(entity_key(node.name, key), id);
-      if (!inserted) {
-        return InvalidArgument(it->first + ": duplicate key at line " +
-                               std::to_string(li));
-      }
-    }
-  }
-
-  // Edges.
-  for (const core::EdgeDef& edge : schema.edges()) {
-    auto it = files.find(ToSnakeCase(edge.name) + ".csv");
-    if (it == files.end()) continue;
-    KGM_ASSIGN_OR_RETURN(std::vector<std::string> lines,
-                         CsvSplitRecords(it->second));
-    if (lines.empty()) continue;
-    auto from_ids = schema.EffectiveIdAttributes(edge.from);
-    auto to_ids = schema.EffectiveIdAttributes(edge.to);
-    size_t from_width = from_ids.empty() ? 1 : from_ids.size();
-    size_t to_width = to_ids.empty() ? 1 : to_ids.size();
-    for (size_t li = 1; li < lines.size(); ++li) {
-      KGM_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                           CsvSplitLine(lines[li]));
-      if (fields.size() < from_width + to_width) {
-        return InvalidArgument(it->first + " line " + std::to_string(li) +
-                               ": too few fields");
-      }
-      std::vector<std::string> from_key(fields.begin(),
-                                        fields.begin() + from_width);
-      std::vector<std::string> to_key(
-          fields.begin() + from_width,
-          fields.begin() + from_width + to_width);
-      auto from_it = entity_of.find(entity_key(edge.from, from_key));
-      auto to_it = entity_of.find(entity_key(edge.to, to_key));
-      if (from_it == entity_of.end() || to_it == entity_of.end()) {
-        return FailedPrecondition(it->first + " line " +
+      auto from = entity_of.find({ends[0]->root(), key_values[0]});
+      auto to = entity_of.find({ends[1]->root(), key_values[1]});
+      if (from == entity_of.end() || to == entity_of.end()) {
+        return FailedPrecondition(file.file_name + " line " +
                                   std::to_string(li) +
                                   ": dangling endpoint reference");
       }
-      pg::PropertyMap props;
-      size_t col = from_width + to_width;
-      for (const AttributeDef& a : edge.attributes) {
-        if (col >= fields.size()) break;
-        KGM_ASSIGN_OR_RETURN(Value v, ParseCsvValue(fields[col], a.type));
-        if (!v.is_null()) props[a.name] = v;
-        ++col;
-      }
-      graph.AddEdge(from_it->second, to_it->second, edge.name,
-                    std::move(props));
+      graph.AddEdge(from->second, to->second, edge->name, std::move(props));
     }
   }
   return graph;

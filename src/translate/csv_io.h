@@ -1,10 +1,11 @@
 // CSV serialization of instances (the plain-file model of Section 2.2).
 //
-// ExportCsv writes a property-graph instance into one CSV document per
-// node type (effective attributes) and per edge type (endpoint keys plus
-// edge attributes), following TranslateToCsvNative's file schemas;
-// ImportCsv reads such documents back into a property graph with the
-// type-accumulated labels of the Figure 6 schema.
+// ExportCsv writes a property-graph instance as the files TranslateToCsv
+// describes (native.h): one per node type, holding the nodes whose primary
+// type it is (core::NodeTypeIndex), and one per edge type.  ImportCsv
+// reads such files back into a property graph whose nodes carry the
+// type-accumulated labels of the Figure 6 schema.  CSV files are
+// untrusted input: every defect comes back as a Status.
 
 #ifndef KGM_TRANSLATE_CSV_IO_H_
 #define KGM_TRANSLATE_CSV_IO_H_
@@ -34,8 +35,12 @@ Result<std::vector<std::string>> CsvSplitRecords(const std::string& doc);
 Result<std::map<std::string, std::string>> ExportCsv(
     const core::SuperSchema& schema, const pg::PropertyGraph& data);
 
-// Inverse of ExportCsv.  Typed columns are parsed back per the schema's
-// attribute types; empty fields become absent properties.
+// Inverse of ExportCsv.  A file's header must start with the file's key
+// columns; the columns after them are matched to the layout's attributes
+// by name (unknown ones are skipped) and parsed per the attribute types,
+// empty fields becoming absent properties.  A malformed, duplicate or
+// dangling key, a field count unlike the header's, or a value that does
+// not parse is an error.
 Result<pg::PropertyGraph> ImportCsv(
     const core::SuperSchema& schema,
     const std::map<std::string, std::string>& files);

@@ -1,10 +1,10 @@
 #include "translate/native.h"
 
-#include <algorithm>
 #include <map>
 #include <set>
 
 #include "base/strings.h"
+#include "metalog/catalog.h"  // kOidProperty
 
 namespace kgm::translate {
 
@@ -12,7 +12,6 @@ using core::AttrType;
 using core::AttributeDef;
 using core::AttributeModifier;
 using core::EdgeDef;
-using core::GeneralizationDef;
 using core::NodeDef;
 using core::PgNodeType;
 using core::PgPropertyDef;
@@ -47,7 +46,31 @@ std::vector<std::string> SelfAndDescendants(const SuperSchema& schema,
   return out;
 }
 
+// Adds `columns`, typed as `key`'s, to `table` as a foreign key named
+// `name` to the table of `ref_type`, and to the primary key when
+// `primary`.
+void AddForeignKey(std::string name, const std::vector<std::string>& columns,
+                   const NodeKey& key, const std::string& ref_type,
+                   bool nullable, bool primary, rel::TableSchema* table) {
+  rel::ForeignKeyDef fk;
+  fk.name = std::move(name);
+  fk.ref_table = TableName(ref_type);
+  for (size_t i = 0; i < columns.size(); ++i) {
+    table->columns.push_back({columns[i], key.ColumnType(i), nullable});
+    if (primary) table->primary_key.push_back(columns[i]);
+    fk.columns.push_back(columns[i]);
+    fk.ref_columns.push_back(key.columns[i]);
+  }
+  table->foreign_keys.push_back(std::move(fk));
+}
+
 }  // namespace
+
+std::string TableName(std::string_view type) { return ToSnakeCase(type); }
+
+std::string ColumnName(std::string_view attribute) {
+  return ToSnakeCase(attribute);
+}
 
 rel::ColumnType ToRelColumnType(AttrType t) {
   switch (t) {
@@ -65,20 +88,85 @@ rel::ColumnType ToRelColumnType(AttrType t) {
   return rel::ColumnType::kAny;
 }
 
-std::vector<std::pair<std::string, rel::ColumnType>> RelationalKeyColumns(
-    const SuperSchema& schema, const std::string& node) {
-  std::vector<std::pair<std::string, rel::ColumnType>> out;
-  for (const AttributeDef& a : schema.EffectiveIdAttributes(node)) {
-    out.emplace_back(ToSnakeCase(a.name), ToRelColumnType(a.type));
+rel::ColumnType NodeKey::ColumnType(size_t i) const {
+  return ids.empty() ? rel::ColumnType::kString : ToRelColumnType(ids[i].type);
+}
+
+NodeKey KeyOf(const SuperSchema& schema, std::string_view node) {
+  NodeKey key;
+  key.ids = schema.EffectiveIdAttributes(node);
+  for (const AttributeDef& a : key.ids) {
+    key.columns.push_back(ColumnName(a.name));
   }
-  if (out.empty()) {
-    out.emplace_back(ToSnakeCase(node) + "_oid", rel::ColumnType::kString);
+  if (key.ids.empty()) key.columns.push_back(TableName(node) + "_oid");
+  return key;
+}
+
+std::vector<Value> KeyValues(const NodeKey& key, const pg::PropertyGraph& data,
+                             pg::NodeId id) {
+  std::vector<Value> out;
+  if (key.ids.empty()) {
+    const Value* oid = data.NodeProperty(id, metalog::kOidProperty);
+    if (oid == nullptr) {
+      out.emplace_back("n" + std::to_string(id));
+    } else {
+      out.push_back(oid->is_string() ? *oid : Value(oid->ToString()));
+    }
+    return out;
+  }
+  for (const AttributeDef& a : key.ids) {
+    const Value* v = data.NodeProperty(id, a.name);
+    out.push_back(v == nullptr ? Value() : *v);
   }
   return out;
 }
 
-Result<PgSchema> TranslateToPgNative(const SuperSchema& schema,
-                                     PgGeneralizationStrategy strategy) {
+void SetKeyProperties(const NodeKey& key, const std::vector<Value>& values,
+                      pg::NodeId id, pg::PropertyGraph* data) {
+  if (key.ids.empty()) {
+    data->SetNodeProperty(id, metalog::kOidProperty, values[0]);
+    return;
+  }
+  for (size_t i = 0; i < key.ids.size(); ++i) {
+    if (!values[i].is_null()) {
+      data->SetNodeProperty(id, key.ids[i].name, values[i]);
+    }
+  }
+}
+
+RelEdgeLayout RelationalEdgeLayout(const SuperSchema& schema,
+                                   const EdgeDef& edge) {
+  RelEdgeLayout layout;
+  std::string from_prefix;
+  std::string to_prefix;
+  std::string attribute_prefix;
+  if (edge.many_to_many()) {
+    // Self-referencing edges would collide on column names, so they get
+    // from_/to_ prefixes.
+    const bool self_edge = edge.from == edge.to;
+    layout.table = TableName(edge.name);
+    from_prefix = (self_edge ? "from_" : "") + TableName(edge.from) + "_";
+    to_prefix = (self_edge ? "to_" : "") + TableName(edge.to) + "_";
+  } else {
+    layout.owner_is_source = edge.source.functional;
+    layout.owner = layout.owner_is_source ? edge.from : edge.to;
+    layout.table = TableName(layout.owner);
+    attribute_prefix = TableName(edge.name) + "_";
+    (layout.owner_is_source ? to_prefix : from_prefix) = attribute_prefix;
+  }
+  for (const std::string& col : KeyOf(schema, edge.from).columns) {
+    layout.from_columns.push_back(from_prefix + col);
+  }
+  for (const std::string& col : KeyOf(schema, edge.to).columns) {
+    layout.to_columns.push_back(to_prefix + col);
+  }
+  for (const AttributeDef& a : edge.attributes) {
+    layout.attribute_columns.push_back(attribute_prefix + ColumnName(a.name));
+  }
+  return layout;
+}
+
+Result<PgSchema> TranslateToPgNative(const SuperSchema& schema) {
   KGM_RETURN_IF_ERROR(schema.Validate());
   PgSchema out;
   out.name = schema.name() + "_pg";
@@ -86,37 +174,22 @@ Result<PgSchema> TranslateToPgNative(const SuperSchema& schema,
   for (const NodeDef& node : schema.nodes()) {
     PgNodeType nt;
     nt.intensional = node.intensional;
-    nt.labels.push_back(node.name);
-    if (strategy == PgGeneralizationStrategy::kTypeAccumulation) {
-      // Eliminate.DeleteGeneralizations(1): types of all ancestors
-      // accumulate on the node.
-      for (const std::string& ancestor : schema.AncestorsOf(node.name)) {
-        nt.labels.push_back(ancestor);
-      }
-      // Eliminate.DeleteGeneralizations(2): ancestor attributes are copied
-      // down.
-      for (const AttributeDef& a : schema.EffectiveAttributes(node.name)) {
-        nt.properties.push_back(ToPgProperty(a));
-      }
-    } else {
-      for (const AttributeDef& a : node.attributes) {
-        nt.properties.push_back(ToPgProperty(a));
-      }
+    // Eliminate.DeleteGeneralizations(1): types of all ancestors
+    // accumulate on the node.
+    nt.labels = schema.AccumulatedLabels(node.name);
+    // Eliminate.DeleteGeneralizations(2): ancestor attributes are copied
+    // down.
+    for (const AttributeDef& a : schema.EffectiveAttributes(node.name)) {
+      nt.properties.push_back(ToPgProperty(a));
     }
     out.node_types.push_back(std::move(nt));
   }
 
   for (const EdgeDef& edge : schema.edges()) {
-    std::vector<std::string> froms{edge.from};
-    std::vector<std::string> tos{edge.to};
-    if (strategy == PgGeneralizationStrategy::kTypeAccumulation) {
-      // Eliminate.DeleteGeneralizations(3)+(4): the edge is inherited by
-      // every descendant of each endpoint.
-      froms = SelfAndDescendants(schema, edge.from);
-      tos = SelfAndDescendants(schema, edge.to);
-    }
-    for (const std::string& f : froms) {
-      for (const std::string& t : tos) {
+    // Eliminate.DeleteGeneralizations(3)+(4): the edge is inherited by
+    // every descendant of each endpoint.
+    for (const std::string& f : SelfAndDescendants(schema, edge.from)) {
+      for (const std::string& t : SelfAndDescendants(schema, edge.to)) {
         PgRelationshipType rt;
         rt.name = edge.name;
         rt.from = f;
@@ -130,47 +203,33 @@ Result<PgSchema> TranslateToPgNative(const SuperSchema& schema,
     }
   }
 
-  if (strategy == PgGeneralizationStrategy::kChildParentEdges) {
-    for (const GeneralizationDef& g : schema.generalizations()) {
-      for (const std::string& child : g.children) {
-        PgRelationshipType rt;
-        rt.name = "IS_A";
-        rt.from = child;
-        rt.to = g.parent;
-        out.relationship_types.push_back(std::move(rt));
-      }
-    }
-  }
-
   out.Canonicalize();
   return out;
 }
 
-Result<std::vector<rel::TableSchema>> TranslateToRelationalNative(
+Result<std::vector<rel::TableSchema>> TranslateToRelational(
     const SuperSchema& schema) {
   KGM_RETURN_IF_ERROR(schema.Validate());
   std::vector<rel::TableSchema> tables;
   std::map<std::string, size_t> table_index;  // node name -> tables index
 
-  auto key_columns = [&schema](const std::string& node) {
-    return RelationalKeyColumns(schema, node);
-  };
-
   // Pass 1: one relation per SM_Node ("a relation for each generalization
   // member", Section 5.3).
   for (const NodeDef& node : schema.nodes()) {
     rel::TableSchema table;
-    table.name = ToSnakeCase(node.name);
+    table.name = TableName(node.name);
     std::set<std::string> present;
     // Keys first (inherited from the hierarchy root when not own).
-    for (const auto& [col, type] : key_columns(node.name)) {
-      table.columns.push_back({col, type, /*nullable=*/false});
-      table.primary_key.push_back(col);
-      present.insert(col);
+    const NodeKey key = KeyOf(schema, node.name);
+    for (size_t i = 0; i < key.columns.size(); ++i) {
+      table.columns.push_back(
+          {key.columns[i], key.ColumnType(i), /*nullable=*/false});
+      table.primary_key.push_back(key.columns[i]);
+      present.insert(key.columns[i]);
     }
     // Own non-id attributes.
     for (const AttributeDef& a : node.attributes) {
-      std::string col = ToSnakeCase(a.name);
+      std::string col = ColumnName(a.name);
       if (present.count(col) > 0) continue;
       table.columns.push_back(
           {col, ToRelColumnType(a.type), a.optional || a.intensional});
@@ -182,11 +241,9 @@ Result<std::vector<rel::TableSchema>> TranslateToRelationalNative(
     if (!ancestors.empty()) {
       rel::ForeignKeyDef fk;
       fk.name = "fk_" + table.name + "_is_a";
-      for (const auto& [col, type] : key_columns(node.name)) {
-        fk.columns.push_back(col);
-        fk.ref_columns.push_back(col);
-      }
-      fk.ref_table = ToSnakeCase(ancestors.front());
+      fk.columns = key.columns;
+      fk.ref_columns = key.columns;
+      fk.ref_table = TableName(ancestors.front());
       table.foreign_keys.push_back(std::move(fk));
     }
     table_index[node.name] = tables.size();
@@ -195,104 +252,76 @@ Result<std::vector<rel::TableSchema>> TranslateToRelationalNative(
 
   // Pass 2: edges.
   for (const EdgeDef& edge : schema.edges()) {
-    bool from_functional = edge.source.functional;
-    bool to_functional = edge.target.functional;
-    std::string edge_col_prefix = ToSnakeCase(edge.name) + "_";
-    if (from_functional || to_functional) {
-      // A functional side holds the foreign key (Eliminate.
-      // CopyOneToManyEdges; one-to-one edges are handled the same way,
-      // with the source side chosen as the owner).
-      const std::string& owner = from_functional ? edge.from : edge.to;
-      const std::string& target = from_functional ? edge.to : edge.from;
-      bool owner_optional =
-          from_functional ? edge.source.optional : edge.target.optional;
-      rel::TableSchema& table = tables[table_index[owner]];
-      rel::ForeignKeyDef fk;
-      fk.name = "fk_" + ToSnakeCase(owner) + "_" + ToSnakeCase(edge.name);
-      for (const auto& [col, type] : key_columns(target)) {
-        std::string fk_col = edge_col_prefix + col;
-        table.columns.push_back({fk_col, type, owner_optional});
-        fk.columns.push_back(fk_col);
-        fk.ref_columns.push_back(col);
-      }
-      fk.ref_table = ToSnakeCase(target);
-      table.foreign_keys.push_back(std::move(fk));
+    const RelEdgeLayout layout = RelationalEdgeLayout(schema, edge);
+    if (!layout.junction()) {
+      // The owner holds the foreign key (Eliminate.CopyOneToManyEdges;
+      // one-to-one edges are handled the same way, with the source side
+      // chosen as the owner).
+      const bool source = layout.owner_is_source;
+      const std::string& target = source ? edge.to : edge.from;
+      const bool owner_optional =
+          source ? edge.source.optional : edge.target.optional;
+      rel::TableSchema& table = tables[table_index[layout.owner]];
+      AddForeignKey("fk_" + table.name + "_" + TableName(edge.name),
+                    source ? layout.to_columns : layout.from_columns,
+                    KeyOf(schema, target), target, owner_optional,
+                    /*primary=*/false, &table);
       // Edge attributes live on the owning relation
       // (CopyOneToManyEdges(2)).
-      for (const AttributeDef& a : edge.attributes) {
-        table.columns.push_back({edge_col_prefix + ToSnakeCase(a.name),
-                                 ToRelColumnType(a.type), true});
+      for (size_t i = 0; i < edge.attributes.size(); ++i) {
+        table.columns.push_back({layout.attribute_columns[i],
+                                 ToRelColumnType(edge.attributes[i].type),
+                                 true});
       }
-      if (from_functional && to_functional) {
+      if (edge.source.functional && edge.target.functional) {
         // One-to-one: the foreign key is also unique.
-        tables[table_index[owner]].unique_keys.push_back(
-            tables[table_index[owner]].foreign_keys.back().columns);
+        table.unique_keys.push_back(table.foreign_keys.back().columns);
       }
     } else {
       // Many-to-many: junction relation
-      // (Eliminate.DeleteManyToManyEdges).  Self-referencing edges would
-      // collide on column names, so they get from_/to_ prefixes.
-      bool self_edge = edge.from == edge.to;
+      // (Eliminate.DeleteManyToManyEdges).
       rel::TableSchema junction;
-      junction.name = ToSnakeCase(edge.name);
-      rel::ForeignKeyDef fk_from;
-      fk_from.name = "fk_" + junction.name + "_from";
-      fk_from.ref_table = ToSnakeCase(edge.from);
-      rel::ForeignKeyDef fk_to;
-      fk_to.name = "fk_" + junction.name + "_to";
-      fk_to.ref_table = ToSnakeCase(edge.to);
-      std::string from_prefix =
-          (self_edge ? "from_" : "") + ToSnakeCase(edge.from) + "_";
-      std::string to_prefix =
-          (self_edge ? "to_" : "") + ToSnakeCase(edge.to) + "_";
-      for (const auto& [col, type] : key_columns(edge.from)) {
-        std::string jcol = from_prefix + col;
-        junction.columns.push_back({jcol, type, /*nullable=*/false});
-        junction.primary_key.push_back(jcol);
-        fk_from.columns.push_back(jcol);
-        fk_from.ref_columns.push_back(col);
-      }
-      for (const auto& [col, type] : key_columns(edge.to)) {
-        std::string jcol = to_prefix + col;
-        junction.columns.push_back({jcol, type, /*nullable=*/false});
-        junction.primary_key.push_back(jcol);
-        fk_to.columns.push_back(jcol);
-        fk_to.ref_columns.push_back(col);
-      }
-      for (const AttributeDef& a : edge.attributes) {
-        junction.columns.push_back({ToSnakeCase(a.name),
+      junction.name = layout.table;
+      AddForeignKey("fk_" + junction.name + "_from", layout.from_columns,
+                    KeyOf(schema, edge.from), edge.from, /*nullable=*/false,
+                    /*primary=*/true, &junction);
+      AddForeignKey("fk_" + junction.name + "_to", layout.to_columns,
+                    KeyOf(schema, edge.to), edge.to, /*nullable=*/false,
+                    /*primary=*/true, &junction);
+      for (size_t i = 0; i < edge.attributes.size(); ++i) {
+        const AttributeDef& a = edge.attributes[i];
+        junction.columns.push_back({layout.attribute_columns[i],
                                     ToRelColumnType(a.type),
                                     a.optional || a.intensional});
       }
-      junction.foreign_keys.push_back(std::move(fk_from));
-      junction.foreign_keys.push_back(std::move(fk_to));
       tables.push_back(std::move(junction));
     }
   }
   return tables;
 }
 
-std::vector<CsvFileSchema> TranslateToCsvNative(const SuperSchema& schema) {
+std::vector<CsvFileSchema> TranslateToCsv(const SuperSchema& schema) {
   std::vector<CsvFileSchema> out;
   for (const NodeDef& node : schema.nodes()) {
-    CsvFileSchema file;
-    file.file_name = ToSnakeCase(node.name) + ".csv";
+    CsvFileSchema file{TableName(node.name) + ".csv",
+                       KeyOf(schema, node.name).columns, {}};
     for (const AttributeDef& a : schema.EffectiveAttributes(node.name)) {
-      file.columns.push_back(ToSnakeCase(a.name));
+      if (a.is_id) continue;
+      file.columns.push_back(ColumnName(a.name));
+      file.attributes.push_back(a);
     }
     out.push_back(std::move(file));
   }
   for (const EdgeDef& edge : schema.edges()) {
-    CsvFileSchema file;
-    file.file_name = ToSnakeCase(edge.name) + ".csv";
-    for (const AttributeDef& a : schema.EffectiveIdAttributes(edge.from)) {
-      file.columns.push_back("from_" + ToSnakeCase(a.name));
+    CsvFileSchema file{TableName(edge.name) + ".csv", {}, edge.attributes};
+    for (const std::string& col : KeyOf(schema, edge.from).columns) {
+      file.columns.push_back("from_" + col);
     }
-    for (const AttributeDef& a : schema.EffectiveIdAttributes(edge.to)) {
-      file.columns.push_back("to_" + ToSnakeCase(a.name));
+    for (const std::string& col : KeyOf(schema, edge.to).columns) {
+      file.columns.push_back("to_" + col);
     }
     for (const AttributeDef& a : edge.attributes) {
-      file.columns.push_back(ToSnakeCase(a.name));
+      file.columns.push_back(ColumnName(a.name));
     }
     out.push_back(std::move(file));
   }

@@ -7,13 +7,4 @@ Result<core::PgSchema> TranslateToPropertyGraph(
   return TranslateToPgDeclarative(schema);
 }
 
-Result<std::vector<rel::TableSchema>> TranslateToRelational(
-    const core::SuperSchema& schema) {
-  return TranslateToRelationalNative(schema);
-}
-
-std::vector<CsvFileSchema> TranslateToCsv(const core::SuperSchema& schema) {
-  return TranslateToCsvNative(schema);
-}
-
 }  // namespace kgm::translate

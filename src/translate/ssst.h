@@ -8,7 +8,10 @@
 // The PG translation runs the published MetaLog Eliminate/Copy programs on
 // the dictionary graph (the paper's mechanism); native.h holds the
 // equivalent procedural translator.  The two must agree — tests and the
-// E10 ablation bench rely on it.
+// E10 ablation bench rely on it.  The relational and CSV translators,
+// TranslateToRelational (Figure 8) and TranslateToCsv, are native only and
+// declared in native.h together with the layouts they translate to; the
+// declarative relational mapping is listed as an extension in DESIGN.md.
 
 #ifndef KGM_TRANSLATE_SSST_H_
 #define KGM_TRANSLATE_SSST_H_
@@ -29,15 +32,6 @@ namespace kgm::translate {
 // type-accumulation mapping.
 Result<core::PgSchema> TranslateToPropertyGraph(
     const core::SuperSchema& schema);
-
-// Super-schema -> relational schema (Figure 8).  Currently native-only;
-// the declarative relational mapping is listed as an extension in
-// DESIGN.md.
-Result<std::vector<rel::TableSchema>> TranslateToRelational(
-    const core::SuperSchema& schema);
-
-// Super-schema -> CSV files.
-std::vector<CsvFileSchema> TranslateToCsv(const core::SuperSchema& schema);
 
 }  // namespace kgm::translate
 

@@ -31,11 +31,9 @@ bool TypeMatches(core::AttrType type, const Value& v) {
 std::string DeclaringLabel(const core::SuperSchema& schema,
                            const std::string& label,
                            const std::string& attr) {
-  const core::NodeDef* node = schema.FindNode(label);
-  if (node != nullptr && node->FindAttribute(attr) != nullptr) return label;
-  for (const std::string& ancestor : schema.AncestorsOf(label)) {
-    const core::NodeDef* a = schema.FindNode(ancestor);
-    if (a != nullptr && a->FindAttribute(attr) != nullptr) return ancestor;
+  for (const std::string& type : schema.AccumulatedLabels(label)) {
+    const core::NodeDef* node = schema.FindNode(type);
+    if (node != nullptr && node->FindAttribute(attr) != nullptr) return type;
   }
   return label;
 }
@@ -106,6 +104,7 @@ ValidationReport ValidateInstance(const core::SuperSchema& schema,
   };
 
   // Indexes.
+  const core::NodeTypeIndex types(schema);
   std::map<std::string, const core::PgNodeType*> type_of;
   std::set<std::string> all_known_labels;
   for (const core::PgNodeType& nt : pg_schema.node_types) {
@@ -135,16 +134,11 @@ ValidationReport ValidateInstance(const core::SuperSchema& schema,
     ++report.checked_nodes;
     std::string node_name = "node " + std::to_string(id);
 
-    const core::PgNodeType* nt = nullptr;
-    for (const std::string& label : node.labels) {
-      auto it = type_of.find(label);
-      // The primary type is the most specific one: prefer the type whose
-      // label set is largest (deepest in the hierarchy).
-      if (it != type_of.end() &&
-          (nt == nullptr || it->second->labels.size() > nt->labels.size())) {
-        nt = it->second;
-      }
-    }
+    const core::NodeTypeIndex::Type* primary = types.PrimaryOf(node.labels);
+    auto primary_type =
+        primary == nullptr ? type_of.end() : type_of.find(primary->def->name);
+    const core::PgNodeType* nt =
+        primary_type == type_of.end() ? nullptr : primary_type->second;
     if (nt == nullptr) {
       add(Violation::Kind::kUnknownLabel,
           node_name + " has no label naming a schema node type");

@@ -60,7 +60,8 @@ struct ValidateOptions {
 };
 
 // Validates `data` against the PG schema and the cardinalities of the
-// originating super-schema.
+// originating super-schema.  Each node is checked as its primary type
+// (core::NodeTypeIndex).
 ValidationReport ValidateInstance(const core::SuperSchema& schema,
                                   const core::PgSchema& pg_schema,
                                   const pg::PropertyGraph& data,

@@ -56,6 +56,38 @@ TEST(SuperSchemaTest, EffectiveAttributesInherit) {
   EXPECT_EQ(ids[0].name, "code");
 }
 
+TEST(SuperSchemaTest, AccumulatedLabelsAreTypeThenAncestors) {
+  SuperSchema s = SmallSchema();
+  EXPECT_EQ(s.AccumulatedLabels("Business"),
+            (std::vector<std::string>{"Business", "LegalPerson", "Person"}));
+  EXPECT_EQ(s.AccumulatedLabels("Person"),
+            (std::vector<std::string>{"Person"}));
+}
+
+TEST(NodeTypeIndexTest, PrimaryTypeIsTheDeepestLabelEarlierOnATie) {
+  SuperSchema s = SmallSchema();
+  NodeTypeIndex types(s);
+  ASSERT_EQ(types.types().size(), s.nodes().size());
+  const NodeTypeIndex::Type* business = types.Find("Business");
+  ASSERT_NE(business, nullptr);
+  EXPECT_EQ(business->position, 3u);
+  EXPECT_EQ(business->depth(), 2u);
+  EXPECT_EQ(business->root(), "Person");
+  EXPECT_EQ(types.Find("Nobody"), nullptr);
+
+  auto primary = [&types](std::vector<std::string> labels) -> std::string {
+    const NodeTypeIndex::Type* t = types.PrimaryOf(labels);
+    return t == nullptr ? "" : t->def->name;
+  };
+  EXPECT_EQ(primary({"Person", "PhysicalPerson"}), "PhysicalPerson");
+  EXPECT_EQ(primary({"Person", "LegalPerson", "Business"}), "Business");
+  EXPECT_EQ(primary({"LegalPerson", "PhysicalPerson"}), "LegalPerson");
+  EXPECT_EQ(primary({"PhysicalPerson", "LegalPerson"}), "PhysicalPerson");
+  EXPECT_EQ(primary({"Extra", "Person"}), "Person");
+  EXPECT_EQ(primary({"Extra"}), "");
+  EXPECT_EQ(primary({}), "");
+}
+
 TEST(SuperSchemaTest, ValidationAcceptsGoodSchema) {
   EXPECT_TRUE(SmallSchema().Validate().ok());
 }

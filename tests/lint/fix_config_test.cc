@@ -156,6 +156,64 @@ TEST(ConfigTest, OffPassDropsItsSkipNote) {
   EXPECT_GE(result.skipped_passes.size(), 2u);
 }
 
+TEST(ConfigTest, EnforcedPassesCannotBeSwitchedOffOrDemoted) {
+  // The engine rejects this program (y is unbound in the head), so no
+  // .kgmlint may report it clean.
+  const std::string source =
+      "@input(\"p\").\n"
+      "p(x) -> q(x, y).\n"
+      "@output(\"q\").\n";
+  std::string error;
+  LintConfig parsed = ParseLintConfig("safety = off\narity = off\n", &error);
+  EXPECT_NE(error.find("safety"), std::string::npos) << error;
+  EXPECT_TRUE(parsed.overrides.empty());
+
+  LintConfig config;
+  config.overrides["safety"] = std::nullopt;
+  config.overrides["arity"] = Severity::kNote;
+  config.overrides["stratification"] = Severity::kWarning;
+  LintResult result = LintVadalogSource(source);
+  config.Apply(&result);
+  const Diagnostic* safety = FindPass(result, "safety");
+  ASSERT_NE(safety, nullptr) << RenderText(result);
+  EXPECT_EQ(safety->severity, Severity::kError);
+  EXPECT_TRUE(result.has_errors());
+  EXPECT_FALSE(result.skipped_passes.empty());
+
+  for (const char* pass : {"parse", "translate", "safety", "stratification",
+                           "aggregate", "arity"}) {
+    error.clear();
+    ParseLintConfig(std::string(pass) + " = warning\n", &error);
+    EXPECT_FALSE(error.empty()) << pass;
+  }
+}
+
+TEST(ConfigTest, WardednessOffLeavesTheAnalysisPassesRunning) {
+  // Unwarded (y is dangerous and joins two atoms), with a dead guard the
+  // typeflow passes report.  Wardedness does not gate them.
+  const std::string source =
+      "@fact score(1).\n"
+      "@input(\"start\").\n"
+      "start(x) -> exists y p(x, y).\n"
+      "p(x, y) -> q(x, y).\n"
+      "p(x, y), q(z, y) -> r(x, z, y).\n"
+      "score(x), x > 5 -> high(x).\n"
+      "@output(\"r\").\n"
+      "@output(\"high\").\n";
+  LintResult result = LintVadalogSource(source);
+  ASSERT_NE(FindPass(result, "wardedness"), nullptr) << RenderText(result);
+  EXPECT_TRUE(result.skipped_passes.empty()) << RenderText(result);
+  EXPECT_NE(FindPass(result, "unsat-rule"), nullptr) << RenderText(result);
+
+  std::string error;
+  LintConfig config = ParseLintConfig("wardedness = off\n", &error);
+  EXPECT_TRUE(error.empty()) << error;
+  config.Apply(&result);
+  EXPECT_FALSE(result.has_errors()) << RenderText(result);
+  EXPECT_NE(FindPass(result, "unsat-rule"), nullptr);
+  EXPECT_EQ(RenderText(result, "f").find("skipped"), std::string::npos);
+}
+
 TEST(ConfigTest, DiscoveryWalksUpward) {
   fs::path root = fs::temp_directory_path() / "kgmlint_discovery_test";
   fs::remove_all(root);

@@ -91,23 +91,6 @@ TEST(PgNativeTest, IntensionalFlagsPreserved) {
   }
 }
 
-TEST(PgNativeTest, ChildParentEdgesStrategy) {
-  SuperSchema s = finkg::CompanyKgSchema();
-  PgSchema pg =
-      TranslateToPgNative(s, PgGeneralizationStrategy::kChildParentEdges)
-          .value();
-  // Single label per node, IS_A relationships instead.
-  const PgNodeType* plc = pg.FindNodeType("PublicListedCompany");
-  ASSERT_NE(plc, nullptr);
-  EXPECT_EQ(plc->labels.size(), 1u);
-  auto is_a = pg.FindRelationships("IS_A");
-  // One per (child, parent) pair: PhysicalPerson, LegalPerson, Business,
-  // NonBusiness, PublicListedCompany, StockShare = 6.
-  EXPECT_EQ(is_a.size(), 6u);
-  // No replication in this strategy.
-  EXPECT_EQ(pg.FindRelationships("HOLDS").size(), 1u);
-}
-
 TEST(PgDeclarativeTest, MatchesNativeOnCompanyKg) {
   // The headline equivalence: the MetaLog Eliminate/Copy pipeline of
   // Section 5.2 and the native oracle produce the same Figure 6 schema.

@@ -96,7 +96,7 @@ TEST_P(SsstProperty, DeclarativeEqualsNative) {
 TEST_P(SsstProperty, RelationalInvariants) {
   core::SuperSchema schema = RandomSchema(GetParam());
   ASSERT_TRUE(schema.Validate().ok());
-  auto tables_result = TranslateToRelationalNative(schema);
+  auto tables_result = TranslateToRelational(schema);
   ASSERT_TRUE(tables_result.ok()) << tables_result.status().ToString();
   const auto& tables = *tables_result;
 

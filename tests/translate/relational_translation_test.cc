@@ -23,7 +23,7 @@ const rel::TableSchema* Find(const std::vector<rel::TableSchema>& tables,
 }
 
 std::vector<rel::TableSchema> CompanyTables() {
-  auto result = TranslateToRelationalNative(finkg::CompanyKgSchema());
+  auto result = TranslateToRelational(finkg::CompanyKgSchema());
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).value();
 }
@@ -146,7 +146,7 @@ TEST(RelTranslationTest, UniqueModifierOnNonKeyAttribute) {
   core::AttributeDef vat = core::Attr("vatNumber");
   vat.modifiers.push_back(core::AttributeModifier::Unique());
   s.AddNode("Company", {core::IdAttr("code"), vat});
-  auto tables = TranslateToRelationalNative(s).value();
+  auto tables = TranslateToRelational(s).value();
   const rel::TableSchema* company = Find(tables, "company");
   ASSERT_NE(company, nullptr);
   ASSERT_EQ(company->unique_keys.size(), 1u);
@@ -163,17 +163,11 @@ TEST(RelTranslationTest, OneToOneEdgeGetsUniqueForeignKey) {
   s.AddNode("B", {core::IdAttr("bid")});
   s.AddEdge("TWIN", "A", "B", core::Cardinality::ZeroOrOne(),
             core::Cardinality::ZeroOrOne());
-  auto tables = TranslateToRelationalNative(s).value();
+  auto tables = TranslateToRelational(s).value();
   const rel::TableSchema* a = Find(tables, "a");
   ASSERT_NE(a, nullptr);
   ASSERT_EQ(a->unique_keys.size(), 1u);
   EXPECT_EQ(a->unique_keys[0], (std::vector<std::string>{"twin_bid"}));
-}
-
-TEST(RelTranslationTest, SsstFacadeDelegates) {
-  auto tables = TranslateToRelational(finkg::CompanyKgSchema());
-  ASSERT_TRUE(tables.ok());
-  EXPECT_GT(tables->size(), 10u);
 }
 
 TEST(CsvTranslationTest, FilesAndColumns) {
